@@ -4,8 +4,10 @@
 //! n ∈ {1k, 10k, 100k} scaling sweep and records `BENCH_chase.json`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use fdi_core::chase::{chase_naive, chase_plain, extended_chase, Scheduler};
+use fdi_core::chase::{chase_naive, chase_plain, extended_chase, extended_chase_naive};
+use fdi_exec::Executor;
 use fdi_gen::{large_workload, satisfiable_workload, WorkloadSpec};
+use fdi_obs::Recorder;
 
 fn bench_engines(c: &mut Criterion) {
     let mut group = c.benchmark_group("chase");
@@ -21,14 +23,15 @@ fn bench_engines(c: &mut Criterion) {
         let w = satisfiable_workload(7, &spec, 4);
         group.throughput(Throughput::Elements(n as u64));
         group.bench_with_input(BenchmarkId::new("extended_fast", n), &w, |b, w| {
-            b.iter(|| extended_chase(&w.instance, &w.fds, Scheduler::Fast))
+            let (exec, rec) = (Executor::with_threads(1), Recorder::noop());
+            b.iter(|| extended_chase(&w.instance, &w.fds, &exec, &rec))
         });
         group.bench_with_input(BenchmarkId::new("plain_indexed", n), &w, |b, w| {
             b.iter(|| chase_plain(&w.instance, &w.fds))
         });
         if n <= 512 {
             group.bench_with_input(BenchmarkId::new("extended_naive", n), &w, |b, w| {
-                b.iter(|| extended_chase(&w.instance, &w.fds, Scheduler::NaivePairs))
+                b.iter(|| extended_chase_naive(&w.instance, &w.fds))
             });
             group.bench_with_input(BenchmarkId::new("plain_naive", n), &w, |b, w| {
                 b.iter(|| chase_naive(&w.instance, &w.fds))

@@ -3,7 +3,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use fdi_core::testfd::{self, Convention};
+use fdi_exec::Executor;
 use fdi_gen::{satisfiable_workload, WorkloadSpec};
+use fdi_obs::Recorder;
 
 fn bench_variants(c: &mut Criterion) {
     let mut group = c.benchmark_group("testfd");
@@ -21,8 +23,9 @@ fn bench_variants(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("sorted_weak", n), &w, |b, w| {
             b.iter(|| testfd::check_sorted(&w.instance, &w.fds, Convention::Weak))
         });
-        group.bench_with_input(BenchmarkId::new("hashed_weak", n), &w, |b, w| {
-            b.iter(|| testfd::check_hashed(&w.instance, &w.fds, Convention::Weak))
+        group.bench_with_input(BenchmarkId::new("grouped_weak", n), &w, |b, w| {
+            let (exec, rec) = (Executor::with_threads(1), Recorder::noop());
+            b.iter(|| testfd::check(&w.instance, &w.fds, Convention::Weak, &exec, &rec))
         });
         if n <= 1024 {
             group.bench_with_input(BenchmarkId::new("pairwise_weak", n), &w, |b, w| {

@@ -9,7 +9,9 @@
 use fdi_bench::{fmt_duration, median_time, Table};
 use fdi_core::chase::{chase_naive, chase_plain};
 use fdi_core::testfd::{self, Convention};
+use fdi_exec::Executor;
 use fdi_gen::large_workload;
+use fdi_obs::Recorder;
 use std::io::Write;
 
 struct Point {
@@ -41,6 +43,7 @@ fn main() {
     for &n in sizes {
         let w = large_workload(7, n, 0.25, 0.1, 4);
         let repeats = if n >= 100_000 { 3 } else { 5 };
+        let (exec, rec) = (Executor::with_threads(1), Recorder::noop());
         let t_indexed = median_time(repeats, || {
             std::hint::black_box(chase_plain(&w.instance, &w.fds));
         });
@@ -52,14 +55,15 @@ fn main() {
             })
         });
         let t_grouped = median_time(repeats, || {
-            let verdict = testfd::check_grouped(&w.instance, &w.fds, Convention::Weak);
+            let verdict = testfd::check(&w.instance, &w.fds, Convention::Weak, &exec, &rec);
             std::hint::black_box(verdict.is_ok());
         });
         // The genericized engine through a zero-sized semantics: the
         // monomorphized twin of the enum-dispatched run above. The
         // guard below asserts the `Semantics` refactor stayed free.
         let t_grouped_zst = median_time(repeats, || {
-            let verdict = testfd::check_grouped(&w.instance, &w.fds, fdi_core::semantics::Weak);
+            let verdict =
+                testfd::check(&w.instance, &w.fds, fdi_core::semantics::Weak, &exec, &rec);
             std::hint::black_box(verdict.is_ok());
         });
         let ratio = t_grouped_zst.as_secs_f64() / t_grouped.as_secs_f64();

@@ -9,7 +9,7 @@
 //!
 //! The per-configuration results are bit-identical by construction
 //! (the executors are deterministic); `verify_equivalence` re-asserts
-//! that against the sequential oracles on the exact timed workload
+//! that against the reference engines on the exact timed workload
 //! before anything is measured. The JSON records the host's available
 //! parallelism — on a machine with fewer cores than the grid requests,
 //! thread counts above the core count measure scheduling overhead, not
@@ -27,7 +27,7 @@ fn main() {
         .map(|n| n.get())
         .unwrap_or(1);
     println!("host parallelism: {host_threads} thread(s)");
-    println!("verifying parallel == sequential on the timed workload (n = 1000) …");
+    println!("verifying every engine against its reference on the timed workload (n = 1000) …");
     verify_equivalence(1_000);
 
     let mut table = Table::new(["n", "threads", "testfd", "query", "chase", "extended"]);

@@ -1,27 +1,23 @@
 //! Query-answering benchmark: the compiled plan path
 //! ([`CompiledQuery`](fdi_core::query::CompiledQuery) — flat op
 //! program, precomputed per-attribute candidate sets, per-shard
-//! NEC-signature memo) vs the interpreted
-//! [`select_par`](fdi_core::query::select_par) walking the query tree
-//! per row, plus
-//! the **incremental** lane: an
+//! NEC-signature memo) vs the sequential interpreted
+//! [`select`](fdi_core::query::select) walking the query tree per row,
+//! plus the **incremental** lane: an
 //! [`IncrementalSelection`](fdi_core::query::IncrementalSelection)
 //! maintained under a 256-op update stream vs a full compiled re-scan
-//! after every op, and the planner's
-//! [`ClosureEngine::expand`](fdi_logic::closure::ClosureEngine::expand)
-//! throughput. Writes `BENCH_query.json` (medians in nanoseconds plus
-//! speedups) to the current directory and prints tables.
+//! after every op. Writes `BENCH_query.json` (medians in nanoseconds
+//! plus speedups) to the current directory and prints tables.
 //!
-//! All lanes are equivalence-checked before timing: interpreted and
-//! compiled selects bit-identical at every measured thread count, and
-//! both maintenance lanes ending on the same answer.
+//! All lanes are equivalence-checked before timing: the compiled select
+//! bit-identical to the interpreted one at every measured thread count,
+//! and both maintenance lanes ending on the same answer.
 //!
 //! Usage: `cargo run --release -p fdi-bench --bin bench_query
 //! [--quick]` — `--quick` drops the n = 100 000 points.
 
 use fdi_bench::query_bench::{
-    measure_obs_overhead, render_json, run_closure_point, run_incremental_point, run_select_point,
-    verify_equivalence,
+    measure_obs_overhead, render_json, run_incremental_point, run_select_point, verify_equivalence,
 };
 use fdi_bench::{fmt_duration, Table};
 use std::io::Write;
@@ -62,7 +58,7 @@ fn main() {
             selects.push(p);
         }
     }
-    println!("select: interpreted vs compiled (scaling query)");
+    println!("select: interpreted (sequential) vs compiled (scaling query)");
     println!("{}", table.render());
 
     let mut incrementals = Vec::new();
@@ -83,18 +79,9 @@ fn main() {
     println!("answer maintenance: full re-scan per op vs incremental");
     println!("{}", table.render());
 
-    let closure = run_closure_point(32, 24, if quick { 100_000 } else { 1_000_000 });
-    println!(
-        "closure: {} expand() calls ({} FDs over {} columns) — {:.1}M calls/sec\n",
-        closure.calls,
-        closure.fds,
-        closure.cols,
-        closure.calls_per_sec() / 1e6
-    );
-
     // Honesty lane: the same compiled select through `Epoch::select`
-    // (noop recorder) vs `Epoch::select_recorded` with a live recorder,
-    // asserted bounded before the artifact is written.
+    // with the noop recorder vs a live one, asserted bounded before the
+    // artifact is written.
     let obs = measure_obs_overhead(10_000, 5);
     obs.assert_bounded(3.0);
     println!(
@@ -102,7 +89,7 @@ fn main() {
         obs.ratio()
     );
 
-    let json = render_json(&selects, &incrementals, &closure, &obs);
+    let json = render_json(&selects, &incrementals, &obs);
     let mut f = std::fs::File::create("BENCH_query.json").expect("create BENCH_query.json");
     f.write_all(json.as_bytes())
         .expect("write BENCH_query.json");

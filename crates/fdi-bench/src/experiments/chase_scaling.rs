@@ -4,8 +4,10 @@
 //! `O(|F|·n·log(|F|·n))` footnote).
 
 use crate::{banner, fmt_duration, fmt_factor, growth_factors, median_time, Table};
-use fdi_core::chase::{extended_chase, Scheduler};
+use fdi_core::chase::{extended_chase, extended_chase_naive};
+use fdi_exec::Executor;
 use fdi_gen::{satisfiable_workload, WorkloadSpec};
+use fdi_obs::Recorder;
 use std::time::Duration;
 
 /// Runs the experiment.
@@ -38,19 +40,20 @@ pub fn run(quick: bool) {
         };
         let w = satisfiable_workload(7, &spec, 4);
         let repeats = if quick { 3 } else { 5 };
+        let (exec, rec) = (Executor::with_threads(1), Recorder::noop());
         let t_fast = median_time(repeats, || {
-            std::hint::black_box(extended_chase(&w.instance, &w.fds, Scheduler::Fast));
+            std::hint::black_box(extended_chase(&w.instance, &w.fds, &exec, &rec));
         });
         let t_naive = if n <= 2048 {
             median_time(repeats.min(3), || {
-                std::hint::black_box(extended_chase(&w.instance, &w.fds, Scheduler::NaivePairs));
+                std::hint::black_box(extended_chase_naive(&w.instance, &w.fds));
             })
         } else {
             Duration::ZERO
         };
-        let fast = extended_chase(&w.instance, &w.fds, Scheduler::Fast);
+        let fast = extended_chase(&w.instance, &w.fds, &exec, &rec);
         if !t_naive.is_zero() {
-            let naive = extended_chase(&w.instance, &w.fds, Scheduler::NaivePairs);
+            let naive = extended_chase_naive(&w.instance, &w.fds);
             assert_eq!(
                 fast.instance.canonical_form(),
                 naive.instance.canonical_form(),

@@ -3,13 +3,24 @@
 //! over many random application orders.
 
 use crate::{banner, Table};
-use fdi_core::chase::{chase_plain, extended_chase, Scheduler};
+use fdi_core::chase::{chase_plain, extended_chase, extended_chase_naive, ChaseOutcome};
+use fdi_core::fd::FdSet;
 use fdi_core::fixtures;
 use fdi_gen::{workload, WorkloadSpec};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::collections::HashSet;
+
+/// The production extended chase, inline.
+fn extended_inline(r: &fdi_core::Instance, fds: &FdSet) -> ChaseOutcome {
+    extended_chase(
+        r,
+        fds,
+        &fdi_exec::Executor::with_threads(1),
+        &fdi_obs::Recorder::noop(),
+    )
+}
 
 /// Runs the experiment.
 pub fn run(quick: bool) {
@@ -31,7 +42,7 @@ pub fn run(quick: bool) {
         forward.instance.canonical_form(),
         backward.instance.canonical_form()
     );
-    let extended = extended_chase(&r, &fds, Scheduler::Fast);
+    let extended = extended_inline(&r, &fds);
     println!(
         "extended rules (either order):\n{}",
         extended.instance.render(false)
@@ -72,12 +83,11 @@ pub fn run(quick: bool) {
             let permuted = w.fds.permuted(&order);
             let plain = chase_plain(&w.instance, &permuted);
             plain_results.insert(format!("{:?}", plain.instance.canonical_form()));
-            let scheduler = if k % 2 == 0 {
-                Scheduler::Fast
+            let ext = if k % 2 == 0 {
+                extended_inline(&w.instance, &permuted)
             } else {
-                Scheduler::NaivePairs
+                extended_chase_naive(&w.instance, &permuted)
             };
-            let ext = extended_chase(&w.instance, &permuted, scheduler);
             extended_results.insert(format!("{:?}", ext.instance.canonical_form()));
             any_nothing |= ext.has_nothing();
         }

@@ -1,9 +1,11 @@
 //! E10/E11: TEST-FDs complexity (Figure 3) — sorted `O(|F|·n·log n)` vs
-//! pairwise `O(|F|·n²)` vs hash-grouped ("bucket sort") `O(|F|·n·p)`,
-//! plus the linear single-FD pre-sorted scan.
+//! pairwise `O(|F|·n²)` vs hash-grouped ("bucket sort") `O(|F|·n·p)`
+//! — the production [`testfd::check`], inline — plus the linear
+//! single-FD pre-sorted scan.
 
 use crate::{banner, fmt_duration, fmt_factor, growth_factors, median_time, Table};
 use fdi_core::testfd::{self, Convention};
+use fdi_exec::Executor;
 use fdi_gen::{satisfiable_workload, WorkloadSpec};
 use std::time::Duration;
 
@@ -26,9 +28,9 @@ pub fn run(quick: bool) {
         println!("|F| = {fd_count}:");
         let mut sorted_times = Vec::new();
         let mut pairwise_times = Vec::new();
-        let mut hashed_times = Vec::new();
+        let mut grouped_times = Vec::new();
         let mut table = Table::new([
-            "n", "sorted", "growth", "pairwise", "growth", "hashed", "growth",
+            "n", "sorted", "growth", "pairwise", "growth", "grouped", "growth",
         ]);
         for &n in &sizes {
             let spec = WorkloadSpec {
@@ -58,17 +60,24 @@ pub fn run(quick: bool) {
             } else {
                 Duration::ZERO
             };
-            let t_hashed = median_time(repeats, || {
-                std::hint::black_box(testfd::check_hashed(&w.instance, &w.fds, Convention::Weak))
-                    .ok();
+            let (exec, rec) = (Executor::with_threads(1), fdi_obs::Recorder::noop());
+            let t_grouped = median_time(repeats, || {
+                std::hint::black_box(testfd::check(
+                    &w.instance,
+                    &w.fds,
+                    Convention::Weak,
+                    &exec,
+                    &rec,
+                ))
+                .ok();
             });
             sorted_times.push(t_sorted);
             pairwise_times.push(t_pairwise);
-            hashed_times.push(t_hashed);
+            grouped_times.push(t_grouped);
             let gi = sorted_times.len() - 1;
             let gs = growth_factors(&sorted_times);
             let gp = growth_factors(&pairwise_times);
-            let gh = growth_factors(&hashed_times);
+            let gh = growth_factors(&grouped_times);
             let fmt_growth = |g: &[f64]| {
                 if gi == 0 {
                     "-".to_string()
@@ -86,7 +95,7 @@ pub fn run(quick: bool) {
                     fmt_duration(t_pairwise)
                 },
                 fmt_growth(&gp),
-                fmt_duration(t_hashed),
+                fmt_duration(t_grouped),
                 fmt_growth(&gh),
             ]);
         }

@@ -8,30 +8,31 @@
 //! benchmark uses, the fourth on the cross-column/conflict-bearing
 //! [`fdi_gen::extended_workload`] built for it:
 //!
-//! * **testfd** — [`testfd::check_par`] under the weak convention
+//! * **testfd** — [`testfd::check`] under the weak convention
 //!   (per-FD determinant grouping sharded over [`RowId`] ranges);
-//! * **query** — [`query::select_par`] with the standard
-//!   [`fdi_gen::scaling_query`] (per-row signature evaluation,
+//! * **query** — [`CompiledQuery::select_par_stats`] with the standard
+//!   [`fdi_gen::scaling_query`] (per-row compiled evaluation,
 //!   embarrassingly parallel);
-//! * **chase** — [`chase::chase_plain_par`] (sharded index build +
+//! * **chase** — [`chase::chase_indexed`] (sharded index build +
 //!   parallel per-pass violation discovery, sequential rule
 //!   application);
-//! * **extended** — [`chase::extended_chase_par`] (sharded initial
+//! * **extended** — [`chase::extended_chase`] (sharded initial
 //!   partition + parallel discovery / sequential union phases; no
 //!   order replay at all — Theorem 4(a)).
 //!
-//! Every `_par` engine is deterministic — bit-identical at any thread
-//! count — so the benchmark's correctness check is plain equality
-//! against the sequential oracles, which [`verify_equivalence`]
-//! asserts on the exact workload being timed.
+//! Every engine is deterministic — bit-identical at any thread count —
+//! so the benchmark's correctness check is plain equality against the
+//! reference engines, which [`verify_equivalence`] asserts on the exact
+//! workload being timed.
 //!
 //! [`RowId`]: fdi_relation::rowid::RowId
 
-use fdi_core::chase::{self, Scheduler};
-use fdi_core::query::{self, Query, Selection};
+use fdi_core::chase;
+use fdi_core::query::{self, CompiledQuery, Query, Selection};
 use fdi_core::testfd::{self, Convention};
 use fdi_exec::Executor;
 use fdi_gen::{extended_workload, large_workload, scaling_query, Workload};
+use fdi_obs::Recorder;
 
 use crate::median_time;
 
@@ -45,14 +46,16 @@ pub struct ParPoint {
     pub n: usize,
     /// Executor thread count.
     pub threads: usize,
-    /// Median wall time of `check_par` (weak convention), nanoseconds.
+    /// Median wall time of `testfd::check` (weak convention),
+    /// nanoseconds.
     pub testfd_ns: u128,
-    /// Median wall time of `select_par` on the scaling query.
+    /// Median wall time of the compiled scaling query's
+    /// `select_par_stats`.
     pub query_ns: u128,
-    /// Median wall time of `chase_plain_par`.
+    /// Median wall time of `chase_indexed`.
     pub chase_ns: u128,
-    /// Median wall time of `extended_chase_par` on the extended
-    /// workload (cross-column NEC classes + planted conflicts).
+    /// Median wall time of `extended_chase` on the extended workload
+    /// (cross-column NEC classes + planted conflicts).
     pub extended_ns: u128,
 }
 
@@ -71,68 +74,68 @@ pub fn extended_par_workload(n: usize) -> Workload {
     extended_workload(7, n, 4, (n / 200).max(4), 4)
 }
 
-/// Asserts that every parallel engine reproduces its sequential oracle
-/// on the workload at size `n`, at every grid thread count: TEST-FDs
-/// verdicts match [`testfd::check`] (and the parallel results are
-/// bit-identical across thread counts), selections equal
-/// [`query::select`] exactly, and the parallel chase equals
-/// [`chase::chase_plain`] exactly (instance, events, passes).
+/// The compiled scaling query's answer on `exec`.
+fn compiled_select(plan: &CompiledQuery, w: &Workload, exec: &Executor) -> Selection {
+    plan.select_par_stats(&w.instance, exec)
+        .expect("finite domains")
+        .0
+}
+
+/// Asserts that every engine reproduces its reference on the workload
+/// at size `n`, at every grid thread count: TEST-FDs matches
+/// [`testfd::check_pairwise`] (verdict and witness), the compiled
+/// selection equals [`query::select`] exactly, the plain chase equals
+/// [`chase::chase_plain`] exactly (instance, events, passes), and the
+/// extended chase equals [`chase::extended_chase_naive`] (canonical
+/// instance, `nothing` classes, unions).
 pub fn verify_equivalence(n: usize) {
     let (w, q) = par_workload(n);
     let ext = extended_par_workload(n);
-    let seq_testfd = testfd::check(&w.instance, &w.fds, Convention::Weak);
+    let plan = CompiledQuery::compile(&q, &w.instance);
+    let rec = Recorder::noop();
+    let seq_testfd = testfd::check_pairwise(&w.instance, &w.fds, Convention::Weak);
     let seq_select: Selection = query::select(&q, &w.instance).expect("finite domains");
     let seq_chase = chase::chase_plain(&w.instance, &w.fds);
-    let seq_extended = chase::extended_chase(&ext.instance, &ext.fds, Scheduler::Fast);
-    let baseline = testfd::check_par(
-        &w.instance,
-        &w.fds,
-        Convention::Weak,
-        &Executor::with_threads(1),
-    );
-    assert_eq!(
-        seq_testfd, baseline,
-        "check_par witness diverges from check at n = {n}"
-    );
+    let naive_extended = chase::extended_chase_naive(&ext.instance, &ext.fds);
     for threads in THREAD_GRID {
         let exec = Executor::with_threads(threads);
         assert_eq!(
-            baseline,
-            testfd::check_par(&w.instance, &w.fds, Convention::Weak, &exec),
-            "check_par not thread-invariant at n = {n}, threads = {threads}"
+            seq_testfd,
+            testfd::check(&w.instance, &w.fds, Convention::Weak, &exec, &rec),
+            "testfd diverges at n = {n}, threads = {threads}"
         );
-        let par_extended = chase::extended_chase_par(&ext.instance, &ext.fds, &exec);
+        let extended = chase::extended_chase(&ext.instance, &ext.fds, &exec, &rec);
         assert_eq!(
-            seq_extended.instance.canonical_form(),
-            par_extended.instance.canonical_form(),
-            "extended_chase_par instance diverges at n = {n}, threads = {threads}"
-        );
-        assert_eq!(
-            seq_extended.nothing_classes, par_extended.nothing_classes,
-            "extended_chase_par nothing_classes diverge at n = {n}, threads = {threads}"
+            naive_extended.instance.canonical_form(),
+            extended.instance.canonical_form(),
+            "extended chase instance diverges at n = {n}, threads = {threads}"
         );
         assert_eq!(
-            seq_extended.unions, par_extended.unions,
-            "extended_chase_par union count diverges at n = {n}, threads = {threads}"
+            naive_extended.nothing_classes, extended.nothing_classes,
+            "extended chase nothing_classes diverge at n = {n}, threads = {threads}"
+        );
+        assert_eq!(
+            naive_extended.unions, extended.unions,
+            "extended chase union count diverges at n = {n}, threads = {threads}"
         );
         assert_eq!(
             seq_select,
-            query::select_par(&q, &w.instance, &exec).expect("finite domains"),
-            "select_par diverges at n = {n}, threads = {threads}"
+            compiled_select(&plan, &w, &exec),
+            "compiled select diverges at n = {n}, threads = {threads}"
         );
-        let par_chase = chase::chase_plain_par(&w.instance, &w.fds, &exec);
+        let par_chase = chase::chase_indexed(&w.instance, &w.fds, &exec, &rec);
         assert_eq!(
             seq_chase.instance.canonical_form(),
             par_chase.instance.canonical_form(),
-            "chase_plain_par instance diverges at n = {n}, threads = {threads}"
+            "chase instance diverges at n = {n}, threads = {threads}"
         );
         assert_eq!(
             seq_chase.events, par_chase.events,
-            "chase_plain_par events diverge at n = {n}, threads = {threads}"
+            "chase events diverge at n = {n}, threads = {threads}"
         );
         assert_eq!(
             seq_chase.passes, par_chase.passes,
-            "chase_plain_par passes diverge at n = {n}, threads = {threads}"
+            "chase passes diverge at n = {n}, threads = {threads}"
         );
     }
 }
@@ -141,26 +144,27 @@ pub fn verify_equivalence(n: usize) {
 pub fn measure(n: usize, repeats: usize) -> Vec<ParPoint> {
     let (w, q) = par_workload(n);
     let ext = extended_par_workload(n);
+    let plan = CompiledQuery::compile(&q, &w.instance);
+    let rec = Recorder::noop();
     THREAD_GRID
         .iter()
         .map(|&threads| {
             let exec = Executor::with_threads(threads);
             let testfd_ns = median_time(repeats, || {
-                let verdict = testfd::check_par(&w.instance, &w.fds, Convention::Weak, &exec);
+                let verdict = testfd::check(&w.instance, &w.fds, Convention::Weak, &exec, &rec);
                 std::hint::black_box(verdict.is_ok());
             })
             .as_nanos();
             let query_ns = median_time(repeats, || {
-                let sel = query::select_par(&q, &w.instance, &exec).expect("finite domains");
-                std::hint::black_box(sel.sure.len());
+                std::hint::black_box(compiled_select(&plan, &w, &exec).sure.len());
             })
             .as_nanos();
             let chase_ns = median_time(repeats, || {
-                std::hint::black_box(chase::chase_plain_par(&w.instance, &w.fds, &exec));
+                std::hint::black_box(chase::chase_indexed(&w.instance, &w.fds, &exec, &rec));
             })
             .as_nanos();
             let extended_ns = median_time(repeats, || {
-                let outcome = chase::extended_chase_par(&ext.instance, &ext.fds, &exec);
+                let outcome = chase::extended_chase(&ext.instance, &ext.fds, &exec, &rec);
                 std::hint::black_box(outcome.nothing_classes);
             })
             .as_nanos();
@@ -197,8 +201,8 @@ pub fn render_json(points: &[ParPoint], host_threads: usize) -> String {
     let mut out = String::from("{\n");
     out.push_str(
         "  \"workload\": \"testfd/query/chase: large_workload(seed=7, null=0.25, nec=0.1, \
-         fds=4) + scaling_query; extended: extended_workload(seed=7, fds=4, cross=n/200, \
-         conflicts=4)\",\n",
+         fds=4) + compiled scaling_query; extended: extended_workload(seed=7, fds=4, \
+         cross=n/200, conflicts=4)\",\n",
     );
     out.push_str(&format!("  \"host_threads\": {host_threads},\n"));
     out.push_str(&format!("  \"host\": {},\n", crate::host_json()));
@@ -245,7 +249,7 @@ mod tests {
     use super::*;
 
     /// The smoke lane: the exact pipelines `bench_par` times agree with
-    /// their sequential oracles at n = 10², across the whole thread
+    /// their reference engines at n = 10², across the whole thread
     /// grid, before any timing run is trusted.
     #[test]
     fn parallel_pipelines_match_sequential_oracles_at_small_n() {

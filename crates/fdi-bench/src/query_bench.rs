@@ -3,30 +3,28 @@
 //! pipelines the benchmark times — at n = 10² — before the
 //! artifact-upload step can bit-rot.
 //!
-//! Three lanes:
+//! Two lanes:
 //!
 //! * **compiled vs interpreted select** — the scaling query over
-//!   [`fdi_gen::large_workload`] instances, answered by the sharded
-//!   [`select_par`] walking the [`Query`] tree per row vs the same
-//!   shards through a [`CompiledQuery`] (flat op program, precomputed
-//!   per-attribute candidate sets, per-shard signature memo). Both
-//!   produce bit-identical selections, asserted before any timing.
+//!   [`fdi_gen::large_workload`] instances, answered by the sequential
+//!   reference [`select`] walking the [`Query`] tree per row vs
+//!   [`CompiledQuery::select_par_stats`] (flat op program, precomputed
+//!   per-attribute candidate sets, per-shard signature memo) at each
+//!   thread count. Both produce bit-identical selections, asserted
+//!   before any timing.
 //! * **incremental vs re-scan** — a generated update stream applied to
 //!   a [`Database`], answered after *every* op either by an
 //!   [`IncrementalSelection`] (re-evaluating only the rows the
 //!   [`UpdateOutcome`](fdi_core::update::UpdateOutcome) reports
 //!   changed) or by a full compiled re-scan. Same plan, same answers,
 //!   asserted at the end of both runs.
-//! * **closure throughput** — raw [`ClosureEngine::expand`] calls per
-//!   second on random FD sets, the planner-side primitive whose cost
-//!   bounds what query compilation can afford to precompute.
 
-use fdi_core::query::{select_par, CompiledQuery, IncrementalSelection, Query};
+use fdi_core::query::{select, CompiledQuery, IncrementalSelection, Query, Selection};
 use fdi_core::update::{Database, Enforcement, Policy};
 use fdi_exec::Executor;
 use fdi_gen::{apply_op, LiveRows, UpdateMix, UpdateOp, Workload};
-use fdi_logic::closure::{ClosureEngine, ColumnSet};
 use fdi_relation::rowid::RowId;
+use fdi_relation::Instance;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -43,9 +41,10 @@ pub struct SelectPoint {
     pub n: usize,
     /// Executor thread count.
     pub threads: usize,
-    /// Median wall time of the interpreted [`select_par`], nanoseconds.
+    /// Median wall time of the sequential interpreted [`select`],
+    /// nanoseconds (the same at every thread count).
     pub interpreted_ns: u128,
-    /// Median wall time of the compiled `select_par`, nanoseconds.
+    /// Median wall time of the compiled `select_par_stats`, nanoseconds.
     pub compiled_ns: u128,
     /// One-off plan compilation cost, nanoseconds (not part of either
     /// timed region — a plan is compiled once per epoch, not per scan).
@@ -69,25 +68,6 @@ pub struct IncrementalPoint {
     pub evals: u64,
 }
 
-/// The closure-throughput measurement.
-pub struct ClosurePoint {
-    /// FDs in the engine.
-    pub fds: usize,
-    /// Columns in the universe.
-    pub cols: usize,
-    /// `expand` calls timed.
-    pub calls: u64,
-    /// Total wall time, nanoseconds.
-    pub total_ns: u128,
-}
-
-impl ClosurePoint {
-    /// Calls per second.
-    pub fn calls_per_sec(&self) -> f64 {
-        self.calls as f64 / (self.total_ns as f64 / 1e9)
-    }
-}
-
 /// The benchmarked workload: shared-NEC instances from
 /// [`fdi_gen::large_workload`] with the standard scaling query.
 pub fn workload_for(n: usize) -> (Workload, Query) {
@@ -103,46 +83,47 @@ pub fn median_of(repeats: usize, mut f: impl FnMut() -> Duration) -> Duration {
     times[times.len() / 2]
 }
 
-/// Asserts the three select paths (interpreted sequential, interpreted
-/// sharded, compiled sharded) return bit-identical selections on the
-/// benchmarked workload — the honesty check run before any timing.
+/// The compiled plan's answer on `exec`, memo statistics dropped.
+fn compiled_select(plan: &CompiledQuery, instance: &Instance, exec: &Executor) -> Selection {
+    plan.select_par_stats(instance, exec)
+        .expect("finite domains")
+        .0
+}
+
+/// Asserts the compiled select returns the interpreted sequential
+/// answer bit-identically at every benchmarked thread count — the
+/// honesty check run before any timing.
 pub fn verify_equivalence(n: usize) {
     let (w, q) = workload_for(n);
-    let plan = CompiledQuery::compile_with_fds(&q, &w.instance, &w.fds);
-    let oracle = fdi_core::query::select(&q, &w.instance).expect("finite domains");
+    let plan = CompiledQuery::compile(&q, &w.instance);
+    let oracle = select(&q, &w.instance).expect("finite domains");
     for threads in [1usize, 4] {
-        let exec = Executor::with_threads(threads);
         assert_eq!(
             oracle,
-            select_par(&q, &w.instance, &exec).expect("finite domains"),
-            "interpreted select_par diverges at {threads} threads"
-        );
-        assert_eq!(
-            oracle,
-            plan.select_par(&w.instance, &exec).expect("finite domains"),
-            "compiled select_par diverges at {threads} threads"
+            compiled_select(&plan, &w.instance, &Executor::with_threads(threads)),
+            "compiled select diverges at {threads} threads"
         );
     }
 }
 
-/// Times one select point: interpreted vs compiled sharded select on
-/// the same instance and executor.
+/// Times one select point: the interpreted sequential select vs the
+/// compiled sharded select on `threads` threads.
 pub fn run_select_point(n: usize, threads: usize, repeats: usize) -> SelectPoint {
     let (w, q) = workload_for(n);
     let exec = Executor::with_threads(threads);
 
     let compile_start = Instant::now();
-    let plan = CompiledQuery::compile_with_fds(&q, &w.instance, &w.fds);
+    let plan = CompiledQuery::compile(&q, &w.instance);
     let compile_ns = compile_start.elapsed().as_nanos();
 
     let interpreted = median_of(repeats, || {
         let start = Instant::now();
-        std::hint::black_box(select_par(&q, &w.instance, &exec).expect("finite domains"));
+        std::hint::black_box(select(&q, &w.instance).expect("finite domains"));
         start.elapsed()
     });
     let compiled = median_of(repeats, || {
         let start = Instant::now();
-        std::hint::black_box(plan.select_par(&w.instance, &exec).expect("finite domains"));
+        std::hint::black_box(compiled_select(&plan, &w.instance, &exec));
         start.elapsed()
     });
     SelectPoint {
@@ -167,11 +148,12 @@ pub fn stream_for(n: usize, ops: usize) -> Vec<UpdateOp> {
 pub fn run_rescan(db: &Database, plan: &CompiledQuery, ops: &[UpdateOp]) -> (Duration, usize) {
     let mut db = db.clone();
     let mut live = LiveRows::of(db.instance());
+    let exec = Executor::with_threads(1);
     let start = Instant::now();
     let mut last = 0;
     for op in ops {
         apply_op(&mut db, &mut live, op);
-        let sel = plan.select(db.instance()).expect("finite domains");
+        let sel = compiled_select(plan, db.instance(), &exec);
         last = std::hint::black_box(sel.sure.len() + sel.maybe.len());
     }
     (start.elapsed(), last)
@@ -237,7 +219,7 @@ pub fn run_incremental(
 pub fn run_incremental_point(n: usize, ops: usize, repeats: usize) -> IncrementalPoint {
     let (w, q) = workload_for(n);
     let db = Database::new(w.instance, w.fds.clone(), POLICY).expect("policy checks nothing");
-    let plan = Arc::new(CompiledQuery::compile_with_fds(&q, db.instance(), db.fds()));
+    let plan = Arc::new(CompiledQuery::compile(&q, db.instance()));
     let stream = stream_for(n, ops);
 
     let (_, rescan_answer) = run_rescan(&db, &plan, &stream);
@@ -258,45 +240,10 @@ pub fn run_incremental_point(n: usize, ops: usize, repeats: usize) -> Incrementa
     }
 }
 
-/// Times `calls` [`ClosureEngine::expand`] calls over random FD sets on
-/// a `cols`-column universe (the planner's primitive).
-pub fn run_closure_point(cols: usize, fd_count: usize, calls: u64) -> ClosurePoint {
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    let mut rng = StdRng::seed_from_u64(23);
-    let mut fds = Vec::new();
-    for _ in 0..fd_count {
-        let lhs: u64 = rng.gen::<u64>() & (ColumnSet::first_n(cols).0);
-        let rhs: u64 = rng.gen::<u64>() & (ColumnSet::first_n(cols).0);
-        if lhs == 0 || rhs == 0 {
-            continue;
-        }
-        fds.push((ColumnSet(lhs), ColumnSet(rhs)));
-    }
-    let engine = ClosureEngine::new(fds.iter().copied());
-    let seeds: Vec<ColumnSet> = (0..64)
-        .map(|_| ColumnSet(rng.gen::<u64>() & ColumnSet::first_n(cols).0))
-        .collect();
-    let start = Instant::now();
-    let mut acc = 0u64;
-    for i in 0..calls {
-        let set = seeds[(i as usize) % seeds.len()];
-        acc = acc.wrapping_add(engine.expand(set).0);
-    }
-    std::hint::black_box(acc);
-    ClosurePoint {
-        fds: fds.len(),
-        cols,
-        calls,
-        total_ns: start.elapsed().as_nanos(),
-    }
-}
-
 /// The instrumented-vs-noop honesty lane for the query path: the same
-/// compiled select answered through [`fdi_serve::Epoch::select`] (noop
-/// recorder) and [`fdi_serve::Epoch::select_recorded`] with a live
-/// recorder tallying plan-cache, NEC-signature-memo, and
-/// classical-fast-path traffic. Both paths return bit-identical
+/// compiled select answered through [`fdi_serve::Epoch::select`] with
+/// the noop recorder and with a live recorder tallying plan-cache,
+/// NEC-signature-memo, and classical-fast-path traffic. Both paths return bit-identical
 /// answers; the bench bins assert the wall-clock ratio stays bounded
 /// before writing artifacts.
 pub fn measure_obs_overhead(n: usize, repeats: usize) -> crate::ObsOverhead {
@@ -311,21 +258,17 @@ pub fn measure_obs_overhead(n: usize, repeats: usize) -> crate::ObsOverhead {
     .expect("fresh in-memory storage is empty");
     let epoch = reader.snapshot();
     let exec = Executor::with_threads(1);
-    let rec = fdi_obs::Recorder::enabled();
+    let (noop_rec, rec) = (fdi_obs::Recorder::noop(), fdi_obs::Recorder::enabled());
     // warm the per-epoch plan cache so neither lane pays the compile
-    let _ = epoch.select(&q, &exec).expect("finite domains");
+    let _ = epoch.select(&q, &exec, &noop_rec).expect("finite domains");
     let noop = median_of(repeats, || {
         let start = Instant::now();
-        std::hint::black_box(epoch.select(&q, &exec).expect("finite domains"));
+        std::hint::black_box(epoch.select(&q, &exec, &noop_rec).expect("finite domains"));
         start.elapsed()
     });
     let enabled = median_of(repeats, || {
         let start = Instant::now();
-        std::hint::black_box(
-            epoch
-                .select_recorded(&q, &exec, &rec)
-                .expect("finite domains"),
-        );
+        std::hint::black_box(epoch.select(&q, &exec, &rec).expect("finite domains"));
         start.elapsed()
     });
     crate::ObsOverhead {
@@ -338,7 +281,6 @@ pub fn measure_obs_overhead(n: usize, repeats: usize) -> crate::ObsOverhead {
 pub fn render_json(
     selects: &[SelectPoint],
     incrementals: &[IncrementalPoint],
-    closure: &ClosurePoint,
     obs: &crate::ObsOverhead,
 ) -> String {
     let mut out = String::from(
@@ -375,14 +317,7 @@ pub fn render_json(
             if i + 1 == incrementals.len() { "" } else { "," }
         ));
     }
-    out.push_str(&format!(
-        "  ],\n  \"closure\": {{\"fds\": {}, \"cols\": {}, \"calls\": {}, \
-         \"calls_per_sec\": {:.0}}}\n}}\n",
-        closure.fds,
-        closure.cols,
-        closure.calls,
-        closure.calls_per_sec()
-    ));
+    out.push_str("  ]\n}\n");
     out
 }
 
@@ -392,8 +327,8 @@ mod tests {
 
     /// The CI smoke lane: every benchmarked pipeline runs end to end
     /// at n = 10² — equivalence pre-check, both select paths, both
-    /// maintenance lanes (agreeing on the final answer), the closure
-    /// micro-bench, and the JSON renderer.
+    /// maintenance lanes (agreeing on the final answer), and the JSON
+    /// renderer.
     #[test]
     fn smoke_all_lanes_at_small_n() {
         verify_equivalence(100);
@@ -407,15 +342,12 @@ mod tests {
             "incremental evals = {}",
             inc.evals
         );
-        let c = run_closure_point(16, 8, 10_000);
-        assert!(c.calls_per_sec() > 0.0);
         let obs = measure_obs_overhead(100, 3);
         assert!(obs.noop_ns > 0 && obs.enabled_ns > 0);
         assert!(obs.ratio().is_finite());
-        let json = render_json(&[s], &[inc], &c, &obs);
+        let json = render_json(&[s], &[inc], &obs);
         assert!(json.contains("\"select\""));
         assert!(json.contains("\"incremental\""));
-        assert!(json.contains("\"calls_per_sec\""));
         assert!(json.contains("\"host\": {\"host_threads\": "));
         assert!(json.contains("\"obs_overhead\": {\"noop_ns\": "));
     }

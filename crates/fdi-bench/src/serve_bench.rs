@@ -186,7 +186,9 @@ pub fn measure_point(n: usize, readers: usize) -> ServePoint {
                     let stop = done.load(Ordering::Acquire);
                     let t0 = Instant::now();
                     let epoch = handle.snapshot();
-                    let sel = epoch.select(&q, &exec).expect("finite domains");
+                    let sel = epoch
+                        .select(&q, &exec, &fdi_obs::Recorder::noop())
+                        .expect("finite domains");
                     std::hint::black_box(sel.sure.len());
                     latencies.push(t0.elapsed().as_nanos());
                     if stop {
@@ -246,7 +248,11 @@ pub fn verify_serving(n: usize) {
         let final_epoch = reader.snapshot();
         let seq = query::select(&q, final_epoch.db().instance()).expect("finite domains");
         let par = final_epoch
-            .select(&q, &Executor::with_threads(threads))
+            .select(
+                &q,
+                &Executor::with_threads(threads),
+                &fdi_obs::Recorder::noop(),
+            )
             .expect("finite domains");
         assert_eq!(
             seq, par,

@@ -159,7 +159,7 @@ pub fn run_rebuild(
     ops: &[UpdateOp],
 ) -> (Duration, Instance, LhsIndex) {
     let mut instance = base.clone();
-    let mut index = LhsIndex::build(&instance, fds);
+    let mut index = LhsIndex::build(&instance, fds, &fdi_exec::Executor::with_threads(1));
     let mut live: Vec<RowId> = instance.row_ids().collect();
     let start = Instant::now();
     for op in ops {
@@ -189,7 +189,11 @@ pub fn run_rebuild(
                 unreachable!("bench mixes keep resolve ops off (blind targets)")
             }
         }
-        index = std::hint::black_box(LhsIndex::build(&instance, fds));
+        index = std::hint::black_box(LhsIndex::build(
+            &instance,
+            fds,
+            &fdi_exec::Executor::with_threads(1),
+        ));
     }
     (start.elapsed(), instance, index)
 }

@@ -13,63 +13,52 @@
 //!
 //! Because the final partition is a closure (least congruence containing
 //! the initial equalities), it does not depend on the order in which
-//! rules fire — Theorem 4(a)'s Church–Rosser property. The
-//! [`Scheduler`] only changes *how fast* the fixpoint is reached:
+//! rules fire — Theorem 4(a)'s Church–Rosser property. Two engines reach
+//! it:
 //!
-//! * [`Scheduler::NaivePairs`] compares all row pairs per FD per round —
-//!   the paper's multi-pass `O(|F|·n³·p)`-flavoured engine;
-//! * [`Scheduler::Fast`] hash-groups rows by `X`-signature **once** and
-//!   then runs the dirty-bucket worklist discipline of
-//!   [`super::index`]: a bucket is re-swept only when a union changed
-//!   some member's signature (which, because bucket co-members share
-//!   class roots componentwise, re-keys the whole bucket *en bloc*) or
-//!   merged it with another bucket. Buckets that no union touches are
-//!   never re-grouped — the congruence-closure-flavoured quasi-linear
-//!   engine, without the per-round `O(|F|·n)` re-hash the round-based
-//!   variant paid.
+//! * [`extended_chase_naive`] compares all row pairs per FD per round —
+//!   the paper's multi-pass `O(|F|·n³·p)`-flavoured engine, kept as the
+//!   reference the production engine is property-tested against;
+//! * [`extended_chase`] hash-groups rows by `X`-signature **once** and
+//!   then runs a dirty-bucket worklist (the discipline of
+//!   [`super::index`]): a bucket is re-examined only when a union
+//!   changed some member's signature (which, because bucket co-members
+//!   share class roots componentwise, re-keys the whole bucket *en
+//!   bloc*) or merged it with another bucket. Buckets that no union
+//!   touches are never re-grouped — the congruence-closure-flavoured
+//!   quasi-linear engine.
 //!
-//! New rule sites can only appear where a bucket gains members or its
-//! key atoms change, and both happen exactly at unions — so the
-//! worklist engine reaches the same least congruence as the round-based
-//! sweeps (and as [`Scheduler::NaivePairs`]); the property suite checks
-//! the partitions, `nothing` counts, and union counts coincide.
+//! ## The phase loop
 //!
-//! ## Parallel execution — [`extended_chase_par`]
+//! Because the closure is order-insensitive, [`extended_chase`] needs
+//! no order replay to run its discovery work on an [`Executor`]; it only
+//! needs partition equality, which it gets from a strict phase
+//! alternation:
 //!
-//! Theorem 4(a)'s Church–Rosser property is what makes this the one
-//! engine that parallelizes without *any* order-replay machinery: the
-//! result is the least congruence containing the initial equalities,
-//! and a least fixpoint does not depend on the order union edges are
-//! discovered or applied in. (Contrast the plain NS-rules, where order
-//! *is* semantics and `chase_plain_par` must replay the sequential
-//! agenda exactly.) The parallel engine therefore only needs partition
-//! equality, which it gets from a strict phase alternation:
-//!
-//! * a **parallel read-only discovery phase**: the current agenda (all
-//!   multi-row buckets on the first phase, the dirty buckets after)
-//!   is sharded across the `fdi-exec` executor; each worker reads the
-//!   frozen engine through the compression-free `find_readonly` — no
-//!   engine mutation — and emits the candidate union edges of its
-//!   buckets;
+//! * a **read-only discovery phase**: the current agenda (all multi-row
+//!   buckets on the first phase, the dirty buckets after) is sharded
+//!   across the executor; each worker reads the frozen engine through
+//!   the compression-free `find_readonly` — no engine mutation — and
+//!   emits the candidate union edges of its buckets;
 //! * a **sequential union/migration phase**: the edge batches are
-//!   concatenated in shard order (the executor's determinism
-//!   contract) and applied one by one through
-//!   `union_reporting`/`migrate`, exactly the mutation path of
-//!   [`Scheduler::Fast`].
+//!   concatenated in agenda order (the executor's determinism contract)
+//!   and applied one by one through `union_reporting`/`migrate`.
 //!
 //! Because the agenda draw, the discovery output, and the apply order
 //! are all pure functions of the engine state, the whole run — union
 //! count, `nothing` classes, phase count, even the union–find
-//! internals — is **bit-identical at every thread count**; and because
-//! the closure is unique, the materialized instance (canonical form),
-//! `nothing_classes`, and `union_count` equal [`Scheduler::Fast`]'s.
-//! The one redefined field is [`ChaseOutcome::rounds`]: for the
-//! parallel path it counts **discovery phases**, which batch dirty
-//! work differently than the sequential worklist's per-FD drains, so
-//! it is comparable across thread counts but not across engines.
+//! internals — is **bit-identical at every thread count** (a 1-thread
+//! executor runs the same loop inline); and because the closure is
+//! unique, the materialized instance (canonical form),
+//! `nothing_classes`, and `union_count` equal the naive oracle's.
+//! [`ChaseOutcome::rounds`] counts discovery phases there and full
+//! rounds for the oracle, so it is comparable across thread counts but
+//! not across engines.
 
 use crate::fd::{Fd, FdSet};
 use crate::groupkey::GroupKey;
+use fdi_exec::Executor;
+use fdi_obs::{Counter, Recorder};
 use fdi_relation::attrs::AttrId;
 use fdi_relation::instance::Instance;
 use fdi_relation::nec::NecStore;
@@ -78,16 +67,6 @@ use fdi_relation::symbol::Symbol;
 use fdi_relation::value::{NullId, Value};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
-
-/// Fixpoint scheduling strategy for the extended chase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Scheduler {
-    /// Pairwise row comparison per FD per round (naive baseline).
-    NaivePairs,
-    /// One hash-grouping of rows by `X`-class signature, then a
-    /// dirty-bucket worklist (see the module docs).
-    Fast,
-}
 
 /// Union–find over cell occurrences and constant-symbol nodes.
 #[derive(Debug, Clone)]
@@ -110,7 +89,7 @@ pub struct CellEngine {
 /// The node-arena layout: cell `(row, attr)` lives at
 /// `row · arity + attr`, with symbol nodes above all cells. A free
 /// function so [`CellEngine::cell_node`] and the borrow-free shard
-/// closures of [`CellEngine::new_par`] share one formula.
+/// closures of [`CellEngine::new`] share one formula.
 #[inline]
 fn cell_node_at(arity: usize, row: RowId, attr: AttrId) -> usize {
     row.index() * arity + attr.index()
@@ -126,11 +105,10 @@ fn checked_node_count(rows: usize, arity: usize, symbols: usize) -> Option<usize
     u32::try_from(nodes).ok().map(|_| nodes)
 }
 
-/// One initial-partition action of a cell — the single classification
-/// both constructors share: [`CellEngine::new`] classifies and applies
-/// cell by cell, [`CellEngine::new_par`] precomputes shard batches and
-/// applies them sequentially in shard-concatenation (= row-major live)
-/// order, so both walk the identical action stream.
+/// One initial-partition action of a cell: [`CellEngine::new`]
+/// precomputes shard batches of them and applies the batches
+/// sequentially in shard-concatenation (= row-major live) order, so the
+/// action stream is the same at every thread count.
 enum InitAction {
     /// Unify the cell with its constant's symbol node.
     Sym(u32, Symbol),
@@ -214,45 +192,21 @@ impl CellEngine {
 
     /// Builds the initial partition from an instance: constants unify
     /// with their symbol node, NEC-equivalent nulls unify together.
-    pub fn new(instance: &Instance) -> CellEngine {
-        let mut engine = CellEngine::blank(instance);
-        let arity = engine.arity;
-        // Group null occurrences by NEC class, resolving class
-        // representatives through one fully-compressed snapshot instead
-        // of a parent-chain walk per cell.
-        let snapshot = instance.necs().canonical_snapshot();
-        let mut class_first: HashMap<NullId, usize> = HashMap::new();
-        for row in instance.row_ids() {
-            for col in 0..arity {
-                let attr = AttrId(col as u16);
-                let cell = engine.cell_node(row, attr) as u32;
-                let action = InitAction::classify(cell, instance.value(row, attr), &snapshot);
-                engine.apply_init(action, &mut class_first);
-            }
-        }
-        // Initial unions are structural, not chase work.
-        engine.unions = 0;
-        engine
-    }
-
-    /// [`CellEngine::new`] with the per-cell classification ([`Value`]
-    /// reads and NEC snapshot resolution) sharded over [`RowId`] ranges.
     ///
-    /// Each shard emits its cells' init actions; concatenating the
-    /// shard batches in shard order reproduces the row-major order of
-    /// the sequential constructor, and the unions are applied
-    /// sequentially in that order — so the built engine is
-    /// **bit-identical** to [`CellEngine::new`]'s (parent links, ranks,
-    /// labels, everything) at every thread count. A 1-thread executor
-    /// takes the sequential constructor outright.
-    pub fn new_par(instance: &Instance, exec: &fdi_exec::Executor) -> CellEngine {
-        if exec.threads() == 1 {
-            return CellEngine::new(instance);
-        }
+    /// The per-cell classification ([`Value`] reads and NEC snapshot
+    /// resolution) is sharded over [`RowId`] ranges on `exec`; the
+    /// shard batches are concatenated in shard order, which reproduces
+    /// row-major order, and the unions are applied sequentially in that
+    /// order — so the built engine (parent links, ranks, labels,
+    /// everything) is bit-identical at every thread count.
+    pub fn new(instance: &Instance, exec: &Executor) -> CellEngine {
         let mut engine = CellEngine::blank(instance);
         let arity = engine.arity;
+        // Null occurrences group by NEC class through one
+        // fully-compressed snapshot instead of a parent-chain walk per
+        // cell.
         let snapshot = instance.necs().canonical_snapshot();
-        let shards = instance.row_id_shards(exec.threads() * 4);
+        let shards = instance.row_id_shards(exec.shard_count(4));
         let actions = exec.flat_map(&shards, |_, &shard| {
             let mut batch: Vec<InitAction> = Vec::new();
             for (row, tuple) in instance.iter_live_in(shard) {
@@ -268,6 +222,7 @@ impl CellEngine {
         for action in actions {
             engine.apply_init(action, &mut class_first);
         }
+        // Initial unions are structural, not chase work.
         engine.unions = 0;
         engine
     }
@@ -360,33 +315,22 @@ impl CellEngine {
         changed
     }
 
-    /// Runs to the fixpoint; returns the number of passes (for
-    /// [`Scheduler::NaivePairs`], full rounds, the last one applying
-    /// nothing; for [`Scheduler::Fast`], worklist drains — a complete
-    /// instance takes exactly one either way).
-    pub fn run(&mut self, fds: &FdSet, scheduler: Scheduler) -> usize {
-        match scheduler {
-            Scheduler::NaivePairs => {
-                let mut rounds = 1;
-                while self.round_naive(fds) {
-                    rounds += 1;
-                }
-                rounds
-            }
-            Scheduler::Fast => Worklist::new(self, fds).run(self),
-        }
+    /// Runs to the fixpoint by alternating read-only discovery on `exec`
+    /// with sequential union/migration (see the module docs) and returns
+    /// the **discovery-phase count**, which — like everything else about
+    /// the run — is the same at every thread count.
+    pub fn run(&mut self, fds: &FdSet, exec: &Executor) -> usize {
+        Worklist::new(self, fds).run(self, exec)
     }
 
-    /// The parallel scheduler path: runs to the fixpoint by alternating
-    /// parallel read-only discovery with sequential union/migration
-    /// (see the module docs) and returns the **discovery-phase count**.
-    ///
-    /// Deterministic at every thread count — the 1-thread executor runs
-    /// the identical phase loop inline, so the phase count (unlike
-    /// [`Scheduler::Fast`]'s pass count, which drains dirty work per FD
-    /// mid-pass) never varies with `FDI_THREADS`.
-    pub fn run_par(&mut self, fds: &FdSet, exec: &fdi_exec::Executor) -> usize {
-        Worklist::new(self, fds).run_par(self, exec)
+    /// The naive fixpoint loop of [`extended_chase_naive`]: full pairwise
+    /// rounds until one applies nothing; returns the round count.
+    fn run_naive(&mut self, fds: &FdSet) -> usize {
+        let mut rounds = 1;
+        while self.round_naive(fds) {
+            rounds += 1;
+        }
+        rounds
     }
 
     /// Unifies two classes like [`CellEngine::union`] and additionally
@@ -486,7 +430,7 @@ impl CellEngine {
     }
 }
 
-/// The dirty-bucket worklist state of [`Scheduler::Fast`] — the
+/// The dirty-bucket worklist state of [`extended_chase`] — the
 /// [`super::index`] discipline transplanted onto the union–find:
 ///
 /// * per FD, rows hash-partitioned by their `X`-**signature** (the
@@ -570,55 +514,12 @@ impl Worklist {
         }
     }
 
-    /// Drains the worklist to the fixpoint; returns the pass count.
-    fn run(mut self, engine: &mut CellEngine) -> usize {
-        let mut passes = 0;
-        loop {
-            passes += 1;
-            for si in 0..self.slots.len() {
-                let min_row = |rows: &[RowId]| rows.iter().copied().min().expect("non-empty");
-                let mut agenda: Vec<(RowId, GroupKey)> = if passes == 1 {
-                    self.buckets[si]
-                        .iter()
-                        .filter(|(_, rows)| rows.len() > 1)
-                        .map(|(key, rows)| (min_row(rows), key.clone()))
-                        .collect()
-                } else {
-                    std::mem::take(&mut self.dirty[si])
-                        .into_iter()
-                        .filter_map(|key| {
-                            let rows = self.buckets[si].get(&key)?;
-                            (rows.len() > 1).then(|| (min_row(rows), key))
-                        })
-                        .collect()
-                };
-                if passes == 1 {
-                    self.dirty[si].clear();
-                }
-                agenda.sort_unstable();
-                for (_, key) in agenda {
-                    self.sweep(engine, si, &key);
-                }
-            }
-            // New rule sites appear only where a union migrated a
-            // bucket, so an empty worklist is the fixpoint.
-            if self.dirty.iter().all(HashSet::is_empty) {
-                break;
-            }
-            assert!(
-                passes <= engine.rows * engine.arity + engine.label.len() + 2,
-                "worklist chase failed to terminate"
-            );
-        }
-        passes
-    }
-
     /// Drains the worklist to the fixpoint by phase alternation —
     /// parallel read-only discovery over the agenda buckets, then
     /// sequential application of the edge batches in shard-concatenation
     /// order — and returns the discovery-phase count. See the module
     /// docs for why no order replay is needed (Theorem 4(a)).
-    fn run_par(mut self, engine: &mut CellEngine, exec: &fdi_exec::Executor) -> usize {
+    fn run(mut self, engine: &mut CellEngine, exec: &Executor) -> usize {
         let mut phases = 0;
         loop {
             phases += 1;
@@ -660,8 +561,7 @@ impl Worklist {
             let edges = exec.flat_map(&agenda, |_, (si, _, key)| {
                 worklist.candidate_edges(frozen, *si, key)
             });
-            // Sequential union/migration, reusing the exact mutation
-            // path of the sequential scheduler.
+            // Sequential union/migration in agenda order.
             for (a, b) in edges {
                 if let Some((winner, loser)) = engine.union_reporting(a as usize, b as usize) {
                     self.migrate(engine, winner, loser);
@@ -672,7 +572,7 @@ impl Worklist {
             }
             assert!(
                 phases <= engine.rows * engine.arity + engine.label.len() + 2,
-                "parallel worklist chase failed to terminate"
+                "worklist chase failed to terminate"
             );
         }
         phases
@@ -709,30 +609,6 @@ impl Worklist {
             }
         }
         edges
-    }
-
-    /// Sweeps one bucket: unifies every member row's dependent cells
-    /// with the least member's, migrating affected buckets after each
-    /// union.
-    fn sweep(&mut self, engine: &mut CellEngine, si: usize, key: &GroupKey) {
-        let Some(rows) = self.buckets[si].get(key) else {
-            return; // migrated away since the agenda was drawn
-        };
-        if rows.len() < 2 {
-            return;
-        }
-        let mut rows = rows.clone();
-        rows.sort_unstable();
-        let fd = self.slots[si];
-        for b in fd.rhs.iter() {
-            let first = engine.cell_node(rows[0], b);
-            for &row in &rows[1..] {
-                let other = engine.cell_node(row, b);
-                if let Some((winner, loser)) = engine.union_reporting(first, other) {
-                    self.migrate(engine, winner, loser);
-                }
-            }
-        }
     }
 
     /// After a union, moves the loser class's member cells to the
@@ -788,12 +664,12 @@ impl Worklist {
 pub struct ChaseOutcome {
     /// The unique chased instance (nulls carried by shared ids).
     pub instance: Instance,
-    /// Fixpoint rounds. For the sequential schedulers this counts
-    /// passes, the last performing no union; for
-    /// [`extended_chase_par`] it counts **discovery phases** (the final
-    /// phase usually does apply unions — the loop exits when no dirty
-    /// work remains *after* applying), so compare it across thread
-    /// counts, not across engines.
+    /// Fixpoint rounds. For [`extended_chase`] this counts **discovery
+    /// phases** (the final phase usually does apply unions — the loop
+    /// exits when no dirty work remains *after* applying); for
+    /// [`extended_chase_naive`] it counts full rounds, the last one
+    /// applying nothing. Compare it across thread counts, not across
+    /// engines.
     pub rounds: usize,
     /// Unions performed.
     pub unions: usize,
@@ -809,70 +685,53 @@ impl ChaseOutcome {
     }
 }
 
-/// Runs the extended chase of `instance` under `fds`.
-pub fn extended_chase(instance: &Instance, fds: &FdSet, scheduler: Scheduler) -> ChaseOutcome {
-    let mut engine = CellEngine::new(instance);
-    let rounds = engine.run(fds, scheduler);
-    let nothing_classes = engine.nothing_classes();
-    let out = engine.materialize(instance);
-    ChaseOutcome {
-        instance: out,
-        rounds,
-        unions: engine.union_count(),
-        nothing_classes,
-    }
-}
-
-/// The `fdi-exec`-backed twin of [`extended_chase`]: RowId-sharded
-/// parallel construction of the initial partition
-/// ([`CellEngine::new_par`]), then the phase-alternating fixpoint loop
-/// of [`CellEngine::run_par`] (parallel read-only discovery, sequential
-/// union/migration — see the module docs).
+/// Runs the extended chase of `instance` under `fds`: the sharded
+/// initial partition of [`CellEngine::new`], then the phase loop of
+/// [`CellEngine::run`] on `exec` (see the module docs).
 ///
 /// **Contract** (property-tested at thread counts 1–8, including
 /// cross-column NEC classes, preexisting `nothing` cells, planted
 /// conflicts, and tombstone-heavy arenas):
 ///
 /// * the materialized instance (canonical form), `nothing_classes`,
-///   and `unions` are **bit-identical to [`Scheduler::Fast`]'s** — the
-///   closure is unique (Theorem 4(a)) and the union count is
-///   order-invariant (initial classes − final classes);
+///   and `unions` equal [`extended_chase_naive`]'s — the closure is
+///   unique (Theorem 4(a)) and the union count is order-invariant
+///   (initial classes − final classes);
 /// * the entire [`ChaseOutcome`] — `rounds` included — is bit-identical
-///   across thread counts, so `FDI_THREADS` is a throughput knob only;
-/// * `rounds` is **redefined** for this path: it counts discovery
-///   phases, not the sequential worklist's per-FD drains — compare it
-///   across thread counts, not across engines.
-pub fn extended_chase_par(
+///   across thread counts, so `FDI_THREADS` is a throughput knob only.
+///
+/// Records `cell_chase_rounds` and `cell_chase_unions` into `rec` —
+/// both thread-count-invariant, so they belong to [`fdi_obs`]'s
+/// deterministic slice.
+pub fn extended_chase(
     instance: &Instance,
     fds: &FdSet,
-    exec: &fdi_exec::Executor,
+    exec: &Executor,
+    rec: &Recorder,
 ) -> ChaseOutcome {
-    let mut engine = CellEngine::new_par(instance, exec);
-    let rounds = engine.run_par(fds, exec);
+    let mut engine = CellEngine::new(instance, exec);
+    let rounds = engine.run(fds, exec);
+    rec.add(Counter::CellRounds, rounds as u64);
+    rec.add(Counter::CellUnions, engine.union_count() as u64);
+    outcome(engine, instance, rounds)
+}
+
+/// The extended chase by naive pairwise rounds — the reference engine
+/// [`extended_chase`] is verified against.
+pub fn extended_chase_naive(instance: &Instance, fds: &FdSet) -> ChaseOutcome {
+    let mut engine = CellEngine::new(instance, &Executor::with_threads(1));
+    let rounds = engine.run_naive(fds);
+    outcome(engine, instance, rounds)
+}
+
+fn outcome(mut engine: CellEngine, instance: &Instance, rounds: usize) -> ChaseOutcome {
     let nothing_classes = engine.nothing_classes();
-    let out = engine.materialize(instance);
     ChaseOutcome {
-        instance: out,
+        instance: engine.materialize(instance),
         rounds,
         unions: engine.union_count(),
         nothing_classes,
     }
-}
-
-/// [`extended_chase_par`] plus metrics: records `cell_chase_rounds`
-/// and `cell_chase_unions` from the (thread-count-invariant)
-/// [`ChaseOutcome`] into `rec` — both deterministic per the contract
-/// above, so they belong to [`fdi_obs`]'s deterministic slice.
-pub fn extended_chase_par_with(
-    instance: &Instance,
-    fds: &FdSet,
-    exec: &fdi_exec::Executor,
-    rec: &fdi_obs::Recorder,
-) -> ChaseOutcome {
-    let outcome = extended_chase_par(instance, fds, exec);
-    rec.add(fdi_obs::Counter::CellRounds, outcome.rounds as u64);
-    rec.add(fdi_obs::Counter::CellUnions, outcome.unions as u64);
-    outcome
 }
 
 #[cfg(test)]
@@ -880,12 +739,16 @@ mod tests {
     use super::*;
     use crate::fixtures;
 
+    fn ext(r: &Instance, fds: &FdSet) -> ChaseOutcome {
+        extended_chase(r, fds, &Executor::with_threads(1), &Recorder::noop())
+    }
+
     #[test]
     fn figure5_extended_chase_is_order_independent_and_all_nothing() {
         let r = fixtures::figure5_instance();
         let fds = fixtures::figure5_fds();
-        let forward = extended_chase(&r, &fds, Scheduler::Fast);
-        let backward = extended_chase(&r, &fds.permuted(&[1, 0]), Scheduler::Fast);
+        let forward = ext(&r, &fds);
+        let backward = ext(&r, &fds.permuted(&[1, 0]));
         assert_eq!(
             forward.instance.canonical_form(),
             backward.instance.canonical_form(),
@@ -900,8 +763,27 @@ mod tests {
         assert_eq!(forward.nothing_classes, 1);
     }
 
+    /// [`extended_chase`] at thread counts 1–8 equals the naive oracle
+    /// (canonical instance, `nothing` classes, unions) and is itself
+    /// thread-invariant, rounds included.
+    fn assert_matches_oracle(r: &Instance, fds: &FdSet) {
+        let naive = extended_chase_naive(r, fds);
+        let baseline = ext(r, fds);
+        for threads in 1..=8 {
+            let par = extended_chase(r, fds, &Executor::with_threads(threads), &Recorder::noop());
+            assert_eq!(
+                par.instance.canonical_form(),
+                naive.instance.canonical_form(),
+                "threads = {threads}"
+            );
+            assert_eq!(par.nothing_classes, naive.nothing_classes);
+            assert_eq!(par.unions, naive.unions, "union counts are order-invariant");
+            assert_eq!(par.rounds, baseline.rounds, "threads = {threads}");
+        }
+    }
+
     #[test]
-    fn schedulers_agree() {
+    fn engine_matches_the_naive_oracle_on_the_fixture_cases() {
         let cases = [
             (fixtures::figure5_instance(), fixtures::figure5_fds()),
             (fixtures::section6_instance(), fixtures::section6_fds()),
@@ -912,22 +794,12 @@ mod tests {
             }),
         ];
         for (r, fds) in cases {
-            let naive = extended_chase(&r, &fds, Scheduler::NaivePairs);
-            let fast = extended_chase(&r, &fds, Scheduler::Fast);
-            assert_eq!(
-                naive.instance.canonical_form(),
-                fast.instance.canonical_form()
-            );
-            assert_eq!(naive.nothing_classes, fast.nothing_classes);
-            assert_eq!(
-                naive.unions, fast.unions,
-                "union counts are order-invariant"
-            );
+            assert_matches_oracle(&r, &fds);
         }
     }
 
     #[test]
-    fn worklist_scheduler_handles_cross_column_classes_and_nothing() {
+    fn engine_handles_cross_column_classes_and_nothing() {
         // The regimes exempt from *plain*-chase order fidelity are
         // irrelevant here (Theorem 4(a) — the closure is unique), but
         // they stress the worklist: `?z` spans columns A and B, so a
@@ -944,14 +816,7 @@ mod tests {
         )
         .unwrap();
         let fds = crate::fd::FdSet::parse(&schema, "A -> B").unwrap();
-        let naive = extended_chase(&r, &fds, Scheduler::NaivePairs);
-        let fast = extended_chase(&r, &fds, Scheduler::Fast);
-        assert_eq!(
-            naive.instance.canonical_form(),
-            fast.instance.canonical_form()
-        );
-        assert_eq!(naive.nothing_classes, fast.nothing_classes);
-        assert_eq!(naive.unions, fast.unions);
+        assert_matches_oracle(&r, &fds);
     }
 
     #[test]
@@ -972,70 +837,11 @@ mod tests {
     }
 
     #[test]
-    fn parallel_engine_matches_fast_on_the_fixture_cases() {
-        use fdi_exec::Executor;
-        let cases = [
-            (fixtures::figure5_instance(), fixtures::figure5_fds()),
-            (fixtures::section6_instance(), fixtures::section6_fds()),
-            (fixtures::figure1_null_instance(), fixtures::figure1_fds()),
-        ];
-        for (r, fds) in cases {
-            let fast = extended_chase(&r, &fds, Scheduler::Fast);
-            let baseline = extended_chase_par(&r, &fds, &Executor::with_threads(1));
-            for threads in 1..=8 {
-                let par = extended_chase_par(&r, &fds, &Executor::with_threads(threads));
-                assert_eq!(
-                    par.instance.canonical_form(),
-                    fast.instance.canonical_form(),
-                    "threads = {threads}"
-                );
-                assert_eq!(par.nothing_classes, fast.nothing_classes);
-                assert_eq!(par.unions, fast.unions);
-                // the parallel path is bit-identical across thread
-                // counts, rounds included
-                assert_eq!(par.rounds, baseline.rounds, "threads = {threads}");
-                assert_eq!(
-                    par.instance.canonical_form(),
-                    baseline.instance.canonical_form()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_engine_handles_cross_column_classes_and_nothing() {
-        use fdi_exec::Executor;
-        let schema = fdi_relation::Schema::uniform("R", &["A", "B"], 4).unwrap();
-        let r = fdi_relation::Instance::parse(
-            schema.clone(),
-            "A_1 ?z
-             A_1 B_2
-             ?z  B_1
-             ?z  ?w
-             A_0 #!",
-        )
-        .unwrap();
-        let fds = crate::fd::FdSet::parse(&schema, "A -> B").unwrap();
-        let fast = extended_chase(&r, &fds, Scheduler::Fast);
-        for threads in 1..=8 {
-            let par = extended_chase_par(&r, &fds, &Executor::with_threads(threads));
-            assert_eq!(
-                par.instance.canonical_form(),
-                fast.instance.canonical_form(),
-                "threads = {threads}"
-            );
-            assert_eq!(par.nothing_classes, fast.nothing_classes);
-            assert_eq!(par.unions, fast.unions);
-        }
-    }
-
-    #[test]
-    fn parallel_initial_partition_is_bit_identical_to_sequential() {
-        use fdi_exec::Executor;
+    fn initial_partition_is_bit_identical_across_thread_counts() {
         let r = fixtures::section6_instance();
-        let seq = CellEngine::new(&r);
-        for threads in [1, 2, 3, 8] {
-            let par = CellEngine::new_par(&r, &Executor::with_threads(threads));
+        let seq = CellEngine::new(&r, &Executor::with_threads(1));
+        for threads in [2, 3, 8] {
+            let par = CellEngine::new(&r, &Executor::with_threads(threads));
             assert_eq!(par.parent, seq.parent, "threads = {threads}");
             assert_eq!(par.rank, seq.rank);
             assert_eq!(par.label, seq.label);
@@ -1050,7 +856,7 @@ mod tests {
         // nothing. Theorem 4(b): not weakly satisfiable.
         let r = fixtures::section6_instance();
         let fds = fixtures::section6_fds();
-        let outcome = extended_chase(&r, &fds, Scheduler::Fast);
+        let outcome = ext(&r, &fds);
         assert!(outcome.has_nothing());
         assert!(!crate::chase::weakly_satisfiable_via_chase(&fds, &r));
     }
@@ -1059,7 +865,7 @@ mod tests {
     fn satisfiable_instances_stay_nothing_free() {
         let r = fixtures::figure1_null_instance();
         let fds = fixtures::figure1_fds();
-        let outcome = extended_chase(&r, &fds, Scheduler::Fast);
+        let outcome = ext(&r, &fds);
         assert!(!outcome.has_nothing());
         assert!(crate::chase::weakly_satisfiable_via_chase(&fds, &r));
     }
@@ -1074,7 +880,7 @@ mod tests {
         )
         .unwrap();
         let fds = crate::fd::FdSet::parse(&schema, "A -> B\nB -> C").unwrap();
-        let outcome = extended_chase(&r, &fds, Scheduler::Fast);
+        let outcome = ext(&r, &fds);
         assert!(outcome.instance.is_complete());
         let plain = crate::chase::chase_plain(&r, &fds);
         assert_eq!(
@@ -1088,7 +894,7 @@ mod tests {
         let r = fixtures::section6_instance();
         let schema = r.schema().clone();
         let fds = crate::fd::FdSet::parse(&schema, "A -> B").unwrap();
-        let outcome = extended_chase(&r, &fds, Scheduler::Fast);
+        let outcome = ext(&r, &fds);
         let b = AttrId(1);
         let n0 = outcome
             .instance
@@ -1107,7 +913,7 @@ mod tests {
     fn preexisting_nothing_survives() {
         let r = fdi_relation::Instance::parse(fixtures::section6_schema(), "a1 #! c1").unwrap();
         let fds = fixtures::section6_fds();
-        let outcome = extended_chase(&r, &fds, Scheduler::Fast);
+        let outcome = ext(&r, &fds);
         assert!(outcome.has_nothing());
         assert!(outcome
             .instance
@@ -1133,7 +939,7 @@ mod tests {
         )
         .unwrap();
         let fds = crate::fd::FdSet::parse(&schema, "A -> B").unwrap();
-        let outcome = extended_chase(&r, &fds, Scheduler::Fast);
+        let outcome = ext(&r, &fds);
         let b = AttrId(1);
         assert!(outcome
             .instance

@@ -77,27 +77,22 @@ use std::collections::{HashMap, HashSet};
 
 use super::ns::{NsChaseResult, NsEvent, NsEventKind};
 
-/// Runs the indexed worklist chase; same contract as
-/// [`super::ns::chase_plain`].
-pub fn chase_indexed(instance: &Instance, fds: &FdSet) -> NsChaseResult {
-    chase_indexed_par(instance, fds, &Executor::with_threads(1))
-}
-
-/// Runs the indexed worklist chase with its **read phases sharded**
-/// onto `exec` — the `fdi-exec`-backed twin of [`chase_indexed`], and
-/// **bit-identical to it at every thread count** (same chased
-/// instance, same events at the same sites, same pass count — with or
-/// without [`ChaseIndexCaveat`]s present; the caveats govern fidelity
-/// to the *naive* engine, not to this one).
+/// Runs the indexed worklist chase — the engine behind
+/// [`super::ns::chase_plain`], with its **read phases sharded** onto
+/// `exec` and its work profile recorded into `rec`. The result (chased
+/// instance, events at their sites, pass count) is **bit-identical at
+/// every thread count** — with or without [`ChaseIndexCaveat`]s present;
+/// the caveats govern fidelity to the *naive* engine, not to this one.
 ///
 /// Parallelism never touches rule application. Two phases shard:
 ///
 /// * the **index build** (per-FD determinant buckets, the occurrence
 ///   index): shard-local maps merged in shard order, so every bucket
-///   and occurrence list equals its sequential counterpart;
-/// * per pass and FD, the **agenda classification**: every agenda
-///   bucket is scanned read-only against the pass-start state and
-///   flagged *clean* (no NS-rule applicable) or *dirty*.
+///   and occurrence list equals its single-shard counterpart;
+/// * with more than one thread, per pass and FD, the **agenda
+///   classification**: every agenda bucket is scanned read-only against
+///   the pass-start state and flagged *clean* (no NS-rule applicable)
+///   or *dirty*.
 ///
 /// Application then replays the agenda **sequentially in agenda
 /// order**, sweeping dirty buckets and skipping clean ones — which is
@@ -107,33 +102,21 @@ pub fn chase_indexed(instance: &Instance, fds: &FdSet) -> NsChaseResult {
 /// column into a mixed one; only bucket migration adds members), and
 /// every migration target is tracked and re-checked. Skipped sweeps
 /// are therefore provably no-ops, and the surviving sweeps run in
-/// exactly the sequential engine's order against exactly the
-/// sequential engine's state.
-pub fn chase_indexed_par(instance: &Instance, fds: &FdSet, exec: &Executor) -> NsChaseResult {
-    chase_indexed_par_with(instance, fds, exec, &Recorder::noop())
-}
-
-/// [`chase_indexed`] plus metrics: records `chase_passes`,
-/// `chase_bucket_sweeps` (agenda entries scheduled — identical at
-/// every thread count; the parallel path may *skip* provably-no-op
-/// sweeps but schedules the same agenda), `chase_substitutions`,
-/// `chase_unions`, and the `chase_worklist_peak` high-watermark into
-/// `rec`. All recording happens in the sequential application path, so
-/// every recorded value is deterministic (see [`fdi_obs`]).
-pub fn chase_indexed_with(instance: &Instance, fds: &FdSet, rec: &Recorder) -> NsChaseResult {
-    chase_indexed_par_with(instance, fds, &Executor::with_threads(1), rec)
-}
-
-/// [`chase_indexed_par`] plus metrics — the executor-backed twin of
-/// [`chase_indexed_with`], recording the same (thread-count-invariant)
-/// counters.
-pub fn chase_indexed_par_with(
+/// exactly the inline engine's order against exactly its state.
+///
+/// Records `chase_passes`, `chase_bucket_sweeps` (agenda entries
+/// scheduled — identical at every thread count; the classified path may
+/// *skip* provably-no-op sweeps but schedules the same agenda),
+/// `chase_substitutions`, `chase_unions`, and the `chase_worklist_peak`
+/// high-watermark. All recording happens in the sequential application
+/// path, so every recorded value is deterministic (see [`fdi_obs`]).
+pub fn chase_indexed(
     instance: &Instance,
     fds: &FdSet,
     exec: &Executor,
     rec: &Recorder,
 ) -> NsChaseResult {
-    let mut engine = Engine::new_par(instance, fds, exec);
+    let mut engine = Engine::new(instance, fds, exec);
     engine.rec = rec.clone();
     let passes = engine.run(instance, exec);
     NsChaseResult {
@@ -147,14 +130,20 @@ pub fn chase_indexed_par_with(
 /// pairwise definition: a bucket violates minimal incompleteness iff
 /// some dependent column mixes a null with a constant or holds two
 /// distinct null classes.
-pub fn is_minimally_incomplete_indexed(instance: &Instance, fds: &FdSet) -> bool {
+pub(crate) fn is_minimally_incomplete_indexed(instance: &Instance, fds: &FdSet) -> bool {
     let snapshot = instance.necs().canonical_snapshot();
     for fd in fds {
         let fd = fd.normalized();
         if fd.is_trivial() {
             continue; // agreement on X forces agreement on Y ⊆ X
         }
-        let buckets = groupkey::group_rows(instance, fd.lhs, &snapshot);
+        let buckets = groupkey::group_rows(
+            instance,
+            fd.lhs,
+            &snapshot,
+            false,
+            &Executor::with_threads(1),
+        );
         for rows in buckets.values() {
             if rows.len() < 2 {
                 continue;
@@ -322,18 +311,17 @@ struct Engine {
     /// parallel run path (`parallel`); cleared per (pass, slot).
     touched: Vec<HashSet<GroupKey>>,
     /// Was the engine built for a multi-thread executor? Gates the
-    /// classification phase and the `touched` bookkeeping so the
-    /// sequential path pays nothing for them.
+    /// classification phase and the `touched` bookkeeping so the inline
+    /// path pays nothing for them.
     parallel: bool,
     events: Vec<NsEvent>,
-    /// Metrics sink; defaults to noop and is swapped in by the `_with`
-    /// entry points. Only ever touched from the sequential application
-    /// path, so recorded values are thread-count-invariant.
+    /// Metrics sink, set by [`chase_indexed`]. Only ever touched from
+    /// the sequential application path, so recorded values are
+    /// thread-count-invariant.
     rec: Recorder,
 }
 
-/// The non-trivial FDs of the set, with their original indexes —
-/// shared scaffolding of both engine constructors.
+/// The non-trivial FDs of the set, with their original indexes.
 fn fd_slots(fds: &FdSet) -> Vec<FdSlot> {
     fds.iter()
         .enumerate()
@@ -380,17 +368,82 @@ fn bucket_clean(work: &Instance, snapshot: &NecSnapshot, rows: &[RowId], rhs: At
 }
 
 impl Engine {
-    /// Assembles an engine from its built indexes — the scaffolding
-    /// (`lhs_slots`, empty worklists) shared by both constructors.
-    fn assemble(
-        work: Instance,
-        slots: Vec<FdSlot>,
-        buckets: Vec<HashMap<GroupKey, Vec<RowId>>>,
-        row_keys: Vec<Vec<GroupKey>>,
-        occurrences: HashMap<u32, Vec<(RowId, u16)>>,
-        parallel: bool,
-    ) -> Engine {
-        let mut lhs_slots = vec![Vec::new(); work.arity()];
+    /// Builds the engine with the index construction sharded over
+    /// [`RowId`] ranges: per-FD buckets, the per-slot key table, and
+    /// the occurrence index are each assembled from shard-local pieces
+    /// merged in shard order, so bucket member lists and occurrence
+    /// lists stay ascending / row-major at every thread count.
+    fn new(instance: &Instance, fds: &FdSet, exec: &Executor) -> Engine {
+        let mut work = instance.clone();
+        let slots = fd_slots(fds);
+        let bound = work.slot_bound();
+        let arity = work.arity();
+        let snapshot = work.necs().canonical_snapshot();
+        let shards = work.row_id_shards(exec.shard_count(2));
+
+        // Occurrence index: shard-local row-major scans, merged in
+        // shard order — each class's list stays (row, col)-major.
+        // Classes are keyed by snapshot root, which equals the
+        // union–find root `find` would return (compression changes
+        // parents, never roots).
+        let occurrences = groupkey::merge_in_shard_order(exec.map(&shards, |_, &shard| {
+            let mut occ: HashMap<u32, Vec<(RowId, u16)>> = HashMap::new();
+            for (row, tuple) in work.iter_live_in(shard) {
+                for col in 0..arity {
+                    if let Value::Null(id) = tuple.get(AttrId(col as u16)) {
+                        occ.entry(snapshot.root(id).0)
+                            .or_default()
+                            .push((row, col as u16));
+                    }
+                }
+            }
+            occ
+        }));
+
+        // Per-FD determinant buckets and the dense per-slot key table:
+        // every shard covers a disjoint slot range, so its key segment
+        // writes into disjoint positions of the table.
+        let per_shard = work.len() / shards.len() + 1;
+        let mut buckets = Vec::with_capacity(slots.len());
+        let mut row_keys = Vec::with_capacity(slots.len());
+        for slot in &slots {
+            let lhs = slot.fd.lhs;
+            let locals = exec.map(&shards, |_, &shard| {
+                let mut fd_buckets: HashMap<GroupKey, Vec<RowId>> =
+                    HashMap::with_capacity(per_shard);
+                let mut keys: Vec<(RowId, GroupKey)> = Vec::with_capacity(per_shard);
+                let mut key = GroupKey::new();
+                for (row, tuple) in work.iter_live_in(shard) {
+                    groupkey::key_into(&mut key, tuple, row, lhs, &snapshot);
+                    fd_buckets.entry(key.clone()).or_default().push(row);
+                    keys.push((row, key.clone()));
+                }
+                (fd_buckets, keys)
+            });
+            let mut fd_keys: Vec<GroupKey> = vec![GroupKey::new(); bound];
+            let mut shard_buckets = Vec::with_capacity(locals.len());
+            for (local_buckets, keys) in locals {
+                shard_buckets.push(local_buckets);
+                for (row, key) in keys {
+                    fd_keys[row.index()] = key;
+                }
+            }
+            buckets.push(groupkey::merge_in_shard_order(shard_buckets));
+            row_keys.push(fd_keys);
+        }
+
+        // One `find` per live null compresses the working NEC forest,
+        // so the root lookups of rule application stay one hop (the
+        // compressed forest does not depend on the order of the finds).
+        for occs in occurrences.values() {
+            for &(row, col) in occs {
+                if let Value::Null(id) = work.value(row, AttrId(col)) {
+                    work.necs_mut().find(id);
+                }
+            }
+        }
+
+        let mut lhs_slots = vec![Vec::new(); arity];
         for (si, slot) in slots.iter().enumerate() {
             for a in slot.fd.lhs.iter() {
                 lhs_slots[a.index()].push(si);
@@ -407,139 +460,10 @@ impl Engine {
             lhs_slots,
             dirty,
             touched,
-            parallel,
+            parallel: exec.threads() > 1,
             events: Vec::new(),
             rec: Recorder::noop(),
         }
-    }
-
-    fn new(instance: &Instance, fds: &FdSet) -> Engine {
-        let mut work = instance.clone();
-        let slots = fd_slots(fds);
-        let n = work.len();
-        let bound = work.slot_bound();
-        let arity = work.arity();
-
-        let rows: Vec<RowId> = work.row_ids().collect();
-        let mut occurrences: HashMap<u32, Vec<(RowId, u16)>> = HashMap::new();
-        for &row in &rows {
-            for col in 0..arity {
-                if let Value::Null(id) = work.value(row, AttrId(col as u16)) {
-                    let root = work.necs_mut().find(id);
-                    occurrences
-                        .entry(root.0)
-                        .or_default()
-                        .push((row, col as u16));
-                }
-            }
-        }
-
-        let snapshot = work.necs().canonical_snapshot();
-        let mut buckets = Vec::with_capacity(slots.len());
-        let mut row_keys = Vec::with_capacity(slots.len());
-        let mut key = GroupKey::new();
-        for slot in &slots {
-            let mut fd_buckets: HashMap<GroupKey, Vec<RowId>> = HashMap::with_capacity(n);
-            let mut fd_keys: Vec<GroupKey> = vec![GroupKey::new(); bound];
-            for &row in &rows {
-                groupkey::key_into(&mut key, work.tuple(row), row, slot.fd.lhs, &snapshot);
-                fd_buckets.entry(key.clone()).or_default().push(row);
-                fd_keys[row.index()] = key.clone();
-            }
-            buckets.push(fd_buckets);
-            row_keys.push(fd_keys);
-        }
-
-        Engine::assemble(work, slots, buckets, row_keys, occurrences, false)
-    }
-
-    /// Builds the engine with the index construction sharded over
-    /// [`RowId`] ranges: per-FD buckets, the per-slot key table, and
-    /// the occurrence index are each assembled from shard-local pieces
-    /// merged in shard order, reproducing the sequential build's maps
-    /// and list orders exactly (bucket member lists and occurrence
-    /// lists stay ascending / row-major). A 1-thread executor takes
-    /// [`Engine::new`] outright.
-    fn new_par(instance: &Instance, fds: &FdSet, exec: &Executor) -> Engine {
-        if exec.threads() == 1 {
-            return Engine::new(instance, fds);
-        }
-        let work = instance.clone();
-        let slots = fd_slots(fds);
-        let n = work.len();
-        let bound = work.slot_bound();
-        let arity = work.arity();
-        let snapshot = work.necs().canonical_snapshot();
-        let shards = work.row_id_shards(exec.threads() * 2);
-
-        // Occurrence index: shard-local row-major scans, merged in
-        // shard order — each class's list stays (row, col)-major, the
-        // order the sequential build produces. Classes are keyed by
-        // snapshot root, which equals the union–find root `find` would
-        // return (compression changes parents, never roots).
-        let occ_locals = exec.map(&shards, |_, &shard| {
-            let mut occ: HashMap<u32, Vec<(RowId, u16)>> = HashMap::new();
-            for (row, tuple) in work.iter_live_in(shard) {
-                for col in 0..arity {
-                    if let Value::Null(id) = tuple.get(AttrId(col as u16)) {
-                        occ.entry(snapshot.root(id).0)
-                            .or_default()
-                            .push((row, col as u16));
-                    }
-                }
-            }
-            occ
-        });
-        let mut occurrences: HashMap<u32, Vec<(RowId, u16)>> = HashMap::new();
-        for local in occ_locals {
-            for (root, mut occs) in local {
-                match occurrences.entry(root) {
-                    Entry::Occupied(mut entry) => entry.get_mut().append(&mut occs),
-                    Entry::Vacant(entry) => {
-                        entry.insert(occs);
-                    }
-                }
-            }
-        }
-
-        // Per-FD determinant buckets and the dense per-slot key table:
-        // every shard covers a disjoint slot range, so its key segment
-        // writes into disjoint positions of the table.
-        let mut buckets = Vec::with_capacity(slots.len());
-        let mut row_keys = Vec::with_capacity(slots.len());
-        for slot in &slots {
-            let lhs = slot.fd.lhs;
-            let locals = exec.map(&shards, |_, &shard| {
-                let mut fd_buckets: HashMap<GroupKey, Vec<RowId>> = HashMap::new();
-                let mut keys: Vec<(RowId, GroupKey)> = Vec::new();
-                let mut key = GroupKey::new();
-                for (row, tuple) in work.iter_live_in(shard) {
-                    groupkey::key_into(&mut key, tuple, row, lhs, &snapshot);
-                    fd_buckets.entry(key.clone()).or_default().push(row);
-                    keys.push((row, key.clone()));
-                }
-                (fd_buckets, keys)
-            });
-            let mut merged: HashMap<GroupKey, Vec<RowId>> = HashMap::with_capacity(n);
-            let mut fd_keys: Vec<GroupKey> = vec![GroupKey::new(); bound];
-            for (local_buckets, keys) in locals {
-                for (key, mut rows) in local_buckets {
-                    match merged.entry(key) {
-                        Entry::Occupied(mut entry) => entry.get_mut().append(&mut rows),
-                        Entry::Vacant(entry) => {
-                            entry.insert(rows);
-                        }
-                    }
-                }
-                for (row, key) in keys {
-                    fd_keys[row.index()] = key;
-                }
-            }
-            buckets.push(merged);
-            row_keys.push(fd_keys);
-        }
-
-        Engine::assemble(work, slots, buckets, row_keys, occurrences, true)
     }
 
     /// Runs passes to the fixpoint; returns the pass count (the final
@@ -553,7 +477,7 @@ impl Engine {
     /// stale. Skipped sweeps are provably no-ops, so events, states,
     /// and pass counts are identical at every thread count.
     fn run(&mut self, original: &Instance, exec: &Executor) -> usize {
-        let parallel = self.parallel && exec.threads() > 1;
+        let parallel = self.parallel;
         let mut passes = 0;
         loop {
             passes += 1;
@@ -812,6 +736,14 @@ mod tests {
     use crate::chase::ns::{chase_naive, is_minimally_incomplete_naive};
     use crate::fixtures;
 
+    fn indexed_on(r: &Instance, fds: &FdSet, threads: usize) -> NsChaseResult {
+        chase_indexed(r, fds, &Executor::with_threads(threads), &Recorder::noop())
+    }
+
+    fn indexed(r: &Instance, fds: &FdSet) -> NsChaseResult {
+        indexed_on(r, fds, 1)
+    }
+
     fn assert_engines_agree(r: &Instance, fds: &FdSet) {
         assert!(
             order_replay_exact(r),
@@ -819,7 +751,7 @@ mod tests {
             order_replay_caveats(r)
         );
         let naive = chase_naive(r, fds);
-        let indexed = chase_indexed(r, fds);
+        let indexed = indexed(r, fds);
         assert_eq!(
             naive.instance.canonical_form(),
             indexed.instance.canonical_form(),
@@ -863,7 +795,7 @@ mod tests {
         .unwrap();
         let fds = FdSet::parse(&schema, "A -> B\nB -> C").unwrap();
         assert_engines_agree(&r, &fds);
-        let result = chase_indexed(&r, &fds);
+        let result = indexed(&r, &fds);
         assert!(result.instance.is_complete());
     }
 
@@ -879,7 +811,7 @@ mod tests {
         .unwrap();
         let fds = FdSet::parse(&schema, "A -> B").unwrap();
         assert_engines_agree(&r, &fds);
-        let result = chase_indexed(&r, &fds);
+        let result = indexed(&r, &fds);
         let b = AttrId(1);
         let r0 = result.instance.nth_row(0);
         let r1 = result.instance.nth_row(1);
@@ -925,7 +857,7 @@ mod tests {
             ),
             "the ?z class spans columns and must be reported"
         );
-        let indexed = chase_indexed(&r, &fds);
+        let indexed = indexed(&r, &fds);
         assert!(
             is_minimally_incomplete_naive(&indexed.instance, &fds),
             "indexed chase stopped before the fixpoint:\n{}",
@@ -960,7 +892,7 @@ mod tests {
             "the `nothing` cell must be reported"
         );
         let naive = chase_naive(&r, &fds);
-        let indexed = chase_indexed(&r, &fds);
+        let indexed = indexed(&r, &fds);
         assert!(is_minimally_incomplete_naive(&naive.instance, &fds));
         assert!(is_minimally_incomplete_naive(&indexed.instance, &fds));
         assert!(is_minimally_incomplete_indexed(&indexed.instance, &fds));
@@ -971,8 +903,8 @@ mod tests {
 
     #[test]
     fn parallel_engine_is_bit_identical_even_on_caveat_instances() {
-        // chase_indexed_par promises identity with chase_indexed at any
-        // thread count *unconditionally* — caveats only relax fidelity
+        // chase_indexed promises identity across thread counts
+        // *unconditionally* — caveats only relax fidelity
         // to the naive engine. Exercise fixture instances plus both
         // caveat regimes (cross-column class, `nothing` bucket).
         let schema = fdi_relation::Schema::uniform("R", &["A", "B"], 4).unwrap();
@@ -1002,9 +934,9 @@ mod tests {
             (nothing, ab_fds),
         ];
         for (r, fds) in &cases {
-            let sequential = chase_indexed(r, fds);
+            let sequential = indexed(r, fds);
             for threads in [2, 3, 8] {
-                let parallel = chase_indexed_par(r, fds, &Executor::with_threads(threads));
+                let parallel = indexed_on(r, fds, threads);
                 assert_eq!(
                     sequential.instance.canonical_form(),
                     parallel.instance.canonical_form(),

@@ -59,25 +59,25 @@
 //! indexed engine is the difference between minutes and milliseconds
 //! (see `BENCH_chase.json`).
 //!
-//! For the extended system, two schedulers remain: a *naive* pairwise
-//! engine in the spirit of the paper's `O(|F|·n³·p)` pass analysis and a
-//! *fast* engine in the spirit of the `O(|F|·n·log(|F|·n))`
-//! congruence-closure bound — one initial hash-grouping, then the same
-//! dirty-bucket worklist as the plain indexed chase (see
-//! [`cells::Scheduler`]); they produce identical results (experiment
-//! E12 measures the gap — here order never matters, by Theorem 4(a)).
+//! For the extended system, [`extended_chase`] runs in the spirit of
+//! the `O(|F|·n·log(|F|·n))` congruence-closure bound — one initial
+//! hash-grouping, then a dirty-bucket worklist — and
+//! [`extended_chase_naive`] keeps the paper's pairwise `O(|F|·n³·p)`
+//! pass analysis as the reference engine (experiment E12 measures the
+//! gap — here order never matters, by Theorem 4(a)).
 //!
-//! The extended system is also the one chase engine with a genuinely
-//! parallel fixpoint loop, [`extended_chase_par`]: because Theorem 4(a)
-//! makes the closure order-insensitive, its discovery work shards
-//! across the `fdi-exec` executor with **no event-order replay at all**
-//! (where [`chase_plain_par`] must replay the sequential agenda
-//! exactly, order being the plain system's semantics). The materialized
-//! instance (canonical form), `nothing_classes`, and union count are
-//! bit-identical to [`Scheduler::Fast`]'s at every
-//! thread count; `rounds` is redefined there as the discovery-phase
-//! count (see [`cells`]' module docs). `FDI_THREADS` sizes the default
-//! executor, exactly as for the other `_par` engines.
+//! Both production engines take an `fdi-exec` [`Executor`] and an
+//! `fdi-obs` [`Recorder`]. [`chase_indexed`] shards its index build and
+//! (with more than one thread) a read-only bucket classification, and
+//! replays the sequential agenda exactly, order being the plain
+//! system's semantics. [`extended_chase`] shards its discovery phases
+//! with **no event-order replay at all**: Theorem 4(a) makes the
+//! closure order-insensitive. Both are bit-identical at every thread
+//! count; a 1-thread executor runs them inline, and the noop recorder
+//! records nothing.
+//!
+//! [`Executor`]: fdi_exec::Executor
+//! [`Recorder`]: fdi_obs::Recorder
 //!
 //! # Example — Theorem 4(b) as a one-liner
 //!
@@ -103,17 +103,11 @@ pub mod cells;
 pub mod index;
 pub mod ns;
 
-pub use cells::{
-    extended_chase, extended_chase_par, extended_chase_par_with, CellEngine, ChaseOutcome,
-    Scheduler,
-};
-pub use index::{
-    chase_indexed_par, chase_indexed_par_with, chase_indexed_with, order_replay_caveats,
-    order_replay_exact, ChaseIndexCaveat,
-};
+pub use cells::{extended_chase, extended_chase_naive, CellEngine, ChaseOutcome};
+pub use index::{chase_indexed, order_replay_caveats, order_replay_exact, ChaseIndexCaveat};
 pub use ns::{
-    chase_naive, chase_plain, chase_plain_par, is_minimally_incomplete,
-    is_minimally_incomplete_naive, NsChaseResult, NsEvent, NsEventKind,
+    chase_naive, chase_plain, is_minimally_incomplete, is_minimally_incomplete_naive,
+    NsChaseResult, NsEvent, NsEventKind,
 };
 
 use crate::fd::FdSet;
@@ -127,7 +121,14 @@ use fdi_relation::instance::Instance;
 /// value were always available. Run
 /// [`crate::subst::detect_domain_exhaustion`] to check the proviso when
 /// domains are tight.
+///
+/// Runs [`extended_chase`]'s engine inline and reads the `nothing`
+/// count off the fixpoint partition without materializing the chased
+/// instance — this is the weak-enforcement check of every
+/// [`crate::update::Database`] write.
 pub fn weakly_satisfiable_via_chase(fds: &FdSet, instance: &Instance) -> bool {
-    let outcome = extended_chase(instance, fds, Scheduler::Fast);
-    outcome.nothing_classes == 0
+    let exec = fdi_exec::Executor::with_threads(1);
+    let mut engine = CellEngine::new(instance, &exec);
+    engine.run(fds, &exec);
+    engine.nothing_classes() == 0
 }

@@ -180,25 +180,16 @@ fn pass(instance: &mut Instance, fds: &FdSet) -> Vec<NsEvent> {
 /// Chases `instance` with the plain NS-rules until no rule applies,
 /// processing FDs in set order within each pass.
 ///
-/// Runs the indexed worklist engine ([`super::index`]); use
-/// [`chase_naive`] for the all-pairs reference implementation.
+/// Runs the indexed worklist engine ([`super::index::chase_indexed`])
+/// inline and unrecorded; use [`chase_naive`] for the all-pairs
+/// reference implementation.
 pub fn chase_plain(instance: &Instance, fds: &FdSet) -> NsChaseResult {
-    super::index::chase_indexed(instance, fds)
-}
-
-/// [`chase_plain`] with its read phases (index build, per-pass
-/// violation discovery) sharded onto a deterministic `fdi-exec`
-/// executor. Rule application stays sequential in agenda order, so the
-/// result — instance, events, pass count — is **bit-identical to
-/// [`chase_plain`] at every thread count**; see
-/// [`super::index::chase_indexed_par`] for the phase structure and the
-/// no-op-skip soundness argument.
-pub fn chase_plain_par(
-    instance: &Instance,
-    fds: &FdSet,
-    exec: &fdi_exec::Executor,
-) -> NsChaseResult {
-    super::index::chase_indexed_par(instance, fds, exec)
+    super::index::chase_indexed(
+        instance,
+        fds,
+        &fdi_exec::Executor::with_threads(1),
+        &fdi_obs::Recorder::noop(),
+    )
 }
 
 /// The historical all-pairs chase — `O(|F|·n²)` agreement checks per

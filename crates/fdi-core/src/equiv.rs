@@ -149,7 +149,14 @@ pub fn strongly_holds_in_world_fast(fd: Fd, world: &Instance) -> bool {
 /// `singleton` must hold exactly one dependency.
 fn singleton_holds_in_world(singleton: &FdSet, world: &Instance) -> bool {
     debug_assert_eq!(singleton.len(), 1);
-    crate::testfd::check(world, singleton, crate::testfd::Convention::Strong).is_ok()
+    crate::testfd::check(
+        world,
+        singleton,
+        crate::testfd::Convention::Strong,
+        &fdi_exec::Executor::with_threads(1),
+        &fdi_obs::Recorder::noop(),
+    )
+    .is_ok()
 }
 
 /// Lemma 3, checked pointwise: `V(X ⇒ Y, a) = true` iff `X → Y`

@@ -21,6 +21,9 @@ use fdi_relation::nec::NecSnapshot;
 use fdi_relation::rowid::RowId;
 use fdi_relation::tuple::Tuple;
 use fdi_relation::value::{NullId, Value};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
+use std::hash::Hash;
 
 /// A canonical projection key: one packed atom per attribute of the
 /// projection set, in attribute order.
@@ -122,72 +125,27 @@ pub fn key_of(tuple: &Tuple, row: RowId, attrs: AttrSet, snapshot: &NecSnapshot)
 /// (equal constants or NEC-equivalent nulls) — the one grouping loop
 /// every indexed consumer shares, so key semantics can never drift
 /// between them. Groups hold stable [`RowId`]s, in ascending order.
+///
+/// With `solitary_nulls` set (see [`atom_solitary`]), null-bearing rows
+/// are singleton groups on the null components — the agreement classes
+/// of conventions where nulls never trigger a dependency.
+///
+/// The pass is sharded over [`RowId`] ranges on `exec`: each shard
+/// builds a local partition of its live rows and the shard maps are
+/// merged **in shard order**, so every group's row list is the
+/// concatenation of ascending sub-lists of ascending shards — the same
+/// map at every thread count.
 pub fn group_rows(
     instance: &fdi_relation::instance::Instance,
     attrs: AttrSet,
     snapshot: &NecSnapshot,
-) -> std::collections::HashMap<GroupKey, Vec<RowId>> {
-    group_rows_solitary(instance, attrs, snapshot, false)
-}
-
-/// [`group_rows`] under a semantics' null-keying policy (see
-/// [`atom_solitary`]): with `solitary_nulls` set, null-bearing rows are
-/// singleton groups on the null components — the agreement classes of
-/// conventions where nulls never trigger a dependency.
-pub fn group_rows_solitary(
-    instance: &fdi_relation::instance::Instance,
-    attrs: AttrSet,
-    snapshot: &NecSnapshot,
-    solitary_nulls: bool,
-) -> std::collections::HashMap<GroupKey, Vec<RowId>> {
-    let mut groups: std::collections::HashMap<GroupKey, Vec<RowId>> =
-        std::collections::HashMap::with_capacity(instance.len());
-    let mut key = GroupKey::new();
-    for (row, tuple) in instance.iter_live() {
-        key.clear();
-        for a in attrs.iter() {
-            key.push(atom_solitary(tuple.get(a), row, snapshot, solitary_nulls));
-        }
-        groups.entry(key.clone()).or_default().push(row);
-    }
-    groups
-}
-
-/// [`group_rows`] sharded over [`RowId`] ranges: each shard builds a
-/// local partition of its live rows, and the shard maps are merged **in
-/// shard order**, so every group's row list is the concatenation of
-/// ascending sub-lists of ascending shards — i.e. exactly the ascending
-/// list the sequential loop builds. The returned map is equal to
-/// [`group_rows`]'s (groups, and row order within each group) at every
-/// thread count; a 1-thread executor takes the sequential path outright.
-pub fn group_rows_par(
-    instance: &fdi_relation::instance::Instance,
-    attrs: AttrSet,
-    snapshot: &NecSnapshot,
-    exec: &fdi_exec::Executor,
-) -> std::collections::HashMap<GroupKey, Vec<RowId>> {
-    group_rows_par_solitary(instance, attrs, snapshot, false, exec)
-}
-
-/// [`group_rows_par`] under a semantics' null-keying policy — the
-/// sharded twin of [`group_rows_solitary`], with the same
-/// merge-in-shard-order equality promise.
-pub fn group_rows_par_solitary(
-    instance: &fdi_relation::instance::Instance,
-    attrs: AttrSet,
-    snapshot: &NecSnapshot,
     solitary_nulls: bool,
     exec: &fdi_exec::Executor,
-) -> std::collections::HashMap<GroupKey, Vec<RowId>> {
-    use std::collections::hash_map::Entry;
-    if exec.threads() == 1 {
-        return group_rows_solitary(instance, attrs, snapshot, solitary_nulls);
-    }
-    // A few shards per worker so tombstone-skewed arenas still balance.
-    let shards = instance.row_id_shards(exec.threads() * 4);
+) -> HashMap<GroupKey, Vec<RowId>> {
+    let shards = instance.row_id_shards(exec.shard_count(4));
+    let per_shard = instance.len() / shards.len() + 1;
     let locals = exec.map(&shards, |_, &shard| {
-        let mut groups: std::collections::HashMap<GroupKey, Vec<RowId>> =
-            std::collections::HashMap::new();
+        let mut groups: HashMap<GroupKey, Vec<RowId>> = HashMap::with_capacity(per_shard);
         let mut key = GroupKey::new();
         for (row, tuple) in instance.iter_live_in(shard) {
             key.clear();
@@ -198,14 +156,24 @@ pub fn group_rows_par_solitary(
         }
         groups
     });
-    let mut out: std::collections::HashMap<GroupKey, Vec<RowId>> =
-        std::collections::HashMap::with_capacity(instance.len());
+    merge_in_shard_order(locals)
+}
+
+/// Folds shard-local `key → list` maps into one, appending each list in
+/// shard order — so when every local list is ascending and shards cover
+/// ascending slot ranges, every merged list is ascending too. A single
+/// local map (the inline executor's one shard) is returned as is.
+pub(crate) fn merge_in_shard_order<K: Hash + Eq, V>(
+    locals: Vec<HashMap<K, Vec<V>>>,
+) -> HashMap<K, Vec<V>> {
+    let mut locals = locals.into_iter();
+    let mut out = locals.next().unwrap_or_default();
     for local in locals {
-        for (key, mut rows) in local {
+        for (key, mut items) in local {
             match out.entry(key) {
-                Entry::Occupied(mut entry) => entry.get_mut().append(&mut rows),
+                Entry::Occupied(mut entry) => entry.get_mut().append(&mut items),
                 Entry::Vacant(entry) => {
-                    entry.insert(rows);
+                    entry.insert(items);
                 }
             }
         }

@@ -45,28 +45,32 @@
 //!
 //! # Parallel execution
 //!
-//! The read-heavy hot paths have `_par` twins running on the
-//! `fdi-exec` deterministic fork/join executor, sharded over stable
-//! [`RowId`](fdi_relation::rowid::RowId) slot ranges
-//! (`Instance::row_id_shards`): [`testfd::check_par`],
-//! [`query::select_par`], [`chase::chase_plain_par`],
-//! [`chase::extended_chase_par`], [`groupkey::group_rows_par`], and
-//! [`update::LhsIndex::build_par`] (the [`update::Database`] cold
-//! build). Each one is **bit-identical to its sequential oracle at
+//! Each engine has one entry point, and it takes an `fdi-exec`
+//! [`Executor`](fdi_exec::Executor) and (where it has work to report)
+//! an `fdi-obs` [`Recorder`](fdi_obs::Recorder):
+//! [`testfd::check`], [`chase::chase_indexed`], [`chase::extended_chase`],
+//! [`groupkey::group_rows`], [`update::LhsIndex::build`] (the
+//! [`update::Database`] cold build), and
+//! [`query::CompiledQuery::select_par_stats`]. Work is sharded over
+//! stable [`RowId`](fdi_relation::rowid::RowId) slot ranges
+//! (`Instance::row_id_shards`), and every engine is **bit-identical at
 //! every thread count** — shard results merge in shard order, rule
 //! application stays sequential where order is semantics — so
-//! `FDI_THREADS` is purely a throughput knob, never a semantics knob.
-//! The extended chase is the special case where even that caution is
+//! `FDI_THREADS` is purely a throughput knob, never a semantics knob. A
+//! 1-thread executor runs the same code inline, and the noop recorder
+//! records nothing, so sequential, parallel, and recorded runs are one
+//! function called with different arguments.
+//!
+//! The extended chase is the special case where even replaying order is
 //! unnecessary: its closure is order-insensitive (Theorem 4(a)), so
-//! [`chase::extended_chase_par`] parallelizes discovery outright with
-//! no order replay, promising equality of the canonical materialized
-//! instance, `nothing` classes, and union count with the sequential
-//! `Fast` scheduler. TEST-FDs additionally promises a **canonical
-//! violation witness** — the least violating pair of the lowest
-//! violated FD — identical across every sequential variant and
-//! [`testfd::check_par`] (see [`testfd`]'s module docs). The property
-//! suite (`tests/par_equiv.rs`) enforces the contracts across thread
-//! counts 1–8.
+//! [`chase::extended_chase`] parallelizes discovery outright, promising
+//! equality of the canonical materialized instance, `nothing` classes,
+//! and union count with the naive oracle [`chase::extended_chase_naive`].
+//! TEST-FDs additionally promises a **canonical violation witness** —
+//! the least violating pair of the lowest violated FD — identical to the
+//! pairwise reference [`testfd::check_pairwise`] (see [`testfd`]'s
+//! module docs). The property suite (`tests/par_equiv.rs`) enforces the
+//! contracts across thread counts 1–8.
 //!
 //! # The two satisfaction notions, in one place
 //!

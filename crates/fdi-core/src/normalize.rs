@@ -15,7 +15,7 @@
 //! of [Graham 80]'s "tableau chase" reference.
 
 use crate::armstrong::{closure, is_superkey, minimal_cover, project};
-use crate::chase::{extended_chase, Scheduler};
+use crate::chase::extended_chase;
 use crate::fd::{Fd, FdSet};
 use fdi_relation::attrs::{AttrId, AttrSet};
 use fdi_relation::instance::Instance;
@@ -182,7 +182,12 @@ pub fn is_lossless(fds: &FdSet, attrs: AttrSet, decomposition: &[AttrSet]) -> bo
             .filter(|fd| !fd.rhs.is_empty())
             .collect(),
     );
-    let outcome = extended_chase(&tableau, &tableau_fds, Scheduler::Fast);
+    let outcome = extended_chase(
+        &tableau,
+        &tableau_fds,
+        &fdi_exec::Executor::with_threads(1),
+        &fdi_obs::Recorder::noop(),
+    );
     debug_assert_eq!(
         outcome.nothing_classes, 0,
         "tableaux have one constant per column; conflicts are impossible"

@@ -227,7 +227,7 @@ mod tests {
     fn tracks_inserts_modifies_deletes_and_compaction() {
         let mut db = db();
         let q = Query::eq_text(db.instance(), "status", "married").unwrap();
-        let plan = Arc::new(CompiledQuery::compile_with_fds(&q, db.instance(), db.fds()));
+        let plan = Arc::new(CompiledQuery::compile(&q, db.instance()));
         let mut inc = IncrementalSelection::new(plan, db.instance()).unwrap();
         assert_eq!(inc.selection(), select(&q, db.instance()).unwrap());
         let full_scan = inc.evals();

@@ -356,43 +356,6 @@ pub fn select(query: &Query, instance: &Instance) -> Result<Selection, RelationE
     Ok(out)
 }
 
-/// [`select`] sharded over [`RowId`](fdi_relation::rowid::RowId)
-/// ranges: per-row [`eval_signature`] evaluation is embarrassingly
-/// parallel (each verdict reads only its own tuple, the NEC store, and
-/// the domains), so each shard computes a partial [`Selection`] over
-/// its live rows and the partials are concatenated **in shard order**.
-/// Shard order is ascending slot order, so the merged answer sets list
-/// rows in exactly the ascending order [`select`] produces — the
-/// result is **bit-identical to [`select`]** at every thread count,
-/// errors included: the error reported is the one of the lowest
-/// erroring row, which is the first error [`select`] would hit.
-pub fn select_par(
-    query: &Query,
-    instance: &Instance,
-    exec: &fdi_exec::Executor,
-) -> Result<Selection, RelationError> {
-    let shards = instance.row_id_shards(exec.threads() * 4);
-    let locals = exec.map(&shards, |_, &shard| -> Result<Selection, RelationError> {
-        let mut out = Selection::default();
-        for (row, _) in instance.iter_live_in(shard) {
-            match eval_signature(query, row, instance)? {
-                Truth::True => out.sure.push(row),
-                Truth::Unknown => out.maybe.push(row),
-                Truth::False => out.no.push(row),
-            }
-        }
-        Ok(out)
-    });
-    let mut out = Selection::default();
-    for local in locals {
-        let mut local = local?;
-        out.sure.append(&mut local.sure);
-        out.maybe.append(&mut local.maybe);
-        out.no.append(&mut local.no);
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -566,56 +529,6 @@ mod tests {
         let sel = select(&either, &r).unwrap();
         assert_eq!(sel.sure, r.row_ids().collect::<Vec<_>>());
         assert!(sel.maybe.is_empty() && sel.no.is_empty());
-    }
-
-    #[test]
-    fn select_par_is_bit_identical_to_select() {
-        use fdi_exec::Executor;
-        let schema = Schema::builder("People")
-            .attribute("name", ["John", "Mary", "Ann"])
-            .attribute("status", ["married", "single"])
-            .build()
-            .unwrap();
-        let r = Instance::parse(schema, "John -\nMary married\nAnn single\nJohn ?x\n- -").unwrap();
-        let married = Query::eq_text(&r, "status", "married").unwrap();
-        let single = Query::eq_text(&r, "status", "single").unwrap();
-        let queries = [
-            married.clone(),
-            married.clone().or(single.clone()),
-            married.clone().and(single.clone().not()),
-            Query::eq_attrs(&r, "name", "status").unwrap(),
-        ];
-        for q in &queries {
-            let sequential = select(q, &r).unwrap();
-            for threads in [1, 2, 3, 8] {
-                let parallel = select_par(q, &r, &Executor::with_threads(threads)).unwrap();
-                assert_eq!(sequential, parallel, "threads = {threads}, query {q:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn select_par_reports_the_first_erroring_row() {
-        use fdi_exec::Executor;
-        let schema = Schema::builder("R")
-            .attribute_unbounded("name")
-            .attribute("status", ["married", "single"])
-            .build()
-            .unwrap();
-        let mut r = Instance::new(schema);
-        r.add_row(&["John", "married"]).unwrap();
-        r.add_row(&["-", "single"]).unwrap(); // null on an unbounded domain
-        r.add_row(&["-", "married"]).unwrap();
-        let q = Query::eq_text(&r, "name", "John").unwrap();
-        let sequential = select(&q, &r).unwrap_err();
-        for threads in [1, 2, 8] {
-            let parallel = select_par(&q, &r, &Executor::with_threads(threads)).unwrap_err();
-            assert_eq!(
-                format!("{sequential}"),
-                format!("{parallel}"),
-                "threads = {threads}"
-            );
-        }
     }
 
     #[test]

@@ -22,10 +22,7 @@
 //!   candidate list by slicing, with zero per-row allocation;
 //! * a canonical byte **encoding** of the query plus an FNV-1a 64-bit
 //!   **fingerprint** key plan caches (e.g. the per-epoch cache in
-//!   `fdi-serve`);
-//! * [`compile_with_fds`](CompiledQuery::compile_with_fds) consults the
-//!   [`fdi_logic::closure::ClosureEngine`] to classify the plan against
-//!   the FD set (scope closure, key-coveredness, minimal scope key).
+//!   `fdi-serve`).
 //!
 //! # Per-NEC-signature memoization — why it is exact
 //!
@@ -52,7 +49,6 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use fdi_logic::closure::{ClosureEngine, ColumnSet};
 use fdi_logic::truth::Truth;
 use fdi_relation::attrs::{AttrId, AttrSet};
 use fdi_relation::error::RelationError;
@@ -62,7 +58,6 @@ use fdi_relation::symbol::Symbol;
 use fdi_relation::value::{NullId, Value};
 
 use super::{Atom, Query, Selection};
-use crate::fd::FdSet;
 
 /// One instruction of the flat postfix program. Atom ops push a bool
 /// computed from the (completed) tuple; connective ops pop and push.
@@ -97,25 +92,10 @@ enum FoldNode {
     Or(Box<FoldNode>, Box<FoldNode>),
 }
 
-/// What the FD closure engine knows about a plan (see
-/// [`CompiledQuery::compile_with_fds`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PlanFdInfo {
-    /// The FD-closure of the query's scope: every attribute functionally
-    /// determined by the attributes the query reads.
-    pub scope_closure: AttrSet,
-    /// `true` iff the scope closure covers the whole schema — the query
-    /// reads a superkey, so on an NS-consistent complete instance no two
-    /// distinct rows can agree on the whole scope.
-    pub key_covered: bool,
-    /// A minimal subset of the scope with the same closure.
-    pub minimal_scope_key: AttrSet,
-}
-
 /// Reusable per-evaluator scratch space. All per-row buffers live here
-/// so the row loop of [`CompiledQuery::select`] allocates nothing after
+/// so the row loop of [`CompiledQuery::eval`] allocates nothing after
 /// warm-up. One scratch must not be shared across threads — each shard
-/// of [`CompiledQuery::select_par`] owns its own.
+/// of [`CompiledQuery::select_par_stats`] owns its own.
 #[derive(Debug, Default)]
 pub struct EvalScratch {
     /// NEC class roots, in first-seen (ascending-attribute) order.
@@ -233,36 +213,11 @@ pub struct CompiledQuery {
     fingerprint: u64,
     /// Number of atoms decided at compile time.
     folded_atoms: usize,
-    /// FD-closure classification (with [`CompiledQuery::compile_with_fds`]).
-    fd_info: Option<PlanFdInfo>,
 }
 
 impl CompiledQuery {
     /// Compiles `query` against `instance`'s schema.
     pub fn compile(query: &Query, instance: &Instance) -> CompiledQuery {
-        Self::build(query, instance, None)
-    }
-
-    /// Compiles `query` and classifies it against `fds` with the
-    /// [`ClosureEngine`]: scope closure, key-coveredness, and a minimal
-    /// scope key are recorded in [`CompiledQuery::fd_info`].
-    pub fn compile_with_fds(query: &Query, instance: &Instance, fds: &FdSet) -> CompiledQuery {
-        let engine = ClosureEngine::new(
-            fds.iter()
-                .map(|fd| (ColumnSet(fd.lhs.0), ColumnSet(fd.rhs.0))),
-        );
-        let arity = instance.arity();
-        let all = ColumnSet::first_n(arity.min(fdi_logic::closure::COLUMN_LIMIT));
-        let scope = ColumnSet(query.attrs().0);
-        let info = PlanFdInfo {
-            scope_closure: AttrSet(engine.expand(scope).0),
-            key_covered: engine.is_superkey(scope, all),
-            minimal_scope_key: AttrSet(engine.reduce(scope).0),
-        };
-        Self::build(query, instance, Some(info))
-    }
-
-    fn build(query: &Query, instance: &Instance, fd_info: Option<PlanFdInfo>) -> CompiledQuery {
         let mut folded_atoms = 0usize;
         let node = fold(query, &mut folded_atoms);
         let mut ops = Vec::new();
@@ -318,7 +273,6 @@ impl CompiledQuery {
             encoding,
             fingerprint,
             folded_atoms,
-            fd_info,
         }
     }
 
@@ -353,12 +307,6 @@ impl CompiledQuery {
     /// Number of ops in the flat program.
     pub fn op_count(&self) -> usize {
         self.ops.len()
-    }
-
-    /// FD-closure classification, if compiled with
-    /// [`CompiledQuery::compile_with_fds`].
-    pub fn fd_info(&self) -> Option<&PlanFdInfo> {
-        self.fd_info.as_ref()
     }
 
     /// Runs the op program on a value accessor. Postfix over a bool
@@ -592,53 +540,14 @@ impl CompiledQuery {
         Ok(verdict)
     }
 
-    /// [`select`](super::select) through the compiled plan: evaluates
-    /// every live row in ascending order with a fresh scratch + memo.
-    /// Bit-identical to [`select`](super::select), errors included.
-    pub fn select(&self, instance: &Instance) -> Result<Selection, RelationError> {
-        let mut scratch = EvalScratch::default();
-        let mut memo = SignatureMemo::new();
-        self.select_with(instance, &mut scratch, &mut memo)
-    }
-
-    /// [`CompiledQuery::select`] with caller-owned scratch and memo
-    /// (reuse them across calls to amortize warm-up; clear the memo if
-    /// NEC classes changed in between).
-    pub fn select_with(
-        &self,
-        instance: &Instance,
-        scratch: &mut EvalScratch,
-        memo: &mut SignatureMemo,
-    ) -> Result<Selection, RelationError> {
-        let mut out = Selection::default();
-        for row in instance.row_ids() {
-            match self.eval(row, instance, scratch, Some(memo))? {
-                Truth::True => out.sure.push(row),
-                Truth::Unknown => out.maybe.push(row),
-                Truth::False => out.no.push(row),
-            }
-        }
-        Ok(out)
-    }
-
-    /// [`select_par`](super::select_par) through the compiled plan:
+    /// [`select`](super::select) through the compiled plan:
     /// row-shard parallel with shard-local scratch + memo, partials
-    /// concatenated in shard order. Bit-identical to
+    /// concatenated in shard order, with the shards' memo statistics
+    /// summed. The `Selection` is bit-identical to
     /// [`select`](super::select) at every thread count, errors included
     /// (the reported error is the lowest erroring row's). Memoization
     /// never crosses shards, so verdicts cannot depend on the shard
-    /// layout.
-    pub fn select_par(
-        &self,
-        instance: &Instance,
-        exec: &fdi_exec::Executor,
-    ) -> Result<Selection, RelationError> {
-        self.select_par_stats(instance, exec).map(|(sel, _)| sel)
-    }
-
-    /// [`CompiledQuery::select_par`] returning aggregated memo
-    /// statistics. Hit/miss counts vary with the shard layout (they are
-    /// diagnostics); the `Selection` does not.
+    /// layout; hit/miss counts do (they are diagnostics).
     pub fn select_par_stats(
         &self,
         instance: &Instance,
@@ -821,10 +730,19 @@ pub type SharedPlan = Arc<CompiledQuery>;
 
 #[cfg(test)]
 mod tests {
-    use super::super::{eval_signature, select, select_par};
+    use super::super::{eval_signature, select};
     use super::*;
     use fdi_exec::Executor;
     use fdi_relation::schema::Schema;
+
+    fn select_on(
+        plan: &CompiledQuery,
+        r: &Instance,
+        threads: usize,
+    ) -> Result<Selection, RelationError> {
+        plan.select_par_stats(r, &Executor::with_threads(threads))
+            .map(|(selection, _)| selection)
+    }
 
     fn people() -> Instance {
         let schema = Schema::builder("People")
@@ -874,11 +792,8 @@ mod tests {
         let q = married.or(single.not());
         let plan = CompiledQuery::compile(&q, &r);
         let baseline = select(&q, &r).unwrap();
-        assert_eq!(plan.select(&r).unwrap(), baseline);
         for threads in [1, 2, 3, 8] {
-            let exec = Executor::with_threads(threads);
-            assert_eq!(plan.select_par(&r, &exec).unwrap(), baseline);
-            assert_eq!(select_par(&q, &r, &exec).unwrap(), baseline);
+            assert_eq!(select_on(&plan, &r, threads).unwrap(), baseline);
         }
     }
 
@@ -896,14 +811,8 @@ mod tests {
         let q = Query::eq_text(&r, "name", "John").unwrap();
         let plan = CompiledQuery::compile(&q, &r);
         let baseline = select(&q, &r).unwrap_err();
-        assert_eq!(
-            format!("{}", plan.select(&r).unwrap_err()),
-            format!("{baseline}")
-        );
         for threads in [1, 2, 8] {
-            let err = plan
-                .select_par(&r, &Executor::with_threads(threads))
-                .unwrap_err();
+            let err = select_on(&plan, &r, threads).unwrap_err();
             assert_eq!(format!("{err}"), format!("{baseline}"));
         }
     }
@@ -937,13 +846,16 @@ mod tests {
         assert_eq!(plan.folded_atoms(), 1);
         assert_eq!(plan.op_count(), 1, "whole program folded to a constant");
         let baseline = select(&tautology, &r).unwrap();
-        assert_eq!(plan.select(&r).unwrap(), baseline);
+        assert_eq!(select_on(&plan, &r, 1).unwrap(), baseline);
         assert_eq!(baseline.sure.len(), 5, "t[a]=t[a] holds on every row");
 
         let impossible = Query::Atom(Atom::In(name, vec![]));
         let plan = CompiledQuery::compile(&impossible, &r);
         assert_eq!(plan.folded_atoms(), 1);
-        assert_eq!(plan.select(&r).unwrap(), select(&impossible, &r).unwrap());
+        assert_eq!(
+            select_on(&plan, &r, 1).unwrap(),
+            select(&impossible, &r).unwrap()
+        );
     }
 
     #[test]
@@ -961,30 +873,6 @@ mod tests {
         );
         let q3 = Query::Atom(Atom::In(status, vec![a]));
         assert_ne!(CompiledQuery::encode(&q1), CompiledQuery::encode(&q3));
-    }
-
-    #[test]
-    fn fd_info_classifies_the_scope() {
-        use crate::fd::Fd;
-        let r = people();
-        let name = r.schema().attr_id("name").unwrap();
-        let status = r.schema().attr_id("status").unwrap();
-        let fds = FdSet::from_vec(vec![Fd::new(
-            AttrSet::singleton(name),
-            AttrSet::singleton(status),
-        )]);
-        let q = Query::eq_text(&r, "name", "John").unwrap();
-        let plan = CompiledQuery::compile_with_fds(&q, &r, &fds);
-        let info = plan.fd_info().expect("compiled with fds");
-        assert!(info.key_covered, "name → status makes name a key");
-        assert_eq!(info.scope_closure, AttrSet::singleton(name).with(status));
-        assert_eq!(info.minimal_scope_key, AttrSet::singleton(name));
-
-        let q = Query::eq_text(&r, "status", "married").unwrap();
-        let plan = CompiledQuery::compile_with_fds(&q, &r, &fds);
-        let info = plan.fd_info().expect("compiled with fds");
-        assert!(!info.key_covered);
-        assert_eq!(info.scope_closure, AttrSet::singleton(status));
     }
 
     #[test]

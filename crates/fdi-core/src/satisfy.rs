@@ -9,7 +9,7 @@
 //! the per-tuple truth tables the examples and the harness print.
 //!
 //! Set-level verdicts ride the indexed fast paths: the strong check is
-//! [`testfd::check_strong`] (size-dispatched grouped TEST-FDs) and the
+//! [`testfd::check_strong`] (grouped TEST-FDs) and the
 //! weak check is the extended chase — so [`report`] stays usable at
 //! instance sizes where the per-tuple Proposition-1 table is the only
 //! remaining enumeration-bound piece.
@@ -104,7 +104,16 @@ pub fn report(fds: &FdSet, instance: &Instance, budget: u128) -> Result<Report, 
         weak: crate::chase::weakly_satisfiable_via_chase(fds, instance),
         semantics: SemanticsKind::ALL
             .iter()
-            .map(|&kind| (kind, testfd::check(instance, fds, kind)))
+            .map(|&kind| {
+                let verdict = testfd::check(
+                    instance,
+                    fds,
+                    kind,
+                    &fdi_exec::Executor::with_threads(1),
+                    &fdi_obs::Recorder::noop(),
+                );
+                (kind, verdict)
+            })
             .collect(),
         table,
         strong_per_fd,

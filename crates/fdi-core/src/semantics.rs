@@ -80,6 +80,8 @@
 
 use crate::fd::FdSet;
 use crate::testfd::{self, Convention, Violation};
+use fdi_exec::Executor;
+use fdi_obs::Recorder;
 use fdi_relation::instance::Instance;
 use fdi_relation::rowid::RowId;
 use fdi_relation::value::Value;
@@ -303,13 +305,14 @@ impl Semantics for Convention {
 /// Full decision pipeline for one semantics: chases to a minimally
 /// incomplete instance first when the convention requires it
 /// ([`Semantics::chases_first`] — Theorem 3's proviso), then runs the
-/// size-dispatched [`testfd::check`].
+/// [`testfd::check`], inline and unrecorded.
 pub fn decide<S: Semantics>(instance: &Instance, fds: &FdSet, sem: S) -> Result<(), Violation> {
+    let (exec, rec) = (Executor::with_threads(1), Recorder::noop());
     if sem.chases_first() {
         let chased = crate::chase::chase_plain(instance, fds);
-        testfd::check(&chased.instance, fds, sem)
+        testfd::check(&chased.instance, fds, sem, &exec, &rec)
     } else {
-        testfd::check(instance, fds, sem)
+        testfd::check(instance, fds, sem, &exec, &rec)
     }
 }
 
@@ -369,6 +372,7 @@ impl Comparison {
 /// Runs every registered semantics over one instance and FD set,
 /// collecting instance-level verdicts and per-FD canonical witnesses.
 pub fn compare(instance: &Instance, fds: &FdSet) -> Comparison {
+    let (exec, rec) = (Executor::with_threads(1), Recorder::noop());
     let verdicts = SemanticsKind::ALL
         .into_iter()
         .map(|kind| {
@@ -376,12 +380,14 @@ pub fn compare(instance: &Instance, fds: &FdSet) -> Comparison {
                 .iter()
                 .map(|fd| {
                     let single = FdSet::from_vec(vec![*fd]);
-                    testfd::check(instance, &single, kind).err().map(|v| v.rows)
+                    testfd::check(instance, &single, kind, &exec, &rec)
+                        .err()
+                        .map(|v| v.rows)
                 })
                 .collect();
             SemanticsVerdict {
                 kind,
-                result: testfd::check(instance, fds, kind),
+                result: testfd::check(instance, fds, kind, &exec, &rec),
                 per_fd,
             }
         })
@@ -445,6 +451,10 @@ mod tests {
     use super::*;
     use fdi_relation::schema::Schema;
 
+    fn check<S: Semantics>(r: &Instance, f: &FdSet, sem: S) -> Result<(), Violation> {
+        testfd::check(r, f, sem, &Executor::with_threads(1), &Recorder::noop())
+    }
+
     fn abc(text: &str) -> Instance {
         Instance::parse(Schema::uniform("R", &["A", "B", "C"], 4).unwrap(), text).unwrap()
     }
@@ -487,19 +497,19 @@ mod tests {
         // conventions see no agreement, nfd sees no total trigger.
         let r = abc("-   B_0 C_0\nA_1 B_1 C_0");
         let f = fd_a_b(&r);
-        assert!(testfd::check(&r, &f, Strong).is_err());
-        assert!(testfd::check(&r, &f, NullMarker).is_ok());
-        assert!(testfd::check(&r, &f, Weak).is_ok());
-        assert!(testfd::check(&r, &f, Nfd).is_ok());
+        assert!(check(&r, &f, Strong).is_err());
+        assert!(check(&r, &f, NullMarker).is_ok());
+        assert!(check(&r, &f, Weak).is_ok());
+        assert!(check(&r, &f, Nfd).is_ok());
         // Equal constants on A, null vs constant on B: a syntactic
         // marker mismatch — the marker convention violates with the
         // strong one, while weak and nfd accept.
         let r = abc("A_0 -   C_0\nA_0 B_1 C_0");
         let f = fd_a_b(&r);
-        assert!(testfd::check(&r, &f, Strong).is_err());
-        assert!(testfd::check(&r, &f, NullMarker).is_err());
-        assert!(testfd::check(&r, &f, Weak).is_ok());
-        assert!(testfd::check(&r, &f, Nfd).is_ok());
+        assert!(check(&r, &f, Strong).is_err());
+        assert!(check(&r, &f, NullMarker).is_err());
+        assert!(check(&r, &f, Weak).is_ok());
+        assert!(check(&r, &f, Nfd).is_ok());
     }
 
     #[test]
@@ -509,15 +519,15 @@ mod tests {
         // total-tuple restriction does not even trigger.
         let r = abc("?m B_0 C_0\n?m B_1 C_0");
         let f = fd_a_b(&r);
-        assert!(testfd::check(&r, &f, Strong).is_err());
-        assert!(testfd::check(&r, &f, NullMarker).is_err());
-        assert!(testfd::check(&r, &f, Weak).is_err());
-        assert!(testfd::check(&r, &f, Nfd).is_ok());
+        assert!(check(&r, &f, Strong).is_err());
+        assert!(check(&r, &f, NullMarker).is_err());
+        assert!(check(&r, &f, Weak).is_err());
+        assert!(check(&r, &f, Nfd).is_ok());
         // But a classical constant violation is seen by all four.
         let r = abc("A_0 B_0 C_0\nA_0 B_1 C_0");
         let f = fd_a_b(&r);
         for kind in SemanticsKind::ALL {
-            assert!(testfd::check(&r, &f, kind).is_err(), "{kind}");
+            assert!(check(&r, &f, kind).is_err(), "{kind}");
         }
     }
 
@@ -543,11 +553,11 @@ mod tests {
         // visible to the weak convention only after the chase.
         let r = crate::fixtures::section6_instance();
         let f = crate::fixtures::section6_fds();
-        assert!(testfd::check(&r, &f, Weak).is_ok(), "raw weak misses it");
+        assert!(check(&r, &f, Weak).is_ok(), "raw weak misses it");
         assert!(decide(&r, &f, Weak).is_err(), "decide chases first");
         assert_eq!(
             decide(&r, &f, Strong).is_err(),
-            testfd::check(&r, &f, Strong).is_err(),
+            check(&r, &f, Strong).is_err(),
             "strong decides without chasing"
         );
     }

@@ -29,54 +29,51 @@
 //! adjacent), so sorting is always sound.
 //!
 //! Variants implemented, matching Figure 3's complexity discussion:
-//! sorted (`O(|F|·n·log n)`), pairwise (`O(|F|·n²)`), hash-grouped (the
-//! bucket-sort analogue, `O(|F|·n·p)` expected), and the linear scan for
-//! a single FD over a pre-sorted relation.
+//! pairwise (`O(|F|·n²)`), hash-grouped (the bucket-sort analogue,
+//! `O(|F|·n·p)` expected — the production path behind [`check`]),
+//! sorted (`O(|F|·n·log n)`, [`check_sorted`]), and the linear scan for
+//! a single FD over a pre-sorted relation ([`check_single_presorted`]).
+//! The sorted and presorted variants reproduce Figure 3 for the scaling
+//! experiments; the pairwise one is the reference the others are
+//! property-tested against.
 //!
-//! ## Default dispatch
+//! ## The entry point
 //!
-//! [`check`] is the entry point the rest of the system goes through
-//! (and what [`check_strong`] / [`check_weak`] call): for small
-//! relations it runs the pairwise variant — which doubles as the oracle
-//! the grouped variants are property-tested against — and beyond
-//! [`SMALL_N`] rows it runs [`check_grouped`], the hash-grouped variant
-//! re-dispatched on the same NEC-canonical keys as the indexed chase
-//! ([`crate::groupkey`]): one fully-compressed NEC snapshot per call
-//! (no parent-chain walks per comparison), packed `u64` key atoms, and
-//! a per-group linear representative scan. Expected cost `O(|F|·n·p)`.
-//! The strong-convention-with-null-determinant fallback to pairwise is
-//! preserved — under the pessimistic convention null "equality" is not
-//! transitive, so grouping is unsound there and the paper's footnoted
-//! `O(|F|·n²)` variant is the only correct choice.
+//! [`check`] is the one entry point the rest of the system goes through
+//! (and what [`check_strong`] / [`check_weak`] call): the grouped
+//! variant on the NEC-canonical keys of the indexed chase
+//! ([`crate::groupkey`]) — one fully-compressed NEC snapshot per call,
+//! packed `u64` key atoms, and a per-group linear representative scan,
+//! sharded over an [`Executor`] and reporting its work into a
+//! [`Recorder`]. The strong-convention-with-null-determinant
+//! fallback to pairwise is preserved — under the pessimistic convention
+//! null "equality" is not transitive, so grouping is unsound there and
+//! the paper's footnoted `O(|F|·n²)` variant is the only correct choice.
 //!
 //! ## The deterministic witness contract
 //!
-//! Every variant — pairwise, sorted, hashed, grouped, [`check`], and
-//! the parallel [`check_par`] — reports one **canonical witness** on a
-//! violating instance: the least violating `(row, row)` pair (ordered,
-//! lower id first) of the lowest-indexed violated FD. The grouped
-//! variants get this by folding every group's minimum (the within-group
-//! representative scan returns the group's least pair) instead of
-//! returning the first hit in `HashMap` iteration order, so results
-//! are run-to-run deterministic and bit-identical across all variants
-//! and all thread counts — a `Violation` can be compared with `==`
-//! between any two of them.
+//! Every variant — pairwise, sorted, and [`check`] at any thread count —
+//! reports one **canonical witness** on a violating instance: the least
+//! violating `(row, row)` pair (ordered, lower id first) of the
+//! lowest-indexed violated FD. The grouped scans get this by folding
+//! every group's minimum (the within-group representative scan returns
+//! the group's least pair) instead of returning the first hit in
+//! `HashMap` iteration order, so results are run-to-run deterministic
+//! and bit-identical across variants and thread counts — a `Violation`
+//! can be compared with `==` between any two of them.
 
 use crate::fd::{Fd, FdSet};
 use crate::groupkey;
 use crate::semantics::Semantics;
+use fdi_exec::Executor;
+use fdi_obs::{Counter, Recorder};
+use fdi_relation::attrs::AttrSet;
 use fdi_relation::instance::Instance;
 use fdi_relation::nec::NecSnapshot;
 use fdi_relation::rowid::RowId;
 use fdi_relation::value::Value;
 use std::cmp::Ordering;
-use std::collections::HashMap;
 use std::fmt;
-
-/// Below this row count [`check`] prefers the pairwise variant: the
-/// `O(n²)` constant is tiny, and building per-FD hash groups only pays
-/// for itself once relations outgrow cache-resident pair scans.
-pub const SMALL_N: usize = 64;
 
 /// Null-comparison convention (Theorems 2 and 3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -114,7 +111,7 @@ fn rows_equal_on<S: Semantics>(
     instance: &Instance,
     i: RowId,
     j: RowId,
-    attrs: fdi_relation::attrs::AttrSet,
+    attrs: AttrSet,
     sem: S,
 ) -> bool {
     attrs
@@ -129,7 +126,7 @@ fn rows_unequal_on<S: Semantics>(
     instance: &Instance,
     i: RowId,
     j: RowId,
-    attrs: fdi_relation::attrs::AttrSet,
+    attrs: AttrSet,
     sem: S,
 ) -> bool {
     attrs
@@ -192,13 +189,12 @@ fn sort_key<S: Semantics>(v: Value, row: RowId, snapshot: &NecSnapshot, sem: S) 
     }
 }
 
-/// The columns on which some live row holds a null — the one `O(n·p)`
-/// scan that replaces the per-FD `instance.tuples().any(has_null_on)`
-/// full scans of the sorted/hashed/grouped variants (and `check_par`):
+/// The columns on which some live row holds a null — one `O(n·p)` scan
+/// per call instead of a per-FD `instance.tuples().any(has_null_on)`:
 /// an FD's determinant meets a null iff it intersects this set.
-fn null_columns(instance: &Instance) -> fdi_relation::attrs::AttrSet {
+fn null_columns(instance: &Instance) -> AttrSet {
     let all = instance.schema().all_attrs();
-    let mut cols = fdi_relation::attrs::AttrSet::EMPTY;
+    let mut cols = AttrSet::EMPTY;
     for t in instance.tuples() {
         for a in all.difference(cols).iter() {
             if t.get(a).is_null() {
@@ -217,11 +213,11 @@ fn null_columns(instance: &Instance) -> fdi_relation::attrs::AttrSet {
 /// [`Semantics::needs_pairwise_fallback`]: conventions without the
 /// fallback (everything but strong) get the empty set — never
 /// intersecting anything — and pay nothing for the scan.
-fn null_columns_for<S: Semantics>(instance: &Instance, sem: S) -> fdi_relation::attrs::AttrSet {
+fn null_columns_for<S: Semantics>(instance: &Instance, sem: S) -> AttrSet {
     if sem.needs_pairwise_fallback() {
         null_columns(instance)
     } else {
-        fdi_relation::attrs::AttrSet::EMPTY
+        AttrSet::EMPTY
     }
 }
 
@@ -240,17 +236,17 @@ fn null_columns_for<S: Semantics>(instance: &Instance, sem: S) -> fdi_relation::
 /// representative is the least of them; the per-attribute result is
 /// therefore the attribute's least violating pair, and the fold takes
 /// the minimum across attributes. This is the canonical-witness
-/// contract of [`check`]/[`check_par`].
+/// contract of [`check`].
 ///
-/// This is what keeps the sorted/hashed variants at `O(n·p)` per group
-/// sweep instead of `O(group²)` — Figure 3's inner loop compares each
+/// This is what keeps the sorted and grouped variants at `O(n·p)` per
+/// group sweep instead of `O(group²)` — Figure 3's inner loop compares each
 /// tuple against the group's representative, which this generalizes to
 /// the null conventions.
 fn group_violation<S: Semantics>(
     instance: &Instance,
     snapshot: &NecSnapshot,
     rows: &[RowId],
-    rhs: fdi_relation::attrs::AttrSet,
+    rhs: AttrSet,
     sem: S,
 ) -> Option<(RowId, RowId)> {
     if rows.len() < 2 {
@@ -326,7 +322,7 @@ fn cmp_on<S: Semantics>(
     instance: &Instance,
     i: RowId,
     j: RowId,
-    attrs: fdi_relation::attrs::AttrSet,
+    attrs: AttrSet,
     snapshot: &NecSnapshot,
     sem: S,
 ) -> Ordering {
@@ -403,142 +399,6 @@ pub fn check_sorted<S: Semantics>(
     Ok(())
 }
 
-/// Hash-grouped TEST-FDs — the "bucket sort" variant of Figure 3's
-/// *Additional Assumptions* paragraph: expected `O(|F|·n·p)`.
-///
-/// Grouping hashes the semantics' agreement-class keys, so (like the
-/// sorted variant) it falls back to pairwise for strong-convention FDs
-/// whose left side meets a null. Group maps are scanned with a full
-/// minimum-fold — never in `HashMap` iteration order — so the reported
-/// witness is [`check`]'s canonical one, run-to-run deterministic.
-pub fn check_hashed<S: Semantics>(
-    instance: &Instance,
-    fds: &FdSet,
-    sem: S,
-) -> Result<(), Violation> {
-    let n = instance.len();
-    let snapshot = instance.necs().canonical_snapshot();
-    let null_cols = null_columns_for(instance, sem);
-    for (fd_index, fd) in fds.iter().enumerate() {
-        let fd = fd.normalized();
-        if fd.is_trivial() {
-            continue; // true in every instance
-        }
-        if sem.needs_pairwise_fallback() && !fd.lhs.intersect(null_cols).is_empty() {
-            check_pairwise(instance, &FdSet::from_vec(vec![fd]), sem).map_err(|v| Violation {
-                fd_index,
-                rows: v.rows,
-            })?;
-            continue;
-        }
-        let mut groups: HashMap<Vec<(u8, u32)>, Vec<RowId>> = HashMap::with_capacity(n);
-        for i in instance.row_ids() {
-            let key: Vec<(u8, u32)> = fd
-                .lhs
-                .iter()
-                .map(|a| sort_key(instance.value(i, a), i, &snapshot, sem))
-                .collect();
-            groups.entry(key).or_default().push(i);
-        }
-        let mut best: Option<(RowId, RowId)> = None;
-        for rows in groups.values() {
-            best = min_pair(
-                best,
-                group_violation(instance, &snapshot, rows, fd.rhs, sem),
-            );
-        }
-        if let Some(rows) = best {
-            return Err(Violation { fd_index, rows });
-        }
-    }
-    Ok(())
-}
-
-/// Group-indexed TEST-FDs on the shared NEC-canonical keys of
-/// [`crate::groupkey`] — the default large-`n` variant behind [`check`].
-///
-/// One fully-compressed NEC snapshot is taken per call; rows are
-/// partitioned per FD by packed `u64` determinant keys (equality of
-/// which is exactly the conventions' agreement predicate, `nothing`
-/// rows staying singleton); each group is scanned linearly against a
-/// representative. Expected `O(|F|·n·p)`. Like the sorted and hashed
-/// variants it falls back to pairwise for strong-convention FDs whose
-/// determinant meets a null.
-///
-/// The group map is folded to its **minimum** violating pair — never
-/// scanned in `HashMap` iteration order — so the result is a pure
-/// function of the instance and FD set: the least violating pair of
-/// the lowest violated FD, bit-identical to [`check_pairwise`] and
-/// [`check_par`].
-pub fn check_grouped<S: Semantics>(
-    instance: &Instance,
-    fds: &FdSet,
-    sem: S,
-) -> Result<(), Violation> {
-    let snapshot = instance.necs().canonical_snapshot();
-    let null_cols = null_columns_for(instance, sem);
-    for (fd_index, fd) in fds.iter().enumerate() {
-        let fd = fd.normalized();
-        if fd.is_trivial() {
-            continue; // true in every instance
-        }
-        if sem.needs_pairwise_fallback() && !fd.lhs.intersect(null_cols).is_empty() {
-            check_pairwise(instance, &FdSet::from_vec(vec![fd]), sem).map_err(|v| Violation {
-                fd_index,
-                rows: v.rows,
-            })?;
-            continue;
-        }
-        let groups =
-            groupkey::group_rows_solitary(instance, fd.lhs, &snapshot, sem.solitary_nulls());
-        let mut best: Option<(RowId, RowId)> = None;
-        for rows in groups.values() {
-            best = min_pair(
-                best,
-                group_violation(instance, &snapshot, rows, fd.rhs, sem),
-            );
-        }
-        if let Some(rows) = best {
-            return Err(Violation { fd_index, rows });
-        }
-    }
-    Ok(())
-}
-
-/// TEST-FDs with size-based dispatch: pairwise below [`SMALL_N`] rows
-/// (also the oracle the grouped path is verified against), the
-/// group-indexed variant beyond. Sound and complete under both
-/// conventions for any instance. On a violating instance the reported
-/// witness is canonical — the least violating pair of the lowest
-/// violated FD, identical across both dispatch arms and bit-identical
-/// to [`check_par`]'s (see the module docs).
-///
-/// # Example — the two conventions on Figure 1.3
-///
-/// ```
-/// use fdi_core::fixtures;
-/// use fdi_core::testfd::{check, Convention};
-///
-/// // e3's null D# *could* complete to d1, pairing its `part` contract
-/// // against d1's `full` under f2: D# → CT — a potential violation the
-/// // pessimistic convention reports (Theorem 2) …
-/// let r = fixtures::figure1_null_instance();
-/// let fds = fixtures::figure1_fds();
-/// let violation = check(&r, &fds, Convention::Strong).unwrap_err();
-/// assert_eq!(violation.fd_index, 1);
-/// // … while nothing *definitely* violates: the instance is minimally
-/// // incomplete, so the optimistic convention decides weak
-/// // satisfiability directly (Theorem 3).
-/// assert!(check(&r, &fds, Convention::Weak).is_ok());
-/// ```
-pub fn check<S: Semantics>(instance: &Instance, fds: &FdSet, sem: S) -> Result<(), Violation> {
-    if instance.len() < SMALL_N {
-        check_pairwise(instance, fds, sem)
-    } else {
-        check_grouped(instance, fds, sem)
-    }
-}
-
 /// Does the pair `(i, j)` violate `fd` under `sem`? — the pairwise
 /// predicate underlying every TEST-FDs variant, exposed so callers can
 /// verify a reported [`Violation`] against first principles.
@@ -581,17 +441,16 @@ fn chunk_ranges(n: usize, chunks: usize) -> Vec<std::ops::Range<usize>> {
 /// exactly the FD's agreement classes, the fold yields the FD's least
 /// violating pair outright — the same pair [`check_pairwise`]'s
 /// ascending scan finds first.
-fn min_grouped_violation_par<S: Semantics>(
+fn min_grouped_violation<S: Semantics>(
     instance: &Instance,
     snapshot: &NecSnapshot,
     fd: Fd,
     sem: S,
-    exec: &fdi_exec::Executor,
+    exec: &Executor,
 ) -> Option<(RowId, RowId)> {
-    let groups =
-        groupkey::group_rows_par_solitary(instance, fd.lhs, snapshot, sem.solitary_nulls(), exec);
+    let groups = groupkey::group_rows(instance, fd.lhs, snapshot, sem.solitary_nulls(), exec);
     let lists: Vec<&Vec<RowId>> = groups.values().filter(|rows| rows.len() >= 2).collect();
-    let chunks = chunk_ranges(lists.len(), exec.threads() * 4);
+    let chunks = chunk_ranges(lists.len(), exec.shard_count(4));
     let minima = exec.map(&chunks, |_, range| {
         let mut best: Option<(RowId, RowId)> = None;
         for rows in &lists[range.clone()] {
@@ -608,15 +467,16 @@ fn min_grouped_violation_par<S: Semantics>(
 /// contiguous range of first-row positions and stops at its first
 /// violation (positions ascend, and for a fixed first row the first
 /// partner found is the least), so the chunk minimum is exact; the
-/// global minimum is the least chunk minimum.
-fn min_pairwise_violation_par<S: Semantics>(
+/// global minimum is the least chunk minimum. The inline executor runs
+/// one chunk, which stops at the global first violation.
+fn min_pairwise_violation<S: Semantics>(
     instance: &Instance,
     rows: &[RowId],
     fd: Fd,
     sem: S,
-    exec: &fdi_exec::Executor,
+    exec: &Executor,
 ) -> Option<(RowId, RowId)> {
-    let chunks = chunk_ranges(rows.len(), exec.threads() * 8);
+    let chunks = chunk_ranges(rows.len(), exec.shard_count(8));
     let minima = exec.map(&chunks, |_, range| {
         for p in range.clone() {
             let i = rows[p];
@@ -633,46 +493,73 @@ fn min_pairwise_violation_par<S: Semantics>(
     minima.into_iter().fold(None, min_pair)
 }
 
-/// Parallel TEST-FDs over [`RowId`] shards — the `fdi-exec`-backed
-/// twin of [`check`].
+/// TEST-FDs — the entry point every caller goes through: the
+/// hash-grouped "bucket sort" variant of Figure 3's *Additional
+/// Assumptions* paragraph on the NEC-canonical keys of
+/// [`crate::groupkey`], expected `O(|F|·n·p)`.
 ///
-/// Per FD, rows are hash-partitioned by determinant key with
-/// [`groupkey::group_rows_par`] (shard-local maps merged in shard
-/// order) and every group is scanned with the same linear
-/// representative check as the sequential variants; strong-convention
-/// FDs whose determinant meets a null fall back to a sharded pairwise
-/// scan, exactly like [`check`]'s fallback. FDs are visited in set
-/// order and the first violating FD reports the **canonical witness**:
-/// the least violating pair of that FD (the grouped minimum-fold and
-/// the pairwise fallback both compute it exactly), so the result is a
-/// pure function of the instance and the FD set:
+/// Per FD, rows are partitioned by determinant key with
+/// [`groupkey::group_rows`] and every group is scanned with the linear
+/// representative check; strong-convention FDs whose determinant meets
+/// a null fall back to the pairwise scan (null "equality" is not
+/// transitive there, so grouping would be unsound). Both scans shard
+/// over `exec`. FDs are visited in set order and the first violating
+/// FD reports the **canonical witness** — its least violating pair —
+/// so the result is a pure function of the instance and the FD set,
+/// bit-identical at every thread count and to [`check_pairwise`].
 ///
-/// * **bit-identical at every thread count** (including 1 — the
-///   sequential oracle the property suite compares against), and
-/// * **bit-identical to [`check`]** — verdict *and* `Err` payload:
-///   every sequential variant now reports the same canonical least
-///   pair, so `check == check_par` holds outright on violating
-///   instances too.
-pub fn check_par<S: Semantics>(
+/// `rec` receives the invocation's work profile: `testfd_checks`
+/// (total and per semantics), one `testfd_fallback_hits` per FD that
+/// took the pairwise fallback, and `testfd_rows_scanned` as the proxy
+/// `n` per non-trivial FD visited (stopping at the first violation).
+/// All of them follow from the verdict, so they are
+/// thread-count-invariant.
+///
+/// # Example — the two conventions on Figure 1.3
+///
+/// ```
+/// use fdi_core::fixtures;
+/// use fdi_core::testfd::{check, Convention};
+/// use fdi_exec::Executor;
+/// use fdi_obs::Recorder;
+///
+/// // e3's null D# *could* complete to d1, pairing its `part` contract
+/// // against d1's `full` under f2: D# → CT — a potential violation the
+/// // pessimistic convention reports (Theorem 2) …
+/// let r = fixtures::figure1_null_instance();
+/// let fds = fixtures::figure1_fds();
+/// let (exec, rec) = (Executor::with_threads(1), Recorder::noop());
+/// let violation = check(&r, &fds, Convention::Strong, &exec, &rec).unwrap_err();
+/// assert_eq!(violation.fd_index, 1);
+/// // … while nothing *definitely* violates: the instance is minimally
+/// // incomplete, so the optimistic convention decides weak
+/// // satisfiability directly (Theorem 3).
+/// assert!(check(&r, &fds, Convention::Weak, &exec, &rec).is_ok());
+/// ```
+pub fn check<S: Semantics>(
     instance: &Instance,
     fds: &FdSet,
     sem: S,
-    exec: &fdi_exec::Executor,
+    exec: &Executor,
+    rec: &Recorder,
 ) -> Result<(), Violation> {
-    let snapshot = instance.necs().canonical_snapshot();
+    rec.incr(Counter::TestfdChecks);
+    rec.incr(semantics_counter(sem.kind()));
     let null_cols = null_columns_for(instance, sem);
+    let snapshot = instance.necs().canonical_snapshot();
     let mut all_rows: Option<Vec<RowId>> = None;
     for (fd_index, fd) in fds.iter().enumerate() {
         let fd = fd.normalized();
         if fd.is_trivial() {
-            continue; // true in every instance (cf. the other variants)
+            continue; // true in every instance
         }
-        let fallback = sem.needs_pairwise_fallback() && !fd.lhs.intersect(null_cols).is_empty();
-        let pair = if fallback {
+        rec.add(Counter::TestfdRowsScanned, instance.len() as u64);
+        let pair = if sem.needs_pairwise_fallback() && !fd.lhs.intersect(null_cols).is_empty() {
+            rec.incr(Counter::TestfdFallbackHits);
             let rows = all_rows.get_or_insert_with(|| instance.row_ids().collect());
-            min_pairwise_violation_par(instance, rows, fd, sem, exec)
+            min_pairwise_violation(instance, rows, fd, sem, exec)
         } else {
-            min_grouped_violation_par(instance, &snapshot, fd, sem, exec)
+            min_grouped_violation(instance, &snapshot, fd, sem, exec)
         };
         if let Some(rows) = pair {
             return Err(Violation { fd_index, rows });
@@ -684,83 +571,14 @@ pub fn check_par<S: Semantics>(
 /// The per-semantics `testfd_checks` counter of one registry kind —
 /// what makes differential runs distinguishable in a
 /// [`fdi_obs::MetricsSnapshot`].
-fn semantics_counter(kind: crate::semantics::SemanticsKind) -> fdi_obs::Counter {
+fn semantics_counter(kind: crate::semantics::SemanticsKind) -> Counter {
     use crate::semantics::SemanticsKind;
-    use fdi_obs::Counter;
     match kind {
         SemanticsKind::Strong => Counter::TestfdChecksStrong,
         SemanticsKind::NullMarker => Counter::TestfdChecksNullMarker,
         SemanticsKind::Weak => Counter::TestfdChecksWeak,
         SemanticsKind::Nfd => Counter::TestfdChecksNfd,
     }
-}
-
-/// Records one TEST-FDs invocation's work profile into `rec`:
-/// `testfd_checks` (total plus the per-semantics labelled counter),
-/// per-FD `testfd_fallback_hits` (strong-convention determinants
-/// meeting a null), and `testfd_rows_scanned` as the scan-volume proxy
-/// `n` per non-trivial FD actually visited (FDs are checked in set
-/// order, stopping at the first violation). The fallback tally — like
-/// the null-column scan feeding it — only runs for semantics with the
-/// pairwise fallback; everything else skips both.
-fn record_testfd<S: Semantics>(
-    instance: &Instance,
-    fds: &FdSet,
-    sem: S,
-    rec: &fdi_obs::Recorder,
-    result: &Result<(), Violation>,
-) {
-    use fdi_obs::Counter;
-    rec.incr(Counter::TestfdChecks);
-    rec.incr(semantics_counter(sem.kind()));
-    let visited = match result {
-        Ok(()) => fds.len(),
-        Err(v) => v.fd_index + 1,
-    };
-    let null_cols = null_columns_for(instance, sem);
-    let n = instance.len() as u64;
-    for fd in fds.iter().take(visited) {
-        let fd = fd.normalized();
-        if fd.is_trivial() {
-            continue;
-        }
-        rec.add(Counter::TestfdRowsScanned, n);
-        if sem.needs_pairwise_fallback() && !fd.lhs.intersect(null_cols).is_empty() {
-            rec.incr(Counter::TestfdFallbackHits);
-        }
-    }
-}
-
-/// [`check`] plus metrics: records the invocation, fallback hits, and
-/// a rows-scanned proxy into `rec` (see [`fdi_obs`]'s registry). This
-/// is the **only** sequential TEST-FDs entry point that records —
-/// engine-internal and reader-driven calls stay un-instrumented so the
-/// deterministic metric slice is reader-count-invariant.
-pub fn check_with<S: Semantics>(
-    instance: &Instance,
-    fds: &FdSet,
-    sem: S,
-    rec: &fdi_obs::Recorder,
-) -> Result<(), Violation> {
-    let result = check(instance, fds, sem);
-    record_testfd(instance, fds, sem, rec, &result);
-    result
-}
-
-/// [`check_par`] plus metrics — the parallel twin of [`check_with`].
-/// The recorded counters are derived from the (thread-count-invariant)
-/// verdict, not from per-shard work, so they match [`check_with`]'s
-/// bit-for-bit.
-pub fn check_par_with<S: Semantics>(
-    instance: &Instance,
-    fds: &FdSet,
-    sem: S,
-    exec: &fdi_exec::Executor,
-    rec: &fdi_obs::Recorder,
-) -> Result<(), Violation> {
-    let result = check_par(instance, fds, sem, exec);
-    record_testfd(instance, fds, sem, rec, &result);
-    result
 }
 
 /// Linear scan for a single FD over a relation already sorted on `X`
@@ -805,10 +623,16 @@ pub fn sort_order(instance: &Instance, fd: Fd) -> Vec<RowId> {
     order
 }
 
-/// Theorem 2: strong satisfiability on any instance (size-dispatched
-/// via [`check`]).
+/// Theorem 2: strong satisfiability on any instance ([`check`], inline
+/// and unrecorded).
 pub fn check_strong(instance: &Instance, fds: &FdSet) -> Result<(), Violation> {
-    check(instance, fds, Convention::Strong)
+    check(
+        instance,
+        fds,
+        Convention::Strong,
+        &Executor::with_threads(1),
+        &Recorder::noop(),
+    )
 }
 
 /// Theorem 3: weak satisfiability — chases to a minimally incomplete
@@ -819,7 +643,13 @@ pub fn check_strong(instance: &Instance, fds: &FdSet) -> Result<(), Violation> {
 /// [`crate::subst::detect_domain_exhaustion`].
 pub fn check_weak(instance: &Instance, fds: &FdSet) -> Result<(), Violation> {
     let chased = crate::chase::chase_plain(instance, fds);
-    check(&chased.instance, fds, Convention::Weak)
+    check(
+        &chased.instance,
+        fds,
+        Convention::Weak,
+        &Executor::with_threads(1),
+        &Recorder::noop(),
+    )
 }
 
 #[cfg(test)]
@@ -839,6 +669,25 @@ mod tests {
         FdSet::parse(r.schema(), text).unwrap()
     }
 
+    fn grouped<S: Semantics>(r: &Instance, f: &FdSet, sem: S) -> Result<(), Violation> {
+        grouped_on(r, f, sem, 1)
+    }
+
+    fn grouped_on<S: Semantics>(
+        r: &Instance,
+        f: &FdSet,
+        sem: S,
+        threads: usize,
+    ) -> Result<(), Violation> {
+        check(
+            r,
+            f,
+            sem,
+            &Executor::with_threads(threads),
+            &Recorder::noop(),
+        )
+    }
+
     #[test]
     fn classical_violations_found_by_all_variants() {
         let r = abc(2, "A_0 B_0 C_0\nA_0 B_1 C_0");
@@ -846,7 +695,7 @@ mod tests {
         for conv in [Convention::Strong, Convention::Weak] {
             assert!(check_pairwise(&r, &f, conv).is_err());
             assert!(check_sorted(&r, &f, conv).is_err());
-            assert!(check_hashed(&r, &f, conv).is_err());
+            assert!(grouped(&r, &f, conv).is_err());
         }
     }
 
@@ -930,7 +779,7 @@ mod tests {
     }
 
     #[test]
-    fn sorted_and_pairwise_and_hashed_agree_weak() {
+    fn sorted_and_pairwise_and_grouped_agree_weak() {
         let samples = [
             "A_0 B_0 C_0\nA_0 B_0 C_1\nA_1 - C_0",
             "A_0 - C_0\nA_0 - C_1\n- B_1 C_0",
@@ -943,7 +792,7 @@ mod tests {
                 let f = fds(&r, fd_text);
                 let a = check_pairwise(&r, &f, Convention::Weak).is_ok();
                 let b = check_sorted(&r, &f, Convention::Weak).is_ok();
-                let c = check_hashed(&r, &f, Convention::Weak).is_ok();
+                let c = grouped(&r, &f, Convention::Weak).is_ok();
                 assert_eq!(a, b, "{text:?} {fd_text:?}");
                 assert_eq!(a, c, "{text:?} {fd_text:?}");
             }
@@ -963,7 +812,7 @@ mod tests {
                 let f = fds(&r, fd_text);
                 let a = check_pairwise(&r, &f, Convention::Strong).is_ok();
                 let b = check_sorted(&r, &f, Convention::Strong).is_ok();
-                let c = check_hashed(&r, &f, Convention::Strong).is_ok();
+                let c = grouped(&r, &f, Convention::Strong).is_ok();
                 assert_eq!(a, b, "{text:?} {fd_text:?}");
                 assert_eq!(a, c, "{text:?} {fd_text:?}");
             }
@@ -1014,8 +863,8 @@ mod tests {
         let f = fds(&r, "A -> B");
         assert!(check_pairwise(&r, &f, Convention::Weak).is_err());
         assert!(check_pairwise(&r, &f, Convention::Strong).is_err());
-        assert!(check_grouped(&r, &f, Convention::Weak).is_err());
-        assert!(check_grouped(&r, &f, Convention::Strong).is_err());
+        assert!(grouped(&r, &f, Convention::Weak).is_err());
+        assert!(grouped(&r, &f, Convention::Strong).is_err());
     }
 
     #[test]
@@ -1027,8 +876,7 @@ mod tests {
         let f = fds(&r, "A -> B");
         for conv in [Convention::Strong, Convention::Weak] {
             assert!(check_pairwise(&r, &f, conv).is_ok(), "{conv:?} pairwise");
-            assert!(check_grouped(&r, &f, conv).is_ok(), "{conv:?} grouped");
-            assert!(check_hashed(&r, &f, conv).is_ok(), "{conv:?} hashed");
+            assert!(grouped(&r, &f, conv).is_ok(), "{conv:?} grouped");
             assert!(check_sorted(&r, &f, conv).is_ok(), "{conv:?} sorted");
         }
     }
@@ -1050,7 +898,7 @@ mod tests {
                 for conv in [Convention::Strong, Convention::Weak] {
                     assert_eq!(
                         check_pairwise(&r, &f, conv).is_ok(),
-                        check_grouped(&r, &f, conv).is_ok(),
+                        grouped(&r, &f, conv).is_ok(),
                         "{text:?} {fd_text:?} {conv:?}"
                     );
                 }
@@ -1059,8 +907,7 @@ mod tests {
     }
 
     #[test]
-    fn check_par_verdicts_match_pairwise_and_are_thread_invariant() {
-        use fdi_exec::Executor;
+    fn grouped_verdicts_match_pairwise_and_are_thread_invariant() {
         let samples = [
             "A_0 B_0 C_0\nA_0 B_0 C_1\nA_1 - C_0",
             "A_0 - C_0\nA_0 - C_1\n- B_1 C_0",
@@ -1076,14 +923,14 @@ mod tests {
                 let f = fds(&r, fd_text);
                 for conv in [Convention::Strong, Convention::Weak] {
                     let oracle = check_pairwise(&r, &f, conv);
-                    let one = check_par(&r, &f, conv, &Executor::with_threads(1));
+                    let one = grouped(&r, &f, conv);
                     assert_eq!(
                         oracle.is_ok(),
                         one.is_ok(),
                         "verdict {text:?} {fd_text:?} {conv:?}"
                     );
                     for threads in [2, 3, 8] {
-                        let par = check_par(&r, &f, conv, &Executor::with_threads(threads));
+                        let par = grouped_on(&r, &f, conv, threads);
                         assert_eq!(one, par, "threads {threads} {text:?} {fd_text:?} {conv:?}");
                     }
                     // a reported violation is genuine under the
@@ -1098,26 +945,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn dispatch_crosses_small_n_consistently() {
-        // Build a relation straddling SMALL_N with one planted violation
-        // and confirm every variant and the dispatcher see it.
-        let schema = Schema::uniform("R", &["A", "B", "C"], 200).unwrap();
-        let mut body = String::new();
-        for i in 0..(SMALL_N + 10) {
-            body.push_str(&format!("A_{i} B_{} C_0\n", i % 7));
-        }
-        body.push_str("A_0 B_6 C_0\n"); // A_0 maps to B_0 above
-        let r = Instance::parse(schema, &body).unwrap();
-        let f = FdSet::parse(r.schema(), "A -> B").unwrap();
-        assert!(r.len() >= SMALL_N, "exercises the grouped path");
-        assert!(check(&r, &f, Convention::Weak).is_err());
-        assert!(check_grouped(&r, &f, Convention::Weak).is_err());
-        assert!(check_pairwise(&r, &f, Convention::Weak).is_err());
-        let g = FdSet::parse(r.schema(), "A -> C").unwrap();
-        assert!(check(&r, &g, Convention::Weak).is_ok());
-        assert!(check(&r, &g, Convention::Strong).is_ok());
     }
 }

@@ -41,7 +41,7 @@
 //! `O(|F| · bucket)` total). Internal acquisition runs the **indexed
 //! worklist chase** ([`chase::chase_plain`]) and then delta-rekeys
 //! exactly the rows the chase substituted into; full revalidations go
-//! through the size-dispatched TEST-FDs ([`crate::testfd::check`]).
+//! through TEST-FDs ([`crate::testfd::check`]).
 //! `bench_update` records the maintenance gap against per-update
 //! `LhsIndex::build` rebuilds in `BENCH_update.json`, and the property
 //! suite (`tests/update_equiv.rs`) proves the delta-maintained index
@@ -203,12 +203,12 @@ pub struct UpdateOutcome {
     pub nec_merges: usize,
 }
 
-/// Below this row count [`LhsIndex::build_par`] builds sequentially
+/// Below this row count [`LhsIndex::build`] builds in one shard
 /// regardless of the executor: a cold build of a few thousand rows is
 /// microseconds of hashing, and OS thread spawn/join would cost more
-/// than it saves. (Thread-count *determinism* is unaffected — the two
-/// paths produce identical indexes; the property suite drives
-/// `build_par` across thread counts directly.)
+/// than it saves. (Thread-count *determinism* is unaffected — every
+/// shard count produces the identical index; the property suite drives
+/// `build` across thread counts directly.)
 pub const PAR_BUILD_SMALL_N: usize = 4096;
 
 /// Hash index on each FD's determinant: constant-only left-hand
@@ -246,65 +246,43 @@ pub struct LhsIndex {
 }
 
 impl LhsIndex {
-    /// Builds the index for `instance` under `fds`.
-    pub fn build(instance: &Instance, fds: &FdSet) -> LhsIndex {
-        let mut index = LhsIndex {
-            lhs: fds.iter().map(|fd| fd.normalized().lhs).collect(),
-            groups: vec![HashMap::new(); fds.len()],
-            wild: vec![Vec::new(); fds.len()],
-            filed: vec![HashMap::new(); fds.len()],
-            rows: 0,
-        };
-        for row in instance.row_ids() {
-            index.insert_row(instance, row);
-        }
-        index
-    }
-
-    /// [`build`](LhsIndex::build) with the grouping pass sharded over
-    /// [`RowId`] ranges on an `fdi-exec` executor — the cold-build path
-    /// of [`Database::new`]. Each shard files its live rows into a
+    /// Builds the index for `instance` under `fds`, with the grouping
+    /// pass sharded over [`RowId`] ranges on `exec` — the cold-build
+    /// path of [`Database::new`]. Each shard files its live rows into a
     /// shard-local index; the locals are folded **in shard order**, so
     /// every bucket, wild list, and filing record comes out exactly as
-    /// the sequential ascending-row build produces it
+    /// an ascending-row build produces it
     /// ([`same_buckets`](LhsIndex::same_buckets)-identical and
-    /// list-order identical at every thread count). A 1-thread executor
-    /// — or an instance below [`PAR_BUILD_SMALL_N`] rows, where thread
-    /// spawn/join would dwarf the build itself — takes the sequential
-    /// path outright.
-    pub fn build_par(instance: &Instance, fds: &FdSet, exec: &fdi_exec::Executor) -> LhsIndex {
-        if exec.threads() == 1 || instance.len() < PAR_BUILD_SMALL_N {
-            return LhsIndex::build(instance, fds);
-        }
+    /// list-order identical at every thread count). Below
+    /// [`PAR_BUILD_SMALL_N`] rows, where thread spawn/join would dwarf
+    /// the build itself, one shard does all the work.
+    pub fn build(instance: &Instance, fds: &FdSet, exec: &fdi_exec::Executor) -> LhsIndex {
         let lhs: Vec<AttrSet> = fds.iter().map(|fd| fd.normalized().lhs).collect();
-        let empty = |lhs: &[AttrSet]| LhsIndex {
-            lhs: lhs.to_vec(),
+        let empty = || LhsIndex {
+            lhs: lhs.clone(),
             groups: vec![HashMap::new(); lhs.len()],
             wild: vec![Vec::new(); lhs.len()],
             filed: vec![HashMap::new(); lhs.len()],
             rows: 0,
         };
-        let shards = instance.row_id_shards(exec.threads() * 2);
-        let locals = exec.map(&shards, |_, &shard| {
-            let mut local = empty(&lhs);
+        let shards = if instance.len() < PAR_BUILD_SMALL_N {
+            1
+        } else {
+            exec.shard_count(2)
+        };
+        let locals = exec.map(&instance.row_id_shards(shards), |_, &shard| {
+            let mut local = empty();
             for (row, _) in instance.iter_live_in(shard) {
                 local.insert_row(instance, row);
             }
             local
         });
-        let mut index = empty(&lhs);
+        let mut locals = locals.into_iter();
+        let mut index = locals.next().unwrap_or_else(empty);
         for local in locals {
             for (i, groups) in local.groups.into_iter().enumerate() {
-                for (key, mut rows) in groups {
-                    match index.groups[i].entry(key) {
-                        std::collections::hash_map::Entry::Occupied(mut entry) => {
-                            entry.get_mut().append(&mut rows)
-                        }
-                        std::collections::hash_map::Entry::Vacant(entry) => {
-                            entry.insert(rows);
-                        }
-                    }
-                }
+                let merged = std::mem::take(&mut index.groups[i]);
+                index.groups[i] = groupkey::merge_in_shard_order(vec![merged, groups]);
             }
             for (i, mut wild) in local.wild.into_iter().enumerate() {
                 index.wild[i].append(&mut wild);
@@ -345,7 +323,7 @@ impl LhsIndex {
 
     /// Delta insert of a whole batch: files every row of `rows`, in
     /// order, with the per-FD group-key computation sharded over the
-    /// executor — [`build_par`](LhsIndex::build_par)'s machinery
+    /// executor — [`build`](LhsIndex::build)'s machinery
     /// applied to a delta instead of a cold build. Key computation is
     /// read-only and embarrassingly parallel; the filing itself stays
     /// sequential in the given order, so the resulting index is
@@ -356,12 +334,7 @@ impl LhsIndex {
     ///
     /// # Panics
     /// Panics when any row is already filed.
-    pub fn insert_rows_par(
-        &mut self,
-        instance: &Instance,
-        rows: &[RowId],
-        exec: &fdi_exec::Executor,
-    ) {
+    pub fn insert_rows(&mut self, instance: &Instance, rows: &[RowId], exec: &fdi_exec::Executor) {
         if exec.threads() == 1 || rows.len() < PAR_BUILD_SMALL_N {
             for &row in rows {
                 self.insert_row(instance, row);
@@ -383,7 +356,7 @@ impl LhsIndex {
                     None => self.wild[i].push(row),
                 }
                 let prior = self.filed[i].insert(row, record);
-                assert!(prior.is_none(), "insert_rows_par: row {row} already filed");
+                assert!(prior.is_none(), "insert_rows: row {row} already filed");
             }
             self.rows += 1;
         }
@@ -597,7 +570,7 @@ impl Database {
     /// delta. The built index is identical at every thread count.
     pub fn new(instance: Instance, fds: FdSet, policy: Policy) -> Result<Database, UpdateError> {
         check_instance(&instance, &fds, policy.enforcement)?;
-        let index = LhsIndex::build_par(&instance, &fds, &fdi_exec::Executor::from_env());
+        let index = LhsIndex::build(&instance, &fds, &fdi_exec::Executor::from_env());
         let mut db = Database {
             instance,
             fds,
@@ -619,10 +592,10 @@ impl Database {
     /// re-deciding either here would at best waste a chase and at worst
     /// *mutate* the restored state before replay begins. Only the
     /// determinant index is (re)built — it is derived data, and
-    /// [`LhsIndex::build_par`] produces the identical index at every
+    /// [`LhsIndex::build`] produces the identical index at every
     /// thread count.
     pub fn resume(instance: Instance, fds: FdSet, policy: Policy) -> Database {
-        let index = LhsIndex::build_par(&instance, &fds, &fdi_exec::Executor::from_env());
+        let index = LhsIndex::build(&instance, &fds, &fdi_exec::Executor::from_env());
         Database {
             instance,
             fds,
@@ -806,7 +779,7 @@ impl Database {
     /// count. Under [`Enforcement::None`] with propagation off (the
     /// bulk-load / ingest regime, where a per-row insert neither checks
     /// nor chases) the accepted rows are filed through the sharded
-    /// [`LhsIndex::insert_rows_par`] path; any checking or propagating
+    /// [`LhsIndex::insert_rows`] path; any checking or propagating
     /// policy falls back to the per-row loop, because each acceptance
     /// decision there depends on the rows accepted before it.
     pub fn insert_batch(
@@ -841,7 +814,7 @@ impl Database {
                 Err(e) => results.push(Err(e.into())),
             }
         }
-        self.index.insert_rows_par(&self.instance, &accepted, exec);
+        self.index.insert_rows(&self.instance, &accepted, exec);
         for result in &results {
             self.record_op(result);
         }
@@ -1134,8 +1107,11 @@ mod tests {
     /// is bucket-identical to a fresh build.
     fn assert_index_fresh(db: &Database) {
         assert!(
-            db.index()
-                .same_buckets(&LhsIndex::build(db.instance(), db.fds())),
+            db.index().same_buckets(&LhsIndex::build(
+                db.instance(),
+                db.fds(),
+                &fdi_exec::Executor::with_threads(1)
+            )),
             "delta-maintained index diverged from a fresh build"
         );
     }
@@ -1365,7 +1341,7 @@ mod tests {
         for i in 0..16 {
             r.add_row(&[&format!("A_{i}"), "B_0"]).unwrap();
         }
-        let index = LhsIndex::build(&r, &fds);
+        let index = LhsIndex::build(&r, &fds, &fdi_exec::Executor::with_threads(1));
         assert_eq!(index.group_count(0), 16);
         let probe = r.tuple(r.nth_row(0)).clone();
         let candidates = index.candidates(0, &probe, &r);

@@ -10,16 +10,24 @@
 //! including adversarial planted violations.
 
 use fdi_core::chase::{
-    chase_naive, chase_plain, extended_chase, is_minimally_incomplete,
-    is_minimally_incomplete_naive, order_replay_exact, Scheduler,
+    chase_naive, chase_plain, extended_chase, extended_chase_naive, is_minimally_incomplete,
+    is_minimally_incomplete_naive, order_replay_exact,
 };
-use fdi_core::testfd::{self, Convention};
+use fdi_core::fd::FdSet;
+use fdi_core::testfd::{self, Convention, Violation};
+use fdi_exec::Executor;
 use fdi_gen::{large_workload, plant_violation, random_fds, workload, Workload, WorkloadSpec};
+use fdi_obs::Recorder;
+use fdi_relation::Instance;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 const DENSITIES: [f64; 4] = [0.0, 0.1, 0.3, 0.6];
+
+fn check(r: &Instance, fds: &FdSet, conv: Convention) -> Result<(), Violation> {
+    testfd::check(r, fds, conv, &Executor::with_threads(1), &Recorder::noop())
+}
 
 fn arb_spec() -> impl Strategy<Value = WorkloadSpec> {
     (2usize..40, 0usize..4, 0usize..4, 0usize..3).prop_map(|(rows, nd, necd, coll)| WorkloadSpec {
@@ -119,43 +127,36 @@ proptest! {
 
     /// Group-indexed TEST-FDs is the pairwise oracle, under both
     /// conventions, violation or no violation — including on chased
-    /// instances (shared NEC classes) and across the `check` dispatch
-    /// threshold.
+    /// instances (shared NEC classes).
     #[test]
     fn indexed_testfds_agrees_with_pairwise(w in arb_workload()) {
         for conv in [Convention::Strong, Convention::Weak] {
-            let oracle = testfd::check_pairwise(&w.instance, &w.fds, conv).is_ok();
             prop_assert_eq!(
-                testfd::check_grouped(&w.instance, &w.fds, conv).is_ok(),
-                oracle,
+                check(&w.instance, &w.fds, conv).is_ok(),
+                testfd::check_pairwise(&w.instance, &w.fds, conv).is_ok(),
                 "grouped vs pairwise ({conv:?}) on\n{}",
                 w.instance.render(true)
-            );
-            prop_assert_eq!(
-                testfd::check(&w.instance, &w.fds, conv).is_ok(),
-                oracle,
-                "dispatch vs pairwise ({conv:?})"
             );
         }
         let chased = chase_plain(&w.instance, &w.fds).instance;
         for conv in [Convention::Strong, Convention::Weak] {
             prop_assert_eq!(
-                testfd::check_grouped(&chased, &w.fds, conv).is_ok(),
+                check(&chased, &w.fds, conv).is_ok(),
                 testfd::check_pairwise(&chased, &w.fds, conv).is_ok(),
                 "grouped vs pairwise ({conv:?}) on chased instance"
             );
         }
     }
 
-    /// The extended schedulers are the same function (Theorem 4(a)):
-    /// the worklist `Fast` engine reaches the identical least
-    /// congruence as the naive pairwise engine — same partition, same
-    /// `nothing` classes, and same union count (every rule order
-    /// performs exactly initial-classes − final-classes unions).
+    /// The extended engines are the same function (Theorem 4(a)): the
+    /// worklist engine reaches the identical least congruence as the
+    /// naive pairwise oracle — same partition, same `nothing` classes,
+    /// and same union count (every rule order performs exactly
+    /// initial-classes − final-classes unions).
     #[test]
-    fn fast_worklist_scheduler_equals_naive_pairs(w in arb_workload()) {
-        let naive = extended_chase(&w.instance, &w.fds, Scheduler::NaivePairs);
-        let fast = extended_chase(&w.instance, &w.fds, Scheduler::Fast);
+    fn worklist_engine_equals_naive_oracle(w in arb_workload()) {
+        let naive = extended_chase_naive(&w.instance, &w.fds);
+        let fast = extended_chase(&w.instance, &w.fds, &Executor::with_threads(1), &Recorder::noop());
         prop_assert_eq!(
             naive.instance.canonical_form(),
             fast.instance.canonical_form(),
@@ -177,22 +178,21 @@ proptest! {
         necd in 0usize..4,
     ) {
         let w = large_workload(seed, 96, DENSITIES[nd], DENSITIES[necd], 3);
-        prop_assert!(w.instance.len() >= testfd::SMALL_N, "grouped path exercised");
         prop_assert!(testfd::check_weak(&w.instance, &w.fds).is_ok());
         let chased = chase_plain(&w.instance, &w.fds);
         prop_assert!(is_minimally_incomplete_naive(&chased.instance, &w.fds));
     }
 }
 
-/// A deterministic, non-proptest sweep across the density grid at a row
-/// count pinned just above the dispatch threshold — cheap insurance
-/// that the properties above also hold where `check` switches paths.
+/// A deterministic, non-proptest sweep across the density grid at a
+/// row count above the proptest range — cheap insurance that the
+/// properties above also hold on larger, denser instances.
 #[test]
-fn dense_grid_at_dispatch_threshold() {
+fn dense_grid_at_65_rows() {
     for seed in 0..8u64 {
         for &nd in &DENSITIES[1..] {
             let spec = WorkloadSpec {
-                rows: testfd::SMALL_N + 1,
+                rows: 65,
                 attrs: 4,
                 domain: 8,
                 null_density: nd,
@@ -211,7 +211,7 @@ fn dense_grid_at_dispatch_threshold() {
             );
             for conv in [Convention::Strong, Convention::Weak] {
                 assert_eq!(
-                    testfd::check(&w.instance, &fds, conv).is_ok(),
+                    check(&w.instance, &fds, conv).is_ok(),
                     testfd::check_pairwise(&w.instance, &fds, conv).is_ok(),
                     "seed {seed} nd {nd} {conv:?}"
                 );

@@ -1,29 +1,34 @@
-//! Parallel ≡ sequential: every `fdi-exec`-backed `_par` entry point
-//! must be **bit-identical at every thread count 1–8** and reproduce
-//! its sequential oracle.
+//! Thread invariance: every engine entry point that takes an `fdi-exec`
+//! executor must be **bit-identical at every thread count 1–8** and
+//! reproduce its reference engine (pairwise TEST-FDs, the inline plain
+//! chase, the naive extended chase, the interpreted selection).
 //!
 //! Coverage is deliberately adversarial for the determinism contract:
 //! besides the column-local workloads of the `fdi-gen` generators, the
 //! instances here are mutated to contain `nothing`-bearing buckets,
 //! **cross-column NEC classes** (the regime where the indexed chase's
-//! naive-replay guarantee is void — the parallel engine must still
-//! equal the *sequential indexed* engine exactly), and nulls on
+//! naive-replay guarantee is void — every thread count must still
+//! equal the *inline indexed* engine exactly), and nulls on
 //! determinants (the strong-convention pairwise-fallback path of
 //! TEST-FDs).
 
 use fdi_core::chase::{
-    chase_plain, chase_plain_par, extended_chase, extended_chase_par, order_replay_caveats,
-    Scheduler,
+    chase_indexed, chase_plain, extended_chase, extended_chase_naive, order_replay_caveats,
+    weakly_satisfiable_via_chase, ChaseOutcome, NsChaseResult,
 };
+use fdi_core::fd::FdSet;
 use fdi_core::groupkey;
-use fdi_core::query::{self, Query};
-use fdi_core::testfd::{self, Convention};
+use fdi_core::query::{self, CompiledQuery, Query, Selection};
+use fdi_core::semantics::Semantics;
+use fdi_core::testfd::{self, Convention, Violation};
 use fdi_core::update::LhsIndex;
 use fdi_exec::Executor;
 use fdi_gen::{plant_violation, scaling_query, workload, Workload, WorkloadSpec};
+use fdi_obs::Recorder;
 use fdi_relation::attrs::AttrId;
 use fdi_relation::rowid::RowId;
 use fdi_relation::value::Value;
+use fdi_relation::Instance;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -33,6 +38,81 @@ const DENSITIES: [f64; 4] = [0.0, 0.1, 0.3, 0.6];
 /// Thread counts every property sweeps. 1 is the sequential execution
 /// (the executor runs inline); the rest exercise real interleavings.
 const THREADS: std::ops::RangeInclusive<usize> = 1..=8;
+
+fn chase_at(r: &Instance, fds: &FdSet, threads: usize) -> NsChaseResult {
+    chase_indexed(r, fds, &Executor::with_threads(threads), &Recorder::noop())
+}
+
+fn extended_at(r: &Instance, fds: &FdSet, threads: usize) -> ChaseOutcome {
+    extended_chase(r, fds, &Executor::with_threads(threads), &Recorder::noop())
+}
+
+fn check_at<S: Semantics>(
+    r: &Instance,
+    fds: &FdSet,
+    sem: S,
+    threads: usize,
+) -> Result<(), Violation> {
+    testfd::check(
+        r,
+        fds,
+        sem,
+        &Executor::with_threads(threads),
+        &Recorder::noop(),
+    )
+}
+
+fn select_at(q: &Query, r: &Instance, threads: usize) -> Selection {
+    CompiledQuery::compile(q, r)
+        .select_par_stats(r, &Executor::with_threads(threads))
+        .expect("uniform domains are finite")
+        .0
+}
+
+fn group_at(
+    w: &Workload,
+    fd: fdi_core::fd::Fd,
+    threads: usize,
+) -> std::collections::HashMap<groupkey::GroupKey, Vec<RowId>> {
+    let snapshot = w.instance.necs().canonical_snapshot();
+    groupkey::group_rows(
+        &w.instance,
+        fd.lhs,
+        &snapshot,
+        false,
+        &Executor::with_threads(threads),
+    )
+}
+
+fn index_at(r: &Instance, fds: &FdSet, threads: usize) -> LhsIndex {
+    LhsIndex::build(r, fds, &Executor::with_threads(threads))
+}
+
+/// [`extended_chase`] at every thread count equals the naive oracle —
+/// canonical instance, `nothing` classes, unions — and is itself
+/// thread-invariant, rounds included.
+fn assert_extended_matches_oracle(r: &Instance, fds: &FdSet) {
+    let naive = extended_chase_naive(r, fds);
+    let baseline = extended_at(r, fds, 1);
+    for threads in THREADS {
+        let ext = extended_at(r, fds, threads);
+        assert_eq!(
+            naive.instance.canonical_form(),
+            ext.instance.canonical_form(),
+            "threads = {threads} on\n{}",
+            r.render(true)
+        );
+        assert_eq!(
+            naive.nothing_classes, ext.nothing_classes,
+            "threads = {threads}"
+        );
+        assert_eq!(naive.unions, ext.unions, "threads = {threads}");
+        assert_eq!(
+            baseline.rounds, ext.rounds,
+            "phase count at {threads} threads"
+        );
+    }
+}
 
 fn arb_spec() -> impl Strategy<Value = WorkloadSpec> {
     (2usize..40, 0usize..4, 0usize..4, 0usize..3).prop_map(|(rows, nd, necd, coll)| WorkloadSpec {
@@ -102,16 +182,16 @@ fn arb_adversarial() -> impl Strategy<Value = Workload> {
 }
 
 proptest! {
-    /// `chase_plain_par` is `chase_plain`, bit for bit — instance,
-    /// event list (sites, classes, donors), pass count — at every
-    /// thread count, *including* on caveat-bearing instances
-    /// (cross-column classes, `nothing` buckets): the caveats void
-    /// naive-order replay, never parallel/sequential identity.
+    /// `chase_indexed` is `chase_plain`, bit for bit — instance, event
+    /// list (sites, classes, donors), pass count — at every thread
+    /// count, *including* on caveat-bearing instances (cross-column
+    /// classes, `nothing` buckets): the caveats void naive-order replay,
+    /// never thread invariance.
     #[test]
     fn parallel_chase_is_bit_identical_to_sequential(w in arb_adversarial()) {
         let sequential = chase_plain(&w.instance, &w.fds);
         for threads in THREADS {
-            let parallel = chase_plain_par(&w.instance, &w.fds, &Executor::with_threads(threads));
+            let parallel = chase_at(&w.instance, &w.fds, threads);
             prop_assert_eq!(
                 sequential.instance.canonical_form(),
                 parallel.instance.canonical_form(),
@@ -125,9 +205,9 @@ proptest! {
         }
     }
 
-    /// `check_par` is thread-invariant (bit-identical `Result`,
-    /// violation payload included), **bit-identical to the sequential
-    /// variants — witness included** under both conventions, and any
+    /// `testfd::check` is thread-invariant (bit-identical `Result`,
+    /// violation payload included), **bit-identical to the pairwise
+    /// reference — witness included** under both conventions, and any
     /// violation it reports is genuine under the pairwise predicate.
     /// The adversarial instances cover `nothing`-bearing buckets,
     /// planted violations (so witness equality is exercised on
@@ -137,7 +217,7 @@ proptest! {
     fn parallel_testfd_is_thread_invariant_and_sound(w in arb_adversarial()) {
         for conv in [Convention::Strong, Convention::Weak] {
             let oracle = testfd::check_pairwise(&w.instance, &w.fds, conv);
-            let baseline = testfd::check_par(&w.instance, &w.fds, conv, &Executor::with_threads(1));
+            let baseline = check_at(&w.instance, &w.fds, conv, 1);
             prop_assert_eq!(
                 oracle,
                 baseline,
@@ -146,7 +226,7 @@ proptest! {
                 w.instance.render(true)
             );
             for threads in THREADS {
-                let par = testfd::check_par(&w.instance, &w.fds, conv, &Executor::with_threads(threads));
+                let par = check_at(&w.instance, &w.fds, conv, threads);
                 prop_assert_eq!(baseline, par, "threads = {} under {:?}", threads, conv);
             }
             if let Err(v) = baseline {
@@ -161,28 +241,19 @@ proptest! {
         }
     }
 
-    /// The deterministic-witness contract of the sequential variants:
-    /// `check`, `check_grouped`, `check_hashed`, `check_sorted`, and
+    /// The deterministic-witness contract: `check`, `check_sorted`, and
     /// `check_pairwise` all return one bit-identical `Result` — the
     /// least violating pair of the lowest violated FD — on any
-    /// instance, violating ones included. (Before the fix the grouped
-    /// and hashed variants picked the first group in `HashMap`
-    /// iteration order: a run-to-run nondeterministic witness.)
+    /// instance, violating ones included. (Grouped scans once picked
+    /// the first group in `HashMap` iteration order: a run-to-run
+    /// nondeterministic witness.)
     #[test]
     fn sequential_witnesses_are_canonical(w in arb_adversarial()) {
         for conv in [Convention::Strong, Convention::Weak] {
             let pairwise = testfd::check_pairwise(&w.instance, &w.fds, conv);
             prop_assert_eq!(
-                pairwise, testfd::check(&w.instance, &w.fds, conv),
+                pairwise, check_at(&w.instance, &w.fds, conv, 1),
                 "check under {:?} on\n{}", conv, w.instance.render(true)
-            );
-            prop_assert_eq!(
-                pairwise, testfd::check_grouped(&w.instance, &w.fds, conv),
-                "check_grouped under {:?}", conv
-            );
-            prop_assert_eq!(
-                pairwise, testfd::check_hashed(&w.instance, &w.fds, conv),
-                "check_hashed under {:?}", conv
             );
             prop_assert_eq!(
                 pairwise, testfd::check_sorted(&w.instance, &w.fds, conv),
@@ -191,38 +262,23 @@ proptest! {
         }
     }
 
-    /// `extended_chase_par` equals `Scheduler::Fast` — canonical
+    /// `extended_chase` equals the naive oracle — canonical
     /// materialized instance, `nothing_classes`, `union_count` — at
     /// every thread count, across the adversarial regimes (cross-column
-    /// NEC classes, preexisting `nothing` cells, planted conflicts);
-    /// and the parallel path itself is bit-identical across thread
-    /// counts, `rounds` included.
+    /// NEC classes, preexisting `nothing` cells, planted conflicts); it
+    /// is itself bit-identical across thread counts, `rounds` included;
+    /// and the no-materialize weak-satisfiability check reads the same
+    /// verdict (Theorem 4(b)).
     #[test]
-    fn parallel_extended_chase_matches_fast(w in arb_adversarial()) {
-        let fast = extended_chase(&w.instance, &w.fds, Scheduler::Fast);
-        let baseline = extended_chase_par(&w.instance, &w.fds, &Executor::with_threads(1));
-        for threads in THREADS {
-            let par = extended_chase_par(&w.instance, &w.fds, &Executor::with_threads(threads));
-            prop_assert_eq!(
-                fast.instance.canonical_form(),
-                par.instance.canonical_form(),
-                "threads = {} on\n{}",
-                threads,
-                w.instance.render(true)
-            );
-            prop_assert_eq!(fast.nothing_classes, par.nothing_classes, "threads = {}", threads);
-            prop_assert_eq!(fast.unions, par.unions, "threads = {}", threads);
-            prop_assert_eq!(
-                baseline.instance.canonical_form(),
-                par.instance.canonical_form(),
-                "parallel path not thread-invariant at {} threads",
-                threads
-            );
-            prop_assert_eq!(baseline.rounds, par.rounds, "phase count at {} threads", threads);
-        }
+    fn parallel_extended_chase_matches_naive_oracle(w in arb_adversarial()) {
+        assert_extended_matches_oracle(&w.instance, &w.fds);
+        prop_assert_eq!(
+            weakly_satisfiable_via_chase(&w.fds, &w.instance),
+            extended_chase_naive(&w.instance, &w.fds).nothing_classes == 0
+        );
     }
 
-    /// The extended chase (both schedulers and the parallel path) is
+    /// The extended chase (the naive oracle and every thread count) is
     /// invariant under delete-then-`compact()`: tombstoning rows and
     /// densifying the arena afterwards must not change the outcome on
     /// the surviving rows — canonical instance, `nothing` classes, and
@@ -244,48 +300,30 @@ proptest! {
         let mut compacted = tombstoned.clone();
         compacted.compact();
         prop_assert_eq!(compacted.slot_bound(), compacted.len());
-        for scheduler in [Scheduler::Fast, Scheduler::NaivePairs] {
-            let a = extended_chase(&tombstoned, &w.fds, scheduler);
-            let b = extended_chase(&compacted, &w.fds, scheduler);
-            prop_assert_eq!(
-                a.instance.canonical_form(),
-                b.instance.canonical_form(),
-                "{:?} diverges under compact() on\n{}",
-                scheduler,
-                tombstoned.render(true)
-            );
-            prop_assert_eq!(a.nothing_classes, b.nothing_classes, "{:?}", scheduler);
-            prop_assert_eq!(a.unions, b.unions, "{:?}", scheduler);
-        }
-        let fast = extended_chase(&tombstoned, &w.fds, Scheduler::Fast);
-        for threads in THREADS {
-            let exec = Executor::with_threads(threads);
-            let pa = extended_chase_par(&tombstoned, &w.fds, &exec);
-            let pb = extended_chase_par(&compacted, &w.fds, &exec);
-            prop_assert_eq!(
-                pa.instance.canonical_form(),
-                pb.instance.canonical_form(),
-                "parallel path diverges under compact() at {} threads",
-                threads
-            );
-            prop_assert_eq!(pa.nothing_classes, pb.nothing_classes);
-            prop_assert_eq!(pa.unions, pb.unions);
-            prop_assert_eq!(pa.instance.canonical_form(), fast.instance.canonical_form());
-        }
+        let a = extended_chase_naive(&tombstoned, &w.fds);
+        let b = extended_chase_naive(&compacted, &w.fds);
+        prop_assert_eq!(
+            a.instance.canonical_form(),
+            b.instance.canonical_form(),
+            "naive oracle diverges under compact() on\n{}",
+            tombstoned.render(true)
+        );
+        prop_assert_eq!(a.nothing_classes, b.nothing_classes);
+        prop_assert_eq!(a.unions, b.unions);
+        assert_extended_matches_oracle(&tombstoned, &w.fds);
+        assert_extended_matches_oracle(&compacted, &w.fds);
     }
 
-    /// `select_par` equals `select` exactly — same rows in the same
-    /// order in every answer set — at every thread count, across
-    /// null-free, null-bearing, NEC-sharing, and `nothing`-bearing
-    /// rows.
+    /// The compiled selection equals the interpreted `select` exactly —
+    /// same rows in the same order in every answer set — at every
+    /// thread count, across null-free, null-bearing, NEC-sharing, and
+    /// `nothing`-bearing rows.
     #[test]
     fn parallel_select_is_bit_identical(w in arb_adversarial()) {
         let q = scaling_query(&w.instance);
         let sequential = query::select(&q, &w.instance).expect("uniform domains are finite");
         for threads in THREADS {
-            let parallel = query::select_par(&q, &w.instance, &Executor::with_threads(threads))
-                .expect("uniform domains are finite");
-            prop_assert_eq!(&sequential, &parallel, "threads = {}", threads);
+            prop_assert_eq!(&sequential, &select_at(&q, &w.instance, threads), "threads = {}", threads);
         }
         // a second query shape: attribute comparison across two
         // columns, exercising NEC classes and multi-class signatures
@@ -294,45 +332,35 @@ proptest! {
             .expect("attrs exist");
         let sequential = query::select(&q2, &w.instance).expect("finite");
         for threads in [2usize, 5, 8] {
-            let parallel = query::select_par(&q2, &w.instance, &Executor::with_threads(threads))
-                .expect("finite");
-            prop_assert_eq!(&sequential, &parallel, "eq_attrs, threads = {}", threads);
+            prop_assert_eq!(&sequential, &select_at(&q2, &w.instance, threads), "eq_attrs, threads = {}", threads);
         }
     }
 
-    /// `group_rows_par` returns `group_rows`' map exactly (same keys,
-    /// same ascending row lists) at every thread count, on every FD's
-    /// determinant.
+    /// `group_rows` returns the same map (same keys, same ascending row
+    /// lists) at every thread count, on every FD's determinant.
     #[test]
     fn parallel_grouping_is_bit_identical(w in arb_adversarial()) {
-        let snapshot = w.instance.necs().canonical_snapshot();
         for fd in &w.fds {
             let fd = fd.normalized();
-            let sequential = groupkey::group_rows(&w.instance, fd.lhs, &snapshot);
+            let sequential = group_at(&w, fd, 1);
             for threads in THREADS {
-                let parallel = groupkey::group_rows_par(
-                    &w.instance,
-                    fd.lhs,
-                    &snapshot,
-                    &Executor::with_threads(threads),
-                );
-                prop_assert_eq!(&sequential, &parallel, "threads = {}", threads);
+                prop_assert_eq!(&sequential, &group_at(&w, fd, threads), "threads = {}", threads);
             }
         }
     }
 
-    /// `LhsIndex::build_par` builds the same index as `build` (bucket
-    /// maps, wild lists, filing records) at every thread count — and
-    /// stays delta-consistent: removing a row from the parallel build
-    /// equals a sequential build without it.
+    /// `LhsIndex::build` builds the same index (bucket maps, wild
+    /// lists, filing records) at every thread count — and stays
+    /// delta-consistent: removing a row from a 4-thread build equals an
+    /// inline build without it.
     #[test]
     fn parallel_index_build_matches_sequential(w in arb_adversarial()) {
-        let sequential = LhsIndex::build(&w.instance, &w.fds);
+        let sequential = index_at(&w.instance, &w.fds, 1);
         for threads in THREADS {
-            let parallel = LhsIndex::build_par(&w.instance, &w.fds, &Executor::with_threads(threads));
+            let parallel = index_at(&w.instance, &w.fds, threads);
             prop_assert!(
                 sequential.same_buckets(&parallel),
-                "build_par diverges at {} threads on\n{}",
+                "build diverges at {} threads on\n{}",
                 threads,
                 w.instance.render(true)
             );
@@ -342,17 +370,17 @@ proptest! {
             let mut chopped = w.instance.clone();
             let victim = chopped.nth_row(0);
             chopped.remove_row(victim);
-            let mut parallel = LhsIndex::build_par(&w.instance, &w.fds, &Executor::with_threads(4));
+            let mut parallel = index_at(&w.instance, &w.fds, 4);
             parallel.remove_row(victim);
-            let rebuilt = LhsIndex::build(&chopped, &w.fds);
+            let rebuilt = index_at(&chopped, &w.fds, 1);
             prop_assert!(parallel.same_buckets(&rebuilt), "delta after parallel build");
         }
     }
 }
 
-/// Shards over a heavily tombstoned arena still merge to the sequential
+/// Shards over a heavily tombstoned arena still merge to the inline
 /// result: delete most rows of a workload (leaving interior tombstones),
-/// then sweep every `_par` entry point across thread counts.
+/// then sweep every engine entry point across thread counts.
 #[test]
 fn parallel_paths_survive_tombstone_heavy_arenas() {
     let spec = WorkloadSpec {
@@ -379,47 +407,34 @@ fn parallel_paths_survive_tombstone_heavy_arenas() {
     let q = scaling_query(&w.instance);
     let seq_sel = query::select(&q, &w.instance).unwrap();
     let seq_chase = chase_plain(&w.instance, &w.fds);
-    let seq_extended = extended_chase(&w.instance, &w.fds, Scheduler::Fast);
-    let snapshot = w.instance.necs().canonical_snapshot();
+    assert_extended_matches_oracle(&w.instance, &w.fds);
     for threads in THREADS {
-        let exec = Executor::with_threads(threads);
-        assert_eq!(seq_sel, query::select_par(&q, &w.instance, &exec).unwrap());
-        let par_chase = chase_plain_par(&w.instance, &w.fds, &exec);
+        assert_eq!(seq_sel, select_at(&q, &w.instance, threads));
+        let par_chase = chase_at(&w.instance, &w.fds, threads);
         assert_eq!(seq_chase.events, par_chase.events, "threads = {threads}");
         assert_eq!(
             seq_chase.instance.canonical_form(),
             par_chase.instance.canonical_form()
         );
-        let par_extended = extended_chase_par(&w.instance, &w.fds, &exec);
-        assert_eq!(
-            seq_extended.instance.canonical_form(),
-            par_extended.instance.canonical_form(),
-            "extended chase over tombstones, threads = {threads}"
-        );
-        assert_eq!(seq_extended.nothing_classes, par_extended.nothing_classes);
-        assert_eq!(seq_extended.unions, par_extended.unions);
         for conv in [Convention::Strong, Convention::Weak] {
             assert_eq!(
-                testfd::check_par(&w.instance, &w.fds, conv, &Executor::with_threads(1)),
-                testfd::check_par(&w.instance, &w.fds, conv, &exec),
+                testfd::check_pairwise(&w.instance, &w.fds, conv),
+                check_at(&w.instance, &w.fds, conv, threads),
                 "threads = {threads}"
             );
         }
         for fd in &w.fds {
             let fd = fd.normalized();
-            assert_eq!(
-                groupkey::group_rows(&w.instance, fd.lhs, &snapshot),
-                groupkey::group_rows_par(&w.instance, fd.lhs, &snapshot, &exec)
-            );
+            assert_eq!(group_at(&w, fd, 1), group_at(&w, fd, threads));
         }
     }
 }
 
 /// Live rows above a large tombstone gap (`slot_bound() >> len()`): the
 /// extended chase's per-slot side tables are sized by the slot bound,
-/// and the leading shards are entirely dead — both schedulers and the
-/// parallel path at every thread count must still agree, with the
-/// planted conflict among the survivors detected.
+/// and the leading shards are entirely dead — the naive oracle and
+/// every thread count must still agree, with the planted conflict
+/// among the survivors detected.
 #[test]
 fn extended_chase_handles_live_rows_above_large_tombstone_gaps() {
     let spec = WorkloadSpec {
@@ -445,49 +460,27 @@ fn extended_chase_handles_live_rows_above_large_tombstone_gaps() {
         w.instance.slot_bound(),
         w.instance.len()
     );
-    let fast = extended_chase(&w.instance, &w.fds, Scheduler::Fast);
-    let naive = extended_chase(&w.instance, &w.fds, Scheduler::NaivePairs);
-    assert_eq!(
-        fast.instance.canonical_form(),
-        naive.instance.canonical_form()
+    assert!(
+        extended_chase_naive(&w.instance, &w.fds).nothing_classes > 0,
+        "planted conflict must be found"
     );
-    assert_eq!(fast.nothing_classes, naive.nothing_classes);
-    assert!(fast.nothing_classes > 0, "planted conflict must be found");
-    for threads in THREADS {
-        let par = extended_chase_par(&w.instance, &w.fds, &Executor::with_threads(threads));
-        assert_eq!(
-            fast.instance.canonical_form(),
-            par.instance.canonical_form(),
-            "threads = {threads}"
-        );
-        assert_eq!(fast.nothing_classes, par.nothing_classes);
-        assert_eq!(fast.unions, par.unions);
-    }
+    assert_extended_matches_oracle(&w.instance, &w.fds);
 }
 
-/// `extended_chase_par` on the scale generator built for it:
-/// cross-column NEC classes and planted conflicts at n = 300, swept
-/// across thread counts against the sequential Fast scheduler.
+/// `extended_chase` on the scale generator built for it: cross-column
+/// NEC classes and planted conflicts at n = 300, swept across thread
+/// counts against the naive oracle.
 #[test]
-fn parallel_extended_chase_matches_fast_on_extended_workloads() {
+fn parallel_extended_chase_matches_naive_oracle_on_extended_workloads() {
     for (seed, conflicts) in [(3u64, 0usize), (4, 4)] {
         let w = fdi_gen::extended_workload(seed, 300, 4, 8, conflicts);
-        let fast = extended_chase(&w.instance, &w.fds, Scheduler::Fast);
         if conflicts > 0 {
-            assert!(fast.nothing_classes > 0, "seed {seed}: conflicts must bite");
-        }
-        let baseline = extended_chase_par(&w.instance, &w.fds, &Executor::with_threads(1));
-        for threads in THREADS {
-            let par = extended_chase_par(&w.instance, &w.fds, &Executor::with_threads(threads));
-            assert_eq!(
-                fast.instance.canonical_form(),
-                par.instance.canonical_form(),
-                "seed {seed}, threads = {threads}"
+            assert!(
+                !weakly_satisfiable_via_chase(&w.fds, &w.instance),
+                "seed {seed}: conflicts must bite"
             );
-            assert_eq!(fast.nothing_classes, par.nothing_classes);
-            assert_eq!(fast.unions, par.unions);
-            assert_eq!(baseline.rounds, par.rounds, "phase count thread-invariance");
         }
+        assert_extended_matches_oracle(&w.instance, &w.fds);
     }
 }
 
@@ -509,7 +502,7 @@ fn parallel_chase_handles_cross_column_marks_exactly() {
     assert!(!order_replay_caveats(&r).is_empty());
     let sequential = chase_plain(&r, &fds);
     for threads in THREADS {
-        let parallel = chase_plain_par(&r, &fds, &Executor::with_threads(threads));
+        let parallel = chase_at(&r, &fds, threads);
         assert_eq!(sequential.events, parallel.events, "threads = {threads}");
         assert_eq!(
             sequential.instance.canonical_form(),
@@ -519,8 +512,8 @@ fn parallel_chase_handles_cross_column_marks_exactly() {
     }
 }
 
-/// `build_par` below [`fdi_core::update::PAR_BUILD_SMALL_N`] rows takes
-/// the sequential path, so the proptest above only proves the API
+/// `LhsIndex::build` below [`fdi_core::update::PAR_BUILD_SMALL_N`] rows
+/// builds in one shard, so the proptest above only proves the API
 /// contract there; this drives the genuinely sharded build on an
 /// instance beyond the cutoff.
 #[test]
@@ -536,9 +529,9 @@ fn parallel_index_build_matches_sequential_beyond_the_cutoff() {
     };
     let w = workload(41, &spec, 4);
     assert!(w.instance.len() >= PAR_BUILD_SMALL_N);
-    let sequential = LhsIndex::build(&w.instance, &w.fds);
+    let sequential = index_at(&w.instance, &w.fds, 1);
     for threads in [2, 4, 8] {
-        let parallel = LhsIndex::build_par(&w.instance, &w.fds, &Executor::with_threads(threads));
+        let parallel = index_at(&w.instance, &w.fds, threads);
         assert!(
             sequential.same_buckets(&parallel),
             "sharded build diverges at {threads} threads"
@@ -633,7 +626,7 @@ fn batch_ingest_is_bit_identical_to_looped_inserts() {
 
 /// Batches below [`fdi_core::update::PAR_BUILD_SMALL_N`] take the
 /// sequential filing loop, so the test above proves the API contract
-/// there; this drives the genuinely sharded `LhsIndex::insert_rows_par`
+/// there; this drives the genuinely sharded `LhsIndex::insert_rows`
 /// delta filing on a batch beyond the cutoff.
 #[test]
 fn batch_ingest_matches_looped_inserts_beyond_the_cutoff() {
@@ -704,17 +697,12 @@ fn parallel_pairwise_fallback_is_exact() {
     for fd_text in ["A -> B", "B -> C", "A B -> C", "C -> A"] {
         let fds = fdi_core::fd::FdSet::parse(&schema, fd_text).unwrap();
         let oracle = testfd::check_pairwise(&r, &fds, Convention::Strong);
-        let baseline = testfd::check_par(&r, &fds, Convention::Strong, &Executor::with_threads(1));
-        assert_eq!(oracle.is_ok(), baseline.is_ok(), "{fd_text}");
+        let baseline = check_at(&r, &fds, Convention::Strong, 1);
+        assert_eq!(oracle, baseline, "{fd_text}");
         for threads in THREADS {
             assert_eq!(
                 baseline,
-                testfd::check_par(
-                    &r,
-                    &fds,
-                    Convention::Strong,
-                    &Executor::with_threads(threads)
-                ),
+                check_at(&r, &fds, Convention::Strong, threads),
                 "{fd_text} at {threads} threads"
             );
         }

@@ -3,7 +3,7 @@
 //! and the three implication engines against each other.
 
 use fdi_core::armstrong;
-use fdi_core::chase::{self, extended_chase, Scheduler};
+use fdi_core::chase::{self, extended_chase, extended_chase_naive};
 use fdi_core::equiv;
 use fdi_core::fd::{Fd, FdSet};
 use fdi_core::interp;
@@ -169,7 +169,7 @@ proptest! {
             fast
         );
         prop_assert_eq!(
-            testfd::check_hashed(&r, &fds, testfd::Convention::Strong).is_ok(),
+            testfd::check_sorted(&r, &fds, testfd::Convention::Strong).is_ok(),
             fast
         );
     }
@@ -196,12 +196,11 @@ proptest! {
         );
     }
 
-    /// Theorem 4(a): the extended chase is Church–Rosser — FD order and
-    /// scheduler never change the result.
+    /// Theorem 4(a): the extended chase is Church–Rosser — FD order,
+    /// engine, and thread count never change the result.
     #[test]
     fn theorem4_confluence(rows in arb_rows(), fds in arb_fdset(), seed in 0usize..24) {
         let r = build_instance(&rows);
-        let baseline = extended_chase(&r, &fds, Scheduler::Fast);
         // a permutation of the FD order derived from the seed
         let mut order: Vec<usize> = (0..fds.len()).collect();
         if fds.len() > 1 {
@@ -211,12 +210,17 @@ proptest! {
                 order.reverse();
             }
         }
-        let permuted = extended_chase(&r, &fds.permuted(&order), Scheduler::NaivePairs);
-        prop_assert_eq!(
-            baseline.instance.canonical_form(),
-            permuted.instance.canonical_form()
-        );
-        prop_assert_eq!(baseline.nothing_classes, permuted.nothing_classes);
+        let permuted = extended_chase_naive(&r, &fds.permuted(&order));
+        for threads in 1..=8 {
+            let exec = fdi_exec::Executor::with_threads(threads);
+            let chased = extended_chase(&r, &fds, &exec, &fdi_obs::Recorder::noop());
+            prop_assert_eq!(
+                chased.instance.canonical_form(),
+                permuted.instance.canonical_form()
+            );
+            prop_assert_eq!(chased.nothing_classes, permuted.nothing_classes);
+            prop_assert_eq!(chased.unions, permuted.unions);
+        }
     }
 
     /// The plain chase terminates at a minimally incomplete instance

@@ -48,8 +48,11 @@ fn spec(rows: usize, null_density: f64) -> WorkloadSpec {
 /// The invariant under test, checked after every single operation.
 fn assert_index_fresh(db: &Database) {
     assert!(
-        db.index()
-            .same_buckets(&LhsIndex::build(db.instance(), db.fds())),
+        db.index().same_buckets(&LhsIndex::build(
+            db.instance(),
+            db.fds(),
+            &fdi_exec::Executor::with_threads(1)
+        )),
         "delta-maintained index diverged from a fresh build on\n{}",
         db.instance().render(true)
     );

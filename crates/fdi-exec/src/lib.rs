@@ -2,10 +2,9 @@
 //!
 //! The parallel substrate of the repository: a zero-dependency (std
 //! only) fork/join executor that the read-heavy engines of `fdi-core`
-//! — TEST-FDs, the certain/possible query evaluators, the indexed
-//! chase's violation discovery — shard their work onto. It exists so
-//! that every `_par` entry point in the workspace can make one strong
-//! promise:
+//! — TEST-FDs, the compiled query evaluator, both chases' discovery
+//! phases — shard their work onto. Every engine entry point takes an
+//! `&Executor`, and this crate lets each one make one strong promise:
 //!
 //! > **Determinism contract.** The result of an [`Executor`] run is a
 //! > pure function of the work items and the per-item closure. It is
@@ -115,6 +114,18 @@ impl Executor {
     /// The configured thread count.
     pub fn threads(&self) -> usize {
         self.threads
+    }
+
+    /// How many shards to cut row-sharded work into: `per_thread` per
+    /// worker, so tombstone-skewed shards still balance — or exactly one
+    /// when the executor runs inline, where extra shards would only add
+    /// shard-order merges to sequential work.
+    pub fn shard_count(&self, per_thread: usize) -> usize {
+        if self.threads == 1 {
+            1
+        } else {
+            self.threads * per_thread
+        }
     }
 
     /// Applies `f` to every item and returns the results **in item
@@ -267,6 +278,12 @@ mod tests {
         let exec = Executor::with_threads(4);
         assert_eq!(exec.map_n(5, |i| i * i), vec![0, 1, 4, 9, 16]);
         assert!(exec.map_n(0, |i| i).is_empty());
+    }
+
+    #[test]
+    fn inline_executors_use_one_shard() {
+        assert_eq!(Executor::with_threads(1).shard_count(4), 1);
+        assert_eq!(Executor::with_threads(3).shard_count(4), 12);
     }
 
     #[test]

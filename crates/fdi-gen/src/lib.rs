@@ -212,8 +212,9 @@ fn satisfiable_base(rng: &mut StdRng, spec: &WorkloadSpec, fds: &FdSet) -> Insta
         }
         inserted.push(instance.add_tuple(Tuple::new(values)).expect("arity"));
     }
-    let mut engine = fdi_core::chase::CellEngine::new(&instance);
-    engine.run(fds, fdi_core::chase::Scheduler::Fast);
+    let exec = fdi_exec::Executor::with_threads(1);
+    let mut engine = fdi_core::chase::CellEngine::new(&instance, &exec);
+    engine.run(fds, &exec);
     engine.materialize_resolved(&instance)
 }
 
@@ -341,7 +342,7 @@ pub fn large_workload(
 ///
 /// Deterministic given `seed`; no `order_replay_exact` promise is made
 /// (that is the point). The parallel-chase benchmarks and the
-/// `extended_chase_par` property suite run on this shape.
+/// thread-invariance suite of `extended_chase` run on this shape.
 pub fn extended_workload(
     seed: u64,
     rows: usize,
@@ -766,7 +767,13 @@ mod tests {
     use super::*;
     use fdi_core::chase;
     use fdi_core::interp;
+    use fdi_core::semantics::Semantics;
     use fdi_core::testfd;
+
+    fn check<S: Semantics>(w: &Workload, sem: S) -> Result<(), testfd::Violation> {
+        let exec = fdi_exec::Executor::with_threads(1);
+        testfd::check(&w.instance, &w.fds, sem, &exec, &fdi_obs::Recorder::noop())
+    }
 
     #[test]
     fn workloads_are_deterministic() {
@@ -1117,8 +1124,10 @@ mod tests {
         assert!(crossing, "expected a cross-column NEC class");
         // the planted conflicts are real: the extended chase derives
         // `nothing`, i.e. the instance is no longer weakly satisfiable
-        let outcome = chase::extended_chase(&w.instance, &w.fds, chase::Scheduler::Fast);
-        assert!(outcome.nothing_classes > 0, "planted conflicts must bite");
+        assert!(
+            !chase::weakly_satisfiable_via_chase(&w.fds, &w.instance),
+            "planted conflicts must bite"
+        );
         // with nothing planted, the base's witness completion survives
         // (cross-column splices *may* create conflicts of their own, so
         // only the unspliced variant promises satisfiability)
@@ -1138,7 +1147,7 @@ mod tests {
         for (seed, rejecting) in [(0u64, 1usize), (1, 2), (2, 3), (3, 4)] {
             let w = disagreement_workload(seed);
             for (i, kind) in SemanticsKind::ALL.iter().enumerate() {
-                let verdict = testfd::check(&w.instance, &w.fds, *kind);
+                let verdict = check(&w, *kind);
                 assert_eq!(
                     verdict.is_err(),
                     i < rejecting,
@@ -1152,7 +1161,7 @@ mod tests {
         let w2 = disagreement_workload(3);
         assert_eq!(w.instance.canonical_form(), w2.instance.canonical_form());
         for kind in SemanticsKind::ALL {
-            let v = testfd::check(&w.instance, &w.fds, kind).unwrap_err();
+            let v = check(&w, kind).unwrap_err();
             assert_eq!(v.rows, (RowId(0), RowId(1)), "under {kind}");
         }
     }

@@ -26,15 +26,13 @@
 //! * [`axioms`] — a Hilbert-style axiomatization of C (classical core +
 //!   modal K/T/4/5 and necessitation, per the paper's description of
 //!   [Bertram 73]) with machine-checked proof objects, sound for
-//!   C-validity;
-//! * [`closure`] — the planning-speed twin of [`implication`]: u64
-//!   bitset [`closure::ColumnSet`]s and a precomputed per-FD-set
-//!   [`closure::ClosureEngine`] answering `expand`/`reduce`/superkey
-//!   queries at millions of calls per second, for query planners and
-//!   lattice searches that cannot afford proof search in inner loops.
+//!   C-validity.
 //!
 //! The crate is dependency-free and usable on its own; `fdi-core` builds
-//! the FD ↔ System-C bridge (Lemmas 3 and 4, Theorem 1) on top of it.
+//! the FD ↔ System-C bridge (Lemmas 3 and 4, Theorem 1) on top of it,
+//! together with the attribute closure of relations
+//! (`fdi_core::armstrong::closure`), which is the same fixpoint as
+//! [`derive::closure`] over attribute sets.
 //!
 //! ## Example
 //!
@@ -56,7 +54,6 @@
 #![warn(missing_docs)]
 
 pub mod axioms;
-pub mod closure;
 pub mod derive;
 pub mod eval;
 pub mod formula;
@@ -65,7 +62,6 @@ pub mod parser;
 pub mod truth;
 pub mod var;
 
-pub use closure::{ClosureEngine, ColumnSet};
 pub use eval::{eval_c, is_c_tautology, is_tautology_2v, Compiled};
 pub use formula::Formula;
 pub use implication::{infers, weakly_infers, InferenceMode, Statement};

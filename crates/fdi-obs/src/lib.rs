@@ -79,9 +79,9 @@ pub enum Counter {
     CellRounds,
     /// Extended cell-chase cell unions (deterministic).
     CellUnions,
-    /// TEST-FDs invocations through the recorded entry points
-    /// (deterministic: recorded only on explicit `check_with` /
-    /// `check_par_with` calls, never from free-running readers).
+    /// TEST-FDs invocations recorded by `testfd::check`
+    /// (deterministic: recorded only where a caller passes a live
+    /// recorder, never from free-running readers).
     TestfdChecks,
     /// TEST-FDs strong-mode pairwise fallbacks taken (LHS touches a
     /// null column; deterministic — a property of the FD set and

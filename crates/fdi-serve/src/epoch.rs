@@ -7,7 +7,6 @@
 
 use fdi_core::query::plan::CompiledQuery;
 use fdi_core::query::{Query, Selection};
-use fdi_core::testfd::{self, Violation};
 use fdi_core::update::Database;
 use fdi_exec::Executor;
 use fdi_obs::{Counter, Hist, MetricsSnapshot, Recorder};
@@ -132,25 +131,19 @@ impl Epoch {
     /// through the compiled path: if the writer materialized this
     /// query's answer set at publication it is returned directly
     /// (O(answer)); otherwise the query is compiled **once per epoch**
-    /// (fingerprint-keyed plan cache) and evaluated with the sharded
-    /// [`CompiledQuery::select_par`]. Bit-identical to the sequential
-    /// [`fdi_core::query::select`] at every thread count, errors
-    /// included — the proptest suite holds all three paths
+    /// (encoding-keyed plan cache) and evaluated with the sharded
+    /// [`CompiledQuery::select_par_stats`]. Bit-identical to the
+    /// sequential [`fdi_core::query::select`] at every thread count,
+    /// errors included — the proptest suite holds all three paths
     /// (materialized / compiled / uncompiled) to the same answer.
-    pub fn select(&self, query: &Query, exec: &Executor) -> Result<Selection, RelationError> {
-        self.select_recorded(query, exec, &Recorder::noop())
-    }
-
-    /// [`Epoch::select`] with query-path observability: tallies
-    /// materialized-answer hits, plan-cache hits/misses, compiles,
-    /// NEC-signature memo hits/misses, and classical (null-free
-    /// fast-path) rows into `rec`. All of those are **nondeterministic**
-    /// metrics by the [`fdi_obs`] contract — they depend on which
-    /// reader asked what, in which order — so recording here never
-    /// perturbs the deterministic set. Answers are bit-identical to
-    /// [`Epoch::select`] (the recorder changes bookkeeping, never
-    /// evaluation).
-    pub fn select_recorded(
+    ///
+    /// `rec` tallies materialized-answer hits, plan-cache hits/misses,
+    /// compiles, NEC-signature memo hits/misses, and classical
+    /// (null-free fast-path) rows. All of those are **nondeterministic**
+    /// metrics by the [`fdi_obs`] contract — they depend on which reader
+    /// asked what, in which order — so recording here never perturbs
+    /// the deterministic set, and the recorder never changes an answer.
+    pub fn select(
         &self,
         query: &Query,
         exec: &Executor,
@@ -161,7 +154,7 @@ impl Epoch {
             rec.incr(Counter::MaterializedHits);
             return Ok(sel.clone());
         }
-        let plan = self.plan_for_recorded(key, query, rec);
+        let plan = self.plan_for(key, query, rec);
         let live_rows = self.db.instance().len() as u64;
         let (selection, memo) = plan.select_par_stats(self.db.instance(), exec)?;
         rec.add(Counter::MemoHits, memo.hits);
@@ -176,17 +169,12 @@ impl Epoch {
     }
 
     /// The compiled plan for `query` against this epoch, from the
-    /// per-epoch cache (compiling on first use, with the epoch's FD
-    /// set wired into the planner).
+    /// per-epoch cache (compiling on first use).
     pub fn compiled(&self, query: &Query) -> Arc<CompiledQuery> {
-        self.plan_for(CompiledQuery::encode(query), query)
+        self.plan_for(CompiledQuery::encode(query), query, &Recorder::noop())
     }
 
-    fn plan_for(&self, key: Vec<u8>, query: &Query) -> Arc<CompiledQuery> {
-        self.plan_for_recorded(key, query, &Recorder::noop())
-    }
-
-    fn plan_for_recorded(&self, key: Vec<u8>, query: &Query, rec: &Recorder) -> Arc<CompiledQuery> {
+    fn plan_for(&self, key: Vec<u8>, query: &Query, rec: &Recorder) -> Arc<CompiledQuery> {
         let mut plans = self.plans.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(plan) = plans.get(&key) {
             rec.incr(Counter::PlanCacheHits);
@@ -194,11 +182,7 @@ impl Epoch {
         }
         rec.incr(Counter::PlanCacheMisses);
         rec.incr(Counter::QueryCompiles);
-        let plan = Arc::new(CompiledQuery::compile_with_fds(
-            query,
-            self.db.instance(),
-            self.db.fds(),
-        ));
+        let plan = Arc::new(CompiledQuery::compile(query, self.db.instance()));
         plans.insert(key, Arc::clone(&plan));
         plan
     }
@@ -224,19 +208,6 @@ impl Epoch {
     /// changes after publication.
     pub fn metrics(&self) -> &MetricsSnapshot {
         &self.metrics
-    }
-
-    /// TEST-FDs over this epoch via the sharded [`testfd::check_par`]
-    /// (bit-identical to the sequential check, violation payload
-    /// included). Generic over the null-comparison semantics — the two
-    /// [`testfd::Convention`] values and any
-    /// [`fdi_core::semantics::Semantics`] impl alike.
-    pub fn check<S: fdi_core::semantics::Semantics>(
-        &self,
-        sem: S,
-        exec: &Executor,
-    ) -> Result<(), Violation> {
-        testfd::check_par(self.db.instance(), self.db.fds(), sem, exec)
     }
 }
 

@@ -323,11 +323,7 @@ impl<S: Storage> Writer<S> {
     /// registered in that case.
     pub fn watch(&mut self, query: &Query) -> Result<usize, RelationError> {
         let db = self.jdb.db();
-        let plan = Arc::new(CompiledQuery::compile_with_fds(
-            query,
-            db.instance(),
-            db.fds(),
-        ));
+        let plan = Arc::new(CompiledQuery::compile(query, db.instance()));
         let encoding = plan.encoding().to_vec();
         let inc = IncrementalSelection::new(plan, db.instance())?;
         self.watched.push(Watched {
@@ -644,12 +640,15 @@ mod tests {
         let epoch = reader.snapshot();
         let exec = Executor::with_threads(2);
         let q = fdi_core::query::Query::eq_text(epoch.db().instance(), "mgr", "m1").unwrap();
-        let par = epoch.select(&q, &exec).unwrap();
+        let par = epoch.select(&q, &exec, &Recorder::noop()).unwrap();
         let seq = fdi_core::query::select(&q, epoch.db().instance()).unwrap();
         assert_eq!(par, seq);
-        assert!(epoch
-            .check(fdi_core::testfd::Convention::Weak, &exec)
-            .is_ok());
+        let db = epoch.db();
+        let weak = fdi_core::testfd::Convention::Weak;
+        assert!(
+            fdi_core::testfd::check(db.instance(), db.fds(), weak, &exec, &Recorder::noop())
+                .is_ok()
+        );
     }
 
     #[test]
@@ -684,16 +683,16 @@ mod tests {
             let oracle = fdi_core::query::select(&q, epoch.db().instance()).unwrap();
             // the epoch serves the watched query from the materialized set
             assert_eq!(epoch.materialized().len(), 1);
-            assert_eq!(epoch.select(&q, &exec).unwrap(), oracle);
+            assert_eq!(epoch.select(&q, &exec, &Recorder::noop()).unwrap(), oracle);
             assert_eq!(writer.watched_selection(w), Some(oracle));
         }
         // unwatched queries go through the per-epoch plan cache
         let epoch = reader.snapshot();
         let other = fdi_core::query::Query::eq_text(epoch.db().instance(), "dept", "d1").unwrap();
         assert_eq!(epoch.plan_cache_len(), 0);
-        let a = epoch.select(&other, &exec).unwrap();
+        let a = epoch.select(&other, &exec, &Recorder::noop()).unwrap();
         assert_eq!(epoch.plan_cache_len(), 1, "first select compiles");
-        let b = epoch.select(&other, &exec).unwrap();
+        let b = epoch.select(&other, &exec, &Recorder::noop()).unwrap();
         assert_eq!(epoch.plan_cache_len(), 1, "second select reuses the plan");
         assert_eq!(a, b);
         assert_eq!(

@@ -141,7 +141,7 @@ fn assert_same_db(recovered: &Database, oracle: &Database) {
     );
     assert!(recovered.index().same_buckets(oracle.index()));
     for threads in [1usize, 4] {
-        let fresh = LhsIndex::build_par(
+        let fresh = LhsIndex::build(
             recovered.instance(),
             recovered.fds(),
             &fdi_exec::Executor::with_threads(threads),

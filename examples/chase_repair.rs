@@ -29,8 +29,9 @@ fn main() {
     );
 
     // ----- Theorem 4: the extended rules are Church–Rosser -----
-    let ext_forward = chase::extended_chase(&r, &fds, Scheduler::Fast);
-    let ext_backward = chase::extended_chase(&r, &fds.permuted(&[1, 0]), Scheduler::NaivePairs);
+    let ext_forward =
+        chase::extended_chase(&r, &fds, &Executor::with_threads(1), &Recorder::noop());
+    let ext_backward = chase::extended_chase_naive(&r, &fds.permuted(&[1, 0]));
     println!("the EXTENDED rules agree in either order (all B-values = nothing):");
     println!("{}", ext_forward.instance.render(false));
     assert_eq!(

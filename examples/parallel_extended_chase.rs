@@ -7,18 +7,18 @@
 //! parallel engine needs no event-order replay at all. The engine
 //! alternates a parallel read-only discovery phase (dirty buckets
 //! sharded onto the `fdi-exec` executor) with a sequential
-//! union/migration phase; the materialized instance, `nothing` class
-//! count, and union count are bit-identical to the sequential `Fast`
-//! scheduler at every thread count. `nothing_classes == 0` decides
+//! union/migration phase; the whole outcome is bit-identical at every
+//! thread count, so the inline 1-thread run checks it here. `nothing_classes == 0` decides
 //! weak satisfiability outright (Theorem 4(b)) — rerun with
 //! `FDI_THREADS=1`, `=4`, … to see the wall time move while the
 //! verdict stays fixed.
 //!
 //! Run: `FDI_THREADS=4 cargo run --release --example parallel_extended_chase`
 
-use fdi_core::chase::{extended_chase, extended_chase_par, Scheduler};
+use fdi_core::chase::extended_chase;
 use fdi_exec::Executor;
 use fdi_gen::extended_workload;
+use fdi_obs::Recorder;
 use std::time::Instant;
 
 fn main() {
@@ -45,7 +45,7 @@ fn main() {
     );
 
     let start = Instant::now();
-    let par = extended_chase_par(&w.instance, &w.fds, &exec);
+    let par = extended_chase(&w.instance, &w.fds, &exec, &Recorder::noop());
     let wall = start.elapsed();
     println!(
         "parallel extended chase in {wall:.2?}: {} unions, {} nothing class(es), {} discovery phase(s)",
@@ -57,14 +57,20 @@ fn main() {
     );
 
     let start = Instant::now();
-    let fast = extended_chase(&w.instance, &w.fds, Scheduler::Fast);
-    println!("sequential Fast scheduler in {:.2?}", start.elapsed());
+    let inline = extended_chase(
+        &w.instance,
+        &w.fds,
+        &Executor::with_threads(1),
+        &Recorder::noop(),
+    );
+    println!("inline (1 thread) in {:.2?}", start.elapsed());
     assert_eq!(
         par.instance.canonical_form(),
-        fast.instance.canonical_form(),
-        "Theorem 4(a): the closure is unique — canonical instances agree"
+        inline.instance.canonical_form(),
+        "the determinism contract: canonical instances agree"
     );
-    assert_eq!(par.nothing_classes, fast.nothing_classes);
-    assert_eq!(par.unions, fast.unions, "union counts are order-invariant");
-    println!("parallel == sequential (canonical instance, nothing classes, unions) ✓");
+    assert_eq!(par.nothing_classes, inline.nothing_classes);
+    assert_eq!(par.unions, inline.unions);
+    assert_eq!(par.rounds, inline.rounds);
+    println!("parallel == inline (canonical instance, nothing classes, unions, phases) ✓");
 }

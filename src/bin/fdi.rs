@@ -224,7 +224,12 @@ fn run(command: &str, desc: &Description) -> Result<(), CliError> {
             // The extended closure is order-insensitive (Theorem 4a),
             // so the FDI_THREADS-sized parallel engine is safe here —
             // same canonical result at every thread count.
-            let outcome = chase::extended_chase_par(instance, fds, &fdi_exec::Executor::from_env());
+            let outcome = chase::extended_chase(
+                instance,
+                fds,
+                &fdi_exec::Executor::from_env(),
+                &Recorder::noop(),
+            );
             println!("{}", outcome.instance.render(true));
             if outcome.has_nothing() {
                 println!(
@@ -553,8 +558,9 @@ fn stats_report(journal_path: &str, json: bool) -> Result<String, CliError> {
     // A recorded satisfiability sweep over the recovered state: the
     // verdicts are in the journal's history already, so only the
     // tallies (checks, rows scanned, fallback hits) are of interest.
+    let exec = fdi_exec::Executor::with_threads(1);
     for kind in SemanticsKind::ALL {
-        let _ = testfd::check_with(db.instance(), db.fds(), kind, &rec);
+        let _ = testfd::check(db.instance(), db.fds(), kind, &exec, &rec);
     }
     let snap = rec.snapshot();
     Ok(if json {
@@ -702,6 +708,7 @@ fn serve_session<S: Storage, R: BufRead, W: IoWrite>(
         hello.db().instance().len()
     )
     .map_err(io_err)?;
+    let exec = fdi_exec::Executor::from_env();
     let mut shutdown = false;
     for line in input.lines() {
         let line = line.map_err(io_err)?;
@@ -774,9 +781,14 @@ fn serve_session<S: Storage, R: BufRead, W: IoWrite>(
                 match Query::eq_text(epoch.db().instance(), attr, value) {
                     Err(e) => writeln!(out, "error: {e}").map_err(io_err)?,
                     Ok(query) => {
-                        let selection = epoch
-                            .select_recorded(&query, &fdi_exec::Executor::from_env(), rec)
-                            .map_err(|e| CliError::runtime(e.to_string()))?;
+                        let selection = match epoch.select(&query, &exec, rec) {
+                            Ok(selection) => selection,
+                            // An evaluation error answers this request only.
+                            Err(e) => {
+                                writeln!(out, "error: {e}").map_err(io_err)?;
+                                continue;
+                            }
+                        };
                         let position = |row: RowId| {
                             epoch
                                 .db()
@@ -1012,6 +1024,26 @@ bob -     mia
 cyd eng   -
 ";
 
+    /// [`SAMPLE`] plus an unbounded column `C` holding a null: a query
+    /// on `C` cannot be evaluated on bob's row.
+    const UNBOUNDED_C: &str = "
+%schema
+relation Staff
+attr emp ada bob cyd
+attr dept sales eng
+attr mgr mia noa
+attr C
+
+%fds
+emp -> dept
+dept -> mgr
+
+%instance
+ada sales mia c1
+bob -     mia -
+cyd eng   -   c2
+";
+
     #[test]
     fn parses_the_sample() {
         let d = parse_description(SAMPLE).expect("parse");
@@ -1158,7 +1190,16 @@ cyd eng   -
         serve::Writer<fd_incomplete::store::MemStorage>,
         serve::Reader,
     ) {
-        let d = parse_description(SAMPLE).expect("parse");
+        serving_pair(SAMPLE)
+    }
+
+    fn serving_pair(
+        desc: &str,
+    ) -> (
+        serve::Writer<fd_incomplete::store::MemStorage>,
+        serve::Reader,
+    ) {
+        let d = parse_description(desc).expect("parse");
         let db = Database::new(d.instance, d.fds, Policy::default()).expect("valid base");
         serve::Writer::create(
             db,
@@ -1241,6 +1282,27 @@ cyd eng   -
         // reported — final durable state has exactly the 4 rows
         assert_eq!(writer.db().instance().len(), 4);
         assert_eq!(reader.snapshot().seq(), 2);
+
+        // A query that cannot be evaluated (a null on an unbounded
+        // column) answers one `error:` line and the session goes on.
+        let (mut writer, reader) = serving_pair(UNBOUNDED_C);
+        let mut out = Vec::new();
+        serve_session(
+            &mut writer,
+            &reader,
+            &Recorder::noop(),
+            std::io::Cursor::new("select C c1\nepoch\nquit\n"),
+            &mut out,
+        )
+        .expect("an evaluation error must not end the session");
+        let text = String::from_utf8(out).unwrap();
+        assert_eq!(text.matches("error:").count(), 1, "{text}");
+        assert!(
+            text.contains("error: attribute C has an unbounded domain"),
+            "{text}"
+        );
+        assert!(text.contains("epoch 0 (0 op(s) applied"), "{text}");
+        assert!(text.contains("session closed at epoch 1"), "{text}");
     }
 
     /// The TCP front end over a real socket: two clients in turn, the
@@ -1365,13 +1427,14 @@ cyd eng   -
 
     /// Sequential reconnects with an abrupt client: the first client
     /// disconnects without `quit` (bare EOF) and its staged work is
-    /// still published durably; two more clients reconnect in turn and
-    /// see it; per-client failures never stop the listener.
+    /// still published durably; more clients reconnect in turn and see
+    /// it; per-client failures — a dropped connection, a query that
+    /// cannot be evaluated — never stop the listener.
     #[test]
     fn serve_tcp_survives_eof_clients_across_reconnects() {
         use std::io::{Read as _, Write as _};
 
-        let (mut writer, reader) = sample_serving_pair();
+        let (mut writer, reader) = serving_pair(UNBOUNDED_C);
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind an ephemeral port");
         let addr = listener.local_addr().unwrap();
         let server = std::thread::spawn(move || {
@@ -1390,7 +1453,7 @@ cyd eng   -
 
         // client 1 stages an insert and vanishes without `quit`: the
         // session's close path still publishes it durably
-        let first = talk("insert cyd eng noa\n");
+        let first = talk("insert cyd eng noa c3\n");
         assert!(first.contains("staged (1 op(s) await commit)"), "{first}");
         assert!(first.contains("session closed at epoch 1"), "{first}");
         // client 2 reconnects and sees the abandoned client's work
@@ -1400,13 +1463,19 @@ cyd eng   -
             2,
             "reconnected client must see the EOF client's published work: {second}"
         );
-        // client 3 reconnects once more and stops the server
-        let third = talk("epoch\nshutdown\n");
+        // client 3's query cannot be evaluated (bob's null on the
+        // unbounded column C): one `error:` reply, and the session and
+        // the server carry on
+        let third = talk("select C c1\nepoch\nquit\n");
+        assert_eq!(third.matches("error:").count(), 1, "{third}");
         assert!(third.contains("epoch 2 ("), "{third}");
+        // client 4 reconnects once more and stops the server
+        let fourth = talk("epoch\nshutdown\n");
+        assert!(fourth.contains("epoch 3 ("), "{fourth}");
 
         let writer = server.join().expect("server thread");
         assert_eq!(writer.db().instance().len(), 4);
-        assert_eq!(writer.seq(), 3, "three session-close publishes");
+        assert_eq!(writer.seq(), 4, "four session-close publishes");
     }
 
     /// The serve-session `semantics` command renders the differential

@@ -18,6 +18,9 @@
 //!   TEST-FDs algorithm (Figure 3, Theorems 2–3), the NS-rule chase and
 //!   its Church–Rosser extension (Theorem 4), Armstrong's system
 //!   (Theorem 1), normalization, and least-extension queries;
+//! * [`exec`] (`fdi-exec`) — the deterministic fork/join executor every
+//!   engine entry point takes: results are bit-identical at every
+//!   thread count, and one thread runs inline;
 //! * [`gen`] (`fdi-gen`) — seeded workload generators for the
 //!   experiment harness;
 //! * [`store`] (`fdi-store`) — the durability layer: a write-ahead op
@@ -75,7 +78,7 @@
 //! for readers and a private successor state for a single
 //! [`serve::Writer`]. Any number of threads hold [`serve::Reader`]
 //! handles and query the current [`serve::Epoch`] through the sharded
-//! `select_par`/`check_par` paths; the writer stages deltas invisibly,
+//! [`serve::Epoch::select`]; the writer stages deltas invisibly,
 //! **group-commits** them to the op journal (one batch record, one
 //! sync — [`store::SyncPolicy::GroupCommit`]), and only then publishes
 //! the next epoch with an atomic swap. Readers never block the writer
@@ -96,10 +99,10 @@
 //! compile time: the tree is constant-folded and flattened into a
 //! branch-light postfix op program, the per-attribute
 //! mentioned-constant and fresh-representative candidate sets are
-//! precomputed against the instance's domains, and an FD-closure
-//! analysis (the `u64`-bitset [`logic::closure::ClosureEngine`])
-//! annotates the plan with which scope attributes are functionally
-//! determined. At evaluation time, rows whose in-scope **signature**
+//! precomputed against the instance's domains, and a canonical encoding
+//! keys plan caches. At evaluation time
+//! ([`core::query::CompiledQuery::select_par_stats`], sharded on an
+//! [`exec::Executor`]), rows whose in-scope **signature**
 //! (constants, NEC class roots, `nothing`s) repeats a previously seen
 //! one replay the cached verdict from a [`core::query::SignatureMemo`]
 //! — exact, because a verdict is a pure function of that signature.
@@ -127,9 +130,9 @@
 //! two values *agree* (trigger side), when they *positively disagree*
 //! (violation side), whether a null on a determinant forces the
 //! pairwise fallback, and whether nulls group solitarily. Every check
-//! variant ([`core::testfd::check`], the sorted/hashed/grouped paths,
-//! [`core::testfd::check_par`], [`core::testfd::pair_violates`]) is
-//! generic over it and monomorphizes for the zero-sized impls, so the
+//! variant ([`core::testfd::check`], the pairwise and sorted reference
+//! paths, [`core::testfd::pair_violates`]) is generic over it and
+//! monomorphizes for the zero-sized impls, so the
 //! paper's two conventions pay nothing for the generality (the
 //! `bench_chase` guard holds enum vs. ZST dispatch within noise).
 //!
@@ -178,13 +181,12 @@
 //! (journal appends, group-commit batches, sync latency),
 //! [`store::Journal::recover_with`] (torn-tail truncations, replayed
 //! ops), [`serve::Writer::set_recorder`] / [`serve::Reader::set_recorder`]
-//! (publish latency, epoch gauges, snapshot reads), the recorded chase
-//! entry points ([`core::chase::chase_indexed_par_with`],
-//! [`core::chase::extended_chase_par_with`]), the recorded TEST-FDs
-//! entry points ([`core::testfd::check_with`],
-//! [`core::testfd::check_par_with`]), and
-//! [`serve::Epoch::select_recorded`] (plan-cache, NEC-signature memo,
-//! and classical-fast-path traffic). Each published [`serve::Epoch`]
+//! (publish latency, epoch gauges, snapshot reads), and the `rec`
+//! argument of each engine entry point: the chases
+//! ([`core::chase::chase_indexed`], [`core::chase::extended_chase`]),
+//! TEST-FDs ([`core::testfd::check`]), and [`serve::Epoch::select`]
+//! (plan-cache, NEC-signature memo, and classical-fast-path traffic).
+//! Each published [`serve::Epoch`]
 //! carries the writer's frozen [`obs::MetricsSnapshot`]
 //! ([`serve::Epoch::metrics`]).
 //!
@@ -203,6 +205,7 @@
 #![warn(missing_docs)]
 
 pub use fdi_core as core;
+pub use fdi_exec as exec;
 pub use fdi_gen as gen;
 pub use fdi_logic as logic;
 pub use fdi_obs as obs;
@@ -212,13 +215,14 @@ pub use fdi_store as store;
 
 /// The most common imports, for examples and downstream users.
 pub mod prelude {
-    pub use fdi_core::chase::{chase_plain, extended_chase, extended_chase_par, Scheduler};
+    pub use fdi_core::chase::{chase_plain, extended_chase};
     pub use fdi_core::fd::{Fd, FdSet};
     pub use fdi_core::prop1;
     pub use fdi_core::satisfy;
     pub use fdi_core::semantics::{self, Semantics, SemanticsKind};
     pub use fdi_core::testfd::{self, Convention};
     pub use fdi_core::update::{Database, Enforcement, Policy};
+    pub use fdi_exec::Executor;
     pub use fdi_logic::truth::Truth;
     pub use fdi_obs::{MetricsSnapshot, Recorder};
     pub use fdi_relation::instance::Instance;

@@ -9,9 +9,20 @@ use fd_incomplete::core::interp::{
 };
 use fd_incomplete::core::semantics::{self, SemanticsKind};
 use fd_incomplete::core::testfd;
-use fd_incomplete::gen::{disagreement_workload, workload, WorkloadSpec};
+use fd_incomplete::gen::{disagreement_workload, workload, Workload, WorkloadSpec};
 use fd_incomplete::prelude::*;
 use std::sync::Arc;
+
+/// TEST-FDs inline and unrecorded.
+fn check<S: Semantics>(w: &Workload, sem: S) -> Result<(), testfd::Violation> {
+    testfd::check(
+        &w.instance,
+        &w.fds,
+        sem,
+        &Executor::with_threads(1),
+        &Recorder::noop(),
+    )
+}
 
 fn schema() -> Arc<Schema> {
     Schema::builder("R")
@@ -151,7 +162,7 @@ fn verdicts_respect_the_semantics_lattice_on_random_workloads() {
         let w = workload(seed, &diff_spec(), 3);
         let mut prev: Option<(SemanticsKind, bool)> = None;
         for kind in SemanticsKind::ALL {
-            let ok = testfd::check(&w.instance, &w.fds, kind).is_ok();
+            let ok = check(&w, kind).is_ok();
             if let Some((prev_kind, prev_ok)) = prev {
                 assert!(
                     !prev_ok || ok,
@@ -171,7 +182,7 @@ fn err_witnesses_are_real_violations_under_their_own_semantics() {
     for seed in 0..32u64 {
         let w = workload(seed, &diff_spec(), 3);
         for kind in SemanticsKind::ALL {
-            if let Err(v) = testfd::check(&w.instance, &w.fds, kind) {
+            if let Err(v) = check(&w, kind) {
                 let fd = w.fds.fds()[v.fd_index];
                 assert!(
                     testfd::pair_violates(&w.instance, fd, v.rows.0, v.rows.1, kind),
@@ -193,7 +204,7 @@ fn disagreement_generator_covers_every_convention_pair() {
         let w = disagreement_workload(seed);
         let verdicts: Vec<bool> = SemanticsKind::ALL
             .iter()
-            .map(|&k| testfd::check(&w.instance, &w.fds, k).is_ok())
+            .map(|&k| check(&w, k).is_ok())
             .collect();
         for i in 0..verdicts.len() {
             for j in i + 1..verdicts.len() {
@@ -229,10 +240,10 @@ fn complete_instances_collapse_every_convention_to_one_verdict() {
             ..WorkloadSpec::default()
         };
         let w = workload(seed, &spec, 3);
-        let base = testfd::check(&w.instance, &w.fds, SemanticsKind::Strong);
+        let base = check(&w, SemanticsKind::Strong);
         for kind in SemanticsKind::ALL {
             assert_eq!(
-                testfd::check(&w.instance, &w.fds, kind),
+                check(&w, kind),
                 base,
                 "seed {seed}: {kind} diverges on a complete instance"
             );
@@ -249,18 +260,10 @@ fn complete_instances_collapse_every_convention_to_one_verdict() {
 fn zst_and_convention_dispatch_are_bit_identical() {
     for seed in 0..16u64 {
         let w = workload(seed, &diff_spec(), 3);
-        let strong_enum = testfd::check(&w.instance, &w.fds, Convention::Strong);
-        let weak_enum = testfd::check(&w.instance, &w.fds, Convention::Weak);
-        assert_eq!(
-            strong_enum,
-            testfd::check(&w.instance, &w.fds, semantics::Strong),
-            "seed {seed}"
-        );
-        assert_eq!(
-            weak_enum,
-            testfd::check(&w.instance, &w.fds, semantics::Weak),
-            "seed {seed}"
-        );
+        let strong_enum = check(&w, Convention::Strong);
+        let weak_enum = check(&w, Convention::Weak);
+        assert_eq!(strong_enum, check(&w, semantics::Strong), "seed {seed}");
+        assert_eq!(weak_enum, check(&w, semantics::Weak), "seed {seed}");
         assert_eq!(
             strong_enum,
             testfd::check_pairwise(&w.instance, &w.fds, semantics::Strong),
@@ -268,25 +271,26 @@ fn zst_and_convention_dispatch_are_bit_identical() {
         );
         assert_eq!(
             weak_enum,
-            testfd::check_grouped(&w.instance, &w.fds, semantics::Weak),
+            testfd::check_pairwise(&w.instance, &w.fds, semantics::Weak),
             "seed {seed}"
         );
         for threads in [1usize, 4] {
-            let exec = fdi_exec::Executor::with_threads(threads);
+            let exec = Executor::with_threads(threads);
+            let rec = Recorder::noop();
             assert_eq!(
                 strong_enum,
-                testfd::check_par(&w.instance, &w.fds, semantics::Strong, &exec),
+                testfd::check(&w.instance, &w.fds, semantics::Strong, &exec, &rec),
                 "seed {seed}, {threads} thread(s)"
             );
             assert_eq!(
                 weak_enum,
-                testfd::check_par(&w.instance, &w.fds, semantics::Weak, &exec),
+                testfd::check(&w.instance, &w.fds, semantics::Weak, &exec, &rec),
                 "seed {seed}, {threads} thread(s)"
             );
             for kind in SemanticsKind::ALL {
                 assert_eq!(
-                    testfd::check_par(&w.instance, &w.fds, kind, &exec),
-                    testfd::check(&w.instance, &w.fds, kind),
+                    testfd::check(&w.instance, &w.fds, kind, &exec, &rec),
+                    check(&w, kind),
                     "seed {seed}, {threads} thread(s), {kind}"
                 );
             }

@@ -131,7 +131,7 @@ fn duplicate_tuples_are_harmless() {
     let r = Instance::parse(schema_ab(2), "A_0 B_0\nA_0 B_0\nA_0 B_0").unwrap();
     let fds = FdSet::parse(r.schema(), "A -> B").unwrap();
     assert!(testfd::check_strong(&r, &fds).is_ok());
-    let outcome = chase::extended_chase(&r, &fds, Scheduler::Fast);
+    let outcome = chase::extended_chase(&r, &fds, &Executor::with_threads(1), &Recorder::noop());
     assert!(!outcome.has_nothing());
     // the cell engine unifies the duplicate Y cells without complaint
     assert_eq!(outcome.instance.len(), 3);
@@ -147,7 +147,7 @@ fn nothing_everywhere_is_stable() {
     // nothing never matches, so no trigger fires; the instance is
     // trivially minimally incomplete but NOT weakly satisfiable
     assert!(chase::is_minimally_incomplete(&r, &fds));
-    let outcome = chase::extended_chase(&r, &fds, Scheduler::Fast);
+    let outcome = chase::extended_chase(&r, &fds, &Executor::with_threads(1), &Recorder::noop());
     assert!(outcome.has_nothing());
     assert!(!chase::weakly_satisfiable_via_chase(&fds, &r));
 }

@@ -11,8 +11,8 @@
 //!   produces bit-identical publication logs, final instances, and
 //!   query answers;
 //! * the chase and TEST-FD deterministic tallies are invariant under
-//!   the executor grid when driven through the explicit `_with` entry
-//!   points.
+//!   the executor grid when the engine entry points record into a live
+//!   recorder.
 //!
 //! Nondeterministic metrics (memo traffic, rows scanned, snapshot
 //! reads, every histogram) are *excluded by construction* via
@@ -136,9 +136,7 @@ fn spawn_readers(
                     let finished = done.load(Ordering::Acquire);
                     let epoch = handle.snapshot();
                     let q = scaling_query(epoch.db().instance());
-                    let _ = epoch
-                        .select_recorded(&q, &exec, &rec)
-                        .expect("select on a snapshot");
+                    let _ = epoch.select(&q, &exec, &rec).expect("select on a snapshot");
                     if finished {
                         break;
                     }
@@ -240,7 +238,7 @@ fn deterministic_metrics_are_bit_identical_across_threads_and_readers() {
 }
 
 /// The chase and TEST-FD deterministic tallies are executor-invariant
-/// when driven through the explicit recorded entry points — including
+/// when the engine entry points record into a live recorder — including
 /// the per-semantics `testfd_checks` slices, which are deterministic
 /// counters like the total.
 #[test]
@@ -251,11 +249,11 @@ fn chase_and_testfd_tallies_are_thread_invariant() {
     for threads in [1usize, 4] {
         let exec = Executor::with_threads(threads);
         let rec = Recorder::enabled();
-        let chase_result = chase::chase_indexed_par_with(&w.instance, &w.fds, &exec, &rec);
-        let strong = testfd::check_par_with(&w.instance, &w.fds, Convention::Strong, &exec, &rec);
-        let weak = testfd::check_par_with(&w.instance, &w.fds, Convention::Weak, &exec, &rec);
+        let chase_result = chase::chase_indexed(&w.instance, &w.fds, &exec, &rec);
+        let strong = testfd::check(&w.instance, &w.fds, Convention::Strong, &exec, &rec);
+        let weak = testfd::check(&w.instance, &w.fds, Convention::Weak, &exec, &rec);
         for kind in SemanticsKind::ALL {
-            let _ = testfd::check_par_with(&w.instance, &w.fds, kind, &exec, &rec);
+            let _ = testfd::check(&w.instance, &w.fds, kind, &exec, &rec);
         }
         snapshots.push((threads, rec.snapshot(), chase_result, strong, weak));
     }
@@ -338,11 +336,11 @@ proptest! {
             let epoch = reader.snapshot();
             let q = scaling_query(epoch.db().instance());
             let exec = Executor::with_threads(2);
-            let answer = epoch.select_recorded(&q, &exec, &rec).expect("select");
+            let answer = epoch.select(&q, &exec, &rec).expect("select");
             prop_assert_eq!(
                 &answer,
-                &epoch.select(&q, &exec).expect("select"),
-                "select_recorded diverged from select on the same epoch"
+                &epoch.select(&q, &exec, &Recorder::noop()).expect("select"),
+                "a live recorder changed a select answer on the same epoch"
             );
             finals.push((
                 writer.published_log().to_vec(),

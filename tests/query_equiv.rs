@@ -12,8 +12,8 @@
 
 use fd_incomplete::core::chase;
 use fd_incomplete::core::query::{
-    self, eval_least_extension, eval_signature, select, select_par, Atom, CompiledQuery,
-    IncrementalSelection, Query,
+    self, eval_least_extension, eval_signature, select, Atom, CompiledQuery, IncrementalSelection,
+    Query, Selection,
 };
 use fd_incomplete::gen::{
     extended_workload, large_workload, scaling_query, scaling_spec, update_stream, UpdateMix,
@@ -21,6 +21,7 @@ use fd_incomplete::gen::{
 };
 use fd_incomplete::prelude::*;
 use fdi_exec::Executor;
+use fdi_relation::error::RelationError;
 use fdi_relation::rowid::RowId;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -67,11 +68,21 @@ fn random_query(rng: &mut StdRng, instance: &Instance, depth: usize) -> Query {
     }
 }
 
+/// The compiled plan's whole-instance answer at `threads` threads.
+fn compiled_select(
+    plan: &CompiledQuery,
+    instance: &Instance,
+    threads: usize,
+) -> Result<Selection, RelationError> {
+    plan.select_par_stats(instance, &Executor::with_threads(threads))
+        .map(|(selection, _)| selection)
+}
+
 /// Holds the compiled plan to the reference evaluators on one
 /// instance: per-row (memoized and memo-free) against
-/// [`eval_signature`], and whole-instance against [`select`] /
-/// [`select_par`] at thread counts 1–8 — `Result`-level equality, so
-/// errors (payload included) must match too.
+/// [`eval_signature`], and whole-instance against [`select`] at thread
+/// counts 1–8 — `Result`-level equality, so errors (payload included)
+/// must match too.
 fn assert_equiv(label: &str, q: &Query, instance: &Instance) {
     let plan = CompiledQuery::compile(q, instance);
     let mut scratch = query::EvalScratch::default();
@@ -85,18 +96,11 @@ fn assert_equiv(label: &str, q: &Query, instance: &Instance) {
     }
 
     let oracle = select(q, instance);
-    assert_eq!(oracle, plan.select(instance), "{label}: select");
     for threads in 1..=8 {
-        let exec = Executor::with_threads(threads);
         assert_eq!(
             oracle,
-            select_par(q, instance, &exec),
-            "{label}: select_par @ {threads} threads"
-        );
-        assert_eq!(
-            oracle,
-            plan.select_par(instance, &exec),
-            "{label}: compiled select_par @ {threads} threads"
+            compiled_select(&plan, instance, threads),
+            "{label}: compiled select @ {threads} threads"
         );
     }
 }
@@ -122,8 +126,8 @@ fn assert_least_extension_agrees(label: &str, q: &Query, instance: &Instance) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Shared-NEC workloads: compiled ≡ signature ≡ select/select_par
-    /// across thread counts, on the scaling query and random trees.
+    /// Shared-NEC workloads: compiled ≡ signature ≡ select across
+    /// thread counts, on the scaling query and random trees.
     #[test]
     fn compiled_matches_reference_on_large_workloads(
         seed in 0u64..1 << 32,
@@ -148,7 +152,8 @@ proptest! {
     #[test]
     fn compiled_matches_reference_on_extended_and_compacted(seed in 0u64..1 << 32) {
         let w: Workload = extended_workload(seed, 32, 3, 5, 2);
-        let chased = chase::extended_chase(&w.instance, &w.fds, Scheduler::Fast);
+        let chased =
+            chase::extended_chase(&w.instance, &w.fds, &Executor::with_threads(1), &Recorder::noop());
         let mut instance = chased.instance;
         let mut rng = StdRng::seed_from_u64(seed);
         let queries: Vec<Query> = (0..3).map(|_| random_query(&mut rng, &instance, 3)).collect();
@@ -186,7 +191,7 @@ proptest! {
         let mut incs: Vec<IncrementalSelection> = queries
             .iter()
             .map(|q| {
-                let plan = Arc::new(CompiledQuery::compile_with_fds(q, db.instance(), db.fds()));
+                let plan = Arc::new(CompiledQuery::compile(q, db.instance()));
                 IncrementalSelection::new(plan, db.instance()).expect("finite domains")
             })
             .collect();
@@ -326,11 +331,8 @@ fn unbounded_domain_first_error_is_identical() {
         oracle.is_err(),
         "nulls on an unbounded attribute must error"
     );
-    assert_eq!(oracle, plan.select(&instance));
     for threads in 1..=8 {
-        let exec = Executor::with_threads(threads);
-        assert_eq!(oracle, select_par(&q, &instance, &exec));
-        assert_eq!(oracle, plan.select_par(&instance, &exec));
+        assert_eq!(oracle, compiled_select(&plan, &instance, threads));
     }
 
     // Rows 0–1 are null-free on scope and evaluate fine; the first

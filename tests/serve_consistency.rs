@@ -23,6 +23,7 @@ use fd_incomplete::gen::{
 use fd_incomplete::serve::{Epoch, EpochStamp, Reader, ServeConfig, ServeOp, Staged, Writer};
 use fd_incomplete::store::MemStorage;
 use fdi_exec::Executor;
+use fdi_obs::Recorder;
 use fdi_relation::rowid::RowId;
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -286,8 +287,7 @@ fn spawn_readers(
                             ops_applied: epoch.ops_applied(),
                             fingerprint: epoch.fingerprint(),
                         });
-                        let fresh =
-                            LhsIndex::build_par(epoch.db().instance(), epoch.db().fds(), &exec);
+                        let fresh = LhsIndex::build(epoch.db().instance(), epoch.db().fds(), &exec);
                         assert!(
                             epoch.db().index().same_buckets(&fresh),
                             "epoch {} was observed with an index inconsistent with its instance",
@@ -302,7 +302,9 @@ fn spawn_readers(
                             epoch.seq()
                         );
                         let q = scaling_query(epoch.db().instance());
-                        let par = epoch.select(&q, &exec).expect("select on a snapshot");
+                        let par = epoch
+                            .select(&q, &exec, &Recorder::noop())
+                            .expect("select on a snapshot");
                         let sequential =
                             query::select(&q, epoch.db().instance()).expect("sequential select");
                         assert_eq!(par, sequential, "epoch {}", epoch.seq());
