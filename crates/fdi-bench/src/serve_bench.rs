@@ -158,10 +158,7 @@ fn serving_pair(db: Database, threads: usize) -> (Writer<MemStorage>, Reader) {
     Writer::create(
         db,
         MemStorage::new(),
-        ServeConfig {
-            max_batch: BATCH,
-            checkpoint_every: None,
-        },
+        ServeConfig { max_batch: BATCH },
         Executor::with_threads(threads),
     )
     .expect("MemStorage never faults")

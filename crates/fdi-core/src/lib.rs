@@ -32,9 +32,7 @@
 //! * [`query`] — §2's least-extension query evaluation with the
 //!   exponential, signature-class, and Kleene evaluators, plus the
 //!   compiled path: [`query::CompiledQuery`] (flat op programs with
-//!   precomputed candidate sets and an exact NEC-signature memo) and
-//!   [`query::IncrementalSelection`] (materialized answer sets
-//!   maintained under update deltas);
+//!   precomputed candidate sets and an exact NEC-signature memo);
 //! * [`update`] — §7's programme of modification operations: policy-
 //!   checked insert/delete/modify, external null resolution, internal
 //!   acquisition via incremental NS-rules, and an LHS index;

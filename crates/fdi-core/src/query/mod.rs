@@ -23,24 +23,15 @@
 //! * [`eval_kleene`] — truth-functional three-valued logic: cheap but
 //!   *incomplete* (it answers `unknown` on "married or single").
 //!
-//! Two submodules build a performance layer on top of the evaluators,
-//! without changing any verdict:
-//!
-//! * [`plan`] — [`CompiledQuery`]: a query compiled
-//!   once into a flat op program with resolved domain handles,
-//!   per-attribute mentioned-constant sets, a canonical fingerprint, and
-//!   per-NEC-signature memoization. Bit-identical to [`eval_signature`]
-//!   and [`select`], errors included.
-//! * [`incremental`] —
-//!   [`IncrementalSelection`]: a
-//!   materialized [`Selection`] maintained under update deltas, so a
-//!   stream of updates re-evaluates only the touched rows instead of
-//!   re-scanning the instance.
+//! The [`plan`] submodule builds a performance layer on top of the
+//! evaluators, without changing any verdict: [`CompiledQuery`] is a
+//! query compiled once into a flat op program with resolved domain
+//! handles, per-attribute mentioned-constant sets, a canonical
+//! fingerprint, and per-NEC-signature memoization. It is bit-identical
+//! to [`eval_signature`] and [`select`], errors included.
 
-pub mod incremental;
 pub mod plan;
 
-pub use incremental::IncrementalSelection;
 pub use plan::{CompiledQuery, EvalScratch, SignatureMemo};
 
 use fdi_logic::truth::Truth;

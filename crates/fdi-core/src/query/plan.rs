@@ -37,9 +37,9 @@
 //! candidate lists, the same completions, and the same verdict. A
 //! [`SignatureMemo`] therefore caches `signature → verdict` and replays
 //! verdicts for free; on shared-NEC workloads this collapses thousands
-//! of odometer runs into one. Memo contents must be discarded when NEC
-//! classes change (roots are only stable between merges) — the
-//! incremental layer does exactly that.
+//! of odometer runs into one. Memo contents are valid only while the NEC
+//! classes stay unchanged (roots are only stable between merges), so
+//! each selection starts from empty memos.
 //!
 //! Every path here is bit-identical to the uncompiled evaluators —
 //! verdicts, answer-set ordering, and first-error semantics included —
@@ -47,10 +47,9 @@
 //! count.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use fdi_logic::truth::Truth;
-use fdi_relation::attrs::{AttrId, AttrSet};
+use fdi_relation::attrs::AttrId;
 use fdi_relation::error::RelationError;
 use fdi_relation::instance::Instance;
 use fdi_relation::rowid::RowId;
@@ -161,11 +160,6 @@ impl SignatureMemo {
     pub fn misses(&self) -> u64 {
         self.misses
     }
-
-    /// Drops all cached verdicts (keeps the statistics).
-    pub fn clear(&mut self) {
-        self.map.clear();
-    }
 }
 
 /// Aggregated memo statistics from a parallel selection.
@@ -183,16 +177,13 @@ pub struct MemoStats {
 /// exact.
 ///
 /// A plan is tied to the instance's *schema* (attribute ids, domains,
-/// interned query constants) — evaluating it against instances with the
-/// same schema but different rows/NEC state is exactly what the
-/// incremental and serving layers do.
+/// interned query constants), so it may be evaluated against any
+/// instance with that schema, whatever its rows or NEC state.
 #[derive(Debug, Clone)]
 pub struct CompiledQuery {
     ops: Vec<PlanOp>,
     /// Constant pool for `InPool` ops (each slice sorted).
     pool: Vec<Symbol>,
-    /// Scope = the attributes the original query mentions.
-    scope: AttrSet,
     /// Scope attributes, ascending.
     scope_attrs: Vec<AttrId>,
     /// Per scope position: sorted mentioned constants.
@@ -208,8 +199,6 @@ pub struct CompiledQuery {
     /// Per scope position: attribute name (for error payloads).
     attr_names: Vec<String>,
     arity: usize,
-    /// Canonical encoding of the original query.
-    encoding: Vec<u8>,
     fingerprint: u64,
     /// Number of atoms decided at compile time.
     folded_atoms: usize,
@@ -257,12 +246,10 @@ impl CompiledQuery {
             attr_names.push(instance.schema().attr_name(attr).to_string());
         }
 
-        let encoding = encode_query(query);
-        let fingerprint = fnv1a64(&encoding);
+        let fingerprint = fnv1a64(&encode_query(query));
         CompiledQuery {
             ops,
             pool,
-            scope,
             scope_attrs,
             mentioned,
             domains,
@@ -270,7 +257,6 @@ impl CompiledQuery {
             fresh_prefix,
             attr_names,
             arity: instance.arity(),
-            encoding,
             fingerprint,
             folded_atoms,
         }
@@ -284,19 +270,9 @@ impl CompiledQuery {
         encode_query(query)
     }
 
-    /// This plan's canonical encoding.
-    pub fn encoding(&self) -> &[u8] {
-        &self.encoding
-    }
-
     /// FNV-1a 64-bit hash of the canonical encoding.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
-    }
-
-    /// The attributes the query reads.
-    pub fn scope(&self) -> AttrSet {
-        self.scope
     }
 
     /// Number of atoms decided at compile time (certain / impossible).
@@ -724,9 +700,6 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     }
     h
 }
-
-/// A shareable compiled plan (what plan caches hand out).
-pub type SharedPlan = Arc<CompiledQuery>;
 
 #[cfg(test)]
 mod tests {

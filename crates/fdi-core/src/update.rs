@@ -187,20 +187,6 @@ pub struct UpdateOutcome {
     pub row: RowId,
     /// NS-rule events fired by internal acquisition.
     pub propagated: Vec<chase::NsEvent>,
-    /// Every row whose cells changed, ascending and deduplicated: the
-    /// inserted / modified row, every row rewritten by a class-wide
-    /// null resolution, and every row the chase substituted into. For
-    /// a delete, the (no longer live) deleted row. This is an **exact
-    /// cell-change record** — materialized views re-evaluate these rows
-    /// and no others (plus, when [`UpdateOutcome::nec_merges`] is
-    /// non-zero, the rows whose verdicts can shift without a cell
-    /// changing).
-    pub changed_rows: Vec<RowId>,
-    /// Number of NEC class-merge operations performed while applying
-    /// (the chase can equate nulls). Merges change
-    /// class roots, so signature caches keyed on roots must be
-    /// invalidated when this is non-zero.
-    pub nec_merges: usize,
 }
 
 /// Below this row count [`LhsIndex::build`] builds in one shard
@@ -319,47 +305,6 @@ impl LhsIndex {
             assert!(prior.is_none(), "insert_row: row {row} already filed");
         }
         self.rows += 1;
-    }
-
-    /// Delta insert of a whole batch: files every row of `rows`, in
-    /// order, with the per-FD group-key computation sharded over the
-    /// executor — [`build`](LhsIndex::build)'s machinery
-    /// applied to a delta instead of a cold build. Key computation is
-    /// read-only and embarrassingly parallel; the filing itself stays
-    /// sequential in the given order, so the resulting index is
-    /// *identical* (bucket order included) to looping
-    /// [`insert_row`](LhsIndex::insert_row) — at every thread count. A
-    /// 1-thread executor or a batch below [`PAR_BUILD_SMALL_N`] rows
-    /// takes the sequential loop outright.
-    ///
-    /// # Panics
-    /// Panics when any row is already filed.
-    pub fn insert_rows(&mut self, instance: &Instance, rows: &[RowId], exec: &fdi_exec::Executor) {
-        if exec.threads() == 1 || rows.len() < PAR_BUILD_SMALL_N {
-            for &row in rows {
-                self.insert_row(instance, row);
-            }
-            return;
-        }
-        let lhs = self.lhs.clone();
-        let keys = exec.map(rows, |_, &row| {
-            let tuple = instance.tuple(row);
-            let mut key = GroupKey::new();
-            lhs.iter()
-                .map(|&l| groupkey::const_key_into(&mut key, tuple, l).then(|| key.clone()))
-                .collect::<Vec<Option<GroupKey>>>()
-        });
-        for (&row, records) in rows.iter().zip(keys) {
-            for (i, record) in records.into_iter().enumerate() {
-                match &record {
-                    Some(key) => Self::file(&mut self.groups[i], key, row),
-                    None => self.wild[i].push(row),
-                }
-                let prior = self.filed[i].insert(row, record);
-                assert!(prior.is_none(), "insert_rows: row {row} already filed");
-            }
-            self.rows += 1;
-        }
     }
 
     /// Appends `row` to the bucket at `key`, with a borrowed probe
@@ -578,9 +523,7 @@ impl Database {
             index,
             rec: fdi_obs::Recorder::noop(),
         };
-        if policy.propagate {
-            db.propagate_all();
-        }
+        db.propagate_all();
         Ok(db)
     }
 
@@ -633,12 +576,6 @@ impl Database {
         self.rec = rec;
     }
 
-    /// The metrics sink mutations record into (noop unless
-    /// [`Database::set_recorder`] was called).
-    pub fn recorder(&self) -> &fdi_obs::Recorder {
-        &self.rec
-    }
-
     /// Tallies one mutation's outcome into the recorder.
     fn record_op<T, E>(&self, result: &Result<T, E>) {
         self.rec.incr(match result {
@@ -647,22 +584,26 @@ impl Database {
         });
     }
 
-    /// Internal acquisition: runs the indexed worklist chase, swaps the
-    /// chased instance in, and delta-rekeys exactly the rows the chase
-    /// changed. Only substitutions (null → constant) can re-bucket a
-    /// row: NEC merges leave cell values untouched, and the index files
-    /// every null-bearing determinant wild regardless of class — so a
-    /// cell-level diff is a complete change record.
-    fn propagate_all(&mut self) -> (Vec<chase::NsEvent>, Vec<RowId>) {
+    /// Internal acquisition, when [`Policy::propagate`] asks for it:
+    /// runs the indexed worklist chase, swaps the chased instance in,
+    /// and delta-rekeys exactly the rows the chase changed. Only
+    /// substitutions (null → constant) can re-bucket a row: NEC merges
+    /// leave cell values untouched, and the index files every
+    /// null-bearing determinant wild regardless of class — so a
+    /// cell-level diff is a complete change record. Returns the NS-rule
+    /// events the chase fired.
+    fn propagate_all(&mut self) -> Vec<chase::NsEvent> {
+        if !self.policy.propagate {
+            return Vec::new();
+        }
         let chase::NsChaseResult {
             instance: chased,
             events,
             ..
         } = chase::chase_plain(&self.instance, &self.fds);
-        let mut changed: Vec<RowId> = Vec::new();
         if !events.is_empty() {
             let all = self.instance.schema().all_attrs();
-            changed = self
+            let changed: Vec<RowId> = self
                 .instance
                 .row_ids()
                 .filter(|&row| {
@@ -678,16 +619,7 @@ impl Database {
             self.rec
                 .add(fdi_obs::Counter::IndexRowsRekeyed, changed.len() as u64);
         }
-        (events, changed)
-    }
-
-    /// Merges delta row lists into the ascending, deduplicated
-    /// [`UpdateOutcome::changed_rows`] record.
-    fn merge_changed(mut base: Vec<RowId>, more: Vec<RowId>) -> Vec<RowId> {
-        base.extend(more);
-        base.sort_unstable();
-        base.dedup();
-        base
+        events
     }
 
     /// Incremental strong check of the tuple at `row` (the candidate
@@ -758,69 +690,10 @@ impl Database {
         }
         self.index.insert_row(&self.instance, row);
         self.rec.incr(fdi_obs::Counter::IndexRowsInserted);
-        let merges_before = self.instance.necs().merge_count();
-        let (propagated, chase_changed) = if self.policy.propagate {
-            self.propagate_all()
-        } else {
-            (Vec::new(), Vec::new())
-        };
         Ok(UpdateOutcome {
             row,
-            propagated,
-            changed_rows: Self::merge_changed(vec![row], chase_changed),
-            nec_merges: self.instance.necs().merge_count() - merges_before,
+            propagated: self.propagate_all(),
         })
-    }
-
-    /// Inserts a batch of rows given as text tokens, returning one
-    /// result per row, in order. Semantically identical to calling
-    /// [`Database::insert`] once per row — same acceptances and
-    /// rejections, same [`RowId`]s, same index state, at every thread
-    /// count. Under [`Enforcement::None`] with propagation off (the
-    /// bulk-load / ingest regime, where a per-row insert neither checks
-    /// nor chases) the accepted rows are filed through the sharded
-    /// [`LhsIndex::insert_rows`] path; any checking or propagating
-    /// policy falls back to the per-row loop, because each acceptance
-    /// decision there depends on the rows accepted before it.
-    pub fn insert_batch(
-        &mut self,
-        rows: &[Vec<String>],
-        exec: &fdi_exec::Executor,
-    ) -> Vec<Result<UpdateOutcome, UpdateError>> {
-        let bulk = self.policy.enforcement == Enforcement::None && !self.policy.propagate;
-        if !bulk {
-            return rows
-                .iter()
-                .map(|tokens| {
-                    let toks: Vec<&str> = tokens.iter().map(|t| t.as_str()).collect();
-                    self.insert(&toks)
-                })
-                .collect();
-        }
-        let mut results = Vec::with_capacity(rows.len());
-        let mut accepted = Vec::with_capacity(rows.len());
-        for tokens in rows {
-            let toks: Vec<&str> = tokens.iter().map(|t| t.as_str()).collect();
-            match self.instance.add_row(&toks) {
-                Ok(row) => {
-                    accepted.push(row);
-                    results.push(Ok(UpdateOutcome {
-                        row,
-                        propagated: Vec::new(),
-                        changed_rows: vec![row],
-                        nec_merges: 0,
-                    }));
-                }
-                Err(e) => results.push(Err(e.into())),
-            }
-        }
-        self.index.insert_rows(&self.instance, &accepted, exec);
-        for result in &results {
-            self.record_op(result);
-        }
-        self.rec
-            .add(fdi_obs::Counter::IndexRowsInserted, accepted.len() as u64);
-        results
     }
 
     /// Deletes a row. Deletion can never break satisfiability (both
@@ -844,8 +717,6 @@ impl Database {
         Ok(UpdateOutcome {
             row,
             propagated: Vec::new(),
-            changed_rows: vec![row],
-            nec_merges: 0,
         })
     }
 
@@ -895,17 +766,9 @@ impl Database {
         }
         self.index.rekey_row(&self.instance, row);
         self.rec.incr(fdi_obs::Counter::IndexRowsRekeyed);
-        let merges_before = self.instance.necs().merge_count();
-        let (propagated, chase_changed) = if self.policy.propagate {
-            self.propagate_all()
-        } else {
-            (Vec::new(), Vec::new())
-        };
         Ok(UpdateOutcome {
             row,
-            propagated,
-            changed_rows: Self::merge_changed(vec![row], chase_changed),
-            nec_merges: self.instance.necs().merge_count() - merges_before,
+            propagated: self.propagate_all(),
         })
     }
 
@@ -976,17 +839,9 @@ impl Database {
         }
         self.rec
             .add(fdi_obs::Counter::IndexRowsRekeyed, touched.len() as u64);
-        let merges_before = self.instance.necs().merge_count();
-        let (propagated, chase_changed) = if self.policy.propagate {
-            self.propagate_all()
-        } else {
-            (Vec::new(), Vec::new())
-        };
         Ok(UpdateOutcome {
             row,
-            propagated,
-            changed_rows: Self::merge_changed(touched, chase_changed),
-            nec_merges: self.instance.necs().merge_count() - merges_before,
+            propagated: self.propagate_all(),
         })
     }
 }

@@ -539,145 +539,6 @@ fn parallel_index_build_matches_sequential_beyond_the_cutoff() {
     }
 }
 
-/// `Database::insert_batch` (the serving-layer ingest path) equals
-/// looped `Database::insert` — acceptances, `RowId`s, index buckets,
-/// NEC snapshot — at every thread count, under every policy. Small
-/// random batches drive the fallback and the per-row semantics
-/// (including rejected rows mid-batch); the cutoff test below drives
-/// the genuinely sharded filing.
-#[test]
-fn batch_ingest_is_bit_identical_to_looped_inserts() {
-    use fdi_core::update::{Database, Enforcement, Policy};
-    use fdi_gen::{update_stream, UpdateMix, UpdateOp, WorkloadSpec};
-    let spec = WorkloadSpec {
-        rows: 0,
-        attrs: 4,
-        domain: 5,
-        null_density: 0.3,
-        nec_density: 0.0,
-        collision_rate: 0.5,
-    };
-    for seed in 0..8u64 {
-        let w = workload(seed.wrapping_mul(977), &spec, 3);
-        let mix = UpdateMix {
-            insert: 1,
-            delete: 0,
-            modify: 0,
-            resolve: 0,
-        };
-        let mut rows: Vec<Vec<String>> = update_stream(seed, &spec, 0, 60, mix)
-            .into_iter()
-            .filter_map(|op| match op {
-                UpdateOp::Insert(tokens) => Some(tokens),
-                _ => None,
-            })
-            .collect();
-        // splice in a malformed row so rejection-in-the-middle is covered
-        rows.insert(rows.len() / 2, vec!["no-such-constant".into(); 4]);
-        for (enforcement, propagate) in [
-            (Enforcement::None, false),
-            (Enforcement::Weak, true),
-            (Enforcement::Strong, false),
-        ] {
-            let policy = Policy {
-                enforcement,
-                propagate,
-            };
-            let mk = || {
-                Database::new(
-                    fdi_relation::Instance::new(w.schema.clone()),
-                    w.fds.clone(),
-                    policy,
-                )
-                .unwrap()
-            };
-            let mut oracle = mk();
-            let mut oracle_results = Vec::new();
-            for tokens in &rows {
-                let refs: Vec<&str> = tokens.iter().map(String::as_str).collect();
-                oracle_results.push(oracle.insert(&refs).map(|o| o.row));
-            }
-            for threads in [1, 2, 4] {
-                let mut db = mk();
-                let results = db.insert_batch(&rows, &Executor::with_threads(threads));
-                let got: Vec<_> = results.into_iter().map(|r| r.map(|o| o.row)).collect();
-                assert_eq!(
-                    got.iter().map(|r| r.as_ref().ok()).collect::<Vec<_>>(),
-                    oracle_results
-                        .iter()
-                        .map(|r| r.as_ref().ok())
-                        .collect::<Vec<_>>(),
-                    "{policy:?} at {threads} threads: acceptances/row ids diverge"
-                );
-                assert_eq!(
-                    db.instance().render(true),
-                    oracle.instance().render(true),
-                    "{policy:?} at {threads} threads"
-                );
-                assert!(db.index().same_buckets(oracle.index()));
-                assert_eq!(
-                    db.instance().necs().canonical_snapshot(),
-                    oracle.instance().necs().canonical_snapshot()
-                );
-            }
-        }
-    }
-}
-
-/// Batches below [`fdi_core::update::PAR_BUILD_SMALL_N`] take the
-/// sequential filing loop, so the test above proves the API contract
-/// there; this drives the genuinely sharded `LhsIndex::insert_rows`
-/// delta filing on a batch beyond the cutoff.
-#[test]
-fn batch_ingest_matches_looped_inserts_beyond_the_cutoff() {
-    use fdi_core::update::{Database, Enforcement, Policy, PAR_BUILD_SMALL_N};
-    let schema = fdi_relation::Schema::uniform("R", &["A", "B", "C"], 64).unwrap();
-    let fds = fdi_core::FdSet::parse(&schema, "A -> B").unwrap();
-    let policy = Policy {
-        enforcement: Enforcement::None,
-        propagate: false,
-    };
-    let n = PAR_BUILD_SMALL_N + 321;
-    let rows: Vec<Vec<String>> = (0..n)
-        .map(|i| {
-            vec![
-                if i % 7 == 0 {
-                    "-".to_string()
-                } else {
-                    format!("A_{}", i % 64)
-                },
-                format!("B_{}", i % 11),
-                format!("C_{}", i % 5),
-            ]
-        })
-        .collect();
-    let mut oracle = Database::new(
-        fdi_relation::Instance::new(schema.clone()),
-        fds.clone(),
-        policy,
-    )
-    .unwrap();
-    for tokens in &rows {
-        let refs: Vec<&str> = tokens.iter().map(String::as_str).collect();
-        oracle.insert(&refs).unwrap();
-    }
-    for threads in [2, 4, 8] {
-        let mut db = Database::new(
-            fdi_relation::Instance::new(schema.clone()),
-            fds.clone(),
-            policy,
-        )
-        .unwrap();
-        let results = db.insert_batch(&rows, &Executor::with_threads(threads));
-        assert!(results.iter().all(|r| r.is_ok()));
-        assert!(
-            db.index().same_buckets(oracle.index()),
-            "sharded delta filing diverges at {threads} threads"
-        );
-        assert_eq!(db.instance().render(true), oracle.instance().render(true));
-    }
-}
-
 /// Strong-convention TEST-FDs on an instance whose *every* determinant
 /// carries a null: the whole check runs through the sharded pairwise
 /// fallback, which must stay thread-invariant and agree with the

@@ -137,9 +137,6 @@ pub enum Counter {
     /// (nondeterministic: derived per recorded select, which is
     /// reader-driven).
     ClassicalRows,
-    /// Selects answered from a published materialized answer set
-    /// (nondeterministic: reader-driven).
-    MaterializedHits,
     /// Reader snapshot acquisitions (nondeterministic: reader-driven).
     SnapshotReads,
     /// TEST-FDs invocations under the strong convention — the
@@ -160,7 +157,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in stable registry (exposition) order.
-    pub const ALL: [Counter; 34] = [
+    pub const ALL: [Counter; 33] = [
         Counter::ChasePasses,
         Counter::ChaseBucketSweeps,
         Counter::ChaseSubstitutions,
@@ -189,7 +186,6 @@ impl Counter {
         Counter::MemoHits,
         Counter::MemoMisses,
         Counter::ClassicalRows,
-        Counter::MaterializedHits,
         Counter::SnapshotReads,
         Counter::TestfdChecksStrong,
         Counter::TestfdChecksNullMarker,
@@ -228,7 +224,6 @@ impl Counter {
             Counter::MemoHits => "memo_hits",
             Counter::MemoMisses => "memo_misses",
             Counter::ClassicalRows => "classical_rows",
-            Counter::MaterializedHits => "materialized_hits",
             Counter::SnapshotReads => "snapshot_reads",
             Counter::TestfdChecksStrong => "testfd_checks_strong",
             Counter::TestfdChecksNullMarker => "testfd_checks_null_marker",
@@ -268,7 +263,6 @@ impl Counter {
                 | Counter::MemoHits
                 | Counter::MemoMisses
                 | Counter::ClassicalRows
-                | Counter::MaterializedHits
                 | Counter::SnapshotReads
         )
     }
@@ -328,9 +322,8 @@ pub enum Hist {
     JournalSyncNanos,
     /// Ops per group-commit batch record.
     JournalBatchOps,
-    /// Epoch publish latency (group commit + watch heal +
-    /// materialization; observed just before the epoch snapshot is
-    /// built so the published snapshot includes it), nanoseconds.
+    /// Epoch publish latency up to the epoch build (the group commit
+    /// and its sync), nanoseconds.
     PublishNanos,
     /// Ops newly published per epoch (staged-batch size).
     PublishBatchOps,
@@ -652,10 +645,9 @@ impl HistSnapshot {
 }
 
 /// An immutable point-in-time copy of every metric a [`Recorder`]
-/// holds; produced by [`Recorder::snapshot`] and published per-epoch
-/// by the serving writer. [`MetricsSnapshot::default`] is the all-zero
-/// snapshot (what a disabled recorder reports, and what Epoch 0
-/// carries).
+/// holds, produced by [`Recorder::snapshot`].
+/// [`MetricsSnapshot::default`] is the all-zero snapshot (what a
+/// disabled recorder reports).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     counters: Vec<u64>,

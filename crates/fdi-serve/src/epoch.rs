@@ -9,23 +9,22 @@ use fdi_core::query::plan::CompiledQuery;
 use fdi_core::query::{Query, Selection};
 use fdi_core::update::Database;
 use fdi_exec::Executor;
-use fdi_obs::{Counter, Hist, MetricsSnapshot, Recorder};
-use fdi_relation::{NecSnapshot, RelationError};
+use fdi_obs::{Counter, Hist, Recorder};
+use fdi_relation::RelationError;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
-/// One immutable published state: the chased instance (with its index,
-/// inside the [`Database`]) plus the canonical NEC snapshot, stamped
-/// with its position in the epoch sequence. All query entry points take
-/// `&self` — an epoch never changes after construction (the plan cache
-/// is interior-mutable but semantically transparent), so any number of
+/// One immutable published state: the chased instance (with its index
+/// and NEC forest, inside the [`Database`]), stamped with its position
+/// in the epoch sequence. All query entry points take `&self` — an
+/// epoch never changes after construction (the plan cache is
+/// interior-mutable but semantically transparent), so any number of
 /// threads may share one through an `Arc`.
 #[derive(Debug)]
 pub struct Epoch {
     seq: u64,
     ops_applied: u64,
     db: Database,
-    nec: NecSnapshot,
     fingerprint: u64,
     /// Compiled-plan cache, keyed by the query's canonical encoding
     /// (the fingerprint's preimage, so the cache is collision-proof).
@@ -33,52 +32,11 @@ pub struct Epoch {
     /// the lock is held only for a map probe or insert, never across
     /// an evaluation.
     plans: Mutex<HashMap<Vec<u8>, Arc<CompiledQuery>>>,
-    /// Answer sets materialized by the writer's watched queries at
-    /// publication, keyed the same way.
-    materialized: Vec<(Vec<u8>, Selection)>,
-    /// The writer's metrics snapshot taken at publication — frozen
-    /// observability state shipped alongside the answer sets, so a
-    /// reader can report "what had the system done as of this epoch"
-    /// without touching the (live, still-moving) recorder.
-    metrics: MetricsSnapshot,
-}
-
-impl Clone for Epoch {
-    fn clone(&self) -> Epoch {
-        Epoch {
-            seq: self.seq,
-            ops_applied: self.ops_applied,
-            db: self.db.clone(),
-            nec: self.nec.clone(),
-            fingerprint: self.fingerprint,
-            plans: Mutex::new(
-                self.plans
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .clone(),
-            ),
-            materialized: self.materialized.clone(),
-            metrics: self.metrics.clone(),
-        }
-    }
 }
 
 impl Epoch {
     /// Builds an epoch from a snapshot of the writer's database.
     pub(crate) fn new(seq: u64, ops_applied: u64, db: Database) -> Epoch {
-        Epoch::with_materialized(seq, ops_applied, db, Vec::new(), MetricsSnapshot::default())
-    }
-
-    /// [`Epoch::new`] carrying the writer's materialized answer sets
-    /// and the metrics snapshot frozen at publication.
-    pub(crate) fn with_materialized(
-        seq: u64,
-        ops_applied: u64,
-        db: Database,
-        materialized: Vec<(Vec<u8>, Selection)>,
-        metrics: MetricsSnapshot,
-    ) -> Epoch {
-        let nec = db.instance().necs().canonical_snapshot();
         let mut state = Vec::new();
         db.instance().encode_state(&mut state);
         let fingerprint = fdi_store::crc::crc32(&state) as u64;
@@ -86,11 +44,8 @@ impl Epoch {
             seq,
             ops_applied,
             db,
-            nec,
             fingerprint,
             plans: Mutex::new(HashMap::new()),
-            materialized,
-            metrics,
         }
     }
 
@@ -112,11 +67,6 @@ impl Epoch {
         &self.db
     }
 
-    /// The canonical null-equivalence snapshot taken at publication.
-    pub fn nec(&self) -> &NecSnapshot {
-        &self.nec
-    }
-
     /// CRC-32 of the instance's exact encoded state ([`Instance::
     /// encode_state`](fdi_relation::Instance::encode_state): symbols,
     /// null allocator, NEC forest, slots, free list). Two epochs with
@@ -128,18 +78,15 @@ impl Epoch {
     }
 
     /// Sure/maybe/no answer sets for `query` against this epoch,
-    /// through the compiled path: if the writer materialized this
-    /// query's answer set at publication it is returned directly
-    /// (O(answer)); otherwise the query is compiled **once per epoch**
-    /// (encoding-keyed plan cache) and evaluated with the sharded
-    /// [`CompiledQuery::select_par_stats`]. Bit-identical to the
-    /// sequential [`fdi_core::query::select`] at every thread count,
-    /// errors included — the proptest suite holds all three paths
-    /// (materialized / compiled / uncompiled) to the same answer.
+    /// through the compiled path: the query is compiled **once per
+    /// epoch** (encoding-keyed plan cache) and evaluated with the
+    /// sharded [`CompiledQuery::select_par_stats`]. Bit-identical to
+    /// the sequential [`fdi_core::query::select`] at every thread
+    /// count, errors included — the proptest suite holds both paths to
+    /// the same answer.
     ///
-    /// `rec` tallies materialized-answer hits, plan-cache hits/misses,
-    /// compiles, NEC-signature memo hits/misses, and classical
-    /// (null-free fast-path) rows. All of those are **nondeterministic**
+    /// `rec` tallies plan-cache hits/misses, compiles, NEC-signature
+    /// memo hits/misses, and classical (null-free fast-path) rows. All of those are **nondeterministic**
     /// metrics by the [`fdi_obs`] contract — they depend on which reader
     /// asked what, in which order — so recording here never perturbs
     /// the deterministic set, and the recorder never changes an answer.
@@ -149,12 +96,7 @@ impl Epoch {
         exec: &Executor,
         rec: &Recorder,
     ) -> Result<Selection, RelationError> {
-        let key = CompiledQuery::encode(query);
-        if let Some((_, sel)) = self.materialized.iter().find(|(k, _)| *k == key) {
-            rec.incr(Counter::MaterializedHits);
-            return Ok(sel.clone());
-        }
-        let plan = self.plan_for(key, query, rec);
+        let plan = self.plan_for(CompiledQuery::encode(query), query, rec);
         let live_rows = self.db.instance().len() as u64;
         let (selection, memo) = plan.select_par_stats(self.db.instance(), exec)?;
         rec.add(Counter::MemoHits, memo.hits);
@@ -193,21 +135,6 @@ impl Epoch {
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .len()
-    }
-
-    /// The answer sets the writer materialized at publication, as
-    /// `(canonical query encoding, selection)` pairs.
-    pub fn materialized(&self) -> &[(Vec<u8>, Selection)] {
-        &self.materialized
-    }
-
-    /// The writer's [`MetricsSnapshot`] frozen at this epoch's
-    /// publication (all-zero for epoch 0 or a writer with a noop
-    /// recorder). This is the per-epoch observability payload: readers
-    /// render it without coordinating with the writer, and it never
-    /// changes after publication.
-    pub fn metrics(&self) -> &MetricsSnapshot {
-        &self.metrics
     }
 }
 
@@ -276,12 +203,6 @@ impl Reader {
         self.rec.incr(Counter::SnapshotReads);
         let _span = self.rec.span(Hist::SnapshotAcquireNanos);
         self.cell.load()
-    }
-
-    /// Sequence number of the currently published epoch (without
-    /// retaining it).
-    pub fn seq(&self) -> u64 {
-        self.cell.load().seq()
     }
 }
 

@@ -9,12 +9,12 @@
 //! ## The epoch/snapshot consistency contract
 //!
 //! An [`Epoch`] is an immutable, `Arc`-shared snapshot of the serving
-//! state: the chased [`Instance`](fdi_relation::Instance), its
+//! state: the chased [`Instance`](fdi_relation::Instance) with its null
+//! equivalence forest and its
 //! [`LhsIndex`](fdi_core::update::LhsIndex) (inside the contained
-//! [`Database`](fdi_core::update::Database)), and the canonical
-//! [`NecSnapshot`](fdi_relation::NecSnapshot) of the null equivalence
-//! forest, stamped with a sequence number and the count of accepted ops
-//! it reflects. What a reader **may** observe:
+//! [`Database`](fdi_core::update::Database)), stamped with a sequence
+//! number and the count of accepted ops it reflects. What a reader
+//! **may** observe:
 //!
 //! * Any published epoch, each equal to a **sequential replay of some
 //!   accepted-op prefix** ending at a batch boundary: same `RowId`s,
@@ -55,10 +55,9 @@
 //! because a torn batch record is truncated whole. (Staged ops that
 //! overflow [`ServeConfig::max_batch`] auto-commit in whole groups
 //! *before* publication, so the last synced boundary can lie ahead of
-//! the last published epoch — but never mid-group.) With
-//! [`ServeConfig::checkpoint_every`] set, every k-th publication also
-//! checkpoints the journal, re-anchoring the genesis snapshot at a
-//! published epoch and bounding replay time.
+//! the last published epoch — but never mid-group.) Checkpointing is
+//! offline: `fdi checkpoint` collapses a journal that no writer holds
+//! ([`Journal::checkpoint`](fdi_store::Journal::checkpoint)).
 //!
 //! ## Determinism
 //!
@@ -75,10 +74,9 @@
 //! [`Recorder`](fdi_obs::Recorder) with [`Writer::set_recorder`]
 //! (routing the publish path, op acceptance, index deltas, and journal
 //! commit/sync metrics) and [`Reader::set_recorder`] (snapshot-read
-//! count and acquisition latency). Every published [`Epoch`] carries
-//! the writer's [`MetricsSnapshot`](fdi_obs::MetricsSnapshot) frozen at
-//! publication ([`Epoch::metrics`]) — the per-epoch observability
-//! payload readers render without coordinating with the writer.
+//! count and acquisition latency). Pass the same recorder to
+//! [`Epoch::select`] to tally plan-cache and memo traffic; one live
+//! recorder per process is what the serve `metrics` command renders.
 //!
 //! The determinism contract above extends to the metrics themselves,
 //! along the [`fdi_obs`] deterministic/nondeterministic split:
@@ -104,4 +102,4 @@ pub mod epoch;
 pub mod writer;
 
 pub use epoch::{Epoch, EpochCell, Reader};
-pub use writer::{BatchOutcome, EpochStamp, ServeConfig, ServeError, ServeOp, Staged, Writer};
+pub use writer::{EpochStamp, ServeConfig, ServeError, ServeOp, Staged, Writer};

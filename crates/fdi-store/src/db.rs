@@ -6,11 +6,7 @@
 //! machinery and journal *nothing*), then the accepted op — together
 //! with the ids the database assigned — is appended. Under
 //! [`SyncPolicy::EveryOp`] the append is followed by a sync, so an
-//! `Ok` return means the op is durable. Under [`SyncPolicy::Manual`]
-//! the caller chooses the barrier points ([`JournaledDatabase::sync`])
-//! and accepts that a crash loses the ops since the last one — exactly
-//! the longest fully-synced prefix survives, which is the invariant the
-//! crash matrix verifies.
+//! `Ok` return means the op is durable.
 //!
 //! If journaling an accepted op **fails**, the pair is poisoned: the
 //! live database has already applied (and possibly propagated) the op,
@@ -22,23 +18,19 @@
 //!
 //! [`SyncPolicy::GroupCommit`] amortizes the sync barrier: accepted ops
 //! accumulate in an in-memory pending batch and are flushed as **one**
-//! batch record followed by **one** sync — when the batch fills, on an
-//! explicit [`JournaledDatabase::commit`], or at a [`sync`] /
-//! [`checkpoint`] barrier. Because the batch is a single CRC-framed
-//! record, it is durable all or nothing: a crash can lose at most the
-//! not-yet-committed batch, and recovery always lands exactly on a
-//! batch boundary — never inside one. A failed batch append or sync
-//! poisons the pair just like [`SyncPolicy::EveryOp`]: only the
-//! unacknowledged batch is lost, every earlier committed batch
+//! batch record followed by **one** sync — when the batch fills or on
+//! an explicit [`JournaledDatabase::commit`] — or are absorbed into the
+//! snapshot by a [`JournaledDatabase::checkpoint`]. Because the batch
+//! is a single CRC-framed record, it is durable all or nothing: a crash
+//! can lose at most the not-yet-committed batch, and recovery always
+//! lands exactly on a batch boundary — never inside one. A failed batch
+//! append or sync poisons the pair just like [`SyncPolicy::EveryOp`]:
+//! only the unacknowledged batch is lost, every earlier committed batch
 //! recovers.
-//!
-//! [`sync`]: JournaledDatabase::sync
-//! [`checkpoint`]: JournaledDatabase::checkpoint
 
 use crate::journal::{Journal, JournalOp};
 use crate::storage::{Storage, StoreError};
 use fdi_core::update::{Database, UpdateError, UpdateOutcome};
-use fdi_exec::Executor;
 use fdi_relation::rowid::RowId;
 use fdi_relation::AttrId;
 use std::fmt;
@@ -49,14 +41,12 @@ pub enum SyncPolicy {
     /// Sync after every accepted op: `Ok` means durable.
     #[default]
     EveryOp,
-    /// The caller places the barriers; a crash loses unsynced ops.
-    Manual,
     /// Group commit: accepted ops buffer in memory and are flushed as
     /// one batch record + one sync when `max_batch` ops have
     /// accumulated (a `max_batch` of 0 behaves like 1) or at an
-    /// explicit [`JournaledDatabase::commit`] /
-    /// [`JournaledDatabase::sync`] barrier. A crash loses at most the
-    /// pending batch; recovery lands exactly on a batch boundary.
+    /// explicit [`JournaledDatabase::commit`] barrier. A crash loses at
+    /// most the pending batch; recovery lands exactly on a batch
+    /// boundary.
     GroupCommit {
         /// Ops per batch before an automatic commit fires.
         max_batch: usize,
@@ -111,8 +101,8 @@ pub struct JournaledDatabase<S: Storage> {
     sync_policy: SyncPolicy,
     poisoned: bool,
     /// Accepted-but-not-yet-committed ops under
-    /// [`SyncPolicy::GroupCommit`]; always empty under the other
-    /// policies.
+    /// [`SyncPolicy::GroupCommit`]; always empty under
+    /// [`SyncPolicy::EveryOp`].
     pending: Vec<JournalOp>,
     /// Metrics sink for the pairing-level `journal_pending_ops` gauge
     /// (noop unless [`JournaledDatabase::set_recorder`] routed one in).
@@ -205,21 +195,20 @@ impl<S: Storage> JournaledDatabase<S> {
             self.poisoned = true;
             return Err(JournaledError::Journal(e));
         }
-        if self.sync_policy == SyncPolicy::EveryOp {
-            if let Err(e) = self.journal.sync() {
-                self.poisoned = true;
-                return Err(JournaledError::Journal(e));
-            }
+        if let Err(e) = self.journal.sync() {
+            self.poisoned = true;
+            return Err(JournaledError::Journal(e));
         }
         Ok(())
     }
 
     /// Group-commit barrier: flushes the pending batch as one journal
     /// record under one sync, returning how many ops became durable (0
-    /// when nothing was pending — also the no-op case outside
-    /// [`SyncPolicy::GroupCommit`]). A failed append or sync poisons
-    /// the pair: the whole pending batch is the unacknowledged loss,
-    /// every previously committed batch is already durable.
+    /// when nothing was pending — always the case under
+    /// [`SyncPolicy::EveryOp`], where every op is durable on return). A
+    /// failed append or sync poisons the pair: the whole pending batch
+    /// is the unacknowledged loss, every previously committed batch is
+    /// already durable.
     pub fn commit(&mut self) -> Result<usize, JournaledError> {
         self.check_usable()?;
         if self.pending.is_empty() {
@@ -311,23 +300,6 @@ impl<S: Storage> JournaledDatabase<S> {
         Ok(moved)
     }
 
-    /// Durability barrier. Under [`SyncPolicy::Manual`] this syncs the
-    /// appended-but-unsynced ops; under [`SyncPolicy::GroupCommit`] it
-    /// commits the pending batch (which is itself a sync barrier — no
-    /// unsynced appends can exist outside a commit); under
-    /// [`SyncPolicy::EveryOp`] it is a harmless extra barrier.
-    pub fn sync(&mut self) -> Result<(), JournaledError> {
-        self.check_usable()?;
-        if matches!(self.sync_policy, SyncPolicy::GroupCommit { .. }) {
-            return self.commit().map(|_| ());
-        }
-        if let Err(e) = self.journal.sync() {
-            self.poisoned = true;
-            return Err(JournaledError::Journal(e));
-        }
-        Ok(())
-    }
-
     /// Checkpoints the journal: atomically replaces it with a genesis
     /// snapshot of the current database. Failure does **not** poison —
     /// the old journal is still fully valid and covers every op, and a
@@ -342,30 +314,6 @@ impl<S: Storage> JournaledDatabase<S> {
         self.pending.clear();
         self.rec.gauge_set(fdi_obs::Gauge::JournalPendingOps, 0);
         Ok(())
-    }
-
-    /// Journaled [`Database::insert_batch`]: the sharded bulk-ingest
-    /// path. Accepted rows are journaled in order (one `Insert` op
-    /// each, so replay and recovery are indistinguishable from looped
-    /// [`JournaledDatabase::insert`] calls); rejected rows journal
-    /// nothing and are reported in place. The outer error is a journal
-    /// failure (poisoning, as usual).
-    pub fn insert_batch(
-        &mut self,
-        rows: &[Vec<String>],
-        exec: &Executor,
-    ) -> Result<Vec<Result<UpdateOutcome, UpdateError>>, JournaledError> {
-        self.check_usable()?;
-        let results = self.db.insert_batch(rows, exec);
-        for (tokens, result) in rows.iter().zip(&results) {
-            if let Ok(outcome) = result {
-                self.journal_accepted(JournalOp::Insert {
-                    row: outcome.row,
-                    tokens: tokens.clone(),
-                })?;
-            }
-        }
-        Ok(results)
     }
 }
 
@@ -625,59 +573,5 @@ mod tests {
             let recovered = Journal::recover(journal.into_storage().crash()).unwrap();
             assert_eq!(recovered.ops.len(), 1, "max_batch {max_batch}");
         }
-    }
-
-    #[test]
-    fn insert_batch_journals_accepted_rows_only() {
-        use fdi_exec::Executor;
-        let schema = Schema::builder("emp")
-            .attribute("dept", ["d1", "d2", "d3"])
-            .attribute("mgr", ["m1", "m2", "m3"])
-            .build()
-            .unwrap();
-        let fds = FdSet::parse(&schema, "dept -> mgr").unwrap();
-        let policy = Policy {
-            enforcement: fdi_core::update::Enforcement::None,
-            propagate: false,
-        };
-        let db = Database::new(Instance::new(Arc::clone(&schema)), fds, policy).unwrap();
-        let mut jdb = JournaledDatabase::create(
-            db,
-            MemStorage::new(),
-            SyncPolicy::GroupCommit { max_batch: 8 },
-        )
-        .unwrap();
-        let rows: Vec<Vec<String>> = vec![
-            vec!["d1".into(), "m1".into()],
-            vec!["bogus-value".into(), "m2".into()], // domain violation
-            vec!["d2".into(), "-".into()],
-        ];
-        let results = jdb.insert_batch(&rows, &Executor::with_threads(1)).unwrap();
-        assert!(results[0].is_ok());
-        assert!(results[1].is_err());
-        assert!(results[2].is_ok());
-        jdb.commit().unwrap();
-        let (live, journal) = jdb.into_parts();
-        let recovered = Journal::recover(journal.into_storage()).unwrap();
-        assert_eq!(recovered.ops.len(), 2, "the rejected row journaled nothing");
-        assert_eq!(
-            recovered.db.instance().render(true),
-            live.instance().render(true)
-        );
-        assert!(recovered.db.index().same_buckets(live.index()));
-    }
-
-    #[test]
-    fn manual_sync_policy_loses_only_unsynced_ops() {
-        let db = fresh_db(fdi_core::update::Enforcement::Weak);
-        let mut jdb = JournaledDatabase::create(db, MemStorage::new(), SyncPolicy::Manual).unwrap();
-        jdb.insert(&["d1", "m1"]).unwrap();
-        jdb.sync().unwrap();
-        jdb.insert(&["d2", "m2"]).unwrap(); // never synced
-        let (_, journal) = jdb.into_parts();
-        let crashed = journal.into_storage().crash();
-        let recovered = Journal::recover(crashed).unwrap();
-        assert_eq!(recovered.ops.len(), 1, "only the synced op survives");
-        assert_eq!(recovered.db.instance().len(), 1);
     }
 }

@@ -34,9 +34,9 @@
 //!
 //! **Not guaranteed:**
 //!
-//! * Ops appended after the last successful `sync` (under
-//!   [`SyncPolicy::Manual`]) may vanish in a crash — recovery yields
-//!   the longest fully-synced prefix, nothing more.
+//! * Ops still pending in a group-commit batch (under
+//!   [`SyncPolicy::GroupCommit`]) may vanish in a crash — recovery
+//!   yields the last committed batch boundary, nothing more.
 //! * Rejected ops are never journaled; the journal records *accepted*
 //!   history only.
 //! * After a journal write fails on an *accepted* op, the live pair is

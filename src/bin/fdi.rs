@@ -53,6 +53,8 @@
 //!   `quit` (or EOF) publishes pending work and ends the session;
 //!   with `--tcp`, clients connect in turn (a dropped client or failed
 //!   accept does not stop the server) and `shutdown` stops it.
+//!   A request line that is not UTF-8 or is longer than 64 KiB gets an
+//!   `error:` reply, like an unknown verb, and the session goes on.
 //!   `--batch N` sets the group-commit width (default 64). The
 //!   `metrics` command (`metrics json` for JSON) renders the session's
 //!   live `fdi-obs` snapshot — epoch gauges, publish counters, journal
@@ -70,7 +72,7 @@
 use fd_incomplete::core::interp::DEFAULT_BUDGET;
 use fd_incomplete::core::query::Query;
 use fd_incomplete::core::semantics::{self, SemanticsKind};
-use fd_incomplete::core::update::{Database, Policy};
+use fd_incomplete::core::update::{Database, Policy, UpdateError};
 use fd_incomplete::core::{armstrong, chase, normalize, satisfy, subst, testfd};
 use fd_incomplete::obs::Recorder;
 use fd_incomplete::prelude::*;
@@ -92,6 +94,9 @@ enum CliError {
     Parse(String),
     /// A well-formed request that failed (I/O, corrupt journal, …).
     Runtime(String),
+    /// Reading from or writing to a serve client's stream failed. Over
+    /// `--tcp` this ends only that client's session.
+    ClientIo(std::io::Error),
 }
 
 impl CliError {
@@ -480,7 +485,7 @@ fn apply_ops(
         };
         match outcome {
             Ok(()) => accepted += 1,
-            Err(JournaledError::Update(e)) => reject(line, e.to_string()),
+            Err(JournaledError::Update(e)) => reject(line, rejection(&e, op)),
             Err(e) => {
                 return Err(CliError::runtime(format!(
                     "op {line}: journal failure, aborting: {e}"
@@ -587,10 +592,7 @@ fn open_writer(
 ) -> Result<(serve::Writer<FileStorage>, serve::Reader), CliError> {
     let storage = FileStorage::open(path)
         .map_err(|e| CliError::runtime(format!("cannot open journal {path}: {e}")))?;
-    let cfg = ServeConfig {
-        max_batch,
-        checkpoint_every: None,
-    };
+    let cfg = ServeConfig { max_batch };
     let exec = fdi_exec::Executor::from_env();
     if storage.is_empty() {
         let desc_path = desc_path.ok_or_else(|| {
@@ -676,14 +678,31 @@ fn stage_op_line<S: Storage, W: IoWrite>(
             )
             .map_err(io_err)?;
         }
-        Staged::Rejected(e) => writeln!(out, "rejected: {e}").map_err(io_err)?,
+        Staged::Rejected(e) => writeln!(out, "rejected: {}", rejection(&e, op)).map_err(io_err)?,
     }
     Ok(())
 }
 
-fn io_err(e: std::io::Error) -> CliError {
-    CliError::runtime(format!("i/o error: {e}"))
+/// Renders a rejected op in the terms its line used: a `resolve` of a
+/// cell that holds no null names the 1-based row and the attribute
+/// name, not the internal slot and attribute ids.
+fn rejection(e: &UpdateError, op: &OpLine) -> String {
+    match (e, op) {
+        (UpdateError::NotANull { .. }, OpLine::Resolve { pos, attr, .. }) => {
+            format!("cell ({pos}, {attr}) is not a null")
+        }
+        _ => e.to_string(),
+    }
 }
+
+fn io_err(e: std::io::Error) -> CliError {
+    CliError::ClientIo(e)
+}
+
+/// The longest request line a serve session reads, newline excluded.
+/// A longer line is discarded up to its newline and answered with an
+/// `error:` line, so one request never buffers more than this.
+const MAX_LINE_BYTES: usize = 64 * 1024;
 
 /// One interactive serving session over any line stream: mutations
 /// stage, `commit` publishes, reads (`table`, `select`, `epoch`,
@@ -691,12 +710,14 @@ fn io_err(e: std::io::Error) -> CliError {
 /// renders the live recorder). Returns `true` if the client asked the
 /// whole server to shut down (`shutdown`); `quit` or EOF ends just this
 /// session, publishing any pending staged work first (durable before
-/// the prompt closes).
+/// the prompt closes). A line longer than [`MAX_LINE_BYTES`] or not
+/// valid UTF-8 is answered with an `error:` line and the session goes
+/// on.
 fn serve_session<S: Storage, R: BufRead, W: IoWrite>(
     writer: &mut serve::Writer<S>,
     reader: &serve::Reader,
     rec: &Recorder,
-    input: R,
+    mut input: R,
     out: &mut W,
 ) -> Result<bool, CliError> {
     let hello = reader.snapshot();
@@ -710,8 +731,24 @@ fn serve_session<S: Storage, R: BufRead, W: IoWrite>(
     .map_err(io_err)?;
     let exec = fdi_exec::Executor::from_env();
     let mut shutdown = false;
-    for line in input.lines() {
-        let line = line.map_err(io_err)?;
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        let read = std::io::Read::take(&mut input, MAX_LINE_BYTES as u64 + 1)
+            .read_until(b'\n', &mut buf)
+            .map_err(io_err)?;
+        if read == 0 {
+            break;
+        }
+        if buf.len() > MAX_LINE_BYTES && buf.last() != Some(&b'\n') {
+            input.skip_until(b'\n').map_err(io_err)?;
+            writeln!(out, "error: line longer than {MAX_LINE_BYTES} bytes").map_err(io_err)?;
+            continue;
+        }
+        let Ok(line) = std::str::from_utf8(&buf) else {
+            writeln!(out, "error: line is not valid UTF-8").map_err(io_err)?;
+            continue;
+        };
         let line = line.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
@@ -844,8 +881,9 @@ fn serve_session<S: Storage, R: BufRead, W: IoWrite>(
 /// failures — a refused accept, a connection dropped mid-session — are
 /// reported and survived: the server stays up for the next connection,
 /// and any work the dropped client staged-but-did-not-commit simply
-/// rides along until the next publish. Only non-I/O runtime failures
-/// (journal corruption, publish errors) stop the server.
+/// rides along until the next publish. Only failures outside the
+/// client's stream (journal corruption, publish errors) stop the
+/// server.
 fn serve_tcp<S: Storage>(
     listener: TcpListener,
     writer: &mut serve::Writer<S>,
@@ -871,8 +909,8 @@ fn serve_tcp<S: Storage>(
         match serve_session(writer, reader, rec, input, &mut out) {
             Ok(true) => break,
             Ok(false) => {}
-            Err(CliError::Runtime(msg)) if msg.starts_with("i/o error:") => {
-                println!("client dropped mid-session ({msg}); still listening");
+            Err(CliError::ClientIo(e)) => {
+                println!("client dropped mid-session (i/o error: {e}); still listening");
             }
             Err(e) => return Err(e),
         }
@@ -927,7 +965,9 @@ fn run_serve(args: &[String]) -> Result<(), CliError> {
         Some(addr) => {
             let listener = TcpListener::bind(&addr)
                 .map_err(|e| CliError::runtime(format!("cannot bind {addr}: {e}")))?;
-            let local = listener.local_addr().map_err(io_err)?;
+            let local = listener
+                .local_addr()
+                .map_err(|e| CliError::runtime(format!("cannot read the bound address: {e}")))?;
             println!("listening on {local}");
             serve_tcp(listener, &mut writer, &reader, &rec)
         }
@@ -994,6 +1034,10 @@ fn main() -> ExitCode {
         Ok(()) => ExitCode::SUCCESS,
         Err(CliError::Runtime(msg)) => {
             eprintln!("{msg}");
+            ExitCode::from(1)
+        }
+        Err(CliError::ClientIo(e)) => {
+            eprintln!("i/o error: {e}");
             ExitCode::from(1)
         }
         Err(CliError::Parse(msg)) => {
@@ -1204,10 +1248,7 @@ cyd eng   -   c2
         serve::Writer::create(
             db,
             fd_incomplete::store::MemStorage::new(),
-            ServeConfig {
-                max_batch: 4,
-                checkpoint_every: None,
-            },
+            ServeConfig { max_batch: 4 },
             fdi_exec::Executor::with_threads(1),
         )
         .expect("create serving pair")
@@ -1226,6 +1267,7 @@ cyd eng   -   c2
                       select dept eng\n\
                       epoch\n\
                       delete 99\n\
+                      resolve 2 mgr noa\n\
                       insert ada eng mia\n\
                       bogus-verb\n\
                       quit\n";
@@ -1270,6 +1312,11 @@ cyd eng   -   c2
             "{text}"
         );
         assert!(text.contains("rejected: no row 99"), "{text}");
+        // a rejection names the row and attribute the client gave
+        assert!(
+            text.contains("rejected: cell (2, mgr) is not a null"),
+            "{text}"
+        );
         // `ada eng mia` violates emp -> dept against the committed base
         assert!(text.contains("rejected:"), "{text}");
         assert!(
@@ -1303,6 +1350,35 @@ cyd eng   -   c2
         );
         assert!(text.contains("epoch 0 (0 op(s) applied"), "{text}");
         assert!(text.contains("session closed at epoch 1"), "{text}");
+
+        // A line that is not UTF-8 and a line over the cap each answer
+        // one `error:` line; the staged insert survives both and is
+        // published when the session closes.
+        let (mut writer, reader) = sample_serving_pair();
+        let mut script = b"insert cyd eng noa\n\xff\n".to_vec();
+        script.extend(std::iter::repeat_n(b'x', MAX_LINE_BYTES + 1));
+        script.extend(b"\nepoch\nquit\n");
+        let mut out = Vec::new();
+        serve_session(
+            &mut writer,
+            &reader,
+            &Recorder::noop(),
+            std::io::Cursor::new(script),
+            &mut out,
+        )
+        .expect("bad input lines must not end the session");
+        let text = String::from_utf8(out).unwrap();
+        assert_eq!(text.matches("error:").count(), 2, "{text}");
+        assert!(text.contains("error: line is not valid UTF-8"), "{text}");
+        assert!(
+            text.contains(&format!("error: line longer than {MAX_LINE_BYTES} bytes")),
+            "{text}"
+        );
+        assert!(text.contains("epoch 0 (0 op(s) applied"), "{text}");
+        assert!(
+            text.contains("session closed at epoch 1 (1 op(s) durable)"),
+            "{text}"
+        );
     }
 
     /// The TCP front end over a real socket: two clients in turn, the
@@ -1414,15 +1490,6 @@ cyd eng   -   c2
         assert!(text.contains("\"counters\":{"), "{text}");
         assert!(text.contains("\"epochs_published\":1"), "{text}");
         assert!(text.contains("\"epoch_published\""), "event ring: {text}");
-        // the published epoch carries the frozen snapshot
-        let epoch = reader.snapshot();
-        assert_eq!(
-            epoch
-                .metrics()
-                .counter(fd_incomplete::obs::Counter::EpochsPublished),
-            2,
-            "session-close publish froze its own publication into the epoch"
-        );
     }
 
     /// Sequential reconnects with an abrupt client: the first client

@@ -87,7 +87,7 @@
 //! batch boundary, deterministically at every thread count — and crash
 //! recovery restores exactly the last fully-synced boundary. The full
 //! consistency contract (what a reader may and may not observe, the
-//! publication ↔ checkpoint mapping) is documented in the [`serve`]
+//! publication ↔ durability mapping) is documented in the [`serve`]
 //! crate root.
 //!
 //! ## Query compilation
@@ -112,15 +112,10 @@
 //! first-error semantics, at every thread count — which the
 //! `query_equiv` suite holds across randomized workloads.
 //!
-//! On top of the compiled plan, [`core::query::IncrementalSelection`]
-//! keeps a materialized sure/maybe/no answer set current under
-//! [`core::update::Database`] mutations by re-evaluating only the rows
-//! each accepted op actually changed (plus, after an NEC merge, the
-//! rows holding in-scope nulls). The serving layer wires both in:
+//! The serving layer wires the compiled plan in:
 //! [`serve::Epoch::select`] answers through a per-epoch plan cache
-//! keyed by the query's canonical encoding, and
-//! [`serve::Writer::watch`] maintains registered queries incrementally
-//! across updates, publishing their answer sets with each epoch.
+//! keyed by the query's canonical encoding, so each published epoch
+//! compiles a query once.
 //!
 //! ## Semantics
 //!
@@ -186,9 +181,6 @@
 //! ([`core::chase::chase_indexed`], [`core::chase::extended_chase`]),
 //! TEST-FDs ([`core::testfd::check`]), and [`serve::Epoch::select`]
 //! (plan-cache, NEC-signature memo, and classical-fast-path traffic).
-//! Each published [`serve::Epoch`]
-//! carries the writer's frozen [`obs::MetricsSnapshot`]
-//! ([`serve::Epoch::metrics`]).
 //!
 //! Metrics are split into a **deterministic** registry (bit-identical
 //! across `FDI_THREADS` settings and reader counts for the same op

@@ -161,10 +161,7 @@ fn recorded_run(
     let (mut writer, mut reader) = Writer::create(
         db,
         MemStorage::new(),
-        ServeConfig {
-            max_batch: 6,
-            checkpoint_every: None,
-        },
+        ServeConfig { max_batch: 6 },
         Executor::with_threads(threads),
     )
     .unwrap();
@@ -326,7 +323,7 @@ proptest! {
             let (mut writer, mut reader) = Writer::create(
                 db,
                 MemStorage::new(),
-                ServeConfig { max_batch: 4, checkpoint_every: None },
+                ServeConfig { max_batch: 4 },
                 Executor::with_threads(2),
             ).unwrap();
             let rec = if instrumented { Recorder::enabled() } else { Recorder::noop() };

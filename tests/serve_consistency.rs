@@ -333,10 +333,7 @@ fn concurrent_readers_observe_only_published_batch_boundaries() {
     let (mut writer, reader) = Writer::create(
         db,
         MemStorage::new(),
-        ServeConfig {
-            max_batch: 4,
-            checkpoint_every: None,
-        },
+        ServeConfig { max_batch: 4 },
         Executor::with_threads(2),
     )
     .unwrap();
@@ -387,10 +384,7 @@ fn epoch_log_is_bit_identical_across_thread_and_reader_counts() {
             let (mut writer, reader) = Writer::create(
                 db,
                 MemStorage::new(),
-                ServeConfig {
-                    max_batch: 6,
-                    checkpoint_every: None,
-                },
+                ServeConfig { max_batch: 6 },
                 Executor::with_threads(threads),
             )
             .unwrap();
@@ -441,7 +435,7 @@ proptest! {
         let (mut writer, _reader) = Writer::create(
             db,
             MemStorage::new(),
-            ServeConfig { max_batch, checkpoint_every: None },
+            ServeConfig { max_batch },
             Executor::with_threads(2),
         ).unwrap();
         let (attempted, epochs) = stage_stream(&mut writer, &mut live, &stream, batch);
