@@ -1,4 +1,5 @@
-//! Runs the whole experiment battery of DESIGN.md §4 in order.
+//! Runs the whole experiment battery in id order (the index is in
+//! `fdi_bench::experiments`).
 //! Pass `--quick` for a fast smoke run.
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");

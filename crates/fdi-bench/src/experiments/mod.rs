@@ -1,8 +1,31 @@
-//! The experiments of DESIGN.md §4, one module per experiment id.
+//! The paper's experiments, one module per experiment id.
 //!
 //! Every module exposes `run(quick: bool)`; `quick` shrinks the sweeps
 //! for smoke-testing. The binaries in `src/bin/` are thin wrappers, and
 //! `run_all` executes the whole battery in experiment order.
+//!
+//! # Experiment index
+//!
+//! | id | module | paper claim |
+//! |----|--------|-------------|
+//! | E1/E2 | [`figures`] | Figures 1.1–1.3: the employee relation |
+//! | E3 | [`figures`] | Figure 2: the classification examples |
+//! | E4 | [`two_tuple`] | two-tuple observations under nulls |
+//! | E5 | [`implication`] | Theorem 1: Armstrong ≡ System-C ≡ two-tuple worlds |
+//! | E6 | [`implication`] | Lemma 3, exhaustively |
+//! | E7 | [`interaction`] | FD interaction under weak satisfiability (§6) |
+//! | E8 | [`church_rosser`] | Figure 5: plain NS-rules are order-dependent |
+//! | E9 | [`church_rosser`] | Theorem 4: confluence counts over random orders |
+//! | E10 | [`testfd_scaling`] | TEST-FDs scaling (Figure 3) |
+//! | E11 | [`testfd_scaling`] | Figure 3's additional assumptions |
+//! | E12 | [`chase_scaling`] | chase engines: naive pairwise vs hash-grouped |
+//! | E13 | [`query`] | least-extension query evaluation (§2) |
+//! | E14 | [`satisfiability_rates`] | satisfiability rates vs null density |
+//! | E15 | [`overconstraint`] | overconstrained databases (§7) |
+//! | E16 | [`substitution`] | X-side substitutions (conditions (1) and (2)) |
+//! | E17 | [`substitution`] | \[F2\] exhaustion vs domain size |
+//! | E18 | [`universal`] | the weak universal relation assumption |
+//! | E19 | [`updates`] | modification operations: incremental vs full validation |
 
 pub mod chase_scaling;
 pub mod church_rosser;

@@ -121,7 +121,6 @@ pub fn run(quick: bool) {
     println!(
         "decisions agree exactly; the incremental path's advantage grows \
          with the relation (group lookups vs whole-relation rechecks, \
-         with the index maintained by per-row deltas — see \
-         BENCH_update.json for the maintenance-only gap).\n"
+         with the index maintained by per-row deltas).\n"
     );
 }

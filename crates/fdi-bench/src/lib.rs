@@ -2,9 +2,11 @@
 //!
 //! Shared infrastructure for the experiment binaries (`src/bin/exp_*`),
 //! which regenerate every figure and complexity claim of the paper (see
-//! DESIGN.md §4 for the experiment index and EXPERIMENTS.md for the
-//! recorded results): aligned table printing, median timing, and
-//! growth-factor estimation.
+//! [`experiments`] for the experiment index): aligned table printing,
+//! median timing, and growth-factor estimation.
+//!
+//! Serving performance is measured end to end by the separate
+//! `bench_e2e` package, not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -149,64 +151,6 @@ pub fn fmt_factor(f: f64) -> String {
     }
 }
 
-/// The common `"host"` block every `BENCH_*.json` artifact embeds, so
-/// a recorded number can be read in context (the determinism suite
-/// needs no such caveats, but wall-clock results do — e.g. a 1-core CI
-/// runner cannot show a ×4 speedup, whatever the thread grid says).
-/// `host_threads` and `cpus` both come from
-/// [`std::thread::available_parallelism`] — the scheduler-visible
-/// logical CPU count, which is all std exposes.
-pub fn host_json() -> String {
-    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    format!(
-        "{{\"host_threads\": {cpus}, \"cpus\": {cpus}, \"os\": \"{}\"}}",
-        std::env::consts::OS
-    )
-}
-
-/// Result of an instrumented-vs-noop honesty lane: the same pipeline
-/// timed under [`fdi_obs::Recorder::noop`] and under a live recorder.
-/// The ratio is the whole cost of *enabled* observability — if it is
-/// not close to 1, the recorded wall-clock numbers of an instrumented
-/// serving process stop being representative of the noop build.
-#[derive(Debug, Clone, Copy)]
-pub struct ObsOverhead {
-    /// Median nanoseconds with the noop recorder.
-    pub noop_ns: u128,
-    /// Median nanoseconds with a live (enabled) recorder.
-    pub enabled_ns: u128,
-}
-
-impl ObsOverhead {
-    /// The enabled/noop wall-clock ratio.
-    pub fn ratio(&self) -> f64 {
-        self.enabled_ns as f64 / self.noop_ns.max(1) as f64
-    }
-
-    /// The artifact JSON fragment recording both medians and the ratio.
-    pub fn json(&self) -> String {
-        format!(
-            "{{\"noop_ns\": {}, \"enabled_ns\": {}, \"ratio\": {:.2}}}",
-            self.noop_ns,
-            self.enabled_ns,
-            self.ratio()
-        )
-    }
-
-    /// Panics unless the enabled-recorder overhead is bounded by `max`
-    /// — the guard the bench lanes run before writing artifacts.
-    pub fn assert_bounded(&self, max: f64) {
-        assert!(
-            self.ratio() < max,
-            "enabled-recorder overhead ×{:.2} exceeds the ×{max:.1} honesty bound \
-             (noop {}ns, enabled {}ns)",
-            self.ratio(),
-            self.noop_ns,
-            self.enabled_ns
-        );
-    }
-}
-
 /// A standard experiment banner.
 pub fn banner(id: &str, title: &str, claim: &str) {
     println!("==============================================================");
@@ -259,35 +203,6 @@ mod tests {
     }
 
     #[test]
-    fn host_block_has_the_common_keys() {
-        let h = host_json();
-        assert!(h.contains("\"host_threads\": "), "{h}");
-        assert!(h.contains("\"cpus\": "), "{h}");
-        assert!(h.contains("\"os\": \""), "{h}");
-    }
-
-    #[test]
-    fn obs_overhead_math_and_guard() {
-        let obs = ObsOverhead {
-            noop_ns: 100,
-            enabled_ns: 150,
-        };
-        assert!((obs.ratio() - 1.5).abs() < 1e-9);
-        assert!(obs.json().contains("\"ratio\": 1.50"));
-        obs.assert_bounded(3.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "honesty bound")]
-    fn obs_overhead_guard_fires() {
-        ObsOverhead {
-            noop_ns: 100,
-            enabled_ns: 500,
-        }
-        .assert_bounded(3.0);
-    }
-
-    #[test]
     fn growth_factor_math() {
         let times = [
             Duration::from_millis(10),
@@ -302,7 +217,3 @@ mod tests {
     }
 }
 pub mod experiments;
-pub mod par_bench;
-pub mod query_bench;
-pub mod serve_bench;
-pub mod update_bench;

@@ -57,7 +57,7 @@
 //! their workloads caveat-free (see [`index`] for the two exempt regimes
 //! and the property suite for the proof by testing). At n = 10⁴ the
 //! indexed engine is the difference between minutes and milliseconds
-//! (see `BENCH_chase.json`).
+//! (experiment E12, `exp_chase_scaling`, reproduces the comparison).
 //!
 //! For the extended system, [`extended_chase`] runs in the spirit of
 //! the `O(|F|·n·log(|F|·n))` congruence-closure bound — one initial

@@ -42,10 +42,10 @@
 //! worklist chase** ([`chase::chase_plain`]) and then delta-rekeys
 //! exactly the rows the chase substituted into; full revalidations go
 //! through TEST-FDs ([`crate::testfd::check`]).
-//! `bench_update` records the maintenance gap against per-update
-//! `LhsIndex::build` rebuilds in `BENCH_update.json`, and the property
-//! suite (`tests/update_equiv.rs`) proves the delta-maintained index
-//! bucket-identical to a fresh build after arbitrary update sequences.
+//! The property suite (`tests/update_equiv.rs`) proves the
+//! delta-maintained index bucket-identical to a fresh build after
+//! arbitrary update sequences, and experiment E19 (`exp_updates`)
+//! times incremental against full validation.
 //!
 //! A *rejected* update leaves no tuple behind and changes no cell —
 //! a rejected insert's slot is released outright (the arena truncates

@@ -34,6 +34,19 @@ fn mix_with_resolves() -> UpdateMix {
     }
 }
 
+/// The load-mode mixes: [`mix_with_resolves`], then the stress mixes
+/// delete-heavy (half the weight on deletes) and churn (delete +
+/// reinsert cycles), which leave many interior tombstones.
+fn load_mode_mix(pick: usize) -> UpdateMix {
+    let mix = |insert, delete, modify| UpdateMix {
+        insert,
+        delete,
+        modify,
+        resolve: 0,
+    };
+    [mix_with_resolves(), mix(1, 2, 1), mix(1, 1, 0)][pick]
+}
+
 fn spec(rows: usize, null_density: f64) -> WorkloadSpec {
     WorkloadSpec {
         rows,
@@ -60,12 +73,14 @@ fn assert_index_fresh(db: &Database) {
 
 proptest! {
     /// Load mode (no checking, no propagation): pure delta maintenance
-    /// over arbitrary interleavings, including empty starting instances.
+    /// over arbitrary interleavings of every load-mode mix, including
+    /// empty starting instances.
     #[test]
     fn delta_index_equals_rebuild_in_load_mode(
         seed in 0u64..1 << 32,
         rows in 0usize..40,
         ops in 1usize..60,
+        mix in 0usize..3,
     ) {
         let spec = spec(rows, 0.2);
         let w = workload(seed, &spec, 3);
@@ -76,7 +91,7 @@ proptest! {
         )
         .expect("load mode accepts anything");
         let mut live = LiveRows::of(db.instance());
-        let stream = update_stream(seed ^ 0x5eed, &spec, w.instance.len(), ops, mix_with_resolves());
+        let stream = update_stream(seed ^ 0x5eed, &spec, w.instance.len(), ops, load_mode_mix(mix));
         for op in &stream {
             let accepted = apply_op(&mut db, &mut live, op);
             // Blind resolves may miss a null; everything else lands.

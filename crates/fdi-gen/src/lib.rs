@@ -9,7 +9,7 @@
 //! so that satisfiability is neither trivially true nor trivially false.
 //!
 //! Everything is deterministic given a seed (`StdRng`), so every
-//! experiment in EXPERIMENTS.md is reproducible bit-for-bit.
+//! `fdi-bench` experiment is reproducible bit-for-bit.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -1006,6 +1006,32 @@ mod tests {
                 "load mode accepts in-range ops"
             );
         }
+        // Half the weight on deletes yields at least 40% deletes while
+        // rows remain; an insert + delete mix yields plenty of both.
+        let spec = scaling_spec(100, 0.15, 0.1);
+        let count_deletes = |ops: &[UpdateOp]| {
+            ops.iter()
+                .filter(|op| matches!(op, UpdateOp::Delete(_)))
+                .count()
+        };
+        let delete_heavy = UpdateMix {
+            insert: 1,
+            delete: 2,
+            modify: 1,
+            resolve: 0,
+        };
+        let ops = update_stream(11, &spec, 100, 64, delete_heavy);
+        let deletes = count_deletes(&ops);
+        assert!(deletes * 5 >= ops.len() * 2, "only {deletes}/64 deletes");
+        let churn = UpdateMix {
+            insert: 1,
+            delete: 1,
+            modify: 0,
+            resolve: 0,
+        };
+        let ops = update_stream(11, &spec, 100, 64, churn);
+        let deletes = count_deletes(&ops);
+        assert!(deletes > 10 && ops.len() - deletes > 10, "churn mixes both");
     }
 
     /// A tombstoned-then-reinserted instance keeps the dense display

@@ -270,21 +270,24 @@ fn run(command: &str, desc: &Description) -> Result<(), CliError> {
             if sites.is_empty() {
                 println!("no [F2] domain-exhaustion sites: the weak pipelines are exact here");
             } else {
-                for s in sites {
-                    // displayed row numbers are 1-based positions in the
-                    // printed table, not raw slot ids
-                    let pos = instance
-                        .row_ids()
-                        .position(|id| id == s.row)
-                        .ok_or_else(|| {
-                            CliError::runtime(format!(
-                                "internal inconsistency: [F2] site names {} (fd #{}), \
-                                 which is not a live row of this instance",
-                                s.row,
-                                s.fd_index + 1
-                            ))
-                        })?;
-                    println!("[F2] at row {} under fd #{}", pos + 1, s.fd_index + 1);
+                // displayed row numbers are 1-based positions in the
+                // printed table, not raw slot ids; each FD's sites come
+                // out in ascending slot order
+                let rows: Vec<Vec<RowId>> = sites
+                    .chunk_by(|a, b| a.fd_index == b.fd_index)
+                    .map(|run| run.iter().map(|s| s.row).collect())
+                    .collect();
+                let positions = display_positions(instance, &rows);
+                for (s, pos) in sites.iter().zip(positions.iter().flatten()) {
+                    let pos = pos.ok_or_else(|| {
+                        CliError::runtime(format!(
+                            "internal inconsistency: [F2] site names {} (fd #{}), \
+                             which is not a live row of this instance",
+                            s.row,
+                            s.fd_index + 1
+                        ))
+                    })?;
+                    println!("[F2] at row {pos} under fd #{}", s.fd_index + 1);
                 }
             }
         }
@@ -428,6 +431,39 @@ fn open_journal(
 /// The 1-based display-order row → RowId mapping of the live instance.
 fn row_at(db: &Database, pos: usize) -> Option<RowId> {
     db.instance().row_ids().nth(pos - 1)
+}
+
+/// The 1-based display positions of every row in `lists`, found in one
+/// walk over the live rows. Each list must be in ascending slot order,
+/// the order `row_ids()` walks (selections and the per-FD runs of
+/// `[F2]` sites come out that way); a row the walk does not meet as live
+/// maps to `None`.
+fn display_positions<L: AsRef<[RowId]>>(
+    instance: &Instance,
+    lists: &[L],
+) -> Vec<Vec<Option<usize>>> {
+    let lists: Vec<&[RowId]> = lists.iter().map(AsRef::as_ref).collect();
+    let mut found: Vec<Vec<Option<usize>>> =
+        lists.iter().map(|l| Vec::with_capacity(l.len())).collect();
+    let mut pending: usize = lists.iter().map(|l| l.len()).sum();
+    for (pos, id) in instance.row_ids().enumerate() {
+        if pending == 0 {
+            break;
+        }
+        for (list, out) in lists.iter().zip(&mut found) {
+            while let Some(&row) = list.get(out.len()) {
+                if row > id {
+                    break;
+                }
+                out.push((row == id).then_some(pos + 1));
+                pending -= 1;
+            }
+        }
+    }
+    for (list, out) in lists.iter().zip(&mut found) {
+        out.resize(list.len(), None);
+    }
+    found
 }
 
 /// Applies parsed ops to a journaled database. Database rejections are
@@ -826,25 +862,24 @@ fn serve_session<S: Storage, R: BufRead, W: IoWrite>(
                                 continue;
                             }
                         };
-                        let position = |row: RowId| {
-                            epoch
-                                .db()
-                                .instance()
-                                .row_ids()
-                                .position(|id| id == row)
-                                .map_or_else(|| "?".to_string(), |p| (p + 1).to_string())
-                        };
-                        let render = |rows: &[RowId]| {
-                            rows.iter()
-                                .map(|&r| position(r))
+                        // both lists are in ascending slot order, so one
+                        // walk over the live rows finds every position
+                        let positions = display_positions(
+                            epoch.db().instance(),
+                            &[&selection.sure, &selection.maybe],
+                        );
+                        let render = |found: &[Option<usize>]| {
+                            found
+                                .iter()
+                                .map(|p| p.map_or_else(|| "?".to_string(), |p| p.to_string()))
                                 .collect::<Vec<_>>()
                                 .join(" ")
                         };
                         writeln!(
                             out,
                             "sure: [{}]  maybe: [{}]  (epoch {})",
-                            render(&selection.sure),
-                            render(&selection.maybe),
+                            render(&positions[0]),
+                            render(&positions[1]),
                             epoch.seq()
                         )
                         .map_err(io_err)?;
@@ -1050,6 +1085,7 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     const SAMPLE: &str = "
 %schema
@@ -1164,6 +1200,93 @@ cyd eng   -   c2
             "compact now",
         ] {
             assert!(parse_ops(bad).is_err(), "{bad:?} must not parse");
+        }
+    }
+
+    /// The pieces both file grammars are made of, so random sequences
+    /// of them get past the first line's checks into the schema, FD,
+    /// instance and op parsers.
+    const GRAMMAR_TOKENS: &[&str] = &[
+        "%schema",
+        "%fds",
+        "%instance",
+        "relation",
+        "attr",
+        "->",
+        "-",
+        "?m",
+        "#!",
+        "insert",
+        "delete",
+        "modify",
+        "resolve",
+        "compact",
+        "A",
+        "B",
+        "a",
+        "b",
+        "0",
+        "1",
+        "2",
+        "9",
+        "\n",
+    ];
+
+    /// Arbitrary bytes, made text the way a lossy reader would.
+    fn arb_lossy_text() -> impl Strategy<Value = String> {
+        collection::vec(0..256u16, 0..256).prop_map(|bytes| {
+            let bytes: Vec<u8> = bytes.into_iter().map(|b| b as u8).collect();
+            String::from_utf8_lossy(&bytes).into_owned()
+        })
+    }
+
+    /// Valid openings that put the tokens that follow into the FD or
+    /// the instance parser (or, empty, anywhere).
+    const HEADS: &[&str] = &[
+        "",
+        "%schema\nattr A a b 1\nattr B a b\n%fds\n",
+        "%schema\nattr A a b 1\nattr B\n%instance\n",
+    ];
+
+    /// A head, then grammar tokens, each followed by a space or nothing.
+    fn arb_token_text() -> impl Strategy<Value = String> {
+        let picks = collection::vec((0..GRAMMAR_TOKENS.len(), 0..3usize), 0..96);
+        (0..HEADS.len(), picks).prop_map(|(head, picks)| {
+            let mut text = HEADS[head].to_string();
+            for (i, gap) in picks {
+                text.push_str(GRAMMAR_TOKENS[i]);
+                if gap > 0 {
+                    text.push(' ');
+                }
+            }
+            text
+        })
+    }
+
+    /// Neither file parser panics: each answers `Ok` or `Err` on any
+    /// text. An accepted ops file holds at most one op per line, and a
+    /// rejection always says why.
+    fn assert_parsers_total(text: &str) {
+        if let Err(e) = parse_description(text) {
+            assert!(!e.is_empty(), "empty description error on {text:?}");
+        }
+        match parse_ops(text) {
+            Ok(ops) => assert!(ops.len() <= text.lines().count(), "{text:?}"),
+            Err(e) => assert!(!e.is_empty(), "empty ops error on {text:?}"),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn parsers_never_panic_on_arbitrary_bytes(text in arb_lossy_text()) {
+            assert_parsers_total(&text);
+        }
+
+        #[test]
+        fn parsers_never_panic_on_grammar_token_soup(text in arb_token_text()) {
+            assert_parsers_total(&text);
         }
     }
 
@@ -1379,6 +1502,29 @@ cyd eng   -   c2
             text.contains("session closed at epoch 1 (1 op(s) durable)"),
             "{text}"
         );
+
+        // After committed deletes and no `compact`, `select` answers
+        // with live-row ranks, not slot ids: ada and bob (slots 0 and 1)
+        // are gone, so cyd (slot 2) and the new ada row (slot 3) print
+        // as rows 1 and 2.
+        let (mut writer, reader) = sample_serving_pair();
+        let mut out = Vec::new();
+        serve_session(
+            &mut writer,
+            &reader,
+            &Recorder::noop(),
+            std::io::Cursor::new(
+                "delete 1\ndelete 1\ninsert ada eng noa\ncommit\nselect dept eng\nquit\n",
+            ),
+            &mut out,
+        )
+        .expect("session runs");
+        let text = String::from_utf8(out).unwrap();
+        assert!(
+            text.contains("published epoch 1 (3 op(s) applied, durable)"),
+            "{text}"
+        );
+        assert!(text.contains("sure: [1 2]  maybe: []  (epoch 1)"), "{text}");
     }
 
     /// The TCP front end over a real socket: two clients in turn, the

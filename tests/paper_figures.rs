@@ -1,5 +1,6 @@
 //! End-to-end reproduction of every worked figure in the paper
-//! (experiments E1–E3, E7, E8 of DESIGN.md, as assertions).
+//! (experiments E1–E3, E7, E8 of `fdi_bench::experiments`, as
+//! assertions).
 
 use fd_incomplete::core::fixtures;
 use fd_incomplete::core::interp::{self, DEFAULT_BUDGET};
