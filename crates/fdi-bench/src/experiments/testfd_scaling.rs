@@ -4,7 +4,8 @@
 //! single-FD pre-sorted scan.
 
 use crate::{banner, fmt_duration, fmt_factor, growth_factors, median_time, Table};
-use fdi_core::testfd::{self, Convention};
+use fdi_core::semantics::Weak;
+use fdi_core::testfd;
 use fdi_exec::Executor;
 use fdi_gen::{satisfiable_workload, WorkloadSpec};
 use std::time::Duration;
@@ -44,32 +45,19 @@ pub fn run(quick: bool) {
             let w = satisfiable_workload(1234, &spec, fd_count);
             let repeats = if quick { 3 } else { 5 };
             let t_sorted = median_time(repeats, || {
-                std::hint::black_box(testfd::check_sorted(&w.instance, &w.fds, Convention::Weak))
-                    .ok();
+                std::hint::black_box(testfd::check_sorted(&w.instance, &w.fds, Weak)).ok();
             });
             // pairwise is quadratic: skip the largest sizes in quick mode
             let t_pairwise = if n <= 4096 {
                 median_time(repeats.min(3), || {
-                    std::hint::black_box(testfd::check_pairwise(
-                        &w.instance,
-                        &w.fds,
-                        Convention::Weak,
-                    ))
-                    .ok();
+                    std::hint::black_box(testfd::check_pairwise(&w.instance, &w.fds, Weak)).ok();
                 })
             } else {
                 Duration::ZERO
             };
             let (exec, rec) = (Executor::with_threads(1), fdi_obs::Recorder::noop());
             let t_grouped = median_time(repeats, || {
-                std::hint::black_box(testfd::check(
-                    &w.instance,
-                    &w.fds,
-                    Convention::Weak,
-                    &exec,
-                    &rec,
-                ))
-                .ok();
+                std::hint::black_box(testfd::check(&w.instance, &w.fds, Weak, &exec, &rec)).ok();
             });
             sorted_times.push(t_sorted);
             pairwise_times.push(t_pairwise);
@@ -133,7 +121,7 @@ pub fn run(quick: bool) {
             std::hint::black_box(testfd::check_single_presorted(
                 &w.instance,
                 fd,
-                Convention::Weak,
+                Weak,
                 &order,
             ))
             .ok();

@@ -152,7 +152,7 @@ fn singleton_holds_in_world(singleton: &FdSet, world: &Instance) -> bool {
     crate::testfd::check(
         world,
         singleton,
-        crate::testfd::Convention::Strong,
+        crate::semantics::Strong,
         &fdi_exec::Executor::with_threads(1),
         &fdi_obs::Recorder::noop(),
     )

@@ -87,32 +87,6 @@ pub fn key_into(
     }
 }
 
-/// Writes the **constant-only** key of `tuple[attrs]` into `key`
-/// (cleared first) and returns `true`, or returns `false` when some
-/// attribute of the projection is not a constant (leaving `key` in an
-/// unspecified partial state).
-///
-/// This is the currency of the determinant index on [`Database`]
-/// updates ([`crate::update::LhsIndex`]): under the strong convention a
-/// null on a determinant potentially matches *everything*, so only
-/// constant-total projections are groupable — null-bearing rows go to
-/// the per-FD wild list instead. Constant atoms here coincide with the
-/// NEC-canonical atoms of [`key_into`], so the two indexes agree on
-/// what "the same constant determinant" means.
-///
-/// [`Database`]: crate::update::Database
-#[inline]
-pub fn const_key_into(key: &mut GroupKey, tuple: &Tuple, attrs: AttrSet) -> bool {
-    key.clear();
-    for a in attrs.iter() {
-        match tuple.get(a) {
-            Value::Const(s) => key.push(TAG_CONST | s.0 as u64),
-            _ => return false,
-        }
-    }
-    true
-}
-
 /// The canonical key of `tuple[attrs]` as a fresh vector.
 pub fn key_of(tuple: &Tuple, row: RowId, attrs: AttrSet, snapshot: &NecSnapshot) -> GroupKey {
     let mut key = Vec::with_capacity(attrs.len());

@@ -35,7 +35,8 @@
 //!   precomputed candidate sets and an exact NEC-signature memo);
 //! * [`update`] — §7's programme of modification operations: policy-
 //!   checked insert/delete/modify, external null resolution, internal
-//!   acquisition via incremental NS-rules, and an LHS index;
+//!   acquisition via incremental NS-rules, and a single-tuple strong
+//!   insert check;
 //! * [`universal`] — the weaker universal relation assumption of §7:
 //!   decompose/reconstruct round trips over instances with nulls;
 //! * [`fixtures`] — every worked figure of the paper as a ready-made
@@ -47,8 +48,7 @@
 //! [`Executor`](fdi_exec::Executor) and (where it has work to report)
 //! an `fdi-obs` [`Recorder`](fdi_obs::Recorder):
 //! [`testfd::check`], [`chase::chase_indexed`], [`chase::extended_chase`],
-//! [`groupkey::group_rows`], [`update::LhsIndex::build`] (the
-//! [`update::Database`] cold build), and
+//! [`groupkey::group_rows`], and
 //! [`query::CompiledQuery::select_par_stats`]. Work is sharded over
 //! stable [`RowId`](fdi_relation::rowid::RowId) slot ranges
 //! (`Instance::row_id_shards`), and every engine is **bit-identical at

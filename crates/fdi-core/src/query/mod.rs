@@ -528,10 +528,7 @@ mod tests {
             .attribute("A", ["v1", "v2"])
             .build()
             .unwrap();
-        let mut r = Instance::new(schema);
-        // built programmatically: a leading "#!" line would parse as a
-        // comment in the text format
-        r.add_row(&["#!"]).unwrap();
+        let r = Instance::parse(schema, "#!").unwrap();
         let q = Query::eq_text(&r, "A", "v1").unwrap();
         assert_eq!(eval_kleene(&q, r.tuple(r.nth_row(0)), &r), Truth::False);
     }

@@ -1,10 +1,10 @@
 //! Pluggable null-comparison semantics — the trait behind TEST-FDs.
 //!
 //! Vassiliou's Theorems 2 and 3 define two conventions for comparing
-//! values in the presence of nulls (the `Convention` enum of
-//! [`crate::testfd`]). The literature defines more: Badia–Lemire's
-//! null-marker FDs (arXiv 1404.4963) treat marked nulls as syntactic
-//! objects that must match exactly, and Atzeni–Morfuni's NFDs restrict
+//! values in the presence of nulls ([`Strong`] and [`Weak`]). The
+//! literature defines more: Badia–Lemire's null-marker FDs (arXiv
+//! 1404.4963) treat marked nulls as syntactic objects that must match
+//! exactly, and Atzeni–Morfuni's NFDs restrict
 //! a dependency's scope to the tuples that are *total* on its left
 //! side. All of them fit one shape: an **agreement** predicate (when do
 //! two values count as equal on a determinant?) and a **disagreement**
@@ -74,12 +74,12 @@
 //!
 //! All engines are generic over `S: Semantics` and monomorphized; the
 //! zero-sized [`Strong`]/[`Weak`]/[`NullMarker`]/[`Nfd`] impls
-//! constant-fold every axis, while [`Convention`] and
-//! [`SemanticsKind`] implement the trait by runtime dispatch for
-//! enum-driven callers (the CLI, stats, serving).
+//! constant-fold every axis, while [`SemanticsKind`] implements the
+//! trait by runtime dispatch for enum-driven callers (the CLI, stats,
+//! serving).
 
 use crate::fd::FdSet;
-use crate::testfd::{self, Convention, Violation};
+use crate::testfd::{self, Violation};
 use fdi_exec::Executor;
 use fdi_obs::Recorder;
 use fdi_relation::instance::Instance;
@@ -290,18 +290,6 @@ impl Semantics for SemanticsKind {
     }
 }
 
-/// The paper's two-convention enum keeps working everywhere a
-/// [`Semantics`] is expected.
-impl Semantics for Convention {
-    #[inline]
-    fn kind(self) -> SemanticsKind {
-        match self {
-            Convention::Strong => SemanticsKind::Strong,
-            Convention::Weak => SemanticsKind::Weak,
-        }
-    }
-}
-
 /// Full decision pipeline for one semantics: chases to a minimally
 /// incomplete instance first when the convention requires it
 /// ([`Semantics::chases_first`] — Theorem 3's proviso), then runs the
@@ -480,9 +468,9 @@ mod tests {
     }
 
     #[test]
-    fn convention_and_zsts_dispatch_to_the_same_kinds() {
-        assert_eq!(Convention::Strong.kind(), Strong.kind());
-        assert_eq!(Convention::Weak.kind(), Weak.kind());
+    fn zsts_dispatch_to_their_kinds() {
+        assert_eq!(Strong.kind(), SemanticsKind::Strong);
+        assert_eq!(Weak.kind(), SemanticsKind::Weak);
         assert_eq!(NullMarker.kind(), SemanticsKind::NullMarker);
         assert_eq!(Nfd.kind(), SemanticsKind::Nfd);
         for kind in SemanticsKind::ALL {

@@ -5,10 +5,9 @@
 //! groups of `X`-equal tuples, and report a violation when a group
 //! contains `Y`-unequal tuples. Null comparisons are governed by a
 //! **convention** — every variant here is generic over
-//! [`crate::semantics::Semantics`], with [`Convention`]'s two variants
-//! (and the zero-sized impls in [`crate::semantics`]) as the paper's
-//! instances and the null-marker/NFD conventions as alternatives. The
-//! paper's two:
+//! [`crate::semantics::Semantics`], with the zero-sized [`Strong`] and
+//! [`Weak`] impls as the paper's instances and the null-marker/NFD
+//! conventions as alternatives. The paper's two:
 //!
 //! * **strong** (Theorem 2, decides strong satisfiability on *any*
 //!   instance): equality involving a null is positive; inequality
@@ -64,7 +63,7 @@
 
 use crate::fd::{Fd, FdSet};
 use crate::groupkey;
-use crate::semantics::Semantics;
+use crate::semantics::{Semantics, Strong, Weak};
 use fdi_exec::Executor;
 use fdi_obs::{Counter, Recorder};
 use fdi_relation::attrs::AttrSet;
@@ -74,16 +73,6 @@ use fdi_relation::rowid::RowId;
 use fdi_relation::value::Value;
 use std::cmp::Ordering;
 use std::fmt;
-
-/// Null-comparison convention (Theorems 2 and 3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Convention {
-    /// Pessimistic: nulls potentially match and potentially violate.
-    Strong,
-    /// Optimistic: only definite constants (or NEC-equal nulls) match,
-    /// and only definite constants violate.
-    Weak,
-}
 
 /// A violation found by TEST-FDs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -519,7 +508,8 @@ fn min_pairwise_violation<S: Semantics>(
 ///
 /// ```
 /// use fdi_core::fixtures;
-/// use fdi_core::testfd::{check, Convention};
+/// use fdi_core::semantics::{Strong, Weak};
+/// use fdi_core::testfd::check;
 /// use fdi_exec::Executor;
 /// use fdi_obs::Recorder;
 ///
@@ -529,12 +519,12 @@ fn min_pairwise_violation<S: Semantics>(
 /// let r = fixtures::figure1_null_instance();
 /// let fds = fixtures::figure1_fds();
 /// let (exec, rec) = (Executor::with_threads(1), Recorder::noop());
-/// let violation = check(&r, &fds, Convention::Strong, &exec, &rec).unwrap_err();
+/// let violation = check(&r, &fds, Strong, &exec, &rec).unwrap_err();
 /// assert_eq!(violation.fd_index, 1);
 /// // … while nothing *definitely* violates: the instance is minimally
 /// // incomplete, so the optimistic convention decides weak
 /// // satisfiability directly (Theorem 3).
-/// assert!(check(&r, &fds, Convention::Weak, &exec, &rec).is_ok());
+/// assert!(check(&r, &fds, Weak, &exec, &rec).is_ok());
 /// ```
 pub fn check<S: Semantics>(
     instance: &Instance,
@@ -619,7 +609,7 @@ pub fn sort_order(instance: &Instance, fd: Fd) -> Vec<RowId> {
     let fd = fd.normalized();
     let snapshot = instance.necs().canonical_snapshot();
     let mut order: Vec<RowId> = instance.row_ids().collect();
-    order.sort_by(|&i, &j| cmp_on(instance, i, j, fd.lhs, &snapshot, Convention::Weak));
+    order.sort_by(|&i, &j| cmp_on(instance, i, j, fd.lhs, &snapshot, Weak));
     order
 }
 
@@ -629,7 +619,7 @@ pub fn check_strong(instance: &Instance, fds: &FdSet) -> Result<(), Violation> {
     check(
         instance,
         fds,
-        Convention::Strong,
+        Strong,
         &Executor::with_threads(1),
         &Recorder::noop(),
     )
@@ -646,7 +636,7 @@ pub fn check_weak(instance: &Instance, fds: &FdSet) -> Result<(), Violation> {
     check(
         &chased.instance,
         fds,
-        Convention::Weak,
+        Weak,
         &Executor::with_threads(1),
         &Recorder::noop(),
     )
@@ -659,6 +649,7 @@ mod tests {
     use crate::interp::{
         strongly_satisfied_bruteforce, weakly_satisfiable_bruteforce, DEFAULT_BUDGET,
     };
+    use crate::semantics::SemanticsKind;
     use fdi_relation::schema::Schema;
 
     fn abc(dom: usize, text: &str) -> Instance {
@@ -692,7 +683,7 @@ mod tests {
     fn classical_violations_found_by_all_variants() {
         let r = abc(2, "A_0 B_0 C_0\nA_0 B_1 C_0");
         let f = fds(&r, "A -> B");
-        for conv in [Convention::Strong, Convention::Weak] {
+        for conv in [SemanticsKind::Strong, SemanticsKind::Weak] {
             assert!(check_pairwise(&r, &f, conv).is_err());
             assert!(check_sorted(&r, &f, conv).is_err());
             assert!(grouped(&r, &f, conv).is_err());
@@ -729,7 +720,7 @@ mod tests {
                 "sorted/fallback on {text:?}"
             );
             assert_eq!(
-                check_pairwise(&r, &f, Convention::Strong).is_ok(),
+                check_pairwise(&r, &f, Strong).is_ok(),
                 expected,
                 "pairwise on {text:?}"
             );
@@ -750,7 +741,7 @@ mod tests {
         assert!(check_weak(&r, &f).is_err());
         assert!(!weakly_satisfiable_bruteforce(&f, &r, DEFAULT_BUDGET).unwrap());
         // without the chase the weak convention would wrongly accept:
-        assert!(check_sorted(&r, &f, Convention::Weak).is_ok());
+        assert!(check_sorted(&r, &f, Weak).is_ok());
     }
 
     #[test]
@@ -790,9 +781,9 @@ mod tests {
             let r = abc(2, text);
             for fd_text in ["A -> B", "A B -> C", "C -> A"] {
                 let f = fds(&r, fd_text);
-                let a = check_pairwise(&r, &f, Convention::Weak).is_ok();
-                let b = check_sorted(&r, &f, Convention::Weak).is_ok();
-                let c = grouped(&r, &f, Convention::Weak).is_ok();
+                let a = check_pairwise(&r, &f, Weak).is_ok();
+                let b = check_sorted(&r, &f, Weak).is_ok();
+                let c = grouped(&r, &f, Weak).is_ok();
                 assert_eq!(a, b, "{text:?} {fd_text:?}");
                 assert_eq!(a, c, "{text:?} {fd_text:?}");
             }
@@ -810,9 +801,9 @@ mod tests {
             let r = abc(2, text);
             for fd_text in ["A -> B", "A -> C", "B C -> A"] {
                 let f = fds(&r, fd_text);
-                let a = check_pairwise(&r, &f, Convention::Strong).is_ok();
-                let b = check_sorted(&r, &f, Convention::Strong).is_ok();
-                let c = grouped(&r, &f, Convention::Strong).is_ok();
+                let a = check_pairwise(&r, &f, Strong).is_ok();
+                let b = check_sorted(&r, &f, Strong).is_ok();
+                let c = grouped(&r, &f, Strong).is_ok();
                 assert_eq!(a, b, "{text:?} {fd_text:?}");
                 assert_eq!(a, c, "{text:?} {fd_text:?}");
             }
@@ -824,10 +815,10 @@ mod tests {
         let r = abc(2, "A_0 B_0 C_0\nA_1 B_0 C_0\nA_0 B_0 C_1");
         let f = Fd::parse(r.schema(), "A -> C").unwrap();
         let order = sort_order(&r, f);
-        assert!(check_single_presorted(&r, f, Convention::Weak, &order).is_err());
+        assert!(check_single_presorted(&r, f, Weak, &order).is_err());
         let ok = abc(2, "A_0 B_0 C_0\nA_1 B_0 C_1");
         let order_ok = sort_order(&ok, f);
-        assert!(check_single_presorted(&ok, f, Convention::Weak, &order_ok).is_ok());
+        assert!(check_single_presorted(&ok, f, Weak, &order_ok).is_ok());
     }
 
     #[test]
@@ -861,10 +852,10 @@ mod tests {
     fn nothing_values_always_violate() {
         let r = abc(2, "A_0 #! C_0\nA_0 B_0 C_0");
         let f = fds(&r, "A -> B");
-        assert!(check_pairwise(&r, &f, Convention::Weak).is_err());
-        assert!(check_pairwise(&r, &f, Convention::Strong).is_err());
-        assert!(grouped(&r, &f, Convention::Weak).is_err());
-        assert!(grouped(&r, &f, Convention::Strong).is_err());
+        assert!(check_pairwise(&r, &f, Weak).is_err());
+        assert!(check_pairwise(&r, &f, Strong).is_err());
+        assert!(grouped(&r, &f, Weak).is_err());
+        assert!(grouped(&r, &f, Strong).is_err());
     }
 
     #[test]
@@ -874,7 +865,7 @@ mod tests {
         // key `nothing` per row, not as one shared atom.
         let r = abc(2, "#! B_0 C_0\n#! B_1 C_0");
         let f = fds(&r, "A -> B");
-        for conv in [Convention::Strong, Convention::Weak] {
+        for conv in [SemanticsKind::Strong, SemanticsKind::Weak] {
             assert!(check_pairwise(&r, &f, conv).is_ok(), "{conv:?} pairwise");
             assert!(grouped(&r, &f, conv).is_ok(), "{conv:?} grouped");
             assert!(check_sorted(&r, &f, conv).is_ok(), "{conv:?} sorted");
@@ -895,7 +886,7 @@ mod tests {
             let r = abc(2, text);
             for fd_text in ["A -> B", "A B -> C", "C -> A", "B -> C"] {
                 let f = fds(&r, fd_text);
-                for conv in [Convention::Strong, Convention::Weak] {
+                for conv in [SemanticsKind::Strong, SemanticsKind::Weak] {
                     assert_eq!(
                         check_pairwise(&r, &f, conv).is_ok(),
                         grouped(&r, &f, conv).is_ok(),
@@ -921,7 +912,7 @@ mod tests {
             let r = abc(2, text);
             for fd_text in ["A -> B", "A B -> C", "C -> A", "B -> C"] {
                 let f = fds(&r, fd_text);
-                for conv in [Convention::Strong, Convention::Weak] {
+                for conv in [SemanticsKind::Strong, SemanticsKind::Weak] {
                     let oracle = check_pairwise(&r, &f, conv);
                     let one = grouped(&r, &f, conv);
                     assert_eq!(

@@ -14,7 +14,8 @@ use fdi_core::chase::{
     is_minimally_incomplete_naive, order_replay_exact,
 };
 use fdi_core::fd::FdSet;
-use fdi_core::testfd::{self, Convention, Violation};
+use fdi_core::semantics::{Semantics, SemanticsKind};
+use fdi_core::testfd::{self, Violation};
 use fdi_exec::Executor;
 use fdi_gen::{large_workload, plant_violation, random_fds, workload, Workload, WorkloadSpec};
 use fdi_obs::Recorder;
@@ -25,7 +26,7 @@ use rand::SeedableRng;
 
 const DENSITIES: [f64; 4] = [0.0, 0.1, 0.3, 0.6];
 
-fn check(r: &Instance, fds: &FdSet, conv: Convention) -> Result<(), Violation> {
+fn check<S: Semantics>(r: &Instance, fds: &FdSet, conv: S) -> Result<(), Violation> {
     testfd::check(r, fds, conv, &Executor::with_threads(1), &Recorder::noop())
 }
 
@@ -130,7 +131,7 @@ proptest! {
     /// instances (shared NEC classes).
     #[test]
     fn indexed_testfds_agrees_with_pairwise(w in arb_workload()) {
-        for conv in [Convention::Strong, Convention::Weak] {
+        for conv in [SemanticsKind::Strong, SemanticsKind::Weak] {
             prop_assert_eq!(
                 check(&w.instance, &w.fds, conv).is_ok(),
                 testfd::check_pairwise(&w.instance, &w.fds, conv).is_ok(),
@@ -139,7 +140,7 @@ proptest! {
             );
         }
         let chased = chase_plain(&w.instance, &w.fds).instance;
-        for conv in [Convention::Strong, Convention::Weak] {
+        for conv in [SemanticsKind::Strong, SemanticsKind::Weak] {
             prop_assert_eq!(
                 check(&chased, &w.fds, conv).is_ok(),
                 testfd::check_pairwise(&chased, &w.fds, conv).is_ok(),
@@ -209,7 +210,7 @@ fn dense_grid_at_65_rows() {
                 indexed.instance.canonical_form(),
                 "seed {seed} nd {nd}"
             );
-            for conv in [Convention::Strong, Convention::Weak] {
+            for conv in [SemanticsKind::Strong, SemanticsKind::Weak] {
                 assert_eq!(
                     check(&w.instance, &fds, conv).is_ok(),
                     testfd::check_pairwise(&w.instance, &fds, conv).is_ok(),

@@ -19,9 +19,8 @@ use fdi_core::chase::{
 use fdi_core::fd::FdSet;
 use fdi_core::groupkey;
 use fdi_core::query::{self, CompiledQuery, Query, Selection};
-use fdi_core::semantics::Semantics;
-use fdi_core::testfd::{self, Convention, Violation};
-use fdi_core::update::LhsIndex;
+use fdi_core::semantics::{self, Semantics, SemanticsKind};
+use fdi_core::testfd::{self, Violation};
 use fdi_exec::Executor;
 use fdi_gen::{plant_violation, scaling_query, workload, Workload, WorkloadSpec};
 use fdi_obs::Recorder;
@@ -82,10 +81,6 @@ fn group_at(
         false,
         &Executor::with_threads(threads),
     )
-}
-
-fn index_at(r: &Instance, fds: &FdSet, threads: usize) -> LhsIndex {
-    LhsIndex::build(r, fds, &Executor::with_threads(threads))
 }
 
 /// [`extended_chase`] at every thread count equals the naive oracle —
@@ -215,7 +210,7 @@ proptest! {
     /// coincide), and the strong-null-determinant fallback.
     #[test]
     fn parallel_testfd_is_thread_invariant_and_sound(w in arb_adversarial()) {
-        for conv in [Convention::Strong, Convention::Weak] {
+        for conv in [SemanticsKind::Strong, SemanticsKind::Weak] {
             let oracle = testfd::check_pairwise(&w.instance, &w.fds, conv);
             let baseline = check_at(&w.instance, &w.fds, conv, 1);
             prop_assert_eq!(
@@ -249,7 +244,7 @@ proptest! {
     /// nondeterministic witness.)
     #[test]
     fn sequential_witnesses_are_canonical(w in arb_adversarial()) {
-        for conv in [Convention::Strong, Convention::Weak] {
+        for conv in [SemanticsKind::Strong, SemanticsKind::Weak] {
             let pairwise = testfd::check_pairwise(&w.instance, &w.fds, conv);
             prop_assert_eq!(
                 pairwise, check_at(&w.instance, &w.fds, conv, 1),
@@ -348,34 +343,6 @@ proptest! {
             }
         }
     }
-
-    /// `LhsIndex::build` builds the same index (bucket maps, wild
-    /// lists, filing records) at every thread count — and stays
-    /// delta-consistent: removing a row from a 4-thread build equals an
-    /// inline build without it.
-    #[test]
-    fn parallel_index_build_matches_sequential(w in arb_adversarial()) {
-        let sequential = index_at(&w.instance, &w.fds, 1);
-        for threads in THREADS {
-            let parallel = index_at(&w.instance, &w.fds, threads);
-            prop_assert!(
-                sequential.same_buckets(&parallel),
-                "build diverges at {} threads on\n{}",
-                threads,
-                w.instance.render(true)
-            );
-        }
-        // delta-consistency of the parallel build
-        if w.instance.len() > 1 {
-            let mut chopped = w.instance.clone();
-            let victim = chopped.nth_row(0);
-            chopped.remove_row(victim);
-            let mut parallel = index_at(&w.instance, &w.fds, 4);
-            parallel.remove_row(victim);
-            let rebuilt = index_at(&chopped, &w.fds, 1);
-            prop_assert!(parallel.same_buckets(&rebuilt), "delta after parallel build");
-        }
-    }
 }
 
 /// Shards over a heavily tombstoned arena still merge to the inline
@@ -416,7 +383,7 @@ fn parallel_paths_survive_tombstone_heavy_arenas() {
             seq_chase.instance.canonical_form(),
             par_chase.instance.canonical_form()
         );
-        for conv in [Convention::Strong, Convention::Weak] {
+        for conv in [SemanticsKind::Strong, SemanticsKind::Weak] {
             assert_eq!(
                 testfd::check_pairwise(&w.instance, &w.fds, conv),
                 check_at(&w.instance, &w.fds, conv, threads),
@@ -512,33 +479,6 @@ fn parallel_chase_handles_cross_column_marks_exactly() {
     }
 }
 
-/// `LhsIndex::build` below [`fdi_core::update::PAR_BUILD_SMALL_N`] rows
-/// builds in one shard, so the proptest above only proves the API
-/// contract there; this drives the genuinely sharded build on an
-/// instance beyond the cutoff.
-#[test]
-fn parallel_index_build_matches_sequential_beyond_the_cutoff() {
-    use fdi_core::update::PAR_BUILD_SMALL_N;
-    let spec = WorkloadSpec {
-        rows: PAR_BUILD_SMALL_N + 500,
-        attrs: 4,
-        domain: 64,
-        null_density: 0.2,
-        nec_density: 0.2,
-        collision_rate: 0.4,
-    };
-    let w = workload(41, &spec, 4);
-    assert!(w.instance.len() >= PAR_BUILD_SMALL_N);
-    let sequential = index_at(&w.instance, &w.fds, 1);
-    for threads in [2, 4, 8] {
-        let parallel = index_at(&w.instance, &w.fds, threads);
-        assert!(
-            sequential.same_buckets(&parallel),
-            "sharded build diverges at {threads} threads"
-        );
-    }
-}
-
 /// Strong-convention TEST-FDs on an instance whose *every* determinant
 /// carries a null: the whole check runs through the sharded pairwise
 /// fallback, which must stay thread-invariant and agree with the
@@ -557,13 +497,13 @@ fn parallel_pairwise_fallback_is_exact() {
     .unwrap();
     for fd_text in ["A -> B", "B -> C", "A B -> C", "C -> A"] {
         let fds = fdi_core::fd::FdSet::parse(&schema, fd_text).unwrap();
-        let oracle = testfd::check_pairwise(&r, &fds, Convention::Strong);
-        let baseline = check_at(&r, &fds, Convention::Strong, 1);
+        let oracle = testfd::check_pairwise(&r, &fds, semantics::Strong);
+        let baseline = check_at(&r, &fds, semantics::Strong, 1);
         assert_eq!(oracle, baseline, "{fd_text}");
         for threads in THREADS {
             assert_eq!(
                 baseline,
-                check_at(&r, &fds, Convention::Strong, threads),
+                check_at(&r, &fds, semantics::Strong, threads),
                 "{fd_text} at {threads} threads"
             );
         }
@@ -573,7 +513,7 @@ fn parallel_pairwise_fallback_is_exact() {
                 fds.fds()[v.fd_index],
                 v.rows.0,
                 v.rows.1,
-                Convention::Strong
+                semantics::Strong
             ));
         }
     }

@@ -1,21 +1,23 @@
-//! Update-sequence properties for the incremental index maintenance:
-//! after *every* operation of an arbitrary interleaved
-//! insert/delete/modify stream — accepted or rejected, with or without
-//! NS-rule propagation — the delta-maintained `LhsIndex` must be
-//! bucket-identical to a fresh `LhsIndex::build` of the live instance.
+//! Update-sequence properties for `Database` maintenance: after
+//! *every* operation of an arbitrary interleaved
+//! insert/delete/modify/resolve stream — accepted or rejected, with or
+//! without NS-rule propagation — the enforced notion still holds
+//! (`testfd::check_strong` under `Strong`, `weakly_satisfiable_via_chase`
+//! under `Weak`) and a mirror twin fed the same stream is bit-identical.
 //!
 //! Rows are stable `RowId` slots: deletes tombstone and never renumber
 //! survivors, so the stream tracker (`fdi_gen::LiveRows`) resolves each
-//! op's positional reference to the id it means. A second family of
-//! properties covers `compact()`: densifying the slot arena and
-//! remapping the delta-maintained index must land exactly where a fresh
-//! rebuild of the compacted instance lands.
+//! op's positional reference to the id it means. A second property
+//! covers `compact()`: densifying the slot arena preserves content, and
+//! the compacted database keeps enforcing its policy.
 //!
 //! Streams come from `fdi_gen::update_stream`; bases from the workload
 //! generators (weakly/classically satisfiable where the policy demands
 //! a valid starting point).
 
-use fdi_core::update::{Database, Enforcement, LhsIndex, Policy};
+use fdi_core::chase::weakly_satisfiable_via_chase;
+use fdi_core::testfd;
+use fdi_core::update::{Database, Enforcement, Policy};
 use fdi_gen::{
     apply_op, satisfiable_workload, update_stream, workload, LiveRows, UpdateMix, UpdateOp,
     WorkloadSpec,
@@ -26,7 +28,7 @@ use fdi_relation::Value;
 use proptest::prelude::*;
 
 /// The default mix plus blind resolve ops: most miss (clean `NotANull`
-/// rejections), the hits exercise class-wide substitution + re-key.
+/// rejections), the hits exercise class-wide substitution.
 fn mix_with_resolves() -> UpdateMix {
     UpdateMix {
         resolve: 2,
@@ -58,25 +60,70 @@ fn spec(rows: usize, null_density: f64) -> WorkloadSpec {
     }
 }
 
-/// The invariant under test, checked after every single operation.
-fn assert_index_fresh(db: &Database) {
+/// The invariant the policy promises, checked after every single
+/// operation: strongly satisfied under `Strong`, weakly satisfiable
+/// under `Weak` (load mode promises nothing).
+fn assert_enforced(db: &Database) {
+    let holds = match db.policy().enforcement {
+        Enforcement::Strong => testfd::check_strong(db.instance(), db.fds()).is_ok(),
+        Enforcement::Weak => weakly_satisfiable_via_chase(db.fds(), db.instance()),
+        Enforcement::None => true,
+    };
     assert!(
-        db.index().same_buckets(&LhsIndex::build(
-            db.instance(),
-            db.fds(),
-            &fdi_exec::Executor::with_threads(1)
-        )),
-        "delta-maintained index diverged from a fresh build on\n{}",
+        holds,
+        "{:?} enforcement broken on\n{}",
+        db.policy().enforcement,
         db.instance().render(true)
     );
 }
 
+/// A database and its mirror twin, fed the identical op stream.
+struct Twins {
+    db: Database,
+    live: LiveRows,
+    mirror: Database,
+    mirror_live: LiveRows,
+}
+
+impl Twins {
+    fn new(db: Database) -> Twins {
+        let live = LiveRows::of(db.instance());
+        Twins {
+            mirror: db.clone(),
+            mirror_live: live.clone(),
+            db,
+            live,
+        }
+    }
+
+    /// Applies `op` to both twins, then checks that they decided alike
+    /// and stayed bit-identical — same marked render, same `NecStore`
+    /// representation (the determinism the op journal's crash recovery
+    /// relies on) — and that the policy still holds. Returns whether
+    /// the op was accepted.
+    fn apply(&mut self, op: &UpdateOp) -> bool {
+        let accepted = apply_op(&mut self.db, &mut self.live, op);
+        let mirror_accepted = apply_op(&mut self.mirror, &mut self.mirror_live, op);
+        assert_eq!(accepted, mirror_accepted, "twins must decide identically");
+        assert_eq!(
+            self.db.instance().render(true),
+            self.mirror.instance().render(true)
+        );
+        assert!(
+            self.db.instance().necs() == self.mirror.instance().necs(),
+            "mirror NEC representation must stay in lockstep"
+        );
+        assert_enforced(&self.db);
+        accepted
+    }
+}
+
 proptest! {
-    /// Load mode (no checking, no propagation): pure delta maintenance
-    /// over arbitrary interleavings of every load-mode mix, including
-    /// empty starting instances.
+    /// Load mode (no checking, no propagation) over arbitrary
+    /// interleavings of every load-mode mix, including empty starting
+    /// instances.
     #[test]
-    fn delta_index_equals_rebuild_in_load_mode(
+    fn load_mode_streams_replay_identically(
         seed in 0u64..1 << 32,
         rows in 0usize..40,
         ops in 1usize..60,
@@ -84,62 +131,60 @@ proptest! {
     ) {
         let spec = spec(rows, 0.2);
         let w = workload(seed, &spec, 3);
-        let mut db = Database::new(
+        let db = Database::new(
             w.instance.clone(),
             w.fds.clone(),
             Policy { enforcement: Enforcement::None, propagate: false },
         )
         .expect("load mode accepts anything");
-        let mut live = LiveRows::of(db.instance());
+        let mut twins = Twins::new(db);
         let stream = update_stream(seed ^ 0x5eed, &spec, w.instance.len(), ops, load_mode_mix(mix));
         for op in &stream {
-            let accepted = apply_op(&mut db, &mut live, op);
+            let accepted = twins.apply(op);
             // Blind resolves may miss a null; everything else lands.
             if !matches!(op, UpdateOp::ResolveNull { .. }) {
                 prop_assert!(accepted, "load mode accepts every in-range op");
             }
-            prop_assert_eq!(live.len(), db.instance().len(), "tracker mirrors the instance");
-            assert_index_fresh(&db);
+            prop_assert_eq!(twins.live.len(), twins.db.instance().len(), "tracker mirrors the instance");
         }
     }
 
     /// Weak enforcement with internal acquisition: accepted updates may
-    /// trigger chase substitutions (delta re-keys), rejected ones must
-    /// roll back without leaving index residue.
+    /// trigger chase substitutions, rejected ones must roll back, and
+    /// every state stays weakly satisfiable.
     #[test]
-    fn delta_index_equals_rebuild_under_weak_propagation(
+    fn weak_propagation_streams_stay_weakly_satisfiable(
         seed in 0u64..1 << 32,
         rows in 2usize..24,
         ops in 1usize..40,
     ) {
         let spec = spec(rows, 0.15);
         let w = satisfiable_workload(seed, &spec, 3);
-        let mut db = Database::new(
+        let db = Database::new(
             w.instance.clone(),
             w.fds.clone(),
             Policy { enforcement: Enforcement::Weak, propagate: true },
         )
         .expect("satisfiable base");
-        let mut live = LiveRows::of(db.instance());
+        let mut twins = Twins::new(db);
         let stream = update_stream(seed ^ 0xbeef, &spec, w.instance.len(), ops, mix_with_resolves());
         for op in &stream {
-            apply_op(&mut db, &mut live, op); // rejections are part of the property
-            assert_index_fresh(&db);
+            twins.apply(op); // rejections are part of the property
         }
     }
 
     /// Strong enforcement over a complete base: the reject path fires
     /// often (nulls on determinants are potential violators), and every
-    /// rollback must leave the index exactly as a rebuild would.
+    /// state stays strongly satisfied.
     #[test]
-    fn delta_index_equals_rebuild_under_strong_rollbacks(
+    fn strong_rollback_streams_stay_strongly_satisfied(
         seed in 0u64..1 << 32,
         rows in 2usize..24,
         ops in 1usize..40,
     ) {
         let base_spec = spec(rows, 0.0);
         let w = satisfiable_workload(seed, &base_spec, 3);
-        let mut db = Database::new(
+        let db = Database::new(
             w.instance.clone(),
             w.fds.clone(),
             Policy { enforcement: Enforcement::Strong, propagate: false },
@@ -147,12 +192,11 @@ proptest! {
         .expect("a complete classically-satisfying base is strongly satisfied");
         // Stream with nulls: frequent strong-convention rejections.
         let stream_spec = spec(rows, 0.25);
-        let mut live = LiveRows::of(db.instance());
+        let mut twins = Twins::new(db);
         let stream =
             update_stream(seed ^ 0xf00d, &stream_spec, w.instance.len(), ops, mix_with_resolves());
         for op in &stream {
-            apply_op(&mut db, &mut live, op);
-            assert_index_fresh(&db);
+            twins.apply(op);
         }
     }
 
@@ -160,14 +204,14 @@ proptest! {
     /// against two twin rebuilds after every operation:
     ///
     /// * a **mirror** twin fed the identical op sequence must stay
-    ///   bit-identical — same marked render, same `LhsIndex` buckets,
-    ///   same `NecStore` representation (the determinism the op
-    ///   journal's crash recovery relies on);
+    ///   bit-identical — same marked render, same `NecStore`
+    ///   representation (the determinism the op journal's crash
+    ///   recovery relies on);
     /// * an **accepted-only** twin — what recovery actually replays —
     ///   must match every piece of visible state, with NEC classes in
     ///   positional correspondence (a rejected attempt may burn null
-    ///   *allocator* ids, but must never leak content, index residue,
-    ///   or class structure).
+    ///   *allocator* ids, but must never leak content or class
+    ///   structure).
     #[test]
     fn rejected_interleavings_match_twin_rebuilds(
         seed in 0u64..1 << 32,
@@ -181,43 +225,28 @@ proptest! {
             Database::new(w.instance.clone(), w.fds.clone(), policy)
                 .expect("a complete classically-satisfying base is strongly satisfied")
         };
-        let mut db = fresh();
-        let mut mirror = fresh();
+        let mut twins = Twins::new(fresh());
         let mut twin = fresh();
-        let mut live = LiveRows::of(db.instance());
-        let mut mirror_live = LiveRows::of(mirror.instance());
         let mut twin_live = LiveRows::of(twin.instance());
         // streams with nulls against a Strong policy reject often
         let stream_spec = spec(rows, 0.25);
         let stream =
             update_stream(seed ^ 0x5713, &stream_spec, w.instance.len(), ops, mix_with_resolves());
         for op in &stream {
-            let accepted = apply_op(&mut db, &mut live, op);
-            let mirror_accepted = apply_op(&mut mirror, &mut mirror_live, op);
-            prop_assert_eq!(accepted, mirror_accepted, "twins must decide identically");
-            if accepted {
+            if twins.apply(op) {
                 prop_assert!(
                     apply_op(&mut twin, &mut twin_live, op),
                     "an op the database accepted must replay on the accepted-only twin"
                 );
             }
-            prop_assert_eq!(db.instance().render(true), mirror.instance().render(true));
-            prop_assert!(
-                db.instance().necs() == mirror.instance().necs(),
-                "mirror NEC representation must stay in lockstep"
-            );
-            prop_assert!(db.index().same_buckets(mirror.index()));
+            let db = &twins.db;
             prop_assert_eq!(db.instance().render(false), twin.instance().render(false));
             prop_assert_eq!(
                 db.instance().canonical_form(),
                 twin.instance().canonical_form()
             );
-            prop_assert!(
-                db.index().same_buckets(twin.index()),
-                "rejected ops must leave no index residue vs the accepted-only twin"
-            );
-            assert_index_fresh(&db);
         }
+        let db = &twins.db;
         // NEC class structure corresponds over the live null
         // occurrences (ids may differ by allocator residue; the
         // partition they induce on cells may not)
@@ -243,29 +272,29 @@ proptest! {
         }
     }
 
-    /// `compact()` remap correctness: after an arbitrary op stream,
-    /// densifying the arena and *remapping* the delta-maintained index
-    /// yields buckets identical to a from-scratch `LhsIndex::build` of
-    /// the compacted instance — and the instance content is unchanged.
+    /// `compact()` after an arbitrary op stream: the arena becomes
+    /// dense, the instance content is unchanged, and the compacted
+    /// database keeps enforcing its policy on further ops.
     #[test]
-    fn compact_remap_equals_fresh_rebuild(
+    fn compact_preserves_content_and_enforcement(
         seed in 0u64..1 << 32,
         rows in 0usize..32,
         ops in 1usize..60,
     ) {
         let spec = spec(rows, 0.2);
         let w = workload(seed, &spec, 3);
-        let mut db = Database::new(
+        let db = Database::new(
             w.instance.clone(),
             w.fds.clone(),
             Policy { enforcement: Enforcement::None, propagate: false },
         )
         .expect("load mode");
-        let mut live = LiveRows::of(db.instance());
+        let mut twins = Twins::new(db);
         let stream = update_stream(seed ^ 0xc0de, &spec, w.instance.len(), ops, mix_with_resolves());
         for op in &stream {
-            apply_op(&mut db, &mut live, op);
+            twins.apply(op);
         }
+        let mut db = twins.db;
         let before = db.instance().canonical_form();
         let moved = db.compact();
         prop_assert_eq!(db.instance().canonical_form(), before, "compaction preserves content");
@@ -276,14 +305,11 @@ proptest! {
             prop_assert!(new < old, "compaction only moves rows down");
             prop_assert!(db.instance().is_live(new));
         }
-        assert_index_fresh(&db);
         // and the compacted database keeps working incrementally
-        let spec2 = spec.clone();
-        let mut live = LiveRows::of(db.instance());
-        let tail = update_stream(seed ^ 0xd1ce, &spec2, db.instance().len(), 8, mix_with_resolves());
+        let mut twins = Twins::new(db);
+        let tail = update_stream(seed ^ 0xd1ce, &spec, twins.db.instance().len(), 8, mix_with_resolves());
         for op in &tail {
-            apply_op(&mut db, &mut live, op);
-            assert_index_fresh(&db);
+            twins.apply(op);
         }
     }
 }
@@ -291,8 +317,8 @@ proptest! {
 /// Regression: delete a row participating in a shared NEC class, then
 /// re-insert a row reusing the same mark. The class binding survives
 /// deletion (marks persist), the re-inserted row rejoins the class, and
-/// the index stays bucket-identical to a rebuild throughout — under
-/// stable slots the surviving row keeps its `RowId` across the delete.
+/// every state stays weakly satisfiable — under stable slots the
+/// surviving row keeps its `RowId` across the delete.
 #[test]
 fn delete_then_reinsert_row_in_shared_nec_class() {
     let schema = fdi_core::fixtures::section6_schema();
@@ -312,7 +338,7 @@ fn delete_then_reinsert_row_in_shared_nec_class() {
     let first = db.instance().nth_row(0);
     let survivor = db.instance().nth_row(1);
     db.delete(first).expect("deletes always succeed");
-    assert_index_fresh(&db);
+    assert_enforced(&db);
     assert_eq!(db.instance().len(), 1);
     assert!(
         db.instance().is_live(survivor),
@@ -322,7 +348,7 @@ fn delete_then_reinsert_row_in_shared_nec_class() {
     // Re-insert with the same mark: `?x` must rejoin the surviving
     // occurrence's class.
     let out = db.insert(&["a1", "?x", "c1"]).expect("weakly fine");
-    assert_index_fresh(&db);
+    assert_enforced(&db);
     let n0 = db.instance().value(survivor, b).as_null().unwrap();
     let n1 = db.instance().value(out.row, b).as_null().unwrap();
     assert!(
@@ -330,10 +356,9 @@ fn delete_then_reinsert_row_in_shared_nec_class() {
         "the mark's NEC class must survive delete-then-reinsert"
     );
 
-    // Resolving either occurrence now fills both, and the re-keys keep
-    // the index fresh.
+    // Resolving either occurrence now fills both.
     db.resolve_null(survivor, b, "b1").expect("consistent");
-    assert_index_fresh(&db);
+    assert_enforced(&db);
     assert!(db.instance().value(survivor, b).is_const());
     assert!(db.instance().value(out.row, b).is_const());
 }
@@ -369,19 +394,19 @@ fn strong_rollback_reoccupies_the_freed_slot() {
         twin.instance().render(true),
         "rollback is byte-identical to never-applied"
     );
-    assert_index_fresh(&db);
+    assert_enforced(&db);
 
     // The next accepted insert re-occupies the slot the rejected one
     // briefly held.
     let out = db.insert(&["e4", "20K", "d3", "part"]).expect("clean");
     assert_eq!(out.row, RowId(bound_before as u32));
     assert_eq!(db.instance().slot_bound(), bound_before + 1);
-    assert_index_fresh(&db);
+    assert_enforced(&db);
 }
 
 /// Deleting dead or never-allocated rows (possible when a rejecting
 /// policy makes the generator's live-count optimistic) is a clean error
-/// that leaves the database and index untouched.
+/// that leaves the database untouched.
 #[test]
 fn out_of_range_ops_leave_no_trace() {
     let w = satisfiable_workload(3, &spec(4, 0.0), 2);
@@ -403,6 +428,6 @@ fn out_of_range_ops_leave_no_trace() {
     db.delete(victim).expect("live row");
     assert!(db.delete(victim).is_err(), "double delete is a clean error");
     assert!(db.modify(victim, AttrId(0), "A_0").is_err());
-    assert_index_fresh(&db);
+    assert_enforced(&db);
     assert_eq!(db.instance().len(), 3);
 }

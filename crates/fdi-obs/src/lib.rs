@@ -27,8 +27,7 @@
 //!
 //! * **Deterministic** metrics are driven only by the writer-serial or
 //!   sequential-engine code paths — chase passes/sweeps/unions, ops
-//!   applied/rejected, index delta ops, journal record/sync *counts*,
-//!   epoch sequence. Same op stream ⇒ same values, at any thread
+//!   applied/rejected, journal record/sync *counts*, epoch sequence. Same op stream ⇒ same values, at any thread
 //!   count, with any number of readers.
 //! * **Nondeterministic** metrics are timings (histograms are always
 //!   nondeterministic), per-shard or early-exit-dependent work counts
@@ -91,14 +90,6 @@ pub enum Counter {
     /// the parallel pairwise fallback early-exits per chunk, and chunk
     /// boundaries depend on the thread count).
     TestfdRowsScanned,
-    /// `LhsIndex` rows inserted incrementally (deterministic).
-    IndexRowsInserted,
-    /// `LhsIndex` rows removed incrementally (deterministic).
-    IndexRowsRemoved,
-    /// `LhsIndex` rows rekeyed after value changes (deterministic).
-    IndexRowsRekeyed,
-    /// `LhsIndex` rows remapped by `compact` (deterministic).
-    IndexRowsRemapped,
     /// Database mutations accepted and applied (deterministic).
     OpsApplied,
     /// Database mutations rejected by FD enforcement or bad arguments
@@ -157,7 +148,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in stable registry (exposition) order.
-    pub const ALL: [Counter; 33] = [
+    pub const ALL: [Counter; 29] = [
         Counter::ChasePasses,
         Counter::ChaseBucketSweeps,
         Counter::ChaseSubstitutions,
@@ -167,10 +158,6 @@ impl Counter {
         Counter::TestfdChecks,
         Counter::TestfdFallbackHits,
         Counter::TestfdRowsScanned,
-        Counter::IndexRowsInserted,
-        Counter::IndexRowsRemoved,
-        Counter::IndexRowsRekeyed,
-        Counter::IndexRowsRemapped,
         Counter::OpsApplied,
         Counter::OpsRejected,
         Counter::JournalAppends,
@@ -205,10 +192,6 @@ impl Counter {
             Counter::TestfdChecks => "testfd_checks",
             Counter::TestfdFallbackHits => "testfd_fallback_hits",
             Counter::TestfdRowsScanned => "testfd_rows_scanned",
-            Counter::IndexRowsInserted => "index_rows_inserted",
-            Counter::IndexRowsRemoved => "index_rows_removed",
-            Counter::IndexRowsRekeyed => "index_rows_rekeyed",
-            Counter::IndexRowsRemapped => "index_rows_remapped",
             Counter::OpsApplied => "ops_applied",
             Counter::OpsRejected => "ops_rejected",
             Counter::JournalAppends => "journal_appends",

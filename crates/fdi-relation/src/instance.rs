@@ -25,7 +25,7 @@
 //! figures: one tuple per line, values separated by whitespace, `-` for
 //! an anonymous null, `?name` for a *marked* null (two occurrences of the
 //! same mark denote the same unknown value), `#!` for the `nothing`
-//! element, and `#`-prefixed comment lines.
+//! element, and `#`-prefixed comment lines ([`is_comment`]).
 
 use crate::attrs::AttrId;
 use crate::domain::Domain;
@@ -40,6 +40,14 @@ use crate::value::{NullId, Value};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
+
+/// Is `line` (already trimmed) a comment of the text format? A line
+/// starting with `#` is one, unless its first whitespace-separated token
+/// is exactly `#!` — that is a row whose first value is `nothing`. A
+/// `#!/…` shebang stays a comment.
+pub fn is_comment(line: &str) -> bool {
+    line.starts_with('#') && line.split_whitespace().next() != Some("#!")
+}
 
 /// A relation instance `r` of a scheme `R`.
 #[derive(Debug, Clone)]
@@ -95,7 +103,7 @@ impl Instance {
         let mut instance = Instance::new(schema);
         for (lineno, line) in text.lines().enumerate() {
             let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
+            if line.is_empty() || is_comment(line) {
                 continue;
             }
             let tokens: Vec<&str> = line.split_whitespace().collect();
@@ -792,6 +800,32 @@ mod tests {
             .attribute("C", ["c1", "c2"])
             .build()
             .unwrap()
+    }
+
+    #[test]
+    fn a_leading_nothing_is_a_row_not_a_comment() {
+        let r = Instance::parse(schema_abc(), "# comment\n#!/usr/bin/env fdi\n#! b1 c1").unwrap();
+        assert_eq!(r.len(), 1, "only the `#!` row is content");
+        assert_eq!(r.value(r.nth_row(0), AttrId(0)), Value::Nothing);
+        assert_eq!(r.nothing_count(), 1);
+    }
+
+    #[test]
+    fn render_parse_round_trips_nothing_in_the_first_column() {
+        let mut r = Instance::new(schema_abc());
+        r.add_row(&["#!", "?x", "c1"]).unwrap();
+        r.add_row(&["a1", "?x", "#!"]).unwrap();
+        r.add_row(&["#!", "-", "c2"]).unwrap();
+        // the table's body rows, pipes dropped, are the text format
+        let text: String = r
+            .render(true)
+            .lines()
+            .skip(2)
+            .map(|line| line.replace('|', " ") + "\n")
+            .collect();
+        let reparsed = Instance::parse(schema_abc(), &text).unwrap();
+        assert_eq!(reparsed.len(), 3, "{text}");
+        assert_eq!(reparsed.canonical_form(), r.canonical_form());
     }
 
     #[test]

@@ -14,8 +14,8 @@ use fdi_relation::RelationError;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
-/// One immutable published state: the chased instance (with its index
-/// and NEC forest, inside the [`Database`]), stamped with its position
+/// One immutable published state: the chased instance (with its NEC
+/// forest, inside the [`Database`]), stamped with its position
 /// in the epoch sequence. All query entry points take `&self` — an
 /// epoch never changes after construction (the plan cache is
 /// interior-mutable but semantically transparent), so any number of
@@ -62,7 +62,7 @@ impl Epoch {
         self.ops_applied
     }
 
-    /// The snapshotted database (instance + FDs + policy + index).
+    /// The snapshotted database (instance + FDs + policy).
     pub fn db(&self) -> &Database {
         &self.db
     }

@@ -10,16 +10,14 @@
 //!
 //! An [`Epoch`] is an immutable, `Arc`-shared snapshot of the serving
 //! state: the chased [`Instance`](fdi_relation::Instance) with its null
-//! equivalence forest and its
-//! [`LhsIndex`](fdi_core::update::LhsIndex) (inside the contained
+//! equivalence forest (inside the contained
 //! [`Database`](fdi_core::update::Database)), stamped with a sequence
 //! number and the count of accepted ops it reflects. What a reader
 //! **may** observe:
 //!
 //! * Any published epoch, each equal to a **sequential replay of some
 //!   accepted-op prefix** ending at a batch boundary: same `RowId`s,
-//!   same index buckets, same canonical NEC classes, at every thread
-//!   count. (Exactness is content-level: a rejected op is
+//!   same canonical NEC classes, at every thread count. (Exactness is content-level: a rejected op is
 //!   content-traceless but may advance the writer's null allocator, so
 //!   only null *mark ids* can differ from an accepted-only replay — the
 //!   same caveat the store layer documents for live-vs-recovered
@@ -34,9 +32,8 @@
 //!
 //! What a reader can **never** observe:
 //!
-//! * A torn state — a half-applied op, a half-applied batch, or an
-//!   index inconsistent with its instance. Publication is one atomic
-//!   pointer swap of a fully-built snapshot.
+//! * A torn state — a half-applied op or a half-applied batch.
+//!   Publication is one atomic pointer swap of a fully-built snapshot.
 //! * Uncommitted work — ops staged by the writer but not yet published
 //!   (and, under group commit, not yet durable).
 //!
@@ -72,8 +69,8 @@
 //!
 //! Serving is instrumented through [`fdi_obs`]: install a live
 //! [`Recorder`](fdi_obs::Recorder) with [`Writer::set_recorder`]
-//! (routing the publish path, op acceptance, index deltas, and journal
-//! commit/sync metrics) and [`Reader::set_recorder`] (snapshot-read
+//! (routing the publish path, op acceptance, and journal commit/sync
+//! metrics) and [`Reader::set_recorder`] (snapshot-read
 //! count and acquisition latency). Pass the same recorder to
 //! [`Epoch::select`] to tally plan-cache and memo traffic; one live
 //! recorder per process is what the serve `metrics` command renders.
@@ -81,8 +78,8 @@
 //! The determinism contract above extends to the metrics themselves,
 //! along the [`fdi_obs`] deterministic/nondeterministic split:
 //!
-//! * Writer-side **deterministic** metrics (op tallies, index deltas,
-//!   journal record/op counts, epochs published, epoch gauges) are
+//! * Writer-side **deterministic** metrics (op tallies, journal
+//!   record/op counts, epochs published, epoch gauges) are
 //!   bit-identical across `FDI_THREADS` settings and reader counts for
 //!   the same op stream and batch boundaries.
 //! * Reader-driven metrics (snapshot reads, plan-cache and memo

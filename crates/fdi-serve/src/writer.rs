@@ -214,8 +214,8 @@ impl<S: Storage> Writer<S> {
     /// Routes this writer's observability into `rec`: the publication
     /// path (epoch latency/batch-size histograms, epoch gauges, the
     /// `epoch_published` event) plus — forwarded to the journaled pair
-    /// via [`JournaledDatabase::set_recorder`] — op acceptance, index
-    /// deltas, and journal commit/sync metrics. The default is the noop
+    /// via [`JournaledDatabase::set_recorder`] — op acceptance and
+    /// journal commit/sync metrics. The default is the noop
     /// recorder: serving is observability-free unless a sink is
     /// installed.
     pub fn set_recorder(&mut self, rec: Recorder) {
@@ -448,7 +448,7 @@ mod tests {
         assert_eq!(epoch.plan_cache_len(), 1, "second select reuses the plan");
         assert_eq!(again, seq);
         let db = epoch.db();
-        let weak = fdi_core::testfd::Convention::Weak;
+        let weak = fdi_core::semantics::Weak;
         assert!(
             fdi_core::testfd::check(db.instance(), db.fds(), weak, &exec, &Recorder::noop())
                 .is_ok()

@@ -18,7 +18,7 @@
 //! * Recovery ([`Journal::recover`]) rebuilds the database from the
 //!   genesis snapshot plus exactly those ops — **bit-identically**:
 //!   same `RowId` assignments, same null ids, same NEC representation,
-//!   same index buckets, at any `FDI_THREADS` setting. This leans on
+//!   at any `FDI_THREADS` setting. This leans on
 //!   the engine's determinism contract; replay *verifies* it (journaled
 //!   row ids and compaction remaps are checked, mismatch is a typed
 //!   [`RecoverError::Replay`]).

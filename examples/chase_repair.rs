@@ -57,7 +57,7 @@ fn main() {
     }
     println!(
         "weak-convention TEST-FDs on the minimally incomplete instance: {:?}",
-        testfd::check_sorted(&chased.instance, &f6, Convention::Weak)
+        testfd::check_sorted(&chased.instance, &f6, semantics::Weak)
     );
     println!(
         "Theorem 4 pipeline agrees: weakly satisfiable = {}\n",

@@ -76,6 +76,7 @@ use fd_incomplete::core::update::{Database, Policy, UpdateError};
 use fd_incomplete::core::{armstrong, chase, normalize, satisfy, subst, testfd};
 use fd_incomplete::obs::Recorder;
 use fd_incomplete::prelude::*;
+use fd_incomplete::relation::instance::is_comment;
 use fd_incomplete::relation::rowid::RowId;
 use fd_incomplete::serve::{self, ServeOp, Staged};
 use fd_incomplete::store::{
@@ -124,7 +125,7 @@ fn parse_description(text: &str) -> Result<Description, String> {
     let mut instance_lines: Vec<String> = Vec::new();
     for (lineno, raw) in text.lines().enumerate() {
         let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
+        if line.is_empty() || is_comment(line) {
             continue;
         }
         if let Some(name) = line.strip_prefix('%') {
@@ -1131,6 +1132,14 @@ cyd eng   -   c2
         assert_eq!(d.fds.len(), 2);
         assert_eq!(d.instance.len(), 3);
         assert_eq!(d.instance.null_count(), 2);
+    }
+
+    #[test]
+    fn a_leading_nothing_row_is_parsed_not_skipped() {
+        let text = format!("#!/usr/bin/env fdi\n{SAMPLE}#! eng noa\n# a comment\n");
+        let d = parse_description(&text).expect("parse");
+        assert_eq!(d.instance.len(), 4);
+        assert_eq!(d.instance.nothing_count(), 1);
     }
 
     #[test]

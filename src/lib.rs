@@ -63,7 +63,7 @@
 //! replays the journal onto its genesis snapshot and — because update
 //! execution is deterministic at every thread count — rebuilds the
 //! database bit-identically: same `RowId`s, same null ids, same NEC
-//! classes, same index buckets. A torn final write is detected and
+//! classes. A torn final write is detected and
 //! truncated; damage *inside* the synced log is a typed
 //! [`store::RecoverError::Corrupt`] naming the byte offset, never a
 //! panic and never a silently wrong database. Periodic
@@ -172,7 +172,7 @@
 //! recorder changes no engine output.
 //!
 //! Wiring points: [`core::update::Database::set_recorder`] (op
-//! acceptance + index deltas), [`store::JournaledDatabase::set_recorder`]
+//! acceptance), [`store::JournaledDatabase::set_recorder`]
 //! (journal appends, group-commit batches, sync latency),
 //! [`store::Journal::recover_with`] (torn-tail truncations, replayed
 //! ops), [`serve::Writer::set_recorder`] / [`serve::Reader::set_recorder`]
@@ -184,7 +184,7 @@
 //!
 //! Metrics are split into a **deterministic** registry (bit-identical
 //! across `FDI_THREADS` settings and reader counts for the same op
-//! stream — op tallies, index deltas, journal record counts, chase
+//! stream — op tallies, journal record counts, chase
 //! pass/union counts, epoch gauges) and a **nondeterministic** one
 //! (wall-clock histograms and reader-driven traffic); the split is part
 //! of the exposition format ([`obs::MetricsSnapshot::render_text`], a
@@ -212,7 +212,7 @@ pub mod prelude {
     pub use fdi_core::prop1;
     pub use fdi_core::satisfy;
     pub use fdi_core::semantics::{self, Semantics, SemanticsKind};
-    pub use fdi_core::testfd::{self, Convention};
+    pub use fdi_core::testfd;
     pub use fdi_core::update::{Database, Enforcement, Policy};
     pub use fdi_exec::Executor;
     pub use fdi_logic::truth::Truth;

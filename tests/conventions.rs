@@ -251,26 +251,25 @@ fn complete_instances_collapse_every_convention_to_one_verdict() {
     }
 }
 
-/// The migration gate of the `Semantics` refactor: the zero-sized
-/// `semantics::Strong`/`semantics::Weak` impls are bit-identical to the
-/// pre-existing `Convention` enum values — verdicts and canonical
-/// least-pair witnesses — through every check variant and across
-/// executor thread counts.
+/// The zero-sized `semantics::Strong`/`semantics::Weak` impls are
+/// bit-identical to runtime dispatch through `SemanticsKind` — verdicts
+/// and canonical least-pair witnesses — through every check variant
+/// and across executor thread counts.
 #[test]
 fn zst_and_convention_dispatch_are_bit_identical() {
     for seed in 0..16u64 {
         let w = workload(seed, &diff_spec(), 3);
-        let strong_enum = check(&w, Convention::Strong);
-        let weak_enum = check(&w, Convention::Weak);
-        assert_eq!(strong_enum, check(&w, semantics::Strong), "seed {seed}");
-        assert_eq!(weak_enum, check(&w, semantics::Weak), "seed {seed}");
+        let strong_kind = check(&w, SemanticsKind::Strong);
+        let weak_kind = check(&w, SemanticsKind::Weak);
+        assert_eq!(strong_kind, check(&w, semantics::Strong), "seed {seed}");
+        assert_eq!(weak_kind, check(&w, semantics::Weak), "seed {seed}");
         assert_eq!(
-            strong_enum,
+            strong_kind,
             testfd::check_pairwise(&w.instance, &w.fds, semantics::Strong),
             "seed {seed}"
         );
         assert_eq!(
-            weak_enum,
+            weak_kind,
             testfd::check_pairwise(&w.instance, &w.fds, semantics::Weak),
             "seed {seed}"
         );
@@ -278,12 +277,12 @@ fn zst_and_convention_dispatch_are_bit_identical() {
             let exec = Executor::with_threads(threads);
             let rec = Recorder::noop();
             assert_eq!(
-                strong_enum,
+                strong_kind,
                 testfd::check(&w.instance, &w.fds, semantics::Strong, &exec, &rec),
                 "seed {seed}, {threads} thread(s)"
             );
             assert_eq!(
-                weak_enum,
+                weak_kind,
                 testfd::check(&w.instance, &w.fds, semantics::Weak, &exec, &rec),
                 "seed {seed}, {threads} thread(s)"
             );

@@ -2,7 +2,6 @@
 //! the weak universal relation, across crates and on generated
 //! workloads.
 
-use fd_incomplete::core::testfd::Convention;
 use fd_incomplete::core::universal::{round_trip, weak_universal_holds};
 use fd_incomplete::core::update::{
     insert_with_full_recheck, Database, Enforcement, Policy, UpdateError,
@@ -55,7 +54,7 @@ fn incremental_inserts_agree_with_full_rechecks_across_seeds() {
             let toks = tokens(&mut rng, spec.attrs, spec.domain, 0.2);
             let refs: Vec<&str> = toks.iter().map(String::as_str).collect();
             let a = db.insert(&refs).is_ok();
-            let b = insert_with_full_recheck(&mut plain, &fds, &refs, Convention::Strong).is_ok();
+            let b = insert_with_full_recheck(&mut plain, &fds, &refs, semantics::Strong).is_ok();
             assert_eq!(a, b, "seed {seed}, tokens {toks:?}");
             accepted += a as usize;
         }

@@ -20,7 +20,8 @@
 //! that the registry's split stays honest as counters are added.
 
 use fd_incomplete::core::chase;
-use fd_incomplete::core::testfd::{self, Convention};
+use fd_incomplete::core::semantics;
+use fd_incomplete::core::testfd;
 use fd_incomplete::core::update::{Database, Enforcement, Policy};
 use fd_incomplete::gen::{
     satisfiable_workload, scaling_query, update_stream, UpdateMix, UpdateOp, WorkloadSpec,
@@ -247,15 +248,15 @@ fn chase_and_testfd_tallies_are_thread_invariant() {
         let exec = Executor::with_threads(threads);
         let rec = Recorder::enabled();
         let chase_result = chase::chase_indexed(&w.instance, &w.fds, &exec, &rec);
-        let strong = testfd::check(&w.instance, &w.fds, Convention::Strong, &exec, &rec);
-        let weak = testfd::check(&w.instance, &w.fds, Convention::Weak, &exec, &rec);
+        let strong = testfd::check(&w.instance, &w.fds, semantics::Strong, &exec, &rec);
+        let weak = testfd::check(&w.instance, &w.fds, semantics::Weak, &exec, &rec);
         for kind in SemanticsKind::ALL {
             let _ = testfd::check(&w.instance, &w.fds, kind, &exec, &rec);
         }
         snapshots.push((threads, rec.snapshot(), chase_result, strong, weak));
     }
     let (_, reference, ref_chase, ref_strong, ref_weak) = &snapshots[0];
-    // 2 Convention-driven checks + one sweep over all four kinds
+    // 2 zero-sized-semantics checks + one sweep over all four kinds
     assert!(
         reference
             .deterministic_pairs()
@@ -264,7 +265,8 @@ fn chase_and_testfd_tallies_are_thread_invariant() {
         "every recorded check must land on the total"
     );
     // ... and each check also tallied its per-semantics slice: the
-    // Convention values dispatch to the same counters as the kinds.
+    // zero-sized `Strong`/`Weak` dispatch to the same counters as the
+    // kinds.
     for (name, expected) in [
         ("testfd_checks_strong", 2u64),
         ("testfd_checks_null_marker", 1),

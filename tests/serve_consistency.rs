@@ -9,14 +9,14 @@
 //! The suite drives real OS threads: reader threads snapshot in a tight
 //! loop while the writer stages, group-commits, and publishes batches
 //! of a generated update stream. Readers assert per-handle monotonicity
-//! and, for every *newly seen* epoch, full internal consistency (index
-//! vs instance, weak satisfiability, sharded select vs sequential
-//! select); the main thread then checks every observed stamp against
+//! and, for every *newly seen* epoch, full internal consistency
+//! (instance vs published fingerprint, weak satisfiability, sharded
+//! select vs sequential select); the main thread then checks every observed stamp against
 //! the publication log and replays the log against the oracle.
 
 use fd_incomplete::core::chase;
 use fd_incomplete::core::query;
-use fd_incomplete::core::update::{Database, Enforcement, LhsIndex, Policy};
+use fd_incomplete::core::update::{Database, Enforcement, Policy};
 use fd_incomplete::gen::{
     satisfiable_workload, scaling_query, update_stream, UpdateMix, UpdateOp, WorkloadSpec,
 };
@@ -213,8 +213,8 @@ fn assert_log_replays(
 /// Content-level form of the contract: the **accepted subsequence
 /// alone** reproduces every published epoch. Rejections are
 /// content-traceless but advance the writer's null allocator, so the
-/// comparison is canonical form, markless tableau, and index buckets —
-/// the same currency the store layer uses for live-vs-replay equality.
+/// comparison is canonical form and markless tableau — the same
+/// currency the store layer uses for live-vs-replay equality.
 fn assert_accepted_subsequence_reproduces(
     initial: Database,
     attempted_batches: &[Vec<(ServeOp, bool)>],
@@ -241,17 +241,13 @@ fn assert_accepted_subsequence_reproduces(
             content.instance().render(false),
             "batch {k}"
         );
-        assert!(
-            epoch.db().index().same_buckets(content.index()),
-            "batch {k}: index buckets diverged from the accepted-only replay"
-        );
     }
 }
 
 /// Spawns `count` reader threads hammering `reader` until `done`. Each
 /// thread asserts per-handle monotonicity on every snapshot and, for
-/// each *newly seen* epoch: the delta-maintained index matches a fresh
-/// parallel rebuild (no torn epoch), the enforcement invariant holds
+/// each *newly seen* epoch: the instance matches the fingerprint it was
+/// published with (no torn epoch), the enforcement invariant holds
 /// (no FD-violating epoch), and the sharded select equals the
 /// sequential select on the shared snapshot. Returns the distinct
 /// stamps each thread observed.
@@ -287,10 +283,10 @@ fn spawn_readers(
                             ops_applied: epoch.ops_applied(),
                             fingerprint: epoch.fingerprint(),
                         });
-                        let fresh = LhsIndex::build(epoch.db().instance(), epoch.db().fds(), &exec);
-                        assert!(
-                            epoch.db().index().same_buckets(&fresh),
-                            "epoch {} was observed with an index inconsistent with its instance",
+                        assert_eq!(
+                            epoch.fingerprint(),
+                            fingerprint_of(epoch.db()),
+                            "epoch {} was observed with an instance that does not match its fingerprint",
                             epoch.seq()
                         );
                         assert!(
