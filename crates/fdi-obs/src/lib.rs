@@ -95,10 +95,8 @@ pub enum Counter {
     /// Database mutations rejected by FD enforcement or bad arguments
     /// (deterministic).
     OpsRejected,
-    /// Single-op journal records appended (deterministic: the journal
+    /// Group-commit batch records appended (deterministic: the journal
     /// is writer-serial).
-    JournalAppends,
-    /// Group-commit batch records appended (deterministic).
     JournalBatchRecords,
     /// Ops made durable through batch records (deterministic).
     JournalOpsCommitted,
@@ -148,7 +146,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in stable registry (exposition) order.
-    pub const ALL: [Counter; 29] = [
+    pub const ALL: [Counter; 28] = [
         Counter::ChasePasses,
         Counter::ChaseBucketSweeps,
         Counter::ChaseSubstitutions,
@@ -160,7 +158,6 @@ impl Counter {
         Counter::TestfdRowsScanned,
         Counter::OpsApplied,
         Counter::OpsRejected,
-        Counter::JournalAppends,
         Counter::JournalBatchRecords,
         Counter::JournalOpsCommitted,
         Counter::JournalSyncs,
@@ -194,7 +191,6 @@ impl Counter {
             Counter::TestfdRowsScanned => "testfd_rows_scanned",
             Counter::OpsApplied => "ops_applied",
             Counter::OpsRejected => "ops_rejected",
-            Counter::JournalAppends => "journal_appends",
             Counter::JournalBatchRecords => "journal_batch_records",
             Counter::JournalOpsCommitted => "journal_ops_committed",
             Counter::JournalSyncs => "journal_syncs",

@@ -40,20 +40,25 @@
 //! ## Publication ↔ durability mapping
 //!
 //! The writer journals through
-//! [`JournaledDatabase`](fdi_store::JournaledDatabase) under
-//! [`SyncPolicy::GroupCommit`](fdi_store::SyncPolicy): accepted ops
-//! buffer in a pending batch, and [`Writer::publish`] first
-//! group-commits the batch (one CRC-framed journal record + one sync)
-//! and only then swaps the epoch pointer — **durable before visible**.
-//! A published epoch therefore always lies on a fully-synced batch
-//! boundary, and crash recovery
-//! ([`Journal::recover`](fdi_store::Journal::recover), unchanged)
-//! restores exactly the last such boundary — never a partial batch,
-//! because a torn batch record is truncated whole. (Staged ops that
-//! overflow [`ServeConfig::max_batch`] auto-commit in whole groups
+//! [`JournaledDatabase`](fdi_store::JournaledDatabase), whose only
+//! write path is group commit: accepted ops buffer in a pending batch,
+//! and [`Writer::publish`] first group-commits the batch (one
+//! CRC-framed journal record + one sync) and only then swaps the epoch
+//! pointer — **durable before visible**. A published epoch therefore
+//! always lies on a fully-synced batch boundary, and crash recovery
+//! ([`Journal::recover`](fdi_store::Journal::recover)) restores exactly
+//! the last such boundary — never a partial batch, because a torn batch
+//! record is truncated whole. (A pending batch also commits on its own
+//! once it holds [`ServeConfig::max_batch`] ops, or early when the next
+//! op would push its record past the journal's size bound — always
 //! *before* publication, so the last synced boundary can lie ahead of
-//! the last published epoch — but never mid-group.) Checkpointing is
-//! offline: `fdi checkpoint` collapses a journal that no writer holds
+//! the last published epoch, but never inside a batch.) With
+//! `max_batch` 1 every staged op is durable before
+//! [`Writer::stage`] returns; `fdi journal-apply` stages its ops file
+//! that way. [`Writer::create`] opens a fresh journal and
+//! [`Writer::resume`] a recovered one; both publish epoch 0.
+//! Checkpointing is offline: `fdi checkpoint` collapses a journal that
+//! no writer holds
 //! ([`Journal::checkpoint`](fdi_store::Journal::checkpoint)).
 //!
 //! ## Determinism

@@ -1,8 +1,8 @@
 //! The single-writer side: stage deltas, group-commit, publish.
 //!
 //! A [`Writer`] owns the private successor state (a
-//! [`JournaledDatabase`] under [`SyncPolicy::GroupCommit`]) and the
-//! publication cell. Mutations are **staged** against the successor
+//! [`JournaledDatabase`], which journals in group-commit batches) and
+//! the publication cell. Mutations are **staged** against the successor
 //! state — readers cannot see them — and become visible only at
 //! [`Writer::publish`], which first commits the pending journal batch
 //! (durable before visible) and then swaps the epoch pointer.
@@ -13,9 +13,7 @@ use fdi_exec::Executor;
 use fdi_obs::{Counter, Gauge, Hist, Recorder};
 use fdi_relation::rowid::RowId;
 use fdi_relation::AttrId;
-use fdi_store::{
-    CreateError, Journal, JournaledDatabase, JournaledError, RecoverError, Storage, SyncPolicy,
-};
+use fdi_store::{CreateError, Journal, JournaledDatabase, JournaledError, Storage};
 use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
@@ -24,8 +22,10 @@ use std::time::Instant;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
     /// Group-commit batch size: staged ops auto-commit to the journal
-    /// (durably, as one batch record) once this many have accumulated;
-    /// [`Writer::publish`] commits whatever is pending regardless.
+    /// (durably, as one batch record) once this many have accumulated,
+    /// or earlier if the record would outgrow the journal's size bound;
+    /// [`Writer::publish`] commits whatever is pending regardless. With
+    /// 1, every staged op is durable before [`Writer::stage`] returns.
     pub max_batch: usize,
 }
 
@@ -99,8 +99,6 @@ pub enum ServeError {
     Journaled(JournaledError),
     /// Creating the journal failed.
     Create(CreateError),
-    /// Recovering the journal failed.
-    Recover(RecoverError),
 }
 
 impl fmt::Display for ServeError {
@@ -108,7 +106,6 @@ impl fmt::Display for ServeError {
         match self {
             ServeError::Journaled(e) => write!(f, "{e}"),
             ServeError::Create(e) => write!(f, "{e}"),
-            ServeError::Recover(e) => write!(f, "{e}"),
         }
     }
 }
@@ -124,12 +121,6 @@ impl From<JournaledError> for ServeError {
 impl From<CreateError> for ServeError {
     fn from(e: CreateError) -> Self {
         ServeError::Create(e)
-    }
-}
-
-impl From<RecoverError> for ServeError {
-    fn from(e: RecoverError) -> Self {
-        ServeError::Recover(e)
     }
 }
 
@@ -158,40 +149,22 @@ impl<S: Storage> Writer<S> {
         cfg: ServeConfig,
         _exec: Executor,
     ) -> Result<(Writer<S>, Reader), ServeError> {
-        let jdb = JournaledDatabase::create(
-            db,
-            storage,
-            SyncPolicy::GroupCommit {
-                max_batch: cfg.max_batch,
-            },
-        )?;
-        Ok(Writer::open(jdb, 0))
+        let journal = Journal::create(storage, &db)?;
+        Ok(Writer::resume(db, journal, 0, cfg))
     }
 
-    /// Recovers a serving pair from an existing journal
-    /// ([`Journal::recover`], unchanged: genesis + every durable op,
-    /// torn tail truncated) and publishes the recovered state as epoch
-    /// 0. The recovered state is exactly the last fully-synced batch
-    /// boundary the crashed writer reached. `_exec` is unused, as in
-    /// [`Writer::create`].
-    pub fn recover(
-        storage: S,
+    /// Opens a serving pair over an already-opened journal whose
+    /// replay yields `db` after `ops_applied` accepted ops — a fresh
+    /// journal (`ops_applied` 0) or a [`Journal::recover`] result —
+    /// and publishes `db` as epoch 0. After a recovery that is exactly
+    /// the last fully-synced batch boundary the crashed writer reached.
+    pub fn resume(
+        db: Database,
+        journal: Journal<S>,
+        ops_applied: u64,
         cfg: ServeConfig,
-        _exec: Executor,
-    ) -> Result<(Writer<S>, Reader), ServeError> {
-        let recovered = Journal::recover(storage)?;
-        let ops_applied = recovered.ops.len() as u64;
-        let jdb = JournaledDatabase::resume(
-            recovered.db,
-            recovered.journal,
-            SyncPolicy::GroupCommit {
-                max_batch: cfg.max_batch,
-            },
-        );
-        Ok(Writer::open(jdb, ops_applied))
-    }
-
-    fn open(jdb: JournaledDatabase<S>, ops_applied: u64) -> (Writer<S>, Reader) {
+    ) -> (Writer<S>, Reader) {
+        let jdb = JournaledDatabase::resume(db, journal, cfg.max_batch);
         let epoch = Arc::new(Epoch::new(0, ops_applied, jdb.db().clone()));
         let stamp = EpochStamp {
             seq: 0,
@@ -476,8 +449,13 @@ mod tests {
             .1
             .into_storage()
             .crash();
-        let (rewriter, rereader) =
-            Writer::recover(crashed, ServeConfig::default(), Executor::with_threads(1)).unwrap();
+        let recovered = Journal::recover(crashed).unwrap();
+        let (rewriter, rereader) = Writer::resume(
+            recovered.db,
+            recovered.journal,
+            recovered.ops.len() as u64,
+            ServeConfig::default(),
+        );
         assert_eq!(rewriter.ops_applied(), 2, "the staged op is gone");
         let epoch = rereader.snapshot();
         assert_eq!(epoch.ops_applied(), published.ops_applied);

@@ -1,57 +1,45 @@
 //! A [`Database`] paired with its op journal: every accepted mutation
-//! is journaled before the call returns.
+//! is journaled in a group-commit batch.
 //!
 //! Ordering is **apply, then journal**: the op runs against the live
 //! database first (so rejections are decided by the real enforcement
 //! machinery and journal *nothing*), then the accepted op — together
-//! with the ids the database assigned — is appended. Under
-//! [`SyncPolicy::EveryOp`] the append is followed by a sync, so an
-//! `Ok` return means the op is durable.
+//! with the ids the database assigned — joins the pending batch.
 //!
-//! If journaling an accepted op **fails**, the pair is poisoned: the
-//! live database has already applied (and possibly propagated) the op,
-//! and un-propagating is not supported, so the in-memory state is ahead
-//! of the durable state with no way to reconcile. Every later mutation
-//! returns [`JournaledError::Poisoned`]; recovery from the journal is
-//! the way back. Checkpoint failure does *not* poison — a failed
-//! [`Storage::replace`] leaves the old journal fully valid.
+//! **Group commit** is the only way an op reaches the journal. The
+//! pending batch is flushed as **one** batch record followed by **one**
+//! sync when it holds `max_batch` ops (0 counts as 1) or at an explicit
+//! [`JournaledDatabase::commit`]. Because the batch is a single
+//! CRC-framed record, it is durable all or nothing: a crash can lose at
+//! most the not-yet-committed batch, and recovery always lands exactly
+//! on a batch boundary — never inside one. With `max_batch` 1, every
+//! accepted op is durable before the call that accepted it returns.
 //!
-//! [`SyncPolicy::GroupCommit`] amortizes the sync barrier: accepted ops
-//! accumulate in an in-memory pending batch and are flushed as **one**
-//! batch record followed by **one** sync — when the batch fills or on
-//! an explicit [`JournaledDatabase::commit`] — or are absorbed into the
-//! snapshot by a [`JournaledDatabase::checkpoint`]. Because the batch
-//! is a single CRC-framed record, it is durable all or nothing: a crash
-//! can lose at most the not-yet-committed batch, and recovery always
-//! lands exactly on a batch boundary — never inside one. A failed batch
-//! append or sync poisons the pair just like [`SyncPolicy::EveryOp`]:
-//! only the unacknowledged batch is lost, every earlier committed batch
-//! recovers.
+//! A batch also commits early, before the op that would push its
+//! payload past [`MAX_RECORD_LEN`] joins it, so no batch record outgrows
+//! the bound recovery accepts. The journal itself refuses any longer
+//! record ([`StoreError::RecordTooLarge`]) before a byte reaches
+//! storage; only one op whose own record is over the bound can still
+//! meet that refusal, and its commit then fails like any other.
+//!
+//! If committing a batch **fails**, the pair is poisoned: the live
+//! database has already applied (and possibly propagated) the batch's
+//! ops, and un-propagating is not supported, so the in-memory state is
+//! ahead of the durable state with no way to reconcile. Only the
+//! unacknowledged batch is lost — every earlier committed batch
+//! recovers — and every later mutation returns
+//! [`JournaledError::Poisoned`]; recovery from the journal is the way
+//! back. Checkpointing is offline: take the pair apart with
+//! [`JournaledDatabase::into_parts`], call [`Journal::checkpoint`], and
+//! [`JournaledDatabase::resume`].
 
-use crate::journal::{Journal, JournalOp};
+use crate::journal::{Journal, JournalOp, BATCH_HEADER_LEN};
+use crate::record::MAX_RECORD_LEN;
 use crate::storage::{Storage, StoreError};
 use fdi_core::update::{Database, UpdateError, UpdateOutcome};
 use fdi_relation::rowid::RowId;
 use fdi_relation::AttrId;
 use std::fmt;
-
-/// When the journal syncs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SyncPolicy {
-    /// Sync after every accepted op: `Ok` means durable.
-    #[default]
-    EveryOp,
-    /// Group commit: accepted ops buffer in memory and are flushed as
-    /// one batch record + one sync when `max_batch` ops have
-    /// accumulated (a `max_batch` of 0 behaves like 1) or at an
-    /// explicit [`JournaledDatabase::commit`] barrier. A crash loses at
-    /// most the pending batch; recovery lands exactly on a batch
-    /// boundary.
-    GroupCommit {
-        /// Ops per batch before an automatic commit fires.
-        max_batch: usize,
-    },
-}
 
 /// Errors from a journaled mutation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -93,17 +81,20 @@ impl From<UpdateError> for JournaledError {
     }
 }
 
-/// A database whose accepted mutations are journaled write-through.
+/// A database whose accepted mutations are journaled in group-commit
+/// batches.
 #[derive(Debug)]
 pub struct JournaledDatabase<S: Storage> {
     db: Database,
     journal: Journal<S>,
-    sync_policy: SyncPolicy,
+    /// Ops per batch before an automatic commit fires.
+    max_batch: usize,
     poisoned: bool,
-    /// Accepted-but-not-yet-committed ops under
-    /// [`SyncPolicy::GroupCommit`]; always empty under
-    /// [`SyncPolicy::EveryOp`].
+    /// Accepted-but-not-yet-committed ops.
     pending: Vec<JournalOp>,
+    /// Encoded length of `pending`'s ops: the batch record's payload,
+    /// less its [`BATCH_HEADER_LEN`].
+    pending_len: usize,
     /// Metrics sink for the pairing-level `journal_pending_ops` gauge
     /// (noop unless [`JournaledDatabase::set_recorder`] routed one in).
     rec: fdi_obs::Recorder,
@@ -111,32 +102,28 @@ pub struct JournaledDatabase<S: Storage> {
 
 impl<S: Storage> JournaledDatabase<S> {
     /// Pairs `db` with a fresh journal created in empty `storage`
-    /// (genesis = a snapshot of `db` as given).
+    /// (genesis = a snapshot of `db` as given); batches commit once
+    /// they hold `max_batch` ops.
     pub fn create(
         db: Database,
         storage: S,
-        sync_policy: SyncPolicy,
+        max_batch: usize,
     ) -> Result<JournaledDatabase<S>, crate::journal::CreateError> {
         let journal = Journal::create(storage, &db)?;
-        Ok(JournaledDatabase {
-            db,
-            journal,
-            sync_policy,
-            poisoned: false,
-            pending: Vec::new(),
-            rec: fdi_obs::Recorder::noop(),
-        })
+        Ok(JournaledDatabase::resume(db, journal, max_batch))
     }
 
     /// Pairs an already-recovered database with its reopened journal
-    /// (the [`Journal::recover`] result).
-    pub fn resume(db: Database, journal: Journal<S>, sync_policy: SyncPolicy) -> Self {
+    /// (the [`Journal::recover`] result); batches commit once they hold
+    /// `max_batch` ops.
+    pub fn resume(db: Database, journal: Journal<S>, max_batch: usize) -> Self {
         JournaledDatabase {
             db,
             journal,
-            sync_policy,
+            max_batch,
             poisoned: false,
             pending: Vec::new(),
+            pending_len: 0,
             rec: fdi_obs::Recorder::noop(),
         }
     }
@@ -167,63 +154,57 @@ impl<S: Storage> JournaledDatabase<S> {
         self.poisoned
     }
 
-    /// Unwraps into the live database and journal. Under
-    /// [`SyncPolicy::GroupCommit`] any pending (uncommitted) ops are
-    /// dropped from the durable log — call
+    /// Unwraps into the live database and journal. Any pending
+    /// (uncommitted) ops are dropped from the durable log — call
     /// [`JournaledDatabase::commit`] first if they must survive.
     pub fn into_parts(self) -> (Database, Journal<S>) {
         (self.db, self.journal)
     }
 
-    /// Ops accepted but not yet committed to the journal (always 0
-    /// outside [`SyncPolicy::GroupCommit`]).
+    /// Ops accepted but not yet committed to the journal.
     pub fn pending_ops(&self) -> usize {
         self.pending.len()
     }
 
     fn journal_accepted(&mut self, op: JournalOp) -> Result<(), JournaledError> {
-        if let SyncPolicy::GroupCommit { max_batch } = self.sync_policy {
-            self.pending.push(op);
-            self.rec
-                .gauge_set(fdi_obs::Gauge::JournalPendingOps, self.pending.len() as u64);
-            if self.pending.len() >= max_batch.max(1) {
-                self.commit()?;
-            }
-            return Ok(());
+        let op_len = op.encode().len();
+        if !self.pending.is_empty()
+            && BATCH_HEADER_LEN + self.pending_len + op_len > MAX_RECORD_LEN as usize
+        {
+            self.commit()?;
         }
-        if let Err(e) = self.journal.append(&op) {
-            self.poisoned = true;
-            return Err(JournaledError::Journal(e));
-        }
-        if let Err(e) = self.journal.sync() {
-            self.poisoned = true;
-            return Err(JournaledError::Journal(e));
+        self.pending.push(op);
+        self.pending_len += op_len;
+        self.rec
+            .gauge_set(fdi_obs::Gauge::JournalPendingOps, self.pending.len() as u64);
+        if self.pending.len() >= self.max_batch.max(1) {
+            self.commit()?;
         }
         Ok(())
     }
 
     /// Group-commit barrier: flushes the pending batch as one journal
     /// record under one sync, returning how many ops became durable (0
-    /// when nothing was pending — always the case under
-    /// [`SyncPolicy::EveryOp`], where every op is durable on return). A
-    /// failed append or sync poisons the pair: the whole pending batch
-    /// is the unacknowledged loss, every previously committed batch is
-    /// already durable.
+    /// when nothing was pending). A failed append or sync — or a lone
+    /// op whose record would exceed [`MAX_RECORD_LEN`] — poisons the
+    /// pair: the whole pending batch is the unacknowledged loss, every
+    /// previously committed batch is already durable.
     pub fn commit(&mut self) -> Result<usize, JournaledError> {
         self.check_usable()?;
         if self.pending.is_empty() {
             return Ok(0);
         }
-        if let Err(e) = self.journal.append_batch(&self.pending) {
-            self.poisoned = true;
-            return Err(JournaledError::Journal(e));
-        }
-        if let Err(e) = self.journal.sync() {
+        let written = self
+            .journal
+            .append_batch(&self.pending)
+            .and_then(|()| self.journal.sync());
+        if let Err(e) = written {
             self.poisoned = true;
             return Err(JournaledError::Journal(e));
         }
         let committed = self.pending.len();
         self.pending.clear();
+        self.pending_len = 0;
         self.rec.gauge_set(fdi_obs::Gauge::JournalPendingOps, 0);
         Ok(committed)
     }
@@ -299,22 +280,6 @@ impl<S: Storage> JournaledDatabase<S> {
         })?;
         Ok(moved)
     }
-
-    /// Checkpoints the journal: atomically replaces it with a genesis
-    /// snapshot of the current database. Failure does **not** poison —
-    /// the old journal is still fully valid and covers every op, and a
-    /// pending group-commit batch stays pending. On success any pending
-    /// ops are absorbed into the snapshot (the current database already
-    /// reflects them), so the batch needs no record of its own.
-    pub fn checkpoint(&mut self) -> Result<(), JournaledError> {
-        self.check_usable()?;
-        self.journal
-            .checkpoint(&self.db)
-            .map_err(JournaledError::Journal)?;
-        self.pending.clear();
-        self.rec.gauge_set(fdi_obs::Gauge::JournalPendingOps, 0);
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -345,8 +310,7 @@ mod tests {
     #[test]
     fn accepted_ops_round_trip_through_recovery() {
         let db = fresh_db(fdi_core::update::Enforcement::Weak);
-        let mut jdb =
-            JournaledDatabase::create(db, MemStorage::new(), SyncPolicy::EveryOp).unwrap();
+        let mut jdb = JournaledDatabase::create(db, MemStorage::new(), 1).unwrap();
         let r1 = jdb.insert(&["d1", "m1"]).unwrap().row;
         let r2 = jdb.insert(&["d2", "-"]).unwrap().row;
         jdb.modify(r2, AttrId(1), "m2").unwrap();
@@ -364,8 +328,7 @@ mod tests {
     #[test]
     fn rejected_ops_journal_nothing() {
         let db = fresh_db(fdi_core::update::Enforcement::Strong);
-        let mut jdb =
-            JournaledDatabase::create(db, MemStorage::new(), SyncPolicy::EveryOp).unwrap();
+        let mut jdb = JournaledDatabase::create(db, MemStorage::new(), 1).unwrap();
         jdb.insert(&["d1", "m1"]).unwrap();
         let len_before = jdb.journal().storage().len();
         // violates dept -> mgr under Strong: rejected by the database
@@ -385,7 +348,7 @@ mod tests {
         let db = fresh_db(fdi_core::update::Enforcement::Weak);
         // append 0 = create; append 1 = first op record
         let storage = FaultyStorage::new(MemStorage::new(), vec![Fault::FailWrite { write: 1 }]);
-        let mut jdb = JournaledDatabase::create(db, storage, SyncPolicy::EveryOp).unwrap();
+        let mut jdb = JournaledDatabase::create(db, storage, 1).unwrap();
         let err = jdb.insert(&["d1", "m1"]).unwrap_err();
         assert!(matches!(err, JournaledError::Journal(_)));
         assert!(jdb.is_poisoned());
@@ -401,35 +364,10 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_failure_does_not_poison() {
-        let db = fresh_db(fdi_core::update::Enforcement::Weak);
-        let storage =
-            FaultyStorage::new(MemStorage::new(), vec![Fault::FailReplace { replace: 0 }]);
-        let mut jdb = JournaledDatabase::create(db, storage, SyncPolicy::EveryOp).unwrap();
-        jdb.insert(&["d1", "m1"]).unwrap();
-        assert!(jdb.checkpoint().is_err());
-        assert!(!jdb.is_poisoned(), "old journal is still fully valid");
-        jdb.insert(&["d2", "m2"]).unwrap();
-        let (live, journal) = jdb.into_parts();
-        let recovered = Journal::recover(journal.into_storage().into_inner()).unwrap();
-        assert_eq!(
-            recovered.ops.len(),
-            2,
-            "both ops survived the failed checkpoint"
-        );
-        assert_eq!(
-            recovered.db.instance().render(true),
-            live.instance().render(true)
-        );
-    }
-
-    #[test]
     fn group_commit_batches_ops_under_one_sync() {
         let db = fresh_db(fdi_core::update::Enforcement::Weak);
         let storage = FaultyStorage::new(MemStorage::new(), vec![]);
-        let mut jdb =
-            JournaledDatabase::create(db, storage, SyncPolicy::GroupCommit { max_batch: 3 })
-                .unwrap();
+        let mut jdb = JournaledDatabase::create(db, storage, 3).unwrap();
         let after_create = jdb.journal().storage().syncs();
         jdb.insert(&["d1", "m1"]).unwrap();
         jdb.insert(&["d2", "m2"]).unwrap();
@@ -463,12 +401,7 @@ mod tests {
     #[test]
     fn group_commit_crash_loses_only_the_pending_batch() {
         let db = fresh_db(fdi_core::update::Enforcement::Weak);
-        let mut jdb = JournaledDatabase::create(
-            db,
-            MemStorage::new(),
-            SyncPolicy::GroupCommit { max_batch: 2 },
-        )
-        .unwrap();
+        let mut jdb = JournaledDatabase::create(db, MemStorage::new(), 2).unwrap();
         jdb.insert(&["d1", "m1"]).unwrap();
         jdb.insert(&["d2", "m2"]).unwrap(); // batch 1 committed
         jdb.insert(&["d3", "m3"]).unwrap(); // pending, never committed
@@ -488,9 +421,7 @@ mod tests {
         let db = fresh_db(fdi_core::update::Enforcement::Weak);
         // sync 0 = journal create; sync 1 = batch 1; sync 2 = batch 2 fails
         let storage = FaultyStorage::new(MemStorage::new(), vec![Fault::FailSync { sync: 2 }]);
-        let mut jdb =
-            JournaledDatabase::create(db, storage, SyncPolicy::GroupCommit { max_batch: 2 })
-                .unwrap();
+        let mut jdb = JournaledDatabase::create(db, storage, 2).unwrap();
         jdb.insert(&["d1", "m1"]).unwrap();
         jdb.insert(&["d2", "m2"]).unwrap(); // batch 1: durable
         jdb.insert(&["d3", "m3"]).unwrap();
@@ -509,67 +440,51 @@ mod tests {
     }
 
     #[test]
-    fn group_commit_checkpoint_absorbs_the_pending_batch() {
-        let db = fresh_db(fdi_core::update::Enforcement::Weak);
-        let mut jdb = JournaledDatabase::create(
-            db,
-            MemStorage::new(),
-            SyncPolicy::GroupCommit { max_batch: 100 },
-        )
-        .unwrap();
-        jdb.insert(&["d1", "m1"]).unwrap();
-        jdb.insert(&["d2", "m2"]).unwrap();
-        assert_eq!(jdb.pending_ops(), 2);
-        jdb.checkpoint().unwrap();
-        assert_eq!(jdb.pending_ops(), 0, "snapshot absorbed the batch");
-        let (live, journal) = jdb.into_parts();
-        let recovered = Journal::recover(journal.into_storage()).unwrap();
-        assert_eq!(recovered.ops.len(), 0);
-        assert_eq!(
-            recovered.db.instance().render(true),
-            live.instance().render(true)
-        );
-    }
-
-    #[test]
-    fn group_commit_failed_checkpoint_keeps_the_batch_pending() {
-        let db = fresh_db(fdi_core::update::Enforcement::Weak);
-        let storage =
-            FaultyStorage::new(MemStorage::new(), vec![Fault::FailReplace { replace: 0 }]);
-        let mut jdb =
-            JournaledDatabase::create(db, storage, SyncPolicy::GroupCommit { max_batch: 100 })
-                .unwrap();
-        jdb.insert(&["d1", "m1"]).unwrap();
-        assert!(jdb.checkpoint().is_err());
-        assert!(!jdb.is_poisoned());
-        assert_eq!(jdb.pending_ops(), 1, "the batch is still owed to the log");
-        jdb.commit().unwrap();
-        let (live, journal) = jdb.into_parts();
-        let recovered = Journal::recover(journal.into_storage().into_inner()).unwrap();
-        assert_eq!(recovered.ops.len(), 1);
-        assert_eq!(
-            recovered.db.instance().render(true),
-            live.instance().render(true)
-        );
-    }
-
-    #[test]
-    fn group_commit_of_one_matches_every_op_durability() {
-        // max_batch 1 (and the 0 alias) must give EveryOp's guarantee:
-        // Ok return ⇒ durable, nothing ever pending.
+    fn a_batch_of_one_is_durable_on_return() {
+        // max_batch 1 (and the 0 alias): Ok return ⇒ durable, nothing
+        // ever pending.
         for max_batch in [0, 1] {
             let db = fresh_db(fdi_core::update::Enforcement::Weak);
-            let mut jdb = JournaledDatabase::create(
-                db,
-                MemStorage::new(),
-                SyncPolicy::GroupCommit { max_batch },
-            )
-            .unwrap();
+            let mut jdb = JournaledDatabase::create(db, MemStorage::new(), max_batch).unwrap();
             jdb.insert(&["d1", "m1"]).unwrap();
             assert_eq!(jdb.pending_ops(), 0);
+            jdb.insert(&["d2", "m2"]).unwrap();
             let (_, journal) = jdb.into_parts();
             let recovered = Journal::recover(journal.into_storage().crash()).unwrap();
-            assert_eq!(recovered.ops.len(), 1, "max_batch {max_batch}");
+            assert_eq!(recovered.ops.len(), 2, "max_batch {max_batch}");
         }
+    }
+
+    #[test]
+    fn a_batch_commits_early_rather_than_outgrow_the_record_bound() {
+        let schema = Schema::builder("wide")
+            .attribute_unbounded("v")
+            .build()
+            .unwrap();
+        let db = Database::new(
+            Instance::new(Arc::clone(&schema)),
+            FdSet::new(),
+            Policy::default(),
+        )
+        .unwrap();
+        let storage = FaultyStorage::new(MemStorage::new(), vec![]);
+        let mut jdb = JournaledDatabase::create(db, storage, usize::MAX).unwrap();
+        // 17 inserts of just over 1 MiB each: 15 fill a batch to just
+        // under 16 MiB, so the 16th commits them and opens a new batch
+        for i in 0..17 {
+            let value = format!("{i:03}{}", "x".repeat(1 << 20));
+            jdb.insert(&[&value]).unwrap();
+        }
+        assert_eq!(jdb.pending_ops(), 2);
+        assert_eq!(jdb.commit().unwrap(), 2);
+        let appends = jdb.journal().storage().append_sizes().len();
+        assert_eq!(appends, 3, "genesis, then two batch records");
+        let (live, journal) = jdb.into_parts();
+        let recovered = Journal::recover(journal.into_storage().into_inner()).unwrap();
+        assert_eq!(recovered.ops.len(), 17);
+        assert_eq!(
+            recovered.db.instance().render(true),
+            live.instance().render(true)
+        );
     }
 }

@@ -1,14 +1,27 @@
-//! The op journal: one record per accepted mutation, genesis-anchored.
+//! The op journal: one batch record per group commit, genesis-anchored.
 //!
 //! A journal's first record is the **genesis**: the schema, the FD set,
 //! the maintenance policy, and an exact [`Instance`] state snapshot
 //! (symbol table, null allocator, NEC forest, slots, free list — see
-//! [`Instance::encode_state`]). Every later record is one accepted
-//! mutation. Because update execution is deterministic at every thread
-//! count, replaying the op records onto the genesis database rebuilds
-//! the pre-crash database **bit-identically** — same `RowId`s, same
-//! null ids, same NEC representation — which is what lets recovery be
-//! verified against live oracles instead of merely "looking right".
+//! [`Instance::encode_state`]). Every later record is a **batch**: the
+//! accepted mutations of one group commit, in order
+//! ([`Journal::append_batch`]). Because update execution is
+//! deterministic at every thread count, replaying the ops onto the
+//! genesis database rebuilds the pre-crash database **bit-identically**
+//! — same `RowId`s, same null ids, same NEC representation — which is
+//! what lets recovery be verified against live oracles instead of
+//! merely "looking right".
+//!
+//! Journals written before every write went through group commit also
+//! hold **single-op records** (one bare op encoding per record).
+//! Nothing writes them any more, but recovery still reads each one as a
+//! batch of one, so those journals keep recovering.
+//!
+//! No record is longer than
+//! [`MAX_RECORD_LEN`](crate::record::MAX_RECORD_LEN): [`frame`] refuses
+//! a longer payload with [`StoreError::RecordTooLarge`] before a byte
+//! reaches storage, so the journal never writes a record its own
+//! recovery would call corrupt.
 //!
 //! [`Journal::checkpoint`] re-anchors: it atomically replaces the whole
 //! journal with a fresh genesis snapshot of the current database,
@@ -127,15 +140,9 @@ impl JournalOp {
         out
     }
 
-    fn decode(r: &mut Reader<'_>) -> Result<JournalOp, serial::DecodeError> {
-        let op = JournalOp::decode_body(r)?;
-        r.expect_end()?;
-        Ok(op)
-    }
-
     /// Decodes exactly one op without requiring the reader to be
     /// exhausted — batch records concatenate several op bodies.
-    fn decode_body(r: &mut Reader<'_>) -> Result<JournalOp, serial::DecodeError> {
+    fn decode(r: &mut Reader<'_>) -> Result<JournalOp, serial::DecodeError> {
         let tag = r.u8()?;
         let op = match tag {
             TAG_INSERT => {
@@ -174,6 +181,10 @@ impl JournalOp {
     }
 }
 
+/// Bytes a batch record's payload spends before its ops: the batch tag
+/// and the op count.
+pub(crate) const BATCH_HEADER_LEN: usize = 5;
+
 /// Serializes a group-commit batch record: the batch tag, the op count,
 /// then each op's encoding back to back (op encodings are
 /// self-delimiting, so no per-op length prefix is needed).
@@ -185,6 +196,26 @@ fn batch_payload(ops: &[JournalOp]) -> Vec<u8> {
         out.extend_from_slice(&op.encode());
     }
     out
+}
+
+/// Decodes an op record into its ops, in order. A batch record expands
+/// to its ops; a legacy single-op record (a bare op encoding, no batch
+/// tag) is a batch of one.
+fn decode_ops(payload: &[u8]) -> Result<Vec<JournalOp>, serial::DecodeError> {
+    let mut r = Reader::new(payload);
+    let ops = if payload.first() == Some(&TAG_BATCH) {
+        r.u8()?;
+        let count = r.u32()? as usize;
+        let mut ops = Vec::with_capacity(count.min(4096));
+        for _ in 0..count {
+            ops.push(JournalOp::decode(&mut r)?);
+        }
+        ops
+    } else {
+        vec![JournalOp::decode(&mut r)?]
+    };
+    r.expect_end()?;
+    Ok(ops)
 }
 
 fn decode_attr(r: &mut Reader<'_>) -> Result<AttrId, serial::DecodeError> {
@@ -234,9 +265,21 @@ fn genesis_payload(db: &Database) -> Vec<u8> {
     out
 }
 
-/// Rebuilds the genesis database. The payload's leading tag byte has
-/// already been consumed by the caller.
-fn decode_genesis_body(r: &mut Reader<'_>) -> Result<Database, serial::DecodeError> {
+/// The whole file image of a fresh journal anchored at `db`: the file
+/// header, then the framed genesis record.
+fn genesis_file(db: &Database) -> Result<Vec<u8>, StoreError> {
+    let mut bytes = FILE_HEADER.to_vec();
+    bytes.extend_from_slice(&frame(&genesis_payload(db))?);
+    Ok(bytes)
+}
+
+/// Rebuilds the genesis database from the first record's payload.
+fn decode_genesis(payload: &[u8]) -> Result<Database, serial::DecodeError> {
+    let r = &mut Reader::new(payload);
+    let tag = r.u8()?;
+    if tag != TAG_GENESIS {
+        return Err(r.err(format!("first record must be genesis, found op tag {tag}")));
+    }
     let name = r.str()?.to_string();
     let arity = r.u32()? as usize;
     if arity > fdi_relation::attrs::ATTR_LIMIT {
@@ -346,7 +389,7 @@ pub enum RecoverError {
     Replay {
         /// Byte offset of the failing op record.
         offset: u64,
-        /// 0-based index of the op among the journal's op records.
+        /// 0-based index of the op among the journal's replayed ops.
         op_index: usize,
         /// What went wrong.
         message: String,
@@ -452,13 +495,15 @@ impl<S: Storage> Journal<S> {
     /// Creates a journal in empty `storage`, anchored at a genesis
     /// snapshot of `db`. Header and genesis go down as **one append**
     /// followed by one sync, so a crash anywhere inside creation leaves
-    /// either a complete journal or recognizably nothing.
+    /// either a complete journal or recognizably nothing. A snapshot
+    /// longer than [`MAX_RECORD_LEN`](crate::record::MAX_RECORD_LEN) is
+    /// refused ([`StoreError::RecordTooLarge`]) and `storage` stays
+    /// empty.
     pub fn create(mut storage: S, db: &Database) -> Result<Journal<S>, CreateError> {
         if !storage.is_empty() {
             return Err(CreateError::NotEmpty { len: storage.len() });
         }
-        let mut bytes = FILE_HEADER.to_vec();
-        bytes.extend_from_slice(&frame(&genesis_payload(db)));
+        let bytes = genesis_file(db)?;
         storage.append(&bytes)?;
         storage.sync()?;
         Ok(Journal {
@@ -467,8 +512,8 @@ impl<S: Storage> Journal<S> {
         })
     }
 
-    /// Routes this journal's metrics (`journal_appends`,
-    /// `journal_batch_records`, `journal_ops_committed`,
+    /// Routes this journal's metrics (`journal_batch_records`,
+    /// `journal_ops_committed`,
     /// `journal_syncs`, and the `journal_sync_nanos` /
     /// `journal_batch_ops` histograms) into `rec`. The counts are
     /// deterministic (the journal is writer-serial); the histograms,
@@ -477,29 +522,25 @@ impl<S: Storage> Journal<S> {
         self.rec = rec;
     }
 
-    /// Appends one op record (visible, not yet durable — call
-    /// [`Journal::sync`] to commit).
-    pub fn append(&mut self, op: &JournalOp) -> Result<(), StoreError> {
-        self.rec.incr(fdi_obs::Counter::JournalAppends);
-        self.storage.append(&frame(&op.encode()))
-    }
-
     /// Appends a group-commit batch as **one** record (visible, not yet
     /// durable — call [`Journal::sync`] to commit). Because the record
     /// is CRC-framed as a unit, the batch is durable all or nothing: a
     /// crash mid-write tears the whole record and recovery truncates it
     /// entirely, so no partial batch can ever replay. An empty batch
-    /// appends nothing.
+    /// appends nothing; a batch whose payload would exceed
+    /// [`MAX_RECORD_LEN`](crate::record::MAX_RECORD_LEN) appends nothing
+    /// and fails with [`StoreError::RecordTooLarge`].
     pub fn append_batch(&mut self, ops: &[JournalOp]) -> Result<(), StoreError> {
         if ops.is_empty() {
             return Ok(());
         }
+        let record = frame(&batch_payload(ops))?;
         self.rec.incr(fdi_obs::Counter::JournalBatchRecords);
         self.rec
             .add(fdi_obs::Counter::JournalOpsCommitted, ops.len() as u64);
         self.rec
             .observe(fdi_obs::Hist::JournalBatchOps, ops.len() as u64);
-        self.storage.append(&frame(&batch_payload(ops)))
+        self.storage.append(&record)
     }
 
     /// Durability barrier: after this returns `Ok`, every appended op
@@ -512,11 +553,11 @@ impl<S: Storage> Journal<S> {
 
     /// Atomically replaces the whole journal with a fresh genesis
     /// snapshot of `db`, discarding the replay log. On failure the old
-    /// journal is untouched (the replace never renamed), so a failed
-    /// checkpoint loses nothing.
+    /// journal is untouched (the replace never renamed, or — for a
+    /// snapshot over [`MAX_RECORD_LEN`](crate::record::MAX_RECORD_LEN) —
+    /// never started), so a failed checkpoint loses nothing.
     pub fn checkpoint(&mut self, db: &Database) -> Result<(), StoreError> {
-        let mut bytes = FILE_HEADER.to_vec();
-        bytes.extend_from_slice(&frame(&genesis_payload(db)));
+        let bytes = genesis_file(db)?;
         self.storage.replace(&bytes)
     }
 
@@ -573,65 +614,22 @@ impl<S: Storage> Journal<S> {
                     });
                 }
                 Scanned::Record { offset, payload } => {
-                    let mut r = Reader::new(payload);
-                    match db.as_mut() {
-                        None => {
-                            let tag = r.u8().map_err(|e| RecoverError::Decode {
-                                offset,
-                                message: e.to_string(),
-                            })?;
-                            if tag != TAG_GENESIS {
-                                return Err(RecoverError::Decode {
-                                    offset,
-                                    message: format!(
-                                        "first record must be genesis, found op tag {tag}"
-                                    ),
-                                });
-                            }
-                            db = Some(decode_genesis_body(&mut r).map_err(|e| {
-                                RecoverError::Decode {
-                                    offset,
-                                    message: e.to_string(),
-                                }
-                            })?);
-                        }
-                        Some(db) => {
-                            if payload.first() == Some(&TAG_BATCH) {
-                                // a group-commit batch: expand its ops
-                                // in order, as if appended individually
-                                let decode_err = |e: serial::DecodeError| RecoverError::Decode {
-                                    offset,
-                                    message: e.to_string(),
-                                };
-                                let _tag = r.u8().map_err(decode_err)?;
-                                let count = r.u32().map_err(decode_err)? as usize;
-                                for _ in 0..count {
-                                    let op_index = ops.len();
-                                    let op = JournalOp::decode_body(&mut r).map_err(decode_err)?;
-                                    replay_op(db, &op).map_err(|message| RecoverError::Replay {
-                                        offset,
-                                        op_index,
-                                        message,
-                                    })?;
-                                    ops.push(op);
-                                }
-                                r.expect_end().map_err(decode_err)?;
-                            } else {
-                                let op_index = ops.len();
-                                let op = JournalOp::decode(&mut r).map_err(|e| {
-                                    RecoverError::Decode {
-                                        offset,
-                                        message: e.to_string(),
-                                    }
-                                })?;
-                                replay_op(db, &op).map_err(|message| RecoverError::Replay {
-                                    offset,
-                                    op_index,
-                                    message,
-                                })?;
-                                ops.push(op);
-                            }
-                        }
+                    let decode_err = |e: serial::DecodeError| RecoverError::Decode {
+                        offset,
+                        message: e.to_string(),
+                    };
+                    let Some(db) = db.as_mut() else {
+                        db = Some(decode_genesis(payload).map_err(decode_err)?);
+                        continue;
+                    };
+                    for op in decode_ops(payload).map_err(decode_err)? {
+                        let op_index = ops.len();
+                        replay_op(db, &op).map_err(|message| RecoverError::Replay {
+                            offset,
+                            op_index,
+                            message,
+                        })?;
+                        ops.push(op);
                     }
                 }
             }
@@ -697,6 +695,7 @@ fn replay_op(db: &mut Database, op: &JournalOp) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::MAX_RECORD_LEN;
     use crate::storage::MemStorage;
     use std::sync::Arc;
 
@@ -744,14 +743,15 @@ mod tests {
             JournalOp::Compact { moved: vec![] },
         ];
         for op in &ops {
-            let bytes = op.encode();
-            let decoded = JournalOp::decode(&mut Reader::new(&bytes)).unwrap();
-            assert_eq!(&decoded, op);
+            // a bare op encoding (a legacy single-op record) is a batch
+            // of one
+            assert_eq!(decode_ops(&op.encode()).unwrap(), std::slice::from_ref(op));
         }
+        assert_eq!(decode_ops(&batch_payload(&ops)).unwrap(), ops);
         // every truncation of an op payload is a typed decode error
         let bytes = ops[0].encode();
         for cut in 0..bytes.len() {
-            assert!(JournalOp::decode(&mut Reader::new(&bytes[..cut])).is_err());
+            assert!(decode_ops(&bytes[..cut]).is_err());
         }
     }
 
@@ -761,21 +761,21 @@ mod tests {
         db.insert(&["d1", "m1"]).unwrap();
         db.insert(&["d2", "-"]).unwrap();
         let mut journal = Journal::create(MemStorage::new(), &db).unwrap();
-        // journal two more ops against the live db
+        // journal two more ops against the live db, one batch each
         let out = db.insert(&["d3", "-"]).unwrap();
         journal
-            .append(&JournalOp::Insert {
+            .append_batch(&[JournalOp::Insert {
                 row: out.row,
                 tokens: vec!["d3".into(), "-".into()],
-            })
+            }])
             .unwrap();
         db.modify(out.row, AttrId(1), "m3").unwrap();
         journal
-            .append(&JournalOp::Modify {
+            .append_batch(&[JournalOp::Modify {
                 row: out.row,
                 attr: AttrId(1),
                 token: "m3".into(),
-            })
+            }])
             .unwrap();
         journal.sync().unwrap();
         let recovered = Journal::recover(journal.into_storage()).unwrap();
@@ -824,18 +824,17 @@ mod tests {
         let mut journal = Journal::create(MemStorage::new(), &db).unwrap();
         let out = db.insert(&["d2", "-"]).unwrap();
         journal
-            .append(&JournalOp::Insert {
+            .append_batch(&[JournalOp::Insert {
                 row: out.row,
                 tokens: vec!["d2".into(), "-".into()],
-            })
+            }])
             .unwrap();
         journal.sync().unwrap();
         let clean_len = journal.storage().len();
         // tear: half an op record dangles at the end
         let mut storage = journal.into_storage();
-        storage
-            .append(&frame(&JournalOp::Delete { row: out.row }.encode())[..5])
-            .unwrap();
+        let record = frame(&batch_payload(&[JournalOp::Delete { row: out.row }])).unwrap();
+        storage.append(&record[..5]).unwrap();
         storage.sync().unwrap();
         let first = Journal::recover(storage).unwrap();
         assert_eq!(
@@ -861,12 +860,14 @@ mod tests {
         let genesis_end = journal.storage().len();
         let out = db.insert(&["d2", "m2"]).unwrap();
         journal
-            .append(&JournalOp::Insert {
+            .append_batch(&[JournalOp::Insert {
                 row: out.row,
                 tokens: vec!["d2".into(), "m2".into()],
-            })
+            }])
             .unwrap();
-        journal.append(&JournalOp::Delete { row: out.row }).unwrap();
+        journal
+            .append_batch(&[JournalOp::Delete { row: out.row }])
+            .unwrap();
         journal.sync().unwrap();
         let mut bytes = Vec::new();
         let mut storage = journal.into_storage();
@@ -891,10 +892,10 @@ mod tests {
             let token = format!("d{}", i % 3 + 1);
             let out = db.insert(&[&token, "-"]).unwrap();
             journal
-                .append(&JournalOp::Insert {
+                .append_batch(&[JournalOp::Insert {
                     row: out.row,
                     tokens: vec![token, "-".into()],
-                })
+                }])
                 .unwrap();
         }
         journal.sync().unwrap();
@@ -904,46 +905,46 @@ mod tests {
         db_states_match(&recovered.db, &db);
     }
 
+    /// Batch records expand to their ops in order. A legacy single-op
+    /// record — a bare op encoding, as journals hold from when each
+    /// accepted op was its own record — reads as a batch of one.
     #[test]
     fn batch_records_round_trip_through_recovery() {
         let mut db = small_db();
         db.insert(&["d1", "m1"]).unwrap();
         let mut journal = Journal::create(MemStorage::new(), &db).unwrap();
-        // batch 1: two inserts and a modify, as one record
         let a = db.insert(&["d2", "-"]).unwrap().row;
         let b = db.insert(&["d3", "-"]).unwrap().row;
         db.modify(a, AttrId(1), "m2").unwrap();
-        journal
-            .append_batch(&[
-                JournalOp::Insert {
-                    row: a,
-                    tokens: vec!["d2".into(), "-".into()],
-                },
-                JournalOp::Insert {
-                    row: b,
-                    tokens: vec!["d3".into(), "-".into()],
-                },
-                JournalOp::Modify {
-                    row: a,
-                    attr: AttrId(1),
-                    token: "m2".into(),
-                },
-            ])
-            .unwrap();
-        // batch 2: a delete, mixed with a plain single-op record after
         db.delete(b).unwrap();
-        journal
-            .append_batch(&[JournalOp::Delete { row: b }])
-            .unwrap();
-        let moved = db.compact();
-        journal
-            .append(&JournalOp::Compact {
-                moved: moved.clone(),
-            })
-            .unwrap();
-        journal.sync().unwrap();
-        let recovered = Journal::recover(journal.into_storage()).unwrap();
-        assert_eq!(recovered.ops.len(), 5, "batches expand to their ops");
+        let ops = vec![
+            JournalOp::Insert {
+                row: a,
+                tokens: vec!["d2".into(), "-".into()],
+            },
+            JournalOp::Insert {
+                row: b,
+                tokens: vec!["d3".into(), "-".into()],
+            },
+            JournalOp::Modify {
+                row: a,
+                attr: AttrId(1),
+                token: "m2".into(),
+            },
+            JournalOp::Delete { row: b },
+            JournalOp::Compact {
+                moved: db.compact(),
+            },
+        ];
+        // a batch of two, a legacy record, then a batch of two
+        journal.append_batch(&ops[..2]).unwrap();
+        let mut storage = journal.into_storage();
+        storage.append(&frame(&ops[2].encode()).unwrap()).unwrap();
+        let last = frame(&batch_payload(&ops[3..])).unwrap();
+        storage.append(&last).unwrap();
+        storage.sync().unwrap();
+        let recovered = Journal::recover(storage).unwrap();
+        assert_eq!(recovered.ops, ops);
         assert!(recovered.torn.is_none());
         db_states_match(&recovered.db, &db);
     }
@@ -975,7 +976,8 @@ mod tests {
                 row: b,
                 tokens: vec!["d3".into(), "-".into()],
             },
-        ]));
+        ]))
+        .unwrap();
         let mut storage = journal.into_storage();
         // every proper prefix of the batch record tears the WHOLE
         // batch: recovery never replays just its first op
@@ -1023,7 +1025,7 @@ mod tests {
         // claim two ops while carrying one
         payload[1..5].copy_from_slice(&2u32.to_le_bytes());
         let mut storage = journal.into_storage();
-        storage.append(&frame(&payload)).unwrap();
+        storage.append(&frame(&payload).unwrap()).unwrap();
         storage.sync().unwrap();
         match Journal::recover(storage) {
             Err(RecoverError::Decode { offset: at, .. }) => assert_eq!(at, offset),
@@ -1038,15 +1040,66 @@ mod tests {
         let out = db.insert(&["d1", "m1"]).unwrap();
         // journal a LYING row id
         journal
-            .append(&JournalOp::Insert {
+            .append_batch(&[JournalOp::Insert {
                 row: RowId(out.row.0 + 41),
                 tokens: vec!["d1".into(), "m1".into()],
-            })
+            }])
             .unwrap();
         journal.sync().unwrap();
         match Journal::recover(journal.into_storage()) {
             Err(RecoverError::Replay { op_index: 0, .. }) => {}
             other => panic!("expected Replay error, got {other:?}"),
         }
+    }
+
+    /// A database on one unbounded column holding `rows` distinct
+    /// values of just over 1 MiB: its snapshot is over 16 MiB from 16
+    /// rows on.
+    fn wide_db(rows: usize) -> Database {
+        let schema = Schema::builder("wide")
+            .attribute_unbounded("v")
+            .build()
+            .unwrap();
+        let instance = Instance::new(Arc::clone(&schema));
+        let mut db = Database::new(instance, FdSet::new(), Policy::default()).unwrap();
+        for i in 0..rows {
+            db.insert(&[&wide_value(i)]).unwrap();
+        }
+        db
+    }
+
+    fn wide_value(i: usize) -> String {
+        format!("{i:03}{}", "x".repeat(1 << 20))
+    }
+
+    #[test]
+    fn oversized_records_are_refused_before_a_byte_is_written() {
+        let refused = |r: Result<(), StoreError>| matches!(r, Err(StoreError::RecordTooLarge { len }) if len > MAX_RECORD_LEN as usize);
+        let genesis = Journal::create(MemStorage::new(), &wide_db(17)).map(|_| ());
+        assert!(refused(genesis.map_err(|e| match e {
+            CreateError::Storage(e) => e,
+            other => panic!("{other:?}"),
+        })));
+        // under the bound, a snapshot journals; then the checkpoint and
+        // an oversized batch are refused and the journal is intact
+        let mut db = wide_db(15);
+        let mut journal = Journal::create(MemStorage::new(), &db).unwrap();
+        let ops: Vec<JournalOp> = (15..17)
+            .map(|i| {
+                let value = wide_value(i);
+                let row = db.insert(&[&value]).unwrap().row;
+                let tokens = vec![value];
+                JournalOp::Insert { row, tokens }
+            })
+            .collect();
+        journal.append_batch(&ops).unwrap();
+        journal.sync().unwrap();
+        let len = journal.storage().len();
+        assert!(refused(journal.checkpoint(&db)));
+        assert!(refused(journal.append_batch(&vec![ops[0].clone(); 16])));
+        assert_eq!(journal.storage().len(), len, "nothing was written");
+        let recovered = Journal::recover(journal.into_storage()).unwrap();
+        assert_eq!(recovered.ops, ops);
+        db_states_match(&recovered.db, &db);
     }
 }

@@ -2,10 +2,27 @@
 //!
 //! A std-only durability layer for [`fdi_core::update::Database`]: a
 //! write-ahead **op journal** ([`Journal`]), a crash-consistent
-//! **recovery** path ([`Journal::recover`]), a write-through pairing of
+//! **recovery** path ([`Journal::recover`]), a group-commit pairing of
 //! database and journal ([`JournaledDatabase`]), and **deterministic
 //! fault injection** ([`FaultyStorage`]) that makes the crash claims
 //! testable instead of aspirational.
+//!
+//! ## One write path
+//!
+//! Every accepted op reaches the journal in a **group-commit batch**:
+//! [`JournaledDatabase`] buffers accepted ops and writes them as one
+//! CRC-framed batch record under one sync once `max_batch` have
+//! accumulated, at [`JournaledDatabase::commit`], or early — when the
+//! next op would push the batch payload past
+//! [`record::MAX_RECORD_LEN`]. A `max_batch` of 1 makes each accepted
+//! op durable before the call returns (`fdi journal-apply`); a wider
+//! batch amortizes the sync (`fdi serve`, which also commits at every
+//! publish). On the writer side the journal refuses any record over
+//! the bound ([`StoreError::RecordTooLarge`]) before a byte reaches
+//! storage, so it never writes a record its recovery would call
+//! corrupt. Checkpointing ([`Journal::checkpoint`]) is offline: it
+//! needs the database and the journal, which
+//! [`JournaledDatabase::into_parts`] hands back.
 //!
 //! ## The durability contract
 //!
@@ -34,16 +51,15 @@
 //!
 //! **Not guaranteed:**
 //!
-//! * Ops still pending in a group-commit batch (under
-//!   [`SyncPolicy::GroupCommit`]) may vanish in a crash — recovery
-//!   yields the last committed batch boundary, nothing more.
+//! * Ops still pending in a group-commit batch may vanish in a crash —
+//!   recovery yields the last committed batch boundary, nothing more.
 //! * Rejected ops are never journaled; the journal records *accepted*
 //!   history only.
-//! * After a journal write fails on an *accepted* op, the live pair is
-//!   poisoned ([`JournaledError::Poisoned`]) — the in-memory database
-//!   is ahead of the durable log and the layer refuses to widen the
-//!   gap. (Checkpoint failure does not poison: a failed atomic
-//!   `replace` leaves the old journal complete.)
+//! * After a batch commit fails, the live pair is poisoned
+//!   ([`JournaledError::Poisoned`]) — the in-memory database is ahead
+//!   of the durable log and the layer refuses to widen the gap. (A
+//!   failed [`Journal::checkpoint`] loses nothing: a refused snapshot
+//!   or a failed atomic `replace` leaves the old journal complete.)
 //!
 //! ## Fault model
 //!
@@ -62,7 +78,7 @@ pub mod journal;
 pub mod record;
 pub mod storage;
 
-pub use db::{JournaledDatabase, JournaledError, SyncPolicy};
+pub use db::{JournaledDatabase, JournaledError};
 pub use fault::{Fault, FaultyStorage};
 pub use journal::{CreateError, Journal, JournalOp, RecoverError, Recovered, TornTail};
 pub use storage::{FileStorage, MemStorage, Storage, StoreError};

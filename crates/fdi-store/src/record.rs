@@ -25,6 +25,7 @@
 //! caught before it is believed.
 
 use crate::crc::crc32;
+use crate::storage::StoreError;
 
 /// Magic + version prefix of every journal: `FDIJRNL` + format `1`.
 pub const FILE_HEADER: [u8; 8] = *b"FDIJRNL1";
@@ -32,21 +33,27 @@ pub const FILE_HEADER: [u8; 8] = *b"FDIJRNL1";
 /// Bytes of the per-record header (`len` + `hcrc` + `pcrc`).
 pub const RECORD_HEADER_LEN: usize = 12;
 
-/// Sanity bound on a single record's payload (16 MiB) — nothing the
-/// journal writes approaches it; a validated length above it still
-/// means a malformed writer, so the scanner reports corruption.
+/// Bound on a single record's payload (16 MiB). [`frame`] refuses a
+/// longer payload, so the journal never writes one; a validated length
+/// above it means a malformed writer, so the scanner reports
+/// corruption.
 pub const MAX_RECORD_LEN: u32 = 1 << 24;
 
-/// Frames a payload into `header + payload` bytes.
-pub fn frame(payload: &[u8]) -> Vec<u8> {
-    let len = payload.len() as u32;
+/// Frames a payload into `header + payload` bytes, or refuses it with
+/// [`StoreError::RecordTooLarge`] if it is longer than
+/// [`MAX_RECORD_LEN`] — a record the [`Scanner`] would call corrupt.
+pub fn frame(payload: &[u8]) -> Result<Vec<u8>, StoreError> {
+    let len = match u32::try_from(payload.len()) {
+        Ok(len) if len <= MAX_RECORD_LEN => len,
+        _ => return Err(StoreError::RecordTooLarge { len: payload.len() }),
+    };
     let len_bytes = len.to_le_bytes();
     let mut out = Vec::with_capacity(RECORD_HEADER_LEN + payload.len());
     out.extend_from_slice(&len_bytes);
     out.extend_from_slice(&crc32(&len_bytes).to_le_bytes());
     out.extend_from_slice(&crc32(payload).to_le_bytes());
     out.extend_from_slice(payload);
-    out
+    Ok(out)
 }
 
 /// One step of a [`Scanner`].
@@ -150,7 +157,7 @@ mod tests {
     fn journal_of(payloads: &[&[u8]]) -> Vec<u8> {
         let mut buf = Vec::new();
         for p in payloads {
-            buf.extend_from_slice(&frame(p));
+            buf.extend_from_slice(&frame(p).unwrap());
         }
         buf
     }
@@ -184,7 +191,7 @@ mod tests {
     #[test]
     fn every_truncation_is_torn_never_corrupt() {
         let buf = journal_of(&[b"alpha", b"beta"]);
-        let second_at = frame(b"alpha").len();
+        let second_at = frame(b"alpha").unwrap().len();
         for cut in 0..buf.len() {
             let items = scan_all(&buf[..cut]);
             match cut {
@@ -212,8 +219,8 @@ mod tests {
         let buf = journal_of(&[b"alpha", b"beta", b"gamma"]);
         let offsets = [
             8u64,
-            8 + frame(b"alpha").len() as u64,
-            8 + (frame(b"alpha").len() + frame(b"beta").len()) as u64,
+            8 + frame(b"alpha").unwrap().len() as u64,
+            8 + (frame(b"alpha").unwrap().len() + frame(b"beta").unwrap().len()) as u64,
         ];
         let record_of = |byte: usize| -> u64 {
             let rel = byte as u64 + 8;

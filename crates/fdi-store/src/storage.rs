@@ -14,7 +14,8 @@ use std::fmt;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-/// Errors from a storage backend.
+/// Errors from a storage backend, plus the journal's refusal to write
+/// an oversized record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StoreError {
     /// A real I/O failure (message-carrying; `io::Error` values are
@@ -38,6 +39,13 @@ pub enum StoreError {
         /// Bytes the caller asked for.
         requested: usize,
     },
+    /// A journal record payload longer than
+    /// [`MAX_RECORD_LEN`](crate::record::MAX_RECORD_LEN) was refused
+    /// before any of its bytes reached storage.
+    RecordTooLarge {
+        /// The refused payload's length in bytes.
+        len: usize,
+    },
 }
 
 impl fmt::Display for StoreError {
@@ -54,6 +62,11 @@ impl fmt::Display for StoreError {
             } => write!(
                 f,
                 "injected short write: append #{call} persisted {written}/{requested} bytes"
+            ),
+            StoreError::RecordTooLarge { len } => write!(
+                f,
+                "journal record of {len} bytes exceeds the {} byte bound; nothing written",
+                crate::record::MAX_RECORD_LEN
             ),
         }
     }

@@ -18,7 +18,7 @@ use fdi_gen::{satisfiable_workload, update_stream, UpdateMix, UpdateOp, Workload
 use fdi_store::record::{Scanned, Scanner, FILE_HEADER};
 use fdi_store::{
     Fault, FaultyStorage, Journal, JournalOp, JournaledDatabase, JournaledError, MemStorage,
-    RecoverError, Storage, SyncPolicy,
+    RecoverError, Storage,
 };
 use proptest::prelude::*;
 
@@ -156,8 +156,7 @@ struct DryRun {
 
 fn dry_run(w: &Workload, policy: Policy, stream: &[UpdateOp]) -> DryRun {
     let faulty = FaultyStorage::new(MemStorage::new(), vec![]);
-    let mut jdb = JournaledDatabase::create(base_db(w, policy), faulty, SyncPolicy::EveryOp)
-        .expect("clean create");
+    let mut jdb = JournaledDatabase::create(base_db(w, policy), faulty, 1).expect("clean create");
     let mut live: Vec<_> = jdb.db().instance().row_ids().collect();
     for op in stream {
         journaled_apply(&mut jdb, &mut live, op).expect("no faults scheduled");
@@ -191,7 +190,7 @@ fn crash_and_verify(
     make_tail_durable: bool,
 ) {
     let faulty = FaultyStorage::new(MemStorage::new(), plan.clone());
-    let mut jdb = JournaledDatabase::create(base_db(w, policy), faulty, SyncPolicy::EveryOp)
+    let mut jdb = JournaledDatabase::create(base_db(w, policy), faulty, 1)
         .expect("create is append 0 / sync 0; plans never target it here");
     let mut live: Vec<_> = jdb.db().instance().row_ids().collect();
     for op in stream {
@@ -255,7 +254,8 @@ fn crash_matrix_exhaustive_small_stream() {
     assert!(appends > 3, "stream too rejective to exercise the matrix");
 
     for k in 1..=appends {
-        // ops with append index < k are durable (EveryOp syncs each)
+        // ops with append index < k are durable (each is a synced
+        // batch of one)
         let expected = k - 1;
         // fail the k-th append outright: nothing of op k-1 lands
         crash_and_verify(
@@ -361,10 +361,11 @@ fn exact_record_boundary_cuts_recover_the_prefix() {
     }
 }
 
-/// Checkpoints mid-stream: a successful checkpoint absorbs the prefix
-/// into a new genesis (recovery replays only the tail); a checkpoint
-/// whose atomic replace fails leaves the old journal complete and
-/// usable — crash-before-rename loses nothing.
+/// Checkpoints mid-stream, the offline way `fdi checkpoint` takes:
+/// unwrap the pair, [`Journal::checkpoint`], resume. A successful
+/// checkpoint absorbs the prefix into a new genesis (recovery replays
+/// only the tail); a checkpoint whose atomic replace fails leaves the
+/// old journal complete and usable — crash-before-rename loses nothing.
 #[test]
 fn checkpoint_bounds_replay_and_fails_safe() {
     let w = satisfiable_workload(0xC4EC, &spec(8), 2);
@@ -379,8 +380,7 @@ fn checkpoint_bounds_replay_and_fails_safe() {
             vec![]
         };
         let faulty = FaultyStorage::new(MemStorage::new(), plan);
-        let mut jdb =
-            JournaledDatabase::create(base_db(&w, policy), faulty, SyncPolicy::EveryOp).unwrap();
+        let mut jdb = JournaledDatabase::create(base_db(&w, policy), faulty, 1).unwrap();
         let mut live: Vec<_> = jdb.db().instance().row_ids().collect();
         let mut head_accepted = 0usize;
         for op in head {
@@ -388,9 +388,11 @@ fn checkpoint_bounds_replay_and_fails_safe() {
                 head_accepted += 1;
             }
         }
-        let checkpoint = jdb.checkpoint();
+        let (db, mut journal) = jdb.into_parts();
+        let checkpoint = journal.checkpoint(&db);
         assert_eq!(checkpoint.is_err(), fail_replace);
-        assert!(!jdb.is_poisoned(), "checkpoint failure must not poison");
+        // a failed checkpoint leaves a journal the tail can extend
+        let mut jdb = JournaledDatabase::resume(db, journal, 1);
         let mut tail_accepted = 0usize;
         for op in tail {
             if journaled_apply(&mut jdb, &mut live, op).unwrap() {
@@ -437,7 +439,7 @@ fn recovery_is_thread_invariant() {
     assert_eq!(a.ops, b.ops);
 }
 
-/// Runs the stream under [`SyncPolicy::GroupCommit`], committing every
+/// Runs the stream with automatic commits off, committing every
 /// `batch` accepted ops (the serving layer's publish cadence) and once
 /// more at stream end, against a fault plan. Returns the storage, the
 /// non-empty successful commits as `(append index, cumulative accepted
@@ -455,9 +457,7 @@ fn run_group_commit(
         base_db(w, policy),
         faulty,
         // auto-commit off: the cadence below is the only commit source
-        SyncPolicy::GroupCommit {
-            max_batch: usize::MAX,
-        },
+        usize::MAX,
     )
     .expect("create is append 0 / sync 0; plans never target it here");
     let mut live: Vec<_> = jdb.db().instance().row_ids().collect();

@@ -38,10 +38,12 @@
 //!   the ops file: one op per line, `insert <tok>…`, `delete <row>`,
 //!   `modify <row> <attr> <token>`, `resolve <row> <attr> <token>`,
 //!   `compact`, with 1-based display-order row numbers. Rejected ops
-//!   are reported and skipped; accepted ops are durable on exit.
+//!   are reported and skipped; each accepted op is durable before the
+//!   next is applied (it goes through the same writer as `serve`, as a
+//!   group-commit batch of one).
 //! * `fdi recover <journal>` — replay the journal and print the
-//!   recovered table (truncating a torn tail; corruption is a hard
-//!   error naming the byte offset).
+//!   recovered table (corruption is a hard error naming the byte
+//!   offset).
 //! * `fdi checkpoint <journal>` — recover, then atomically collapse the
 //!   journal into a fresh snapshot, bounding future replay time.
 //! * `fdi serve <journal> [desc-file] [--batch N] [--tcp ADDR]` — an
@@ -66,6 +68,10 @@
 //!   state: replayed-op and torn-tail counters, chase work if
 //!   enforcement chased, TEST-FD row-scan tallies.
 //!
+//! Every verb that recovers a journal truncates a torn tail and says so
+//! (`truncated a torn tail at byte N (M bytes dropped)`; `stats` says it
+//! on stderr).
+//!
 //! Exit codes: `0` success, `1` runtime failure (I/O, corrupt journal,
 //! unsatisfiable description), `2` usage or input-parse error.
 
@@ -78,10 +84,8 @@ use fd_incomplete::obs::Recorder;
 use fd_incomplete::prelude::*;
 use fd_incomplete::relation::instance::is_comment;
 use fd_incomplete::relation::rowid::RowId;
-use fd_incomplete::serve::{self, ServeOp, Staged};
-use fd_incomplete::store::{
-    FileStorage, Journal, JournaledDatabase, JournaledError, Storage, SyncPolicy,
-};
+use fd_incomplete::serve::{self, ServeError, ServeOp, Staged};
+use fd_incomplete::store::{FileStorage, Journal, Recovered, Storage};
 use std::io::{BufRead, BufReader, Write as IoWrite};
 use std::net::TcpListener;
 use std::process::ExitCode;
@@ -366,6 +370,9 @@ fn parse_ops(text: &str) -> Result<Vec<OpLine>, String> {
                     .next()
                     .ok_or_else(|| format!("line {}: missing value token", lineno + 1))?
                     .to_string();
+                if words.next().is_some() {
+                    return Err(format!("line {}: trailing tokens", lineno + 1));
+                }
                 if verb == "modify" {
                     OpLine::Modify { pos, attr, token }
                 } else {
@@ -388,45 +395,6 @@ fn parse_ops(text: &str) -> Result<Vec<OpLine>, String> {
         ops.push(op);
     }
     Ok(ops)
-}
-
-/// Opens the journal at `path`: recovers it if it holds bytes,
-/// otherwise creates it from the description file (required on first
-/// use). Reports what recovery did.
-fn open_journal(
-    path: &str,
-    desc_path: Option<&str>,
-) -> Result<(Database, Journal<FileStorage>), CliError> {
-    let storage = FileStorage::open(path)
-        .map_err(|e| CliError::runtime(format!("cannot open journal {path}: {e}")))?;
-    if storage.is_empty() {
-        let desc_path = desc_path.ok_or_else(|| {
-            CliError::parse(format!(
-                "journal {path} is empty: a description file is required to create it"
-            ))
-        })?;
-        let text = std::fs::read_to_string(desc_path)
-            .map_err(|e| CliError::runtime(format!("cannot read {desc_path}: {e}")))?;
-        let desc = parse_description(&text).map_err(CliError::Parse)?;
-        let db = Database::new(desc.instance, desc.fds, Policy::default()).map_err(|e| {
-            CliError::runtime(format!("description is not a valid starting database: {e}"))
-        })?;
-        let journal = Journal::create(storage, &db)
-            .map_err(|e| CliError::runtime(format!("cannot create journal {path}: {e}")))?;
-        println!("created journal {path} from {desc_path}");
-        Ok((db, journal))
-    } else {
-        let recovered = Journal::recover(storage)
-            .map_err(|e| CliError::runtime(format!("cannot recover journal {path}: {e}")))?;
-        if let Some(torn) = recovered.torn {
-            println!(
-                "truncated a torn tail at byte {} ({} bytes dropped)",
-                torn.offset, torn.dropped
-            );
-        }
-        println!("recovered {path}: {} op(s) replayed", recovered.ops.len());
-        Ok((recovered.db, recovered.journal))
-    }
 }
 
 /// The 1-based display-order row → RowId mapping of the live instance.
@@ -467,72 +435,6 @@ fn display_positions<L: AsRef<[RowId]>>(
     found
 }
 
-/// Applies parsed ops to a journaled database. Database rejections are
-/// reported and skipped (the journal records accepted history only);
-/// journal failures abort.
-fn apply_ops(
-    jdb: &mut JournaledDatabase<FileStorage>,
-    ops: &[OpLine],
-) -> Result<(usize, usize), CliError> {
-    let mut accepted = 0usize;
-    let mut rejected = 0usize;
-    let mut reject = |line: usize, msg: String| {
-        println!("op {line}: rejected: {msg}");
-        rejected += 1;
-    };
-    for (i, op) in ops.iter().enumerate() {
-        let line = i + 1;
-        let attr_of = |jdb: &JournaledDatabase<FileStorage>, name: &str| {
-            jdb.db().instance().schema().attr_id(name)
-        };
-        let outcome = match op {
-            OpLine::Insert(tokens) => {
-                let refs: Vec<&str> = tokens.iter().map(String::as_str).collect();
-                jdb.insert(&refs).map(|_| ())
-            }
-            OpLine::Delete(pos) => match row_at(jdb.db(), *pos) {
-                Some(row) => jdb.delete(row).map(|_| ()),
-                None => {
-                    reject(line, format!("no row {pos}"));
-                    continue;
-                }
-            },
-            OpLine::Modify { pos, attr, token } | OpLine::Resolve { pos, attr, token } => {
-                let row = match row_at(jdb.db(), *pos) {
-                    Some(row) => row,
-                    None => {
-                        reject(line, format!("no row {pos}"));
-                        continue;
-                    }
-                };
-                let attr = match attr_of(jdb, attr) {
-                    Ok(a) => a,
-                    Err(e) => {
-                        reject(line, e.to_string());
-                        continue;
-                    }
-                };
-                if matches!(op, OpLine::Modify { .. }) {
-                    jdb.modify(row, attr, token).map(|_| ())
-                } else {
-                    jdb.resolve_null(row, attr, token).map(|_| ())
-                }
-            }
-            OpLine::Compact => jdb.compact().map(|_| ()),
-        };
-        match outcome {
-            Ok(()) => accepted += 1,
-            Err(JournaledError::Update(e)) => reject(line, rejection(&e, op)),
-            Err(e) => {
-                return Err(CliError::runtime(format!(
-                    "op {line}: journal failure, aborting: {e}"
-                )))
-            }
-        }
-    }
-    Ok((accepted, rejected))
-}
-
 fn run_journal_apply(
     journal_path: &str,
     ops_path: &str,
@@ -541,34 +443,40 @@ fn run_journal_apply(
     let ops_text = std::fs::read_to_string(ops_path)
         .map_err(|e| CliError::runtime(format!("cannot read {ops_path}: {e}")))?;
     let ops = parse_ops(&ops_text).map_err(CliError::Parse)?;
-    let (db, journal) = open_journal(journal_path, desc_path)?;
-    let mut jdb = JournaledDatabase::resume(db, journal, SyncPolicy::EveryOp);
-    let (accepted, rejected) = apply_ops(&mut jdb, &ops)?;
-    println!("{}", jdb.db().instance().render(true));
-    println!("{accepted} op(s) applied and durable, {rejected} rejected");
+    // batches of one: each accepted op is durable before the next stages
+    let (mut writer, _reader) = open_writer(journal_path, desc_path, 1, &mut std::io::stdout())?;
+    let mut rejected = 0usize;
+    for (i, op) in ops.iter().enumerate() {
+        let staged = stage_line(&mut writer, op).map_err(|e| {
+            CliError::runtime(format!("op {}: journal failure, aborting: {e}", i + 1))
+        })?;
+        if let Err(reason) = staged {
+            println!("op {}: rejected: {reason}", i + 1);
+            rejected += 1;
+        }
+    }
+    println!("{}", writer.db().instance().render(true));
+    println!(
+        "{} op(s) applied and durable, {rejected} rejected",
+        ops.len() - rejected
+    );
     Ok(())
 }
 
 fn run_recover(journal_path: &str) -> Result<(), CliError> {
-    let storage = FileStorage::open(journal_path)
-        .map_err(|e| CliError::runtime(format!("cannot open journal {journal_path}: {e}")))?;
-    let recovered = Journal::recover(storage)
-        .map_err(|e| CliError::runtime(format!("cannot recover journal {journal_path}: {e}")))?;
+    let recovered = recover_journal(
+        journal_path,
+        open_storage(journal_path)?,
+        &Recorder::noop(),
+        &mut std::io::stdout(),
+    )?;
     println!("{}", recovered.db.instance().render(true));
-    match recovered.torn {
-        Some(torn) => println!(
-            "recovered {} op(s); truncated a torn tail at byte {} ({} bytes dropped)",
-            recovered.ops.len(),
-            torn.offset,
-            torn.dropped
-        ),
-        None => println!("recovered {} op(s); journal is clean", recovered.ops.len()),
-    }
     Ok(())
 }
 
 fn run_checkpoint(journal_path: &str) -> Result<(), CliError> {
-    let (db, mut journal) = open_journal(journal_path, None)?;
+    let (writer, _reader) = open_writer(journal_path, None, 1, &mut std::io::stdout())?;
+    let (db, mut journal) = writer.into_journaled().into_parts();
     journal
         .checkpoint(&db)
         .map_err(|e| CliError::runtime(format!("checkpoint failed (journal unchanged): {e}")))?;
@@ -586,16 +494,15 @@ fn run_checkpoint(journal_path: &str) -> Result<(), CliError> {
 /// per-semantics tallies land on the labelled `testfd_checks`
 /// counters).
 fn stats_report(journal_path: &str, json: bool) -> Result<String, CliError> {
-    let storage = FileStorage::open(journal_path)
-        .map_err(|e| CliError::runtime(format!("cannot open journal {journal_path}: {e}")))?;
+    let storage = open_storage(journal_path)?;
     if storage.is_empty() {
         return Err(CliError::runtime(format!(
             "journal {journal_path} is empty: nothing to report"
         )));
     }
     let rec = Recorder::enabled();
-    let recovered = Journal::recover_with(storage, &rec)
-        .map_err(|e| CliError::runtime(format!("cannot recover journal {journal_path}: {e}")))?;
+    // stdout carries the exposition; the recovery report goes to stderr
+    let recovered = recover_journal(journal_path, storage, &rec, &mut std::io::stderr())?;
     let db = recovered.db;
     // A recorded satisfiability sweep over the recovered state: the
     // verdicts are in the journal's history already, so only the
@@ -619,105 +526,121 @@ fn run_stats(journal_path: &str, json: bool) -> Result<(), CliError> {
     Ok(())
 }
 
+/// Opens the journal file at `path`, creating it empty if it is missing.
+fn open_storage(path: &str) -> Result<FileStorage, CliError> {
+    FileStorage::open(path)
+        .map_err(|e| CliError::runtime(format!("cannot open journal {path}: {e}")))
+}
+
+/// Recovers the journal in `storage` into `rec` and reports to `out`
+/// what recovery did: a torn tail it truncated, then the replay count.
+fn recover_journal<W: IoWrite>(
+    path: &str,
+    storage: FileStorage,
+    rec: &Recorder,
+    out: &mut W,
+) -> Result<Recovered<FileStorage>, CliError> {
+    let recovered = Journal::recover_with(storage, rec)
+        .map_err(|e| CliError::runtime(format!("cannot recover journal {path}: {e}")))?;
+    if let Some(torn) = recovered.torn {
+        writeln!(
+            out,
+            "truncated a torn tail at byte {} ({} bytes dropped)",
+            torn.offset, torn.dropped
+        )
+        .map_err(io_err)?;
+    }
+    writeln!(
+        out,
+        "recovered {path}: {} op(s) replayed",
+        recovered.ops.len()
+    )
+    .map_err(io_err)?;
+    Ok(recovered)
+}
+
 /// Opens an epoch-split serving pair over the journal at `path`:
 /// recovers it if it holds bytes, otherwise creates it from the
-/// description file (required on first use).
-fn open_writer(
+/// description file (required on first use). Reports what it did to
+/// `out`. Staged ops commit to the journal in batches of `max_batch`.
+fn open_writer<W: IoWrite>(
     path: &str,
     desc_path: Option<&str>,
     max_batch: usize,
+    out: &mut W,
 ) -> Result<(serve::Writer<FileStorage>, serve::Reader), CliError> {
-    let storage = FileStorage::open(path)
-        .map_err(|e| CliError::runtime(format!("cannot open journal {path}: {e}")))?;
+    let storage = open_storage(path)?;
     let cfg = ServeConfig { max_batch };
-    let exec = fdi_exec::Executor::from_env();
-    if storage.is_empty() {
-        let desc_path = desc_path.ok_or_else(|| {
-            CliError::parse(format!(
-                "journal {path} is empty: a description file is required to create it"
-            ))
-        })?;
-        let text = std::fs::read_to_string(desc_path)
-            .map_err(|e| CliError::runtime(format!("cannot read {desc_path}: {e}")))?;
-        let desc = parse_description(&text).map_err(CliError::Parse)?;
-        let db = Database::new(desc.instance, desc.fds, Policy::default()).map_err(|e| {
-            CliError::runtime(format!("description is not a valid starting database: {e}"))
-        })?;
-        let pair = serve::Writer::create(db, storage, cfg, exec)
-            .map_err(|e| CliError::runtime(format!("cannot create journal {path}: {e}")))?;
-        println!("created journal {path} from {desc_path}");
-        Ok(pair)
-    } else {
-        let pair = serve::Writer::recover(storage, cfg, exec)
-            .map_err(|e| CliError::runtime(format!("cannot recover journal {path}: {e}")))?;
-        println!("recovered {path}: {} op(s) replayed", pair.0.ops_applied());
-        Ok(pair)
+    if !storage.is_empty() {
+        let recovered = recover_journal(path, storage, &Recorder::noop(), out)?;
+        let ops_applied = recovered.ops.len() as u64;
+        return Ok(serve::Writer::resume(
+            recovered.db,
+            recovered.journal,
+            ops_applied,
+            cfg,
+        ));
     }
+    let desc_path = desc_path.ok_or_else(|| {
+        CliError::parse(format!(
+            "journal {path} is empty: a description file is required to create it"
+        ))
+    })?;
+    let text = std::fs::read_to_string(desc_path)
+        .map_err(|e| CliError::runtime(format!("cannot read {desc_path}: {e}")))?;
+    let desc = parse_description(&text).map_err(CliError::Parse)?;
+    let db = Database::new(desc.instance, desc.fds, Policy::default()).map_err(|e| {
+        CliError::runtime(format!("description is not a valid starting database: {e}"))
+    })?;
+    let journal = Journal::create(storage, &db)
+        .map_err(|e| CliError::runtime(format!("cannot create journal {path}: {e}")))?;
+    writeln!(out, "created journal {path} from {desc_path}").map_err(io_err)?;
+    Ok(serve::Writer::resume(db, journal, 0, cfg))
+}
+
+/// Resolves a parsed mutation line's 1-based display position and
+/// attribute name against `db`, or says why it cannot.
+fn resolve_line(db: &Database, op: &OpLine) -> Result<ServeOp, String> {
+    let row = |pos: usize| row_at(db, pos).ok_or_else(|| format!("no row {pos}"));
+    let attr_id = |name: &str| {
+        db.instance()
+            .schema()
+            .attr_id(name)
+            .map_err(|e| e.to_string())
+    };
+    Ok(match op {
+        OpLine::Insert(tokens) => ServeOp::Insert(tokens.clone()),
+        OpLine::Delete(pos) => ServeOp::Delete(row(*pos)?),
+        OpLine::Modify { pos, attr, token } => ServeOp::Modify {
+            row: row(*pos)?,
+            attr: attr_id(attr)?,
+            token: token.clone(),
+        },
+        OpLine::Resolve { pos, attr, token } => ServeOp::ResolveNull {
+            row: row(*pos)?,
+            attr: attr_id(attr)?,
+            token: token.clone(),
+        },
+        OpLine::Compact => ServeOp::Compact,
+    })
 }
 
 /// Stages one parsed mutation line against the writer's successor
-/// state, resolving 1-based display positions and attribute names
-/// against that state (staged inserts are addressable immediately).
-fn stage_op_line<S: Storage, W: IoWrite>(
+/// state, resolving it against that state (staged inserts are
+/// addressable immediately). `Ok(Err(reason))` is a rejection in the
+/// terms the line used; `Err` is a journal failure.
+fn stage_line<S: Storage>(
     writer: &mut serve::Writer<S>,
     op: &OpLine,
-    out: &mut W,
-) -> Result<(), CliError> {
-    let resolve_row = |writer: &serve::Writer<S>, pos: usize| row_at(writer.db(), pos);
-    let resolve_attr =
-        |writer: &serve::Writer<S>, name: &str| writer.db().instance().schema().attr_id(name);
-    let serve_op = match op {
-        OpLine::Insert(tokens) => ServeOp::Insert(tokens.clone()),
-        OpLine::Delete(pos) => match resolve_row(writer, *pos) {
-            Some(row) => ServeOp::Delete(row),
-            None => {
-                writeln!(out, "rejected: no row {pos}").map_err(io_err)?;
-                return Ok(());
-            }
-        },
-        OpLine::Modify { pos, attr, token } | OpLine::Resolve { pos, attr, token } => {
-            let Some(row) = resolve_row(writer, *pos) else {
-                writeln!(out, "rejected: no row {pos}").map_err(io_err)?;
-                return Ok(());
-            };
-            let attr = match resolve_attr(writer, attr) {
-                Ok(a) => a,
-                Err(e) => {
-                    writeln!(out, "rejected: {e}").map_err(io_err)?;
-                    return Ok(());
-                }
-            };
-            if matches!(op, OpLine::Modify { .. }) {
-                ServeOp::Modify {
-                    row,
-                    attr,
-                    token: token.clone(),
-                }
-            } else {
-                ServeOp::ResolveNull {
-                    row,
-                    attr,
-                    token: token.clone(),
-                }
-            }
-        }
-        OpLine::Compact => ServeOp::Compact,
+) -> Result<Result<(), String>, ServeError> {
+    let serve_op = match resolve_line(writer.db(), op) {
+        Ok(serve_op) => serve_op,
+        Err(reason) => return Ok(Err(reason)),
     };
-    match writer
-        .stage(&serve_op)
-        .map_err(|e| CliError::runtime(format!("journal failure, aborting: {e}")))?
-    {
-        Staged::Applied(_) | Staged::Compacted(_) => {
-            writeln!(
-                out,
-                "staged ({} op(s) await commit)",
-                writer.ops_applied() - writer.published_log().last().map_or(0, |s| s.ops_applied)
-            )
-            .map_err(io_err)?;
-        }
-        Staged::Rejected(e) => writeln!(out, "rejected: {}", rejection(&e, op)).map_err(io_err)?,
-    }
-    Ok(())
+    Ok(match writer.stage(&serve_op)? {
+        Staged::Applied(_) | Staged::Compacted(_) => Ok(()),
+        Staged::Rejected(e) => Err(rejection(&e, op)),
+    })
 }
 
 /// Renders a rejected op in the terms its line used: a `resolve` of a
@@ -891,7 +814,19 @@ fn serve_session<S: Storage, R: BufRead, W: IoWrite>(
                 Err(e) => writeln!(out, "error: {e}").map_err(io_err)?,
                 Ok(ops) => {
                     for op in &ops {
-                        stage_op_line(writer, op, out)?;
+                        let staged = stage_line(writer, op).map_err(|e| {
+                            CliError::runtime(format!("journal failure, aborting: {e}"))
+                        })?;
+                        match staged {
+                            Ok(()) => writeln!(
+                                out,
+                                "staged ({} op(s) await commit)",
+                                writer.ops_applied()
+                                    - writer.published_log().last().map_or(0, |s| s.ops_applied)
+                            ),
+                            Err(reason) => writeln!(out, "rejected: {reason}"),
+                        }
+                        .map_err(io_err)?;
                     }
                 }
             },
@@ -983,7 +918,8 @@ fn run_serve(args: &[String]) -> Result<(), CliError> {
         [journal, desc] => (*journal, Some(*desc)),
         _ => return Err(CliError::parse(USAGE)),
     };
-    let (mut writer, mut reader) = open_writer(journal_path, desc_path, max_batch)?;
+    let (mut writer, mut reader) =
+        open_writer(journal_path, desc_path, max_batch, &mut std::io::stdout())?;
     // One live recorder for the whole serving process: the writer's
     // publish/journal metrics, the reader's snapshot metrics, and the
     // query-path metrics of every `select` all land in the same sink,
@@ -1021,7 +957,8 @@ fn run_semantics(path: &str) -> Result<(), CliError> {
     {
         Some(desc) => (desc.instance, desc.fds),
         None => {
-            let (db, _journal) = open_journal(path, None)?;
+            let (writer, _reader) = open_writer(path, None, 1, &mut std::io::stdout())?;
+            let (db, _journal) = writer.into_journaled().into_parts();
             (db.instance().clone(), db.fds().clone())
         }
     };
@@ -1204,7 +1141,9 @@ cyd eng   -   c2
             "delete 0",
             "delete 1 extra",
             "modify 1 dept",
+            "modify 1 dept eng extra",
             "resolve 1",
+            "resolve 1 mgr noa extra",
             "teleport 3",
             "compact now",
         ] {
@@ -1330,9 +1269,10 @@ cyd eng   -   c2
         std::fs::write(&desc, SAMPLE).unwrap();
         // "delete 4" targets the just-inserted 4th display row; all
         // three ops keep the instance weakly satisfiable → accepted
-        std::fs::write(&ops1, "insert cyd eng noa\ndelete 4\nmodify 1 mgr noa\n").unwrap();
-        // resolve bob's dept to eng (sales would clash ada/noa vs mia);
-        // "delete 99" is an out-of-range rejection exercised on purpose
+        std::fs::write(&ops1, "insert cyd eng noa\ndelete 4\nmodify 3 mgr mia\n").unwrap();
+        // resolve bob's dept to eng (eng's manager is now mia, like
+        // bob's) → accepted, as is the compaction; "delete 99" is an
+        // out-of-range rejection exercised on purpose
         std::fs::write(&ops2, "resolve 2 dept eng\ncompact\ndelete 99\n").unwrap();
         let jpath = journal.to_str().unwrap().to_string();
 
@@ -1340,11 +1280,24 @@ cyd eng   -   c2
             .expect("create + first batch");
         run_journal_apply(&jpath, ops2.to_str().unwrap(), None).expect("reopen + second batch");
 
-        let storage = FileStorage::open(&journal).unwrap();
+        // each accepted op is its own synced record: genesis + 5, and
+        // nothing for the rejected `delete 99`
+        use fd_incomplete::store::record::{Scanned, Scanner, FILE_HEADER};
+        let mut bytes = Vec::new();
+        let mut storage = FileStorage::open(&journal).unwrap();
+        storage.read_all(&mut bytes).unwrap();
+        let mut scanner = Scanner::new(&bytes[FILE_HEADER.len()..], FILE_HEADER.len() as u64);
+        let mut records = 0;
+        while let Some(Scanned::Record { .. }) = scanner.next() {
+            records += 1;
+        }
+        assert_eq!(records, 1 + 5);
+
         let recovered = Journal::recover(storage).expect("journal recovers");
         assert!(recovered.torn.is_none());
-        assert!(
-            recovered.ops.len() >= 4,
+        assert_eq!(
+            recovered.ops.len(),
+            5,
             "accepted ops from both batches are durable: {:?}",
             recovered.ops
         );
@@ -1359,6 +1312,43 @@ cyd eng   -   c2
         );
 
         run_recover(&jpath).expect("recover verb");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Opening a journal whose last record tore reports the truncation,
+    /// for `serve` as for every other verb that recovers.
+    #[test]
+    fn open_writer_reports_a_torn_tail() {
+        let dir = std::env::temp_dir().join(format!("fdi-cli-torn-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let desc = dir.join("db.fdi");
+        let ops = dir.join("ops.txt");
+        let journal = dir.join("staff.journal");
+        std::fs::write(&desc, SAMPLE).unwrap();
+        std::fs::write(&ops, "insert cyd eng noa\nmodify 1 mgr noa\n").unwrap();
+        let jpath = journal.to_str().unwrap().to_string();
+        run_journal_apply(&jpath, ops.to_str().unwrap(), Some(desc.to_str().unwrap()))
+            .expect("create + apply");
+        let len = std::fs::metadata(&journal).unwrap().len();
+        let file = std::fs::OpenOptions::new()
+            .write(true)
+            .open(&journal)
+            .unwrap();
+        file.set_len(len - 3).unwrap();
+        drop(file);
+
+        let mut out = Vec::new();
+        let (writer, _reader) = open_writer(&jpath, None, 64, &mut out).expect("recovers");
+        let text = String::from_utf8(out).unwrap();
+        assert!(
+            text.starts_with("truncated a torn tail at byte "),
+            "torn tail must be reported: {text}"
+        );
+        assert!(
+            text.contains(&format!("recovered {jpath}: 1 op(s) replayed")),
+            "{text}"
+        );
+        assert_eq!(writer.ops_applied(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -57,20 +57,23 @@
 //!
 //! A maintained [`core::update::Database`] lives in memory; the
 //! [`store`] layer makes its history durable. Wrap it in a
-//! [`store::JournaledDatabase`] and every **accepted** mutation is
-//! appended to a write-ahead op journal (rejected ops journal nothing)
-//! before the call returns. After a crash, [`store::Journal::recover`]
-//! replays the journal onto its genesis snapshot and — because update
-//! execution is deterministic at every thread count — rebuilds the
-//! database bit-identically: same `RowId`s, same null ids, same NEC
-//! classes. A torn final write is detected and
-//! truncated; damage *inside* the synced log is a typed
+//! [`store::JournaledDatabase`] and every **accepted** mutation joins a
+//! group-commit batch (rejected ops journal nothing); a batch goes to
+//! the write-ahead op journal as one record under one sync once it
+//! holds `max_batch` ops, at an explicit commit, or early when the next
+//! op would push it past the journal's record-size bound. With
+//! `max_batch` 1, each accepted op is durable before the call returns.
+//! After a crash, [`store::Journal::recover`] replays the journal onto
+//! its genesis snapshot and — because update execution is deterministic
+//! at every thread count — rebuilds the database bit-identically: same
+//! `RowId`s, same null ids, same NEC classes. A torn final write is
+//! detected and truncated; damage *inside* the synced log is a typed
 //! [`store::RecoverError::Corrupt`] naming the byte offset, never a
-//! panic and never a silently wrong database. Periodic
-//! [`store::JournaledDatabase::checkpoint`] calls atomically collapse
-//! the log into a fresh snapshot, bounding replay time. The exact
-//! guarantees — what `sync` promises and what it does not — are
-//! documented in the [`store`] crate root.
+//! panic and never a silently wrong database. An offline
+//! [`store::Journal::checkpoint`] atomically collapses the log into a
+//! fresh snapshot, bounding replay time. The exact guarantees — what
+//! `sync` promises and what it does not — are documented in the
+//! [`store`] crate root.
 //!
 //! ## Serving
 //!
@@ -80,8 +83,8 @@
 //! handles and query the current [`serve::Epoch`] through the sharded
 //! [`serve::Epoch::select`]; the writer stages deltas invisibly,
 //! **group-commits** them to the op journal (one batch record, one
-//! sync — [`store::SyncPolicy::GroupCommit`]), and only then publishes
-//! the next epoch with an atomic swap. Readers never block the writer
+//! sync, through the same [`store::JournaledDatabase`]), and only then
+//! publishes the next epoch with an atomic swap. Readers never block the writer
 //! and can never observe a torn or FD-violating state: every snapshot
 //! equals a sequential replay of some accepted-op prefix ending at a
 //! batch boundary, deterministically at every thread count — and crash
@@ -221,5 +224,5 @@ pub mod prelude {
     pub use fdi_relation::schema::Schema;
     pub use fdi_relation::{AttrId, AttrSet, NullId, Value};
     pub use fdi_serve::{Epoch, Reader, ServeConfig, ServeOp, Writer};
-    pub use fdi_store::{Journal, JournaledDatabase, SyncPolicy};
+    pub use fdi_store::{Journal, JournaledDatabase};
 }

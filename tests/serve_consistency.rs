@@ -21,7 +21,7 @@ use fd_incomplete::gen::{
     satisfiable_workload, scaling_query, update_stream, UpdateMix, UpdateOp, WorkloadSpec,
 };
 use fd_incomplete::serve::{Epoch, EpochStamp, Reader, ServeConfig, ServeOp, Staged, Writer};
-use fd_incomplete::store::MemStorage;
+use fd_incomplete::store::{Journal, MemStorage};
 use fdi_exec::Executor;
 use fdi_obs::Recorder;
 use fdi_relation::rowid::RowId;
@@ -458,11 +458,13 @@ proptest! {
         }
         let last = *published.last().unwrap();
         let storage = writer.into_journaled().into_parts().1.into_storage().crash();
-        let (rewriter, rereader) = Writer::recover(
-            storage,
+        let recovered = Journal::recover(storage).unwrap();
+        let (rewriter, rereader) = Writer::resume(
+            recovered.db,
+            recovered.journal,
+            recovered.ops.len() as u64,
             ServeConfig::default(),
-            Executor::with_threads(1),
-        ).unwrap();
+        );
 
         // recovery = genesis + the journaled (accepted) ops up to the
         // last synced boundary: replay exactly those on a fresh twin
