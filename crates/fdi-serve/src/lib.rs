@@ -39,13 +39,13 @@
 //!
 //! ## Publication ↔ durability mapping
 //!
-//! The writer journals through
-//! [`JournaledDatabase`](fdi_store::JournaledDatabase), whose only
-//! write path is group commit: accepted ops buffer in a pending batch,
-//! and [`Writer::publish`] first group-commits the batch (one
-//! CRC-framed journal record + one sync) and only then swaps the epoch
-//! pointer — **durable before visible**. A published epoch therefore
-//! always lies on a fully-synced batch boundary, and crash recovery
+//! The [`Writer`] is the one write path to the journal, and group
+//! commit is its only way there: accepted ops buffer in a pending
+//! [`Batch`](fdi_store::Batch), and [`Writer::publish`] first
+//! group-commits the batch (one CRC-framed journal record + one sync)
+//! and only then swaps the epoch pointer — **durable before visible**.
+//! A published epoch therefore always lies on a fully-synced batch
+//! boundary, and crash recovery
 //! ([`Journal::recover`](fdi_store::Journal::recover)) restores exactly
 //! the last such boundary — never a partial batch, because a torn batch
 //! record is truncated whole. (A pending batch also commits on its own
@@ -55,8 +55,11 @@
 //! the last published epoch, but never inside a batch.) With
 //! `max_batch` 1 every staged op is durable before
 //! [`Writer::stage`] returns; `fdi journal-apply` stages its ops file
-//! that way. [`Writer::create`] opens a fresh journal and
-//! [`Writer::resume`] a recovered one; both publish epoch 0.
+//! that way. A failed commit publishes nothing and **poisons** the
+//! writer: its database is ahead of the journal, so every later stage
+//! or publish returns [`ServeError::Poisoned`], and recovery from the
+//! journal is the way back. [`Writer::create`] opens a fresh journal
+//! and [`Writer::resume`] a recovered one; both publish epoch 0.
 //! Checkpointing is offline: `fdi checkpoint` collapses a journal that
 //! no writer holds
 //! ([`Journal::checkpoint`](fdi_store::Journal::checkpoint)).

@@ -17,11 +17,11 @@
 //! Nothing writes them any more, but recovery still reads each one as a
 //! batch of one, so those journals keep recovering.
 //!
-//! No record is longer than
-//! [`MAX_RECORD_LEN`](crate::record::MAX_RECORD_LEN): [`frame`] refuses
-//! a longer payload with [`StoreError::RecordTooLarge`] before a byte
+//! No record is longer than [`MAX_RECORD_LEN`]: [`frame`] refuses a
+//! longer payload with [`StoreError::RecordTooLarge`] before a byte
 //! reaches storage, so the journal never writes a record its own
-//! recovery would call corrupt.
+//! recovery would call corrupt, and [`Batch::fits`] tells a writer when
+//! to commit a batch early so that it never meets that refusal.
 //!
 //! [`Journal::checkpoint`] re-anchors: it atomically replaces the whole
 //! journal with a fresh genesis snapshot of the current database,
@@ -35,7 +35,7 @@
 //! * mid-log corruption → [`RecoverError::Corrupt`] naming the byte
 //!   offset — never a panic, never a silently wrong database.
 
-use crate::record::{frame, Scanned, Scanner, FILE_HEADER};
+use crate::record::{frame, Scanned, Scanner, FILE_HEADER, MAX_RECORD_LEN};
 use crate::storage::{Storage, StoreError};
 use fdi_core::update::{Database, Enforcement, Policy};
 use fdi_core::{Fd, FdSet};
@@ -181,21 +181,51 @@ impl JournalOp {
     }
 }
 
-/// Bytes a batch record's payload spends before its ops: the batch tag
-/// and the op count.
-pub(crate) const BATCH_HEADER_LEN: usize = 5;
+/// The ops of one group commit, encoded as the batch record that will
+/// carry them: the batch tag, the op count, then each op's encoding
+/// back to back (op encodings are self-delimiting, so no per-op length
+/// prefix is needed). [`Batch::fits`] is the record-size decision: a
+/// writer commits the batch early rather than let an op push its
+/// payload past [`MAX_RECORD_LEN`], so a batch record never outgrows
+/// the bound recovery accepts.
+#[derive(Debug, Default)]
+pub struct Batch {
+    /// The record payload; empty until the first op joins.
+    payload: Vec<u8>,
+    /// Ops pushed, kept equal to the count field in `payload`.
+    ops: u32,
+}
 
-/// Serializes a group-commit batch record: the batch tag, the op count,
-/// then each op's encoding back to back (op encodings are
-/// self-delimiting, so no per-op length prefix is needed).
-fn batch_payload(ops: &[JournalOp]) -> Vec<u8> {
-    let mut out = Vec::new();
-    serial::put_u8(&mut out, TAG_BATCH);
-    serial::put_u32(&mut out, ops.len() as u32);
-    for op in ops {
-        out.extend_from_slice(&op.encode());
+impl Batch {
+    /// Ops in the batch.
+    pub fn len(&self) -> usize {
+        self.ops as usize
     }
-    out
+
+    /// `true` when no op has joined.
+    pub fn is_empty(&self) -> bool {
+        self.ops == 0
+    }
+
+    /// `true` when `op` can join without pushing the payload past
+    /// [`MAX_RECORD_LEN`]. An empty batch takes any op: one op whose own
+    /// record is over the bound is refused when the batch is appended
+    /// ([`StoreError::RecordTooLarge`]).
+    pub fn fits(&self, op: &JournalOp) -> bool {
+        self.is_empty() || self.payload.len() + op.encode().len() <= MAX_RECORD_LEN as usize
+    }
+
+    /// Adds `op` at the end of the batch.
+    pub fn push(&mut self, op: &JournalOp) {
+        if self.payload.is_empty() {
+            serial::put_u8(&mut self.payload, TAG_BATCH);
+            serial::put_u32(&mut self.payload, 0);
+        }
+        self.payload.extend_from_slice(&op.encode());
+        self.ops += 1;
+        // the count follows the one-byte batch tag
+        self.payload[1..5].copy_from_slice(&self.ops.to_le_bytes());
+    }
 }
 
 /// Decodes an op record into its ops, in order. A batch record expands
@@ -496,9 +526,8 @@ impl<S: Storage> Journal<S> {
     /// snapshot of `db`. Header and genesis go down as **one append**
     /// followed by one sync, so a crash anywhere inside creation leaves
     /// either a complete journal or recognizably nothing. A snapshot
-    /// longer than [`MAX_RECORD_LEN`](crate::record::MAX_RECORD_LEN) is
-    /// refused ([`StoreError::RecordTooLarge`]) and `storage` stays
-    /// empty.
+    /// longer than [`MAX_RECORD_LEN`] is refused
+    /// ([`StoreError::RecordTooLarge`]) and `storage` stays empty.
     pub fn create(mut storage: S, db: &Database) -> Result<Journal<S>, CreateError> {
         if !storage.is_empty() {
             return Err(CreateError::NotEmpty { len: storage.len() });
@@ -528,18 +557,17 @@ impl<S: Storage> Journal<S> {
     /// crash mid-write tears the whole record and recovery truncates it
     /// entirely, so no partial batch can ever replay. An empty batch
     /// appends nothing; a batch whose payload would exceed
-    /// [`MAX_RECORD_LEN`](crate::record::MAX_RECORD_LEN) appends nothing
-    /// and fails with [`StoreError::RecordTooLarge`].
-    pub fn append_batch(&mut self, ops: &[JournalOp]) -> Result<(), StoreError> {
-        if ops.is_empty() {
+    /// [`MAX_RECORD_LEN`] appends nothing and fails with
+    /// [`StoreError::RecordTooLarge`].
+    pub fn append_batch(&mut self, batch: &Batch) -> Result<(), StoreError> {
+        if batch.is_empty() {
             return Ok(());
         }
-        let record = frame(&batch_payload(ops))?;
+        let record = frame(&batch.payload)?;
+        let ops = batch.len() as u64;
         self.rec.incr(fdi_obs::Counter::JournalBatchRecords);
-        self.rec
-            .add(fdi_obs::Counter::JournalOpsCommitted, ops.len() as u64);
-        self.rec
-            .observe(fdi_obs::Hist::JournalBatchOps, ops.len() as u64);
+        self.rec.add(fdi_obs::Counter::JournalOpsCommitted, ops);
+        self.rec.observe(fdi_obs::Hist::JournalBatchOps, ops);
         self.storage.append(&record)
     }
 
@@ -554,8 +582,8 @@ impl<S: Storage> Journal<S> {
     /// Atomically replaces the whole journal with a fresh genesis
     /// snapshot of `db`, discarding the replay log. On failure the old
     /// journal is untouched (the replace never renamed, or — for a
-    /// snapshot over [`MAX_RECORD_LEN`](crate::record::MAX_RECORD_LEN) —
-    /// never started), so a failed checkpoint loses nothing.
+    /// snapshot over [`MAX_RECORD_LEN`] — never started), so a failed
+    /// checkpoint loses nothing.
     pub fn checkpoint(&mut self, db: &Database) -> Result<(), StoreError> {
         let bytes = genesis_file(db)?;
         self.storage.replace(&bytes)
@@ -710,6 +738,14 @@ mod tests {
         Database::new(instance, fds, Policy::default()).unwrap()
     }
 
+    fn batch_of(ops: &[JournalOp]) -> Batch {
+        let mut batch = Batch::default();
+        for op in ops {
+            batch.push(op);
+        }
+        batch
+    }
+
     fn db_states_match(a: &Database, b: &Database) {
         assert_eq!(a.instance().render(true), b.instance().render(true));
         assert_eq!(a.instance().canonical_form(), b.instance().canonical_form());
@@ -747,7 +783,7 @@ mod tests {
             // of one
             assert_eq!(decode_ops(&op.encode()).unwrap(), std::slice::from_ref(op));
         }
-        assert_eq!(decode_ops(&batch_payload(&ops)).unwrap(), ops);
+        assert_eq!(decode_ops(&batch_of(&ops).payload).unwrap(), ops);
         // every truncation of an op payload is a typed decode error
         let bytes = ops[0].encode();
         for cut in 0..bytes.len() {
@@ -764,18 +800,18 @@ mod tests {
         // journal two more ops against the live db, one batch each
         let out = db.insert(&["d3", "-"]).unwrap();
         journal
-            .append_batch(&[JournalOp::Insert {
+            .append_batch(&batch_of(&[JournalOp::Insert {
                 row: out.row,
                 tokens: vec!["d3".into(), "-".into()],
-            }])
+            }]))
             .unwrap();
         db.modify(out.row, AttrId(1), "m3").unwrap();
         journal
-            .append_batch(&[JournalOp::Modify {
+            .append_batch(&batch_of(&[JournalOp::Modify {
                 row: out.row,
                 attr: AttrId(1),
                 token: "m3".into(),
-            }])
+            }]))
             .unwrap();
         journal.sync().unwrap();
         let recovered = Journal::recover(journal.into_storage()).unwrap();
@@ -824,16 +860,16 @@ mod tests {
         let mut journal = Journal::create(MemStorage::new(), &db).unwrap();
         let out = db.insert(&["d2", "-"]).unwrap();
         journal
-            .append_batch(&[JournalOp::Insert {
+            .append_batch(&batch_of(&[JournalOp::Insert {
                 row: out.row,
                 tokens: vec!["d2".into(), "-".into()],
-            }])
+            }]))
             .unwrap();
         journal.sync().unwrap();
         let clean_len = journal.storage().len();
         // tear: half an op record dangles at the end
         let mut storage = journal.into_storage();
-        let record = frame(&batch_payload(&[JournalOp::Delete { row: out.row }])).unwrap();
+        let record = frame(&batch_of(&[JournalOp::Delete { row: out.row }]).payload).unwrap();
         storage.append(&record[..5]).unwrap();
         storage.sync().unwrap();
         let first = Journal::recover(storage).unwrap();
@@ -860,13 +896,13 @@ mod tests {
         let genesis_end = journal.storage().len();
         let out = db.insert(&["d2", "m2"]).unwrap();
         journal
-            .append_batch(&[JournalOp::Insert {
+            .append_batch(&batch_of(&[JournalOp::Insert {
                 row: out.row,
                 tokens: vec!["d2".into(), "m2".into()],
-            }])
+            }]))
             .unwrap();
         journal
-            .append_batch(&[JournalOp::Delete { row: out.row }])
+            .append_batch(&batch_of(&[JournalOp::Delete { row: out.row }]))
             .unwrap();
         journal.sync().unwrap();
         let mut bytes = Vec::new();
@@ -892,10 +928,10 @@ mod tests {
             let token = format!("d{}", i % 3 + 1);
             let out = db.insert(&[&token, "-"]).unwrap();
             journal
-                .append_batch(&[JournalOp::Insert {
+                .append_batch(&batch_of(&[JournalOp::Insert {
                     row: out.row,
                     tokens: vec![token, "-".into()],
-                }])
+                }]))
                 .unwrap();
         }
         journal.sync().unwrap();
@@ -937,10 +973,10 @@ mod tests {
             },
         ];
         // a batch of two, a legacy record, then a batch of two
-        journal.append_batch(&ops[..2]).unwrap();
+        journal.append_batch(&batch_of(&ops[..2])).unwrap();
         let mut storage = journal.into_storage();
         storage.append(&frame(&ops[2].encode()).unwrap()).unwrap();
-        let last = frame(&batch_payload(&ops[3..])).unwrap();
+        let last = frame(&batch_of(&ops[3..]).payload).unwrap();
         storage.append(&last).unwrap();
         storage.sync().unwrap();
         let recovered = Journal::recover(storage).unwrap();
@@ -954,7 +990,7 @@ mod tests {
         let db = small_db();
         let mut journal = Journal::create(MemStorage::new(), &db).unwrap();
         let len = journal.storage().len();
-        journal.append_batch(&[]).unwrap();
+        journal.append_batch(&Batch::default()).unwrap();
         assert_eq!(journal.storage().len(), len);
     }
 
@@ -967,16 +1003,19 @@ mod tests {
         let mut oracle = db.clone();
         let a = db.insert(&["d2", "-"]).unwrap().row;
         let b = db.insert(&["d3", "-"]).unwrap().row;
-        let batch = frame(&batch_payload(&[
-            JournalOp::Insert {
-                row: a,
-                tokens: vec!["d2".into(), "-".into()],
-            },
-            JournalOp::Insert {
-                row: b,
-                tokens: vec!["d3".into(), "-".into()],
-            },
-        ]))
+        let batch = frame(
+            &batch_of(&[
+                JournalOp::Insert {
+                    row: a,
+                    tokens: vec!["d2".into(), "-".into()],
+                },
+                JournalOp::Insert {
+                    row: b,
+                    tokens: vec!["d3".into(), "-".into()],
+                },
+            ])
+            .payload,
+        )
         .unwrap();
         let mut storage = journal.into_storage();
         // every proper prefix of the batch record tears the WHOLE
@@ -1018,10 +1057,11 @@ mod tests {
         let journal = Journal::create(MemStorage::new(), &db).unwrap();
         let offset = journal.storage().len();
         let a = db.insert(&["d1", "m1"]).unwrap().row;
-        let mut payload = batch_payload(&[JournalOp::Insert {
+        let mut payload = batch_of(&[JournalOp::Insert {
             row: a,
             tokens: vec!["d1".into(), "m1".into()],
-        }]);
+        }])
+        .payload;
         // claim two ops while carrying one
         payload[1..5].copy_from_slice(&2u32.to_le_bytes());
         let mut storage = journal.into_storage();
@@ -1040,10 +1080,10 @@ mod tests {
         let out = db.insert(&["d1", "m1"]).unwrap();
         // journal a LYING row id
         journal
-            .append_batch(&[JournalOp::Insert {
+            .append_batch(&batch_of(&[JournalOp::Insert {
                 row: RowId(out.row.0 + 41),
                 tokens: vec!["d1".into(), "m1".into()],
-            }])
+            }]))
             .unwrap();
         journal.sync().unwrap();
         match Journal::recover(journal.into_storage()) {
@@ -1092,11 +1132,13 @@ mod tests {
                 JournalOp::Insert { row, tokens }
             })
             .collect();
-        journal.append_batch(&ops).unwrap();
+        journal.append_batch(&batch_of(&ops)).unwrap();
         journal.sync().unwrap();
         let len = journal.storage().len();
         assert!(refused(journal.checkpoint(&db)));
-        assert!(refused(journal.append_batch(&vec![ops[0].clone(); 16])));
+        assert!(refused(
+            journal.append_batch(&batch_of(&vec![ops[0].clone(); 16]))
+        ));
         assert_eq!(journal.storage().len(), len, "nothing was written");
         let recovered = Journal::recover(journal.into_storage()).unwrap();
         assert_eq!(recovered.ops, ops);

@@ -1,28 +1,21 @@
 //! # fdi-store — durable op journal + crash recovery
 //!
-//! A std-only durability layer for [`fdi_core::update::Database`]: a
-//! write-ahead **op journal** ([`Journal`]), a crash-consistent
-//! **recovery** path ([`Journal::recover`]), a group-commit pairing of
-//! database and journal ([`JournaledDatabase`]), and **deterministic
+//! A std-only durability layer for [`fdi_core::update::Database`]: the
+//! write-ahead **op journal** format ([`Journal`], one CRC-framed
+//! [`Batch`] record per group commit), the crash-consistent
+//! **recovery** path ([`Journal::recover`]), the [`Storage`] barrier
+//! model with an in-memory and a file backend, and **deterministic
 //! fault injection** ([`FaultyStorage`]) that makes the crash claims
 //! testable instead of aspirational.
 //!
-//! ## One write path
-//!
-//! Every accepted op reaches the journal in a **group-commit batch**:
-//! [`JournaledDatabase`] buffers accepted ops and writes them as one
-//! CRC-framed batch record under one sync once `max_batch` have
-//! accumulated, at [`JournaledDatabase::commit`], or early — when the
-//! next op would push the batch payload past
-//! [`record::MAX_RECORD_LEN`]. A `max_batch` of 1 makes each accepted
-//! op durable before the call returns (`fdi journal-apply`); a wider
-//! batch amortizes the sync (`fdi serve`, which also commits at every
-//! publish). On the writer side the journal refuses any record over
-//! the bound ([`StoreError::RecordTooLarge`]) before a byte reaches
-//! storage, so it never writes a record its recovery would call
-//! corrupt. Checkpointing ([`Journal::checkpoint`]) is offline: it
-//! needs the database and the journal, which
-//! [`JournaledDatabase::into_parts`] hands back.
+//! The stateful write path — applying an op, batching it, committing
+//! the batch, and refusing further writes after a failed commit — is
+//! `fdi_serve::Writer`. This crate gives it the record-size decision
+//! ([`Batch::fits`]) and, on the journal side, refuses any record over
+//! [`record::MAX_RECORD_LEN`] ([`StoreError::RecordTooLarge`]) before a
+//! byte reaches storage, so it never writes a record its recovery would
+//! call corrupt. Checkpointing ([`Journal::checkpoint`]) is offline: it
+//! takes a recovered database and its journal.
 //!
 //! ## The durability contract
 //!
@@ -55,11 +48,11 @@
 //!   recovery yields the last committed batch boundary, nothing more.
 //! * Rejected ops are never journaled; the journal records *accepted*
 //!   history only.
-//! * After a batch commit fails, the live pair is poisoned
-//!   ([`JournaledError::Poisoned`]) — the in-memory database is ahead
-//!   of the durable log and the layer refuses to widen the gap. (A
-//!   failed [`Journal::checkpoint`] loses nothing: a refused snapshot
-//!   or a failed atomic `replace` leaves the old journal complete.)
+//! * After a batch commit fails, the in-memory database is ahead of
+//!   the durable log; the writer refuses to widen the gap, and recovery
+//!   from the journal is the way back. (A failed [`Journal::checkpoint`]
+//!   loses nothing: a refused snapshot or a failed atomic `replace`
+//!   leaves the old journal complete.)
 //!
 //! ## Fault model
 //!
@@ -67,18 +60,17 @@
 //! fail the k-th write, persist a short prefix of the k-th write, fail
 //! the k-th sync, flip one bit at a byte offset. No RNG anywhere: every
 //! crash-matrix counterexample is replayable from its schedule alone.
-//! The crash matrix (in `tests/recovery.rs`) drives generated update
-//! streams through every failure mode and asserts recovery equals the
-//! live database that applied the longest fully-synced op prefix.
+//! The crash matrix (fdi-serve's `tests/recovery.rs`) drives generated
+//! update streams through the writer under every failure mode and
+//! asserts recovery equals the live database that applied the longest
+//! fully-synced op prefix.
 
 pub mod crc;
-pub mod db;
 pub mod fault;
 pub mod journal;
 pub mod record;
 pub mod storage;
 
-pub use db::{JournaledDatabase, JournaledError};
 pub use fault::{Fault, FaultyStorage};
-pub use journal::{CreateError, Journal, JournalOp, RecoverError, Recovered, TornTail};
+pub use journal::{Batch, CreateError, Journal, JournalOp, RecoverError, Recovered, TornTail};
 pub use storage::{FileStorage, MemStorage, Storage, StoreError};

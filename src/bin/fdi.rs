@@ -27,9 +27,9 @@
 //! comparison (`fdi_core::semantics::compare`) across every registered
 //! null-comparison convention — strong, null-marker, weak, NFD — and
 //! prints per-convention verdicts, per-FD canonical least-pair
-//! witnesses, and the pairwise agree/disagree matrix. The path is
-//! parsed as a description file first and recovered as an op journal
-//! otherwise.
+//! witnesses, and the pairwise agree/disagree matrix. A file that
+//! starts with the journal header is recovered as an op journal;
+//! anything else is parsed as a description file.
 //!
 //! Durability commands work a write-ahead op journal (see `fdi-store`):
 //!
@@ -70,7 +70,9 @@
 //!
 //! Every verb that recovers a journal truncates a torn tail and says so
 //! (`truncated a torn tail at byte N (M bytes dropped)`; `stats` says it
-//! on stderr).
+//! on stderr). No verb creates a journal file it was asked to read: a
+//! missing journal is a runtime error, and only `journal-apply` and
+//! `serve` given a description create one, as they write its genesis.
 //!
 //! Exit codes: `0` success, `1` runtime failure (I/O, corrupt journal,
 //! unsatisfiable description), `2` usage or input-parse error.
@@ -85,8 +87,9 @@ use fd_incomplete::prelude::*;
 use fd_incomplete::relation::instance::is_comment;
 use fd_incomplete::relation::rowid::RowId;
 use fd_incomplete::serve::{self, ServeError, ServeOp, Staged};
-use fd_incomplete::store::{FileStorage, Journal, Recovered, Storage};
-use std::io::{BufRead, BufReader, Write as IoWrite};
+use fd_incomplete::store::record::FILE_HEADER;
+use fd_incomplete::store::{FileStorage, Journal, Recovered, Storage, StoreError};
+use std::io::{BufRead, BufReader, Read, Write as IoWrite};
 use std::net::TcpListener;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -192,6 +195,13 @@ fn parse_description(text: &str) -> Result<Description, String> {
         fds,
         instance,
     })
+}
+
+/// Reads and parses the description file at `path`.
+fn read_description(path: &str) -> Result<Description, CliError> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| CliError::runtime(format!("cannot read {path}: {e}")))?;
+    parse_description(&text).map_err(|e| CliError::Parse(format!("parse error: {e}")))
 }
 
 fn run(command: &str, desc: &Description) -> Result<(), CliError> {
@@ -475,8 +485,14 @@ fn run_recover(journal_path: &str) -> Result<(), CliError> {
 }
 
 fn run_checkpoint(journal_path: &str) -> Result<(), CliError> {
-    let (writer, _reader) = open_writer(journal_path, None, 1, &mut std::io::stdout())?;
-    let (db, mut journal) = writer.into_journaled().into_parts();
+    let Recovered {
+        db, mut journal, ..
+    } = recover_journal(
+        journal_path,
+        open_storage(journal_path)?,
+        &Recorder::noop(),
+        &mut std::io::stdout(),
+    )?;
     journal
         .checkpoint(&db)
         .map_err(|e| CliError::runtime(format!("checkpoint failed (journal unchanged): {e}")))?;
@@ -526,9 +542,12 @@ fn run_stats(journal_path: &str, json: bool) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Opens the journal file at `path`, creating it empty if it is missing.
+/// Opens the existing journal file at `path`. A missing file is a
+/// runtime error: a verb never creates the journal it was asked to read.
 fn open_storage(path: &str) -> Result<FileStorage, CliError> {
-    FileStorage::open(path)
+    std::fs::metadata(path)
+        .map_err(StoreError::from)
+        .and_then(|_| FileStorage::open(path))
         .map_err(|e| CliError::runtime(format!("cannot open journal {path}: {e}")))
 }
 
@@ -561,41 +580,44 @@ fn recover_journal<W: IoWrite>(
 
 /// Opens an epoch-split serving pair over the journal at `path`:
 /// recovers it if it holds bytes, otherwise creates it from the
-/// description file (required on first use). Reports what it did to
-/// `out`. Staged ops commit to the journal in batches of `max_batch`.
+/// description file (required on first use; the file is created only
+/// once the description has built a valid database). Reports what it
+/// did to `out`. Staged ops commit to the journal in batches of
+/// `max_batch`.
 fn open_writer<W: IoWrite>(
     path: &str,
     desc_path: Option<&str>,
     max_batch: usize,
     out: &mut W,
 ) -> Result<(serve::Writer<FileStorage>, serve::Reader), CliError> {
-    let storage = open_storage(path)?;
     let cfg = ServeConfig { max_batch };
-    if !storage.is_empty() {
-        let recovered = recover_journal(path, storage, &Recorder::noop(), out)?;
-        let ops_applied = recovered.ops.len() as u64;
-        return Ok(serve::Writer::resume(
-            recovered.db,
-            recovered.journal,
-            ops_applied,
-            cfg,
-        ));
+    let holds_bytes = std::fs::metadata(path).is_ok_and(|m| m.len() > 0);
+    if let Some(desc_path) = desc_path.filter(|_| !holds_bytes) {
+        let desc = read_description(desc_path)?;
+        let db = Database::new(desc.instance, desc.fds, Policy::default()).map_err(|e| {
+            CliError::runtime(format!("description is not a valid starting database: {e}"))
+        })?;
+        let storage = FileStorage::open(path)
+            .map_err(|e| CliError::runtime(format!("cannot open journal {path}: {e}")))?;
+        let journal = Journal::create(storage, &db)
+            .map_err(|e| CliError::runtime(format!("cannot create journal {path}: {e}")))?;
+        writeln!(out, "created journal {path} from {desc_path}").map_err(io_err)?;
+        return Ok(serve::Writer::resume(db, journal, 0, cfg));
     }
-    let desc_path = desc_path.ok_or_else(|| {
-        CliError::parse(format!(
+    let storage = open_storage(path)?;
+    if storage.is_empty() {
+        return Err(CliError::parse(format!(
             "journal {path} is empty: a description file is required to create it"
-        ))
-    })?;
-    let text = std::fs::read_to_string(desc_path)
-        .map_err(|e| CliError::runtime(format!("cannot read {desc_path}: {e}")))?;
-    let desc = parse_description(&text).map_err(CliError::Parse)?;
-    let db = Database::new(desc.instance, desc.fds, Policy::default()).map_err(|e| {
-        CliError::runtime(format!("description is not a valid starting database: {e}"))
-    })?;
-    let journal = Journal::create(storage, &db)
-        .map_err(|e| CliError::runtime(format!("cannot create journal {path}: {e}")))?;
-    writeln!(out, "created journal {path} from {desc_path}").map_err(io_err)?;
-    Ok(serve::Writer::resume(db, journal, 0, cfg))
+        )));
+    }
+    let recovered = recover_journal(path, storage, &Recorder::noop(), out)?;
+    let ops_applied = recovered.ops.len() as u64;
+    Ok(serve::Writer::resume(
+        recovered.db,
+        recovered.journal,
+        ops_applied,
+        cfg,
+    ))
 }
 
 /// Resolves a parsed mutation line's 1-based display position and
@@ -947,23 +969,27 @@ fn run_serve(args: &[String]) -> Result<(), CliError> {
 }
 
 /// The `semantics` verb: differential TEST-FDs across every registered
-/// null-comparison convention. The path is tried as a description file
-/// first; if it does not parse as one, it is recovered as an op
-/// journal, so the verb works on both input kinds.
+/// null-comparison convention. A file that starts with the journal
+/// header is recovered as an op journal; anything else is parsed as a
+/// description file, whose parse error is reported as such.
 fn run_semantics(path: &str) -> Result<(), CliError> {
-    let (instance, fds) = match std::fs::read_to_string(path)
-        .ok()
-        .and_then(|text| parse_description(&text).ok())
-    {
-        Some(desc) => (desc.instance, desc.fds),
-        None => {
-            let (writer, _reader) = open_writer(path, None, 1, &mut std::io::stdout())?;
-            let (db, _journal) = writer.into_journaled().into_parts();
-            (db.instance().clone(), db.fds().clone())
-        }
+    let render = |instance: &Instance, fds: &FdSet| {
+        let cmp = semantics::compare(instance, fds);
+        print!("{}", semantics::render_comparison(&cmp, fds, instance));
     };
-    let cmp = semantics::compare(&instance, &fds);
-    print!("{}", semantics::render_comparison(&cmp, &fds, &instance));
+    let mut head = [0u8; FILE_HEADER.len()];
+    let is_journal = std::fs::File::open(path)
+        .and_then(|mut file| file.read_exact(&mut head))
+        .is_ok()
+        && head == FILE_HEADER;
+    if is_journal {
+        let storage = open_storage(path)?;
+        let db = recover_journal(path, storage, &Recorder::noop(), &mut std::io::stdout())?.db;
+        render(db.instance(), db.fds());
+    } else {
+        let desc = read_description(path)?;
+        render(&desc.instance, &desc.fds);
+    }
     Ok(())
 }
 
@@ -990,13 +1016,7 @@ fn dispatch(args: &[String]) -> Result<(), CliError> {
         ("journal-apply" | "recover" | "checkpoint" | "stats" | "semantics" | "serve", _) => {
             Err(CliError::parse(USAGE))
         }
-        (_, 2) => {
-            let text = std::fs::read_to_string(&args[1])
-                .map_err(|e| CliError::runtime(format!("cannot read {}: {e}", args[1])))?;
-            let desc = parse_description(&text)
-                .map_err(|e| CliError::Parse(format!("parse error: {e}")))?;
-            run(command, &desc)
-        }
+        (_, 2) => run(command, &read_description(&args[1])?),
         _ => Err(CliError::parse(USAGE)),
     }
 }
@@ -1254,6 +1274,47 @@ cyd eng   -   c2
             dispatch(&["report".to_string(), "/no/such/file".to_string()]),
             Err(CliError::Runtime(_))
         ));
+    }
+
+    /// No verb creates a journal it was only asked to read: on a missing
+    /// path each fails at runtime and leaves no file behind. Neither does
+    /// `journal-apply` when its description does not parse.
+    #[test]
+    fn verbs_never_create_a_missing_journal() {
+        let dir = std::env::temp_dir().join(format!("fdi-cli-missing-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let ops = dir.join("ops.txt");
+        std::fs::write(&ops, "insert cyd eng noa\n").unwrap();
+        let bad = dir.join("bad.fdi");
+        std::fs::write(&bad, "%schema\nrelation\n").unwrap();
+        let missing = dir.join("missing.log");
+        let (journal, ops, bad) = (
+            missing.to_str().unwrap(),
+            ops.to_str().unwrap(),
+            bad.to_str().unwrap(),
+        );
+        for args in [
+            vec!["recover", journal],
+            vec!["checkpoint", journal],
+            vec!["stats", journal],
+            vec!["stats", journal, "--json"],
+            vec!["semantics", journal],
+            vec!["journal-apply", journal, ops],
+            vec!["serve", journal],
+            vec!["journal-apply", journal, ops, bad],
+        ] {
+            let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+            let result = dispatch(&args);
+            if args.len() < 4 {
+                match &result {
+                    Err(CliError::Runtime(msg)) => assert!(msg.contains(journal), "{msg}"),
+                    other => panic!("{args:?}: expected a runtime error, got {other:?}"),
+                }
+            }
+            assert!(result.is_err(), "{args:?}");
+            assert!(!missing.exists(), "{args:?} created {journal}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// End-to-end journal verbs over a real temp file: create + apply,
@@ -1741,6 +1802,15 @@ cyd eng   -   c2
         run_journal_apply(&jpath, ops.to_str().unwrap(), Some(desc.to_str().unwrap()))
             .expect("create + apply");
         run_semantics(&jpath).expect("journal input");
+
+        // a description that does not parse is reported as a parse error,
+        // not as a file that is no journal
+        let bad = dir.join("bad.fdi");
+        std::fs::write(&bad, SAMPLE.replace("dept -> mgr", "emp -> dep")).unwrap();
+        match run_semantics(bad.to_str().unwrap()) {
+            Err(CliError::Parse(msg)) => assert!(msg.contains("unknown attribute"), "{msg}"),
+            other => panic!("expected a parse error, got {other:?}"),
+        }
 
         assert!(matches!(
             dispatch(&["semantics".to_string()]),

@@ -56,14 +56,14 @@
 //! ## Durability
 //!
 //! A maintained [`core::update::Database`] lives in memory; the
-//! [`store`] layer makes its history durable. Wrap it in a
-//! [`store::JournaledDatabase`] and every **accepted** mutation joins a
+//! [`store`] layer makes its history durable. Hand it to a
+//! [`serve::Writer`] and every **accepted** mutation joins a
 //! group-commit batch (rejected ops journal nothing); a batch goes to
-//! the write-ahead op journal as one record under one sync once it
-//! holds `max_batch` ops, at an explicit commit, or early when the next
-//! op would push it past the journal's record-size bound. With
-//! `max_batch` 1, each accepted op is durable before the call returns.
-//! After a crash, [`store::Journal::recover`] replays the journal onto
+//! the write-ahead op journal as one [`store::Batch`] record under one
+//! sync once it holds `max_batch` ops, at every publish, or early when
+//! the next op would push it past the journal's record-size bound. With
+//! `max_batch` 1, each accepted op is durable before
+//! [`serve::Writer::stage`] returns. After a crash, [`store::Journal::recover`] replays the journal onto
 //! its genesis snapshot and — because update execution is deterministic
 //! at every thread count — rebuilds the database bit-identically: same
 //! `RowId`s, same null ids, same NEC classes. A torn final write is
@@ -83,9 +83,8 @@
 //! handles and query the current [`serve::Epoch`] through the sharded
 //! [`serve::Epoch::select`]; the writer stages deltas invisibly,
 //! **group-commits** them to the op journal (one batch record, one
-//! sync, through the same [`store::JournaledDatabase`]), and only then
-//! publishes the next epoch with an atomic swap. Readers never block the writer
-//! and can never observe a torn or FD-violating state: every snapshot
+//! sync), and only then publishes the next epoch with an atomic swap.
+//! Readers never block the writer and can never observe a torn or FD-violating state: every snapshot
 //! equals a sequential replay of some accepted-op prefix ending at a
 //! batch boundary, deterministically at every thread count — and crash
 //! recovery restores exactly the last fully-synced boundary. The full
@@ -175,11 +174,12 @@
 //! recorder changes no engine output.
 //!
 //! Wiring points: [`core::update::Database::set_recorder`] (op
-//! acceptance), [`store::JournaledDatabase::set_recorder`]
-//! (journal appends, group-commit batches, sync latency),
-//! [`store::Journal::recover_with`] (torn-tail truncations, replayed
-//! ops), [`serve::Writer::set_recorder`] / [`serve::Reader::set_recorder`]
-//! (publish latency, epoch gauges, snapshot reads), and the `rec`
+//! acceptance), [`store::Journal::set_recorder`] (group-commit batch
+//! records, sync latency), [`store::Journal::recover_with`] (torn-tail
+//! truncations, replayed ops), [`serve::Writer::set_recorder`] (routes
+//! into the writer's database and journal too, plus publish latency,
+//! epoch gauges and the pending-batch gauge) /
+//! [`serve::Reader::set_recorder`] (snapshot reads), and the `rec`
 //! argument of each engine entry point: the chases
 //! ([`core::chase::chase_indexed`], [`core::chase::extended_chase`]),
 //! TEST-FDs ([`core::testfd::check`]), and [`serve::Epoch::select`]
@@ -224,5 +224,5 @@ pub mod prelude {
     pub use fdi_relation::schema::Schema;
     pub use fdi_relation::{AttrId, AttrSet, NullId, Value};
     pub use fdi_serve::{Epoch, Reader, ServeConfig, ServeOp, Writer};
-    pub use fdi_store::{Journal, JournaledDatabase};
+    pub use fdi_store::Journal;
 }

@@ -457,7 +457,7 @@ proptest! {
             }
         }
         let last = *published.last().unwrap();
-        let storage = writer.into_journaled().into_parts().1.into_storage().crash();
+        let storage = writer.into_parts().1.into_storage().crash();
         let recovered = Journal::recover(storage).unwrap();
         let (rewriter, rereader) = Writer::resume(
             recovered.db,
