@@ -5,7 +5,6 @@
 
 use crate::{banner, fmt_duration, fmt_factor, growth_factors, median_time, Table};
 use fdi_core::chase::{extended_chase, extended_chase_naive};
-use fdi_exec::Executor;
 use fdi_gen::{satisfiable_workload, WorkloadSpec};
 use fdi_obs::Recorder;
 use std::time::Duration;
@@ -40,9 +39,9 @@ pub fn run(quick: bool) {
         };
         let w = satisfiable_workload(7, &spec, 4);
         let repeats = if quick { 3 } else { 5 };
-        let (exec, rec) = (Executor::with_threads(1), Recorder::noop());
+        let rec = Recorder::noop();
         let t_fast = median_time(repeats, || {
-            std::hint::black_box(extended_chase(&w.instance, &w.fds, &exec, &rec));
+            std::hint::black_box(extended_chase(&w.instance, &w.fds, &rec));
         });
         let t_naive = if n <= 2048 {
             median_time(repeats.min(3), || {
@@ -51,7 +50,7 @@ pub fn run(quick: bool) {
         } else {
             Duration::ZERO
         };
-        let fast = extended_chase(&w.instance, &w.fds, &exec, &rec);
+        let fast = extended_chase(&w.instance, &w.fds, &rec);
         if !t_naive.is_zero() {
             let naive = extended_chase_naive(&w.instance, &w.fds);
             assert_eq!(

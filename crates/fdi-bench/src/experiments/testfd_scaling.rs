@@ -6,7 +6,6 @@
 use crate::{banner, fmt_duration, fmt_factor, growth_factors, median_time, Table};
 use fdi_core::semantics::Weak;
 use fdi_core::testfd;
-use fdi_exec::Executor;
 use fdi_gen::{satisfiable_workload, WorkloadSpec};
 use std::time::Duration;
 
@@ -55,9 +54,9 @@ pub fn run(quick: bool) {
             } else {
                 Duration::ZERO
             };
-            let (exec, rec) = (Executor::with_threads(1), fdi_obs::Recorder::noop());
+            let rec = fdi_obs::Recorder::noop();
             let t_grouped = median_time(repeats, || {
-                std::hint::black_box(testfd::check(&w.instance, &w.fds, Weak, &exec, &rec)).ok();
+                std::hint::black_box(testfd::check(&w.instance, &w.fds, Weak, &rec)).ok();
             });
             sorted_times.push(t_sorted);
             pairwise_times.push(t_pairwise);

@@ -30,34 +30,28 @@
 //!
 //! ## The phase loop
 //!
-//! Because the closure is order-insensitive, [`extended_chase`] needs
-//! no order replay to run its discovery work on an [`Executor`]; it only
-//! needs partition equality, which it gets from a strict phase
-//! alternation:
+//! [`extended_chase`] alternates two phases until no dirty work is
+//! left:
 //!
 //! * a **read-only discovery phase**: the current agenda (all multi-row
-//!   buckets on the first phase, the dirty buckets after) is sharded
-//!   across the executor; each worker reads the frozen engine through
-//!   the compression-free `find_readonly` — no engine mutation — and
-//!   emits the candidate union edges of its buckets;
-//! * a **sequential union/migration phase**: the edge batches are
-//!   concatenated in agenda order (the executor's determinism contract)
-//!   and applied one by one through `union_reporting`/`migrate`.
+//!   buckets on the first phase, the dirty buckets after) is visited in
+//!   agenda order against the frozen engine — the compression-free
+//!   `find_readonly`, no engine mutation — and yields the candidate
+//!   union edges of every agenda bucket;
+//! * an **apply phase**: the edges are applied one by one, in discovery
+//!   order, through `union_reporting`/`migrate`.
 //!
-//! Because the agenda draw, the discovery output, and the apply order
-//! are all pure functions of the engine state, the whole run — union
-//! count, `nothing` classes, phase count, even the union–find
-//! internals — is **bit-identical at every thread count** (a 1-thread
-//! executor runs the same loop inline); and because the closure is
-//! unique, the materialized instance (canonical form),
-//! `nothing_classes`, and `union_count` equal the naive oracle's.
-//! [`ChaseOutcome::rounds`] counts discovery phases there and full
-//! rounds for the oracle, so it is comparable across thread counts but
-//! not across engines.
+//! The agenda draw, the discovery output and the apply order are all
+//! pure functions of the engine state, so the whole run — union count,
+//! `nothing` classes, phase count, even the union–find internals — is
+//! reproducible; and because the closure is unique, the materialized
+//! instance (canonical form), `nothing_classes`, and `union_count`
+//! equal the naive oracle's. [`ChaseOutcome::rounds`] counts discovery
+//! phases there and full rounds for the oracle, so it is not comparable
+//! across engines.
 
 use crate::fd::{Fd, FdSet};
 use crate::groupkey::GroupKey;
-use fdi_exec::Executor;
 use fdi_obs::{Counter, Recorder};
 use fdi_relation::attrs::AttrId;
 use fdi_relation::instance::Instance;
@@ -88,8 +82,8 @@ pub struct CellEngine {
 
 /// The node-arena layout: cell `(row, attr)` lives at
 /// `row · arity + attr`, with symbol nodes above all cells. A free
-/// function so [`CellEngine::cell_node`] and the borrow-free shard
-/// closures of [`CellEngine::new`] share one formula.
+/// function so [`CellEngine::cell_node`] and the borrow-free iterator
+/// of [`CellEngine::nothing_classes`] share one formula.
 #[inline]
 fn cell_node_at(arity: usize, row: RowId, attr: AttrId) -> usize {
     row.index() * arity + attr.index()
@@ -103,32 +97,6 @@ fn checked_node_count(rows: usize, arity: usize, symbols: usize) -> Option<usize
     let cells = rows.checked_mul(arity)?;
     let nodes = cells.checked_add(symbols)?;
     u32::try_from(nodes).ok().map(|_| nodes)
-}
-
-/// One initial-partition action of a cell: [`CellEngine::new`]
-/// precomputes shard batches of them and applies the batches
-/// sequentially in shard-concatenation (= row-major live) order, so the
-/// action stream is the same at every thread count.
-enum InitAction {
-    /// Unify the cell with its constant's symbol node.
-    Sym(u32, Symbol),
-    /// Unify the cell into its NEC class (keyed by canonical root).
-    Class(u32, NullId),
-    /// Mark the cell's class inconsistent (a preexisting `nothing`).
-    Nothing(u32),
-}
-
-impl InitAction {
-    /// Classifies one cell's value (NEC ids resolved through the
-    /// caller's snapshot).
-    #[inline]
-    fn classify(cell: u32, value: Value, snapshot: &fdi_relation::nec::NecSnapshot) -> InitAction {
-        match value {
-            Value::Const(s) => InitAction::Sym(cell, s),
-            Value::Null(n) => InitAction::Class(cell, snapshot.root(n)),
-            Value::Nothing => InitAction::Nothing(cell),
-        }
-    }
 }
 
 impl CellEngine {
@@ -167,60 +135,38 @@ impl CellEngine {
         engine
     }
 
-    /// Applies one classification action; `class_first` tracks the
-    /// first cell seen of each NEC class (its nulls unify with it).
-    #[inline]
-    fn apply_init(&mut self, action: InitAction, class_first: &mut HashMap<NullId, usize>) {
-        match action {
-            InitAction::Sym(cell, s) => {
-                let sym = self.symbol_node(s);
-                self.union(cell as usize, sym);
-            }
-            InitAction::Class(cell, root) => match class_first.get(&root) {
-                Some(&first) => {
-                    self.union(cell as usize, first);
-                }
-                None => {
-                    class_first.insert(root, cell as usize);
-                }
-            },
-            InitAction::Nothing(cell) => {
-                self.inconsistent[cell as usize] = true;
-            }
-        }
-    }
-
-    /// Builds the initial partition from an instance: constants unify
-    /// with their symbol node, NEC-equivalent nulls unify together.
-    ///
-    /// The per-cell classification ([`Value`] reads and NEC snapshot
-    /// resolution) is sharded over [`RowId`] ranges on `exec`; the
-    /// shard batches are concatenated in shard order, which reproduces
-    /// row-major order, and the unions are applied sequentially in that
-    /// order — so the built engine (parent links, ranks, labels,
-    /// everything) is bit-identical at every thread count.
-    pub fn new(instance: &Instance, exec: &Executor) -> CellEngine {
+    /// Builds the initial partition from an instance in one row-major
+    /// pass: constants unify with their symbol node, NEC-equivalent
+    /// nulls unify with the first cell seen of their class, and a
+    /// preexisting `nothing` marks its cell inconsistent.
+    pub fn new(instance: &Instance) -> CellEngine {
         let mut engine = CellEngine::blank(instance);
         let arity = engine.arity;
         // Null occurrences group by NEC class through one
         // fully-compressed snapshot instead of a parent-chain walk per
         // cell.
         let snapshot = instance.necs().canonical_snapshot();
-        let shards = instance.row_id_shards(exec.shard_count(4));
-        let actions = exec.flat_map(&shards, |_, &shard| {
-            let mut batch: Vec<InitAction> = Vec::new();
-            for (row, tuple) in instance.iter_live_in(shard) {
-                for col in 0..arity {
-                    let attr = AttrId(col as u16);
-                    let cell = cell_node_at(arity, row, attr) as u32;
-                    batch.push(InitAction::classify(cell, tuple.get(attr), &snapshot));
+        let mut class_first: HashMap<NullId, usize> = HashMap::new();
+        for (row, tuple) in instance.iter_live() {
+            for col in 0..arity {
+                let attr = AttrId(col as u16);
+                let cell = cell_node_at(arity, row, attr);
+                match tuple.get(attr) {
+                    Value::Const(s) => {
+                        let sym = engine.symbol_node(s);
+                        engine.union(cell, sym);
+                    }
+                    Value::Null(n) => match class_first.entry(snapshot.root(n)) {
+                        Entry::Occupied(first) => {
+                            engine.union(cell, *first.get());
+                        }
+                        Entry::Vacant(slot) => {
+                            slot.insert(cell);
+                        }
+                    },
+                    Value::Nothing => engine.inconsistent[cell] = true,
                 }
             }
-            batch
-        });
-        let mut class_first: HashMap<NullId, usize> = HashMap::new();
-        for action in actions {
-            engine.apply_init(action, &mut class_first);
         }
         // Initial unions are structural, not chase work.
         engine.unions = 0;
@@ -315,12 +261,11 @@ impl CellEngine {
         changed
     }
 
-    /// Runs to the fixpoint by alternating read-only discovery on `exec`
-    /// with sequential union/migration (see the module docs) and returns
-    /// the **discovery-phase count**, which — like everything else about
-    /// the run — is the same at every thread count.
-    pub fn run(&mut self, fds: &FdSet, exec: &Executor) -> usize {
-        Worklist::new(self, fds).run(self, exec)
+    /// Runs to the fixpoint by alternating read-only discovery with
+    /// union/migration (see the module docs) and returns the
+    /// **discovery-phase count**.
+    pub fn run(&mut self, fds: &FdSet) -> usize {
+        Worklist::new(self, fds).run(self)
     }
 
     /// The naive fixpoint loop of [`extended_chase_naive`]: full pairwise
@@ -515,11 +460,11 @@ impl Worklist {
     }
 
     /// Drains the worklist to the fixpoint by phase alternation —
-    /// parallel read-only discovery over the agenda buckets, then
-    /// sequential application of the edge batches in shard-concatenation
-    /// order — and returns the discovery-phase count. See the module
-    /// docs for why no order replay is needed (Theorem 4(a)).
-    fn run(mut self, engine: &mut CellEngine, exec: &Executor) -> usize {
+    /// read-only discovery over the agenda buckets, then application of
+    /// the discovered edges in agenda order — and returns the
+    /// discovery-phase count. See the module docs for why no order
+    /// replay is needed (Theorem 4(a)).
+    fn run(mut self, engine: &mut CellEngine) -> usize {
         let mut phases = 0;
         loop {
             phases += 1;
@@ -553,15 +498,13 @@ impl Worklist {
             if agenda.is_empty() {
                 break;
             }
-            // Parallel discovery: workers read the frozen engine
-            // (`find_readonly`, no mutation) and emit candidate edges;
-            // `flat_map` concatenates the batches in agenda order.
-            let frozen: &CellEngine = engine;
-            let worklist: &Worklist = &self;
-            let edges = exec.flat_map(&agenda, |_, (si, _, key)| {
-                worklist.candidate_edges(frozen, *si, key)
-            });
-            // Sequential union/migration in agenda order.
+            // Discovery reads the frozen engine (`find_readonly`, no
+            // mutation); the edges are applied only after every agenda
+            // bucket has been read.
+            let edges: Vec<(u32, u32)> = agenda
+                .iter()
+                .flat_map(|(si, _, key)| self.candidate_edges(engine, *si, key))
+                .collect();
             for (a, b) in edges {
                 if let Some((winner, loser)) = engine.union_reporting(a as usize, b as usize) {
                     self.migrate(engine, winner, loser);
@@ -668,8 +611,7 @@ pub struct ChaseOutcome {
     /// phases** (the final phase usually does apply unions — the loop
     /// exits when no dirty work remains *after* applying); for
     /// [`extended_chase_naive`] it counts full rounds, the last one
-    /// applying nothing. Compare it across thread counts, not across
-    /// engines.
+    /// applying nothing. Do not compare it across engines.
     pub rounds: usize,
     /// Unions performed.
     pub unions: usize,
@@ -685,32 +627,23 @@ impl ChaseOutcome {
     }
 }
 
-/// Runs the extended chase of `instance` under `fds`: the sharded
-/// initial partition of [`CellEngine::new`], then the phase loop of
-/// [`CellEngine::run`] on `exec` (see the module docs).
+/// Runs the extended chase of `instance` under `fds`: the initial
+/// partition of [`CellEngine::new`], then the phase loop of
+/// [`CellEngine::run`] (see the module docs).
 ///
-/// **Contract** (property-tested at thread counts 1–8, including
-/// cross-column NEC classes, preexisting `nothing` cells, planted
-/// conflicts, and tombstone-heavy arenas):
-///
-/// * the materialized instance (canonical form), `nothing_classes`,
-///   and `unions` equal [`extended_chase_naive`]'s — the closure is
-///   unique (Theorem 4(a)) and the union count is order-invariant
-///   (initial classes − final classes);
-/// * the entire [`ChaseOutcome`] — `rounds` included — is bit-identical
-///   across thread counts, so `FDI_THREADS` is a throughput knob only.
+/// **Contract** (property-tested against [`extended_chase_naive`],
+/// including cross-column NEC classes, preexisting `nothing` cells,
+/// planted conflicts, and tombstone-heavy arenas): the materialized
+/// instance (canonical form), `nothing_classes`, and `unions` equal the
+/// oracle's — the closure is unique (Theorem 4(a)) and the union count
+/// is order-invariant (initial classes − final classes).
 ///
 /// Records `cell_chase_rounds` and `cell_chase_unions` into `rec` —
-/// both thread-count-invariant, so they belong to [`fdi_obs`]'s
-/// deterministic slice.
-pub fn extended_chase(
-    instance: &Instance,
-    fds: &FdSet,
-    exec: &Executor,
-    rec: &Recorder,
-) -> ChaseOutcome {
-    let mut engine = CellEngine::new(instance, exec);
-    let rounds = engine.run(fds, exec);
+/// both a pure function of the instance and the FD order, so they
+/// belong to [`fdi_obs`]'s deterministic slice.
+pub fn extended_chase(instance: &Instance, fds: &FdSet, rec: &Recorder) -> ChaseOutcome {
+    let mut engine = CellEngine::new(instance);
+    let rounds = engine.run(fds);
     rec.add(Counter::CellRounds, rounds as u64);
     rec.add(Counter::CellUnions, engine.union_count() as u64);
     outcome(engine, instance, rounds)
@@ -719,7 +652,7 @@ pub fn extended_chase(
 /// The extended chase by naive pairwise rounds — the reference engine
 /// [`extended_chase`] is verified against.
 pub fn extended_chase_naive(instance: &Instance, fds: &FdSet) -> ChaseOutcome {
-    let mut engine = CellEngine::new(instance, &Executor::with_threads(1));
+    let mut engine = CellEngine::new(instance);
     let rounds = engine.run_naive(fds);
     outcome(engine, instance, rounds)
 }
@@ -740,7 +673,7 @@ mod tests {
     use crate::fixtures;
 
     fn ext(r: &Instance, fds: &FdSet) -> ChaseOutcome {
-        extended_chase(r, fds, &Executor::with_threads(1), &Recorder::noop())
+        extended_chase(r, fds, &Recorder::noop())
     }
 
     #[test]
@@ -763,23 +696,20 @@ mod tests {
         assert_eq!(forward.nothing_classes, 1);
     }
 
-    /// [`extended_chase`] at thread counts 1–8 equals the naive oracle
-    /// (canonical instance, `nothing` classes, unions) and is itself
-    /// thread-invariant, rounds included.
+    /// [`extended_chase`] equals the naive oracle (canonical instance,
+    /// `nothing` classes, unions).
     fn assert_matches_oracle(r: &Instance, fds: &FdSet) {
         let naive = extended_chase_naive(r, fds);
-        let baseline = ext(r, fds);
-        for threads in 1..=8 {
-            let par = extended_chase(r, fds, &Executor::with_threads(threads), &Recorder::noop());
-            assert_eq!(
-                par.instance.canonical_form(),
-                naive.instance.canonical_form(),
-                "threads = {threads}"
-            );
-            assert_eq!(par.nothing_classes, naive.nothing_classes);
-            assert_eq!(par.unions, naive.unions, "union counts are order-invariant");
-            assert_eq!(par.rounds, baseline.rounds, "threads = {threads}");
-        }
+        let fast = ext(r, fds);
+        assert_eq!(
+            fast.instance.canonical_form(),
+            naive.instance.canonical_form()
+        );
+        assert_eq!(fast.nothing_classes, naive.nothing_classes);
+        assert_eq!(
+            fast.unions, naive.unions,
+            "union counts are order-invariant"
+        );
     }
 
     #[test]
@@ -834,20 +764,6 @@ mod tests {
         // Multiplication / addition overflow of usize itself.
         assert_eq!(checked_node_count(usize::MAX, 2, 0), None);
         assert_eq!(checked_node_count(usize::MAX, 1, 1), None);
-    }
-
-    #[test]
-    fn initial_partition_is_bit_identical_across_thread_counts() {
-        let r = fixtures::section6_instance();
-        let seq = CellEngine::new(&r, &Executor::with_threads(1));
-        for threads in [2, 3, 8] {
-            let par = CellEngine::new(&r, &Executor::with_threads(threads));
-            assert_eq!(par.parent, seq.parent, "threads = {threads}");
-            assert_eq!(par.rank, seq.rank);
-            assert_eq!(par.label, seq.label);
-            assert_eq!(par.inconsistent, seq.inconsistent);
-            assert_eq!(par.unions, 0);
-        }
     }
 
     #[test]

@@ -64,11 +64,9 @@
 
 use crate::fd::{Fd, FdSet};
 use crate::groupkey::{self, GroupKey};
-use fdi_exec::Executor;
 use fdi_obs::{Counter, Gauge, Recorder};
-use fdi_relation::attrs::{AttrId, AttrSet};
+use fdi_relation::attrs::AttrId;
 use fdi_relation::instance::Instance;
-use fdi_relation::nec::NecSnapshot;
 use fdi_relation::rowid::RowId;
 use fdi_relation::symbol::Symbol;
 use fdi_relation::value::{NullId, Value};
@@ -78,47 +76,20 @@ use std::collections::{HashMap, HashSet};
 use super::ns::{NsChaseResult, NsEvent, NsEventKind};
 
 /// Runs the indexed worklist chase — the engine behind
-/// [`super::ns::chase_plain`], with its **read phases sharded** onto
-/// `exec` and its work profile recorded into `rec`. The result (chased
-/// instance, events at their sites, pass count) is **bit-identical at
-/// every thread count** — with or without [`ChaseIndexCaveat`]s present;
-/// the caveats govern fidelity to the *naive* engine, not to this one.
-///
-/// Parallelism never touches rule application. Two phases shard:
-///
-/// * the **index build** (per-FD determinant buckets, the occurrence
-///   index): shard-local maps merged in shard order, so every bucket
-///   and occurrence list equals its single-shard counterpart;
-/// * with more than one thread, per pass and FD, the **agenda
-///   classification**: every agenda bucket is scanned read-only against
-///   the pass-start state and flagged *clean* (no NS-rule applicable)
-///   or *dirty*.
-///
-/// Application then replays the agenda **sequentially in agenda
-/// order**, sweeping dirty buckets and skipping clean ones — which is
-/// sound because a clean bucket can only become sweepable through a
-/// *membership* change (plain-rule events transform whole NEC classes,
-/// so they never turn an all-one-class or all-one-constant dependent
-/// column into a mixed one; only bucket migration adds members), and
-/// every migration target is tracked and re-checked. Skipped sweeps
-/// are therefore provably no-ops, and the surviving sweeps run in
-/// exactly the inline engine's order against exactly its state.
+/// [`super::ns::chase_plain`] — and records its work profile into
+/// `rec`. The engine is sequential: the chased instance, the events at
+/// their sites and the pass count are a pure function of the instance
+/// and the FD order, with or without [`ChaseIndexCaveat`]s present (the
+/// caveats govern fidelity to the *naive* engine, not to this one).
 ///
 /// Records `chase_passes`, `chase_bucket_sweeps` (agenda entries
-/// scheduled — identical at every thread count; the classified path may
-/// *skip* provably-no-op sweeps but schedules the same agenda),
-/// `chase_substitutions`, `chase_unions`, and the `chase_worklist_peak`
-/// high-watermark. All recording happens in the sequential application
-/// path, so every recorded value is deterministic (see [`fdi_obs`]).
-pub fn chase_indexed(
-    instance: &Instance,
-    fds: &FdSet,
-    exec: &Executor,
-    rec: &Recorder,
-) -> NsChaseResult {
-    let mut engine = Engine::new(instance, fds, exec);
+/// swept), `chase_substitutions`, `chase_unions`, and the
+/// `chase_worklist_peak` high-watermark — all deterministic (see
+/// [`fdi_obs`]).
+pub fn chase_indexed(instance: &Instance, fds: &FdSet, rec: &Recorder) -> NsChaseResult {
+    let mut engine = Engine::new(instance, fds);
     engine.rec = rec.clone();
-    let passes = engine.run(instance, exec);
+    let passes = engine.run(instance);
     NsChaseResult {
         instance: engine.work,
         events: engine.events,
@@ -137,13 +108,7 @@ pub(crate) fn is_minimally_incomplete_indexed(instance: &Instance, fds: &FdSet) 
         if fd.is_trivial() {
             continue; // agreement on X forces agreement on Y ⊆ X
         }
-        let buckets = groupkey::group_rows(
-            instance,
-            fd.lhs,
-            &snapshot,
-            false,
-            &Executor::with_threads(1),
-        );
+        let buckets = groupkey::group_rows(instance, fd.lhs, &snapshot, false);
         for rows in buckets.values() {
             if rows.len() < 2 {
                 continue;
@@ -305,19 +270,8 @@ struct Engine {
     lhs_slots: Vec<Vec<usize>>,
     /// Per FD slot: bucket keys whose membership changed (the worklist).
     dirty: Vec<HashSet<GroupKey>>,
-    /// Per FD slot: bucket keys migrated *into* since the slot's agenda
-    /// was classified this pass — the keys whose clean verdicts are
-    /// stale (membership grew). Only maintained and consulted on the
-    /// parallel run path (`parallel`); cleared per (pass, slot).
-    touched: Vec<HashSet<GroupKey>>,
-    /// Was the engine built for a multi-thread executor? Gates the
-    /// classification phase and the `touched` bookkeeping so the inline
-    /// path pays nothing for them.
-    parallel: bool,
     events: Vec<NsEvent>,
-    /// Metrics sink, set by [`chase_indexed`]. Only ever touched from
-    /// the sequential application path, so recorded values are
-    /// thread-count-invariant.
+    /// Metrics sink, set by [`chase_indexed`].
     rec: Recorder,
 }
 
@@ -333,103 +287,41 @@ fn fd_slots(fds: &FdSet) -> Vec<FdSlot> {
         .collect()
 }
 
-/// Is no plain NS-rule applicable within this bucket? Read-only twin of
-/// [`Engine::sweep_bucket`]'s trigger conditions, for the parallel
-/// classification phase: a bucket is *clean* iff every dependent column
-/// holds (besides inert `nothing`s) only one constant or only nulls of
-/// one NEC class.
-fn bucket_clean(work: &Instance, snapshot: &NecSnapshot, rows: &[RowId], rhs: AttrSet) -> bool {
-    for attr in rhs.iter() {
-        let mut seen_const = false;
-        let mut seen_class: Option<NullId> = None;
-        for &row in rows {
-            match work.value(row, attr) {
-                Value::Nothing => {}
-                Value::Const(_) => {
-                    if seen_class.is_some() {
-                        return false; // rule (a): null + constant
-                    }
-                    seen_const = true;
-                }
-                Value::Null(n) => {
-                    if seen_const {
-                        return false; // rule (a)
-                    }
-                    let root = snapshot.root(n);
-                    match seen_class {
-                        Some(prior) if prior != root => return false, // rule (b)
-                        _ => seen_class = Some(root),
-                    }
-                }
-            }
-        }
-    }
-    true
-}
-
 impl Engine {
-    /// Builds the engine with the index construction sharded over
-    /// [`RowId`] ranges: per-FD buckets, the per-slot key table, and
-    /// the occurrence index are each assembled from shard-local pieces
-    /// merged in shard order, so bucket member lists and occurrence
-    /// lists stay ascending / row-major at every thread count.
-    fn new(instance: &Instance, fds: &FdSet, exec: &Executor) -> Engine {
+    /// Builds the engine in one row-major pass over the live rows: each
+    /// row's nulls join their class's occurrence list, and each FD slot
+    /// files the row under its determinant key — so bucket member lists
+    /// are ascending and occurrence lists `(row, col)`-major.
+    fn new(instance: &Instance, fds: &FdSet) -> Engine {
         let mut work = instance.clone();
         let slots = fd_slots(fds);
         let bound = work.slot_bound();
         let arity = work.arity();
         let snapshot = work.necs().canonical_snapshot();
-        let shards = work.row_id_shards(exec.shard_count(2));
 
-        // Occurrence index: shard-local row-major scans, merged in
-        // shard order — each class's list stays (row, col)-major.
         // Classes are keyed by snapshot root, which equals the
         // union–find root `find` would return (compression changes
         // parents, never roots).
-        let occurrences = groupkey::merge_in_shard_order(exec.map(&shards, |_, &shard| {
-            let mut occ: HashMap<u32, Vec<(RowId, u16)>> = HashMap::new();
-            for (row, tuple) in work.iter_live_in(shard) {
-                for col in 0..arity {
-                    if let Value::Null(id) = tuple.get(AttrId(col as u16)) {
-                        occ.entry(snapshot.root(id).0)
-                            .or_default()
-                            .push((row, col as u16));
-                    }
+        let mut occurrences: HashMap<u32, Vec<(RowId, u16)>> = HashMap::new();
+        let mut buckets: Vec<HashMap<GroupKey, Vec<RowId>>> = slots
+            .iter()
+            .map(|_| HashMap::with_capacity(work.len()))
+            .collect();
+        let mut row_keys: Vec<Vec<GroupKey>> = vec![vec![GroupKey::new(); bound]; slots.len()];
+        for (row, tuple) in work.iter_live() {
+            for col in 0..arity {
+                if let Value::Null(id) = tuple.get(AttrId(col as u16)) {
+                    occurrences
+                        .entry(snapshot.root(id).0)
+                        .or_default()
+                        .push((row, col as u16));
                 }
             }
-            occ
-        }));
-
-        // Per-FD determinant buckets and the dense per-slot key table:
-        // every shard covers a disjoint slot range, so its key segment
-        // writes into disjoint positions of the table.
-        let per_shard = work.len() / shards.len() + 1;
-        let mut buckets = Vec::with_capacity(slots.len());
-        let mut row_keys = Vec::with_capacity(slots.len());
-        for slot in &slots {
-            let lhs = slot.fd.lhs;
-            let locals = exec.map(&shards, |_, &shard| {
-                let mut fd_buckets: HashMap<GroupKey, Vec<RowId>> =
-                    HashMap::with_capacity(per_shard);
-                let mut keys: Vec<(RowId, GroupKey)> = Vec::with_capacity(per_shard);
-                let mut key = GroupKey::new();
-                for (row, tuple) in work.iter_live_in(shard) {
-                    groupkey::key_into(&mut key, tuple, row, lhs, &snapshot);
-                    fd_buckets.entry(key.clone()).or_default().push(row);
-                    keys.push((row, key.clone()));
-                }
-                (fd_buckets, keys)
-            });
-            let mut fd_keys: Vec<GroupKey> = vec![GroupKey::new(); bound];
-            let mut shard_buckets = Vec::with_capacity(locals.len());
-            for (local_buckets, keys) in locals {
-                shard_buckets.push(local_buckets);
-                for (row, key) in keys {
-                    fd_keys[row.index()] = key;
-                }
+            for (si, slot) in slots.iter().enumerate() {
+                let key = groupkey::key_of(tuple, row, slot.fd.lhs, &snapshot);
+                buckets[si].entry(key.clone()).or_default().push(row);
+                row_keys[si][row.index()] = key;
             }
-            buckets.push(groupkey::merge_in_shard_order(shard_buckets));
-            row_keys.push(fd_keys);
         }
 
         // One `find` per live null compresses the working NEC forest,
@@ -450,7 +342,6 @@ impl Engine {
             }
         }
         let dirty = vec![HashSet::new(); slots.len()];
-        let touched = vec![HashSet::new(); slots.len()];
         Engine {
             work,
             fds: slots,
@@ -459,8 +350,6 @@ impl Engine {
             occurrences,
             lhs_slots,
             dirty,
-            touched,
-            parallel: exec.threads() > 1,
             events: Vec::new(),
             rec: Recorder::noop(),
         }
@@ -468,16 +357,7 @@ impl Engine {
 
     /// Runs passes to the fixpoint; returns the pass count (the final
     /// pass applies nothing, mirroring the naive engine's counter).
-    ///
-    /// With a multi-thread executor, each (pass, FD) agenda is first
-    /// **classified in parallel** (read-only: is any rule applicable in
-    /// this bucket?) and the sequential application loop then skips the
-    /// clean buckets — unless a migration has since grown their
-    /// membership (`touched`), the one way a clean verdict can go
-    /// stale. Skipped sweeps are provably no-ops, so events, states,
-    /// and pass counts are identical at every thread count.
-    fn run(&mut self, original: &Instance, exec: &Executor) -> usize {
-        let parallel = self.parallel;
+    fn run(&mut self, original: &Instance) -> usize {
         let mut passes = 0;
         loop {
             passes += 1;
@@ -511,27 +391,7 @@ impl Engine {
                     .add(Counter::ChaseBucketSweeps, agenda.len() as u64);
                 self.rec
                     .gauge_max(Gauge::ChaseWorklistPeak, agenda.len() as u64);
-                let clean: Vec<bool> = if parallel && agenda.len() > 1 {
-                    let snapshot = self.work.necs().canonical_snapshot();
-                    let work = &self.work;
-                    let buckets = &self.buckets[si];
-                    let rhs = self.fds[si].fd.rhs;
-                    exec.map(&agenda, |_, (_, key)| match buckets.get(key) {
-                        Some(rows) => bucket_clean(work, &snapshot, rows, rhs),
-                        None => true, // unreachable: nothing ran since the draw
-                    })
-                } else {
-                    vec![false; agenda.len()]
-                };
-                // Clean verdicts hold from here on unless a migration
-                // grows a bucket — start tracking those now.
-                if parallel {
-                    self.touched[si].clear();
-                }
-                for (idx, (_, key)) in agenda.iter().enumerate() {
-                    if clean[idx] && !self.touched[si].contains(key) {
-                        continue; // provably a no-op sweep
-                    }
+                for (_, key) in &agenda {
                     self.sweep_bucket(si, key);
                 }
             }
@@ -718,13 +578,6 @@ impl Engine {
             // a not-yet-swept bucket of the very FD being processed).
             // Re-enqueueing renames costs at most one no-op sweep next
             // pass in the common case; dropping one loses the fixpoint.
-            // The migration target also voids any same-pass clean
-            // verdict for that key (the parallel run path's `touched` —
-            // the sequential path sweeps everything, so it skips the
-            // bookkeeping).
-            if self.parallel {
-                self.touched[si].insert(new_key.clone());
-            }
             self.dirty[si].insert(new_key);
         }
     }
@@ -736,12 +589,8 @@ mod tests {
     use crate::chase::ns::{chase_naive, is_minimally_incomplete_naive};
     use crate::fixtures;
 
-    fn indexed_on(r: &Instance, fds: &FdSet, threads: usize) -> NsChaseResult {
-        chase_indexed(r, fds, &Executor::with_threads(threads), &Recorder::noop())
-    }
-
     fn indexed(r: &Instance, fds: &FdSet) -> NsChaseResult {
-        indexed_on(r, fds, 1)
+        chase_indexed(r, fds, &Recorder::noop())
     }
 
     fn assert_engines_agree(r: &Instance, fds: &FdSet) {
@@ -899,54 +748,6 @@ mod tests {
         // (The chased instances legitimately differ here: ?w gets B_0
         // from one engine and B_1 from the other — Figure 5's order
         // dependence, triggered by the inert `nothing` row.)
-    }
-
-    #[test]
-    fn parallel_engine_is_bit_identical_even_on_caveat_instances() {
-        // chase_indexed promises identity across thread counts
-        // *unconditionally* — caveats only relax fidelity
-        // to the naive engine. Exercise fixture instances plus both
-        // caveat regimes (cross-column class, `nothing` bucket).
-        let schema = fdi_relation::Schema::uniform("R", &["A", "B"], 4).unwrap();
-        let cross = fdi_relation::Instance::parse(
-            schema.clone(),
-            "A_1 ?z
-             A_1 B_2
-             ?z  B_1
-             ?z  ?w",
-        )
-        .unwrap();
-        let nothing = fdi_relation::Instance::parse(
-            schema.clone(),
-            "A_0 #!
-             A_1 B_0
-             A_1 ?w
-             A_0 ?w
-             A_0 B_1",
-        )
-        .unwrap();
-        let ab_fds = FdSet::parse(&schema, "A -> B").unwrap();
-        let cases: Vec<(Instance, FdSet)> = vec![
-            (fixtures::figure5_instance(), fixtures::figure5_fds()),
-            (fixtures::section6_instance(), fixtures::section6_fds()),
-            (fixtures::figure1_null_instance(), fixtures::figure1_fds()),
-            (cross, ab_fds.clone()),
-            (nothing, ab_fds),
-        ];
-        for (r, fds) in &cases {
-            let sequential = indexed(r, fds);
-            for threads in [2, 3, 8] {
-                let parallel = indexed_on(r, fds, threads);
-                assert_eq!(
-                    sequential.instance.canonical_form(),
-                    parallel.instance.canonical_form(),
-                    "threads = {threads} on\n{}",
-                    r.render(true)
-                );
-                assert_eq!(sequential.events, parallel.events, "threads = {threads}");
-                assert_eq!(sequential.passes, parallel.passes, "threads = {threads}");
-            }
-        }
     }
 
     #[test]

@@ -66,17 +66,15 @@
 //! pass analysis as the reference engine (experiment E12 measures the
 //! gap — here order never matters, by Theorem 4(a)).
 //!
-//! Both production engines take an `fdi-exec` [`Executor`] and an
-//! `fdi-obs` [`Recorder`]. [`chase_indexed`] shards its index build and
-//! (with more than one thread) a read-only bucket classification, and
-//! replays the sequential agenda exactly, order being the plain
-//! system's semantics. [`extended_chase`] shards its discovery phases
-//! with **no event-order replay at all**: Theorem 4(a) makes the
-//! closure order-insensitive. Both are bit-identical at every thread
-//! count; a 1-thread executor runs them inline, and the noop recorder
-//! records nothing.
+//! Both production engines are sequential and take an `fdi-obs`
+//! [`Recorder`]. [`chase_indexed`] replays the naive agenda order
+//! exactly where [`order_replay_exact`] holds, order being the plain
+//! system's semantics. [`extended_chase`] needs **no event-order replay
+//! at all**: Theorem 4(a) makes the closure order-insensitive, and it
+//! keeps a discovery/apply phase alternation only so its round count
+//! is a pure function of the engine state. The noop recorder records
+//! nothing.
 //!
-//! [`Executor`]: fdi_exec::Executor
 //! [`Recorder`]: fdi_obs::Recorder
 //!
 //! # Example — Theorem 4(b) as a one-liner
@@ -122,13 +120,12 @@ use fdi_relation::instance::Instance;
 /// [`crate::subst::detect_domain_exhaustion`] to check the proviso when
 /// domains are tight.
 ///
-/// Runs [`extended_chase`]'s engine inline and reads the `nothing`
-/// count off the fixpoint partition without materializing the chased
-/// instance — this is the weak-enforcement check of every
+/// Runs [`extended_chase`]'s engine and reads the `nothing` count off
+/// the fixpoint partition without materializing the chased instance —
+/// this is the weak-enforcement check of every
 /// [`crate::update::Database`] write.
 pub fn weakly_satisfiable_via_chase(fds: &FdSet, instance: &Instance) -> bool {
-    let exec = fdi_exec::Executor::with_threads(1);
-    let mut engine = CellEngine::new(instance, &exec);
-    engine.run(fds, &exec);
+    let mut engine = CellEngine::new(instance);
+    engine.run(fds);
     engine.nothing_classes() == 0
 }

@@ -181,15 +181,10 @@ fn pass(instance: &mut Instance, fds: &FdSet) -> Vec<NsEvent> {
 /// processing FDs in set order within each pass.
 ///
 /// Runs the indexed worklist engine ([`super::index::chase_indexed`])
-/// inline and unrecorded; use [`chase_naive`] for the all-pairs
-/// reference implementation.
+/// unrecorded; use [`chase_naive`] for the all-pairs reference
+/// implementation.
 pub fn chase_plain(instance: &Instance, fds: &FdSet) -> NsChaseResult {
-    super::index::chase_indexed(
-        instance,
-        fds,
-        &fdi_exec::Executor::with_threads(1),
-        &fdi_obs::Recorder::noop(),
-    )
+    super::index::chase_indexed(instance, fds, &fdi_obs::Recorder::noop())
 }
 
 /// The historical all-pairs chase — `O(|F|·n²)` agreement checks per

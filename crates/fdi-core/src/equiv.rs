@@ -153,7 +153,6 @@ fn singleton_holds_in_world(singleton: &FdSet, world: &Instance) -> bool {
         world,
         singleton,
         crate::semantics::Strong,
-        &fdi_exec::Executor::with_threads(1),
         &fdi_obs::Recorder::noop(),
     )
     .is_ok()

@@ -21,9 +21,7 @@ use fdi_relation::nec::NecSnapshot;
 use fdi_relation::rowid::RowId;
 use fdi_relation::tuple::Tuple;
 use fdi_relation::value::{NullId, Value};
-use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::hash::Hash;
 
 /// A canonical projection key: one packed atom per attribute of the
 /// projection set, in attribute order.
@@ -98,61 +96,28 @@ pub fn key_of(tuple: &Tuple, row: RowId, attrs: AttrSet, snapshot: &NecSnapshot)
 /// `attrs`: two rows land in the same group iff they agree componentwise
 /// (equal constants or NEC-equivalent nulls) — the one grouping loop
 /// every indexed consumer shares, so key semantics can never drift
-/// between them. Groups hold stable [`RowId`]s, in ascending order.
+/// between them. Groups hold stable [`RowId`]s, in ascending order
+/// (one pass over the live rows in slot order).
 ///
 /// With `solitary_nulls` set (see [`atom_solitary`]), null-bearing rows
 /// are singleton groups on the null components — the agreement classes
 /// of conventions where nulls never trigger a dependency.
-///
-/// The pass is sharded over [`RowId`] ranges on `exec`: each shard
-/// builds a local partition of its live rows and the shard maps are
-/// merged **in shard order**, so every group's row list is the
-/// concatenation of ascending sub-lists of ascending shards — the same
-/// map at every thread count.
 pub fn group_rows(
     instance: &fdi_relation::instance::Instance,
     attrs: AttrSet,
     snapshot: &NecSnapshot,
     solitary_nulls: bool,
-    exec: &fdi_exec::Executor,
 ) -> HashMap<GroupKey, Vec<RowId>> {
-    let shards = instance.row_id_shards(exec.shard_count(4));
-    let per_shard = instance.len() / shards.len() + 1;
-    let locals = exec.map(&shards, |_, &shard| {
-        let mut groups: HashMap<GroupKey, Vec<RowId>> = HashMap::with_capacity(per_shard);
-        let mut key = GroupKey::new();
-        for (row, tuple) in instance.iter_live_in(shard) {
-            key.clear();
-            for a in attrs.iter() {
-                key.push(atom_solitary(tuple.get(a), row, snapshot, solitary_nulls));
-            }
-            groups.entry(key.clone()).or_default().push(row);
+    let mut groups: HashMap<GroupKey, Vec<RowId>> = HashMap::with_capacity(instance.len());
+    let mut key = GroupKey::new();
+    for (row, tuple) in instance.iter_live() {
+        key.clear();
+        for a in attrs.iter() {
+            key.push(atom_solitary(tuple.get(a), row, snapshot, solitary_nulls));
         }
-        groups
-    });
-    merge_in_shard_order(locals)
-}
-
-/// Folds shard-local `key → list` maps into one, appending each list in
-/// shard order — so when every local list is ascending and shards cover
-/// ascending slot ranges, every merged list is ascending too. A single
-/// local map (the inline executor's one shard) is returned as is.
-pub(crate) fn merge_in_shard_order<K: Hash + Eq, V>(
-    locals: Vec<HashMap<K, Vec<V>>>,
-) -> HashMap<K, Vec<V>> {
-    let mut locals = locals.into_iter();
-    let mut out = locals.next().unwrap_or_default();
-    for local in locals {
-        for (key, mut items) in local {
-            match out.entry(key) {
-                Entry::Occupied(mut entry) => entry.get_mut().append(&mut items),
-                Entry::Vacant(entry) => {
-                    entry.insert(items);
-                }
-            }
-        }
+        groups.entry(key.clone()).or_default().push(row);
     }
-    out
+    groups
 }
 
 #[cfg(test)]

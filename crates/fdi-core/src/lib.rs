@@ -42,33 +42,32 @@
 //! * [`fixtures`] — every worked figure of the paper as a ready-made
 //!   instance.
 //!
-//! # Parallel execution
+//! # Engines
 //!
-//! Each engine has one entry point, and it takes an `fdi-exec`
-//! [`Executor`](fdi_exec::Executor) and (where it has work to report)
-//! an `fdi-obs` [`Recorder`](fdi_obs::Recorder):
-//! [`testfd::check`], [`chase::chase_indexed`], [`chase::extended_chase`],
-//! [`groupkey::group_rows`], and
-//! [`query::CompiledQuery::select_par_stats`]. Work is sharded over
-//! stable [`RowId`](fdi_relation::rowid::RowId) slot ranges
-//! (`Instance::row_id_shards`), and every engine is **bit-identical at
-//! every thread count** — shard results merge in shard order, rule
-//! application stays sequential where order is semantics — so
-//! `FDI_THREADS` is purely a throughput knob, never a semantics knob. A
-//! 1-thread executor runs the same code inline, and the noop recorder
-//! records nothing, so sequential, parallel, and recorded runs are one
-//! function called with different arguments.
+//! Each engine has one entry point, and it takes (where it has work to
+//! report) an `fdi-obs` [`Recorder`](fdi_obs::Recorder):
+//! [`testfd::check`], [`chase::chase_indexed`], [`chase::extended_chase`]
+//! and [`groupkey::group_rows`] are sequential; compiled selection,
+//! [`query::CompiledQuery::select_par_stats`], is the one engine that
+//! takes an `fdi-exec` [`Executor`](fdi_exec::Executor). It shards its
+//! row scan over stable [`RowId`](fdi_relation::rowid::RowId) slot
+//! ranges (`Instance::row_id_shards`) and merges shard results in shard
+//! order, so its answer is **bit-identical at every thread count** and
+//! `FDI_THREADS` is purely a throughput knob, never a semantics knob.
+//! The noop recorder records nothing, so recorded and unrecorded runs
+//! are one function called with different arguments.
 //!
-//! The extended chase is the special case where even replaying order is
-//! unnecessary: its closure is order-insensitive (Theorem 4(a)), so
-//! [`chase::extended_chase`] parallelizes discovery outright, promising
-//! equality of the canonical materialized instance, `nothing` classes,
-//! and union count with the naive oracle [`chase::extended_chase_naive`].
-//! TEST-FDs additionally promises a **canonical violation witness** —
-//! the least violating pair of the lowest violated FD — identical to the
-//! pairwise reference [`testfd::check_pairwise`] (see [`testfd`]'s
-//! module docs). The property suite (`tests/par_equiv.rs`) enforces the
-//! contracts across thread counts 1–8.
+//! The extended chase needs no order replay: its closure is
+//! order-insensitive (Theorem 4(a)), so [`chase::extended_chase`]
+//! promises equality of the canonical materialized instance, `nothing`
+//! classes, and union count with the naive oracle
+//! [`chase::extended_chase_naive`]. TEST-FDs additionally promises a
+//! **canonical violation witness** — the least violating pair of the
+//! lowest violated FD — identical to the pairwise reference
+//! [`testfd::check_pairwise`] (see [`testfd`]'s module docs). The
+//! property suite (`tests/chase_equiv.rs`) enforces these contracts
+//! against the oracles, and `tests/par_equiv.rs` holds compiled
+//! selection to the interpreted `select` at thread counts 1–8.
 //!
 //! # The two satisfaction notions, in one place
 //!

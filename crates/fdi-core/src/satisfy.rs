@@ -105,13 +105,7 @@ pub fn report(fds: &FdSet, instance: &Instance, budget: u128) -> Result<Report, 
         semantics: SemanticsKind::ALL
             .iter()
             .map(|&kind| {
-                let verdict = testfd::check(
-                    instance,
-                    fds,
-                    kind,
-                    &fdi_exec::Executor::with_threads(1),
-                    &fdi_obs::Recorder::noop(),
-                );
+                let verdict = testfd::check(instance, fds, kind, &fdi_obs::Recorder::noop());
                 (kind, verdict)
             })
             .collect(),

@@ -80,7 +80,6 @@
 
 use crate::fd::FdSet;
 use crate::testfd::{self, Violation};
-use fdi_exec::Executor;
 use fdi_obs::Recorder;
 use fdi_relation::instance::Instance;
 use fdi_relation::rowid::RowId;
@@ -221,15 +220,17 @@ pub trait Semantics: Copy + Send + Sync {
 
     /// `t[A] ≠ t'[A]` — the disagreement predicate (dependent side).
     /// NOT the negation of [`values_equal`](Self::values_equal).
+    /// `nothing` disagrees with every value, a null included, under
+    /// every convention: no completion makes it equal to anything.
     #[inline]
     fn values_unequal(self, a: Value, b: Value, instance: &Instance) -> bool {
         match (a, b) {
+            (Value::Nothing, _) | (_, Value::Nothing) => true,
             (Value::Const(x), Value::Const(y)) => x != y,
             (Value::Null(m), Value::Null(n)) => {
                 self.cross_class_nulls_conflict() && !instance.necs().same_class(m, n)
             }
             (Value::Null(_), _) | (_, Value::Null(_)) => self.null_const_conflicts(),
-            (Value::Nothing, _) | (_, Value::Nothing) => true,
         }
     }
 }
@@ -293,14 +294,14 @@ impl Semantics for SemanticsKind {
 /// Full decision pipeline for one semantics: chases to a minimally
 /// incomplete instance first when the convention requires it
 /// ([`Semantics::chases_first`] — Theorem 3's proviso), then runs the
-/// [`testfd::check`], inline and unrecorded.
+/// [`testfd::check`], unrecorded.
 pub fn decide<S: Semantics>(instance: &Instance, fds: &FdSet, sem: S) -> Result<(), Violation> {
-    let (exec, rec) = (Executor::with_threads(1), Recorder::noop());
+    let rec = Recorder::noop();
     if sem.chases_first() {
         let chased = crate::chase::chase_plain(instance, fds);
-        testfd::check(&chased.instance, fds, sem, &exec, &rec)
+        testfd::check(&chased.instance, fds, sem, &rec)
     } else {
-        testfd::check(instance, fds, sem, &exec, &rec)
+        testfd::check(instance, fds, sem, &rec)
     }
 }
 
@@ -360,7 +361,7 @@ impl Comparison {
 /// Runs every registered semantics over one instance and FD set,
 /// collecting instance-level verdicts and per-FD canonical witnesses.
 pub fn compare(instance: &Instance, fds: &FdSet) -> Comparison {
-    let (exec, rec) = (Executor::with_threads(1), Recorder::noop());
+    let rec = Recorder::noop();
     let verdicts = SemanticsKind::ALL
         .into_iter()
         .map(|kind| {
@@ -368,14 +369,14 @@ pub fn compare(instance: &Instance, fds: &FdSet) -> Comparison {
                 .iter()
                 .map(|fd| {
                     let single = FdSet::from_vec(vec![*fd]);
-                    testfd::check(instance, &single, kind, &exec, &rec)
+                    testfd::check(instance, &single, kind, &rec)
                         .err()
                         .map(|v| v.rows)
                 })
                 .collect();
             SemanticsVerdict {
                 kind,
-                result: testfd::check(instance, fds, kind, &exec, &rec),
+                result: testfd::check(instance, fds, kind, &rec),
                 per_fd,
             }
         })
@@ -440,7 +441,7 @@ mod tests {
     use fdi_relation::schema::Schema;
 
     fn check<S: Semantics>(r: &Instance, f: &FdSet, sem: S) -> Result<(), Violation> {
-        testfd::check(r, f, sem, &Executor::with_threads(1), &Recorder::noop())
+        testfd::check(r, f, sem, &Recorder::noop())
     }
 
     fn abc(text: &str) -> Instance {

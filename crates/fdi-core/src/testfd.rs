@@ -43,28 +43,27 @@
 //! variant on the NEC-canonical keys of the indexed chase
 //! ([`crate::groupkey`]) — one fully-compressed NEC snapshot per call,
 //! packed `u64` key atoms, and a per-group linear representative scan,
-//! sharded over an [`Executor`] and reporting its work into a
-//! [`Recorder`]. The strong-convention-with-null-determinant
-//! fallback to pairwise is preserved — under the pessimistic convention
-//! null "equality" is not transitive, so grouping is unsound there and
-//! the paper's footnoted `O(|F|·n²)` variant is the only correct choice.
+//! reporting its work into a [`Recorder`]. The
+//! strong-convention-with-null-determinant fallback to pairwise is
+//! preserved — under the pessimistic convention null "equality" is not
+//! transitive, so grouping is unsound there and the paper's footnoted
+//! `O(|F|·n²)` variant is the only correct choice.
 //!
 //! ## The deterministic witness contract
 //!
-//! Every variant — pairwise, sorted, and [`check`] at any thread count —
-//! reports one **canonical witness** on a violating instance: the least
+//! Every variant — pairwise, sorted, and [`check`] — reports one
+//! **canonical witness** on a violating instance: the least
 //! violating `(row, row)` pair (ordered, lower id first) of the
 //! lowest-indexed violated FD. The grouped scans get this by folding
 //! every group's minimum (the within-group representative scan returns
 //! the group's least pair) instead of returning the first hit in
 //! `HashMap` iteration order, so results are run-to-run deterministic
-//! and bit-identical across variants and thread counts — a `Violation`
-//! can be compared with `==` between any two of them.
+//! and bit-identical across variants — a `Violation` can be compared
+//! with `==` between any two of them.
 
 use crate::fd::{Fd, FdSet};
 use crate::groupkey;
 use crate::semantics::{Semantics, Strong, Weak};
-use fdi_exec::Executor;
 use fdi_obs::{Counter, Recorder};
 use fdi_relation::attrs::AttrSet;
 use fdi_relation::instance::Instance;
@@ -141,20 +140,33 @@ pub fn check_pairwise<S: Semantics>(
             // excludes by assuming X ∩ Y = ∅.
             continue;
         }
-        for (p, &i) in rows.iter().enumerate() {
-            for &j in &rows[(p + 1)..] {
-                if rows_equal_on(instance, i, j, fd.lhs, sem)
-                    && rows_unequal_on(instance, i, j, fd.rhs, sem)
-                {
-                    return Err(Violation {
-                        fd_index,
-                        rows: (i, j),
-                    });
-                }
-            }
+        if let Some(rows) = pairwise_violation(instance, &rows, fd, sem) {
+            return Err(Violation { fd_index, rows });
         }
     }
     Ok(())
+}
+
+/// The least violating pair of one non-trivial FD under the pairwise
+/// predicate: pairs in ascending order (`rows` ascending), so the first
+/// hit is the least — the per-FD loop of [`check_pairwise`] and the
+/// strong-convention fallback of [`check`].
+fn pairwise_violation<S: Semantics>(
+    instance: &Instance,
+    rows: &[RowId],
+    fd: Fd,
+    sem: S,
+) -> Option<(RowId, RowId)> {
+    for (p, &i) in rows.iter().enumerate() {
+        for &j in &rows[(p + 1)..] {
+            if rows_equal_on(instance, i, j, fd.lhs, sem)
+                && rows_unequal_on(instance, i, j, fd.rhs, sem)
+            {
+                return Some((i, j));
+            }
+        }
+    }
+    None
 }
 
 /// Sort key for one value under a semantics' agreement classes:
@@ -414,15 +426,6 @@ fn min_pair(a: Option<(RowId, RowId)>, b: Option<(RowId, RowId)>) -> Option<(Row
     }
 }
 
-/// Contiguous index ranges covering `0..n`, for chunked parallel scans.
-fn chunk_ranges(n: usize, chunks: usize) -> Vec<std::ops::Range<usize>> {
-    let chunks = chunks.clamp(1, n.max(1));
-    let size = n.div_ceil(chunks).max(1);
-    (0..chunks)
-        .map(|i| (i * size).min(n)..((i + 1) * size).min(n))
-        .collect()
-}
-
 /// Canonical violating pair of one grouped FD: every group is scanned
 /// with [`group_violation`] (which returns the group's least violating
 /// pair) and the least group result wins. Group iteration order does
@@ -435,51 +438,13 @@ fn min_grouped_violation<S: Semantics>(
     snapshot: &NecSnapshot,
     fd: Fd,
     sem: S,
-    exec: &Executor,
 ) -> Option<(RowId, RowId)> {
-    let groups = groupkey::group_rows(instance, fd.lhs, snapshot, sem.solitary_nulls(), exec);
-    let lists: Vec<&Vec<RowId>> = groups.values().filter(|rows| rows.len() >= 2).collect();
-    let chunks = chunk_ranges(lists.len(), exec.shard_count(4));
-    let minima = exec.map(&chunks, |_, range| {
-        let mut best: Option<(RowId, RowId)> = None;
-        for rows in &lists[range.clone()] {
-            best = min_pair(best, group_violation(instance, snapshot, rows, fd.rhs, sem));
-        }
-        best
-    });
-    minima.into_iter().fold(None, min_pair)
-}
-
-/// Minimum violating pair of one FD under the pairwise predicate —
-/// the strong-convention fallback for null-bearing determinants,
-/// sharded over the first row of each pair. Each chunk owns a
-/// contiguous range of first-row positions and stops at its first
-/// violation (positions ascend, and for a fixed first row the first
-/// partner found is the least), so the chunk minimum is exact; the
-/// global minimum is the least chunk minimum. The inline executor runs
-/// one chunk, which stops at the global first violation.
-fn min_pairwise_violation<S: Semantics>(
-    instance: &Instance,
-    rows: &[RowId],
-    fd: Fd,
-    sem: S,
-    exec: &Executor,
-) -> Option<(RowId, RowId)> {
-    let chunks = chunk_ranges(rows.len(), exec.shard_count(8));
-    let minima = exec.map(&chunks, |_, range| {
-        for p in range.clone() {
-            let i = rows[p];
-            for &j in &rows[(p + 1)..] {
-                if rows_equal_on(instance, i, j, fd.lhs, sem)
-                    && rows_unequal_on(instance, i, j, fd.rhs, sem)
-                {
-                    return Some((i, j));
-                }
-            }
-        }
-        None
-    });
-    minima.into_iter().fold(None, min_pair)
+    groupkey::group_rows(instance, fd.lhs, snapshot, sem.solitary_nulls())
+        .values()
+        .filter(|rows| rows.len() >= 2)
+        .fold(None, |best, rows| {
+            min_pair(best, group_violation(instance, snapshot, rows, fd.rhs, sem))
+        })
 }
 
 /// TEST-FDs — the entry point every caller goes through: the
@@ -490,19 +455,19 @@ fn min_pairwise_violation<S: Semantics>(
 /// Per FD, rows are partitioned by determinant key with
 /// [`groupkey::group_rows`] and every group is scanned with the linear
 /// representative check; strong-convention FDs whose determinant meets
-/// a null fall back to the pairwise scan (null "equality" is not
-/// transitive there, so grouping would be unsound). Both scans shard
-/// over `exec`. FDs are visited in set order and the first violating
-/// FD reports the **canonical witness** — its least violating pair —
-/// so the result is a pure function of the instance and the FD set,
-/// bit-identical at every thread count and to [`check_pairwise`].
+/// a null fall back to the ascending pairwise scan (null "equality" is
+/// not transitive there, so grouping would be unsound). FDs are visited
+/// in set order and the first violating FD reports the **canonical
+/// witness** — its least violating pair — so the result is a pure
+/// function of the instance and the FD set, bit-identical to
+/// [`check_pairwise`].
 ///
 /// `rec` receives the invocation's work profile: `testfd_checks`
 /// (total and per semantics), one `testfd_fallback_hits` per FD that
 /// took the pairwise fallback, and `testfd_rows_scanned` as the proxy
 /// `n` per non-trivial FD visited (stopping at the first violation).
-/// All of them follow from the verdict, so they are
-/// thread-count-invariant.
+/// All of them follow from the instance, the FD set and the verdict,
+/// so they are deterministic.
 ///
 /// # Example — the two conventions on Figure 1.3
 ///
@@ -510,7 +475,6 @@ fn min_pairwise_violation<S: Semantics>(
 /// use fdi_core::fixtures;
 /// use fdi_core::semantics::{Strong, Weak};
 /// use fdi_core::testfd::check;
-/// use fdi_exec::Executor;
 /// use fdi_obs::Recorder;
 ///
 /// // e3's null D# *could* complete to d1, pairing its `part` contract
@@ -518,19 +482,18 @@ fn min_pairwise_violation<S: Semantics>(
 /// // pessimistic convention reports (Theorem 2) …
 /// let r = fixtures::figure1_null_instance();
 /// let fds = fixtures::figure1_fds();
-/// let (exec, rec) = (Executor::with_threads(1), Recorder::noop());
-/// let violation = check(&r, &fds, Strong, &exec, &rec).unwrap_err();
+/// let rec = Recorder::noop();
+/// let violation = check(&r, &fds, Strong, &rec).unwrap_err();
 /// assert_eq!(violation.fd_index, 1);
 /// // … while nothing *definitely* violates: the instance is minimally
 /// // incomplete, so the optimistic convention decides weak
 /// // satisfiability directly (Theorem 3).
-/// assert!(check(&r, &fds, Weak, &exec, &rec).is_ok());
+/// assert!(check(&r, &fds, Weak, &rec).is_ok());
 /// ```
 pub fn check<S: Semantics>(
     instance: &Instance,
     fds: &FdSet,
     sem: S,
-    exec: &Executor,
     rec: &Recorder,
 ) -> Result<(), Violation> {
     rec.incr(Counter::TestfdChecks);
@@ -547,9 +510,9 @@ pub fn check<S: Semantics>(
         let pair = if sem.needs_pairwise_fallback() && !fd.lhs.intersect(null_cols).is_empty() {
             rec.incr(Counter::TestfdFallbackHits);
             let rows = all_rows.get_or_insert_with(|| instance.row_ids().collect());
-            min_pairwise_violation(instance, rows, fd, sem, exec)
+            pairwise_violation(instance, rows, fd, sem)
         } else {
-            min_grouped_violation(instance, &snapshot, fd, sem, exec)
+            min_grouped_violation(instance, &snapshot, fd, sem)
         };
         if let Some(rows) = pair {
             return Err(Violation { fd_index, rows });
@@ -616,13 +579,7 @@ pub fn sort_order(instance: &Instance, fd: Fd) -> Vec<RowId> {
 /// Theorem 2: strong satisfiability on any instance ([`check`], inline
 /// and unrecorded).
 pub fn check_strong(instance: &Instance, fds: &FdSet) -> Result<(), Violation> {
-    check(
-        instance,
-        fds,
-        Strong,
-        &Executor::with_threads(1),
-        &Recorder::noop(),
-    )
+    check(instance, fds, Strong, &Recorder::noop())
 }
 
 /// Theorem 3: weak satisfiability — chases to a minimally incomplete
@@ -633,13 +590,7 @@ pub fn check_strong(instance: &Instance, fds: &FdSet) -> Result<(), Violation> {
 /// [`crate::subst::detect_domain_exhaustion`].
 pub fn check_weak(instance: &Instance, fds: &FdSet) -> Result<(), Violation> {
     let chased = crate::chase::chase_plain(instance, fds);
-    check(
-        &chased.instance,
-        fds,
-        Weak,
-        &Executor::with_threads(1),
-        &Recorder::noop(),
-    )
+    check(&chased.instance, fds, Weak, &Recorder::noop())
 }
 
 #[cfg(test)]
@@ -661,22 +612,7 @@ mod tests {
     }
 
     fn grouped<S: Semantics>(r: &Instance, f: &FdSet, sem: S) -> Result<(), Violation> {
-        grouped_on(r, f, sem, 1)
-    }
-
-    fn grouped_on<S: Semantics>(
-        r: &Instance,
-        f: &FdSet,
-        sem: S,
-        threads: usize,
-    ) -> Result<(), Violation> {
-        check(
-            r,
-            f,
-            sem,
-            &Executor::with_threads(threads),
-            &Recorder::noop(),
-        )
+        check(r, f, sem, &Recorder::noop())
     }
 
     #[test]
@@ -859,6 +795,42 @@ mod tests {
     }
 
     #[test]
+    fn nothing_disagrees_with_a_null_under_every_convention() {
+        // No completion of the null equals `nothing`, so the pair
+        // violates A -> B even where nulls never conflict (weak, nfd):
+        // the pairwise predicate and the grouped scan agree on it.
+        let r = abc(2, "A_0 - C_0\nA_0 #! C_0");
+        let f = fds(&r, "A -> B");
+        for conv in SemanticsKind::ALL {
+            let witness = Err(Violation {
+                fd_index: 0,
+                rows: (RowId(0), RowId(1)),
+            });
+            assert_eq!(check_pairwise(&r, &f, conv), witness, "{conv:?} pairwise");
+            assert_eq!(grouped(&r, &f, conv), witness, "{conv:?} grouped");
+        }
+    }
+
+    #[test]
+    fn recorded_checks_tally_their_work() {
+        // Two FDs, the first violated: the check stops there, so one
+        // FD's worth of rows is scanned. The zero-sized conventions
+        // tally the same per-semantics slices as their kinds.
+        let r = abc(2, "A_0 B_0 C_0\nA_0 B_1 C_0\nA_1 B_0 C_1");
+        let f = fds(&r, "A -> B\nB -> C");
+        let rec = Recorder::enabled();
+        assert!(check(&r, &f, Strong, &rec).is_err());
+        assert!(check(&r, &f, SemanticsKind::Strong, &rec).is_err());
+        assert!(check(&r, &f, Weak, &rec).is_err());
+        let snap = rec.snapshot();
+        assert_eq!(snap.counter(Counter::TestfdChecks), 3);
+        assert_eq!(snap.counter(Counter::TestfdChecksStrong), 2);
+        assert_eq!(snap.counter(Counter::TestfdChecksWeak), 1);
+        assert_eq!(snap.counter(Counter::TestfdRowsScanned), 3 * 3);
+        assert_eq!(snap.counter(Counter::TestfdFallbackHits), 0);
+    }
+
+    #[test]
     fn nothing_on_determinants_never_groups() {
         // `nothing` matches nothing — two rows sharing `#!` on A do not
         // agree on A, so B may differ freely. The grouped variants must
@@ -898,7 +870,7 @@ mod tests {
     }
 
     #[test]
-    fn grouped_verdicts_match_pairwise_and_are_thread_invariant() {
+    fn grouped_witnesses_match_pairwise_and_are_genuine() {
         let samples = [
             "A_0 B_0 C_0\nA_0 B_0 C_1\nA_1 - C_0",
             "A_0 - C_0\nA_0 - C_1\n- B_1 C_0",
@@ -915,15 +887,7 @@ mod tests {
                 for conv in [SemanticsKind::Strong, SemanticsKind::Weak] {
                     let oracle = check_pairwise(&r, &f, conv);
                     let one = grouped(&r, &f, conv);
-                    assert_eq!(
-                        oracle.is_ok(),
-                        one.is_ok(),
-                        "verdict {text:?} {fd_text:?} {conv:?}"
-                    );
-                    for threads in [2, 3, 8] {
-                        let par = grouped_on(&r, &f, conv, threads);
-                        assert_eq!(one, par, "threads {threads} {text:?} {fd_text:?} {conv:?}");
-                    }
+                    assert_eq!(oracle, one, "witness {text:?} {fd_text:?} {conv:?}");
                     // a reported violation is genuine under the
                     // pairwise predicate
                     if let Err(v) = one {

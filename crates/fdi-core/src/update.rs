@@ -32,7 +32,7 @@
 //! cell-by-cell instead. Rows are addressed by stable [`RowId`] slot
 //! handles throughout, so a delete is a tombstone — **no survivor is
 //! renumbered**. Internal acquisition runs the **indexed worklist
-//! chase** ([`chase::chase_plain`]); full revalidations go through
+//! chase** ([`chase::chase_indexed`]); full revalidations go through
 //! TEST-FDs ([`crate::testfd::check`]). The property suite
 //! (`tests/update_equiv.rs`) checks after every op of arbitrary update
 //! sequences that the enforced notion still holds and that a replay
@@ -231,9 +231,9 @@ impl Database {
     }
 
     /// Routes this database's mutation metrics (`ops_applied`,
-    /// `ops_rejected`) into `rec`. Both are deterministic: mutations
-    /// are writer-serial and their accept/reject decisions are
-    /// thread-count-invariant.
+    /// `ops_rejected`) and its propagation chase's work profile (the
+    /// `chase_*` counters) into `rec`. All are deterministic: mutations
+    /// are writer-serial and the chase is sequential.
     pub fn set_recorder(&mut self, rec: fdi_obs::Recorder) {
         self.rec = rec;
     }
@@ -247,13 +247,14 @@ impl Database {
     }
 
     /// Internal acquisition, when [`Policy::propagate`] asks for it:
-    /// runs the indexed worklist chase and swaps the chased instance
-    /// in. Returns the NS-rule events the chase fired.
+    /// runs the indexed worklist chase, recording into this database's
+    /// recorder, and swaps the chased instance in. Returns the NS-rule
+    /// events the chase fired.
     fn propagate_all(&mut self) -> Vec<chase::NsEvent> {
         if !self.policy.propagate {
             return Vec::new();
         }
-        let chased = chase::chase_plain(&self.instance, &self.fds);
+        let chased = chase::chase_indexed(&self.instance, &self.fds, &self.rec);
         if !chased.events.is_empty() {
             self.instance = chased.instance;
         }

@@ -1,44 +1,76 @@
-//! Equivalence properties for the indexed engines: the worklist chase
-//! must reproduce the naive pair-scan chase exactly (same promoted
-//! constants, same NEC partition up to representative choice, same
-//! event and pass counts), and group-indexed TEST-FDs must agree with
-//! the pairwise oracle under both conventions.
+//! Equivalence properties for the indexed engines against their
+//! oracles: the worklist chase must reproduce the naive pair-scan chase
+//! exactly (same promoted constants, same NEC partition up to
+//! representative choice, same event and pass counts), the extended
+//! chase must reach the naive oracle's closure, and group-indexed
+//! TEST-FDs must report the pairwise oracle's canonical witness under
+//! both conventions.
 //!
 //! Instances come from the `fdi-gen` workload generators (column-local
-//! NEC classes — the regime where the engines are order-identical; see
-//! `fdi_core::chase::index`) across a grid of null/NEC densities,
-//! including adversarial planted violations.
+//! NEC classes — the regime where the chase engines are order-identical;
+//! see `fdi_core::chase::index`) across a grid of null/NEC densities,
+//! including adversarial planted violations, and from the adversarial
+//! mutations of `common::arb_adversarial` (`nothing` cells, cross-column
+//! NEC classes, nulls on determinants) and tombstone-heavy arenas.
 
+mod common;
+
+use common::{arb_adversarial, arb_spec, tombstone_heavy_workload, DENSITIES};
 use fdi_core::chase::{
     chase_naive, chase_plain, extended_chase, extended_chase_naive, is_minimally_incomplete,
-    is_minimally_incomplete_naive, order_replay_exact,
+    is_minimally_incomplete_naive, order_replay_caveats, order_replay_exact,
+    weakly_satisfiable_via_chase,
 };
 use fdi_core::fd::FdSet;
-use fdi_core::semantics::{Semantics, SemanticsKind};
+use fdi_core::semantics::{self, Semantics, SemanticsKind};
 use fdi_core::testfd::{self, Violation};
-use fdi_exec::Executor;
 use fdi_gen::{large_workload, plant_violation, random_fds, workload, Workload, WorkloadSpec};
 use fdi_obs::Recorder;
+use fdi_relation::rowid::RowId;
 use fdi_relation::Instance;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-const DENSITIES: [f64; 4] = [0.0, 0.1, 0.3, 0.6];
-
 fn check<S: Semantics>(r: &Instance, fds: &FdSet, conv: S) -> Result<(), Violation> {
-    testfd::check(r, fds, conv, &Executor::with_threads(1), &Recorder::noop())
+    testfd::check(r, fds, conv, &Recorder::noop())
 }
 
-fn arb_spec() -> impl Strategy<Value = WorkloadSpec> {
-    (2usize..40, 0usize..4, 0usize..4, 0usize..3).prop_map(|(rows, nd, necd, coll)| WorkloadSpec {
-        rows,
-        attrs: 4,
-        domain: 6, // small domains force collisions, nulls, and cascades
-        null_density: DENSITIES[nd],
-        nec_density: DENSITIES[necd],
-        collision_rate: [0.2, 0.5, 0.9][coll],
-    })
+/// [`extended_chase`] equals the naive oracle — canonical instance,
+/// `nothing` classes, unions.
+fn assert_extended_matches_oracle(r: &Instance, fds: &FdSet) {
+    let naive = extended_chase_naive(r, fds);
+    let ext = extended_chase(r, fds, &Recorder::noop());
+    assert_eq!(
+        naive.instance.canonical_form(),
+        ext.instance.canonical_form(),
+        "on\n{}",
+        r.render(true)
+    );
+    assert_eq!(naive.nothing_classes, ext.nothing_classes);
+    assert_eq!(naive.unions, ext.unions);
+}
+
+/// The plain chase on `r` reaches a fixpoint, and where exact replay is
+/// promised ([`order_replay_exact`]) it is the naive engine's.
+fn assert_plain_chase_matches_oracle(r: &Instance, fds: &FdSet) {
+    let indexed = chase_plain(r, fds);
+    assert!(
+        is_minimally_incomplete_naive(&indexed.instance, fds),
+        "stopped before the fixpoint on\n{}",
+        r.render(true)
+    );
+    if order_replay_exact(r) {
+        let naive = chase_naive(r, fds);
+        assert_eq!(
+            naive.instance.canonical_form(),
+            indexed.instance.canonical_form(),
+            "on\n{}",
+            r.render(true)
+        );
+        assert_eq!(naive.events, indexed.events);
+        assert_eq!(naive.passes, indexed.passes);
+    }
 }
 
 fn arb_workload() -> impl Strategy<Value = Workload> {
@@ -157,7 +189,7 @@ proptest! {
     #[test]
     fn worklist_engine_equals_naive_oracle(w in arb_workload()) {
         let naive = extended_chase_naive(&w.instance, &w.fds);
-        let fast = extended_chase(&w.instance, &w.fds, &Executor::with_threads(1), &Recorder::noop());
+        let fast = extended_chase(&w.instance, &w.fds, &Recorder::noop());
         prop_assert_eq!(
             naive.instance.canonical_form(),
             fast.instance.canonical_form(),
@@ -182,6 +214,96 @@ proptest! {
         prop_assert!(testfd::check_weak(&w.instance, &w.fds).is_ok());
         let chased = chase_plain(&w.instance, &w.fds);
         prop_assert!(is_minimally_incomplete_naive(&chased.instance, &w.fds));
+    }
+
+    /// On the adversarial instances the indexed chase still reaches a
+    /// fixpoint, and it replays the naive engine exactly wherever no
+    /// caveat voids the replay.
+    #[test]
+    fn indexed_chase_matches_naive_chase_on_adversarial_instances(w in arb_adversarial()) {
+        assert_plain_chase_matches_oracle(&w.instance, &w.fds);
+    }
+
+    /// `testfd::check`, `check_sorted` and `check_pairwise` return one
+    /// bit-identical `Result` — the least violating pair of the lowest
+    /// violated FD — under both conventions, and a reported violation
+    /// is genuine under the pairwise predicate. The adversarial
+    /// instances cover `nothing`-bearing buckets, planted violations
+    /// (so witness equality is exercised on violating instances, not
+    /// just where witnesses happen to coincide), and the
+    /// strong-null-determinant fallback.
+    #[test]
+    fn testfd_witnesses_are_canonical_and_genuine(w in arb_adversarial()) {
+        for conv in [SemanticsKind::Strong, SemanticsKind::Weak] {
+            let pairwise = testfd::check_pairwise(&w.instance, &w.fds, conv);
+            let grouped = check(&w.instance, &w.fds, conv);
+            prop_assert_eq!(
+                pairwise, grouped,
+                "check under {:?} on\n{}", conv, w.instance.render(true)
+            );
+            prop_assert_eq!(
+                pairwise, testfd::check_sorted(&w.instance, &w.fds, conv),
+                "check_sorted under {:?}", conv
+            );
+            if let Err(v) = grouped {
+                let fd = w.fds.fds()[v.fd_index];
+                prop_assert!(
+                    testfd::pair_violates(&w.instance, fd, v.rows.0, v.rows.1, conv),
+                    "reported violation {} is not genuine under {:?}",
+                    v,
+                    conv
+                );
+            }
+        }
+    }
+
+    /// `extended_chase` equals the naive oracle across the adversarial
+    /// regimes (cross-column NEC classes, preexisting `nothing` cells,
+    /// planted conflicts), and the no-materialize weak-satisfiability
+    /// check reads the same verdict (Theorem 4(b)).
+    #[test]
+    fn extended_chase_matches_naive_oracle_on_adversarial_instances(w in arb_adversarial()) {
+        assert_extended_matches_oracle(&w.instance, &w.fds);
+        prop_assert_eq!(
+            weakly_satisfiable_via_chase(&w.fds, &w.instance),
+            extended_chase_naive(&w.instance, &w.fds).nothing_classes == 0
+        );
+    }
+
+    /// The extended chase (the naive oracle and the worklist engine) is
+    /// invariant under delete-then-`compact()`: tombstoning rows and
+    /// densifying the arena afterwards must not change the outcome on
+    /// the surviving rows — canonical instance, `nothing` classes, and
+    /// union count all agree between the tombstoned instance and its
+    /// compacted twin.
+    #[test]
+    fn extended_chase_is_invariant_under_delete_then_compact(
+        w in arb_adversarial(),
+        delete_mask in 0u64..u64::MAX,
+    ) {
+        let mut tombstoned = w.instance.clone();
+        let rows: Vec<RowId> = tombstoned.row_ids().collect();
+        for (i, &row) in rows.iter().enumerate() {
+            // keep at least two rows so FDs still have pairs to fire on
+            if delete_mask & (1 << (i % 64)) != 0 && tombstoned.len() > 2 {
+                tombstoned.remove_row(row);
+            }
+        }
+        let mut compacted = tombstoned.clone();
+        compacted.compact();
+        prop_assert_eq!(compacted.slot_bound(), compacted.len());
+        let a = extended_chase_naive(&tombstoned, &w.fds);
+        let b = extended_chase_naive(&compacted, &w.fds);
+        prop_assert_eq!(
+            a.instance.canonical_form(),
+            b.instance.canonical_form(),
+            "naive oracle diverges under compact() on\n{}",
+            tombstoned.render(true)
+        );
+        prop_assert_eq!(a.nothing_classes, b.nothing_classes);
+        prop_assert_eq!(a.unions, b.unions);
+        assert_extended_matches_oracle(&tombstoned, &w.fds);
+        assert_extended_matches_oracle(&compacted, &w.fds);
     }
 }
 
@@ -217,6 +339,129 @@ fn dense_grid_at_65_rows() {
                     "seed {seed} nd {nd} {conv:?}"
                 );
             }
+        }
+    }
+}
+
+/// A heavily tombstoned arena (interior tombstones, nearly empty
+/// leading slot ranges): every engine still equals its oracle.
+#[test]
+fn engines_survive_tombstone_heavy_arenas() {
+    let w = tombstone_heavy_workload();
+    assert_plain_chase_matches_oracle(&w.instance, &w.fds);
+    assert_extended_matches_oracle(&w.instance, &w.fds);
+    for conv in [SemanticsKind::Strong, SemanticsKind::Weak] {
+        assert_eq!(
+            testfd::check_pairwise(&w.instance, &w.fds, conv),
+            check(&w.instance, &w.fds, conv),
+            "{conv:?}"
+        );
+    }
+}
+
+/// Live rows above a large tombstone gap (`slot_bound() >> len()`): the
+/// extended chase's per-slot side tables are sized by the slot bound,
+/// and the leading slots are entirely dead — the worklist engine and
+/// the naive oracle must still agree, with the planted conflict among
+/// the survivors detected.
+#[test]
+fn extended_chase_handles_live_rows_above_large_tombstone_gaps() {
+    let spec = WorkloadSpec {
+        rows: 120,
+        attrs: 4,
+        domain: 8,
+        null_density: 0.25,
+        nec_density: 0.4,
+        collision_rate: 0.6,
+    };
+    let mut w = workload(31, &spec, 3);
+    let mut rng = StdRng::seed_from_u64(31);
+    // tombstone everything except the last 6 slots, then plant the
+    // conflict among the survivors so it is guaranteed live
+    let rows: Vec<RowId> = w.instance.row_ids().collect();
+    for &row in &rows[..rows.len() - 6] {
+        w.instance.remove_row(row);
+    }
+    plant_violation(&mut rng, &mut w.instance, &w.fds);
+    assert!(
+        w.instance.slot_bound() >= w.instance.len() * 10,
+        "gap regime: slot_bound {} vs len {}",
+        w.instance.slot_bound(),
+        w.instance.len()
+    );
+    assert!(
+        extended_chase_naive(&w.instance, &w.fds).nothing_classes > 0,
+        "planted conflict must be found"
+    );
+    assert_extended_matches_oracle(&w.instance, &w.fds);
+}
+
+/// `extended_chase` on the scale generator built for it: cross-column
+/// NEC classes and planted conflicts at n = 300, against the naive
+/// oracle.
+#[test]
+fn extended_chase_matches_naive_oracle_on_extended_workloads() {
+    for (seed, conflicts) in [(3u64, 0usize), (4, 4)] {
+        let w = fdi_gen::extended_workload(seed, 300, 4, 8, conflicts);
+        if conflicts > 0 {
+            assert!(
+                !weakly_satisfiable_via_chase(&w.fds, &w.instance),
+                "seed {seed}: conflicts must bite"
+            );
+        }
+        assert_extended_matches_oracle(&w.instance, &w.fds);
+    }
+}
+
+/// A marked null reused across columns *in the text format* (the way a
+/// user would write a cross-column class) — the regression shape for
+/// the chase's mid-sweep re-keying: the plain chase still reaches a
+/// fixpoint, and the extended chase still equals its oracle.
+#[test]
+fn cross_column_marks_reach_a_fixpoint() {
+    let schema = fdi_relation::Schema::uniform("R", &["A", "B"], 4).unwrap();
+    let r = fdi_relation::Instance::parse(
+        schema.clone(),
+        "A_1 ?z
+         A_1 B_2
+         ?z  B_1
+         ?z  ?w",
+    )
+    .unwrap();
+    let fds = FdSet::parse(&schema, "A -> B").unwrap();
+    assert!(!order_replay_caveats(&r).is_empty());
+    assert_plain_chase_matches_oracle(&r, &fds);
+    assert_extended_matches_oracle(&r, &fds);
+}
+
+/// Strong-convention TEST-FDs on an instance whose *every* determinant
+/// carries a null: the whole check runs through the pairwise fallback,
+/// which must report the pairwise scan's canonical witness.
+#[test]
+fn pairwise_fallback_reports_the_canonical_witness() {
+    let schema = fdi_relation::Schema::uniform("R", &["A", "B", "C"], 4).unwrap();
+    let r = fdi_relation::Instance::parse(
+        schema.clone(),
+        "-   B_0 C_0
+         A_0 -   C_1
+         -   B_1 C_0
+         A_1 B_0 -
+         A_0 B_1 C_1",
+    )
+    .unwrap();
+    for fd_text in ["A -> B", "B -> C", "A B -> C", "C -> A"] {
+        let fds = FdSet::parse(&schema, fd_text).unwrap();
+        let oracle = testfd::check_pairwise(&r, &fds, semantics::Strong);
+        let grouped = check(&r, &fds, semantics::Strong);
+        assert_eq!(oracle, grouped, "{fd_text}");
+        if let Err(v) = grouped {
+            assert!(testfd::pair_violates(
+                &r,
+                fds.fds()[v.fd_index],
+                v.rows.0,
+                v.rows.1,
+                semantics::Strong
+            ));
         }
     }
 }

@@ -1,10 +1,12 @@
 //! # fdi-exec — a deterministic fork/join executor
 //!
-//! The parallel substrate of the repository: a zero-dependency (std
-//! only) fork/join executor that the read-heavy engines of `fdi-core`
-//! — TEST-FDs, the compiled query evaluator, both chases' discovery
-//! phases — shard their work onto. Every engine entry point takes an
-//! `&Executor`, and this crate lets each one make one strong promise:
+//! A zero-dependency (std only) fork/join executor. Its one production
+//! user is compiled selection in `fdi-core`
+//! (`CompiledQuery::select_par_stats`, behind `fdi serve`'s `select`
+//! and the CLI's `select`), which shards its row scan onto an
+//! [`Executor`] sized by `FDI_THREADS`. The chases, TEST-FDs and
+//! grouping are sequential and take no executor. The crate makes one
+//! strong promise:
 //!
 //! > **Determinism contract.** The result of an [`Executor`] run is a
 //! > pure function of the work items and the per-item closure. It is
@@ -22,14 +24,13 @@
 //!    index;
 //! 2. **merges happen in shard order** — [`Executor::map`] returns the
 //!    results as a `Vec` ordered by item index, never by completion
-//!    order. Callers that fold shard results (group maps, violation
-//!    candidates, answer sets) fold that vector left to right, so the
-//!    merged structure is the one a single-threaded left-to-right pass
-//!    would build.
+//!    order. Callers that fold shard results (answer sets, memo
+//!    tallies) fold that vector left to right, so the merged structure
+//!    is the one a single-threaded left-to-right pass would build.
 //!
 //! ## Why shard on `RowId`
 //!
-//! The unit of work the engines shard is a contiguous range of row
+//! The unit of work selection shards is a contiguous range of row
 //! *slots* (`fdi-relation`'s `Instance::row_id_shards`). Slot ids are
 //! stable under deletes — removing a row tombstones its slot and never
 //! renumbers survivors — so a shard boundary drawn today still names
@@ -116,18 +117,6 @@ impl Executor {
         self.threads
     }
 
-    /// How many shards to cut row-sharded work into: `per_thread` per
-    /// worker, so tombstone-skewed shards still balance — or exactly one
-    /// when the executor runs inline, where extra shards would only add
-    /// shard-order merges to sequential work.
-    pub fn shard_count(&self, per_thread: usize) -> usize {
-        if self.threads == 1 {
-            1
-        } else {
-            self.threads * per_thread
-        }
-    }
-
     /// Applies `f` to every item and returns the results **in item
     /// order** — the shard-order merge of the determinism contract.
     ///
@@ -185,42 +174,6 @@ impl Executor {
             .map(|slot| slot.expect("every index was assigned to exactly one worker"))
             .collect()
     }
-
-    /// [`Executor::map`] over the indices `0..n` — for work that is
-    /// naturally addressed by position rather than by a prebuilt item
-    /// slice.
-    pub fn map_n<T, F>(&self, n: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        let indices: Vec<usize> = (0..n).collect();
-        self.map(&indices, |_, &i| f(i))
-    }
-
-    /// Applies `f` to every item and concatenates the per-item result
-    /// vectors **in item order** — the shard-ordered flat-map the
-    /// batch-emitting engines (parallel discovery phases producing edge
-    /// or candidate batches) fold on.
-    ///
-    /// Equivalent to `self.map(items, f)` followed by a left-to-right
-    /// flatten, so the determinism contract carries over verbatim: the
-    /// output is the sequential `items.iter().flat_map(..)` result at
-    /// every thread count.
-    pub fn flat_map<I, T, F>(&self, items: &[I], f: F) -> Vec<T>
-    where
-        I: Sync,
-        T: Send,
-        F: Fn(usize, &I) -> Vec<T> + Sync,
-    {
-        let batches = self.map(items, f);
-        let total = batches.iter().map(Vec::len).sum();
-        let mut out = Vec::with_capacity(total);
-        for batch in batches {
-            out.extend(batch);
-        }
-        out
-    }
 }
 
 /// One thread per available CPU (the `FDI_THREADS`-unset default).
@@ -257,33 +210,6 @@ mod tests {
         let empty: Vec<u32> = Vec::new();
         assert!(exec.map(&empty, |_, &x| x).is_empty());
         assert_eq!(exec.map(&[41u32], |_, &x| x + 1), vec![42]);
-    }
-
-    #[test]
-    fn flat_map_concatenates_in_item_order_at_every_thread_count() {
-        let items: Vec<usize> = (0..97).collect();
-        let expected: Vec<usize> = items.iter().flat_map(|&x| vec![x; x % 4]).collect();
-        for threads in [1, 2, 3, 8] {
-            let got = Executor::with_threads(threads).flat_map(&items, |_, &x| vec![x; x % 4]);
-            assert_eq!(got, expected, "threads = {threads}");
-        }
-        let empty: Vec<u32> = Vec::new();
-        assert!(Executor::with_threads(4)
-            .flat_map(&empty, |_, &x| vec![x])
-            .is_empty());
-    }
-
-    #[test]
-    fn map_n_matches_map_over_indices() {
-        let exec = Executor::with_threads(4);
-        assert_eq!(exec.map_n(5, |i| i * i), vec![0, 1, 4, 9, 16]);
-        assert!(exec.map_n(0, |i| i).is_empty());
-    }
-
-    #[test]
-    fn inline_executors_use_one_shard() {
-        assert_eq!(Executor::with_threads(1).shard_count(4), 1);
-        assert_eq!(Executor::with_threads(3).shard_count(4), 12);
     }
 
     #[test]

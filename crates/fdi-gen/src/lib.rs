@@ -212,9 +212,8 @@ fn satisfiable_base(rng: &mut StdRng, spec: &WorkloadSpec, fds: &FdSet) -> Insta
         }
         inserted.push(instance.add_tuple(Tuple::new(values)).expect("arity"));
     }
-    let exec = fdi_exec::Executor::with_threads(1);
-    let mut engine = fdi_core::chase::CellEngine::new(&instance, &exec);
-    engine.run(fds, &exec);
+    let mut engine = fdi_core::chase::CellEngine::new(&instance);
+    engine.run(fds);
     engine.materialize_resolved(&instance)
 }
 
@@ -771,8 +770,7 @@ mod tests {
     use fdi_core::testfd;
 
     fn check<S: Semantics>(w: &Workload, sem: S) -> Result<(), testfd::Violation> {
-        let exec = fdi_exec::Executor::with_threads(1);
-        testfd::check(&w.instance, &w.fds, sem, &exec, &fdi_obs::Recorder::noop())
+        testfd::check(&w.instance, &w.fds, sem, &fdi_obs::Recorder::noop())
     }
 
     #[test]

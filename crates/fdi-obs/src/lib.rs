@@ -25,16 +25,17 @@
 //! [`MetricsSnapshot::deterministic_pairs`] exposes exactly the
 //! deterministic slice for invariance tests.
 //!
-//! * **Deterministic** metrics are driven only by the writer-serial or
-//!   sequential-engine code paths — chase passes/sweeps/unions, ops
-//!   applied/rejected, journal record/sync *counts*, epoch sequence. Same op stream ⇒ same values, at any thread
-//!   count, with any number of readers.
+//! * **Deterministic** metrics are driven only by the writer-serial
+//!   path or by the sequential engines (the chases and TEST-FDs) —
+//!   chase passes/sweeps/unions, TEST-FDs tallies, ops
+//!   applied/rejected, journal record/sync *counts*, epoch sequence.
+//!   Same op stream ⇒ same values, at any thread count, with any
+//!   number of readers.
 //! * **Nondeterministic** metrics are timings (histograms are always
-//!   nondeterministic), per-shard or early-exit-dependent work counts
-//!   (`testfd_rows_scanned`, memo hits/misses — shard boundaries
-//!   depend on thread count), and anything reader-driven
-//!   (`snapshot_reads`, plan-cache traffic — readers are free-running
-//!   threads).
+//!   nondeterministic), the per-shard work counts of compiled selection
+//!   (memo hits/misses — its shard boundaries follow the thread
+//!   count), and anything reader-driven (`snapshot_reads`, plan-cache
+//!   traffic — readers are free-running threads).
 //!
 //! The registry lives in the [`Counter`], [`Gauge`], and [`Hist`]
 //! enums; each variant documents its source and its determinism class.
@@ -62,21 +63,24 @@ use std::time::Instant;
 #[repr(usize)]
 pub enum Counter {
     /// Indexed-chase worklist passes to fixpoint (deterministic: the
-    /// sweep itself is sequential; parallelism only classifies).
+    /// engine is sequential, a pure function of the instance and the
+    /// FD order).
     ChasePasses,
-    /// Indexed-chase bucket sweeps executed (deterministic).
+    /// Indexed-chase bucket sweeps executed (deterministic: the
+    /// sequential engine sweeps its sorted agenda).
     ChaseBucketSweeps,
     /// Rule-(a) constant substitutions applied by the indexed chase
-    /// (deterministic).
+    /// (deterministic: sequential engine).
     ChaseSubstitutions,
     /// Rule-(b) NEC unions applied by the indexed chase
-    /// (deterministic).
+    /// (deterministic: sequential engine).
     ChaseUnions,
-    /// Extended cell-chase rounds to fixpoint (deterministic:
-    /// Theorem 4(a) order-insensitivity, discovery merge order is
-    /// canonicalized).
+    /// Extended cell-chase discovery phases to fixpoint (deterministic:
+    /// the sequential engine draws a sorted agenda each phase).
     CellRounds,
-    /// Extended cell-chase cell unions (deterministic).
+    /// Extended cell-chase cell unions (deterministic: the union count
+    /// is initial classes − final classes, and the closure is unique
+    /// by Theorem 4(a)).
     CellUnions,
     /// TEST-FDs invocations recorded by `testfd::check`
     /// (deterministic: recorded only where a caller passes a live
@@ -86,9 +90,9 @@ pub enum Counter {
     /// null column; deterministic — a property of the FD set and
     /// instance, not of scheduling).
     TestfdFallbackHits,
-    /// Rows scanned by TEST-FDs group/pair loops (nondeterministic:
-    /// the parallel pairwise fallback early-exits per chunk, and chunk
-    /// boundaries depend on the thread count).
+    /// Rows scanned by TEST-FDs: `n` per non-trivial FD visited,
+    /// stopping at the first violated FD (deterministic: a function of
+    /// the instance, the FD set and the verdict).
     TestfdRowsScanned,
     /// Database mutations accepted and applied (deterministic).
     OpsApplied,
@@ -117,10 +121,12 @@ pub enum Counter {
     PlanCacheHits,
     /// Per-epoch plan-cache misses (nondeterministic: reader-driven).
     PlanCacheMisses,
-    /// `SignatureMemo` verdict replays (nondeterministic: the memo is
-    /// per-shard, so hit/miss counts depend on shard boundaries).
+    /// `SignatureMemo` verdict replays (nondeterministic: compiled
+    /// selection keeps one memo per shard, and its shard count follows
+    /// the executor's thread count).
     MemoHits,
-    /// `SignatureMemo` fresh evaluations (nondeterministic: per-shard).
+    /// `SignatureMemo` fresh evaluations (nondeterministic: per-shard,
+    /// like `MemoHits`).
     MemoMisses,
     /// Rows answered via the null-free classical fast path
     /// (nondeterministic: derived per recorded select, which is
@@ -235,8 +241,7 @@ impl Counter {
     pub fn deterministic(self) -> bool {
         !matches!(
             self,
-            Counter::TestfdRowsScanned
-                | Counter::QueryCompiles
+            Counter::QueryCompiles
                 | Counter::PlanCacheHits
                 | Counter::PlanCacheMisses
                 | Counter::MemoHits

@@ -60,13 +60,14 @@
 //!   `--batch N` sets the group-commit width (default 64). The
 //!   `metrics` command (`metrics json` for JSON) renders the session's
 //!   live `fdi-obs` snapshot — epoch gauges, publish counters, journal
-//!   sync counters, plan-cache/memo traffic — in the stable exposition
-//!   format.
+//!   sync counters, the propagation chase's work, plan-cache/memo
+//!   traffic — in the stable exposition format.
 //! * `fdi stats <journal> [--json]` — recover the journal with a live
 //!   recorder and print the observability snapshot of recovery plus a
 //!   recorded TEST-FDs sweep (both conventions) over the recovered
-//!   state: replayed-op and torn-tail counters, chase work if
-//!   enforcement chased, TEST-FD row-scan tallies.
+//!   state: replayed-op and torn-tail counters and TEST-FD tallies.
+//!   Recovery replays through an unrecorded database, so no chase work
+//!   shows.
 //!
 //! Every verb that recovers a journal truncates a torn tail and says so
 //! (`truncated a torn tail at byte N (M bytes dropped)`; `stats` says it
@@ -241,15 +242,7 @@ fn run(command: &str, desc: &Description) -> Result<(), CliError> {
             );
         }
         "chase-extended" => {
-            // The extended closure is order-insensitive (Theorem 4a),
-            // so the FDI_THREADS-sized parallel engine is safe here —
-            // same canonical result at every thread count.
-            let outcome = chase::extended_chase(
-                instance,
-                fds,
-                &fdi_exec::Executor::from_env(),
-                &Recorder::noop(),
-            );
+            let outcome = chase::extended_chase(instance, fds, &Recorder::noop());
             println!("{}", outcome.instance.render(true));
             if outcome.has_nothing() {
                 println!(
@@ -523,9 +516,8 @@ fn stats_report(journal_path: &str, json: bool) -> Result<String, CliError> {
     // A recorded satisfiability sweep over the recovered state: the
     // verdicts are in the journal's history already, so only the
     // tallies (checks, rows scanned, fallback hits) are of interest.
-    let exec = fdi_exec::Executor::with_threads(1);
     for kind in SemanticsKind::ALL {
-        let _ = testfd::check(db.instance(), db.fds(), kind, &exec, &rec);
+        let _ = testfd::check(db.instance(), db.fds(), kind, &rec);
     }
     let snap = rec.snapshot();
     Ok(if json {
@@ -1670,6 +1662,9 @@ cyd eng   -   c2
         assert_eq!(metric_value(&text, "fdi_epoch_seq{det=\"true\"}"), 1);
         assert_eq!(metric_value(&text, "fdi_epochs_published{det=\"true\"}"), 1);
         assert_eq!(metric_value(&text, "fdi_ops_applied{det=\"true\"}"), 1);
+        // the insert's propagation chase filled cyd's null mgr with noa
+        assert!(metric_value(&text, "fdi_chase_substitutions{det=\"true\"}") >= 1);
+        assert!(metric_value(&text, "fdi_chase_passes{det=\"true\"}") >= 1);
         // the publish group-committed and synced the journal
         assert!(metric_value(&text, "fdi_journal_syncs{det=\"true\"}") >= 1);
         assert!(metric_value(&text, "fdi_journal_ops_committed{det=\"true\"}") >= 1);
@@ -1856,7 +1851,7 @@ cyd eng   -   c2
                 1
             );
         }
-        assert!(metric_value(&text, "fdi_testfd_rows_scanned{det=\"false\"}") >= 1);
+        assert!(metric_value(&text, "fdi_testfd_rows_scanned{det=\"true\"}") >= 1);
 
         let json = stats_report(&jpath, true).expect("stats --json");
         assert!(json.starts_with("{\"counters\":{"), "{json}");

@@ -18,9 +18,10 @@
 //!   TEST-FDs algorithm (Figure 3, Theorems 2–3), the NS-rule chase and
 //!   its Church–Rosser extension (Theorem 4), Armstrong's system
 //!   (Theorem 1), normalization, and least-extension queries;
-//! * [`exec`] (`fdi-exec`) — the deterministic fork/join executor every
-//!   engine entry point takes: results are bit-identical at every
-//!   thread count, and one thread runs inline;
+//! * [`exec`] (`fdi-exec`) — the deterministic fork/join executor that
+//!   compiled selection shards its row scan onto: results are
+//!   bit-identical at every thread count, and one thread runs inline
+//!   (the chases and TEST-FDs are sequential);
 //! * [`gen`] (`fdi-gen`) — seeded workload generators for the
 //!   experiment harness;
 //! * [`store`] (`fdi-store`) — the durability layer: a write-ahead op
@@ -64,8 +65,8 @@
 //! the next op would push it past the journal's record-size bound. With
 //! `max_batch` 1, each accepted op is durable before
 //! [`serve::Writer::stage`] returns. After a crash, [`store::Journal::recover`] replays the journal onto
-//! its genesis snapshot and — because update execution is deterministic
-//! at every thread count — rebuilds the database bit-identically: same
+//! its genesis snapshot and — because update execution is sequential
+//! and deterministic — rebuilds the database bit-identically: same
 //! `RowId`s, same null ids, same NEC classes. A torn final write is
 //! detected and truncated; damage *inside* the synced log is a typed
 //! [`store::RecoverError::Corrupt`] naming the byte offset, never a
@@ -174,7 +175,7 @@
 //! recorder changes no engine output.
 //!
 //! Wiring points: [`core::update::Database::set_recorder`] (op
-//! acceptance), [`store::Journal::set_recorder`] (group-commit batch
+//! acceptance, propagation chase work), [`store::Journal::set_recorder`] (group-commit batch
 //! records, sync latency), [`store::Journal::recover_with`] (torn-tail
 //! truncations, replayed ops), [`serve::Writer::set_recorder`] (routes
 //! into the writer's database and journal too, plus publish latency,

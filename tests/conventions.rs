@@ -13,15 +13,9 @@ use fd_incomplete::gen::{disagreement_workload, workload, Workload, WorkloadSpec
 use fd_incomplete::prelude::*;
 use std::sync::Arc;
 
-/// TEST-FDs inline and unrecorded.
+/// TEST-FDs, unrecorded.
 fn check<S: Semantics>(w: &Workload, sem: S) -> Result<(), testfd::Violation> {
-    testfd::check(
-        &w.instance,
-        &w.fds,
-        sem,
-        &Executor::with_threads(1),
-        &Recorder::noop(),
-    )
+    testfd::check(&w.instance, &w.fds, sem, &Recorder::noop())
 }
 
 fn schema() -> Arc<Schema> {
@@ -253,8 +247,7 @@ fn complete_instances_collapse_every_convention_to_one_verdict() {
 
 /// The zero-sized `semantics::Strong`/`semantics::Weak` impls are
 /// bit-identical to runtime dispatch through `SemanticsKind` — verdicts
-/// and canonical least-pair witnesses — through every check variant
-/// and across executor thread counts.
+/// and canonical least-pair witnesses — through every check variant.
 #[test]
 fn zst_and_convention_dispatch_are_bit_identical() {
     for seed in 0..16u64 {
@@ -273,26 +266,5 @@ fn zst_and_convention_dispatch_are_bit_identical() {
             testfd::check_pairwise(&w.instance, &w.fds, semantics::Weak),
             "seed {seed}"
         );
-        for threads in [1usize, 4] {
-            let exec = Executor::with_threads(threads);
-            let rec = Recorder::noop();
-            assert_eq!(
-                strong_kind,
-                testfd::check(&w.instance, &w.fds, semantics::Strong, &exec, &rec),
-                "seed {seed}, {threads} thread(s)"
-            );
-            assert_eq!(
-                weak_kind,
-                testfd::check(&w.instance, &w.fds, semantics::Weak, &exec, &rec),
-                "seed {seed}, {threads} thread(s)"
-            );
-            for kind in SemanticsKind::ALL {
-                assert_eq!(
-                    testfd::check(&w.instance, &w.fds, kind, &exec, &rec),
-                    check(&w, kind),
-                    "seed {seed}, {threads} thread(s), {kind}"
-                );
-            }
-        }
     }
 }

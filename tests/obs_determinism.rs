@@ -9,19 +9,13 @@
 //! * a [`Recorder::noop`] changes **no engine output**: the same
 //!   stream served with a live recorder and with the noop default
 //!   produces bit-identical publication logs, final instances, and
-//!   query answers;
-//! * the chase and TEST-FD deterministic tallies are invariant under
-//!   the executor grid when the engine entry points record into a live
-//!   recorder.
+//!   query answers.
 //!
-//! Nondeterministic metrics (memo traffic, rows scanned, snapshot
+//! Nondeterministic metrics (memo traffic, plan-cache traffic, snapshot
 //! reads, every histogram) are *excluded by construction* via
 //! [`MetricsSnapshot::deterministic_pairs`] — this suite is the guard
 //! that the registry's split stays honest as counters are added.
 
-use fd_incomplete::core::chase;
-use fd_incomplete::core::semantics;
-use fd_incomplete::core::testfd;
 use fd_incomplete::core::update::{Database, Enforcement, Policy};
 use fd_incomplete::gen::{
     satisfiable_workload, scaling_query, update_stream, UpdateMix, UpdateOp, WorkloadSpec,
@@ -233,70 +227,6 @@ fn deterministic_metrics_are_bit_identical_across_threads_and_readers() {
         with_readers.counter(Counter::SnapshotReads) > 0,
         "reader threads must drive the nondeterministic counters"
     );
-}
-
-/// The chase and TEST-FD deterministic tallies are executor-invariant
-/// when the engine entry points record into a live recorder — including
-/// the per-semantics `testfd_checks` slices, which are deterministic
-/// counters like the total.
-#[test]
-fn chase_and_testfd_tallies_are_thread_invariant() {
-    use fd_incomplete::core::semantics::SemanticsKind;
-    let w = fd_incomplete::gen::large_workload(7, 400, 0.25, 0.1, 4);
-    let mut snapshots = Vec::new();
-    for threads in [1usize, 4] {
-        let exec = Executor::with_threads(threads);
-        let rec = Recorder::enabled();
-        let chase_result = chase::chase_indexed(&w.instance, &w.fds, &exec, &rec);
-        let strong = testfd::check(&w.instance, &w.fds, semantics::Strong, &exec, &rec);
-        let weak = testfd::check(&w.instance, &w.fds, semantics::Weak, &exec, &rec);
-        for kind in SemanticsKind::ALL {
-            let _ = testfd::check(&w.instance, &w.fds, kind, &exec, &rec);
-        }
-        snapshots.push((threads, rec.snapshot(), chase_result, strong, weak));
-    }
-    let (_, reference, ref_chase, ref_strong, ref_weak) = &snapshots[0];
-    // 2 zero-sized-semantics checks + one sweep over all four kinds
-    assert!(
-        reference
-            .deterministic_pairs()
-            .iter()
-            .any(|(name, v)| *name == "testfd_checks" && *v == 6),
-        "every recorded check must land on the total"
-    );
-    // ... and each check also tallied its per-semantics slice: the
-    // zero-sized `Strong`/`Weak` dispatch to the same counters as the
-    // kinds.
-    for (name, expected) in [
-        ("testfd_checks_strong", 2u64),
-        ("testfd_checks_null_marker", 1),
-        ("testfd_checks_weak", 2),
-        ("testfd_checks_nfd", 1),
-    ] {
-        assert!(
-            reference
-                .deterministic_pairs()
-                .iter()
-                .any(|(n, v)| *n == name && *v == expected),
-            "per-semantics slice {name} must tally {expected}"
-        );
-    }
-    for (threads, snap, chase_result, strong, weak) in &snapshots[1..] {
-        assert_eq!(
-            snap.deterministic_pairs(),
-            reference.deterministic_pairs(),
-            "chase/testfd deterministic tallies diverged at threads={threads}"
-        );
-        assert_eq!(
-            chase_result.instance.canonical_form(),
-            ref_chase.instance.canonical_form(),
-            "chase result diverged at threads={threads}"
-        );
-        assert_eq!(chase_result.passes, ref_chase.passes);
-        assert_eq!(chase_result.events.len(), ref_chase.events.len());
-        assert_eq!(strong, ref_strong);
-        assert_eq!(weak, ref_weak);
-    }
 }
 
 proptest! {

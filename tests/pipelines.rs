@@ -100,22 +100,18 @@ fn chase_schedulers_and_orders_agree_at_scale() {
     for seed in 0..12 {
         let w = workload(seed, &spec, 4);
         let naive = chase::extended_chase_naive(&w.instance, &w.fds);
-        for threads in 1..=8 {
-            let exec = Executor::with_threads(threads);
-            let fast = chase::extended_chase(&w.instance, &w.fds, &exec, &rec);
-            assert_eq!(
-                fast.instance.canonical_form(),
-                naive.instance.canonical_form(),
-                "seed {seed}, {threads} thread(s)"
-            );
-            assert_eq!(fast.nothing_classes, naive.nothing_classes, "seed {seed}");
-            assert_eq!(fast.unions, naive.unions, "seed {seed}");
-        }
+        let fast = chase::extended_chase(&w.instance, &w.fds, &rec);
+        assert_eq!(
+            fast.instance.canonical_form(),
+            naive.instance.canonical_form(),
+            "seed {seed}"
+        );
+        assert_eq!(fast.nothing_classes, naive.nothing_classes, "seed {seed}");
+        assert_eq!(fast.unions, naive.unions, "seed {seed}");
         // permuted FD order
         let mut order: Vec<usize> = (0..w.fds.len()).collect();
         order.reverse();
-        let exec = Executor::with_threads(1);
-        let permuted = chase::extended_chase(&w.instance, &w.fds.permuted(&order), &exec, &rec);
+        let permuted = chase::extended_chase(&w.instance, &w.fds.permuted(&order), &rec);
         assert_eq!(
             naive.instance.canonical_form(),
             permuted.instance.canonical_form(),
@@ -171,12 +167,7 @@ fn plain_chase_reaches_fixpoints_that_extended_chase_refines() {
         assert!(chase::is_minimally_incomplete(&plain.instance, &w.fds));
         // the extended chase agrees wherever the plain chase resolved a
         // value (unless the cell was destroyed by an inconsistency)
-        let extended = chase::extended_chase(
-            &w.instance,
-            &w.fds,
-            &Executor::with_threads(1),
-            &Recorder::noop(),
-        );
+        let extended = chase::extended_chase(&w.instance, &w.fds, &Recorder::noop());
         let all = w.instance.schema().all_attrs();
         for row in w.instance.row_ids() {
             for attr in all.iter() {
