@@ -19,13 +19,10 @@
 //! * [`extended_chase_naive`] compares all row pairs per FD per round —
 //!   the paper's multi-pass `O(|F|·n³·p)`-flavoured engine, kept as the
 //!   reference the production engine is property-tested against;
-//! * [`extended_chase`] hash-groups rows by `X`-signature **once** and
-//!   then runs a dirty-bucket worklist (the discipline of
-//!   [`super::index`]): a bucket is re-examined only when a union
-//!   changed some member's signature (which, because bucket co-members
-//!   share class roots componentwise, re-keys the whole bucket *en
-//!   bloc*) or merged it with another bucket. Buckets that no union
-//!   touches are never re-grouped — the congruence-closure-flavoured
+//! * [`extended_chase`] hash-groups rows by `X`-signature (the union–find
+//!   roots of the row's determinant cells) **once** and then runs the
+//!   shared dirty-bucket worklist of [`super`]: buckets that no union
+//!   re-keys are never re-grouped — the congruence-closure-flavoured
 //!   quasi-linear engine.
 //!
 //! ## The phase loop
@@ -50,7 +47,8 @@
 //! phases there and full rounds for the oracle, so it is not comparable
 //! across engines.
 
-use crate::fd::{Fd, FdSet};
+use super::worklist::{BucketIndex, Site};
+use crate::fd::FdSet;
 use crate::groupkey::GroupKey;
 use fdi_obs::{Counter, Recorder};
 use fdi_relation::attrs::AttrId;
@@ -60,7 +58,7 @@ use fdi_relation::rowid::RowId;
 use fdi_relation::symbol::Symbol;
 use fdi_relation::value::{NullId, Value};
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Union–find over cell occurrences and constant-symbol nodes.
 #[derive(Debug, Clone)]
@@ -375,88 +373,32 @@ impl CellEngine {
     }
 }
 
-/// The dirty-bucket worklist state of [`extended_chase`] — the
-/// [`super::index`] discipline transplanted onto the union–find:
-///
-/// * per FD, rows hash-partitioned by their `X`-**signature** (the
-///   tuple of class roots of the row's determinant cells) — bucket
-///   co-membership *is* the extended rule's trigger condition;
-/// * per class root, the list of member **cells**, so a union knows
-///   exactly which `(row, column)` sites changed signature;
-/// * per FD, the set of bucket keys whose membership or key atoms
-///   changed since their last sweep (the worklist).
-///
-/// Because bucket co-members agree on class roots componentwise, a root
-/// change re-keys every co-member identically — buckets migrate *en
-/// bloc*, exactly as in the plain indexed chase, and every migrated
-/// bucket re-enters the worklist (a merge brings new members; even a
-/// pure rename must re-enter, since the running pass's agenda holds the
-/// old key).
+/// The worklist state of [`extended_chase`]: the shared
+/// [`BucketIndex`], keyed by the union–find roots of each row's
+/// determinant cells (bucket co-membership *is* the extended rule's
+/// trigger), and per class root the member cells, so a union knows
+/// which sites changed their root.
 struct Worklist {
-    /// Normalized, non-trivial FDs.
-    slots: Vec<Fd>,
-    /// column → slots with that column on the determinant.
-    lhs_slots: Vec<Vec<usize>>,
-    /// Per class root: member cell nodes (symbol nodes carry no site).
-    members: HashMap<u32, Vec<u32>>,
-    /// Per slot: signature key → member rows.
-    buckets: Vec<HashMap<GroupKey, Vec<RowId>>>,
-    /// Per slot, per row *slot*: the key its bucket is filed under
-    /// (indexed by `RowId::index`; dead slots hold an unused default).
-    row_keys: Vec<Vec<GroupKey>>,
-    /// Per slot: keys awaiting a (re-)sweep.
-    dirty: Vec<HashSet<GroupKey>>,
+    index: BucketIndex,
+    /// Per class root: member cell sites (symbol nodes carry no site).
+    members: HashMap<u32, Vec<Site>>,
 }
 
 impl Worklist {
     fn new(engine: &mut CellEngine, fds: &FdSet) -> Worklist {
-        let slots: Vec<Fd> = fds
-            .iter()
-            .map(|fd| fd.normalized())
-            .filter(|fd| !fd.is_trivial())
-            .collect();
-        let arity = engine.arity;
-        let mut members: HashMap<u32, Vec<u32>> = HashMap::new();
-        for row in engine.live.clone() {
-            for col in 0..arity {
-                let node = cell_node_at(arity, row, AttrId(col as u16));
-                let root = engine.find(node) as u32;
-                members.entry(root).or_default().push(node as u32);
-            }
-        }
-        let mut lhs_slots: Vec<Vec<usize>> = vec![Vec::new(); arity];
-        for (si, fd) in slots.iter().enumerate() {
-            for a in fd.lhs.iter() {
-                lhs_slots[a.index()].push(si);
-            }
-        }
-        let mut buckets = Vec::with_capacity(slots.len());
-        let mut row_keys = Vec::with_capacity(slots.len());
         let live = engine.live.clone();
-        for fd in &slots {
-            let mut fd_buckets: HashMap<GroupKey, Vec<RowId>> = HashMap::with_capacity(live.len());
-            let mut fd_keys: Vec<GroupKey> = vec![GroupKey::new(); engine.rows];
-            let mut key = GroupKey::new();
-            for &row in &live {
-                key.clear();
-                for a in fd.lhs.iter() {
-                    key.push(engine.find(engine.cell_node(row, a)) as u64);
-                }
-                fd_buckets.entry(key.clone()).or_default().push(row);
-                fd_keys[row.index()] = key.clone();
+        let mut members: HashMap<u32, Vec<Site>> = HashMap::new();
+        for &row in &live {
+            for col in 0..engine.arity as u16 {
+                let root = engine.find(engine.cell_node(row, AttrId(col))) as u32;
+                members.entry(root).or_default().push((row, col));
             }
-            buckets.push(fd_buckets);
-            row_keys.push(fd_keys);
         }
-        let dirty = vec![HashSet::new(); slots.len()];
-        Worklist {
-            slots,
-            lhs_slots,
-            members,
-            buckets,
-            row_keys,
-            dirty,
-        }
+        let (arity, rows) = (engine.arity, engine.rows);
+        let index = BucketIndex::build(fds, arity, rows, &live, |row, a| {
+            engine.find(engine.cell_node(row, a)) as u64
+        });
+        Worklist { index, members }
     }
 
     /// Drains the worklist to the fixpoint by phase alternation —
@@ -468,33 +410,14 @@ impl Worklist {
         let mut phases = 0;
         loop {
             phases += 1;
-            // Draw the agenda: every multi-row bucket on the first
-            // phase, the (still multi-row) dirty buckets after. Sorted
-            // by (FD slot, least member, key) so the agenda — and with
-            // it the discovery output and the apply order — is a pure
-            // function of the engine state, not of HashMap iteration.
-            let min_row = |rows: &[RowId]| rows.iter().copied().min().expect("non-empty");
-            let mut agenda: Vec<(usize, RowId, GroupKey)> = Vec::new();
-            for si in 0..self.slots.len() {
-                if phases == 1 {
-                    agenda.extend(
-                        self.buckets[si]
-                            .iter()
-                            .filter(|(_, rows)| rows.len() > 1)
-                            .map(|(key, rows)| (si, min_row(rows), key.clone())),
-                    );
-                    self.dirty[si].clear();
-                } else {
-                    for key in std::mem::take(&mut self.dirty[si]) {
-                        if let Some(rows) = self.buckets[si].get(&key) {
-                            if rows.len() > 1 {
-                                agenda.push((si, min_row(rows), key));
-                            }
-                        }
-                    }
-                }
+            // Every slot's agenda, in slot order: the whole agenda — and
+            // with it the discovery output and the apply order — is a
+            // pure function of the engine state.
+            let mut agenda: Vec<(usize, GroupKey)> = Vec::new();
+            for si in 0..self.index.slots().len() {
+                let drawn = self.index.agenda(si, phases == 1);
+                agenda.extend(drawn.into_iter().map(|(_, key)| (si, key)));
             }
-            agenda.sort_unstable();
             if agenda.is_empty() {
                 break;
             }
@@ -503,14 +426,14 @@ impl Worklist {
             // bucket has been read.
             let edges: Vec<(u32, u32)> = agenda
                 .iter()
-                .flat_map(|(si, _, key)| self.candidate_edges(engine, *si, key))
+                .flat_map(|(si, key)| self.candidate_edges(engine, *si, key))
                 .collect();
             for (a, b) in edges {
                 if let Some((winner, loser)) = engine.union_reporting(a as usize, b as usize) {
                     self.migrate(engine, winner, loser);
                 }
             }
-            if self.dirty.iter().all(HashSet::is_empty) {
+            if self.index.is_clean() {
                 break;
             }
             assert!(
@@ -531,15 +454,13 @@ impl Worklist {
         // Discovery runs strictly between the agenda draw and the apply
         // loop — nothing migrates buckets in that window, so every
         // agenda key still resolves.
-        let rows = self.buckets[si]
-            .get(key)
-            .expect("discovery reads a frozen worklist");
-        if rows.len() < 2 {
-            return Vec::new();
-        }
-        let mut rows = rows.clone();
+        let mut rows = self
+            .index
+            .rows(si, key)
+            .expect("discovery reads a frozen worklist")
+            .to_vec();
         rows.sort_unstable();
-        let fd = self.slots[si];
+        let fd = self.index.slots()[si].fd;
         let mut edges = Vec::new();
         for b in fd.rhs.iter() {
             let first = engine.cell_node(rows[0], b);
@@ -554,47 +475,13 @@ impl Worklist {
         edges
     }
 
-    /// After a union, moves the loser class's member cells to the
-    /// winner and re-files every bucket whose signature mentioned the
-    /// loser root — whole buckets at a time (co-members share roots).
+    /// After a union, re-files every bucket whose key held the loser
+    /// root and moves the loser's member cells to the winner.
     fn migrate(&mut self, engine: &mut CellEngine, winner: usize, loser: usize) {
         let moved = self.members.remove(&(loser as u32)).unwrap_or_default();
-        let mut touched: Vec<(usize, GroupKey)> = Vec::new();
-        let mut seen: HashSet<(usize, GroupKey)> = HashSet::new();
-        for &cell in &moved {
-            let row = cell as usize / engine.arity;
-            let col = cell as usize % engine.arity;
-            for &si in &self.lhs_slots[col] {
-                let key = self.row_keys[si][row].clone();
-                if seen.insert((si, key.clone())) {
-                    touched.push((si, key));
-                }
-            }
-        }
-        for (si, old_key) in touched {
-            let Some(rows) = self.buckets[si].remove(&old_key) else {
-                continue; // already migrated via another member cell
-            };
-            let sample = rows[0];
-            let fd = self.slots[si];
-            let mut new_key = GroupKey::with_capacity(fd.lhs.len());
-            for a in fd.lhs.iter() {
-                new_key.push(engine.find(engine.cell_node(sample, a)) as u64);
-            }
-            for &row in &rows {
-                self.row_keys[si][row.index()] = new_key.clone();
-            }
-            self.dirty[si].remove(&old_key);
-            match self.buckets[si].entry(new_key.clone()) {
-                Entry::Occupied(mut entry) => {
-                    entry.get_mut().extend_from_slice(&rows);
-                }
-                Entry::Vacant(entry) => {
-                    entry.insert(rows);
-                }
-            }
-            self.dirty[si].insert(new_key);
-        }
+        self.index.migrate(&moved, |row, a| {
+            engine.find(engine.cell_node(row, a)) as u64
+        });
         self.members
             .entry(winner as u32)
             .or_default()

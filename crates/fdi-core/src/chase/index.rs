@@ -3,25 +3,15 @@
 //! The naive engine in [`super::ns`] re-scans every tuple pair for every
 //! FD on every pass — `O(|F|·n²)` agreement checks per pass and an
 //! `O(n·p)` full-instance scan per substitution, `O(|F|·n³)` in the
-//! worst case. This module replaces both scans with indexes:
-//!
-//! * a **group index** per FD: rows hash-partitioned by the
-//!   NEC-canonical key of their determinant projection
-//!   ([`crate::groupkey`]), so a tuple's NS-rule partners are exactly
-//!   its bucket co-members — no pair scans;
-//! * an **occurrence index** per NEC class: every `(row, attr)` cell
-//!   holding a null of the class, merged small-into-large union-find
-//!   style, so substituting a class touches only its occurrences — no
-//!   instance scans;
-//! * a **bucket worklist**: the first pass seeds every bucket; after
-//!   that, only buckets whose *membership* changed are re-swept. Plain
-//!   NS-rule applications transform whole NEC classes at once, so the
-//!   applicability status of a tuple pair (equal constants / distinct
-//!   constants / one null / two classes) is invariant under events
-//!   elsewhere — new work can only appear where buckets gain members.
-//!   Bucket keys change *en bloc* (every member of a bucket shares the
-//!   key), so re-keying migrates whole buckets and re-enqueues only
-//!   merged ones.
+//! worst case. This engine runs instead on the shared dirty-bucket
+//! worklist (see the [`super`] docs), keyed by the NEC-canonical atoms
+//! of [`crate::groupkey`], plus an **occurrence list** per NEC class:
+//! every `(row, attr)` cell holding a null of the class, so
+//! substituting a class touches only its occurrences. Plain NS-rule
+//! applications transform whole NEC classes at once, so whether a tuple
+//! pair can fire (equal constants / distinct constants / one null / two
+//! classes) does not change through events elsewhere — new work appears
+//! only in buckets that the worklist re-keys.
 //!
 //! Within a bucket, a single ascending **representative sweep** per
 //! dependent attribute applies every NS-rule the naive engine would
@@ -51,10 +41,9 @@
 //! * an NEC class spanning **columns** (a marked null like `?z` reused
 //!   across columns — `Instance::parse` allows this; every generator
 //!   keeps classes column-local): a substitution can then re-key the
-//!   very FD being swept mid-flight. The worklist still guarantees the
-//!   fixpoint — every re-keyed bucket re-enters it, so the engine never
-//!   terminates while a rule applies (see the cross-column regression
-//!   test);
+//!   very FD being swept mid-flight. The fixpoint still holds, since
+//!   every re-keyed bucket re-enters the worklist (see the cross-column
+//!   regression test);
 //! * a **`nothing`** value in a bucket (the plain rules treat it as
 //!   inert): the bucket's first applicable site may then involve later
 //!   rows than its least member, so the least-member agenda order can
@@ -62,7 +51,7 @@
 //!   nothing-divergence regression test). `nothing` belongs to the
 //!   extended system; the plain chase merely tolerates it.
 
-use crate::fd::{Fd, FdSet};
+use crate::fd::FdSet;
 use crate::groupkey::{self, GroupKey};
 use fdi_obs::{Counter, Gauge, Recorder};
 use fdi_relation::attrs::AttrId;
@@ -70,10 +59,10 @@ use fdi_relation::instance::Instance;
 use fdi_relation::rowid::RowId;
 use fdi_relation::symbol::Symbol;
 use fdi_relation::value::{NullId, Value};
-use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 
 use super::ns::{NsChaseResult, NsEvent, NsEventKind};
+use super::worklist::{BucketIndex, FdSlot, Site};
 
 /// Runs the indexed worklist chase — the engine behind
 /// [`super::ns::chase_plain`] — and records its work profile into
@@ -243,71 +232,29 @@ pub fn order_replay_exact(instance: &Instance) -> bool {
     order_replay_caveats(instance).is_empty()
 }
 
-/// One FD slot: its position in the original set plus the normalized
-/// dependency (trivial members are dropped up front — agreement on `X`
-/// makes every `Y ⊆ X` comparison inert).
-struct FdSlot {
-    original_index: usize,
-    fd: Fd,
-}
-
 struct Engine {
     work: Instance,
-    fds: Vec<FdSlot>,
-    /// Per FD slot: canonical determinant key → member rows. Lists are
-    /// kept **unsorted** so bucket merges are `O(moved)` appends —
-    /// sorting happens once per sweep instead (collision-skewed
-    /// workloads produce heavy buckets, and per-migration merge-sorts
-    /// into a heavy bucket would cost `O(|bucket|)` per event).
-    buckets: Vec<HashMap<GroupKey, Vec<RowId>>>,
-    /// Per FD slot, per row *slot*: the key its bucket is filed under
-    /// (dense side table indexed by `RowId::index`, sized
-    /// `slot_bound`; dead slots hold an unused default).
-    row_keys: Vec<Vec<GroupKey>>,
+    index: BucketIndex,
     /// NEC class root → null occurrences `(row, attr)` of the class.
-    occurrences: HashMap<u32, Vec<(RowId, u16)>>,
-    /// attr index → FD slots with that attribute in their determinant.
-    lhs_slots: Vec<Vec<usize>>,
-    /// Per FD slot: bucket keys whose membership changed (the worklist).
-    dirty: Vec<HashSet<GroupKey>>,
+    occurrences: HashMap<u32, Vec<Site>>,
     events: Vec<NsEvent>,
     /// Metrics sink, set by [`chase_indexed`].
     rec: Recorder,
 }
 
-/// The non-trivial FDs of the set, with their original indexes.
-fn fd_slots(fds: &FdSet) -> Vec<FdSlot> {
-    fds.iter()
-        .enumerate()
-        .map(|(original_index, fd)| FdSlot {
-            original_index,
-            fd: fd.normalized(),
-        })
-        .filter(|slot| !slot.fd.is_trivial())
-        .collect()
-}
-
 impl Engine {
-    /// Builds the engine in one row-major pass over the live rows: each
-    /// row's nulls join their class's occurrence list, and each FD slot
-    /// files the row under its determinant key — so bucket member lists
-    /// are ascending and occurrence lists `(row, col)`-major.
+    /// Builds the engine over the live rows: each null joins its
+    /// class's occurrence list (`(row, col)`-major), and each FD slot
+    /// files every row under its NEC-canonical determinant key.
     fn new(instance: &Instance, fds: &FdSet) -> Engine {
         let mut work = instance.clone();
-        let slots = fd_slots(fds);
-        let bound = work.slot_bound();
         let arity = work.arity();
         let snapshot = work.necs().canonical_snapshot();
 
         // Classes are keyed by snapshot root, which equals the
         // union–find root `find` would return (compression changes
         // parents, never roots).
-        let mut occurrences: HashMap<u32, Vec<(RowId, u16)>> = HashMap::new();
-        let mut buckets: Vec<HashMap<GroupKey, Vec<RowId>>> = slots
-            .iter()
-            .map(|_| HashMap::with_capacity(work.len()))
-            .collect();
-        let mut row_keys: Vec<Vec<GroupKey>> = vec![vec![GroupKey::new(); bound]; slots.len()];
+        let mut occurrences: HashMap<u32, Vec<Site>> = HashMap::new();
         for (row, tuple) in work.iter_live() {
             for col in 0..arity {
                 if let Value::Null(id) = tuple.get(AttrId(col as u16)) {
@@ -317,12 +264,11 @@ impl Engine {
                         .push((row, col as u16));
                 }
             }
-            for (si, slot) in slots.iter().enumerate() {
-                let key = groupkey::key_of(tuple, row, slot.fd.lhs, &snapshot);
-                buckets[si].entry(key.clone()).or_default().push(row);
-                row_keys[si][row.index()] = key;
-            }
         }
+        let live: Vec<RowId> = work.row_ids().collect();
+        let index = BucketIndex::build(fds, arity, work.slot_bound(), &live, |row, a| {
+            groupkey::atom(work.value(row, a), row, &snapshot)
+        });
 
         // One `find` per live null compresses the working NEC forest,
         // so the root lookups of rule application stay one hop (the
@@ -334,22 +280,10 @@ impl Engine {
                 }
             }
         }
-
-        let mut lhs_slots = vec![Vec::new(); arity];
-        for (si, slot) in slots.iter().enumerate() {
-            for a in slot.fd.lhs.iter() {
-                lhs_slots[a.index()].push(si);
-            }
-        }
-        let dirty = vec![HashSet::new(); slots.len()];
         Engine {
             work,
-            fds: slots,
-            buckets,
-            row_keys,
+            index,
             occurrences,
-            lhs_slots,
-            dirty,
             events: Vec::new(),
             rec: Recorder::noop(),
         }
@@ -363,30 +297,11 @@ impl Engine {
             passes += 1;
             self.rec.incr(Counter::ChasePasses);
             let before = self.events.len();
-            for si in 0..self.fds.len() {
-                // Keys collected up front and re-checked on use: sweeps
-                // migrate buckets of *other* FDs freely, and (with
-                // cross-column NEC classes) occasionally this one.
-                let min_row = |rows: &[RowId]| rows.iter().copied().min().expect("non-empty");
-                let mut agenda: Vec<(RowId, GroupKey)> = if passes == 1 {
-                    self.buckets[si]
-                        .iter()
-                        .filter(|(_, rows)| rows.len() > 1)
-                        .map(|(key, rows)| (min_row(rows), key.clone()))
-                        .collect()
-                } else {
-                    std::mem::take(&mut self.dirty[si])
-                        .into_iter()
-                        .filter_map(|key| {
-                            let rows = self.buckets[si].get(&key)?;
-                            (rows.len() > 1).then(|| (min_row(rows), key))
-                        })
-                        .collect()
-                };
-                if passes == 1 {
-                    self.dirty[si].clear();
-                }
-                agenda.sort_unstable();
+            for si in 0..self.index.slots().len() {
+                // Keys are re-checked on use: sweeps migrate buckets of
+                // *other* FDs freely, and (with cross-column NEC classes)
+                // occasionally this one.
+                let agenda = self.index.agenda(si, passes == 1);
                 self.rec
                     .add(Counter::ChaseBucketSweeps, agenda.len() as u64);
                 self.rec
@@ -411,11 +326,12 @@ impl Engine {
     /// running class and promoting on the first constant — the same
     /// events the naive pair scan fires at this bucket's sites.
     fn sweep_bucket(&mut self, si: usize, key: &GroupKey) {
-        let Some(mut rows) = self.buckets[si].get(key).cloned() else {
+        let Some(rows) = self.index.rows(si, key) else {
             return; // migrated away since the agenda was drawn
         };
+        let mut rows = rows.to_vec();
         rows.sort_unstable();
-        let (fd, original_index) = (self.fds[si].fd, self.fds[si].original_index);
+        let FdSlot { original_index, fd } = self.index.slots()[si];
         for attr in fd.rhs.iter() {
             let mut anchor_const: Option<RowId> = None;
             let mut pending_null: Option<(RowId, NullId)> = None;
@@ -526,60 +442,13 @@ impl Engine {
             .extend_from_slice(&moved);
     }
 
-    /// Re-files the buckets referencing a class whose canonical atom
-    /// just changed. Every member of such a bucket shares the key, so
-    /// whole buckets move: a pure re-name keeps its sweep status, while
-    /// a merge with an existing bucket re-enters the worklist (new
-    /// members mean possible new rule sites).
-    fn migrate(&mut self, occs: &[(RowId, u16)]) {
-        let mut affected: HashSet<(usize, RowId)> = HashSet::new();
-        for &(row, col) in occs {
-            for &si in &self.lhs_slots[col as usize] {
-                affected.insert((si, row));
-            }
-        }
-        let mut touched: Vec<(usize, GroupKey)> = Vec::new();
-        let mut seen: HashSet<(usize, GroupKey)> = HashSet::new();
-        for (si, row) in affected {
-            let key = self.row_keys[si][row.index()].clone();
-            if seen.insert((si, key.clone())) {
-                touched.push((si, key));
-            }
-        }
-        for (si, old_key) in touched {
-            let Some(rows) = self.buckets[si].remove(&old_key) else {
-                continue; // already migrated via another occurrence
-            };
-            let lhs = self.fds[si].fd.lhs;
-            let sample = rows[0];
-            let mut new_key = GroupKey::with_capacity(lhs.len());
-            for a in lhs.iter() {
-                let work = &self.work;
-                new_key.push(groupkey::atom_with(work.value(sample, a), sample, |n| {
-                    work.necs().find_readonly(n)
-                }));
-            }
-            for &row in &rows {
-                self.row_keys[si][row.index()] = new_key.clone();
-            }
-            self.dirty[si].remove(&old_key);
-            match self.buckets[si].entry(new_key.clone()) {
-                Entry::Occupied(mut entry) => {
-                    entry.get_mut().extend_from_slice(&rows);
-                }
-                Entry::Vacant(entry) => {
-                    entry.insert(rows);
-                }
-            }
-            // Every re-keyed bucket re-enters the worklist — not only
-            // merged ones. A pure rename can strand a *pending* sweep:
-            // the running pass's agenda holds the old key, so the sweep
-            // would silently vanish (a cross-column NEC class renaming
-            // a not-yet-swept bucket of the very FD being processed).
-            // Re-enqueueing renames costs at most one no-op sweep next
-            // pass in the common case; dropping one loses the fixpoint.
-            self.dirty[si].insert(new_key);
-        }
+    /// Re-files the buckets keyed by a class whose canonical atom just
+    /// changed at the `moved` sites.
+    fn migrate(&mut self, moved: &[Site]) {
+        let work = &self.work;
+        self.index.migrate(moved, |row, a| {
+            groupkey::atom_with(work.value(row, a), row, |n| work.necs().find_readonly(n))
+        });
     }
 }
 

@@ -27,16 +27,25 @@
 //! worst case once class-wide substitution costs are charged. This
 //! module keeps that formulation as the executable definition
 //! ([`ns::chase_naive`]) and makes the **indexed worklist engine** of
-//! [`index`] the default behind [`chase_plain`]:
+//! [`index`] the default behind [`chase_plain`].
 //!
-//! * rows are hash-partitioned per FD by the NEC-canonical key of their
-//!   determinant projection ([`crate::groupkey`]) — bucket co-membership
-//!   *is* the NS-rule trigger condition, so no pairs are ever scanned;
-//! * each class keeps its occurrence list, so substituting a class costs
-//!   its occurrences, not an `O(n·p)` instance sweep;
-//! * a bucket re-enters the worklist only when its membership changes
-//!   (an NEC merge collapses buckets rather than triggering a rescan),
-//!   so passes after the first touch only what moved.
+//! Both production engines run on one **dirty-bucket worklist** (the
+//! crate-private `worklist` module), because the plain and the extended
+//! rules fire on the same trigger — two rows that agree on `X`:
+//!
+//! * rows are hash-partitioned per FD by their determinant key, so
+//!   bucket co-membership *is* the trigger and no pairs are ever
+//!   scanned. The plain chase keys by NEC-canonical [`crate::groupkey`]
+//!   atoms, the extended chase by union–find roots;
+//! * the first pass sweeps every multi-row bucket; after that, only the
+//!   buckets re-keyed since their last sweep, each agenda ordered by
+//!   least member row;
+//! * a rule application changes one class's atom in every cell of the
+//!   class, and bucket co-members share their key, so whole buckets
+//!   migrate *en bloc* to their new key — merging into an existing
+//!   bucket there — and every migrated bucket re-enters the worklist;
+//! * each engine keeps its class → member-cell lists, so a rule costs
+//!   the class's cells, not an `O(n·p)` instance sweep.
 //!
 //! Rows are addressed by stable [`RowId`](fdi_relation::rowid::RowId)
 //! slot handles throughout — bucket member lists, occurrence lists, and
@@ -61,7 +70,7 @@
 //!
 //! For the extended system, [`extended_chase`] runs in the spirit of
 //! the `O(|F|·n·log(|F|·n))` congruence-closure bound — one initial
-//! hash-grouping, then a dirty-bucket worklist — and
+//! hash-grouping, then the same worklist — and
 //! [`extended_chase_naive`] keeps the paper's pairwise `O(|F|·n³·p)`
 //! pass analysis as the reference engine (experiment E12 measures the
 //! gap — here order never matters, by Theorem 4(a)).
@@ -100,6 +109,7 @@
 pub mod cells;
 pub mod index;
 pub mod ns;
+mod worklist;
 
 pub use cells::{extended_chase, extended_chase_naive, CellEngine, ChaseOutcome};
 pub use index::{chase_indexed, order_replay_caveats, order_replay_exact, ChaseIndexCaveat};

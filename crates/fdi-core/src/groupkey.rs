@@ -19,7 +19,6 @@
 use fdi_relation::attrs::AttrSet;
 use fdi_relation::nec::NecSnapshot;
 use fdi_relation::rowid::RowId;
-use fdi_relation::tuple::Tuple;
 use fdi_relation::value::{NullId, Value};
 use std::collections::HashMap;
 
@@ -56,40 +55,11 @@ pub fn atom(value: Value, row: RowId, snapshot: &NecSnapshot) -> u64 {
 /// **row-unique** atom like `nothing` does, so no two rows ever group
 /// through a null. With the flag clear this is exactly [`atom`].
 #[inline]
-pub fn atom_solitary(
-    value: Value,
-    row: RowId,
-    snapshot: &NecSnapshot,
-    solitary_nulls: bool,
-) -> u64 {
+fn atom_solitary(value: Value, row: RowId, snapshot: &NecSnapshot, solitary_nulls: bool) -> u64 {
     match value {
         Value::Null(_) if solitary_nulls => TAG_SOLO | row.0 as u64,
         _ => atom(value, row, snapshot),
     }
-}
-
-/// Writes the canonical key of `tuple[attrs]` into `key` (cleared
-/// first). Reusing one buffer across rows avoids per-row allocation in
-/// the grouping hot loops.
-#[inline]
-pub fn key_into(
-    key: &mut GroupKey,
-    tuple: &Tuple,
-    row: RowId,
-    attrs: AttrSet,
-    snapshot: &NecSnapshot,
-) {
-    key.clear();
-    for a in attrs.iter() {
-        key.push(atom(tuple.get(a), row, snapshot));
-    }
-}
-
-/// The canonical key of `tuple[attrs]` as a fresh vector.
-pub fn key_of(tuple: &Tuple, row: RowId, attrs: AttrSet, snapshot: &NecSnapshot) -> GroupKey {
-    let mut key = Vec::with_capacity(attrs.len());
-    key_into(&mut key, tuple, row, attrs, snapshot);
-    key
 }
 
 /// Partitions the live rows of `instance` into agreement classes on
@@ -99,7 +69,7 @@ pub fn key_of(tuple: &Tuple, row: RowId, attrs: AttrSet, snapshot: &NecSnapshot)
 /// between them. Groups hold stable [`RowId`]s, in ascending order
 /// (one pass over the live rows in slot order).
 ///
-/// With `solitary_nulls` set (see [`atom_solitary`]), null-bearing rows
+/// With `solitary_nulls` set (see `atom_solitary`), null-bearing rows
 /// are singleton groups on the null components — the agreement classes
 /// of conventions where nulls never trigger a dependency.
 pub fn group_rows(
@@ -126,9 +96,17 @@ mod tests {
     use fdi_relation::attrs::AttrId;
     use fdi_relation::nec::NecStore;
     use fdi_relation::symbol::Symbol;
+    use fdi_relation::tuple::Tuple;
 
     fn attrs(ids: &[u16]) -> AttrSet {
         ids.iter().map(|i| AttrId(*i)).collect()
+    }
+
+    fn key_of(tuple: &Tuple, row: RowId, attrs: AttrSet, snapshot: &NecSnapshot) -> GroupKey {
+        attrs
+            .iter()
+            .map(|a| atom(tuple.get(a), row, snapshot))
+            .collect()
     }
 
     #[test]

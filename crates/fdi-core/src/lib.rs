@@ -12,8 +12,9 @@
 //! * [`armstrong`] — attribute closure, implication, candidate keys,
 //!   minimal covers, and Armstrong derivations (Theorem 1);
 //! * [`equiv`] — the System-C bridge of Lemmas 3 and 4;
-//! * [`groupkey`] — NEC-canonical group keys, the shared grouping
-//!   currency of the indexed chase and the grouped TEST-FDs variants;
+//! * [`groupkey`] — NEC-canonical key atoms and the one row-grouping
+//!   loop: the plain chase keys its worklist buckets by these atoms,
+//!   and grouped TEST-FDs groups rows with them;
 //! * [`chase`] — the NS-rules of §6: the plain order-dependent engine
 //!   (indexed worklist by default, all-pairs oracle retained), the
 //!   extended (`nothing`) Church–Rosser engine, and the

@@ -372,7 +372,7 @@ impl Database {
         if !self.instance.is_live(row) {
             return Err(UpdateError::NoSuchRow(row));
         }
-        let value = parse_token(&mut self.instance, attr, token)?;
+        let value = self.instance.parse_value(attr, token)?;
         let old = self.instance.value(row, attr);
         self.instance.set_value(row, attr, value);
         if let Err(e) = check_instance(&self.instance, &self.fds, self.policy.enforcement) {
@@ -414,7 +414,7 @@ impl Database {
         let Value::Null(id) = self.instance.value(row, attr) else {
             return Err(UpdateError::NotANull { row, attr });
         };
-        let symbol = match parse_token(&mut self.instance, attr, token)? {
+        let symbol = match self.instance.parse_value(attr, token)? {
             Value::Const(s) => s,
             _ => {
                 return Err(UpdateError::Relation(RelationError::Parse {
@@ -474,21 +474,6 @@ fn check_instance(
             }
         }
         Enforcement::None => Ok(()),
-    }
-}
-
-fn parse_token(instance: &mut Instance, attr: AttrId, token: &str) -> Result<Value, UpdateError> {
-    if token == "-" {
-        Ok(Value::Null(instance.fresh_null()))
-    } else if token == "#!" {
-        Ok(Value::Nothing)
-    } else if let Some(mark) = token.strip_prefix('?') {
-        match instance.mark(mark) {
-            Some(id) => Ok(Value::Null(id)),
-            None => Ok(Value::Null(instance.fresh_null())),
-        }
-    } else {
-        Ok(Value::Const(instance.intern_constant(attr, token)?))
     }
 }
 
@@ -700,6 +685,35 @@ mod tests {
         // and with e2 out of d1, e1's contract can change freely.
         db.modify(e1, AttrId(3), "part")
             .expect("d1 now has one member");
+    }
+
+    #[test]
+    fn modify_shares_marked_nulls_with_inserts() {
+        let schema = fdi_relation::Schema::builder("Staff")
+            .attribute("emp", ["ada", "bob", "cyd"])
+            .attribute("dept", ["sales", "eng"])
+            .attribute("mgr", ["mia", "noa"])
+            .build()
+            .unwrap();
+        let fds = FdSet::parse(&schema, "emp -> dept").unwrap();
+        let base = fdi_relation::Instance::parse(schema, "ada sales mia\nbob eng noa").unwrap();
+        let weak = Policy {
+            enforcement: Enforcement::Weak,
+            propagate: true,
+        };
+        let mut db = Database::new(base, fds, weak).unwrap();
+        let (ada, bob, mgr) = (RowId(0), RowId(1), AttrId(2));
+        db.modify(ada, mgr, "?x").unwrap();
+        db.modify(bob, mgr, "?x").unwrap();
+        let cyd = db.insert(&["cyd", "eng", "?x"]).unwrap().row;
+        let x = db.instance().value(ada, mgr);
+        assert!(x.is_null());
+        assert_eq!(db.instance().value(bob, mgr), x, "one mark, one null");
+        assert_eq!(db.instance().value(cyd, mgr), x, "insert joins the mark");
+        // A mark needs a name, as in a row; the cell keeps its value.
+        let err = db.modify(ada, mgr, "?").unwrap_err();
+        assert!(matches!(err, UpdateError::Relation(_)), "{err}");
+        assert_eq!(db.instance().value(ada, mgr), x);
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Zero-dependency observability for the fd-incomplete workspace:
 //! atomic counters and gauges, fixed-bucket log₂ latency histograms
-//! with p50/p90/p99 readout, scoped span timers, and a bounded
-//! structured event ring — all hanging off a cheap, cloneable
-//! [`Recorder`] handle.
+//! with p50/p90/p99 readout and scoped span timers — all hanging off a
+//! cheap, cloneable [`Recorder`] handle.
 //!
 //! # The noop contract
 //!
@@ -51,10 +50,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Monotonic event counters. Each variant names its recording site and
@@ -342,9 +340,6 @@ impl Hist {
 /// range `[2^(b-1), 2^b - 1]`.
 const HIST_BUCKETS: usize = 65;
 
-/// Bounded capacity of the structured event ring.
-const EVENT_RING_CAP: usize = 256;
-
 fn bucket_index(value: u64) -> usize {
     (u64::BITS - value.leading_zeros()) as usize
 }
@@ -380,25 +375,11 @@ impl HistCore {
     }
 }
 
-/// One entry in the bounded structured event ring.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Event {
-    /// Monotonic sequence number (never resets, survives ring
-    /// eviction — gaps reveal how many events were dropped).
-    pub seq: u64,
-    /// Static event label, e.g. `"epoch_published"`.
-    pub label: &'static str,
-    /// Event payload (an op count, an epoch seq, …).
-    pub value: u64,
-}
-
 #[derive(Debug)]
 struct MetricsCore {
     counters: [AtomicU64; Counter::ALL.len()],
     gauges: [AtomicU64; Gauge::ALL.len()],
     hists: [HistCore; Hist::ALL.len()],
-    event_seq: AtomicU64,
-    events: Mutex<VecDeque<Event>>,
 }
 
 impl MetricsCore {
@@ -407,8 +388,6 @@ impl MetricsCore {
             counters: std::array::from_fn(|_| AtomicU64::new(0)),
             gauges: std::array::from_fn(|_| AtomicU64::new(0)),
             hists: std::array::from_fn(|_| HistCore::new()),
-            event_seq: AtomicU64::new(0),
-            events: Mutex::new(VecDeque::with_capacity(EVENT_RING_CAP)),
         }
     }
 }
@@ -518,21 +497,8 @@ impl Recorder {
         }
     }
 
-    /// Push a structured event into the bounded ring (capacity 256;
-    /// oldest entries are evicted, sequence numbers keep counting).
-    pub fn event(&self, label: &'static str, value: u64) {
-        if let Some(core) = &self.core {
-            let seq = core.event_seq.fetch_add(1, Ordering::Relaxed);
-            let mut ring = core.events.lock().unwrap_or_else(|e| e.into_inner());
-            if ring.len() == EVENT_RING_CAP {
-                ring.pop_front();
-            }
-            ring.push_back(Event { seq, label, value });
-        }
-    }
-
     /// A point-in-time copy of every metric. Disabled recorders return
-    /// [`MetricsSnapshot::default`] (all zeros, no events).
+    /// [`MetricsSnapshot::default`] (all zeros).
     pub fn snapshot(&self) -> MetricsSnapshot {
         let Some(core) = &self.core else {
             return MetricsSnapshot::default();
@@ -561,10 +527,6 @@ impl Recorder {
                         .collect(),
                 })
                 .collect(),
-            events: {
-                let ring = core.events.lock().unwrap_or_else(|e| e.into_inner());
-                ring.iter().copied().collect()
-            },
         }
     }
 }
@@ -637,7 +599,6 @@ pub struct MetricsSnapshot {
     counters: Vec<u64>,
     gauges: Vec<u64>,
     hists: Vec<HistSnapshot>,
-    events: Vec<Event>,
 }
 
 impl Default for MetricsSnapshot {
@@ -646,7 +607,6 @@ impl Default for MetricsSnapshot {
             counters: vec![0; Counter::ALL.len()],
             gauges: vec![0; Gauge::ALL.len()],
             hists: vec![HistSnapshot::default(); Hist::ALL.len()],
-            events: Vec::new(),
         }
     }
 }
@@ -665,11 +625,6 @@ impl MetricsSnapshot {
     /// One histogram's snapshot.
     pub fn hist(&self, hist: Hist) -> &HistSnapshot {
         &self.hists[hist as usize]
-    }
-
-    /// The retained tail of the structured event ring, oldest first.
-    pub fn events(&self) -> &[Event] {
-        &self.events
     }
 
     /// Every deterministic-registered metric as `(name, value)` pairs
@@ -746,7 +701,7 @@ impl MetricsSnapshot {
 
     /// The same data as [`render_text`](Self::render_text), as one
     /// stable-key-order JSON object:
-    /// `{"counters":{…},"gauges":{…},"hists":{…},"events":[…]}`.
+    /// `{"counters":{…},"gauges":{…},"hists":{…}}`.
     pub fn render_json(&self) -> String {
         let mut out = String::from("{\"counters\":{");
         for (i, &c) in Counter::ALL.iter().enumerate() {
@@ -779,18 +734,7 @@ impl MetricsSnapshot {
                 snap.quantile(99)
             );
         }
-        out.push_str("},\"events\":[");
-        for (i, e) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"seq\":{},\"label\":\"{}\",\"value\":{}}}",
-                e.seq, e.label, e.value
-            );
-        }
-        out.push_str("]}");
+        out.push_str("}}");
         out
     }
 }
@@ -826,7 +770,6 @@ mod tests {
         off.incr(Counter::OpsApplied);
         off.gauge_set(Gauge::EpochSeq, 9);
         off.observe(Hist::PublishNanos, 123);
-        off.event("ignored", 1);
         drop(off.span(Hist::PublishNanos));
         assert_eq!(off.snapshot(), MetricsSnapshot::default());
         assert!(!off.is_enabled());
@@ -882,21 +825,6 @@ mod tests {
     }
 
     #[test]
-    fn event_ring_is_bounded_and_seq_survives_eviction() {
-        let rec = Recorder::enabled();
-        for i in 0..300u64 {
-            rec.event("tick", i);
-        }
-        let snap = rec.snapshot();
-        let events = snap.events();
-        assert_eq!(events.len(), EVENT_RING_CAP);
-        assert_eq!(events.first().unwrap().seq, 300 - EVENT_RING_CAP as u64);
-        assert_eq!(events.last().unwrap().seq, 299);
-        assert_eq!(events.last().unwrap().value, 299);
-        assert_eq!(events.last().unwrap().label, "tick");
-    }
-
-    #[test]
     fn deterministic_pairs_exclude_every_nondeterministic_metric() {
         let rec = Recorder::enabled();
         rec.incr(Counter::ChasePasses);
@@ -939,17 +867,15 @@ mod tests {
     }
 
     #[test]
-    fn json_exposition_has_stable_keys_and_events() {
+    fn json_exposition_has_stable_keys() {
         let rec = Recorder::enabled();
         rec.incr(Counter::EpochsPublished);
-        rec.event("epoch_published", 1);
         let json = rec.snapshot().render_json();
         assert!(json.starts_with("{\"counters\":{"));
         assert!(json.contains("\"epochs_published\":1"));
         assert!(json.contains("\"hists\":{"));
         assert!(json.contains("\"journal_sync_nanos\":{\"count\":0"));
-        assert!(json.contains("{\"seq\":0,\"label\":\"epoch_published\",\"value\":1}"));
-        assert!(json.ends_with("]}"));
+        assert!(json.ends_with("}}}"));
     }
 
     #[test]

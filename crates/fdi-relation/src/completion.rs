@@ -98,11 +98,6 @@ impl<'a> CompletionSpace<'a> {
         })
     }
 
-    /// Number of null classes in scope.
-    pub fn class_count(&self) -> usize {
-        self.classes.len()
-    }
-
     /// The number of completions (Cartesian product of candidate counts),
     /// saturating at `u128::MAX`. Zero means the space is inconsistent —
     /// some class has no candidate value (empty domain intersection).
@@ -278,7 +273,6 @@ mod tests {
     fn nec_classes_covary() {
         let r = Instance::parse(schema_abc(), "a1 ?x c1\na2 ?x c2").unwrap();
         let space = CompletionSpace::for_instance(&r, all(&r)).unwrap();
-        assert_eq!(space.class_count(), 1);
         assert_eq!(space.count(), 3, "one shared class over dom(B)");
         for rows in space.iter() {
             assert_eq!(rows[0].get(AttrId(1)), rows[1].get(AttrId(1)));

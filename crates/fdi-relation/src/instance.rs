@@ -335,7 +335,35 @@ impl Instance {
         id
     }
 
-    /// Adds a row from text tokens (`-`, `?mark`, `#!`, or a constant).
+    /// Parses one cell token of the text format for attribute `attr`:
+    /// `-` is a fresh null, `?mark` the null bound to `mark` (bound to a
+    /// fresh null on first use), `#!` is `nothing`, anything else a
+    /// constant of the attribute's domain. The one token grammar of rows
+    /// and of cell updates.
+    pub fn parse_value(&mut self, attr: AttrId, token: &str) -> Result<Value, RelationError> {
+        if token == "-" {
+            Ok(Value::Null(self.fresh_null()))
+        } else if token == "#!" {
+            Ok(Value::Nothing)
+        } else if let Some(mark) = token.strip_prefix('?') {
+            if mark.is_empty() {
+                return Err(RelationError::Parse {
+                    line: 0,
+                    message: "a marked null needs a name after '?'".to_string(),
+                });
+            }
+            if let Some(&id) = self.marks.get(mark) {
+                return Ok(Value::Null(id));
+            }
+            let id = self.fresh_null();
+            self.marks.insert(mark.to_string(), id);
+            Ok(Value::Null(id))
+        } else {
+            Ok(Value::Const(self.intern_constant(attr, token)?))
+        }
+    }
+
+    /// Adds a row from text tokens (see [`Instance::parse_value`]).
     /// Returns the new row's id.
     pub fn add_row(&mut self, tokens: &[&str]) -> Result<RowId, RelationError> {
         if tokens.len() != self.arity() {
@@ -346,30 +374,7 @@ impl Instance {
         }
         let mut values = Vec::with_capacity(tokens.len());
         for (i, token) in tokens.iter().enumerate() {
-            let attr = AttrId(i as u16);
-            let value = if *token == "-" {
-                Value::Null(self.fresh_null())
-            } else if *token == "#!" {
-                Value::Nothing
-            } else if let Some(mark) = token.strip_prefix('?') {
-                if mark.is_empty() {
-                    return Err(RelationError::Parse {
-                        line: 0,
-                        message: "a marked null needs a name after '?'".to_string(),
-                    });
-                }
-                match self.marks.get(mark) {
-                    Some(id) => Value::Null(*id),
-                    None => {
-                        let id = self.fresh_null();
-                        self.marks.insert(mark.to_string(), id);
-                        Value::Null(id)
-                    }
-                }
-            } else {
-                Value::Const(self.intern_constant(attr, token)?)
-            };
-            values.push(value);
+            values.push(self.parse_value(AttrId(i as u16), token)?);
         }
         Ok(self.alloc_slot(Tuple::new(values)))
     }
@@ -491,14 +496,6 @@ impl Instance {
         let all = self.schema.all_attrs();
         self.tuples()
             .all(|t| all.iter().all(|a| t.get(a).is_const()))
-    }
-
-    /// The distinct constants appearing in column `a`, sorted.
-    pub fn column_constants(&self, a: AttrId) -> Vec<Symbol> {
-        let mut out: Vec<Symbol> = self.tuples().filter_map(|t| t.get(a).as_const()).collect();
-        out.sort_unstable();
-        out.dedup();
-        out
     }
 
     /// A canonical, order-insensitive-for-null-ids form of the instance:
@@ -776,19 +773,6 @@ pub struct CanonicalInstance {
     pub rows: Vec<Vec<CanonValue>>,
 }
 
-impl CanonicalInstance {
-    /// Order-insensitive comparison: both row multisets equal after
-    /// sorting. (Canonical null numbering is row-order dependent, so this
-    /// is a conservative check used in addition to the ordered one.)
-    pub fn same_rows_sorted(&self, other: &CanonicalInstance) -> bool {
-        let mut a = self.rows.clone();
-        let mut b = other.rows.clone();
-        a.sort();
-        b.sort();
-        a == b
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -885,15 +869,6 @@ mod tests {
     }
 
     #[test]
-    fn column_constants_dedup_and_sort() {
-        let r = Instance::parse(schema_abc(), "a1 b2 c1\na2 b1 c1\na1 - c2").unwrap();
-        let consts = r.column_constants(AttrId(0));
-        assert_eq!(consts.len(), 2);
-        let consts_b = r.column_constants(AttrId(1));
-        assert_eq!(consts_b.len(), 2);
-    }
-
-    #[test]
     fn canonical_form_identifies_renamed_nulls() {
         let schema = schema_abc();
         let r1 = Instance::parse(schema.clone(), "a1 - c1\na2 - c2").unwrap();
@@ -965,15 +940,6 @@ mod tests {
             fresh.0 > 7,
             "fresh nulls must not collide with imported ids"
         );
-    }
-
-    #[test]
-    fn same_rows_sorted_ignores_tuple_order() {
-        let schema = schema_abc();
-        let r1 = Instance::parse(schema.clone(), "a1 b1 c1\na2 b2 c2").unwrap();
-        let r2 = Instance::parse(schema, "a2 b2 c2\na1 b1 c1").unwrap();
-        assert_ne!(r1.canonical_form(), r2.canonical_form());
-        assert!(r1.canonical_form().same_rows_sorted(&r2.canonical_form()));
     }
 
     #[test]

@@ -12,7 +12,6 @@
 
 use crate::serial::{self, DecodeError, Reader};
 use crate::value::NullId;
-use std::collections::HashMap;
 
 /// Union–find over null equivalence classes.
 ///
@@ -138,12 +137,6 @@ impl NecStore {
         NecSnapshot { roots }
     }
 
-    /// Number of tracked ids (snapshot length); ids at or above this are
-    /// untouched singletons.
-    pub fn tracked_ids(&self) -> usize {
-        self.parent.len()
-    }
-
     /// Serializes the exact union–find representation (parent pointers,
     /// ranks, merge count) — not just the partition it denotes — so a
     /// decoded store is indistinguishable from the original under any
@@ -182,26 +175,6 @@ impl NecStore {
             rank,
             merges,
         })
-    }
-
-    /// Groups the given null ids into their equivalence classes.
-    pub fn classes_of<I: IntoIterator<Item = NullId>>(&self, ids: I) -> Vec<Vec<NullId>> {
-        let mut groups: HashMap<NullId, Vec<NullId>> = HashMap::new();
-        let mut order: Vec<NullId> = Vec::new();
-        for id in ids {
-            let root = self.find_readonly(id);
-            let entry = groups.entry(root).or_default();
-            if entry.is_empty() {
-                order.push(root);
-            }
-            if !entry.contains(&id) {
-                entry.push(id);
-            }
-        }
-        order
-            .into_iter()
-            .map(|r| groups.remove(&r).unwrap())
-            .collect()
     }
 }
 
@@ -286,22 +259,6 @@ mod tests {
         store.union(n(100), n(5));
         assert!(store.same_class(n(5), n(100)));
         assert!(!store.same_class(n(5), n(99)));
-    }
-
-    #[test]
-    fn classes_of_groups_correctly() {
-        let mut store = NecStore::new();
-        store.union(n(0), n(2));
-        store.union(n(3), n(4));
-        let classes = store.classes_of([n(0), n(1), n(2), n(3), n(4)]);
-        assert_eq!(classes.len(), 3);
-        let sizes: Vec<usize> = classes.iter().map(Vec::len).collect();
-        assert!(sizes.contains(&2));
-        assert!(sizes.contains(&1));
-        // duplicates do not inflate classes
-        let classes = store.classes_of([n(0), n(0), n(2)]);
-        assert_eq!(classes.len(), 1);
-        assert_eq!(classes[0].len(), 2);
     }
 
     #[test]

@@ -53,11 +53,6 @@ impl Tuple {
         attrs.iter().any(|a| self.get(a).is_null())
     }
 
-    /// Does the projection on `attrs` contain a `nothing`?
-    pub fn has_nothing_on(&self, attrs: AttrSet) -> bool {
-        attrs.iter().any(|a| self.get(a).is_nothing())
-    }
-
     /// Is the projection on `attrs` entirely constants?
     pub fn is_total_on(&self, attrs: AttrSet) -> bool {
         attrs.iter().all(|a| self.get(a).is_const())

@@ -226,8 +226,8 @@ impl<S: Storage> Writer<S> {
     }
 
     /// Routes this writer's observability into `rec`: the publication
-    /// path (epoch latency/batch-size histograms, epoch gauges, the
-    /// `epoch_published` event), the `journal_pending_ops` gauge, the
+    /// path (epoch latency/batch-size histograms, epoch gauges), the
+    /// `journal_pending_ops` gauge, the
     /// database's op tallies ([`Database::set_recorder`]) and the
     /// journal's record/sync metrics ([`Journal::set_recorder`]). The
     /// default is the noop recorder: serving is observability-free
@@ -380,7 +380,6 @@ impl<S: Storage> Writer<S> {
         self.rec.incr(Counter::EpochsPublished);
         self.rec.gauge_set(Gauge::EpochSeq, self.seq);
         self.rec.gauge_set(Gauge::EpochOpsApplied, self.ops_applied);
-        self.rec.event("epoch_published", self.seq);
         let epoch = Arc::new(Epoch::new(self.seq, self.ops_applied, self.db.clone()));
         self.published.push(EpochStamp {
             seq: self.seq,

@@ -29,9 +29,8 @@
 //! * [`serve`] (`fdi-serve`) — the epoch-split serving layer: immutable
 //!   published snapshots under a single group-committing writer;
 //! * [`obs`] (`fdi-obs`) — the zero-dependency observability layer:
-//!   atomic counters and gauges, log₂ latency histograms, scoped span
-//!   timers, and a bounded structured event ring, all behind a cheap
-//!   [`obs::Recorder`] handle.
+//!   atomic counters and gauges, log₂ latency histograms and scoped
+//!   span timers, all behind a cheap [`obs::Recorder`] handle.
 //!
 //! ## Quick start
 //!
@@ -168,7 +167,7 @@
 //! background threads, no global state, no dependencies. An
 //! [`obs::Recorder`] is a cloneable handle that is either **live**
 //! (shared atomic counters, gauges, fixed-bucket log₂ latency
-//! histograms, a bounded structured event ring) or the **noop**
+//! histograms) or the **noop**
 //! ([`obs::Recorder::noop`], the default everywhere) whose record
 //! methods are branch-predictable no-ops — engines pay nothing unless a
 //! sink is installed, and the determinism suite holds that a noop
