@@ -350,6 +350,48 @@ impl CellEngine {
         out
     }
 
+    /// Internal acquisition: writes the closure back into `instance` —
+    /// the instance the engine was built from and run on — in place.
+    /// Every consistent class that holds a constant writes it into its
+    /// null cells; every null-only class NEC-unions its nulls with its
+    /// first null in row-major order. Inconsistent classes are left as
+    /// they are. Unlike [`CellEngine::materialize`], no null is renamed
+    /// and the NEC store is extended, not replaced, so a `?mark` keeps
+    /// naming its class.
+    ///
+    /// Returns the changed cells, row-major: each null cell filled, and
+    /// each null cell whose NEC class joined an earlier cell's class.
+    pub(crate) fn acquire(&mut self, instance: &mut Instance) -> Vec<(RowId, AttrId)> {
+        let mut changed = Vec::new();
+        if self.unions == 0 {
+            // The initial partition only joins a constant with its symbol
+            // and a null with its NEC class: nothing to acquire.
+            return changed;
+        }
+        // Each null-only class's first null.
+        let mut first: HashMap<usize, NullId> = HashMap::new();
+        for i in 0..self.live.len() {
+            let row = self.live[i];
+            for col in 0..self.arity {
+                let attr = AttrId(col as u16);
+                let Value::Null(id) = instance.value(row, attr) else {
+                    continue;
+                };
+                let root = self.find(self.cell_node(row, attr));
+                if self.inconsistent[root] {
+                    continue;
+                }
+                if let Some(s) = self.label[root] {
+                    instance.set_value(row, attr, Value::Const(s));
+                } else if !instance.add_nec(*first.entry(root).or_insert(id), id) {
+                    continue;
+                }
+                changed.push((row, attr));
+            }
+        }
+        changed
+    }
+
     /// Number of distinct inconsistent classes with at least one live
     /// cell.
     pub fn nothing_classes(&self) -> usize {

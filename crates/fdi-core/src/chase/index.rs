@@ -53,7 +53,6 @@
 
 use crate::fd::FdSet;
 use crate::groupkey::{self, GroupKey};
-use fdi_obs::{Counter, Gauge, Recorder};
 use fdi_relation::attrs::AttrId;
 use fdi_relation::instance::Instance;
 use fdi_relation::rowid::RowId;
@@ -64,20 +63,16 @@ use std::collections::{HashMap, HashSet};
 use super::ns::{NsChaseResult, NsEvent, NsEventKind};
 use super::worklist::{BucketIndex, FdSlot, Site};
 
-/// Runs the indexed worklist chase — the engine behind
-/// [`super::ns::chase_plain`] — and records its work profile into
-/// `rec`. The engine is sequential: the chased instance, the events at
-/// their sites and the pass count are a pure function of the instance
-/// and the FD order, with or without [`ChaseIndexCaveat`]s present (the
-/// caveats govern fidelity to the *naive* engine, not to this one).
-///
-/// Records `chase_passes`, `chase_bucket_sweeps` (agenda entries
-/// swept), `chase_substitutions`, `chase_unions`, and the
-/// `chase_worklist_peak` high-watermark — all deterministic (see
-/// [`fdi_obs`]).
-pub fn chase_indexed(instance: &Instance, fds: &FdSet, rec: &Recorder) -> NsChaseResult {
+/// Chases `instance` with the plain NS-rules until no rule applies,
+/// processing FDs in set order within each pass, on the indexed
+/// worklist engine; [`super::ns::chase_naive`] is the all-pairs
+/// reference implementation. The engine is sequential: the chased
+/// instance, the events at their sites and the pass count are a pure
+/// function of the instance and the FD order, with or without
+/// [`ChaseIndexCaveat`]s present (the caveats govern fidelity to the
+/// *naive* engine, not to this one).
+pub fn chase_plain(instance: &Instance, fds: &FdSet) -> NsChaseResult {
     let mut engine = Engine::new(instance, fds);
-    engine.rec = rec.clone();
     let passes = engine.run(instance);
     NsChaseResult {
         instance: engine.work,
@@ -136,7 +131,7 @@ pub(crate) fn is_minimally_incomplete_indexed(instance: &Instance, fds: &FdSet) 
 /// engine — the order-fidelity restriction of the module docs, as a
 /// typed, testable value instead of a buried comment.
 ///
-/// A caveat does **not** make [`chase_indexed`] wrong: both engines
+/// A caveat does **not** make [`chase_plain`] wrong: both engines
 /// still reach a fixpoint of the plain rules (a minimally incomplete
 /// instance), but on a caveat-bearing instance they may make different
 /// choices at contended sites (Figure 5's order dependence), so their
@@ -225,7 +220,7 @@ pub fn order_replay_caveats(instance: &Instance) -> Vec<ChaseIndexCaveat> {
     caveats
 }
 
-/// `true` iff [`chase_indexed`] is guaranteed to replay
+/// `true` iff [`chase_plain`] is guaranteed to replay
 /// [`super::ns::chase_naive`] exactly on `instance` — same chased
 /// instance, events, and pass count (no [`ChaseIndexCaveat`] present).
 pub fn order_replay_exact(instance: &Instance) -> bool {
@@ -238,8 +233,6 @@ struct Engine {
     /// NEC class root → null occurrences `(row, attr)` of the class.
     occurrences: HashMap<u32, Vec<Site>>,
     events: Vec<NsEvent>,
-    /// Metrics sink, set by [`chase_indexed`].
-    rec: Recorder,
 }
 
 impl Engine {
@@ -285,7 +278,6 @@ impl Engine {
             index,
             occurrences,
             events: Vec::new(),
-            rec: Recorder::noop(),
         }
     }
 
@@ -295,18 +287,12 @@ impl Engine {
         let mut passes = 0;
         loop {
             passes += 1;
-            self.rec.incr(Counter::ChasePasses);
             let before = self.events.len();
             for si in 0..self.index.slots().len() {
                 // Keys are re-checked on use: sweeps migrate buckets of
                 // *other* FDs freely, and (with cross-column NEC classes)
                 // occasionally this one.
-                let agenda = self.index.agenda(si, passes == 1);
-                self.rec
-                    .add(Counter::ChaseBucketSweeps, agenda.len() as u64);
-                self.rec
-                    .gauge_max(Gauge::ChaseWorklistPeak, agenda.len() as u64);
-                for (_, key) in &agenda {
+                for (_, key) in &self.index.agenda(si, passes == 1) {
                     self.sweep_bucket(si, key);
                 }
             }
@@ -413,7 +399,6 @@ impl Engine {
     /// Rule (a): substitutes every occurrence of `id`'s class with
     /// `value`, then migrates the buckets whose keys mentioned the class.
     fn substitute(&mut self, id: NullId, value: Symbol) {
-        self.rec.incr(Counter::ChaseSubstitutions);
         let root = self.work.necs_mut().find(id);
         let occs = self.occurrences.remove(&root.0).unwrap_or_default();
         for &(row, col) in &occs {
@@ -427,7 +412,6 @@ impl Engine {
     /// class's occurrence list onto the winner's, and migrates buckets
     /// keyed by the loser class.
     fn merge(&mut self, a: NullId, b: NullId) {
-        self.rec.incr(Counter::ChaseUnions);
         let root_a = self.work.necs_mut().find(a);
         let root_b = self.work.necs_mut().find(b);
         debug_assert_ne!(root_a, root_b);
@@ -458,10 +442,6 @@ mod tests {
     use crate::chase::ns::{chase_naive, is_minimally_incomplete_naive};
     use crate::fixtures;
 
-    fn indexed(r: &Instance, fds: &FdSet) -> NsChaseResult {
-        chase_indexed(r, fds, &Recorder::noop())
-    }
-
     fn assert_engines_agree(r: &Instance, fds: &FdSet) {
         assert!(
             order_replay_exact(r),
@@ -469,7 +449,7 @@ mod tests {
             order_replay_caveats(r)
         );
         let naive = chase_naive(r, fds);
-        let indexed = indexed(r, fds);
+        let indexed = chase_plain(r, fds);
         assert_eq!(
             naive.instance.canonical_form(),
             indexed.instance.canonical_form(),
@@ -513,7 +493,7 @@ mod tests {
         .unwrap();
         let fds = FdSet::parse(&schema, "A -> B\nB -> C").unwrap();
         assert_engines_agree(&r, &fds);
-        let result = indexed(&r, &fds);
+        let result = chase_plain(&r, &fds);
         assert!(result.instance.is_complete());
     }
 
@@ -529,7 +509,7 @@ mod tests {
         .unwrap();
         let fds = FdSet::parse(&schema, "A -> B").unwrap();
         assert_engines_agree(&r, &fds);
-        let result = indexed(&r, &fds);
+        let result = chase_plain(&r, &fds);
         let b = AttrId(1);
         let r0 = result.instance.nth_row(0);
         let r1 = result.instance.nth_row(1);
@@ -575,7 +555,7 @@ mod tests {
             ),
             "the ?z class spans columns and must be reported"
         );
-        let indexed = indexed(&r, &fds);
+        let indexed = chase_plain(&r, &fds);
         assert!(
             is_minimally_incomplete_naive(&indexed.instance, &fds),
             "indexed chase stopped before the fixpoint:\n{}",
@@ -610,7 +590,7 @@ mod tests {
             "the `nothing` cell must be reported"
         );
         let naive = chase_naive(&r, &fds);
-        let indexed = indexed(&r, &fds);
+        let indexed = chase_plain(&r, &fds);
         assert!(is_minimally_incomplete_naive(&naive.instance, &fds));
         assert!(is_minimally_incomplete_naive(&indexed.instance, &fds));
         assert!(is_minimally_incomplete_indexed(&indexed.instance, &fds));

@@ -75,14 +75,19 @@
 //! pass analysis as the reference engine (experiment E12 measures the
 //! gap — here order never matters, by Theorem 4(a)).
 //!
-//! Both production engines are sequential and take an `fdi-obs`
-//! [`Recorder`]. [`chase_indexed`] replays the naive agenda order
-//! exactly where [`order_replay_exact`] holds, order being the plain
-//! system's semantics. [`extended_chase`] needs **no event-order replay
-//! at all**: Theorem 4(a) makes the closure order-insensitive, and it
-//! keeps a discovery/apply phase alternation only so its round count
-//! is a pure function of the engine state. The noop recorder records
-//! nothing.
+//! Both production engines are sequential. [`chase_plain`] replays
+//! the naive agenda order exactly where [`order_replay_exact`] holds,
+//! order being the plain system's semantics. [`extended_chase`] needs
+//! **no event-order replay at all**: Theorem 4(a) makes the closure
+//! order-insensitive, and it keeps a discovery/apply phase alternation
+//! only so its round count is a pure function of the engine state; it
+//! takes an `fdi-obs` [`Recorder`] for its round and union counts.
+//!
+//! The two systems part only where constants conflict: on a weakly
+//! satisfiable instance every order of the plain rules reaches the
+//! extended closure. So a [`crate::update::Database`] write runs one
+//! [`CellEngine`] for its weak check and its internal acquisition, and
+//! no plain chase.
 //!
 //! [`Recorder`]: fdi_obs::Recorder
 //!
@@ -112,10 +117,10 @@ pub mod ns;
 mod worklist;
 
 pub use cells::{extended_chase, extended_chase_naive, CellEngine, ChaseOutcome};
-pub use index::{chase_indexed, order_replay_caveats, order_replay_exact, ChaseIndexCaveat};
+pub use index::{chase_plain, order_replay_caveats, order_replay_exact, ChaseIndexCaveat};
 pub use ns::{
-    chase_naive, chase_plain, is_minimally_incomplete, is_minimally_incomplete_naive,
-    NsChaseResult, NsEvent, NsEventKind,
+    chase_naive, is_minimally_incomplete, is_minimally_incomplete_naive, NsChaseResult, NsEvent,
+    NsEventKind,
 };
 
 use crate::fd::FdSet;
@@ -131,9 +136,9 @@ use fdi_relation::instance::Instance;
 /// domains are tight.
 ///
 /// Runs [`extended_chase`]'s engine and reads the `nothing` count off
-/// the fixpoint partition without materializing the chased instance —
-/// this is the weak-enforcement check of every
-/// [`crate::update::Database`] write.
+/// the fixpoint partition without materializing the chased instance.
+/// A [`crate::update::Database`] write runs the same engine itself, so
+/// that one run also supplies internal acquisition.
 pub fn weakly_satisfiable_via_chase(fds: &FdSet, instance: &Instance) -> bool {
     let mut engine = CellEngine::new(instance);
     engine.run(fds);

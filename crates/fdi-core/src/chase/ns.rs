@@ -12,7 +12,7 @@
 //! (the paper: "requires the equation of Y-values in possibly more than
 //! one tuple (same equivalence class)").
 //!
-//! [`chase_plain`] and [`is_minimally_incomplete`] are backed by the
+//! [`chase_plain`](super::chase_plain) and [`is_minimally_incomplete`] are backed by the
 //! indexed worklist engine of [`super::index`]: rows are
 //! hash-partitioned per FD by the NEC-canonical key of their determinant
 //! ([`crate::groupkey`]), rule partners come from bucket co-membership
@@ -177,16 +177,6 @@ fn pass(instance: &mut Instance, fds: &FdSet) -> Vec<NsEvent> {
     events
 }
 
-/// Chases `instance` with the plain NS-rules until no rule applies,
-/// processing FDs in set order within each pass.
-///
-/// Runs the indexed worklist engine ([`super::index::chase_indexed`])
-/// unrecorded; use [`chase_naive`] for the all-pairs reference
-/// implementation.
-pub fn chase_plain(instance: &Instance, fds: &FdSet) -> NsChaseResult {
-    super::index::chase_indexed(instance, fds, &fdi_obs::Recorder::noop())
-}
-
 /// The historical all-pairs chase — `O(|F|·n²)` agreement checks per
 /// pass and an `O(n·p)` scan per substitution. Kept as the executable
 /// definition that the indexed engine is verified against.
@@ -256,6 +246,7 @@ pub fn is_minimally_incomplete_naive(instance: &Instance, fds: &FdSet) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chase::chase_plain;
     use crate::fixtures;
     use fdi_relation::attrs::AttrId;
 

@@ -47,7 +47,7 @@
 //!
 //! Each engine has one entry point, and it takes (where it has work to
 //! report) an `fdi-obs` [`Recorder`](fdi_obs::Recorder):
-//! [`testfd::check`], [`chase::chase_indexed`], [`chase::extended_chase`]
+//! [`testfd::check`], [`chase::chase_plain`], [`chase::extended_chase`]
 //! and [`groupkey::group_rows`] are sequential; compiled selection,
 //! [`query::CompiledQuery::select_par_stats`], is the one engine that
 //! takes an `fdi-exec` [`Executor`](fdi_exec::Executor). It shards its

@@ -17,9 +17,10 @@
 //!   [`Database::resolve_null`] (a user replaces a null with a value,
 //!   checked against the constraints — "the only value a user can
 //!   insert without the creation of an inconsistency", §4);
-//! * **internal acquisition**: after an accepted update, the NS-rules
-//!   fire ([`Policy::propagate`]) so the instance stays minimally
-//!   incomplete — the non-ambiguous substitutions of §6;
+//! * **internal acquisition**: after an accepted update, the closure of
+//!   the NS-rules is written back into the instance
+//!   ([`Policy::propagate`]) so it stays minimally incomplete — the
+//!   non-ambiguous substitutions of §6;
 //! * a strong-convention insert is checked as a **single-tuple scan**:
 //!   the new tuple against every live row, one FD at a time, under
 //!   TEST-FDs' own pair predicate ([`testfd::pair_violates`]) —
@@ -31,9 +32,14 @@
 //! No mutation clones the instance: rejected updates are rolled back
 //! cell-by-cell instead. Rows are addressed by stable [`RowId`] slot
 //! handles throughout, so a delete is a tombstone — **no survivor is
-//! renumbered**. Internal acquisition runs the **indexed worklist
-//! chase** ([`chase::chase_indexed`]); full revalidations go through
-//! TEST-FDs ([`crate::testfd::check`]). The property suite
+//! renumbered**. Every write ends in one check-and-acquire step that
+//! runs at most one chase: one [`CellEngine`] (Theorem 4's extended
+//! chase) decides weak satisfiability and supplies internal
+//! acquisition, written back in place so a `?mark` keeps naming its
+//! class. On a weakly satisfiable instance every order of the plain
+//! NS-rules reaches that closure, so no plain chase runs. Strong
+//! revalidations go through TEST-FDs ([`crate::testfd::check`]) and
+//! need no acquisition (see [`Enforcement::Strong`]). The property suite
 //! (`tests/update_equiv.rs`) checks after every op of arbitrary update
 //! sequences that the enforced notion still holds and that a replay
 //! twin lands on the same instance, and experiment E19 (`exp_updates`)
@@ -67,8 +73,8 @@
 //! // rejected even under the optimistic notion …
 //! assert!(db.insert(&["e1", "20K", "d1", "full"]).is_err());
 //! // … while a new d1 employee with an unknown contract is accepted,
-//! // and internal acquisition (the NS-rules) immediately resolves the
-//! // null: d1's contract type is known to be `full`.
+//! // and internal acquisition immediately fills the null cell: d1's
+//! // contract type is known to be `full`.
 //! let out = db.insert(&["e5", "20K", "d1", "-"]).unwrap();
 //! assert_eq!(out.propagated.len(), 1);
 //! assert!(db.instance().tuple(out.row).is_total_on(
@@ -76,7 +82,7 @@
 //! ));
 //! ```
 
-use crate::chase;
+use crate::chase::CellEngine;
 use crate::fd::FdSet;
 use crate::semantics::{self, Semantics, SemanticsKind};
 use crate::testfd::{self, Violation};
@@ -92,6 +98,15 @@ use std::fmt;
 pub enum Enforcement {
     /// Every update must leave the instance strongly satisfied
     /// (Theorem 2's test): no completion may violate `F`.
+    ///
+    /// Internal acquisition has nothing to do here, so none runs. Two
+    /// rows that agree on `X` in the plain rules' sense (equal
+    /// constants, NEC-equivalent nulls) also agree on `X` under the
+    /// strong convention, whose nulls match everything. In a strongly
+    /// satisfied instance such a pair therefore never disagrees on `Y`
+    /// in the strong sense: its `Y` cells are never a null beside a
+    /// constant, nor two nulls of different NEC classes. Those are the
+    /// only cells the plain NS-rules act on, so no rule applies.
     Strong,
     /// Every update must leave the instance weakly satisfiable
     /// (Theorem 4's test): some completion must satisfy `F`.
@@ -105,7 +120,10 @@ pub enum Enforcement {
 pub struct Policy {
     /// The satisfiability notion to enforce.
     pub enforcement: Enforcement,
-    /// Run the NS-rules after accepted updates (internal acquisition).
+    /// Write the NS-rules' closure back after accepted updates
+    /// (internal acquisition). Under [`Enforcement::None`] only the
+    /// consistent classes are written — §7's non-ambiguous
+    /// substitution; a class whose constants conflict is left as it is.
     pub propagate: bool,
 }
 
@@ -173,8 +191,10 @@ impl From<RelationError> for UpdateError {
 pub struct UpdateOutcome {
     /// The row affected (for inserts: the new row's id).
     pub row: RowId,
-    /// NS-rule events fired by internal acquisition.
-    pub propagated: Vec<chase::NsEvent>,
+    /// The cells internal acquisition changed, row-major: null cells
+    /// that received a constant, and null cells whose NEC class joined
+    /// an earlier cell's class.
+    pub propagated: Vec<(RowId, AttrId)>,
 }
 
 /// A relation instance maintained under a dependency set.
@@ -193,9 +213,8 @@ impl Database {
     /// Wraps an existing instance. Fails (per policy) if the starting
     /// instance already violates the enforced notion.
     pub fn new(instance: Instance, fds: FdSet, policy: Policy) -> Result<Database, UpdateError> {
-        check_instance(&instance, &fds, policy.enforcement)?;
         let mut db = Database::resume(instance, fds, policy);
-        db.propagate_all();
+        db.enforce(None)?;
         Ok(db)
     }
 
@@ -231,34 +250,74 @@ impl Database {
     }
 
     /// Routes this database's mutation metrics (`ops_applied`,
-    /// `ops_rejected`) and its propagation chase's work profile (the
-    /// `chase_*` counters) into `rec`. All are deterministic: mutations
-    /// are writer-serial and the chase is sequential.
+    /// `ops_rejected`) and its extended chase's work profile
+    /// (`cell_chase_rounds`, `cell_chase_unions`) into `rec`. All are
+    /// deterministic: mutations are writer-serial and the chase is
+    /// sequential.
     pub fn set_recorder(&mut self, rec: fdi_obs::Recorder) {
         self.rec = rec;
     }
 
     /// Tallies one mutation's outcome into the recorder.
-    fn record_op<T, E>(&self, result: &Result<T, E>) {
+    fn record_op<T, E>(&self, result: Result<T, E>) -> Result<T, E> {
         self.rec.incr(match result {
             Ok(_) => fdi_obs::Counter::OpsApplied,
             Err(_) => fdi_obs::Counter::OpsRejected,
         });
+        result
     }
 
-    /// Internal acquisition, when [`Policy::propagate`] asks for it:
-    /// runs the indexed worklist chase, recording into this database's
-    /// recorder, and swaps the chased instance in. Returns the NS-rule
-    /// events the chase fired.
-    fn propagate_all(&mut self) -> Vec<chase::NsEvent> {
-        if !self.policy.propagate {
-            return Vec::new();
+    /// The one check-and-acquire step every write ends in: decides the
+    /// enforced notion and, on acceptance under [`Policy::propagate`],
+    /// applies internal acquisition in place from the same
+    /// [`CellEngine`] run. On `Err` the instance is untouched, so the
+    /// caller's rollback of its own edit restores it. `inserted` names a
+    /// just-inserted row, the only one the strong check must scan.
+    fn enforce(&mut self, inserted: Option<RowId>) -> Result<Vec<(RowId, AttrId)>, UpdateError> {
+        let Policy {
+            enforcement,
+            propagate,
+        } = self.policy;
+        let rejected = |violation| UpdateError::Rejected {
+            violation,
+            enforcement,
+        };
+        match enforcement {
+            Enforcement::Strong => {
+                let violation = match inserted {
+                    Some(row) => self.incremental_strong_check(row),
+                    None => testfd::check_strong(&self.instance, &self.fds).err(),
+                };
+                violation.map_or(Ok(Vec::new()), |v| Err(rejected(Some(v))))
+            }
+            Enforcement::None if !propagate => Ok(Vec::new()),
+            Enforcement::Weak | Enforcement::None => {
+                let mut engine = CellEngine::new(&self.instance);
+                let rounds = engine.run(&self.fds);
+                self.rec.add(fdi_obs::Counter::CellRounds, rounds as u64);
+                self.rec
+                    .add(fdi_obs::Counter::CellUnions, engine.union_count() as u64);
+                if enforcement == Enforcement::Weak && engine.nothing_classes() > 0 {
+                    return Err(rejected(None));
+                }
+                Ok(if propagate {
+                    engine.acquire(&mut self.instance)
+                } else {
+                    Vec::new()
+                })
+            }
         }
-        let chased = chase::chase_indexed(&self.instance, &self.fds, &self.rec);
-        if !chased.events.is_empty() {
-            self.instance = chased.instance;
+    }
+
+    /// Fails unless `(row, attr)` names a cell of a live row.
+    fn check_cell(&self, row: RowId, attr: AttrId) -> Result<(), UpdateError> {
+        if !self.instance.is_live(row) {
+            return Err(UpdateError::NoSuchRow(row));
         }
-        chased.events
+        if attr.index() >= self.instance.arity() {
+            return Err(RelationError::UnknownAttribute(attr.to_string()).into());
+        }
+        Ok(())
     }
 
     /// Strong check of the candidate insert at `row`: the tuple against
@@ -288,35 +347,15 @@ impl Database {
     /// trace — see the module docs for what token parsing may intern).
     pub fn insert(&mut self, tokens: &[&str]) -> Result<UpdateOutcome, UpdateError> {
         let result = self.insert_inner(tokens);
-        self.record_op(&result);
-        result
+        self.record_op(result)
     }
 
     fn insert_inner(&mut self, tokens: &[&str]) -> Result<UpdateOutcome, UpdateError> {
         let row = self.instance.add_row(tokens)?;
-        let rejection = match self.policy.enforcement {
-            Enforcement::Strong => {
-                self.incremental_strong_check(row)
-                    .map(|v| UpdateError::Rejected {
-                        violation: Some(v),
-                        enforcement: Enforcement::Strong,
-                    })
-            }
-            Enforcement::Weak => (!chase::weakly_satisfiable_via_chase(&self.fds, &self.instance))
-                .then_some(UpdateError::Rejected {
-                    violation: None,
-                    enforcement: Enforcement::Weak,
-                }),
-            Enforcement::None => None,
-        };
-        if let Some(err) = rejection {
+        let propagated = self.enforce(Some(row)).inspect_err(|_| {
             self.instance.remove_row(row);
-            return Err(err);
-        }
-        Ok(UpdateOutcome {
-            row,
-            propagated: self.propagate_all(),
-        })
+        })?;
+        Ok(UpdateOutcome { row, propagated })
     }
 
     /// Deletes a row. Deletion can never break satisfiability (both
@@ -325,8 +364,7 @@ impl Database {
     /// renumbered** (every other [`RowId`] stays valid).
     pub fn delete(&mut self, row: RowId) -> Result<UpdateOutcome, UpdateError> {
         let result = self.delete_inner(row);
-        self.record_op(&result);
-        result
+        self.record_op(result)
     }
 
     fn delete_inner(&mut self, row: RowId) -> Result<UpdateOutcome, UpdateError> {
@@ -351,7 +389,8 @@ impl Database {
     }
 
     /// Replaces the value of one cell, revalidating the instance under
-    /// the policy. On rejection the cell is restored.
+    /// the policy. On rejection the cell is restored; a dead row or an
+    /// attribute outside the schema is refused before anything changes.
     pub fn modify(
         &mut self,
         row: RowId,
@@ -359,8 +398,7 @@ impl Database {
         token: &str,
     ) -> Result<UpdateOutcome, UpdateError> {
         let result = self.modify_inner(row, attr, token);
-        self.record_op(&result);
-        result
+        self.record_op(result)
     }
 
     fn modify_inner(
@@ -369,20 +407,14 @@ impl Database {
         attr: AttrId,
         token: &str,
     ) -> Result<UpdateOutcome, UpdateError> {
-        if !self.instance.is_live(row) {
-            return Err(UpdateError::NoSuchRow(row));
-        }
+        self.check_cell(row, attr)?;
         let value = self.instance.parse_value(attr, token)?;
         let old = self.instance.value(row, attr);
         self.instance.set_value(row, attr, value);
-        if let Err(e) = check_instance(&self.instance, &self.fds, self.policy.enforcement) {
-            self.instance.set_value(row, attr, old);
-            return Err(e);
-        }
-        Ok(UpdateOutcome {
-            row,
-            propagated: self.propagate_all(),
-        })
+        let propagated = self
+            .enforce(None)
+            .inspect_err(|_| self.instance.set_value(row, attr, old))?;
+        Ok(UpdateOutcome { row, propagated })
     }
 
     /// External acquisition: the user asserts the actual value of a
@@ -390,7 +422,8 @@ impl Database {
     /// value, and the result is checked under the policy — "the only
     /// value a user can insert without the creation of an inconsistency"
     /// (§4) is exactly a value this method accepts. On rejection every
-    /// substituted cell is restored.
+    /// substituted cell is restored; a dead row or an attribute outside
+    /// the schema is refused before anything changes.
     pub fn resolve_null(
         &mut self,
         row: RowId,
@@ -398,8 +431,7 @@ impl Database {
         token: &str,
     ) -> Result<UpdateOutcome, UpdateError> {
         let result = self.resolve_null_inner(row, attr, token);
-        self.record_op(&result);
-        result
+        self.record_op(result)
     }
 
     fn resolve_null_inner(
@@ -408,9 +440,7 @@ impl Database {
         attr: AttrId,
         token: &str,
     ) -> Result<UpdateOutcome, UpdateError> {
-        if !self.instance.is_live(row) {
-            return Err(UpdateError::NoSuchRow(row));
-        }
+        self.check_cell(row, attr)?;
         let Value::Null(id) = self.instance.value(row, attr) else {
             return Err(UpdateError::NotANull { row, attr });
         };
@@ -438,42 +468,12 @@ impl Database {
                 }
             }
         }
-        if let Err(e) = check_instance(&self.instance, &self.fds, self.policy.enforcement) {
+        let propagated = self.enforce(None).inspect_err(|_| {
             for &(r, a, old) in &changed {
                 self.instance.set_value(r, a, old);
             }
-            return Err(e);
-        }
-        Ok(UpdateOutcome {
-            row,
-            propagated: self.propagate_all(),
-        })
-    }
-}
-
-fn check_instance(
-    instance: &Instance,
-    fds: &FdSet,
-    enforcement: Enforcement,
-) -> Result<(), UpdateError> {
-    match enforcement {
-        Enforcement::Strong => {
-            testfd::check_strong(instance, fds).map_err(|v| UpdateError::Rejected {
-                violation: Some(v),
-                enforcement: Enforcement::Strong,
-            })
-        }
-        Enforcement::Weak => {
-            if chase::weakly_satisfiable_via_chase(fds, instance) {
-                Ok(())
-            } else {
-                Err(UpdateError::Rejected {
-                    violation: None,
-                    enforcement: Enforcement::Weak,
-                })
-            }
-        }
-        Enforcement::None => Ok(()),
+        })?;
+        Ok(UpdateOutcome { row, propagated })
     }
 }
 
@@ -714,6 +714,62 @@ mod tests {
         let err = db.modify(ada, mgr, "?").unwrap_err();
         assert!(matches!(err, UpdateError::Relation(_)), "{err}");
         assert_eq!(db.instance().value(ada, mgr), x);
+    }
+
+    #[test]
+    fn a_bound_mark_keeps_naming_its_class_through_acquisition() {
+        // One weak propagating insert both NEC-joins the new B null to
+        // ?x's class (A -> B) and fills r0's C null with c1 (A -> C).
+        let schema = fixtures::section6_schema();
+        let base = fdi_relation::Instance::parse(schema.clone(), "a1 ?x -").unwrap();
+        let fds = FdSet::parse(&schema, "A -> B\nA -> C").unwrap();
+        let mut db = Database::new(base, fds, Policy::default()).unwrap();
+        let (b, c) = (AttrId(1), AttrId(2));
+        let r0 = db.instance().nth_row(0);
+        let x = db.instance().mark("x").expect("?x is bound");
+        let r1 = db.insert(&["a1", "-", "c1"]).unwrap();
+        assert_eq!(r1.propagated, vec![(r0, c), (r1.row, b)]);
+        let inst = db.instance();
+        assert_eq!(inst.mark("x"), Some(x), "the mark is not rebound");
+        assert_eq!(inst.value(r0, b), Value::Null(x), "no null is renamed");
+        let joined = inst.value(r1.row, b).as_null().unwrap();
+        assert!(inst.necs().same_class(x, joined), "NEC union, not a new id");
+        assert_eq!(inst.value(r0, c).render(inst.symbols(), false), "c1");
+        // A later `?x` joins the merged class …
+        let r2 = db.insert(&["a2", "?x", "c2"]).unwrap().row;
+        assert_eq!(db.instance().value(r2, b), Value::Null(x));
+        // … and a constant for any member fills every cell of the class.
+        let r3 = db.insert(&["a2", "b1", "c2"]).unwrap();
+        assert_eq!(r3.propagated, vec![(r0, b), (r1.row, b), (r2, b)]);
+        for row in [r0, r1.row, r2] {
+            let v = db.instance().value(row, b);
+            assert_eq!(v.render(db.instance().symbols(), false), "b1");
+        }
+        assert_eq!(db.instance().mark("x"), Some(x));
+    }
+
+    #[test]
+    fn out_of_range_attributes_are_refused_before_any_change() {
+        let mut db = Database::new(
+            fixtures::figure1_null_instance(),
+            fixtures::figure1_fds(),
+            Policy::default(),
+        )
+        .unwrap();
+        let state = |db: &Database| {
+            let mut bytes = Vec::new();
+            db.instance().encode_state(&mut bytes);
+            bytes
+        };
+        let before = state(&db);
+        let row = db.instance().nth_row(1);
+        let wide = AttrId(db.instance().arity() as u16);
+        let unknown = UpdateError::Relation(RelationError::UnknownAttribute(wide.to_string()));
+        assert_eq!(db.modify(row, wide, "-").unwrap_err(), unknown);
+        assert_eq!(db.modify(row, wide, "?m").unwrap_err(), unknown);
+        assert_eq!(db.resolve_null(row, wide, "10K").unwrap_err(), unknown);
+        assert!(db.modify(row, AttrId(u16::MAX), "10K").is_err());
+        assert_eq!(state(&db), before, "no token parsed, no null minted");
     }
 
     #[test]

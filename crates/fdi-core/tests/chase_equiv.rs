@@ -24,13 +24,17 @@ use fdi_core::chase::{
 use fdi_core::fd::FdSet;
 use fdi_core::semantics::{self, Semantics, SemanticsKind};
 use fdi_core::testfd::{self, Violation};
-use fdi_gen::{large_workload, plant_violation, random_fds, workload, Workload, WorkloadSpec};
+use fdi_gen::{
+    large_workload, plant_violation, random_fds, satisfiable_workload, workload, Workload,
+    WorkloadSpec,
+};
 use fdi_obs::Recorder;
+use fdi_relation::attrs::AttrId;
 use fdi_relation::rowid::RowId;
 use fdi_relation::Instance;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 fn check<S: Semantics>(r: &Instance, fds: &FdSet, conv: S) -> Result<(), Violation> {
     testfd::check(r, fds, conv, &Recorder::noop())
@@ -90,7 +94,65 @@ fn arb_workload() -> impl Strategy<Value = Workload> {
         })
 }
 
+/// A satisfiable workload with `?marks` spliced in: up to two marks
+/// shared by three cells of one column each, then one mark `?z` shared
+/// by two cells of different columns — so every draw sits in the
+/// cross-column [`fdi_core::chase::ChaseIndexCaveat`] regime.
+fn arb_marked_satisfiable() -> impl Strategy<Value = Workload> {
+    (0u64..1 << 32, arb_spec(), 1usize..5, 0usize..3).prop_map(
+        |(seed, spec, fd_count, local_marks)| {
+            let mut w = satisfiable_workload(seed, &spec, fd_count);
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x3a7c);
+            let rows: Vec<RowId> = w.instance.row_ids().collect();
+            let mut mark = |rng: &mut StdRng, name: &str, col: usize| {
+                let attr = AttrId(col as u16);
+                let row = rows[rng.gen_range(0..rows.len())];
+                let null = w.instance.parse_value(attr, name).unwrap();
+                w.instance.set_value(row, attr, null);
+            };
+            for m in 0..local_marks {
+                let col = rng.gen_range(0..spec.attrs);
+                for _ in 0..3 {
+                    mark(&mut rng, &format!("?m{m}"), col);
+                }
+            }
+            let col = rng.gen_range(0..spec.attrs);
+            let other = (col + rng.gen_range(1..spec.attrs)) % spec.attrs;
+            mark(&mut rng, "?z", col);
+            mark(&mut rng, "?z", other);
+            w
+        },
+    )
+}
+
 proptest! {
+    /// The plain rules fail to be confluent only where constants
+    /// conflict: on a weakly satisfiable instance every rule order
+    /// reaches the extended chase's closure — the identity `Database`
+    /// relies on when a write's weak check also supplies its internal
+    /// acquisition. Checked in the given FD order and a permuted one,
+    /// on instances with cross-column marks.
+    #[test]
+    fn plain_chase_reaches_the_extended_closure_when_weakly_satisfiable(
+        w in arb_marked_satisfiable(),
+        rot in 1usize..4,
+    ) {
+        prop_assert!(!order_replay_exact(&w.instance), "?z spans two columns");
+        prop_assume!(weakly_satisfiable_via_chase(&w.fds, &w.instance));
+        let closure = extended_chase(&w.instance, &w.fds, &Recorder::noop()).instance;
+        let mut order: Vec<usize> = (0..w.fds.len()).collect();
+        order.rotate_left(rot % w.fds.len());
+        for fds in [w.fds.clone(), w.fds.permuted(&order)] {
+            prop_assert_eq!(
+                chase_plain(&w.instance, &fds).instance.canonical_form(),
+                closure.canonical_form(),
+                "plain chase and closure diverge on\n{}\nfds:\n{}",
+                w.instance.render(true),
+                fds.render(&w.schema)
+            );
+        }
+    }
+
     /// The worklist chase and the naive pair-scan chase are the same
     /// function: identical chased instance (constants and NEC partition
     /// up to representative choice — that is what `canonical_form`
@@ -199,6 +261,21 @@ proptest! {
         );
         prop_assert_eq!(naive.nothing_classes, fast.nothing_classes);
         prop_assert_eq!(naive.unions, fast.unions, "union counts are order-invariant");
+    }
+
+    /// No plain NS-rule applies to a strongly satisfied instance — the
+    /// reason `Database` runs no acquisition under strong enforcement.
+    /// Each adversarial instance (nulls on determinants, `nothing`
+    /// cells, cross-column classes) sheds the higher row of its strong
+    /// witness until it is strongly satisfied.
+    #[test]
+    fn strongly_satisfied_instances_are_minimally_incomplete(w in arb_adversarial()) {
+        let mut r = w.instance.clone();
+        while let Err(v) = testfd::check_strong(&r, &w.fds) {
+            r.remove_row(v.rows.1);
+        }
+        prop_assert!(is_minimally_incomplete(&r, &w.fds), "on\n{}", r.render(true));
+        prop_assert!(is_minimally_incomplete_naive(&r, &w.fds));
     }
 
     /// Satisfiable large-ish workloads stay weakly satisfiable through

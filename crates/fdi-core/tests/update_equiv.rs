@@ -14,8 +14,12 @@
 //! Streams come from `fdi_gen::update_stream`; bases from the workload
 //! generators (weakly/classically satisfiable where the policy demands
 //! a valid starting point).
+//!
+//! A weak propagating database is also held to a reference model of
+//! internal acquisition by the plain chase ([`ChaseThenSwap`]): both
+//! must decide every op alike and land on the same canonical instance.
 
-use fdi_core::chase::weakly_satisfiable_via_chase;
+use fdi_core::chase::{chase_plain, weakly_satisfiable_via_chase};
 use fdi_core::testfd;
 use fdi_core::update::{Database, Enforcement, Policy};
 use fdi_gen::{
@@ -26,6 +30,8 @@ use fdi_relation::attrs::AttrId;
 use fdi_relation::rowid::RowId;
 use fdi_relation::Value;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// The default mix plus blind resolve ops: most miss (clean `NotANull`
 /// rejections), the hits exercise class-wide substitution.
@@ -118,7 +124,99 @@ impl Twins {
     }
 }
 
+/// Load mode: no checking, no propagation.
+const LOAD: Policy = Policy {
+    enforcement: Enforcement::None,
+    propagate: false,
+};
+
+/// Reference model of a weak propagating write by the plain chase:
+/// apply the op in load mode, decide weak satisfiability with
+/// `weakly_satisfiable_via_chase` (rolling back a rejected op), then
+/// swap in `chase_plain`'s result.
+struct ChaseThenSwap {
+    db: Database,
+    live: LiveRows,
+}
+
+impl ChaseThenSwap {
+    fn new(db: Database) -> ChaseThenSwap {
+        let live = LiveRows::of(db.instance());
+        let mut model = ChaseThenSwap { db, live };
+        model.swap_in_chase();
+        model
+    }
+
+    fn swap_in_chase(&mut self) {
+        let chased = chase_plain(self.db.instance(), self.db.fds()).instance;
+        self.db = Database::resume(chased, self.db.fds().clone(), LOAD);
+    }
+
+    fn apply(&mut self, op: &UpdateOp) -> bool {
+        let before = (self.db.clone(), self.live.clone());
+        if !apply_op(&mut self.db, &mut self.live, op) {
+            return false;
+        }
+        if !weakly_satisfiable_via_chase(self.db.fds(), self.db.instance()) {
+            (self.db, self.live) = before;
+            return false;
+        }
+        self.swap_in_chase();
+        true
+    }
+}
+
+/// Rewrites about a third of a stream's `-` tokens into three shared
+/// marks `?m0`–`?m2`, which land in any column: NEC classes that span
+/// rows and columns.
+fn with_marks(seed: u64, mut stream: Vec<UpdateOp>) -> Vec<UpdateOp> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut mark = |token: &mut String| {
+        if token == "-" && rng.gen_bool(0.35) {
+            *token = format!("?m{}", rng.gen_range(0..3));
+        }
+    };
+    for op in &mut stream {
+        match op {
+            UpdateOp::Insert(tokens) => tokens.iter_mut().for_each(&mut mark),
+            UpdateOp::Modify { token, .. } => mark(token),
+            UpdateOp::Delete(_) | UpdateOp::ResolveNull { .. } => {}
+        }
+    }
+    stream
+}
+
 proptest! {
+    /// A weak propagating database and the [`ChaseThenSwap`] model,
+    /// fed one op stream with shared and cross-column marks, accept the
+    /// same ops and hold the same canonical instance after every op.
+    #[test]
+    fn weak_acquisition_matches_chase_then_swap(
+        seed in 0u64..1 << 32,
+        rows in 2usize..24,
+        ops in 1usize..40,
+    ) {
+        let spec = spec(rows, 0.3);
+        let w = satisfiable_workload(seed, &spec, 3);
+        let mut db = Database::new(w.instance.clone(), w.fds.clone(), Policy::default())
+            .expect("satisfiable base");
+        let mut live = LiveRows::of(db.instance());
+        let mut model = ChaseThenSwap::new(Database::resume(w.instance.clone(), w.fds.clone(), LOAD));
+        prop_assert_eq!(db.instance().canonical_form(), model.db.instance().canonical_form());
+        let stream = update_stream(seed ^ 0xacc, &spec, w.instance.len(), ops, mix_with_resolves());
+        for op in &with_marks(seed ^ 0x3a7c, stream) {
+            let accepted = apply_op(&mut db, &mut live, op);
+            prop_assert_eq!(accepted, model.apply(op), "{:?}", op);
+            prop_assert_eq!(
+                db.instance().canonical_form(),
+                model.db.instance().canonical_form(),
+                "after {:?} on\n{}",
+                op,
+                db.instance().render(true)
+            );
+        }
+    }
+
     /// Load mode (no checking, no propagation) over arbitrary
     /// interleavings of every load-mode mix, including empty starting
     /// instances.

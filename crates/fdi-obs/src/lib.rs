@@ -25,8 +25,9 @@
 //! deterministic slice for invariance tests.
 //!
 //! * **Deterministic** metrics are driven only by the writer-serial
-//!   path or by the sequential engines (the chases and TEST-FDs) —
-//!   chase passes/sweeps/unions, TEST-FDs tallies, ops
+//!   path or by the sequential engines (the extended chase and
+//!   TEST-FDs) —
+//!   extended-chase rounds/unions, TEST-FDs tallies, ops
 //!   applied/rejected, journal record/sync *counts*, epoch sequence.
 //!   Same op stream ⇒ same values, at any thread count, with any
 //!   number of readers.
@@ -60,19 +61,6 @@ use std::time::Instant;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[repr(usize)]
 pub enum Counter {
-    /// Indexed-chase worklist passes to fixpoint (deterministic: the
-    /// engine is sequential, a pure function of the instance and the
-    /// FD order).
-    ChasePasses,
-    /// Indexed-chase bucket sweeps executed (deterministic: the
-    /// sequential engine sweeps its sorted agenda).
-    ChaseBucketSweeps,
-    /// Rule-(a) constant substitutions applied by the indexed chase
-    /// (deterministic: sequential engine).
-    ChaseSubstitutions,
-    /// Rule-(b) NEC unions applied by the indexed chase
-    /// (deterministic: sequential engine).
-    ChaseUnions,
     /// Extended cell-chase discovery phases to fixpoint (deterministic:
     /// the sequential engine draws a sorted agenda each phase).
     CellRounds,
@@ -150,11 +138,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in stable registry (exposition) order.
-    pub const ALL: [Counter; 28] = [
-        Counter::ChasePasses,
-        Counter::ChaseBucketSweeps,
-        Counter::ChaseSubstitutions,
-        Counter::ChaseUnions,
+    pub const ALL: [Counter; 24] = [
         Counter::CellRounds,
         Counter::CellUnions,
         Counter::TestfdChecks,
@@ -184,10 +168,6 @@ impl Counter {
     /// Exposition name (without the `fdi_` prefix).
     pub fn name(self) -> &'static str {
         match self {
-            Counter::ChasePasses => "chase_passes",
-            Counter::ChaseBucketSweeps => "chase_bucket_sweeps",
-            Counter::ChaseSubstitutions => "chase_substitutions",
-            Counter::ChaseUnions => "chase_unions",
             Counter::CellRounds => "cell_chase_rounds",
             Counter::CellUnions => "cell_chase_unions",
             Counter::TestfdChecks => "testfd_checks",
@@ -250,7 +230,7 @@ impl Counter {
     }
 }
 
-/// Last-value (or high-watermark) gauges. All current gauges are
+/// Last-value gauges. All current gauges are
 /// writer-serial and therefore deterministic.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[repr(usize)]
@@ -261,9 +241,6 @@ pub enum Gauge {
     /// Ops applied as of the most recently published epoch
     /// (deterministic).
     EpochOpsApplied,
-    /// High-watermark of the indexed-chase agenda length
-    /// (deterministic).
-    ChaseWorklistPeak,
     /// Ops staged in the group-commit pending buffer, as of the last
     /// journal interaction (deterministic: writer-serial).
     JournalPendingOps,
@@ -271,10 +248,9 @@ pub enum Gauge {
 
 impl Gauge {
     /// Every gauge, in stable registry (exposition) order.
-    pub const ALL: [Gauge; 4] = [
+    pub const ALL: [Gauge; 3] = [
         Gauge::EpochSeq,
         Gauge::EpochOpsApplied,
-        Gauge::ChaseWorklistPeak,
         Gauge::JournalPendingOps,
     ];
 
@@ -283,7 +259,6 @@ impl Gauge {
         match self {
             Gauge::EpochSeq => "epoch_seq",
             Gauge::EpochOpsApplied => "epoch_ops_applied",
-            Gauge::ChaseWorklistPeak => "chase_worklist_peak",
             Gauge::JournalPendingOps => "journal_pending_ops",
         }
     }
@@ -456,14 +431,6 @@ impl Recorder {
     pub fn gauge_set(&self, gauge: Gauge, value: u64) {
         if let Some(core) = &self.core {
             core.gauges[gauge as usize].store(value, Ordering::Relaxed);
-        }
-    }
-
-    /// Raise a gauge to `value` if it is below (high-watermark).
-    #[inline]
-    pub fn gauge_max(&self, gauge: Gauge, value: u64) {
-        if let Some(core) = &self.core {
-            core.gauges[gauge as usize].fetch_max(value, Ordering::Relaxed);
         }
     }
 
@@ -747,21 +714,18 @@ mod tests {
     fn counters_accumulate_and_clones_share_the_core() {
         let rec = Recorder::enabled();
         let twin = rec.clone();
-        rec.incr(Counter::ChasePasses);
-        twin.add(Counter::ChasePasses, 4);
-        assert_eq!(rec.snapshot().counter(Counter::ChasePasses), 5);
-        assert_eq!(twin.snapshot().counter(Counter::ChasePasses), 5);
+        rec.incr(Counter::CellRounds);
+        twin.add(Counter::CellRounds, 4);
+        assert_eq!(rec.snapshot().counter(Counter::CellRounds), 5);
+        assert_eq!(twin.snapshot().counter(Counter::CellRounds), 5);
     }
 
     #[test]
-    fn gauges_set_and_watermark() {
+    fn gauges_keep_the_last_value() {
         let rec = Recorder::enabled();
         rec.gauge_set(Gauge::EpochSeq, 7);
         rec.gauge_set(Gauge::EpochSeq, 3);
         assert_eq!(rec.snapshot().gauge(Gauge::EpochSeq), 3);
-        rec.gauge_max(Gauge::ChaseWorklistPeak, 10);
-        rec.gauge_max(Gauge::ChaseWorklistPeak, 6);
-        assert_eq!(rec.snapshot().gauge(Gauge::ChaseWorklistPeak), 10);
     }
 
     #[test]
@@ -827,10 +791,12 @@ mod tests {
     #[test]
     fn deterministic_pairs_exclude_every_nondeterministic_metric() {
         let rec = Recorder::enabled();
-        rec.incr(Counter::ChasePasses);
+        rec.incr(Counter::CellRounds);
         rec.incr(Counter::MemoHits);
         let pairs = rec.snapshot().deterministic_pairs();
-        assert!(pairs.iter().any(|&(n, v)| n == "chase_passes" && v == 1));
+        assert!(pairs
+            .iter()
+            .any(|&(n, v)| n == "cell_chase_rounds" && v == 1));
         assert!(pairs.iter().all(|&(n, _)| n != "memo_hits"));
         assert!(pairs.iter().any(|&(n, _)| n == "epoch_seq"));
         let det_count = Counter::ALL.iter().filter(|c| c.deterministic()).count()

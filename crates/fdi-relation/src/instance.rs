@@ -618,7 +618,8 @@ impl Instance {
         }
         let next_null = r.u32()?;
         let mark_count = r.u32()? as usize;
-        let mut marks = HashMap::with_capacity(mark_count);
+        // Untrusted counts: pre-allocate no more entries than bytes left.
+        let mut marks = HashMap::with_capacity(mark_count.min(r.remaining()));
         for _ in 0..mark_count {
             let name = r.str()?;
             let id = r.u32()?;
@@ -634,7 +635,7 @@ impl Instance {
         let necs = NecStore::decode_state(r)?;
         let slot_count = r.u32()? as usize;
         let arity = instance.arity();
-        let mut slots = Vec::with_capacity(slot_count);
+        let mut slots = Vec::with_capacity(slot_count.min(r.remaining()));
         let mut live = 0usize;
         for slot in 0..slot_count {
             match r.u8()? {
@@ -680,7 +681,7 @@ impl Instance {
                 "free list has {free_count} entries but the arena disagrees"
             )));
         }
-        let mut free = Vec::with_capacity(free_count);
+        let mut free = Vec::with_capacity(free_count.min(r.remaining()));
         let mut seen = vec![false; slot_count];
         for _ in 0..free_count {
             let f = r.u32()?;

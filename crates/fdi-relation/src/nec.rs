@@ -154,10 +154,12 @@ impl NecStore {
     }
 
     /// Decodes a store serialized by [`NecStore::encode_state`],
-    /// validating that every parent pointer is in range.
+    /// validating that every parent pointer is in range and keeps union
+    /// by rank's invariants: a parent outranks its child (so `find`
+    /// terminates), and a node of rank `r` heads at least `2^r` ids.
     pub fn decode_state(r: &mut Reader<'_>) -> Result<NecStore, DecodeError> {
         let n = r.u32()? as usize;
-        let mut parent = Vec::with_capacity(n);
+        let mut parent = Vec::with_capacity(n.min(r.remaining()));
         for _ in 0..n {
             let p = r.u32()?;
             if p as usize >= n {
@@ -165,11 +167,18 @@ impl NecStore {
             }
             parent.push(p);
         }
-        let mut rank = Vec::with_capacity(n);
+        let mut rank = Vec::with_capacity(n.min(r.remaining()));
         for _ in 0..n {
             rank.push(r.u8()?);
         }
         let merges = r.u64()? as usize;
+        for (i, (&p, &rk)) in parent.iter().zip(&rank).enumerate() {
+            if (p as usize != i && rank[p as usize] <= rk) || rk >= 64 || 1u64 << rk > n as u64 {
+                return Err(r.err(format!(
+                    "id {i} (rank {rk}, parent {p}) breaks union by rank"
+                )));
+            }
+        }
         Ok(NecStore {
             parent,
             rank,
@@ -290,6 +299,25 @@ mod tests {
         serial::put_u64(&mut buf, 0);
         let err = NecStore::decode_state(&mut Reader::new(&buf)).unwrap_err();
         assert!(err.message.contains("out of range"));
+    }
+
+    #[test]
+    fn decode_rejects_stores_union_by_rank_cannot_build() {
+        let decode = |parent: &[u32], rank: &[u8], merges: u64| {
+            let mut buf = Vec::new();
+            serial::put_u32(&mut buf, parent.len() as u32);
+            parent.iter().for_each(|&p| serial::put_u32(&mut buf, p));
+            rank.iter().for_each(|&r| serial::put_u8(&mut buf, r));
+            serial::put_u64(&mut buf, merges);
+            NecStore::decode_state(&mut Reader::new(&buf)).map_err(|e| e.message)
+        };
+        assert!(decode(&[1, 1], &[0, 1], 1).is_ok());
+        // a cycle `find` would never leave
+        let err = decode(&[1, 0], &[1, 1], 2).unwrap_err();
+        assert!(err.contains("breaks union by rank"), "{err}");
+        // a rank a union would overflow
+        let err = decode(&[0, 1], &[255, 255], 0).unwrap_err();
+        assert!(err.contains("rank 255"), "{err}");
     }
 
     #[test]

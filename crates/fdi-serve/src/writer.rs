@@ -502,8 +502,8 @@ mod tests {
         );
     }
 
-    /// A propagating insert's chase work reaches the writer's recorder,
-    /// so a serving session's `metrics` shows it.
+    /// A propagating insert's extended-chase work reaches the writer's
+    /// recorder, so a serving session's `metrics` shows it.
     #[test]
     fn propagation_records_its_chase_work() {
         let (mut writer, _reader) = writer(Enforcement::Weak, MemStorage::new(), 64);
@@ -516,8 +516,8 @@ mod tests {
             "the null mgr is filled from d1's m1: {staged:?}"
         );
         let snap = rec.snapshot();
-        assert!(snap.counter(Counter::ChaseSubstitutions) >= 1);
-        assert!(snap.counter(Counter::ChasePasses) >= 1);
+        assert!(snap.counter(Counter::CellUnions) >= 1);
+        assert!(snap.counter(Counter::CellRounds) >= 1);
     }
 
     #[test]

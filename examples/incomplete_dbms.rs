@@ -41,10 +41,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Internal acquisition: dan joins grade g1, whose salary is known —
-    // the NS-rule fills it in immediately.
+    // the NS-rules' closure fills it in immediately.
     let outcome = db.insert(&["dan", "g1", "-"])?;
     println!(
-        "inserting (dan, g1, -) propagated {} substitution(s):\n{}",
+        "inserting (dan, g1, -) filled {} cell(s) by internal acquisition:\n{}",
         outcome.propagated.len(),
         db.instance().render(false)
     );

@@ -1662,9 +1662,9 @@ cyd eng   -   c2
         assert_eq!(metric_value(&text, "fdi_epoch_seq{det=\"true\"}"), 1);
         assert_eq!(metric_value(&text, "fdi_epochs_published{det=\"true\"}"), 1);
         assert_eq!(metric_value(&text, "fdi_ops_applied{det=\"true\"}"), 1);
-        // the insert's propagation chase filled cyd's null mgr with noa
-        assert!(metric_value(&text, "fdi_chase_substitutions{det=\"true\"}") >= 1);
-        assert!(metric_value(&text, "fdi_chase_passes{det=\"true\"}") >= 1);
+        // the insert's extended chase filled cyd's null mgr with noa
+        assert!(metric_value(&text, "fdi_cell_chase_unions{det=\"true\"}") >= 1);
+        assert!(metric_value(&text, "fdi_cell_chase_rounds{det=\"true\"}") >= 1);
         // the publish group-committed and synced the journal
         assert!(metric_value(&text, "fdi_journal_syncs{det=\"true\"}") >= 1);
         assert!(metric_value(&text, "fdi_journal_ops_committed{det=\"true\"}") >= 1);

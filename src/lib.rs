@@ -174,21 +174,21 @@
 //! recorder changes no engine output.
 //!
 //! Wiring points: [`core::update::Database::set_recorder`] (op
-//! acceptance, propagation chase work), [`store::Journal::set_recorder`] (group-commit batch
+//! acceptance, each write's extended chase), [`store::Journal::set_recorder`] (group-commit batch
 //! records, sync latency), [`store::Journal::recover_with`] (torn-tail
 //! truncations, replayed ops), [`serve::Writer::set_recorder`] (routes
 //! into the writer's database and journal too, plus publish latency,
 //! epoch gauges and the pending-batch gauge) /
 //! [`serve::Reader::set_recorder`] (snapshot reads), and the `rec`
-//! argument of each engine entry point: the chases
-//! ([`core::chase::chase_indexed`], [`core::chase::extended_chase`]),
-//! TEST-FDs ([`core::testfd::check`]), and [`serve::Epoch::select`]
-//! (plan-cache, NEC-signature memo, and classical-fast-path traffic).
+//! argument of each engine entry point: the extended chase
+//! ([`core::chase::extended_chase`]), TEST-FDs
+//! ([`core::testfd::check`]), and [`serve::Epoch::select`] (plan-cache,
+//! NEC-signature memo, and classical-fast-path traffic).
 //!
 //! Metrics are split into a **deterministic** registry (bit-identical
 //! across `FDI_THREADS` settings and reader counts for the same op
-//! stream — op tallies, journal record counts, chase
-//! pass/union counts, epoch gauges) and a **nondeterministic** one
+//! stream — op tallies, journal record counts, extended-chase
+//! round/union counts, epoch gauges) and a **nondeterministic** one
 //! (wall-clock histograms and reader-driven traffic); the split is part
 //! of the exposition format ([`obs::MetricsSnapshot::render_text`], a
 //! stable Prometheus-style text form, and
