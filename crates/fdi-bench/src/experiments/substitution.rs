@@ -104,7 +104,8 @@ pub fn run(quick: bool) {
     table.print();
     println!(
         "exhaustion is common with |dom| = 2 (12 rows easily cover two \
-         values) and disappears as the domain outgrows the relation — \
-         validating the Theorem 3/4 pipelines' large-domain proviso.\n"
+         values) and disappears as the domain outgrows the relation, \
+         as the paper claims. Finding no [F2] site does not make the \
+         weak pipelines exact under tight domains (ROADMAP defect (r)).\n"
     );
 }

@@ -3,7 +3,7 @@
 
 use crate::{banner, fmt_duration, median_time, Table};
 use fdi_core::semantics;
-use fdi_core::update::{insert_with_full_recheck, Database, Enforcement, Policy};
+use fdi_core::update::{insert_with_full_recheck, Database, Enforcement};
 use fdi_gen::{attr_names, random_fds, satisfiable_instance, WorkloadSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -64,15 +64,8 @@ pub fn run(quick: bool) {
             .map(|_| insert_tokens(&mut gen_rng, spec.attrs, spec.domain, 0.1))
             .collect();
         // agreement check (once)
-        let mut db = Database::new(
-            base.clone(),
-            fds.clone(),
-            Policy {
-                enforcement: Enforcement::Strong,
-                propagate: false,
-            },
-        )
-        .expect("satisfiable base");
+        let mut db = Database::new(base.clone(), fds.clone(), Enforcement::Strong)
+            .expect("satisfiable base");
         let mut plain = base.clone();
         let mut agree = 0;
         for tokens in &batch_tokens {
@@ -83,15 +76,8 @@ pub fn run(quick: bool) {
         }
         // timing
         let t_incremental = median_time(3, || {
-            let mut db = Database::new(
-                base.clone(),
-                fds.clone(),
-                Policy {
-                    enforcement: Enforcement::Strong,
-                    propagate: false,
-                },
-            )
-            .expect("satisfiable base");
+            let mut db = Database::new(base.clone(), fds.clone(), Enforcement::Strong)
+                .expect("satisfiable base");
             for tokens in &batch_tokens {
                 let refs: Vec<&str> = tokens.iter().map(String::as_str).collect();
                 let _ = std::hint::black_box(db.insert(&refs));

@@ -354,10 +354,13 @@ impl CellEngine {
     /// the instance the engine was built from and run on — in place.
     /// Every consistent class that holds a constant writes it into its
     /// null cells; every null-only class NEC-unions its nulls with its
-    /// first null in row-major order. Inconsistent classes are left as
-    /// they are. Unlike [`CellEngine::materialize`], no null is renamed
-    /// and the NEC store is extended, not replaced, so a `?mark` keeps
-    /// naming its class.
+    /// first null in row-major order. Unlike [`CellEngine::materialize`],
+    /// no null is renamed and the NEC store is extended, not replaced,
+    /// so a `?mark` keeps naming its class.
+    ///
+    /// Only a weakly satisfiable closure is acquired (weak enforcement
+    /// rejects a write whose closure has a `nothing` class), so no live
+    /// null cell sits in an inconsistent class.
     ///
     /// Returns the changed cells, row-major: each null cell filled, and
     /// each null cell whose NEC class joined an earlier cell's class.
@@ -378,9 +381,7 @@ impl CellEngine {
                     continue;
                 };
                 let root = self.find(self.cell_node(row, attr));
-                if self.inconsistent[root] {
-                    continue;
-                }
+                debug_assert!(!self.inconsistent[root], "acquiring a `nothing` class");
                 if let Some(s) = self.label[root] {
                     instance.set_value(row, attr, Value::Const(s));
                 } else if !instance.add_nec(*first.entry(root).or_insert(id), id) {

@@ -129,11 +129,12 @@ use fdi_relation::instance::Instance;
 /// Theorem 4(b): `F` is weakly satisfiable in `r` iff the extended chase
 /// leaves no `nothing` value.
 ///
-/// Like the theorem itself, this is exact under the large-domain proviso
-/// (no `[F2]` domain exhaustion): the chase treats domains as if a fresh
-/// value were always available. Run
-/// [`crate::subst::detect_domain_exhaustion`] to check the proviso when
-/// domains are tight.
+/// Like the theorem itself, this is exact under the large-domain proviso:
+/// the chase treats domains as if a fresh value were always available.
+/// Under tight finite domains it can accept an instance that no
+/// completion satisfies. [`crate::subst::detect_domain_exhaustion`]
+/// finds the paper's `[F2]` sites, but finding none does not rule that
+/// out (ROADMAP direction 5).
 ///
 /// Runs [`extended_chase`]'s engine and reads the `nothing` count off
 /// the fixpoint partition without materializing the chased instance.

@@ -34,10 +34,13 @@
 //!   exponential, signature-class, and Kleene evaluators, plus the
 //!   compiled path: [`query::CompiledQuery`] (flat op programs with
 //!   precomputed candidate sets and an exact NEC-signature memo);
-//! * [`update`] — §7's programme of modification operations: policy-
-//!   checked insert/delete/modify, external null resolution, internal
-//!   acquisition via incremental NS-rules, and a single-tuple strong
-//!   insert check;
+//! * [`update`] — §7's programme of modification operations: insert,
+//!   delete, modify and external null resolution, checked under one
+//!   switch, the database's [`update::Enforcement`]. Weak writes run one
+//!   extended chase that both decides the write and supplies internal
+//!   acquisition (its closure, written back in place); strong writes
+//!   use a single-tuple insert check and need no acquisition; load mode
+//!   does neither;
 //! * [`universal`] — the weaker universal relation assumption of §7:
 //!   decompose/reconstruct round trips over instances with nulls;
 //! * [`fixtures`] — every worked figure of the paper as a ready-made

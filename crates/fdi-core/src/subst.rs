@@ -20,8 +20,12 @@
 //!
 //! The same completion census also decides the `[F2]` case — all
 //! completions appear and *every* one of them disagrees on `Y` — which is
-//! the domain-exhaustion blind spot of the Theorem 3/4 pipelines;
-//! [`detect_domain_exhaustion`] makes the proviso checkable.
+//! one domain-exhaustion blind spot of the Theorem 3/4 pipelines;
+//! [`detect_domain_exhaustion`] lists those sites. Finding none does not
+//! make the pipelines exact under finite domains: the census counts only
+//! completions that appear as constants in other rows, so a tight domain
+//! can still leave every completion violating `F` while the chase says
+//! "weakly satisfiable" (ROADMAP direction 5).
 
 use crate::fd::{Fd, FdSet};
 use fdi_relation::attrs::AttrId;
@@ -188,9 +192,11 @@ pub fn apply_substitution(instance: &mut Instance, subst: &XSubstitution) {
 /// completing tuple definitely disagrees on `Y`).
 ///
 /// This is the "very hard, domain-dependent" test the paper warns about
-/// (§4); it exists so the Theorem 3/4 weak-satisfiability pipelines can
-/// be certified exact on a given instance. Experiment E17 measures its
-/// claim that exhaustion vanishes once domains outgrow relations.
+/// (§4). It checks only for `[F2]` sites in the paper's sense; an empty
+/// result does not certify the Theorem 3/4 weak-satisfiability
+/// pipelines exact on the instance (see the module docs). Experiment
+/// E17 measures the paper's claim that exhaustion vanishes once domains
+/// outgrow relations.
 pub fn detect_domain_exhaustion(
     fds: &FdSet,
     instance: &Instance,

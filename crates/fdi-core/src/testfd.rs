@@ -586,8 +586,10 @@ pub fn check_strong(instance: &Instance, fds: &FdSet) -> Result<(), Violation> {
 /// instance first (the indexed plain NS-rule engine), then applies the
 /// weak convention via [`check`].
 ///
-/// Exact under the large-domain proviso (no `[F2]` exhaustion); see
-/// [`crate::subst::detect_domain_exhaustion`].
+/// Exact under the large-domain proviso. Under tight finite domains it
+/// can accept an instance that no completion satisfies, even where
+/// [`crate::subst::detect_domain_exhaustion`] finds no `[F2]` site
+/// (ROADMAP direction 5).
 pub fn check_weak(instance: &Instance, fds: &FdSet) -> Result<(), Violation> {
     let chased = crate::chase::chase_plain(instance, fds);
     check(&chased.instance, fds, Weak, &Recorder::noop())

@@ -7,20 +7,23 @@
 //! (modification operations by the users)." This module implements that
 //! programme on top of the paper's machinery:
 //!
-//! * a [`Database`] couples an instance with its FD set and a
-//!   maintenance [`Policy`] — reject updates that break **strong**
-//!   satisfiability (Theorem 2: no completion may violate `F`), reject
-//!   updates that break **weak** satisfiability (Theorem 4: some
-//!   completion must satisfy `F`), or accept everything;
+//! * a [`Database`] couples an instance with its FD set and one
+//!   maintenance switch, its [`Enforcement`] — reject updates that break
+//!   **strong** satisfiability (Theorem 2: no completion may violate
+//!   `F`), reject updates that break **weak** satisfiability (Theorem 4:
+//!   some completion must satisfy `F`), or accept everything (load
+//!   mode);
 //! * **external acquisition**: [`Database::insert`],
 //!   [`Database::delete`], [`Database::modify`], and
 //!   [`Database::resolve_null`] (a user replaces a null with a value,
 //!   checked against the constraints — "the only value a user can
 //!   insert without the creation of an inconsistency", §4);
-//! * **internal acquisition**: after an accepted update, the closure of
-//!   the NS-rules is written back into the instance
-//!   ([`Policy::propagate`]) so it stays minimally incomplete — the
-//!   non-ambiguous substitutions of §6;
+//! * **internal acquisition**: under [`Enforcement::Weak`], every
+//!   accepted update writes the closure of the NS-rules back into the
+//!   instance, so it stays minimally incomplete — the non-ambiguous
+//!   substitutions of §6. A strongly satisfied instance is minimally
+//!   incomplete already ([`Enforcement::Strong`]), and load mode
+//!   ([`Enforcement::None`]) stores what it is given;
 //! * a strong-convention insert is checked as a **single-tuple scan**:
 //!   the new tuple against every live row, one FD at a time, under
 //!   TEST-FDs' own pair predicate ([`testfd::pair_violates`]) —
@@ -41,8 +44,9 @@
 //! revalidations go through TEST-FDs ([`crate::testfd::check`]) and
 //! need no acquisition (see [`Enforcement::Strong`]). The property suite
 //! (`tests/update_equiv.rs`) checks after every op of arbitrary update
-//! sequences that the enforced notion still holds and that a replay
-//! twin lands on the same instance, and experiment E19 (`exp_updates`)
+//! sequences that the enforced notion still holds, that a strong or weak
+//! instance is minimally incomplete, and that a replay twin lands on the
+//! same instance, and experiment E19 (`exp_updates`)
 //! times the single-tuple scan against full revalidation.
 //!
 //! A *rejected* update leaves no tuple behind and changes no cell —
@@ -59,14 +63,14 @@
 //!
 //! ```
 //! use fdi_core::fixtures;
-//! use fdi_core::update::{Database, Enforcement, Policy};
+//! use fdi_core::update::{Database, Enforcement};
 //!
 //! // Figure 1.2 under f1: E# → SL,D# and f2: D# → CT, weakly enforced
-//! // with internal acquisition on.
+//! // (which always brings internal acquisition).
 //! let mut db = Database::new(
 //!     fixtures::figure1_instance(),
 //!     fixtures::figure1_fds(),
-//!     Policy { enforcement: Enforcement::Weak, propagate: true },
+//!     Enforcement::Weak,
 //! )
 //! .unwrap();
 //! // e1 already earns 10K in d1, so a definitely-conflicting salary is
@@ -93,8 +97,11 @@ use fdi_relation::rowid::RowId;
 use fdi_relation::value::Value;
 use std::fmt;
 
-/// What a maintained database enforces on every modification.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// What a maintained database enforces on every modification — its
+/// whole maintenance policy. Each notion fixes internal acquisition too:
+/// `Weak` always writes the closure back, `Strong` needs none, `None`
+/// does none.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Enforcement {
     /// Every update must leave the instance strongly satisfied
     /// (Theorem 2's test): no completion may violate `F`.
@@ -109,32 +116,19 @@ pub enum Enforcement {
     /// only cells the plain NS-rules act on, so no rule applies.
     Strong,
     /// Every update must leave the instance weakly satisfiable
-    /// (Theorem 4's test): some completion must satisfy `F`.
+    /// (Theorem 4's test): some completion must satisfy `F`. An
+    /// accepted update's closure is written back (internal
+    /// acquisition), so the stored instance stays minimally incomplete.
+    #[default]
     Weak,
-    /// No checking (load mode).
+    /// No checking and no acquisition (load mode).
     None,
 }
 
-/// Maintenance policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Policy {
-    /// The satisfiability notion to enforce.
-    pub enforcement: Enforcement,
-    /// Write the NS-rules' closure back after accepted updates
-    /// (internal acquisition). Under [`Enforcement::None`] only the
-    /// consistent classes are written — §7's non-ambiguous
-    /// substitution; a class whose constants conflict is left as it is.
-    pub propagate: bool,
-}
-
-impl Default for Policy {
-    fn default() -> Self {
-        Policy {
-            enforcement: Enforcement::Weak,
-            propagate: true,
-        }
-    }
-}
+/// The former name of a database's policy, which is now just its
+/// [`Enforcement`]. Kept only for callers outside this workspace that
+/// still write `Policy::default()`.
+pub type Policy = Enforcement;
 
 /// Errors raised by modifications.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -202,7 +196,7 @@ pub struct UpdateOutcome {
 pub struct Database {
     instance: Instance,
     fds: FdSet,
-    policy: Policy,
+    enforcement: Enforcement,
     /// Metrics sink (defaults to noop; see [`Database::set_recorder`]).
     /// Clones share the same sink, matching the epoch-snapshot model:
     /// a published clone keeps reporting into the node's recorder.
@@ -210,26 +204,31 @@ pub struct Database {
 }
 
 impl Database {
-    /// Wraps an existing instance. Fails (per policy) if the starting
-    /// instance already violates the enforced notion.
-    pub fn new(instance: Instance, fds: FdSet, policy: Policy) -> Result<Database, UpdateError> {
-        let mut db = Database::resume(instance, fds, policy);
+    /// Wraps an existing instance. Fails if the starting instance
+    /// already violates the enforced notion; under weak enforcement the
+    /// accepted instance is closed by internal acquisition.
+    pub fn new(
+        instance: Instance,
+        fds: FdSet,
+        enforcement: Enforcement,
+    ) -> Result<Database, UpdateError> {
+        let mut db = Database::resume(instance, fds, enforcement);
         db.enforce(None)?;
         Ok(db)
     }
 
-    /// Wraps an instance whose state is *already known valid* under the
-    /// policy — the log-replay/recovery constructor. Unlike
+    /// Wraps an instance whose state is *already known valid* under
+    /// `enforcement` — the log-replay/recovery constructor. Unlike
     /// [`Database::new`] it neither re-runs the satisfiability check nor
     /// fires internal acquisition: a durability layer's snapshot was
     /// taken from a database that had both already applied, so
     /// re-deciding either here would at best waste a chase and at worst
     /// *mutate* the restored state before replay begins.
-    pub fn resume(instance: Instance, fds: FdSet, policy: Policy) -> Database {
+    pub fn resume(instance: Instance, fds: FdSet, enforcement: Enforcement) -> Database {
         Database {
             instance,
             fds,
-            policy,
+            enforcement,
             rec: fdi_obs::Recorder::noop(),
         }
     }
@@ -244,9 +243,9 @@ impl Database {
         &self.fds
     }
 
-    /// The policy.
-    pub fn policy(&self) -> Policy {
-        self.policy
+    /// The enforced notion (and with it, internal acquisition).
+    pub fn enforcement(&self) -> Enforcement {
+        self.enforcement
     }
 
     /// Routes this database's mutation metrics (`ops_applied`,
@@ -268,16 +267,13 @@ impl Database {
     }
 
     /// The one check-and-acquire step every write ends in: decides the
-    /// enforced notion and, on acceptance under [`Policy::propagate`],
+    /// enforced notion and, on acceptance under [`Enforcement::Weak`],
     /// applies internal acquisition in place from the same
     /// [`CellEngine`] run. On `Err` the instance is untouched, so the
     /// caller's rollback of its own edit restores it. `inserted` names a
     /// just-inserted row, the only one the strong check must scan.
     fn enforce(&mut self, inserted: Option<RowId>) -> Result<Vec<(RowId, AttrId)>, UpdateError> {
-        let Policy {
-            enforcement,
-            propagate,
-        } = self.policy;
+        let enforcement = self.enforcement;
         let rejected = |violation| UpdateError::Rejected {
             violation,
             enforcement,
@@ -290,21 +286,17 @@ impl Database {
                 };
                 violation.map_or(Ok(Vec::new()), |v| Err(rejected(Some(v))))
             }
-            Enforcement::None if !propagate => Ok(Vec::new()),
-            Enforcement::Weak | Enforcement::None => {
+            Enforcement::None => Ok(Vec::new()),
+            Enforcement::Weak => {
                 let mut engine = CellEngine::new(&self.instance);
                 let rounds = engine.run(&self.fds);
                 self.rec.add(fdi_obs::Counter::CellRounds, rounds as u64);
                 self.rec
                     .add(fdi_obs::Counter::CellUnions, engine.union_count() as u64);
-                if enforcement == Enforcement::Weak && engine.nothing_classes() > 0 {
+                if engine.nothing_classes() > 0 {
                     return Err(rejected(None));
                 }
-                Ok(if propagate {
-                    engine.acquire(&mut self.instance)
-                } else {
-                    Vec::new()
-                })
+                Ok(engine.acquire(&mut self.instance))
             }
         }
     }
@@ -389,8 +381,9 @@ impl Database {
     }
 
     /// Replaces the value of one cell, revalidating the instance under
-    /// the policy. On rejection the cell is restored; a dead row or an
-    /// attribute outside the schema is refused before anything changes.
+    /// the enforced notion. On rejection the cell is restored; a dead row
+    /// or an attribute outside the schema is refused before anything
+    /// changes.
     pub fn modify(
         &mut self,
         row: RowId,
@@ -419,9 +412,9 @@ impl Database {
 
     /// External acquisition: the user asserts the actual value of a
     /// null. Every occurrence of the null's NEC class receives the
-    /// value, and the result is checked under the policy — "the only
-    /// value a user can insert without the creation of an inconsistency"
-    /// (§4) is exactly a value this method accepts. On rejection every
+    /// value, and the result is checked under the enforced notion — "the
+    /// only value a user can insert without the creation of an
+    /// inconsistency" (§4) is exactly a value this method accepts. On rejection every
     /// substituted cell is restored; a dead row or an attribute outside
     /// the schema is refused before anything changes.
     pub fn resolve_null(
@@ -520,10 +513,7 @@ mod tests {
         Database::new(
             fixtures::figure1_instance(),
             fixtures::figure1_fds(),
-            Policy {
-                enforcement: Enforcement::Strong,
-                propagate: true,
-            },
+            Enforcement::Strong,
         )
         .expect("figure 1.2 is strongly satisfied")
     }
@@ -563,10 +553,7 @@ mod tests {
         let mut db = Database::new(
             fixtures::figure1_instance(),
             fixtures::figure1_fds(),
-            Policy {
-                enforcement: Enforcement::Weak,
-                propagate: false,
-            },
+            Enforcement::Weak,
         )
         .unwrap();
         // the null salary may later turn out to equal e1's: weakly fine
@@ -587,10 +574,7 @@ mod tests {
         let mut db = Database::new(
             fixtures::figure1_instance(),
             fixtures::figure1_fds(),
-            Policy {
-                enforcement: Enforcement::Weak,
-                propagate: true,
-            },
+            Enforcement::Weak,
         )
         .unwrap();
         // d1's contract type is known (full): inserting (e5, 20K, d1, -)
@@ -610,10 +594,7 @@ mod tests {
         let mut db = Database::new(
             fixtures::figure1_null_instance(),
             fixtures::figure1_fds(),
-            Policy {
-                enforcement: Enforcement::Weak,
-                propagate: false,
-            },
+            Enforcement::Weak,
         )
         .unwrap();
         // e3's D# is null; resolving it to d1 forces CT=full vs e3's
@@ -641,15 +622,7 @@ mod tests {
         let schema = fixtures::section6_schema();
         let r = fdi_relation::Instance::parse(schema.clone(), "a1 ?x c1\na2 ?x c2").unwrap();
         let fds = FdSet::parse(&schema, "A -> B").unwrap();
-        let mut db = Database::new(
-            r,
-            fds,
-            Policy {
-                enforcement: Enforcement::Weak,
-                propagate: false,
-            },
-        )
-        .unwrap();
+        let mut db = Database::new(r, fds, Enforcement::Weak).unwrap();
         let r0 = db.instance().nth_row(0);
         let r1 = db.instance().nth_row(1);
         db.resolve_null(r0, AttrId(1), "b1").expect("consistent");
@@ -697,11 +670,7 @@ mod tests {
             .unwrap();
         let fds = FdSet::parse(&schema, "emp -> dept").unwrap();
         let base = fdi_relation::Instance::parse(schema, "ada sales mia\nbob eng noa").unwrap();
-        let weak = Policy {
-            enforcement: Enforcement::Weak,
-            propagate: true,
-        };
-        let mut db = Database::new(base, fds, weak).unwrap();
+        let mut db = Database::new(base, fds, Enforcement::Weak).unwrap();
         let (ada, bob, mgr) = (RowId(0), RowId(1), AttrId(2));
         db.modify(ada, mgr, "?x").unwrap();
         db.modify(bob, mgr, "?x").unwrap();
@@ -718,12 +687,12 @@ mod tests {
 
     #[test]
     fn a_bound_mark_keeps_naming_its_class_through_acquisition() {
-        // One weak propagating insert both NEC-joins the new B null to
-        // ?x's class (A -> B) and fills r0's C null with c1 (A -> C).
+        // One weak insert both NEC-joins the new B null to ?x's class
+        // (A -> B) and fills r0's C null with c1 (A -> C).
         let schema = fixtures::section6_schema();
         let base = fdi_relation::Instance::parse(schema.clone(), "a1 ?x -").unwrap();
         let fds = FdSet::parse(&schema, "A -> B\nA -> C").unwrap();
-        let mut db = Database::new(base, fds, Policy::default()).unwrap();
+        let mut db = Database::new(base, fds, Enforcement::Weak).unwrap();
         let (b, c) = (AttrId(1), AttrId(2));
         let r0 = db.instance().nth_row(0);
         let x = db.instance().mark("x").expect("?x is bound");
@@ -753,7 +722,7 @@ mod tests {
         let mut db = Database::new(
             fixtures::figure1_null_instance(),
             fixtures::figure1_fds(),
-            Policy::default(),
+            Enforcement::Weak,
         )
         .unwrap();
         let state = |db: &Database| {
@@ -781,11 +750,7 @@ mod tests {
         let fds = FdSet::parse(&schema, "A -> B").unwrap();
         let mut base = fdi_relation::Instance::new(schema);
         base.add_row(&["#!", "B_0"]).unwrap();
-        let strong = Policy {
-            enforcement: Enforcement::Strong,
-            propagate: false,
-        };
-        let mut db = Database::new(base.clone(), fds.clone(), strong).unwrap();
+        let mut db = Database::new(base.clone(), fds.clone(), Enforcement::Strong).unwrap();
         let err = db.insert(&["-", "B_1"]).unwrap_err();
         let witness = Violation {
             fd_index: 0,
@@ -817,10 +782,7 @@ mod tests {
             let mut db = Database::new(
                 fdi_relation::Instance::new(schema.clone()),
                 fds.clone(),
-                Policy {
-                    enforcement: Enforcement::Strong,
-                    propagate: false,
-                },
+                Enforcement::Strong,
             )
             .unwrap();
             let mut plain = fdi_relation::Instance::new(schema.clone());

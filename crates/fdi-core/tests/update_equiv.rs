@@ -1,27 +1,28 @@
 //! Update-sequence properties for `Database` maintenance: after
 //! *every* operation of an arbitrary interleaved
-//! insert/delete/modify/resolve stream — accepted or rejected, with or
-//! without NS-rule propagation — the enforced notion still holds
-//! (`testfd::check_strong` under `Strong`, `weakly_satisfiable_via_chase`
-//! under `Weak`) and a mirror twin fed the same stream is bit-identical.
+//! insert/delete/modify/resolve stream — accepted or rejected — the
+//! enforced notion still holds (`testfd::check_strong` under `Strong`,
+//! `weakly_satisfiable_via_chase` under `Weak`), the instance is
+//! minimally incomplete under both (`chase::is_minimally_incomplete`),
+//! and a mirror twin fed the same stream is bit-identical.
 //!
 //! Rows are stable `RowId` slots: deletes tombstone and never renumber
 //! survivors, so the stream tracker (`fdi_gen::LiveRows`) resolves each
 //! op's positional reference to the id it means. A second property
 //! covers `compact()`: densifying the slot arena preserves content, and
-//! the compacted database keeps enforcing its policy.
+//! the compacted database keeps enforcing its notion.
 //!
 //! Streams come from `fdi_gen::update_stream`; bases from the workload
-//! generators (weakly/classically satisfiable where the policy demands
+//! generators (weakly/classically satisfiable where the enforcement demands
 //! a valid starting point).
 //!
-//! A weak propagating database is also held to a reference model of
+//! A weak database is also held to a reference model of
 //! internal acquisition by the plain chase ([`ChaseThenSwap`]): both
 //! must decide every op alike and land on the same canonical instance.
 
-use fdi_core::chase::{chase_plain, weakly_satisfiable_via_chase};
+use fdi_core::chase::{chase_plain, is_minimally_incomplete, weakly_satisfiable_via_chase};
 use fdi_core::testfd;
-use fdi_core::update::{Database, Enforcement, Policy};
+use fdi_core::update::{Database, Enforcement};
 use fdi_gen::{
     apply_op, satisfiable_workload, update_stream, workload, LiveRows, UpdateMix, UpdateOp,
     WorkloadSpec,
@@ -66,19 +67,27 @@ fn spec(rows: usize, null_density: f64) -> WorkloadSpec {
     }
 }
 
-/// The invariant the policy promises, checked after every single
+/// The invariant the enforcement promises, checked after every single
 /// operation: strongly satisfied under `Strong`, weakly satisfiable
-/// under `Weak` (load mode promises nothing).
+/// under `Weak`, and minimally incomplete under both — weak writes
+/// acquire their closure, and a strongly satisfied instance has no
+/// applicable NS-rule (load mode promises nothing).
 fn assert_enforced(db: &Database) {
-    let holds = match db.policy().enforcement {
+    let holds = match db.enforcement() {
         Enforcement::Strong => testfd::check_strong(db.instance(), db.fds()).is_ok(),
         Enforcement::Weak => weakly_satisfiable_via_chase(db.fds(), db.instance()),
-        Enforcement::None => true,
+        Enforcement::None => return,
     };
     assert!(
         holds,
         "{:?} enforcement broken on\n{}",
-        db.policy().enforcement,
+        db.enforcement(),
+        db.instance().render(true)
+    );
+    assert!(
+        is_minimally_incomplete(db.instance(), db.fds()),
+        "{:?} database left applicable NS-rules on\n{}",
+        db.enforcement(),
         db.instance().render(true)
     );
 }
@@ -105,7 +114,7 @@ impl Twins {
     /// Applies `op` to both twins, then checks that they decided alike
     /// and stayed bit-identical — same marked render, same `NecStore`
     /// representation (the determinism the op journal's crash recovery
-    /// relies on) — and that the policy still holds. Returns whether
+    /// relies on) — and that the enforced notion still holds. Returns whether
     /// the op was accepted.
     fn apply(&mut self, op: &UpdateOp) -> bool {
         let accepted = apply_op(&mut self.db, &mut self.live, op);
@@ -124,16 +133,10 @@ impl Twins {
     }
 }
 
-/// Load mode: no checking, no propagation.
-const LOAD: Policy = Policy {
-    enforcement: Enforcement::None,
-    propagate: false,
-};
-
-/// Reference model of a weak propagating write by the plain chase:
-/// apply the op in load mode, decide weak satisfiability with
-/// `weakly_satisfiable_via_chase` (rolling back a rejected op), then
-/// swap in `chase_plain`'s result.
+/// Reference model of a weak write (check, then acquisition) by the
+/// plain chase: apply the op in load mode, decide weak satisfiability
+/// with `weakly_satisfiable_via_chase` (rolling back a rejected op),
+/// then swap in `chase_plain`'s result.
 struct ChaseThenSwap {
     db: Database,
     live: LiveRows,
@@ -149,7 +152,7 @@ impl ChaseThenSwap {
 
     fn swap_in_chase(&mut self) {
         let chased = chase_plain(self.db.instance(), self.db.fds()).instance;
-        self.db = Database::resume(chased, self.db.fds().clone(), LOAD);
+        self.db = Database::resume(chased, self.db.fds().clone(), Enforcement::None);
     }
 
     fn apply(&mut self, op: &UpdateOp) -> bool {
@@ -187,7 +190,7 @@ fn with_marks(seed: u64, mut stream: Vec<UpdateOp>) -> Vec<UpdateOp> {
 }
 
 proptest! {
-    /// A weak propagating database and the [`ChaseThenSwap`] model,
+    /// A weak database and the [`ChaseThenSwap`] model,
     /// fed one op stream with shared and cross-column marks, accept the
     /// same ops and hold the same canonical instance after every op.
     #[test]
@@ -198,10 +201,10 @@ proptest! {
     ) {
         let spec = spec(rows, 0.3);
         let w = satisfiable_workload(seed, &spec, 3);
-        let mut db = Database::new(w.instance.clone(), w.fds.clone(), Policy::default())
+        let mut db = Database::new(w.instance.clone(), w.fds.clone(), Enforcement::Weak)
             .expect("satisfiable base");
         let mut live = LiveRows::of(db.instance());
-        let mut model = ChaseThenSwap::new(Database::resume(w.instance.clone(), w.fds.clone(), LOAD));
+        let mut model = ChaseThenSwap::new(Database::resume(w.instance.clone(), w.fds.clone(), Enforcement::None));
         prop_assert_eq!(db.instance().canonical_form(), model.db.instance().canonical_form());
         let stream = update_stream(seed ^ 0xacc, &spec, w.instance.len(), ops, mix_with_resolves());
         for op in &with_marks(seed ^ 0x3a7c, stream) {
@@ -217,7 +220,7 @@ proptest! {
         }
     }
 
-    /// Load mode (no checking, no propagation) over arbitrary
+    /// Load mode (no checking, no acquisition) over arbitrary
     /// interleavings of every load-mode mix, including empty starting
     /// instances.
     #[test]
@@ -232,7 +235,7 @@ proptest! {
         let db = Database::new(
             w.instance.clone(),
             w.fds.clone(),
-            Policy { enforcement: Enforcement::None, propagate: false },
+            Enforcement::None,
         )
         .expect("load mode accepts anything");
         let mut twins = Twins::new(db);
@@ -261,7 +264,7 @@ proptest! {
         let db = Database::new(
             w.instance.clone(),
             w.fds.clone(),
-            Policy { enforcement: Enforcement::Weak, propagate: true },
+            Enforcement::Weak,
         )
         .expect("satisfiable base");
         let mut twins = Twins::new(db);
@@ -285,7 +288,7 @@ proptest! {
         let db = Database::new(
             w.instance.clone(),
             w.fds.clone(),
-            Policy { enforcement: Enforcement::Strong, propagate: false },
+            Enforcement::Strong,
         )
         .expect("a complete classically-satisfying base is strongly satisfied");
         // Stream with nulls: frequent strong-convention rejections.
@@ -318,9 +321,8 @@ proptest! {
     ) {
         let base_spec = spec(rows, 0.0);
         let w = satisfiable_workload(seed, &base_spec, 3);
-        let policy = Policy { enforcement: Enforcement::Strong, propagate: false };
         let fresh = || {
-            Database::new(w.instance.clone(), w.fds.clone(), policy)
+            Database::new(w.instance.clone(), w.fds.clone(), Enforcement::Strong)
                 .expect("a complete classically-satisfying base is strongly satisfied")
         };
         let mut twins = Twins::new(fresh());
@@ -372,7 +374,7 @@ proptest! {
 
     /// `compact()` after an arbitrary op stream: the arena becomes
     /// dense, the instance content is unchanged, and the compacted
-    /// database keeps enforcing its policy on further ops.
+    /// database keeps enforcing its notion on further ops.
     #[test]
     fn compact_preserves_content_and_enforcement(
         seed in 0u64..1 << 32,
@@ -384,7 +386,7 @@ proptest! {
         let db = Database::new(
             w.instance.clone(),
             w.fds.clone(),
-            Policy { enforcement: Enforcement::None, propagate: false },
+            Enforcement::None,
         )
         .expect("load mode");
         let mut twins = Twins::new(db);
@@ -422,15 +424,7 @@ fn delete_then_reinsert_row_in_shared_nec_class() {
     let schema = fdi_core::fixtures::section6_schema();
     let r = fdi_relation::Instance::parse(schema.clone(), "a1 ?x c1\na2 ?x c2").unwrap();
     let fds = fdi_core::FdSet::parse(&schema, "A -> B").unwrap();
-    let mut db = Database::new(
-        r,
-        fds,
-        Policy {
-            enforcement: Enforcement::Weak,
-            propagate: false,
-        },
-    )
-    .unwrap();
+    let mut db = Database::new(r, fds, Enforcement::Weak).unwrap();
     let b = AttrId(1);
 
     let first = db.instance().nth_row(0);
@@ -468,12 +462,9 @@ fn delete_then_reinsert_row_in_shared_nec_class() {
 #[test]
 fn strong_rollback_reoccupies_the_freed_slot() {
     let base = fdi_core::fixtures::figure1_instance();
-    let policy = Policy {
-        enforcement: Enforcement::Strong,
-        propagate: false,
-    };
-    let mut db = Database::new(base.clone(), fdi_core::fixtures::figure1_fds(), policy).unwrap();
-    let twin = Database::new(base, fdi_core::fixtures::figure1_fds(), policy).unwrap();
+    let fds = fdi_core::fixtures::figure1_fds();
+    let mut db = Database::new(base.clone(), fds.clone(), Enforcement::Strong).unwrap();
+    let twin = Database::new(base, fds, Enforcement::Strong).unwrap();
 
     let bound_before = db.instance().slot_bound();
     // e1 earns 10K in d1: a conflicting salary is rejected under Strong.
@@ -508,15 +499,7 @@ fn strong_rollback_reoccupies_the_freed_slot() {
 #[test]
 fn out_of_range_ops_leave_no_trace() {
     let w = satisfiable_workload(3, &spec(4, 0.0), 2);
-    let mut db = Database::new(
-        w.instance.clone(),
-        w.fds.clone(),
-        Policy {
-            enforcement: Enforcement::Strong,
-            propagate: false,
-        },
-    )
-    .unwrap();
+    let mut db = Database::new(w.instance.clone(), w.fds.clone(), Enforcement::Strong).unwrap();
     let ghost = RowId(99);
     assert!(db.delete(ghost).is_err());
     assert!(db.modify(ghost, AttrId(0), "A_0").is_err());

@@ -965,7 +965,7 @@ mod tests {
 
     #[test]
     fn update_streams_respect_the_mix_and_apply_cleanly() {
-        use fdi_core::update::{Database, Enforcement, Policy};
+        use fdi_core::update::{Database, Enforcement};
         let spec = WorkloadSpec {
             rows: 16,
             null_density: 0.15,
@@ -987,15 +987,8 @@ mod tests {
         assert!(inserts_only
             .iter()
             .all(|op| matches!(op, UpdateOp::Insert(_))));
-        let mut db = Database::new(
-            w.instance.clone(),
-            w.fds.clone(),
-            Policy {
-                enforcement: Enforcement::None,
-                propagate: false,
-            },
-        )
-        .expect("load mode");
+        let mut db =
+            Database::new(w.instance.clone(), w.fds.clone(), Enforcement::None).expect("load mode");
         let mut live = LiveRows::of(db.instance());
         let stream = update_stream(10, &spec, 16, 60, UpdateMix::default());
         for op in &stream {
@@ -1039,7 +1032,7 @@ mod tests {
     /// `?mark`s keyed on class roots).
     #[test]
     fn churned_instances_print_densely_and_round_trip_the_text_format() {
-        use fdi_core::update::{Database, Enforcement, Policy};
+        use fdi_core::update::{Database, Enforcement};
         let spec = WorkloadSpec {
             rows: 20,
             null_density: 0.25,
@@ -1047,15 +1040,8 @@ mod tests {
             ..WorkloadSpec::default()
         };
         let w = workload(17, &spec, 3);
-        let mut db = Database::new(
-            w.instance.clone(),
-            w.fds.clone(),
-            Policy {
-                enforcement: Enforcement::None,
-                propagate: false,
-            },
-        )
-        .expect("load mode");
+        let mut db =
+            Database::new(w.instance.clone(), w.fds.clone(), Enforcement::None).expect("load mode");
         let mut live = LiveRows::of(db.instance());
         let churn = UpdateMix {
             insert: 1,

@@ -62,7 +62,7 @@ impl Epoch {
         self.ops_applied
     }
 
-    /// The snapshotted database (instance + FDs + policy).
+    /// The snapshotted database (instance + FDs + enforcement).
     pub fn db(&self) -> &Database {
         &self.db
     }

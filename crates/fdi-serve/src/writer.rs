@@ -401,7 +401,7 @@ impl<S: Storage> Writer<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fdi_core::update::{Enforcement, Policy};
+    use fdi_core::update::Enforcement;
     use fdi_core::FdSet;
     use fdi_relation::{Instance, Schema};
     use fdi_store::{Fault, FaultyStorage, MemStorage};
@@ -413,11 +413,12 @@ mod tests {
             .build()
             .unwrap();
         let fds = FdSet::parse(&schema, "dept -> mgr").unwrap();
-        let policy = Policy {
+        Database::new(
+            Instance::new(std::sync::Arc::clone(&schema)),
+            fds,
             enforcement,
-            propagate: true,
-        };
-        Database::new(Instance::new(std::sync::Arc::clone(&schema)), fds, policy).unwrap()
+        )
+        .unwrap()
     }
 
     fn writer<S: Storage>(
@@ -502,7 +503,7 @@ mod tests {
         );
     }
 
-    /// A propagating insert's extended-chase work reaches the writer's
+    /// An acquiring insert's extended-chase work reaches the writer's
     /// recorder, so a serving session's `metrics` shows it.
     #[test]
     fn propagation_records_its_chase_work() {
@@ -744,7 +745,7 @@ mod tests {
         let db = Database::new(
             Instance::new(Arc::clone(&schema)),
             FdSet::new(),
-            Policy::default(),
+            Enforcement::Weak,
         )
         .unwrap();
         let storage = FaultyStorage::new(MemStorage::new(), vec![]);

@@ -14,7 +14,7 @@
 //! parameters. All schedules are explicit — a failing case prints the
 //! exact plan that reproduces it.
 
-use fdi_core::update::{Database, Enforcement, Policy};
+use fdi_core::update::{Database, Enforcement};
 use fdi_exec::Executor;
 use fdi_gen::{satisfiable_workload, update_stream, UpdateMix, UpdateOp, Workload, WorkloadSpec};
 use fdi_relation::rowid::RowId;
@@ -38,13 +38,6 @@ fn spec_with_nulls(rows: usize, null_density: f64) -> WorkloadSpec {
     }
 }
 
-fn weak_policy() -> Policy {
-    Policy {
-        enforcement: Enforcement::Weak,
-        propagate: true,
-    }
-}
-
 fn mix() -> UpdateMix {
     UpdateMix {
         resolve: 2,
@@ -52,16 +45,21 @@ fn mix() -> UpdateMix {
     }
 }
 
-fn base_db(w: &Workload, policy: Policy) -> Database {
-    Database::new(w.instance.clone(), w.fds.clone(), policy).unwrap()
+fn base_db(w: &Workload, enforcement: Enforcement) -> Database {
+    Database::new(w.instance.clone(), w.fds.clone(), enforcement).unwrap()
 }
 
 /// A writer over a fresh journal in `storage`, committing every
 /// `max_batch` staged ops.
-fn writer<S: Storage>(w: &Workload, policy: Policy, storage: S, max_batch: usize) -> Writer<S> {
+fn writer<S: Storage>(
+    w: &Workload,
+    enforcement: Enforcement,
+    storage: S,
+    max_batch: usize,
+) -> Writer<S> {
     let cfg = ServeConfig { max_batch };
     let exec = Executor::with_threads(1);
-    Writer::create(base_db(w, policy), storage, cfg, exec)
+    Writer::create(base_db(w, enforcement), storage, cfg, exec)
         .expect("create is append 0 / sync 0; plans never target it here")
         .0
 }
@@ -174,9 +172,9 @@ struct DryRun {
     clean_bytes: Vec<u8>,
 }
 
-fn dry_run(w: &Workload, policy: Policy, stream: &[UpdateOp]) -> DryRun {
+fn dry_run(w: &Workload, enforcement: Enforcement, stream: &[UpdateOp]) -> DryRun {
     let faulty = FaultyStorage::new(MemStorage::new(), vec![]);
-    let mut writer = writer(w, policy, faulty, 1);
+    let mut writer = writer(w, enforcement, faulty, 1);
     let mut live: Vec<_> = writer.db().instance().row_ids().collect();
     for op in stream {
         stage_op(&mut writer, &mut live, op).expect("no faults scheduled");
@@ -202,7 +200,7 @@ fn dry_run(w: &Workload, policy: Policy, stream: &[UpdateOp]) -> DryRun {
 /// flushed a torn append's prefix before the power was cut.
 fn crash_and_verify(
     w: &Workload,
-    policy: Policy,
+    enforcement: Enforcement,
     stream: &[UpdateOp],
     dry: &DryRun,
     plan: Vec<Fault>,
@@ -210,7 +208,7 @@ fn crash_and_verify(
     make_tail_durable: bool,
 ) {
     let faulty = FaultyStorage::new(MemStorage::new(), plan.clone());
-    let mut writer = writer(w, policy, faulty, 1);
+    let mut writer = writer(w, enforcement, faulty, 1);
     let mut live: Vec<_> = writer.db().instance().row_ids().collect();
     for op in stream {
         if stage_op(&mut writer, &mut live, op).is_err() {
@@ -232,7 +230,7 @@ fn crash_and_verify(
         "plan {plan:?} must leave exactly the fully-synced op prefix"
     );
     assert_eq!(&recovered.ops[..], &dry.oracle_ops[..expected_ops]);
-    let mut oracle = base_db(w, policy);
+    let mut oracle = base_db(w, enforcement);
     for op in &dry.oracle_ops[..expected_ops] {
         oracle_apply(&mut oracle, op);
     }
@@ -265,9 +263,9 @@ fn record_offsets(clean: &[u8]) -> Vec<u64> {
 #[test]
 fn crash_matrix_exhaustive_small_stream() {
     let w = satisfiable_workload(0xD15C, &spec(8), 2);
-    let policy = weak_policy();
+    let enforcement = Enforcement::Weak;
     let stream = update_stream(0x5EED, &spec(8), w.instance.len(), 14, mix());
-    let dry = dry_run(&w, policy, &stream);
+    let dry = dry_run(&w, enforcement, &stream);
     let appends = dry.append_sizes.len();
     assert!(appends > 3, "stream too rejective to exercise the matrix");
 
@@ -278,7 +276,7 @@ fn crash_matrix_exhaustive_small_stream() {
         // fail the k-th append outright: nothing of op k-1 lands
         crash_and_verify(
             &w,
-            policy,
+            enforcement,
             &stream,
             &dry,
             vec![Fault::FailWrite { write: k }],
@@ -288,7 +286,7 @@ fn crash_matrix_exhaustive_small_stream() {
         // fail the k-th sync: op k-1 appended but never durable
         crash_and_verify(
             &w,
-            policy,
+            enforcement,
             &stream,
             &dry,
             vec![Fault::FailSync { sync: k }],
@@ -300,7 +298,7 @@ fn crash_matrix_exhaustive_small_stream() {
             for keep in [1, dry.append_sizes[k] / 2, dry.append_sizes[k] - 1] {
                 crash_and_verify(
                     &w,
-                    policy,
+                    enforcement,
                     &stream,
                     &dry,
                     vec![Fault::ShortWrite { write: k, keep }],
@@ -319,9 +317,9 @@ fn crash_matrix_exhaustive_small_stream() {
 #[test]
 fn bit_flips_are_always_typed_corruption() {
     let w = satisfiable_workload(0xF11B, &spec(6), 2);
-    let policy = weak_policy();
+    let enforcement = Enforcement::Weak;
     let stream = update_stream(0xB175, &spec(6), w.instance.len(), 10, mix());
-    let dry = dry_run(&w, policy, &stream);
+    let dry = dry_run(&w, enforcement, &stream);
     let offsets = record_offsets(&dry.clean_bytes);
     for byte in 0..dry.clean_bytes.len() {
         let bit = (byte % 8) as u8;
@@ -354,9 +352,9 @@ fn bit_flips_are_always_typed_corruption() {
 #[test]
 fn exact_record_boundary_cuts_recover_the_prefix() {
     let w = satisfiable_workload(0xB0DA, &spec(8), 2);
-    let policy = weak_policy();
+    let enforcement = Enforcement::Weak;
     let stream = update_stream(0xCAFE, &spec(8), w.instance.len(), 12, mix());
-    let dry = dry_run(&w, policy, &stream);
+    let dry = dry_run(&w, enforcement, &stream);
     let mut boundaries = record_offsets(&dry.clean_bytes);
     boundaries.push(dry.clean_bytes.len() as u64);
     // boundaries[0] is the genesis record; cutting there leaves a bare
@@ -373,7 +371,7 @@ fn exact_record_boundary_cuts_recover_the_prefix() {
         assert!(recovered.torn.is_none(), "a boundary cut is not a tear");
         let expected = i - 1; // records before the cut, minus genesis
         assert_eq!(recovered.ops.len(), expected);
-        let mut oracle = base_db(&w, policy);
+        let mut oracle = base_db(&w, enforcement);
         for op in &dry.oracle_ops[..expected] {
             oracle_apply(&mut oracle, op);
         }
@@ -389,7 +387,7 @@ fn exact_record_boundary_cuts_recover_the_prefix() {
 #[test]
 fn checkpoint_bounds_replay_and_fails_safe() {
     let w = satisfiable_workload(0xC4EC, &spec(8), 2);
-    let policy = weak_policy();
+    let enforcement = Enforcement::Weak;
     let stream = update_stream(0x6A77, &spec(8), w.instance.len(), 16, mix());
     let (head, tail) = stream.split_at(8);
 
@@ -400,7 +398,7 @@ fn checkpoint_bounds_replay_and_fails_safe() {
             vec![]
         };
         let faulty = FaultyStorage::new(MemStorage::new(), plan);
-        let mut writer = writer(&w, policy, faulty, 1);
+        let mut writer = writer(&w, enforcement, faulty, 1);
         let mut live: Vec<_> = writer.db().instance().row_ids().collect();
         let mut head_accepted = 0usize;
         for op in head {
@@ -453,14 +451,14 @@ fn checkpoint_bounds_replay_and_fails_safe() {
 /// ends the run — exactly the crashed-server shape.
 fn run_group_commit(
     w: &Workload,
-    policy: Policy,
+    enforcement: Enforcement,
     stream: &[UpdateOp],
     batch: usize,
     plan: Vec<Fault>,
 ) -> (FaultyStorage<MemStorage>, Vec<(usize, usize)>, usize) {
     let faulty = FaultyStorage::new(MemStorage::new(), plan);
     // auto-commit off: the cadence below is the only commit source
-    let mut writer = writer(w, policy, faulty, usize::MAX);
+    let mut writer = writer(w, enforcement, faulty, usize::MAX);
     let mut live: Vec<_> = writer.db().instance().row_ids().collect();
     // append 0 is header + genesis; each commit is one more append
     let mut commits: Vec<(usize, usize)> = Vec::new();
@@ -492,7 +490,7 @@ fn run_group_commit(
 /// equal to the accepted-op replay oracle, bit-identically.
 fn group_verify(
     w: &Workload,
-    policy: Policy,
+    enforcement: Enforcement,
     dry_ops: &[JournalOp],
     storage: FaultyStorage<MemStorage>,
     expected: usize,
@@ -509,7 +507,7 @@ fn group_verify(
         "recovery must land on the last fully-synced batch boundary — never a partial batch"
     );
     assert_eq!(&recovered.ops[..], &dry_ops[..expected]);
-    let mut oracle = base_db(w, policy);
+    let mut oracle = base_db(w, enforcement);
     for op in &dry_ops[..expected] {
         oracle_apply(&mut oracle, op);
     }
@@ -524,11 +522,11 @@ fn group_verify(
 #[test]
 fn group_commit_crash_matrix_lands_on_batch_boundaries() {
     let w = satisfiable_workload(0x6B0B, &spec(8), 2);
-    let policy = weak_policy();
+    let enforcement = Enforcement::Weak;
     let stream = update_stream(0x6B0C, &spec(8), w.instance.len(), 18, mix());
     for batch in [1usize, 3, 5] {
         let (dry_storage, dry_commits, dry_accepted) =
-            run_group_commit(&w, policy, &stream, batch, vec![]);
+            run_group_commit(&w, enforcement, &stream, batch, vec![]);
         assert!(
             dry_commits.len() > 1,
             "batch {batch}: stream too rejective to exercise the matrix"
@@ -548,28 +546,28 @@ fn group_commit_crash_matrix_lands_on_batch_boundaries() {
             // the whole batch record never lands
             let (storage, commits, _) = run_group_commit(
                 &w,
-                policy,
+                enforcement,
                 &stream,
                 batch,
                 vec![Fault::FailWrite { write: append_idx }],
             );
             assert_eq!(commits.last().map_or(0, |c| c.1), expected);
-            group_verify(&w, policy, &dry.ops, storage, expected, false);
+            group_verify(&w, enforcement, &dry.ops, storage, expected, false);
             // the batch record lands in the page cache but never syncs
             let (storage, _, _) = run_group_commit(
                 &w,
-                policy,
+                enforcement,
                 &stream,
                 batch,
                 vec![Fault::FailSync { sync: append_idx }],
             );
-            group_verify(&w, policy, &dry.ops, storage, expected, false);
+            group_verify(&w, enforcement, &dry.ops, storage, expected, false);
             // the batch record tears mid-write, torn prefix flushed
             let size = dry_sizes[append_idx];
             for keep in [1, size / 2, size - 1] {
                 let (storage, _, _) = run_group_commit(
                     &w,
-                    policy,
+                    enforcement,
                     &stream,
                     batch,
                     vec![Fault::ShortWrite {
@@ -577,7 +575,7 @@ fn group_commit_crash_matrix_lands_on_batch_boundaries() {
                         keep,
                     }],
                 );
-                group_verify(&w, policy, &dry.ops, storage, expected, true);
+                group_verify(&w, enforcement, &dry.ops, storage, expected, true);
             }
         }
     }
@@ -598,28 +596,25 @@ proptest! {
         raw_keep in 0usize..4096,
         strong in 0u8..2,
     ) {
-        let policy = Policy {
-            enforcement: if strong == 1 { Enforcement::Strong } else { Enforcement::Weak },
-            propagate: true,
-        };
+        let enforcement = if strong == 1 { Enforcement::Strong } else { Enforcement::Weak };
         // a complete classically-satisfying base is strongly satisfied,
-        // so it seeds either policy; the stream still carries nulls
+        // so it seeds either notion; the stream still carries nulls
         let base_nulls = if strong == 1 { 0.0 } else { 0.25 };
         let w = satisfiable_workload(seed, &spec_with_nulls(rows, base_nulls), 2);
         let stream = update_stream(seed ^ 0xD00D, &spec(rows), w.instance.len(), ops, mix());
-        let dry = dry_run(&w, policy, &stream);
+        let dry = dry_run(&w, enforcement, &stream);
         let appends = dry.append_sizes.len();
         prop_assume!(appends > 1); // need at least one accepted op to crash on
         let k = 1 + raw_k % (appends - 1);
         let expected = k - 1;
         match mode {
-            0 => crash_and_verify(&w, policy, &stream, &dry,
+            0 => crash_and_verify(&w, enforcement, &stream, &dry,
                 vec![Fault::FailWrite { write: k }], expected, false),
-            1 => crash_and_verify(&w, policy, &stream, &dry,
+            1 => crash_and_verify(&w, enforcement, &stream, &dry,
                 vec![Fault::FailSync { sync: k }], expected, false),
             _ => {
                 let keep = raw_keep % dry.append_sizes[k];
-                crash_and_verify(&w, policy, &stream, &dry,
+                crash_and_verify(&w, enforcement, &stream, &dry,
                     vec![Fault::ShortWrite { write: k, keep }], expected, true);
             }
         }
@@ -635,10 +630,10 @@ proptest! {
         raw_offset in 0usize..1 << 20,
         bit in 0u8..8,
     ) {
-        let policy = weak_policy();
+        let enforcement = Enforcement::Weak;
         let w = satisfiable_workload(seed, &spec(rows), 2);
         let stream = update_stream(seed ^ 0xF1F1, &spec(rows), w.instance.len(), ops, mix());
-        let dry = dry_run(&w, policy, &stream);
+        let dry = dry_run(&w, enforcement, &stream);
         let byte = raw_offset % dry.clean_bytes.len();
         let mut damaged = dry.clean_bytes.clone();
         damaged[byte] ^= 1 << bit;
@@ -665,10 +660,10 @@ proptest! {
         raw_k in 0usize..32,
         raw_keep in 0usize..4096,
     ) {
-        let policy = weak_policy();
+        let enforcement = Enforcement::Weak;
         let w = satisfiable_workload(seed, &spec(rows), 2);
         let stream = update_stream(seed ^ 0x66CC, &spec(rows), w.instance.len(), ops, mix());
-        let (dry_storage, dry_commits, _) = run_group_commit(&w, policy, &stream, batch, vec![]);
+        let (dry_storage, dry_commits, _) = run_group_commit(&w, enforcement, &stream, batch, vec![]);
         prop_assume!(!dry_commits.is_empty());
         let dry_sizes = dry_storage.append_sizes().to_vec();
         let dry = Journal::recover(dry_storage.into_inner().crash()).unwrap();
@@ -677,20 +672,20 @@ proptest! {
         let expected = if i == 0 { 0 } else { dry_commits[i - 1].1 };
         match mode {
             0 => {
-                let (storage, _, _) = run_group_commit(&w, policy, &stream, batch,
+                let (storage, _, _) = run_group_commit(&w, enforcement, &stream, batch,
                     vec![Fault::FailWrite { write: append_idx }]);
-                group_verify(&w, policy, &dry.ops, storage, expected, false);
+                group_verify(&w, enforcement, &dry.ops, storage, expected, false);
             }
             1 => {
-                let (storage, _, _) = run_group_commit(&w, policy, &stream, batch,
+                let (storage, _, _) = run_group_commit(&w, enforcement, &stream, batch,
                     vec![Fault::FailSync { sync: append_idx }]);
-                group_verify(&w, policy, &dry.ops, storage, expected, false);
+                group_verify(&w, enforcement, &dry.ops, storage, expected, false);
             }
             _ => {
                 let keep = raw_keep % dry_sizes[append_idx];
-                let (storage, _, _) = run_group_commit(&w, policy, &stream, batch,
+                let (storage, _, _) = run_group_commit(&w, enforcement, &stream, batch,
                     vec![Fault::ShortWrite { write: append_idx, keep }]);
-                group_verify(&w, policy, &dry.ops, storage, expected, true);
+                group_verify(&w, enforcement, &dry.ops, storage, expected, true);
             }
         }
     }

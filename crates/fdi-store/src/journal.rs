@@ -1,7 +1,9 @@
 //! The op journal: one batch record per group commit, genesis-anchored.
 //!
 //! A journal's first record is the **genesis**: the schema, the FD set,
-//! the maintenance policy, and an exact [`Instance`] state snapshot
+//! the database's [`Enforcement`] (written as two policy bytes: the
+//! enforcement tag, then an acquisition flag that is 1 exactly under
+//! weak enforcement), and an exact [`Instance`] state snapshot
 //! (symbol table, null allocator, NEC forest, slots, free list — see
 //! [`Instance::encode_state`]). Every later record is a **batch**: the
 //! accepted mutations of one group commit, in order
@@ -37,12 +39,13 @@
 
 use crate::record::{frame, Scanned, Scanner, FILE_HEADER, MAX_RECORD_LEN};
 use crate::storage::{Storage, StoreError};
-use fdi_core::update::{Database, Enforcement, Policy};
+use fdi_core::update::{Database, Enforcement};
 use fdi_core::{Fd, FdSet};
 use fdi_relation::rowid::RowId;
 use fdi_relation::serial::{self, Reader};
 use fdi_relation::{AttrId, AttrSet, Instance, Schema};
 use std::fmt;
+use std::sync::Arc;
 
 /// One journaled mutation. Ops carry the ids the live database assigned
 /// (`Insert::row`, `Compact::moved`) so replay can *verify* determinism
@@ -256,7 +259,7 @@ fn decode_attr(r: &mut Reader<'_>) -> Result<AttrId, serial::DecodeError> {
     Ok(AttrId(raw as u16))
 }
 
-/// Serializes the genesis payload: schema + FDs + policy + exact
+/// Serializes the genesis payload: schema + FDs + policy bytes + exact
 /// instance state.
 fn genesis_payload(db: &Database) -> Vec<u8> {
     let mut out = Vec::new();
@@ -282,15 +285,15 @@ fn genesis_payload(db: &Database) -> Vec<u8> {
         serial::put_u64(&mut out, fd.lhs.0);
         serial::put_u64(&mut out, fd.rhs.0);
     }
-    serial::put_u8(
-        &mut out,
-        match db.policy().enforcement {
-            Enforcement::Strong => 0,
-            Enforcement::Weak => 1,
-            Enforcement::None => 2,
-        },
-    );
-    serial::put_u8(&mut out, db.policy().propagate as u8);
+    // The policy bytes: the enforcement tag, then the acquisition flag,
+    // 1 exactly under weak enforcement, the only notion that acquires.
+    let (tag, acquires) = match db.enforcement() {
+        Enforcement::Strong => (0, 0),
+        Enforcement::Weak => (1, 1),
+        Enforcement::None => (2, 0),
+    };
+    serial::put_u8(&mut out, tag);
+    serial::put_u8(&mut out, acquires);
     db.instance().encode_state(&mut out);
     out
 }
@@ -303,9 +306,39 @@ fn genesis_file(db: &Database) -> Result<Vec<u8>, StoreError> {
     Ok(bytes)
 }
 
-/// Rebuilds the genesis database from the first record's payload.
-fn decode_genesis(payload: &[u8]) -> Result<Database, serial::DecodeError> {
+/// Rebuilds the genesis database from the first record's payload, read
+/// at byte `offset`.
+fn decode_genesis(payload: &[u8], offset: u64) -> Result<Database, RecoverError> {
+    let decode_err = |e: serial::DecodeError| RecoverError::Decode {
+        offset,
+        message: e.to_string(),
+    };
     let r = &mut Reader::new(payload);
+    let (schema, fds) = decode_schema(r).map_err(decode_err)?;
+    // The policy bytes `genesis_payload` writes. Strong enforcement
+    // never acquires, so either flag means the same database. Weak
+    // enforcement without acquisition and load mode with it are retired
+    // policies.
+    let retired = |enforcement| RecoverError::RetiredPolicy {
+        offset,
+        enforcement,
+    };
+    let enforcement = match (r.u8().map_err(decode_err)?, r.u8().map_err(decode_err)?) {
+        (0, 0 | 1) => Enforcement::Strong,
+        (1, 1) => Enforcement::Weak,
+        (2, 0) => Enforcement::None,
+        (1, 0) => return Err(retired(Enforcement::Weak)),
+        (2, 1) => return Err(retired(Enforcement::None)),
+        (0..=2, flag) => return Err(decode_err(r.err(format!("bad acquisition flag {flag}")))),
+        (tag, _) => return Err(decode_err(r.err(format!("unknown enforcement tag {tag}")))),
+    };
+    let instance = Instance::decode_state(schema, r).map_err(decode_err)?;
+    r.expect_end().map_err(decode_err)?;
+    Ok(Database::resume(instance, fds, enforcement))
+}
+
+/// Reads the genesis tag, the schema and the FD set.
+fn decode_schema(r: &mut Reader<'_>) -> Result<(Arc<Schema>, FdSet), serial::DecodeError> {
     let tag = r.u8()?;
     if tag != TAG_GENESIS {
         return Err(r.err(format!("first record must be genesis, found op tag {tag}")));
@@ -351,27 +384,7 @@ fn decode_genesis(payload: &[u8]) -> Result<Database, serial::DecodeError> {
         }
         fds.push(Fd::new(AttrSet(lhs), AttrSet(rhs)));
     }
-    let enforcement = match r.u8()? {
-        0 => Enforcement::Strong,
-        1 => Enforcement::Weak,
-        2 => Enforcement::None,
-        other => return Err(r.err(format!("unknown enforcement tag {other}"))),
-    };
-    let propagate = match r.u8()? {
-        0 => false,
-        1 => true,
-        other => return Err(r.err(format!("bad propagate flag {other}"))),
-    };
-    let instance = Instance::decode_state(schema, r)?;
-    r.expect_end()?;
-    Ok(Database::resume(
-        instance,
-        FdSet::from_vec(fds),
-        Policy {
-            enforcement,
-            propagate,
-        },
-    ))
+    Ok((schema, FdSet::from_vec(fds)))
 }
 
 /// A torn final write that recovery cut off.
@@ -424,6 +437,17 @@ pub enum RecoverError {
         /// What went wrong.
         message: String,
     },
+    /// The genesis at byte `offset` records a retired policy: weak
+    /// enforcement without internal acquisition, or load mode with it.
+    /// A database acquires exactly under weak enforcement, so
+    /// replaying the journal's ops would not rebuild the state its
+    /// writer published — refuse rather than diverge.
+    RetiredPolicy {
+        /// Byte offset of the genesis record.
+        offset: u64,
+        /// The enforcement the genesis names.
+        enforcement: Enforcement,
+    },
     /// The storage backend itself failed.
     Storage(StoreError),
 }
@@ -452,6 +476,18 @@ impl fmt::Display for RecoverError {
             } => write!(
                 f,
                 "journal op #{op_index} at byte {offset} failed to replay: {message}"
+            ),
+            RecoverError::RetiredPolicy {
+                offset,
+                enforcement,
+            } => write!(
+                f,
+                "journal genesis at byte {offset} records {}, a retired policy: \
+                 its ops would not replay to the state they were written from",
+                match enforcement {
+                    Enforcement::Weak => "weak enforcement without internal acquisition",
+                    _ => "load mode with internal acquisition",
+                }
             ),
             RecoverError::Storage(e) => write!(f, "journal storage failed: {e}"),
         }
@@ -647,7 +683,7 @@ impl<S: Storage> Journal<S> {
                         message: e.to_string(),
                     };
                     let Some(db) = db.as_mut() else {
-                        db = Some(decode_genesis(payload).map_err(decode_err)?);
+                        db = Some(decode_genesis(payload, offset)?);
                         continue;
                     };
                     for op in decode_ops(payload).map_err(decode_err)? {
@@ -735,7 +771,7 @@ mod tests {
             .unwrap();
         let fds = FdSet::parse(&schema, "dept -> mgr").unwrap();
         let instance = Instance::new(Arc::clone(&schema));
-        Database::new(instance, fds, Policy::default()).unwrap()
+        Database::new(instance, fds, Enforcement::Weak).unwrap()
     }
 
     fn batch_of(ops: &[JournalOp]) -> Batch {
@@ -1101,7 +1137,7 @@ mod tests {
             .build()
             .unwrap();
         let instance = Instance::new(Arc::clone(&schema));
-        let mut db = Database::new(instance, FdSet::new(), Policy::default()).unwrap();
+        let mut db = Database::new(instance, FdSet::new(), Enforcement::Weak).unwrap();
         for i in 0..rows {
             db.insert(&[&wide_value(i)]).unwrap();
         }

@@ -41,6 +41,10 @@
 //!   length field) is a typed [`RecoverError::Corrupt`] naming the byte
 //!   offset of the damaged record — never a panic, never a silently
 //!   wrong database, and never misclassified as a torn tail.
+//! * A genesis whose policy bytes name a retired policy (weak
+//!   enforcement without internal acquisition, or load mode with it)
+//!   is refused as a typed [`RecoverError::RetiredPolicy`]: today's
+//!   replay would not rebuild the state its writer published.
 //!
 //! **Not guaranteed:**
 //!

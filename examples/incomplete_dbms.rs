@@ -5,7 +5,7 @@
 //! Run with: `cargo run --example incomplete_dbms`
 
 use fd_incomplete::core::universal::{round_trip, weak_universal_holds};
-use fd_incomplete::core::update::{Database, Enforcement, Policy};
+use fd_incomplete::core::update::{Database, Enforcement};
 use fd_incomplete::core::{chase, normalize};
 use fd_incomplete::prelude::*;
 
@@ -23,14 +23,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
 
     println!("dependencies:\n{}\n", fds.render(&schema));
-    let mut db = Database::new(
-        start,
-        fds.clone(),
-        Policy {
-            enforcement: Enforcement::Weak,
-            propagate: true,
-        },
-    )?;
+    let mut db = Database::new(start, fds.clone(), Enforcement::Weak)?;
     println!("initial state:\n{}", db.instance().render(false));
 
     // External acquisition with an unknown grade: accepted weakly.

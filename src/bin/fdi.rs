@@ -60,7 +60,7 @@
 //!   `--batch N` sets the group-commit width (default 64). The
 //!   `metrics` command (`metrics json` for JSON) renders the session's
 //!   live `fdi-obs` snapshot — epoch gauges, publish counters, journal
-//!   sync counters, the propagation chase's work, plan-cache/memo
+//!   sync counters, the acquisition chase's work, plan-cache/memo
 //!   traffic — in the stable exposition format.
 //! * `fdi stats <journal> [--json]` — recover the journal with a live
 //!   recorder and print the observability snapshot of recovery plus a
@@ -81,7 +81,7 @@
 use fd_incomplete::core::interp::DEFAULT_BUDGET;
 use fd_incomplete::core::query::Query;
 use fd_incomplete::core::semantics::{self, SemanticsKind};
-use fd_incomplete::core::update::{Database, Policy, UpdateError};
+use fd_incomplete::core::update::{Database, UpdateError};
 use fd_incomplete::core::{armstrong, chase, normalize, satisfy, subst, testfd};
 use fd_incomplete::obs::Recorder;
 use fd_incomplete::prelude::*;
@@ -276,7 +276,7 @@ fn run(command: &str, desc: &Description) -> Result<(), CliError> {
             let sites = subst::detect_domain_exhaustion(fds, instance)
                 .map_err(|e| CliError::runtime(e.to_string()))?;
             if sites.is_empty() {
-                println!("no [F2] domain-exhaustion sites: the weak pipelines are exact here");
+                println!("no [F2] domain-exhaustion sites");
             } else {
                 // displayed row numbers are 1-based positions in the
                 // printed table, not raw slot ids; each FD's sites come
@@ -586,7 +586,7 @@ fn open_writer<W: IoWrite>(
     let holds_bytes = std::fs::metadata(path).is_ok_and(|m| m.len() > 0);
     if let Some(desc_path) = desc_path.filter(|_| !holds_bytes) {
         let desc = read_description(desc_path)?;
-        let db = Database::new(desc.instance, desc.fds, Policy::default()).map_err(|e| {
+        let db = Database::new(desc.instance, desc.fds, Enforcement::Weak).map_err(|e| {
             CliError::runtime(format!("description is not a valid starting database: {e}"))
         })?;
         let storage = FileStorage::open(path)
@@ -1419,7 +1419,7 @@ cyd eng   -   c2
         serve::Reader,
     ) {
         let d = parse_description(desc).expect("parse");
-        let db = Database::new(d.instance, d.fds, Policy::default()).expect("valid base");
+        let db = Database::new(d.instance, d.fds, Enforcement::Weak).expect("valid base");
         serve::Writer::create(
             db,
             fd_incomplete::store::MemStorage::new(),

@@ -209,6 +209,11 @@ pub use fdi_serve as serve;
 pub use fdi_store as store;
 
 /// The most common imports, for examples and downstream users.
+///
+/// A [`Database`](prelude::Database)'s whole maintenance policy is its
+/// [`Enforcement`](prelude::Enforcement): `Weak` (the default) checks
+/// weak satisfiability and always writes the closure back, `Strong`
+/// checks strong satisfiability, `None` loads without checking.
 pub mod prelude {
     pub use fdi_core::chase::{chase_plain, extended_chase};
     pub use fdi_core::fd::{Fd, FdSet};
@@ -216,7 +221,7 @@ pub mod prelude {
     pub use fdi_core::satisfy;
     pub use fdi_core::semantics::{self, Semantics, SemanticsKind};
     pub use fdi_core::testfd;
-    pub use fdi_core::update::{Database, Enforcement, Policy};
+    pub use fdi_core::update::{Database, Enforcement};
     pub use fdi_exec::Executor;
     pub use fdi_logic::truth::Truth;
     pub use fdi_obs::{MetricsSnapshot, Recorder};

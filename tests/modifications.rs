@@ -3,9 +3,7 @@
 //! workloads.
 
 use fd_incomplete::core::universal::{round_trip, weak_universal_holds};
-use fd_incomplete::core::update::{
-    insert_with_full_recheck, Database, Enforcement, Policy, UpdateError,
-};
+use fd_incomplete::core::update::{insert_with_full_recheck, Database, Enforcement, UpdateError};
 use fd_incomplete::core::{chase, normalize, testfd};
 use fd_incomplete::gen::{attr_names, random_fds, satisfiable_instance, WorkloadSpec};
 use fd_incomplete::prelude::*;
@@ -39,15 +37,8 @@ fn incremental_inserts_agree_with_full_rechecks_across_seeds() {
         let mut rng = StdRng::seed_from_u64(seed);
         let fds = random_fds(&mut rng, spec.attrs, 3);
         let base = satisfiable_instance(&mut rng, &spec, &fds);
-        let mut db = Database::new(
-            base.clone(),
-            fds.clone(),
-            Policy {
-                enforcement: Enforcement::Strong,
-                propagate: false,
-            },
-        )
-        .expect("satisfiable base");
+        let mut db = Database::new(base.clone(), fds.clone(), Enforcement::Strong)
+            .expect("satisfiable base");
         let mut plain = base;
         let mut accepted = 0;
         for _ in 0..40 {
@@ -78,24 +69,10 @@ fn weak_databases_accept_everything_strong_rejects_but_stay_satisfiable() {
         let mut rng = StdRng::seed_from_u64(seed * 101 + 7);
         let fds = random_fds(&mut rng, spec.attrs, 2);
         let base = satisfiable_instance(&mut rng, &spec, &fds);
-        let mut weak_db = Database::new(
-            base.clone(),
-            fds.clone(),
-            Policy {
-                enforcement: Enforcement::Weak,
-                propagate: true,
-            },
-        )
-        .expect("satisfiable base");
-        let mut strong_db = Database::new(
-            base,
-            fds.clone(),
-            Policy {
-                enforcement: Enforcement::Strong,
-                propagate: false,
-            },
-        )
-        .expect("satisfiable base");
+        let mut weak_db =
+            Database::new(base.clone(), fds.clone(), Enforcement::Weak).expect("satisfiable base");
+        let mut strong_db =
+            Database::new(base, fds.clone(), Enforcement::Strong).expect("satisfiable base");
         for _ in 0..30 {
             let toks = tokens(&mut rng, spec.attrs, spec.domain, 0.3);
             let refs: Vec<&str> = toks.iter().map(String::as_str).collect();
@@ -118,35 +95,38 @@ fn weak_databases_accept_everything_strong_rejects_but_stay_satisfiable() {
 
 #[test]
 fn resolve_null_accepts_exactly_the_consistent_values() {
-    // A two-value domain with a forced value: A→B, group donor has B_1.
-    let schema = Schema::uniform("R", &["A", "B"], 2).unwrap();
-    let fds = FdSet::parse(&schema, "A -> B").unwrap();
-    let r = Instance::parse(schema, "A_0 B_1\nA_0 -").unwrap();
-    // propagate=false so the null survives construction
-    let db = Database::new(
-        r,
-        fds,
-        Policy {
-            enforcement: Enforcement::Weak,
-            propagate: false,
-        },
-    )
-    .unwrap();
-    let target = db.instance().nth_row(1);
-    let mut ok_db = db.clone();
-    ok_db
-        .resolve_null(target, AttrId(1), "B_1")
-        .expect("the only consistent value");
-    let mut bad_db = db.clone();
-    let err = bad_db.resolve_null(target, AttrId(1), "B_0").unwrap_err();
-    assert!(matches!(err, UpdateError::Rejected { .. }));
-    // internal acquisition would have found the same value
-    let chased = chase::chase_plain(db.instance(), db.fds());
-    assert_eq!(
-        chased.instance.value(chased.instance.nth_row(1), AttrId(1)),
-        ok_db.instance().value(target, AttrId(1)),
-        "§4: the substituted value is the only value a user could insert"
-    );
+    // A→B, B→C over two-value domains. No NS-rule forces row 0's B, so
+    // the null survives weak construction (the stored state is closed),
+    // yet B_1 would force C_0 = C_1 through row 1.
+    let schema = Schema::uniform("R", &["A", "B", "C"], 2).unwrap();
+    let fds = FdSet::parse(&schema, "A -> B\nB -> C").unwrap();
+    let row1 = "A_1 B_1 C_1";
+    let r = Instance::parse(schema.clone(), &format!("A_0 - C_0\n{row1}")).unwrap();
+    let db = Database::new(r, fds.clone(), Enforcement::Weak).unwrap();
+    assert!(chase::is_minimally_incomplete(db.instance(), db.fds()));
+    let target = db.instance().nth_row(0);
+    assert!(db.instance().value(target, AttrId(1)).is_null());
+    let mut accepted = Vec::new();
+    for value in ["B_0", "B_1"] {
+        let substituted = Instance::parse(schema.clone(), &format!("A_0 {value} C_0\n{row1}"));
+        let consistent = chase::weakly_satisfiable_via_chase(&fds, &substituted.unwrap());
+        let mut db = db.clone();
+        match db.resolve_null(target, AttrId(1), value) {
+            Ok(_) => {
+                assert!(consistent, "{value} was accepted");
+                let cell = db.instance().value(target, AttrId(1));
+                assert_eq!(cell.render(db.instance().symbols(), false), value);
+                accepted.push(value);
+            }
+            Err(err) => {
+                assert!(!consistent, "{value} was refused: {err}");
+                assert!(matches!(err, UpdateError::Rejected { .. }));
+                assert!(db.instance().value(target, AttrId(1)).is_null());
+            }
+        }
+    }
+    // §4: the only value a user can insert without an inconsistency
+    assert_eq!(accepted, ["B_0"]);
 }
 
 #[test]
@@ -195,15 +175,7 @@ fn deletion_then_reinsertion_round_trips() {
     let mut rng = StdRng::seed_from_u64(3);
     let fds = random_fds(&mut rng, spec.attrs, 2);
     let base = satisfiable_instance(&mut rng, &spec, &fds);
-    let mut db = Database::new(
-        base.clone(),
-        fds,
-        Policy {
-            enforcement: Enforcement::Strong,
-            propagate: false,
-        },
-    )
-    .unwrap();
+    let mut db = Database::new(base.clone(), fds, Enforcement::Strong).unwrap();
     // removing a tuple and putting it back must always be accepted
     let victim = base.tuple(base.nth_row(4)).clone();
     let rendered: Vec<String> = victim

@@ -16,7 +16,7 @@
 //! [`MetricsSnapshot::deterministic_pairs`] — this suite is the guard
 //! that the registry's split stays honest as counters are added.
 
-use fd_incomplete::core::update::{Database, Enforcement, Policy};
+use fd_incomplete::core::update::{Database, Enforcement};
 use fd_incomplete::gen::{
     satisfiable_workload, scaling_query, update_stream, UpdateMix, UpdateOp, WorkloadSpec,
 };
@@ -50,15 +50,7 @@ fn mix() -> UpdateMix {
 
 fn base_db(seed: u64, rows: usize) -> Database {
     let w = satisfiable_workload(seed, &spec(rows), 2);
-    Database::new(
-        w.instance.clone(),
-        w.fds.clone(),
-        Policy {
-            enforcement: Enforcement::Weak,
-            propagate: false,
-        },
-    )
-    .expect("satisfiable base")
+    Database::new(w.instance.clone(), w.fds.clone(), Enforcement::Weak).expect("satisfiable base")
 }
 
 fn resolve_op(op: &UpdateOp, live: &[RowId]) -> Option<ServeOp> {

@@ -181,7 +181,7 @@ proptest! {
     fn compiled_selection_matches_select_under_update_streams(seed in 0u64..1 << 32) {
         let start_rows = 24usize;
         let w = large_workload(seed, start_rows, 0.25, 0.3, 3);
-        let mut db = Database::new(w.instance.clone(), w.fds.clone(), Policy::default())
+        let mut db = Database::new(w.instance.clone(), w.fds.clone(), Enforcement::Weak)
             .expect("large_workload is weakly satisfiable");
 
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);

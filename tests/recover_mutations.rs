@@ -4,13 +4,13 @@
 //! `RecoverError` — never a panic, and never an allocation sized by a
 //! crafted count.
 
-use fd_incomplete::core::update::{Database, Policy};
+use fd_incomplete::core::update::Database;
 use fd_incomplete::prelude::*;
 use fd_incomplete::store::record::{frame, Scanned, Scanner, FILE_HEADER};
 use fd_incomplete::store::{Batch, JournalOp, MemStorage, Storage};
 use proptest::prelude::*;
 
-/// A weak propagating journal: a genesis with marks, a shared null and
+/// A weak journal: a genesis with marks, a shared null and
 /// an NEC class, then accepted inserts, modifies, a resolve, a delete
 /// and a compaction. Returns the record payloads, genesis first.
 fn journal_payloads() -> Vec<Vec<u8>> {
@@ -22,7 +22,7 @@ fn journal_payloads() -> Vec<Vec<u8>> {
         .unwrap();
     let fds = FdSet::parse(&schema, "dept -> mgr").unwrap();
     let base = Instance::parse(schema, "d1 m1 x\nd2 ?a y\nd3 - ?n\nd2 ?a -\nd3 - w").unwrap();
-    let mut db = Database::new(base, fds, Policy::default()).unwrap();
+    let mut db = Database::new(base, fds, Enforcement::Weak).unwrap();
     assert_eq!(db.instance().necs().merge_count(), 1, "d3's two mgr nulls");
     let mut journal = Journal::create(MemStorage::new(), &db).unwrap();
     let row = |db: &Database, pos: usize| db.instance().nth_row(pos);

@@ -16,7 +16,7 @@
 
 use fd_incomplete::core::chase;
 use fd_incomplete::core::query;
-use fd_incomplete::core::update::{Database, Enforcement, Policy};
+use fd_incomplete::core::update::{Database, Enforcement};
 use fd_incomplete::gen::{
     satisfiable_workload, scaling_query, update_stream, UpdateMix, UpdateOp, WorkloadSpec,
 };
@@ -56,15 +56,7 @@ fn mix() -> UpdateMix {
 /// twins (one to serve, one to replay the oracle on).
 fn base_db(seed: u64, rows: usize) -> Database {
     let w = satisfiable_workload(seed, &spec(rows), 2);
-    Database::new(
-        w.instance.clone(),
-        w.fds.clone(),
-        Policy {
-            enforcement: Enforcement::Weak,
-            propagate: false,
-        },
-    )
-    .expect("satisfiable base")
+    Database::new(w.instance.clone(), w.fds.clone(), Enforcement::Weak).expect("satisfiable base")
 }
 
 /// The epoch fingerprint, recomputed independently of the serving
