@@ -51,13 +51,12 @@
 //! Each engine has one entry point, and it takes (where it has work to
 //! report) an `fdi-obs` [`Recorder`](fdi_obs::Recorder):
 //! [`testfd::check`], [`chase::chase_plain`], [`chase::extended_chase`]
-//! and [`groupkey::group_rows`] are sequential; compiled selection,
-//! [`query::CompiledQuery::select_par_stats`], is the one engine that
-//! takes an `fdi-exec` [`Executor`](fdi_exec::Executor). It shards its
-//! row scan over stable [`RowId`](fdi_relation::rowid::RowId) slot
-//! ranges (`Instance::row_id_shards`) and merges shard results in shard
-//! order, so its answer is **bit-identical at every thread count** and
-//! `FDI_THREADS` is purely a throughput knob, never a semantics knob.
+//! and [`groupkey::group_rows`]. Every engine runs sequentially on the
+//! calling thread. Compiled selection,
+//! [`query::CompiledQuery::select_stats`], is one ascending pass over
+//! the live rows. `select_par_stats` is the same pass with an `fdi-exec`
+//! executor parameter that it never reads, kept because the end-to-end
+//! benchmark's replay passes one.
 //! The noop recorder records nothing, so recorded and unrecorded runs
 //! are one function called with different arguments.
 //!
@@ -70,8 +69,8 @@
 //! lowest violated FD — identical to the pairwise reference
 //! [`testfd::check_pairwise`] (see [`testfd`]'s module docs). The
 //! property suite (`tests/chase_equiv.rs`) enforces these contracts
-//! against the oracles, and `tests/par_equiv.rs` holds compiled
-//! selection to the interpreted `select` at thread counts 1–8.
+//! against the oracles and holds compiled selection to the interpreted
+//! `select`.
 //!
 //! # The two satisfaction notions, in one place
 //!

@@ -320,28 +320,26 @@ pub fn eval_signature(
 
 /// The answer sets of a selection over an incomplete instance, in the
 /// style the paper cites [Lipski 79] for: rows that **surely** satisfy
-/// the query (true under every completion), rows that **maybe** satisfy
-/// it (true under some completion, false under another), and rows that
-/// surely do not.
+/// the query (true under every completion) and rows that **maybe**
+/// satisfy it (true under some completion, false under another). Rows
+/// that surely do not satisfy it are in neither set.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Selection {
     /// Rows with `least-extension = true`.
     pub sure: Vec<fdi_relation::rowid::RowId>,
     /// Rows with `least-extension = unknown`.
     pub maybe: Vec<fdi_relation::rowid::RowId>,
-    /// Rows with `least-extension = false`.
-    pub no: Vec<fdi_relation::rowid::RowId>,
 }
 
 /// Evaluates `query` on every row with the (exact) signature evaluator
-/// and splits the rows into sure / maybe / no answer sets.
+/// and splits the rows into sure / maybe answer sets.
 pub fn select(query: &Query, instance: &Instance) -> Result<Selection, RelationError> {
     let mut out = Selection::default();
     for row in instance.row_ids() {
         match eval_signature(query, row, instance)? {
             Truth::True => out.sure.push(row),
             Truth::Unknown => out.maybe.push(row),
-            Truth::False => out.no.push(row),
+            Truth::False => {}
         }
     }
     Ok(out)
@@ -513,13 +511,13 @@ mod tests {
         let sel = select(&married, &r).unwrap();
         assert_eq!(sel.maybe, vec![r.nth_row(0)], "John's status is unknown");
         assert_eq!(sel.sure, vec![r.nth_row(1)]);
-        assert_eq!(sel.no, vec![r.nth_row(2)]);
+        // Ann is surely not married: in neither set
         // the tautological coverage query surely selects everyone
         let single = Query::eq_text(&r, "status", "single").unwrap();
         let either = married.or(single);
         let sel = select(&either, &r).unwrap();
         assert_eq!(sel.sure, r.row_ids().collect::<Vec<_>>());
-        assert!(sel.maybe.is_empty() && sel.no.is_empty());
+        assert!(sel.maybe.is_empty());
     }
 
     #[test]

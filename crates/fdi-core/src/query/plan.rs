@@ -93,8 +93,8 @@ enum FoldNode {
 
 /// Reusable per-evaluator scratch space. All per-row buffers live here
 /// so the row loop of [`CompiledQuery::eval`] allocates nothing after
-/// warm-up. One scratch must not be shared across threads — each shard
-/// of [`CompiledQuery::select_par_stats`] owns its own.
+/// warm-up; [`CompiledQuery::select_stats`] uses one for its whole
+/// pass.
 #[derive(Debug, Default)]
 pub struct EvalScratch {
     /// NEC class roots, in first-seen (ascending-attribute) order.
@@ -162,10 +162,10 @@ impl SignatureMemo {
     }
 }
 
-/// Aggregated memo statistics from a parallel selection.
+/// Memo statistics from one compiled selection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MemoStats {
-    /// Verdicts replayed from a shard-local memo.
+    /// Verdicts replayed from the memo.
     pub hits: u64,
     /// Verdicts computed.
     pub misses: u64,
@@ -516,51 +516,42 @@ impl CompiledQuery {
         Ok(verdict)
     }
 
-    /// [`select`](super::select) through the compiled plan:
-    /// row-shard parallel with shard-local scratch + memo, partials
-    /// concatenated in shard order, with the shards' memo statistics
-    /// summed. The `Selection` is bit-identical to
-    /// [`select`](super::select) at every thread count, errors included
-    /// (the reported error is the lowest erroring row's). Memoization
-    /// never crosses shards, so verdicts cannot depend on the shard
-    /// layout; hit/miss counts do (they are diagnostics).
+    /// [`select`](super::select) through the compiled plan: one
+    /// ascending pass over the live rows with one [`EvalScratch`] and
+    /// one [`SignatureMemo`]. The `Selection` equals
+    /// [`select`](super::select)'s, errors included (the reported error
+    /// is the lowest erroring row's); the memo's hit/miss counts are
+    /// diagnostics.
+    pub fn select_stats(
+        &self,
+        instance: &Instance,
+    ) -> Result<(Selection, MemoStats), RelationError> {
+        let mut scratch = EvalScratch::default();
+        let mut memo = SignatureMemo::new();
+        let mut out = Selection::default();
+        for (row, _) in instance.iter_live() {
+            match self.eval(row, instance, &mut scratch, Some(&mut memo))? {
+                Truth::True => out.sure.push(row),
+                Truth::Unknown => out.maybe.push(row),
+                Truth::False => {}
+            }
+        }
+        let stats = MemoStats {
+            hits: memo.hits(),
+            misses: memo.misses(),
+        };
+        Ok((out, stats))
+    }
+
+    /// [`CompiledQuery::select_stats`]. `_exec` is never read: the
+    /// parameter stays only because the end-to-end benchmark's replay
+    /// passes one.
     pub fn select_par_stats(
         &self,
         instance: &Instance,
-        exec: &fdi_exec::Executor,
+        _exec: &fdi_exec::Executor,
     ) -> Result<(Selection, MemoStats), RelationError> {
-        let shards = instance.row_id_shards(exec.threads() * 4);
-        let locals = exec.map(
-            &shards,
-            |_, &shard| -> Result<(Selection, MemoStats), RelationError> {
-                let mut scratch = EvalScratch::default();
-                let mut memo = SignatureMemo::new();
-                let mut out = Selection::default();
-                for (row, _) in instance.iter_live_in(shard) {
-                    match self.eval(row, instance, &mut scratch, Some(&mut memo))? {
-                        Truth::True => out.sure.push(row),
-                        Truth::Unknown => out.maybe.push(row),
-                        Truth::False => out.no.push(row),
-                    }
-                }
-                let stats = MemoStats {
-                    hits: memo.hits(),
-                    misses: memo.misses(),
-                };
-                Ok((out, stats))
-            },
-        );
-        let mut out = Selection::default();
-        let mut stats = MemoStats::default();
-        for local in locals {
-            let (mut local, s) = local?;
-            out.sure.append(&mut local.sure);
-            out.maybe.append(&mut local.maybe);
-            out.no.append(&mut local.no);
-            stats.hits += s.hits;
-            stats.misses += s.misses;
-        }
-        Ok((out, stats))
+        self.select_stats(instance)
     }
 
     /// The arity the plan was compiled against.
@@ -705,16 +696,10 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 mod tests {
     use super::super::{eval_signature, select};
     use super::*;
-    use fdi_exec::Executor;
     use fdi_relation::schema::Schema;
 
-    fn select_on(
-        plan: &CompiledQuery,
-        r: &Instance,
-        threads: usize,
-    ) -> Result<Selection, RelationError> {
-        plan.select_par_stats(r, &Executor::with_threads(threads))
-            .map(|(selection, _)| selection)
+    fn select_on(plan: &CompiledQuery, r: &Instance) -> Result<Selection, RelationError> {
+        plan.select_stats(r).map(|(selection, _)| selection)
     }
 
     fn people() -> Instance {
@@ -758,16 +743,13 @@ mod tests {
     }
 
     #[test]
-    fn compiled_select_is_bit_identical_including_parallel() {
+    fn compiled_select_is_bit_identical() {
         let r = people();
         let married = Query::eq_text(&r, "status", "married").unwrap();
         let single = Query::eq_text(&r, "status", "single").unwrap();
         let q = married.or(single.not());
         let plan = CompiledQuery::compile(&q, &r);
-        let baseline = select(&q, &r).unwrap();
-        for threads in [1, 2, 3, 8] {
-            assert_eq!(select_on(&plan, &r, threads).unwrap(), baseline);
-        }
+        assert_eq!(select_on(&plan, &r).unwrap(), select(&q, &r).unwrap());
     }
 
     #[test]
@@ -784,10 +766,8 @@ mod tests {
         let q = Query::eq_text(&r, "name", "John").unwrap();
         let plan = CompiledQuery::compile(&q, &r);
         let baseline = select(&q, &r).unwrap_err();
-        for threads in [1, 2, 8] {
-            let err = select_on(&plan, &r, threads).unwrap_err();
-            assert_eq!(format!("{err}"), format!("{baseline}"));
-        }
+        let err = select_on(&plan, &r).unwrap_err();
+        assert_eq!(format!("{err}"), format!("{baseline}"));
     }
 
     #[test]
@@ -819,14 +799,14 @@ mod tests {
         assert_eq!(plan.folded_atoms(), 1);
         assert_eq!(plan.op_count(), 1, "whole program folded to a constant");
         let baseline = select(&tautology, &r).unwrap();
-        assert_eq!(select_on(&plan, &r, 1).unwrap(), baseline);
+        assert_eq!(select_on(&plan, &r).unwrap(), baseline);
         assert_eq!(baseline.sure.len(), 5, "t[a]=t[a] holds on every row");
 
         let impossible = Query::Atom(Atom::In(name, vec![]));
         let plan = CompiledQuery::compile(&impossible, &r);
         assert_eq!(plan.folded_atoms(), 1);
         assert_eq!(
-            select_on(&plan, &r, 1).unwrap(),
+            select_on(&plan, &r).unwrap(),
             select(&impossible, &r).unwrap()
         );
     }

@@ -230,10 +230,11 @@ fn null_columns_for<S: Semantics>(instance: &Instance, sem: S) -> AttrSet {
 /// violates against any second row.
 ///
 /// Returns the **least violating pair of the group** when `rows` is
-/// ascending (every caller's groups are): per attribute, the scan stops
-/// at the first row `j` in conflict with an earlier row, and every row
-/// before `j` is conflict-free on that attribute — so the rows before
-/// `j` that `j` conflicts with are mutually equivalent and the tracked
+/// ascending (every caller's groups are): per attribute, `nothing` rows
+/// aside (see [`attr_violation`]), the scan stops at the first row `j`
+/// in conflict with an earlier row, and every row before `j` is
+/// conflict-free on that attribute — so the rows before `j` that `j`
+/// conflicts with are mutually equivalent and the tracked
 /// representative is the least of them; the per-attribute result is
 /// therefore the attribute's least violating pair, and the fold takes
 /// the minimum across attributes. This is the canonical-witness
@@ -266,7 +267,28 @@ fn group_violation<S: Semantics>(
 /// conflict with differing constants always, with nulls when
 /// [`Semantics::null_const_conflicts`], and nulls conflict across NEC
 /// classes when [`Semantics::cross_class_nulls_conflict`].
+///
+/// `nothing` conflicts with every other row, so the least pair that
+/// holds one is the group's first row with the first `nothing` row
+/// (with the second row, if the first row holds `nothing` itself). The
+/// scan of the other rows may stop at an earlier but larger pair, so
+/// the result is the smaller of the two.
 fn attr_violation<S: Semantics>(
+    instance: &Instance,
+    snapshot: &NecSnapshot,
+    rows: &[RowId],
+    b: fdi_relation::attrs::AttrId,
+    sem: S,
+) -> Option<(RowId, RowId)> {
+    let nothing = rows
+        .iter()
+        .position(|&r| instance.value(r, b) == Value::Nothing)
+        .map(|k| (rows[0], rows[k.max(1)]));
+    min_pair(nothing, value_violation(instance, snapshot, rows, b, sem))
+}
+
+/// [`attr_violation`]'s scan over the rows that do not hold `nothing`.
+fn value_violation<S: Semantics>(
     instance: &Instance,
     snapshot: &NecSnapshot,
     rows: &[RowId],
@@ -278,10 +300,7 @@ fn attr_violation<S: Semantics>(
     let mut first_null: Option<(RowId, fdi_relation::value::NullId)> = None;
     for &r in rows {
         match instance.value(r, b) {
-            Value::Nothing => {
-                let other = rows.iter().copied().find(|x| *x != r).expect("len >= 2");
-                return pair(r, other);
-            }
+            Value::Nothing => {}
             Value::Const(c) => {
                 if let Some((r0, c0)) = first_const {
                     if c0 != c {
@@ -810,6 +829,27 @@ mod tests {
             });
             assert_eq!(check_pairwise(&r, &f, conv), witness, "{conv:?} pairwise");
             assert_eq!(grouped(&r, &f, conv), witness, "{conv:?} grouped");
+        }
+    }
+
+    #[test]
+    fn a_late_nothing_row_gives_the_least_witness() {
+        // Under weak the null never conflicts, the constants conflict at
+        // (1, 2), and the `nothing` at row 3 conflicts with row 0: the
+        // least pair (0, 3) lies past the first constant conflict.
+        let r = abc(3, "A_0 ?x C_0\nA_0 B_1 C_0\nA_0 B_2 C_0\nA_0 #! C_0");
+        let f = fds(&r, "A -> B");
+        let witness = Err(Violation {
+            fd_index: 0,
+            rows: (RowId(0), RowId(3)),
+        });
+        assert_eq!(check_pairwise(&r, &f, Weak), witness);
+        assert_eq!(grouped(&r, &f, Weak), witness);
+        assert_eq!(check_sorted(&r, &f, Weak), witness);
+        for conv in SemanticsKind::ALL {
+            let pairwise = check_pairwise(&r, &f, conv);
+            assert_eq!(grouped(&r, &f, conv), pairwise, "{conv:?}");
+            assert_eq!(check_sorted(&r, &f, conv), pairwise, "{conv:?}");
         }
     }
 

@@ -2,9 +2,10 @@
 //! oracles: the worklist chase must reproduce the naive pair-scan chase
 //! exactly (same promoted constants, same NEC partition up to
 //! representative choice, same event and pass counts), the extended
-//! chase must reach the naive oracle's closure, and group-indexed
-//! TEST-FDs must report the pairwise oracle's canonical witness under
-//! both conventions.
+//! chase must reach the naive oracle's closure, group-indexed TEST-FDs
+//! must report the pairwise oracle's canonical witness under both
+//! conventions, and compiled selection must equal the interpreted
+//! `select`.
 //!
 //! Instances come from the `fdi-gen` workload generators (column-local
 //! NEC classes — the regime where the chase engines are order-identical;
@@ -22,11 +23,12 @@ use fdi_core::chase::{
     weakly_satisfiable_via_chase,
 };
 use fdi_core::fd::FdSet;
+use fdi_core::query::{self, CompiledQuery, Query, Selection};
 use fdi_core::semantics::{self, Semantics, SemanticsKind};
 use fdi_core::testfd::{self, Violation};
 use fdi_gen::{
-    large_workload, plant_violation, random_fds, satisfiable_workload, workload, Workload,
-    WorkloadSpec,
+    large_workload, plant_violation, random_fds, satisfiable_workload, scaling_query, workload,
+    Workload, WorkloadSpec,
 };
 use fdi_obs::Recorder;
 use fdi_relation::attrs::AttrId;
@@ -38,6 +40,13 @@ use rand::{Rng, SeedableRng};
 
 fn check<S: Semantics>(r: &Instance, fds: &FdSet, conv: S) -> Result<(), Violation> {
     testfd::check(r, fds, conv, &Recorder::noop())
+}
+
+fn compiled_select(q: &Query, r: &Instance) -> Selection {
+    CompiledQuery::compile(q, r)
+        .select_stats(r)
+        .expect("uniform domains are finite")
+        .0
 }
 
 /// [`extended_chase`] equals the naive oracle — canonical instance,
@@ -334,6 +343,22 @@ proptest! {
         }
     }
 
+    /// Compiled selection equals the interpreted `select` exactly (the
+    /// same rows in the same order in both answer sets) on null-free,
+    /// null-bearing, NEC-sharing and `nothing`-bearing rows: for the
+    /// scaling query, and for an attribute comparison across two
+    /// columns, which exercises multi-class signatures.
+    #[test]
+    fn compiled_select_matches_select_on_adversarial_instances(w in arb_adversarial()) {
+        let r = &w.instance;
+        let q = scaling_query(r);
+        prop_assert_eq!(query::select(&q, r).expect("finite"), compiled_select(&q, r));
+        let schema = r.schema();
+        let q2 = Query::eq_attrs(r, schema.attr_name(AttrId(0)), schema.attr_name(AttrId(1)))
+            .expect("attrs exist");
+        prop_assert_eq!(query::select(&q2, r).expect("finite"), compiled_select(&q2, r), "eq_attrs");
+    }
+
     /// `extended_chase` equals the naive oracle across the adversarial
     /// regimes (cross-column NEC classes, preexisting `nothing` cells,
     /// planted conflicts), and the no-materialize weak-satisfiability
@@ -434,6 +459,11 @@ fn engines_survive_tombstone_heavy_arenas() {
             "{conv:?}"
         );
     }
+    let q = scaling_query(&w.instance);
+    assert_eq!(
+        query::select(&q, &w.instance).unwrap(),
+        compiled_select(&q, &w.instance)
+    );
 }
 
 /// Live rows above a large tombstone gap (`slot_bound() >> len()`): the

@@ -340,8 +340,8 @@ pub fn large_workload(
 ///   (Theorem 4(b): the instance stops being weakly satisfiable).
 ///
 /// Deterministic given `seed`; no `order_replay_exact` promise is made
-/// (that is the point). The parallel-chase benchmarks and the
-/// thread-invariance suite of `extended_chase` run on this shape.
+/// (that is the point). The extended-chase oracle suite and the query
+/// equivalence suite run on this shape.
 pub fn extended_workload(
     seed: u64,
     rows: usize,
@@ -377,7 +377,7 @@ pub fn extended_workload(
     w
 }
 
-/// The standard selection query of the scaling/parallel benchmarks,
+/// The standard selection query of the selection equivalence suites,
 /// over a [`scaling_spec`]-style instance (attributes `A`, `B`, …, and
 /// constants `A_0`, `A_1`, `B_0`, … — present in every uniform domain,
 /// whose size [`scaling_spec`] floors at 8):
@@ -387,7 +387,7 @@ pub fn extended_workload(
 /// ```
 ///
 /// The shape is chosen to exercise every answer set: constant rows
-/// split into sure/no on the predicate, null-bearing rows go through
+/// split into sure/not-selected on the predicate, null-bearing rows go through
 /// the signature evaluator's mentioned-constants analysis (`A_0`,
 /// `A_1`, `B_0` are *mentioned*, the rest of the domain is summarized
 /// by fresh representatives), and NEC-shared nulls exercise the class

@@ -17,8 +17,8 @@
 //!
 //! # Deterministic vs nondeterministic metrics
 //!
-//! The workspace promises bit-identical engine results at every
-//! `FDI_THREADS` count and under any number of concurrent readers.
+//! The workspace promises bit-identical engine results for the same op
+//! stream, under any number of concurrent readers.
 //! Observability extends that contract instead of eroding it: every
 //! metric is registered as **deterministic** or not, and
 //! [`MetricsSnapshot::deterministic_pairs`] exposes exactly the
@@ -29,13 +29,11 @@
 //!   TEST-FDs) —
 //!   extended-chase rounds/unions, TEST-FDs tallies, ops
 //!   applied/rejected, journal record/sync *counts*, epoch sequence.
-//!   Same op stream ⇒ same values, at any thread count, with any
-//!   number of readers.
+//!   Same op stream ⇒ same values, with any number of readers.
 //! * **Nondeterministic** metrics are timings (histograms are always
-//!   nondeterministic), the per-shard work counts of compiled selection
-//!   (memo hits/misses — its shard boundaries follow the thread
-//!   count), and anything reader-driven (`snapshot_reads`, plan-cache
-//!   traffic — readers are free-running threads).
+//!   nondeterministic) and anything reader-driven (`snapshot_reads`,
+//!   plan-cache and memo traffic — readers are free-running threads,
+//!   and which reader asks what is up to them).
 //!
 //! The registry lives in the [`Counter`], [`Gauge`], and [`Hist`]
 //! enums; each variant documents its source and its determinism class.
@@ -107,11 +105,10 @@ pub enum Counter {
     PlanCacheHits,
     /// Per-epoch plan-cache misses (nondeterministic: reader-driven).
     PlanCacheMisses,
-    /// `SignatureMemo` verdict replays (nondeterministic: compiled
-    /// selection keeps one memo per shard, and its shard count follows
-    /// the executor's thread count).
+    /// `SignatureMemo` verdict replays (nondeterministic: reader-driven,
+    /// one tally per recorded select).
     MemoHits,
-    /// `SignatureMemo` fresh evaluations (nondeterministic: per-shard,
+    /// `SignatureMemo` fresh evaluations (nondeterministic: reader-driven,
     /// like `MemoHits`).
     MemoMisses,
     /// Rows answered via the null-free classical fast path
@@ -214,8 +211,8 @@ impl Counter {
     }
 
     /// Whether this counter belongs to the deterministic slice: same
-    /// op stream ⇒ same value at every `FDI_THREADS` count and reader
-    /// count. See the crate docs for the classification rationale.
+    /// op stream ⇒ same value at every reader count. See the crate docs
+    /// for the classification rationale.
     pub fn deterministic(self) -> bool {
         !matches!(
             self,
@@ -596,8 +593,7 @@ impl MetricsSnapshot {
 
     /// Every deterministic-registered metric as `(name, value)` pairs
     /// in stable registry order — the exact slice the determinism
-    /// proptests assert bit-identical across `FDI_THREADS` and reader
-    /// counts.
+    /// proptests assert bit-identical across runs and reader counts.
     pub fn deterministic_pairs(&self) -> Vec<(&'static str, u64)> {
         let counters = Counter::ALL
             .iter()

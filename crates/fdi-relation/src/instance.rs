@@ -31,7 +31,7 @@ use crate::attrs::AttrId;
 use crate::domain::Domain;
 use crate::error::RelationError;
 use crate::nec::NecStore;
-use crate::rowid::{RowId, RowIdShard};
+use crate::rowid::RowId;
 use crate::schema::{DomainSpec, Schema};
 use crate::serial::{self, DecodeError, Reader};
 use crate::symbol::{Symbol, SymbolTable};
@@ -171,46 +171,6 @@ impl Instance {
             .iter()
             .enumerate()
             .filter_map(|(i, slot)| slot.as_ref().map(|t| (RowId(i as u32), t)))
-    }
-
-    /// Partitions the slot space `0..slot_bound()` into exactly
-    /// `k.max(1)` contiguous [`RowIdShard`]s — the unit of parallel work
-    /// for the `fdi-exec` executor. Shards are near-equal in *slot*
-    /// count; tombstones simply yield fewer live rows in their shard, so
-    /// a shard may be empty (all-tombstone ranges, or `k` exceeding the
-    /// slot bound). Concatenating [`Instance::iter_live_in`] over the
-    /// shards in order reproduces [`Instance::iter_live`] exactly —
-    /// which is what makes shard-order merges of per-shard results equal
-    /// to sequential results at any shard count.
-    ///
-    /// Slot ids are stable under deletes (removal tombstones, never
-    /// renumbers), so shard boundaries never invalidate: per-shard
-    /// structures need no cross-shard renumbering barrier.
-    pub fn row_id_shards(&self, k: usize) -> Vec<RowIdShard> {
-        let k = k.max(1);
-        let bound = self.slots.len();
-        let chunk = bound.div_ceil(k).max(1);
-        (0..k)
-            .map(|i| {
-                let start = (i * chunk).min(bound);
-                let end = ((i + 1) * chunk).min(bound);
-                RowIdShard {
-                    start: start as u32,
-                    end: end as u32,
-                }
-            })
-            .collect()
-    }
-
-    /// The live rows of one shard, in ascending slot order — the
-    /// restriction of [`Instance::iter_live`] to the shard's slot range.
-    pub fn iter_live_in(&self, shard: RowIdShard) -> impl Iterator<Item = (RowId, &Tuple)> + '_ {
-        let start = (shard.start as usize).min(self.slots.len());
-        let end = (shard.end as usize).min(self.slots.len()).max(start);
-        self.slots[start..end]
-            .iter()
-            .enumerate()
-            .filter_map(move |(i, slot)| slot.as_ref().map(|t| (RowId(start as u32 + i as u32), t)))
     }
 
     /// Live row ids, in ascending slot order.
@@ -994,122 +954,6 @@ mod tests {
             let first = t.get(AttrId(0)).render(r.symbols(), false);
             assert!(line.contains(&first));
         }
-    }
-
-    #[test]
-    fn shards_partition_the_live_rows_at_any_k() {
-        let mut r = Instance::parse(
-            schema_abc(),
-            "a1 b1 c1\na1 b2 c2\na2 b3 c1\na2 b1 c2\na1 b3 c2",
-        )
-        .unwrap();
-        // interior tombstones at slots 1 and 3
-        r.remove_row(r.nth_row(1));
-        r.remove_row(RowId(3));
-        assert_eq!(r.len(), 3);
-        assert_eq!(r.slot_bound(), 5);
-        let all: Vec<RowId> = r.row_ids().collect();
-        for k in [1, 2, 3, 4, 5, 7, 16] {
-            let shards = r.row_id_shards(k);
-            assert_eq!(shards.len(), k, "exactly k shards at k = {k}");
-            // shards tile [0, slot_bound) contiguously
-            assert_eq!(shards[0].start, 0);
-            assert_eq!(shards.last().unwrap().end as usize, r.slot_bound());
-            for w in shards.windows(2) {
-                assert_eq!(w[0].end, w[1].start, "contiguous at k = {k}");
-            }
-            // concatenated shard iteration == iter_live
-            let concat: Vec<RowId> = shards
-                .iter()
-                .flat_map(|&s| r.iter_live_in(s).map(|(id, _)| id))
-                .collect();
-            assert_eq!(concat, all, "k = {k}");
-            // membership agrees with contains()
-            for &s in &shards {
-                for (id, _) in r.iter_live_in(s) {
-                    assert!(s.contains(id));
-                }
-            }
-        }
-        // k > live count: the surplus shards are empty but harmless
-        let shards = r.row_id_shards(16);
-        let live_shards = shards
-            .iter()
-            .filter(|&&s| r.iter_live_in(s).count() > 0)
-            .count();
-        assert_eq!(live_shards, 3, "one singleton shard per live row");
-        assert!(shards.iter().any(|s| s.is_empty()));
-    }
-
-    #[test]
-    fn all_tombstone_shards_yield_no_rows() {
-        let mut r =
-            Instance::parse(schema_abc(), "a1 b1 c1\na1 b2 c2\na2 b3 c1\na2 b1 c2").unwrap();
-        // tombstone slots 1 and 2: with k = 2 and chunk = 2 the shard
-        // [2, 4) holds one live row, and after also removing slot 3's
-        // twin … build the sharper case: kill 2 and 3 via nth positions.
-        r.remove_row(RowId(2));
-        r.remove_row(RowId(1));
-        assert_eq!(r.slot_bound(), 4, "interior tombstones keep slots");
-        let shards = r.row_id_shards(2);
-        assert_eq!(shards[0].slot_len(), 2);
-        // shard [2, 4): slot 2 is a tombstone, slot 3 is live
-        assert_eq!(r.iter_live_in(shards[1]).count(), 1);
-        // now an entirely dead range: remove slot 3 too (trailing, so it
-        // truncates together with tombstone 2 … make a fresh arena where
-        // the dead range is interior instead)
-        let mut r2 = Instance::parse(
-            schema_abc(),
-            "a1 b1 c1\na1 b2 c2\na2 b3 c1\na2 b1 c2\na1 b3 c2\na2 b2 c1",
-        )
-        .unwrap();
-        r2.remove_row(RowId(2));
-        r2.remove_row(RowId(3));
-        let shards = r2.row_id_shards(3);
-        assert_eq!(shards[1].slot_len(), 2, "shard [2,4) spans the dead range");
-        assert_eq!(
-            r2.iter_live_in(shards[1]).count(),
-            0,
-            "all-tombstone shard is empty of live rows"
-        );
-        let concat: Vec<RowId> = shards
-            .iter()
-            .flat_map(|&s| r2.iter_live_in(s).map(|(id, _)| id))
-            .collect();
-        assert_eq!(concat, r2.row_ids().collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn shards_on_empty_and_compacted_arenas() {
-        let empty = Instance::new(schema_abc());
-        let shards = empty.row_id_shards(4);
-        assert_eq!(shards.len(), 4);
-        assert!(shards.iter().all(|s| s.is_empty()));
-        assert_eq!(empty.row_id_shards(0).len(), 1, "k = 0 behaves as k = 1");
-
-        let mut r = Instance::parse(schema_abc(), "a1 b1 c1\na1 b2 c2\na2 b3 c1").unwrap();
-        r.remove_row(r.nth_row(1));
-        r.compact();
-        assert_eq!(r.slot_bound(), r.len());
-        let shards = r.row_id_shards(2);
-        let concat: Vec<RowId> = shards
-            .iter()
-            .flat_map(|&s| r.iter_live_in(s).map(|(id, _)| id))
-            .collect();
-        assert_eq!(concat, r.row_ids().collect::<Vec<_>>());
-        assert_eq!(concat.len(), 2);
-    }
-
-    #[test]
-    fn shard_ranges_clamp_beyond_the_arena() {
-        let r = Instance::parse(schema_abc(), "a1 b1 c1").unwrap();
-        // a stale shard drawn from a larger arena clamps safely
-        let wide = RowIdShard::new(0, 100);
-        assert_eq!(r.iter_live_in(wide).count(), 1);
-        let beyond = RowIdShard::new(50, 100);
-        assert_eq!(r.iter_live_in(beyond).count(), 0);
-        // inverted bounds collapse to empty
-        assert!(RowIdShard::new(5, 3).is_empty());
     }
 
     /// Round-trips through encode/decode and asserts exactness: equal

@@ -68,7 +68,7 @@ pub use domain::Domain;
 pub use error::RelationError;
 pub use instance::{CanonValue, CanonicalInstance, Instance};
 pub use nec::{NecSnapshot, NecStore};
-pub use rowid::{RowId, RowIdShard};
+pub use rowid::RowId;
 pub use schema::{AttrDef, DomainSpec, Schema, SchemaBuilder};
 pub use serial::DecodeError;
 pub use symbol::{Symbol, SymbolTable};

@@ -45,56 +45,3 @@ impl fmt::Display for RowId {
         write!(f, "{}", self.0)
     }
 }
-
-/// A contiguous, half-open range of row slots `[start, end)` — the unit
-/// of parallel work handed to the `fdi-exec` executor.
-///
-/// Produced by
-/// [`Instance::row_id_shards`](crate::instance::Instance::row_id_shards),
-/// which partitions the slot space so that concatenating the shards in
-/// order visits every live row exactly once, in ascending slot order.
-/// Because slot ids survive deletes unchanged (tombstoning, no
-/// renumbering), a shard remains a valid description of "these rows"
-/// across arbitrary churn; only an explicit
-/// [`Instance::compact`](crate::instance::Instance::compact) moves rows
-/// between shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct RowIdShard {
-    /// First slot index of the shard (inclusive).
-    pub(crate) start: u32,
-    /// One past the last slot index (exclusive).
-    pub(crate) end: u32,
-}
-
-impl RowIdShard {
-    /// The shard covering `[start, end)` of the slot space.
-    pub fn new(start: u32, end: u32) -> RowIdShard {
-        RowIdShard {
-            start,
-            end: end.max(start),
-        }
-    }
-
-    /// Number of slots (live or tombstoned) the shard spans.
-    pub fn slot_len(&self) -> usize {
-        (self.end - self.start) as usize
-    }
-
-    /// `true` iff the shard spans no slots at all. (A non-empty slot
-    /// range may still contain zero *live* rows — an all-tombstone
-    /// shard.)
-    pub fn is_empty(&self) -> bool {
-        self.start == self.end
-    }
-
-    /// Does the shard's slot range contain `row`?
-    pub fn contains(&self, row: RowId) -> bool {
-        (self.start..self.end).contains(&row.0)
-    }
-}
-
-impl fmt::Display for RowIdShard {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "[{}, {})", self.start, self.end)
-    }
-}

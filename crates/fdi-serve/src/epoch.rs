@@ -8,7 +8,6 @@
 use fdi_core::query::plan::CompiledQuery;
 use fdi_core::query::{Query, Selection};
 use fdi_core::update::Database;
-use fdi_exec::Executor;
 use fdi_obs::{Counter, Hist, Recorder};
 use fdi_relation::RelationError;
 use std::collections::HashMap;
@@ -72,33 +71,27 @@ impl Epoch {
     /// null allocator, NEC forest, slots, free list). Two epochs with
     /// equal fingerprints at equal `ops_applied` are replays of the
     /// same accepted-op prefix — the currency the bit-identical
-    /// determinism tests compare across thread counts and runs.
+    /// determinism tests compare across reader counts and runs.
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
     }
 
-    /// Sure/maybe/no answer sets for `query` against this epoch,
-    /// through the compiled path: the query is compiled **once per
-    /// epoch** (encoding-keyed plan cache) and evaluated with the
-    /// sharded [`CompiledQuery::select_par_stats`]. Bit-identical to
-    /// the sequential [`fdi_core::query::select`] at every thread
-    /// count, errors included — the proptest suite holds both paths to
-    /// the same answer.
+    /// Sure/maybe answer sets for `query` against this epoch, through
+    /// the compiled path: the query is compiled **once per epoch**
+    /// (encoding-keyed plan cache) and evaluated in one pass by
+    /// [`CompiledQuery::select_stats`]. Equal to
+    /// [`fdi_core::query::select`], errors included — the proptest
+    /// suite holds both paths to the same answer.
     ///
     /// `rec` tallies plan-cache hits/misses, compiles, NEC-signature
     /// memo hits/misses, and classical (null-free fast-path) rows. All of those are **nondeterministic**
     /// metrics by the [`fdi_obs`] contract — they depend on which reader
     /// asked what, in which order — so recording here never perturbs
     /// the deterministic set, and the recorder never changes an answer.
-    pub fn select(
-        &self,
-        query: &Query,
-        exec: &Executor,
-        rec: &Recorder,
-    ) -> Result<Selection, RelationError> {
+    pub fn select(&self, query: &Query, rec: &Recorder) -> Result<Selection, RelationError> {
         let plan = self.plan_for(CompiledQuery::encode(query), query, rec);
         let live_rows = self.db.instance().len() as u64;
-        let (selection, memo) = plan.select_par_stats(self.db.instance(), exec)?;
+        let (selection, memo) = plan.select_stats(self.db.instance())?;
         rec.add(Counter::MemoHits, memo.hits);
         rec.add(Counter::MemoMisses, memo.misses);
         // Rows that never consulted the memo took the classical

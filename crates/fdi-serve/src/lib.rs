@@ -17,7 +17,7 @@
 //!
 //! * Any published epoch, each equal to a **sequential replay of some
 //!   accepted-op prefix** ending at a batch boundary: same `RowId`s,
-//!   same canonical NEC classes, at every thread count. (Exactness is content-level: a rejected op is
+//!   same canonical NEC classes. (Exactness is content-level: a rejected op is
 //!   content-traceless but may advance the writer's null allocator, so
 //!   only null *mark ids* can differ from an accepted-only replay — the
 //!   same caveat the store layer documents for live-vs-recovered
@@ -69,8 +69,9 @@
 //! The engine-wide contract extends to serving: the same accepted-op
 //! stream with the same batch boundaries produces the same epoch
 //! sequence — same sequence numbers, same op counts, same
-//! [`Epoch::fingerprint`]s — at every `FDI_THREADS` setting and any
-//! number of concurrent readers. The concurrency suite in
+//! [`Epoch::fingerprint`]s — under any number of concurrent readers.
+//! Staging, publishing and selection all run on the calling thread, so
+//! no thread count enters the result. The concurrency suite in
 //! `tests/serve_consistency.rs` (repo root) holds this pinned.
 //!
 //! ## Observability
@@ -88,8 +89,8 @@
 //!
 //! * Writer-side **deterministic** metrics (op tallies, journal
 //!   record/op counts, epochs published, epoch gauges) are
-//!   bit-identical across `FDI_THREADS` settings and reader counts for
-//!   the same op stream and batch boundaries.
+//!   bit-identical across reader counts for the same op stream and
+//!   batch boundaries.
 //! * Reader-driven metrics (snapshot reads, plan-cache and memo
 //!   traffic, classical-row counts) and wall-clock histograms are
 //!   **nondeterministic** — they depend on scheduling and on which

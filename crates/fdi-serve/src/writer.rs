@@ -35,7 +35,6 @@
 
 use crate::epoch::{Epoch, EpochCell, Reader};
 use fdi_core::update::{Database, UpdateError, UpdateOutcome};
-use fdi_exec::Executor;
 use fdi_obs::{Counter, Gauge, Hist, Recorder};
 use fdi_relation::rowid::RowId;
 use fdi_relation::AttrId;
@@ -178,14 +177,14 @@ impl<S: Storage> Writer<S> {
     /// Creates a serving pair over a fresh journal in empty `storage`
     /// (genesis = `db` as given) and publishes `db` as epoch 0.
     ///
-    /// The writer stages and publishes on the calling thread, so it
-    /// never reads `_exec`; queries take their executor at
-    /// [`Epoch::select`].
+    /// `_exec` is never read: the writer stages and publishes on the
+    /// calling thread, and the parameter stays only because the
+    /// end-to-end benchmark's replay passes one.
     pub fn create(
         db: Database,
         storage: S,
         cfg: ServeConfig,
-        _exec: Executor,
+        _exec: fdi_exec::Executor,
     ) -> Result<(Writer<S>, Reader), ServeError> {
         let journal = Journal::create(storage, &db)?;
         Ok(Writer::resume(db, journal, 0, cfg))
@@ -257,8 +256,7 @@ impl<S: Storage> Writer<S> {
 
     /// The publication log: one stamp per published epoch, epoch 0
     /// first. Same accepted-op stream + same batch boundaries ⇒ equal
-    /// logs, at every thread count — the determinism tests compare
-    /// these across runs.
+    /// logs — the determinism tests compare these across runs.
     pub fn published_log(&self) -> &[EpochStamp] {
         &self.published
     }
@@ -403,6 +401,7 @@ mod tests {
     use super::*;
     use fdi_core::update::Enforcement;
     use fdi_core::FdSet;
+    use fdi_exec::Executor;
     use fdi_relation::{Instance, Schema};
     use fdi_store::{Fault, FaultyStorage, MemStorage};
 
@@ -427,8 +426,7 @@ mod tests {
         max_batch: usize,
     ) -> (Writer<S>, Reader) {
         let cfg = ServeConfig { max_batch };
-        let exec = Executor::with_threads(1);
-        Writer::create(fresh_db(enforcement), storage, cfg, exec).unwrap()
+        Writer::create(fresh_db(enforcement), storage, cfg, Executor).unwrap()
     }
 
     fn ins(tokens: &[&str]) -> ServeOp {
@@ -451,7 +449,7 @@ mod tests {
             fresh_db(Enforcement::Weak),
             MemStorage::new(),
             ServeConfig::default(),
-            Executor::with_threads(1),
+            Executor,
         )
         .unwrap();
         let epoch0 = reader.snapshot();
@@ -527,7 +525,7 @@ mod tests {
             fresh_db(Enforcement::Weak),
             MemStorage::new(),
             ServeConfig::default(),
-            Executor::with_threads(2),
+            Executor,
         )
         .unwrap();
         stage_and_publish(
@@ -535,14 +533,13 @@ mod tests {
             &[ins(&["d1", "m1"]), ins(&["d2", "-"]), ins(&["d3", "m3"])],
         );
         let epoch = reader.snapshot();
-        let exec = Executor::with_threads(2);
         let q = fdi_core::query::Query::eq_text(epoch.db().instance(), "mgr", "m1").unwrap();
         assert_eq!(epoch.plan_cache_len(), 0);
-        let par = epoch.select(&q, &exec, &Recorder::noop()).unwrap();
+        let compiled = epoch.select(&q, &Recorder::noop()).unwrap();
         assert_eq!(epoch.plan_cache_len(), 1, "first select compiles");
         let seq = fdi_core::query::select(&q, epoch.db().instance()).unwrap();
-        assert_eq!(par, seq);
-        let again = epoch.select(&q, &exec, &Recorder::noop()).unwrap();
+        assert_eq!(compiled, seq);
+        let again = epoch.select(&q, &Recorder::noop()).unwrap();
         assert_eq!(epoch.plan_cache_len(), 1, "second select reuses the plan");
         assert_eq!(again, seq);
         let db = epoch.db();
@@ -558,7 +555,7 @@ mod tests {
             ServeConfig {
                 max_batch: 100, // commit only at publish
             },
-            Executor::with_threads(1),
+            Executor,
         )
         .unwrap();
         stage_and_publish(&mut writer, &[ins(&["d1", "m1"]), ins(&["d2", "m2"])]);
@@ -581,33 +578,6 @@ mod tests {
             published.fingerprint,
             "recovered epoch 0 is bit-identical to the last published epoch"
         );
-    }
-
-    #[test]
-    fn published_log_is_identical_across_thread_counts() {
-        let batches: Vec<Vec<ServeOp>> = vec![
-            vec![ins(&["d1", "m1"]), ins(&["d2", "-"])],
-            vec![ins(&["d1", "-"]), ServeOp::Compact],
-            vec![ins(&["d3", "-"]), ins(&["d3", "m3"])],
-            vec![ServeOp::Delete(RowId(1)), ServeOp::Compact],
-        ];
-        let mut logs = Vec::new();
-        for threads in [1, 2, 4, 8] {
-            let (mut writer, _reader) = Writer::create(
-                fresh_db(Enforcement::Weak),
-                MemStorage::new(),
-                ServeConfig::default(),
-                Executor::with_threads(threads),
-            )
-            .unwrap();
-            for batch in &batches {
-                stage_and_publish(&mut writer, batch);
-            }
-            logs.push(writer.published_log().to_vec());
-        }
-        for log in &logs[1..] {
-            assert_eq!(log, &logs[0], "epoch sequence must not depend on threads");
-        }
     }
 
     /// With `max_batch` 1 (and its 0 alias) every accepted op is durable
@@ -752,8 +722,7 @@ mod tests {
         let cfg = ServeConfig {
             max_batch: usize::MAX,
         };
-        let (mut writer, _reader) =
-            Writer::create(db, storage, cfg, Executor::with_threads(1)).unwrap();
+        let (mut writer, _reader) = Writer::create(db, storage, cfg, Executor).unwrap();
         // 17 inserts of just over 1 MiB each: 15 fill a batch to just
         // under 16 MiB, so the 16th commits them and opens a new batch
         for i in 0..17 {

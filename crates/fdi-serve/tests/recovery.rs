@@ -58,8 +58,7 @@ fn writer<S: Storage>(
     max_batch: usize,
 ) -> Writer<S> {
     let cfg = ServeConfig { max_batch };
-    let exec = Executor::with_threads(1);
-    Writer::create(base_db(w, enforcement), storage, cfg, exec)
+    Writer::create(base_db(w, enforcement), storage, cfg, Executor)
         .expect("create is append 0 / sync 0; plans never target it here")
         .0
 }
@@ -348,7 +347,7 @@ fn bit_flips_are_always_typed_corruption() {
 /// to exactly the ops before the cut — the "crash right after a sync"
 /// line of the matrix, including the empty-tail and genesis-only edges.
 /// The last cut is the whole clean image: recovery rebuilds the live
-/// oracle bit for bit, at whatever `FDI_THREADS` the suite runs under.
+/// oracle bit for bit.
 #[test]
 fn exact_record_boundary_cuts_recover_the_prefix() {
     let w = satisfiable_workload(0xB0DA, &spec(8), 2);

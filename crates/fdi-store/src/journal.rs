@@ -8,7 +8,7 @@
 //! [`Instance::encode_state`]). Every later record is a **batch**: the
 //! accepted mutations of one group commit, in order
 //! ([`Journal::append_batch`]). Because update execution is
-//! deterministic at every thread count, replaying the ops onto the
+//! deterministic, replaying the ops onto the
 //! genesis database rebuilds the pre-crash database **bit-identically**
 //! — same `RowId`s, same null ids, same NEC representation — which is
 //! what lets recovery be verified against live oracles instead of

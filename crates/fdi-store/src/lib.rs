@@ -27,9 +27,8 @@
 //! * Every op appended before the sync survives a crash, in order.
 //! * Recovery ([`Journal::recover`]) rebuilds the database from the
 //!   genesis snapshot plus exactly those ops — **bit-identically**:
-//!   same `RowId` assignments, same null ids, same NEC representation,
-//!   at any `FDI_THREADS` setting. This leans on
-//!   the engine's determinism contract; replay *verifies* it (journaled
+//!   same `RowId` assignments, same null ids, same NEC representation.
+//!   This leans on the engine's determinism contract; replay *verifies* it (journaled
 //!   row ids and compaction remaps are checked, mismatch is a typed
 //!   [`RecoverError::Replay`]).
 //! * A crash mid-append leaves a **torn tail**, which recovery detects

@@ -76,7 +76,10 @@
 //! `serve` given a description create one, as they write its genesis.
 //!
 //! Exit codes: `0` success, `1` runtime failure (I/O, corrupt journal,
-//! unsatisfiable description), `2` usage or input-parse error.
+//! unsatisfiable description), `2` usage or input-parse error. Every
+//! verb writes through one locked stdout; when its reader has gone
+//! (`fdi recover j.log | head -1`), the verb stops with `0` and says
+//! nothing on stderr.
 
 use fd_incomplete::core::interp::DEFAULT_BUDGET;
 use fd_incomplete::core::query::Query;
@@ -103,9 +106,11 @@ enum CliError {
     Parse(String),
     /// A well-formed request that failed (I/O, corrupt journal, …).
     Runtime(String),
-    /// Reading from or writing to a serve client's stream failed. Over
-    /// `--tcp` this ends only that client's session.
-    ClientIo(std::io::Error),
+    /// Writing the verb's output, or reading from or writing to a serve
+    /// client's stream, failed. Over `--tcp` a client's failure ends
+    /// only that client's session; a closed output (`BrokenPipe`) ends
+    /// the process quietly.
+    Io(std::io::Error),
 }
 
 impl CliError {
@@ -115,6 +120,12 @@ impl CliError {
 
     fn runtime(msg: impl Into<String>) -> CliError {
         CliError::Runtime(msg.into())
+    }
+}
+
+impl From<std::io::Error> for CliError {
+    fn from(e: std::io::Error) -> CliError {
+        CliError::Io(e)
     }
 }
 
@@ -205,7 +216,7 @@ fn read_description(path: &str) -> Result<Description, CliError> {
     parse_description(&text).map_err(|e| CliError::Parse(format!("parse error: {e}")))
 }
 
-fn run(command: &str, desc: &Description) -> Result<(), CliError> {
+fn run(command: &str, desc: &Description, out: &mut impl IoWrite) -> Result<(), CliError> {
     let Description {
         schema,
         fds,
@@ -213,70 +224,79 @@ fn run(command: &str, desc: &Description) -> Result<(), CliError> {
     } = desc;
     match command {
         "report" => {
-            println!("{}", instance.render(true));
+            writeln!(out, "{}", instance.render(true))?;
             let report = satisfy::report(fds, instance, DEFAULT_BUDGET)
                 .map_err(|e| CliError::runtime(e.to_string()))?;
-            println!("{}", satisfy::render_report(&report, fds, instance));
+            writeln!(out, "{}", satisfy::render_report(&report, fds, instance))?;
         }
         "strong" => match testfd::check_strong(instance, fds) {
-            Ok(()) => println!("strongly satisfied"),
-            Err(v) => println!("NOT strongly satisfied: {v}"),
+            Ok(()) => writeln!(out, "strongly satisfied")?,
+            Err(v) => writeln!(out, "NOT strongly satisfied: {v}")?,
         },
         "weak" => {
             if chase::weakly_satisfiable_via_chase(fds, instance) {
-                println!("weakly satisfiable (some completion obeys every dependency)");
+                writeln!(
+                    out,
+                    "weakly satisfiable (some completion obeys every dependency)"
+                )?;
             } else {
-                println!("NOT weakly satisfiable (every completion violates the dependencies)");
+                writeln!(
+                    out,
+                    "NOT weakly satisfiable (every completion violates the dependencies)"
+                )?;
             }
         }
         "chase" => {
             let result = chase::chase_plain(instance, fds);
             for event in &result.events {
-                println!("applied: {event}");
+                writeln!(out, "applied: {event}")?;
             }
-            println!("{}", result.instance.render(true));
-            println!(
+            writeln!(out, "{}", result.instance.render(true))?;
+            writeln!(
+                out,
                 "minimally incomplete after {} passes, {} events",
                 result.passes,
                 result.events.len()
-            );
+            )?;
         }
         "chase-extended" => {
             let outcome = chase::extended_chase(instance, fds, &Recorder::noop());
-            println!("{}", outcome.instance.render(true));
+            writeln!(out, "{}", outcome.instance.render(true))?;
             if outcome.has_nothing() {
-                println!(
+                writeln!(
+                    out,
                     "{} nothing class(es): the dependencies are contradicted (Theorem 4b)",
                     outcome.nothing_classes
-                );
+                )?;
             } else {
-                println!("no nothing values: weakly satisfiable (Theorem 4b)");
+                writeln!(out, "no nothing values: weakly satisfiable (Theorem 4b)")?;
             }
         }
         "keys" => {
             let all = AttrSet::first_n(schema.arity());
             for key in armstrong::candidate_keys(all, fds) {
-                println!("key: {}", schema.render_attrs(key));
+                writeln!(out, "key: {}", schema.render_attrs(key))?;
             }
         }
         "normalize" => {
             let all = AttrSet::first_n(schema.arity());
-            println!("BCNF: {}", normalize::is_bcnf(fds, all));
+            writeln!(out, "BCNF: {}", normalize::is_bcnf(fds, all))?;
             let d = normalize::bcnf_decompose(fds, all);
             for c in &d {
-                println!("component: {}", schema.render_attrs(*c));
+                writeln!(out, "component: {}", schema.render_attrs(*c))?;
             }
-            println!("lossless: {}", normalize::is_lossless(fds, all, &d));
-            println!(
+            writeln!(out, "lossless: {}", normalize::is_lossless(fds, all, &d))?;
+            writeln!(
+                out,
                 "dependency preserving: {}",
                 normalize::preserves_dependencies(fds, &d)
-            );
+            )?;
         }
         "exhaustion" => {
             let sites = subst::detect_domain_exhaustion(fds, instance)
                 .map_err(|e| CliError::runtime(e.to_string()))?;
             if sites.is_empty() {
-                println!("no [F2] domain-exhaustion sites");
+                writeln!(out, "no [F2] domain-exhaustion sites")?;
             } else {
                 // displayed row numbers are 1-based positions in the
                 // printed table, not raw slot ids; each FD's sites come
@@ -295,7 +315,7 @@ fn run(command: &str, desc: &Description) -> Result<(), CliError> {
                             s.fd_index + 1
                         ))
                     })?;
-                    println!("[F2] at row {pos} under fd #{}", s.fd_index + 1);
+                    writeln!(out, "[F2] at row {pos} under fd #{}", s.fd_index + 1)?;
                 }
             }
         }
@@ -442,57 +462,60 @@ fn run_journal_apply(
     journal_path: &str,
     ops_path: &str,
     desc_path: Option<&str>,
+    out: &mut impl IoWrite,
 ) -> Result<(), CliError> {
     let ops_text = std::fs::read_to_string(ops_path)
         .map_err(|e| CliError::runtime(format!("cannot read {ops_path}: {e}")))?;
     let ops = parse_ops(&ops_text).map_err(CliError::Parse)?;
     // batches of one: each accepted op is durable before the next stages
-    let (mut writer, _reader) = open_writer(journal_path, desc_path, 1, &mut std::io::stdout())?;
+    let (mut writer, _reader) = open_writer(journal_path, desc_path, 1, out)?;
     let mut rejected = 0usize;
     for (i, op) in ops.iter().enumerate() {
         let staged = stage_line(&mut writer, op).map_err(|e| {
             CliError::runtime(format!("op {}: journal failure, aborting: {e}", i + 1))
         })?;
         if let Err(reason) = staged {
-            println!("op {}: rejected: {reason}", i + 1);
+            writeln!(out, "op {}: rejected: {reason}", i + 1)?;
             rejected += 1;
         }
     }
-    println!("{}", writer.db().instance().render(true));
-    println!(
+    writeln!(out, "{}", writer.db().instance().render(true))?;
+    writeln!(
+        out,
         "{} op(s) applied and durable, {rejected} rejected",
         ops.len() - rejected
-    );
+    )?;
     Ok(())
 }
 
-fn run_recover(journal_path: &str) -> Result<(), CliError> {
+fn run_recover(journal_path: &str, out: &mut impl IoWrite) -> Result<(), CliError> {
     let recovered = recover_journal(
         journal_path,
         open_storage(journal_path)?,
         &Recorder::noop(),
-        &mut std::io::stdout(),
+        out,
     )?;
-    println!("{}", recovered.db.instance().render(true));
+    writeln!(out, "{}", recovered.db.instance().render(true))?;
     Ok(())
 }
 
-fn run_checkpoint(journal_path: &str) -> Result<(), CliError> {
+fn run_checkpoint(journal_path: &str, out: &mut impl IoWrite) -> Result<(), CliError> {
     let Recovered {
         db, mut journal, ..
     } = recover_journal(
         journal_path,
         open_storage(journal_path)?,
         &Recorder::noop(),
-        &mut std::io::stdout(),
+        out,
     )?;
     journal
         .checkpoint(&db)
         .map_err(|e| CliError::runtime(format!("checkpoint failed (journal unchanged): {e}")))?;
-    println!(
+    writeln!(
+        out,
         "checkpointed {journal_path}: {} live row(s) snapshotted, replay log cleared",
         db.instance().len()
-    );
+    )?;
     Ok(())
 }
 
@@ -529,8 +552,8 @@ fn stats_report(journal_path: &str, json: bool) -> Result<String, CliError> {
     })
 }
 
-fn run_stats(journal_path: &str, json: bool) -> Result<(), CliError> {
-    print!("{}", stats_report(journal_path, json)?);
+fn run_stats(journal_path: &str, json: bool, out: &mut impl IoWrite) -> Result<(), CliError> {
+    write!(out, "{}", stats_report(journal_path, json)?)?;
     Ok(())
 }
 
@@ -558,15 +581,13 @@ fn recover_journal<W: IoWrite>(
             out,
             "truncated a torn tail at byte {} ({} bytes dropped)",
             torn.offset, torn.dropped
-        )
-        .map_err(io_err)?;
+        )?;
     }
     writeln!(
         out,
         "recovered {path}: {} op(s) replayed",
         recovered.ops.len()
-    )
-    .map_err(io_err)?;
+    )?;
     Ok(recovered)
 }
 
@@ -593,7 +614,7 @@ fn open_writer<W: IoWrite>(
             .map_err(|e| CliError::runtime(format!("cannot open journal {path}: {e}")))?;
         let journal = Journal::create(storage, &db)
             .map_err(|e| CliError::runtime(format!("cannot create journal {path}: {e}")))?;
-        writeln!(out, "created journal {path} from {desc_path}").map_err(io_err)?;
+        writeln!(out, "created journal {path} from {desc_path}")?;
         return Ok(serve::Writer::resume(db, journal, 0, cfg));
     }
     let storage = open_storage(path)?;
@@ -669,10 +690,6 @@ fn rejection(e: &UpdateError, op: &OpLine) -> String {
     }
 }
 
-fn io_err(e: std::io::Error) -> CliError {
-    CliError::ClientIo(e)
-}
-
 /// The longest request line a serve session reads, newline excluded.
 /// A longer line is discarded up to its newline and answered with an
 /// `error:` line, so one request never buffers more than this.
@@ -701,26 +718,23 @@ fn serve_session<S: Storage, R: BufRead, W: IoWrite>(
          commit table select semantics epoch metrics quit shutdown",
         hello.seq(),
         hello.db().instance().len()
-    )
-    .map_err(io_err)?;
-    let exec = fdi_exec::Executor::from_env();
+    )?;
     let mut shutdown = false;
     let mut buf = Vec::new();
     loop {
         buf.clear();
         let read = std::io::Read::take(&mut input, MAX_LINE_BYTES as u64 + 1)
-            .read_until(b'\n', &mut buf)
-            .map_err(io_err)?;
+            .read_until(b'\n', &mut buf)?;
         if read == 0 {
             break;
         }
         if buf.len() > MAX_LINE_BYTES && buf.last() != Some(&b'\n') {
-            input.skip_until(b'\n').map_err(io_err)?;
-            writeln!(out, "error: line longer than {MAX_LINE_BYTES} bytes").map_err(io_err)?;
+            input.skip_until(b'\n')?;
+            writeln!(out, "error: line longer than {MAX_LINE_BYTES} bytes")?;
             continue;
         }
         let Ok(line) = std::str::from_utf8(&buf) else {
-            writeln!(out, "error: line is not valid UTF-8").map_err(io_err)?;
+            writeln!(out, "error: line is not valid UTF-8")?;
             continue;
         };
         let line = line.trim();
@@ -743,8 +757,7 @@ fn serve_session<S: Storage, R: BufRead, W: IoWrite>(
                     "published epoch {} ({} op(s) applied, durable)",
                     epoch.seq(),
                     epoch.ops_applied()
-                )
-                .map_err(io_err)?;
+                )?;
             }
             "epoch" => {
                 let epoch = reader.snapshot();
@@ -754,12 +767,11 @@ fn serve_session<S: Storage, R: BufRead, W: IoWrite>(
                     epoch.seq(),
                     epoch.ops_applied(),
                     epoch.fingerprint()
-                )
-                .map_err(io_err)?;
+                )?;
             }
             "table" => {
                 let epoch = reader.snapshot();
-                writeln!(out, "{}", epoch.db().instance().render(true)).map_err(io_err)?;
+                writeln!(out, "{}", epoch.db().instance().render(true))?;
             }
             "semantics" => {
                 let epoch = reader.snapshot();
@@ -769,34 +781,31 @@ fn serve_session<S: Storage, R: BufRead, W: IoWrite>(
                     out,
                     "{}",
                     semantics::render_comparison(&cmp, db.fds(), db.instance())
-                )
-                .map_err(io_err)?;
+                )?;
             }
             "metrics" => {
                 let snap = rec.snapshot();
                 match (words.next(), words.next()) {
-                    (None, _) => write!(out, "{}", snap.render_text()).map_err(io_err)?,
-                    (Some("json"), None) => {
-                        writeln!(out, "{}", snap.render_json()).map_err(io_err)?
-                    }
-                    _ => writeln!(out, "error: usage is `metrics [json]`").map_err(io_err)?,
+                    (None, _) => write!(out, "{}", snap.render_text())?,
+                    (Some("json"), None) => writeln!(out, "{}", snap.render_json())?,
+                    _ => writeln!(out, "error: usage is `metrics [json]`")?,
                 }
             }
             "select" => {
                 let (Some(attr), Some(value), None) = (words.next(), words.next(), words.next())
                 else {
-                    writeln!(out, "error: usage is `select <attr> <value>`").map_err(io_err)?;
+                    writeln!(out, "error: usage is `select <attr> <value>`")?;
                     continue;
                 };
                 let epoch = reader.snapshot();
                 match Query::eq_text(epoch.db().instance(), attr, value) {
-                    Err(e) => writeln!(out, "error: {e}").map_err(io_err)?,
+                    Err(e) => writeln!(out, "error: {e}")?,
                     Ok(query) => {
-                        let selection = match epoch.select(&query, &exec, rec) {
+                        let selection = match epoch.select(&query, rec) {
                             Ok(selection) => selection,
                             // An evaluation error answers this request only.
                             Err(e) => {
-                                writeln!(out, "error: {e}").map_err(io_err)?;
+                                writeln!(out, "error: {e}")?;
                                 continue;
                             }
                         };
@@ -819,13 +828,12 @@ fn serve_session<S: Storage, R: BufRead, W: IoWrite>(
                             render(&positions[0]),
                             render(&positions[1]),
                             epoch.seq()
-                        )
-                        .map_err(io_err)?;
+                        )?;
                     }
                 }
             }
             _ => match parse_ops(line) {
-                Err(e) => writeln!(out, "error: {e}").map_err(io_err)?,
+                Err(e) => writeln!(out, "error: {e}")?,
                 Ok(ops) => {
                     for op in &ops {
                         let staged = stage_line(writer, op).map_err(|e| {
@@ -839,8 +847,7 @@ fn serve_session<S: Storage, R: BufRead, W: IoWrite>(
                                     - writer.published_log().last().map_or(0, |s| s.ops_applied)
                             ),
                             Err(reason) => writeln!(out, "rejected: {reason}"),
-                        }
-                        .map_err(io_err)?;
+                        }?;
                     }
                 }
             },
@@ -855,8 +862,7 @@ fn serve_session<S: Storage, R: BufRead, W: IoWrite>(
         "session closed at epoch {} ({} op(s) durable)",
         epoch.seq(),
         epoch.ops_applied()
-    )
-    .map_err(io_err)?;
+    )?;
     Ok(shutdown)
 }
 
@@ -866,36 +872,39 @@ fn serve_session<S: Storage, R: BufRead, W: IoWrite>(
 /// failures — a refused accept, a connection dropped mid-session — are
 /// reported and survived: the server stays up for the next connection,
 /// and any work the dropped client staged-but-did-not-commit simply
-/// rides along until the next publish. Only failures outside the
-/// client's stream (journal corruption, publish errors) stop the
-/// server.
+/// rides along until the next publish. The server's own notices go to
+/// `out`. Only failures outside the client's stream (journal
+/// corruption, publish errors, a failed `out`) stop the server.
 fn serve_tcp<S: Storage>(
     listener: TcpListener,
     writer: &mut serve::Writer<S>,
     reader: &serve::Reader,
     rec: &Recorder,
+    out: &mut impl IoWrite,
 ) -> Result<(), CliError> {
     for conn in listener.incoming() {
-        let stream = match conn {
+        let mut stream = match conn {
             Ok(stream) => stream,
             Err(e) => {
-                println!("accept failed ({e}); still listening");
+                writeln!(out, "accept failed ({e}); still listening")?;
                 continue;
             }
         };
         let input = match stream.try_clone() {
             Ok(half) => BufReader::new(half),
             Err(e) => {
-                println!("client dropped at connect ({e}); still listening");
+                writeln!(out, "client dropped at connect ({e}); still listening")?;
                 continue;
             }
         };
-        let mut out = stream;
-        match serve_session(writer, reader, rec, input, &mut out) {
+        match serve_session(writer, reader, rec, input, &mut stream) {
             Ok(true) => break,
             Ok(false) => {}
-            Err(CliError::ClientIo(e)) => {
-                println!("client dropped mid-session (i/o error: {e}); still listening");
+            Err(CliError::Io(e)) => {
+                writeln!(
+                    out,
+                    "client dropped mid-session (i/o error: {e}); still listening"
+                )?;
             }
             Err(e) => return Err(e),
         }
@@ -903,7 +912,7 @@ fn serve_tcp<S: Storage>(
     Ok(())
 }
 
-fn run_serve(args: &[String]) -> Result<(), CliError> {
+fn run_serve(args: &[String], out: &mut impl IoWrite) -> Result<(), CliError> {
     let mut positional: Vec<&str> = Vec::new();
     let mut max_batch = 64usize;
     let mut tcp: Option<String> = None;
@@ -932,8 +941,7 @@ fn run_serve(args: &[String]) -> Result<(), CliError> {
         [journal, desc] => (*journal, Some(*desc)),
         _ => return Err(CliError::parse(USAGE)),
     };
-    let (mut writer, mut reader) =
-        open_writer(journal_path, desc_path, max_batch, &mut std::io::stdout())?;
+    let (mut writer, mut reader) = open_writer(journal_path, desc_path, max_batch, out)?;
     // One live recorder for the whole serving process: the writer's
     // publish/journal metrics, the reader's snapshot metrics, and the
     // query-path metrics of every `select` all land in the same sink,
@@ -943,9 +951,7 @@ fn run_serve(args: &[String]) -> Result<(), CliError> {
     reader.set_recorder(rec.clone());
     match tcp {
         None => {
-            let stdin = std::io::stdin();
-            let mut stdout = std::io::stdout();
-            serve_session(&mut writer, &reader, &rec, stdin.lock(), &mut stdout)?;
+            serve_session(&mut writer, &reader, &rec, std::io::stdin().lock(), out)?;
             Ok(())
         }
         Some(addr) => {
@@ -954,8 +960,8 @@ fn run_serve(args: &[String]) -> Result<(), CliError> {
             let local = listener
                 .local_addr()
                 .map_err(|e| CliError::runtime(format!("cannot read the bound address: {e}")))?;
-            println!("listening on {local}");
-            serve_tcp(listener, &mut writer, &reader, &rec)
+            writeln!(out, "listening on {local}")?;
+            serve_tcp(listener, &mut writer, &reader, &rec, out)
         }
     }
 }
@@ -964,24 +970,25 @@ fn run_serve(args: &[String]) -> Result<(), CliError> {
 /// null-comparison convention. A file that starts with the journal
 /// header is recovered as an op journal; anything else is parsed as a
 /// description file, whose parse error is reported as such.
-fn run_semantics(path: &str) -> Result<(), CliError> {
+fn run_semantics(path: &str, out: &mut impl IoWrite) -> Result<(), CliError> {
     let render = |instance: &Instance, fds: &FdSet| {
         let cmp = semantics::compare(instance, fds);
-        print!("{}", semantics::render_comparison(&cmp, fds, instance));
+        semantics::render_comparison(&cmp, fds, instance)
     };
     let mut head = [0u8; FILE_HEADER.len()];
     let is_journal = std::fs::File::open(path)
         .and_then(|mut file| file.read_exact(&mut head))
         .is_ok()
         && head == FILE_HEADER;
-    if is_journal {
+    let text = if is_journal {
         let storage = open_storage(path)?;
-        let db = recover_journal(path, storage, &Recorder::noop(), &mut std::io::stdout())?.db;
-        render(db.instance(), db.fds());
+        let db = recover_journal(path, storage, &Recorder::noop(), out)?.db;
+        render(db.instance(), db.fds())
     } else {
         let desc = read_description(path)?;
-        render(&desc.instance, &desc.fds);
-    }
+        render(&desc.instance, &desc.fds)
+    };
+    write!(out, "{text}")?;
     Ok(())
 }
 
@@ -994,42 +1001,49 @@ const USAGE: &str = "usage:\n  \
     fdi stats <journal> [--json]\n  \
     fdi serve <journal> [desc-file] [--batch N] [--tcp ADDR]";
 
-fn dispatch(args: &[String]) -> Result<(), CliError> {
+/// Runs the verb `args` names, writing its output to `out`, and
+/// flushes `out`.
+fn dispatch(args: &[String], out: &mut impl IoWrite) -> Result<(), CliError> {
     let command = args.first().map(String::as_str).unwrap_or_default();
     match (command, args.len()) {
-        ("journal-apply", 3) => run_journal_apply(&args[1], &args[2], None),
-        ("journal-apply", 4) => run_journal_apply(&args[1], &args[2], Some(&args[3])),
-        ("recover", 2) => run_recover(&args[1]),
-        ("checkpoint", 2) => run_checkpoint(&args[1]),
-        ("stats", 2) => run_stats(&args[1], false),
-        ("stats", 3) if args[2] == "--json" => run_stats(&args[1], true),
-        ("semantics", 2) => run_semantics(&args[1]),
-        ("serve", n) if n >= 2 => run_serve(&args[1..]),
+        ("journal-apply", 3) => run_journal_apply(&args[1], &args[2], None, out),
+        ("journal-apply", 4) => run_journal_apply(&args[1], &args[2], Some(&args[3]), out),
+        ("recover", 2) => run_recover(&args[1], out),
+        ("checkpoint", 2) => run_checkpoint(&args[1], out),
+        ("stats", 2) => run_stats(&args[1], false, out),
+        ("stats", 3) if args[2] == "--json" => run_stats(&args[1], true, out),
+        ("semantics", 2) => run_semantics(&args[1], out),
+        ("serve", n) if n >= 2 => run_serve(&args[1..], out),
         ("journal-apply" | "recover" | "checkpoint" | "stats" | "semantics" | "serve", _) => {
             Err(CliError::parse(USAGE))
         }
-        (_, 2) => run(command, &read_description(&args[1])?),
+        (_, 2) => run(command, &read_description(&args[1])?, out),
         _ => Err(CliError::parse(USAGE)),
-    }
+    }?;
+    Ok(out.flush()?)
+}
+
+/// The exit code for a verb's `result`, with any failure reported to
+/// `err`. A closed output (`BrokenPipe`, e.g. `fdi recover j.log | head
+/// -1`) is no failure: the reader has what it wanted, so the process
+/// ends quietly with 0.
+fn exit_code(result: Result<(), CliError>, err: &mut impl IoWrite) -> u8 {
+    let (code, msg) = match result {
+        Ok(()) => return 0,
+        Err(CliError::Io(e)) if e.kind() == std::io::ErrorKind::BrokenPipe => return 0,
+        Err(CliError::Runtime(msg)) => (1, msg),
+        Err(CliError::Io(e)) => (1, format!("i/o error: {e}")),
+        Err(CliError::Parse(msg)) => (2, msg),
+    };
+    // nothing is left to report a failure to if stderr fails too
+    let _ = writeln!(err, "{msg}");
+    code
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match dispatch(&args) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(CliError::Runtime(msg)) => {
-            eprintln!("{msg}");
-            ExitCode::from(1)
-        }
-        Err(CliError::ClientIo(e)) => {
-            eprintln!("i/o error: {e}");
-            ExitCode::from(1)
-        }
-        Err(CliError::Parse(msg)) => {
-            eprintln!("{msg}");
-            ExitCode::from(2)
-        }
-    }
+    let result = dispatch(&args, &mut std::io::stdout().lock());
+    ExitCode::from(exit_code(result, &mut std::io::stderr()))
 }
 
 #[cfg(test)]
@@ -1104,9 +1118,14 @@ cyd eng   -   c2
             "normalize",
             "exhaustion",
         ] {
-            run(cmd, &d).unwrap_or_else(|e| panic!("command {cmd}: {e:?}"));
+            let mut out = Vec::new();
+            run(cmd, &d, &mut out).unwrap_or_else(|e| panic!("command {cmd}: {e:?}"));
+            assert!(!out.is_empty(), "command {cmd} printed nothing");
         }
-        assert!(matches!(run("bogus", &d), Err(CliError::Parse(_))));
+        assert!(matches!(
+            run("bogus", &d, &mut std::io::sink()),
+            Err(CliError::Parse(_))
+        ));
     }
 
     #[test]
@@ -1252,20 +1271,96 @@ cyd eng   -   c2
 
     #[test]
     fn usage_and_unknown_commands_are_parse_errors() {
-        assert!(matches!(dispatch(&[]), Err(CliError::Parse(_))));
         assert!(matches!(
-            dispatch(&["report".to_string()]),
+            dispatch(&[], &mut std::io::sink()),
             Err(CliError::Parse(_))
         ));
         assert!(matches!(
-            dispatch(&["journal-apply".to_string(), "x".to_string()]),
+            dispatch(&["report".to_string()], &mut std::io::sink()),
+            Err(CliError::Parse(_))
+        ));
+        assert!(matches!(
+            dispatch(
+                &["journal-apply".to_string(), "x".to_string()],
+                &mut std::io::sink()
+            ),
             Err(CliError::Parse(_))
         ));
         // a missing description file is a runtime error, not a panic
         assert!(matches!(
-            dispatch(&["report".to_string(), "/no/such/file".to_string()]),
+            dispatch(
+                &["report".to_string(), "/no/such/file".to_string()],
+                &mut std::io::sink()
+            ),
             Err(CliError::Runtime(_))
         ));
+    }
+
+    /// A writer whose reader has gone, like stdout piped into `head -1`
+    /// once `head` has exited.
+    struct ClosedPipe;
+
+    impl IoWrite for ClosedPipe {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            Err(std::io::ErrorKind::BrokenPipe.into())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A closed output ends a verb quietly: exit 0 and nothing on
+    /// stderr. Other failures still exit non-zero and say why.
+    #[test]
+    fn a_closed_output_ends_a_verb_quietly() {
+        let dir = std::env::temp_dir().join(format!("fdi-cli-pipe-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (desc, ops, journal) = (dir.join("db.fdi"), dir.join("ops.txt"), dir.join("j.log"));
+        std::fs::write(&desc, SAMPLE).unwrap();
+        std::fs::write(&ops, "insert cyd eng noa\n").unwrap();
+        let (desc, ops, journal) = (
+            desc.to_str().unwrap(),
+            ops.to_str().unwrap(),
+            journal.to_str().unwrap(),
+        );
+        run_journal_apply(journal, ops, Some(desc), &mut std::io::sink()).unwrap();
+        for args in [
+            vec!["weak", desc],
+            vec!["report", desc],
+            vec!["recover", journal],
+            vec!["checkpoint", journal],
+            vec!["journal-apply", journal, ops],
+            vec!["semantics", journal],
+        ] {
+            let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+            let result = dispatch(&args, &mut ClosedPipe);
+            assert!(
+                matches!(&result, Err(CliError::Io(e)) if e.kind() == std::io::ErrorKind::BrokenPipe),
+                "{args:?}: {result:?}"
+            );
+            let mut err = Vec::new();
+            assert_eq!(exit_code(result, &mut err), 0, "{args:?}");
+            assert!(
+                err.is_empty(),
+                "{args:?}: {}",
+                String::from_utf8_lossy(&err)
+            );
+        }
+        let mut err = Vec::new();
+        let missing = vec![
+            "recover".to_string(),
+            dir.join("missing.log").display().to_string(),
+        ];
+        assert_eq!(exit_code(dispatch(&missing, &mut ClosedPipe), &mut err), 1);
+        assert!(String::from_utf8(err)
+            .unwrap()
+            .contains("cannot open journal"));
+        let mut err = Vec::new();
+        let full = CliError::Io(std::io::ErrorKind::StorageFull.into());
+        assert_eq!(exit_code(Err(full), &mut err), 1);
+        assert!(String::from_utf8(err).unwrap().starts_with("i/o error: "));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// No verb creates a journal it was only asked to read: on a missing
@@ -1296,7 +1391,7 @@ cyd eng   -   c2
             vec!["journal-apply", journal, ops, bad],
         ] {
             let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
-            let result = dispatch(&args);
+            let result = dispatch(&args, &mut std::io::sink());
             if args.len() < 4 {
                 match &result {
                     Err(CliError::Runtime(msg)) => assert!(msg.contains(journal), "{msg}"),
@@ -1328,10 +1423,17 @@ cyd eng   -   c2
         // out-of-range rejection exercised on purpose
         std::fs::write(&ops2, "resolve 2 dept eng\ncompact\ndelete 99\n").unwrap();
         let jpath = journal.to_str().unwrap().to_string();
+        let mut sink = std::io::sink();
 
-        run_journal_apply(&jpath, ops1.to_str().unwrap(), Some(desc.to_str().unwrap()))
-            .expect("create + first batch");
-        run_journal_apply(&jpath, ops2.to_str().unwrap(), None).expect("reopen + second batch");
+        run_journal_apply(
+            &jpath,
+            ops1.to_str().unwrap(),
+            Some(desc.to_str().unwrap()),
+            &mut sink,
+        )
+        .expect("create + first batch");
+        run_journal_apply(&jpath, ops2.to_str().unwrap(), None, &mut sink)
+            .expect("reopen + second batch");
 
         // each accepted op is its own synced record: genesis + 5, and
         // nothing for the rejected `delete 99`
@@ -1356,7 +1458,7 @@ cyd eng   -   c2
         );
         assert_eq!(recovered.db.instance().len(), 3);
 
-        run_checkpoint(&jpath).expect("checkpoint");
+        run_checkpoint(&jpath, &mut sink).expect("checkpoint");
         let after = Journal::recover(FileStorage::open(&journal).unwrap()).unwrap();
         assert_eq!(after.ops.len(), 0, "checkpoint cleared the replay log");
         assert_eq!(
@@ -1364,7 +1466,13 @@ cyd eng   -   c2
             recovered.db.instance().render(true)
         );
 
-        run_recover(&jpath).expect("recover verb");
+        let mut out = Vec::new();
+        run_recover(&jpath, &mut out).expect("recover verb");
+        let text = String::from_utf8(out).unwrap();
+        assert!(
+            text.starts_with(&format!("recovered {jpath}: 0 op(s) replayed")),
+            "{text}"
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1380,8 +1488,13 @@ cyd eng   -   c2
         std::fs::write(&desc, SAMPLE).unwrap();
         std::fs::write(&ops, "insert cyd eng noa\nmodify 1 mgr noa\n").unwrap();
         let jpath = journal.to_str().unwrap().to_string();
-        run_journal_apply(&jpath, ops.to_str().unwrap(), Some(desc.to_str().unwrap()))
-            .expect("create + apply");
+        run_journal_apply(
+            &jpath,
+            ops.to_str().unwrap(),
+            Some(desc.to_str().unwrap()),
+            &mut std::io::sink(),
+        )
+        .expect("create + apply");
         let len = std::fs::metadata(&journal).unwrap().len();
         let file = std::fs::OpenOptions::new()
             .write(true)
@@ -1424,7 +1537,7 @@ cyd eng   -   c2
             db,
             fd_incomplete::store::MemStorage::new(),
             ServeConfig { max_batch: 4 },
-            fdi_exec::Executor::with_threads(1),
+            fdi_exec::Executor,
         )
         .expect("create serving pair")
     }
@@ -1590,7 +1703,14 @@ cyd eng   -   c2
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind an ephemeral port");
         let addr = listener.local_addr().unwrap();
         let server = std::thread::spawn(move || {
-            serve_tcp(listener, &mut writer, &reader, &Recorder::noop()).expect("server runs");
+            serve_tcp(
+                listener,
+                &mut writer,
+                &reader,
+                &Recorder::noop(),
+                &mut std::io::sink(),
+            )
+            .expect("server runs");
             writer
         });
 
@@ -1705,7 +1825,14 @@ cyd eng   -   c2
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind an ephemeral port");
         let addr = listener.local_addr().unwrap();
         let server = std::thread::spawn(move || {
-            serve_tcp(listener, &mut writer, &reader, &Recorder::noop()).expect("server runs");
+            serve_tcp(
+                listener,
+                &mut writer,
+                &reader,
+                &Recorder::noop(),
+                &mut std::io::sink(),
+            )
+            .expect("server runs");
             writer
         });
 
@@ -1787,27 +1914,32 @@ cyd eng   -   c2
         std::fs::create_dir_all(&dir).unwrap();
         let desc = dir.join("db.fdi");
         std::fs::write(&desc, SAMPLE).unwrap();
-        run_semantics(desc.to_str().unwrap()).expect("description input");
+        run_semantics(desc.to_str().unwrap(), &mut std::io::sink()).expect("description input");
 
         let ops = dir.join("ops.txt");
         let journal = dir.join("staff.journal");
         std::fs::write(&ops, "insert cyd eng noa\n").unwrap();
         let jpath = journal.to_str().unwrap().to_string();
-        run_journal_apply(&jpath, ops.to_str().unwrap(), Some(desc.to_str().unwrap()))
-            .expect("create + apply");
-        run_semantics(&jpath).expect("journal input");
+        run_journal_apply(
+            &jpath,
+            ops.to_str().unwrap(),
+            Some(desc.to_str().unwrap()),
+            &mut std::io::sink(),
+        )
+        .expect("create + apply");
+        run_semantics(&jpath, &mut std::io::sink()).expect("journal input");
 
         // a description that does not parse is reported as a parse error,
         // not as a file that is no journal
         let bad = dir.join("bad.fdi");
         std::fs::write(&bad, SAMPLE.replace("dept -> mgr", "emp -> dep")).unwrap();
-        match run_semantics(bad.to_str().unwrap()) {
+        match run_semantics(bad.to_str().unwrap(), &mut std::io::sink()) {
             Err(CliError::Parse(msg)) => assert!(msg.contains("unknown attribute"), "{msg}"),
             other => panic!("expected a parse error, got {other:?}"),
         }
 
         assert!(matches!(
-            dispatch(&["semantics".to_string()]),
+            dispatch(&["semantics".to_string()], &mut std::io::sink()),
             Err(CliError::Parse(_))
         ));
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1826,8 +1958,13 @@ cyd eng   -   c2
         std::fs::write(&desc, SAMPLE).unwrap();
         std::fs::write(&ops, "insert cyd eng noa\ndelete 4\nmodify 1 mgr noa\n").unwrap();
         let jpath = journal.to_str().unwrap().to_string();
-        run_journal_apply(&jpath, ops.to_str().unwrap(), Some(desc.to_str().unwrap()))
-            .expect("create + apply");
+        run_journal_apply(
+            &jpath,
+            ops.to_str().unwrap(),
+            Some(desc.to_str().unwrap()),
+            &mut std::io::sink(),
+        )
+        .expect("create + apply");
 
         let text = stats_report(&jpath, false).expect("stats");
         assert_eq!(

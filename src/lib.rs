@@ -18,10 +18,6 @@
 //!   TEST-FDs algorithm (Figure 3, Theorems 2–3), the NS-rule chase and
 //!   its Church–Rosser extension (Theorem 4), Armstrong's system
 //!   (Theorem 1), normalization, and least-extension queries;
-//! * [`exec`] (`fdi-exec`) — the deterministic fork/join executor that
-//!   compiled selection shards its row scan onto: results are
-//!   bit-identical at every thread count, and one thread runs inline
-//!   (the chases and TEST-FDs are sequential);
 //! * [`gen`] (`fdi-gen`) — seeded workload generators for the
 //!   experiment harness;
 //! * [`store`] (`fdi-store`) — the durability layer: a write-ahead op
@@ -80,13 +76,13 @@
 //! The [`serve`] layer splits the database into immutable **epochs**
 //! for readers and a private successor state for a single
 //! [`serve::Writer`]. Any number of threads hold [`serve::Reader`]
-//! handles and query the current [`serve::Epoch`] through the sharded
+//! handles and query the current [`serve::Epoch`] through
 //! [`serve::Epoch::select`]; the writer stages deltas invisibly,
 //! **group-commits** them to the op journal (one batch record, one
 //! sync), and only then publishes the next epoch with an atomic swap.
 //! Readers never block the writer and can never observe a torn or FD-violating state: every snapshot
 //! equals a sequential replay of some accepted-op prefix ending at a
-//! batch boundary, deterministically at every thread count — and crash
+//! batch boundary, deterministically — and crash
 //! recovery restores exactly the last fully-synced boundary. The full
 //! consistency contract (what a reader may and may not observe, the
 //! publication ↔ durability mapping) is documented in the [`serve`]
@@ -103,15 +99,15 @@
 //! mentioned-constant and fresh-representative candidate sets are
 //! precomputed against the instance's domains, and a canonical encoding
 //! keys plan caches. At evaluation time
-//! ([`core::query::CompiledQuery::select_par_stats`], sharded on an
-//! [`exec::Executor`]), rows whose in-scope **signature**
+//! ([`core::query::CompiledQuery::select_stats`], one pass over the
+//! live rows on the calling thread), rows whose in-scope **signature**
 //! (constants, NEC class roots, `nothing`s) repeats a previously seen
 //! one replay the cached verdict from a [`core::query::SignatureMemo`]
 //! — exact, because a verdict is a pure function of that signature.
 //! Null-free rows skip everything and evaluate classically. The result
 //! is bit-identical to [`core::query::eval_signature`] /
 //! [`core::query::select`] — verdicts, answer ordering, and
-//! first-error semantics, at every thread count — which the
+//! first-error semantics — which the
 //! `query_equiv` suite holds across randomized workloads.
 //!
 //! The serving layer wires the compiled plan in:
@@ -186,8 +182,7 @@
 //! NEC-signature memo, and classical-fast-path traffic).
 //!
 //! Metrics are split into a **deterministic** registry (bit-identical
-//! across `FDI_THREADS` settings and reader counts for the same op
-//! stream — op tallies, journal record counts, extended-chase
+//! across runs and reader counts for the same op stream — op tallies, journal record counts, extended-chase
 //! round/union counts, epoch gauges) and a **nondeterministic** one
 //! (wall-clock histograms and reader-driven traffic); the split is part
 //! of the exposition format ([`obs::MetricsSnapshot::render_text`], a
@@ -200,7 +195,6 @@
 #![warn(missing_docs)]
 
 pub use fdi_core as core;
-pub use fdi_exec as exec;
 pub use fdi_gen as gen;
 pub use fdi_logic as logic;
 pub use fdi_obs as obs;
@@ -222,7 +216,6 @@ pub mod prelude {
     pub use fdi_core::semantics::{self, Semantics, SemanticsKind};
     pub use fdi_core::testfd;
     pub use fdi_core::update::{Database, Enforcement};
-    pub use fdi_exec::Executor;
     pub use fdi_logic::truth::Truth;
     pub use fdi_obs::{MetricsSnapshot, Recorder};
     pub use fdi_relation::instance::Instance;

@@ -4,8 +4,8 @@
 //!
 //! * every **deterministic-registered** metric (counters and gauges
 //!   whose `deterministic()` flag is true) is bit-identical across
-//!   executor thread counts (1 vs 4) and across reader counts (0 vs 3
-//!   snapshot-hammering threads) on the serve-consistency workload;
+//!   reader counts (0 vs 3 snapshot-hammering threads) on the
+//!   serve-consistency workload;
 //! * a [`Recorder::noop`] changes **no engine output**: the same
 //!   stream served with a live recorder and with the noop default
 //!   produces bit-identical publication logs, final instances, and
@@ -117,30 +117,24 @@ fn spawn_readers(
             let handle = reader.clone();
             let rec = rec.clone();
             let done = Arc::clone(done);
-            thread::spawn(move || {
-                let exec = Executor::with_threads(2);
-                loop {
-                    let finished = done.load(Ordering::Acquire);
-                    let epoch = handle.snapshot();
-                    let q = scaling_query(epoch.db().instance());
-                    let _ = epoch.select(&q, &exec, &rec).expect("select on a snapshot");
-                    if finished {
-                        break;
-                    }
-                    thread::yield_now();
+            thread::spawn(move || loop {
+                let finished = done.load(Ordering::Acquire);
+                let epoch = handle.snapshot();
+                let q = scaling_query(epoch.db().instance());
+                let _ = epoch.select(&q, &rec).expect("select on a snapshot");
+                if finished {
+                    break;
                 }
+                thread::yield_now();
             })
         })
         .collect()
 }
 
 /// Runs the serve-consistency workload end to end with a live recorder
-/// under the given executor and reader count; returns the final
-/// metrics snapshot and the publication log.
-fn recorded_run(
-    threads: usize,
-    readers: usize,
-) -> (MetricsSnapshot, Vec<fd_incomplete::serve::EpochStamp>) {
+/// under the given reader count; returns the final metrics snapshot and
+/// the publication log.
+fn recorded_run(readers: usize) -> (MetricsSnapshot, Vec<fd_incomplete::serve::EpochStamp>) {
     const SEED: u64 = 0x0B5;
     let db = base_db(SEED, 6);
     let mut live: Vec<RowId> = db.instance().row_ids().collect();
@@ -149,7 +143,7 @@ fn recorded_run(
         db,
         MemStorage::new(),
         ServeConfig { max_batch: 6 },
-        Executor::with_threads(threads),
+        Executor,
     )
     .unwrap();
     let rec = Recorder::enabled();
@@ -166,18 +160,13 @@ fn recorded_run(
 }
 
 /// The headline invariance test: the deterministic slice of the
-/// registry is bit-identical across the full (threads × readers) grid,
-/// while the grid genuinely varies the nondeterministic traffic.
+/// registry is bit-identical with 0 and with 3 reader threads, while
+/// the readers genuinely vary the nondeterministic traffic.
 #[test]
 fn deterministic_metrics_are_bit_identical_across_threads_and_readers() {
-    let mut runs: Vec<(usize, usize, MetricsSnapshot, Vec<_>)> = Vec::new();
-    for threads in [1usize, 4] {
-        for readers in [0usize, 3] {
-            let (snap, log) = recorded_run(threads, readers);
-            runs.push((threads, readers, snap, log));
-        }
-    }
-    let reference = runs[0].2.deterministic_pairs();
+    let (quiet, quiet_log) = recorded_run(0);
+    let (busy, busy_log) = recorded_run(3);
+    let reference = quiet.deterministic_pairs();
     assert!(
         !reference.is_empty(),
         "the deterministic registry slice must not be empty"
@@ -200,23 +189,19 @@ fn deterministic_metrics_are_bit_identical_across_threads_and_readers() {
             .any(|(name, v)| *name == "journal_syncs" && *v > 0),
         "journal syncs must be tallied: {reference:?}"
     );
-    let ref_log = &runs[0].3;
-    for (threads, readers, snap, log) in &runs[1..] {
-        assert_eq!(
-            snap.deterministic_pairs(),
-            reference,
-            "a deterministic-registered metric diverged at threads={threads} readers={readers}"
-        );
-        assert_eq!(
-            log, ref_log,
-            "publication log diverged at threads={threads} readers={readers}"
-        );
-    }
-    // The grid is only meaningful if reader traffic really moved the
-    // nondeterministic side: a 3-reader run must record snapshot reads.
-    let with_readers = &runs[1].2;
+    assert_eq!(
+        busy.deterministic_pairs(),
+        reference,
+        "a deterministic-registered metric diverged with 3 readers"
+    );
+    assert_eq!(
+        busy_log, quiet_log,
+        "publication log diverged with 3 readers"
+    );
+    // The comparison is only meaningful if reader traffic really moved
+    // the nondeterministic side: a 3-reader run must record snapshot reads.
     assert!(
-        with_readers.counter(Counter::SnapshotReads) > 0,
+        busy.counter(Counter::SnapshotReads) > 0,
         "reader threads must drive the nondeterministic counters"
     );
 }
@@ -248,7 +233,7 @@ proptest! {
                 db,
                 MemStorage::new(),
                 ServeConfig { max_batch: 4 },
-                Executor::with_threads(2),
+                Executor,
             ).unwrap();
             let rec = if instrumented { Recorder::enabled() } else { Recorder::noop() };
             writer.set_recorder(rec.clone());
@@ -256,11 +241,10 @@ proptest! {
             stage_stream(&mut writer, &mut live, &stream, batch);
             let epoch = reader.snapshot();
             let q = scaling_query(epoch.db().instance());
-            let exec = Executor::with_threads(2);
-            let answer = epoch.select(&q, &exec, &rec).expect("select");
+            let answer = epoch.select(&q, &rec).expect("select");
             prop_assert_eq!(
                 &answer,
-                &epoch.select(&q, &exec, &Recorder::noop()).expect("select"),
+                &epoch.select(&q, &Recorder::noop()).expect("select"),
                 "a live recorder changed a select answer on the same epoch"
             );
             finals.push((

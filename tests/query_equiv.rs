@@ -1,8 +1,8 @@
 //! The query-compilation equivalence suite: the compiled evaluator
 //! ([`CompiledQuery`]) must be **bit-identical** to the reference
 //! signature evaluator on every path — per-row verdicts, whole-instance
-//! answer sets (ordering included), and first-error semantics — at
-//! every thread count from 1 to 8, with and without memoization, on
+//! answer sets (ordering included), and first-error semantics — with
+//! and without memoization, on
 //! workloads that exercise shared NEC classes, cross-column classes,
 //! `nothing`-bearing tuples, post-`compact()` arenas, and unbounded
 //! domains. The update-stream lane holds plans compiled once to the
@@ -18,7 +18,6 @@ use fd_incomplete::gen::{
     UpdateOp, Workload,
 };
 use fd_incomplete::prelude::*;
-use fdi_exec::Executor;
 use fdi_relation::error::RelationError;
 use fdi_relation::rowid::RowId;
 use proptest::prelude::*;
@@ -65,21 +64,16 @@ fn random_query(rng: &mut StdRng, instance: &Instance, depth: usize) -> Query {
     }
 }
 
-/// The compiled plan's whole-instance answer at `threads` threads.
-fn compiled_select(
-    plan: &CompiledQuery,
-    instance: &Instance,
-    threads: usize,
-) -> Result<Selection, RelationError> {
-    plan.select_par_stats(instance, &Executor::with_threads(threads))
-        .map(|(selection, _)| selection)
+/// The compiled plan's whole-instance answer.
+fn compiled_select(plan: &CompiledQuery, instance: &Instance) -> Result<Selection, RelationError> {
+    plan.select_stats(instance).map(|(selection, _)| selection)
 }
 
 /// Holds the compiled plan to the reference evaluators on one
 /// instance: per-row (memoized and memo-free) against
-/// [`eval_signature`], and whole-instance against [`select`] at thread
-/// counts 1–8 — `Result`-level equality, so errors (payload included)
-/// must match too.
+/// [`eval_signature`], and whole-instance against [`select`] —
+/// `Result`-level equality, so errors (payload included) must match
+/// too.
 fn assert_equiv(label: &str, q: &Query, instance: &Instance) {
     let plan = CompiledQuery::compile(q, instance);
     let mut scratch = query::EvalScratch::default();
@@ -92,14 +86,11 @@ fn assert_equiv(label: &str, q: &Query, instance: &Instance) {
         assert_eq!(reference, memoized, "{label}: row {row:?} (memo)");
     }
 
-    let oracle = select(q, instance);
-    for threads in 1..=8 {
-        assert_eq!(
-            oracle,
-            compiled_select(&plan, instance, threads),
-            "{label}: compiled select @ {threads} threads"
-        );
-    }
+    assert_eq!(
+        select(q, instance),
+        compiled_select(&plan, instance),
+        "{label}: compiled select"
+    );
 }
 
 /// Spot-checks [`eval_signature`] (and therefore the compiled path,
@@ -123,8 +114,8 @@ fn assert_least_extension_agrees(label: &str, q: &Query, instance: &Instance) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Shared-NEC workloads: compiled ≡ signature ≡ select across
-    /// thread counts, on the scaling query and random trees.
+    /// Shared-NEC workloads: compiled ≡ signature ≡ select, on the
+    /// scaling query and random trees.
     #[test]
     fn compiled_matches_reference_on_large_workloads(
         seed in 0u64..1 << 32,
@@ -175,8 +166,8 @@ proptest! {
     /// The update-stream lane: plans compiled once against the starting
     /// instance answer exactly like a fresh `select` after every
     /// accepted op of a randomized update stream (and after periodic
-    /// compactions), at 1 and 4 threads — the database's chase, NEC
-    /// merges and slot reuse never invalidate a plan.
+    /// compactions) — the database's chase, NEC merges and slot reuse
+    /// never invalidate a plan.
     #[test]
     fn compiled_selection_matches_select_under_update_streams(seed in 0u64..1 << 32) {
         let start_rows = 24usize;
@@ -190,16 +181,10 @@ proptest! {
             .iter()
             .map(|q| CompiledQuery::compile(q, db.instance()))
             .collect();
-        let execs = [Executor::with_threads(1), Executor::with_threads(4)];
         let check = |db: &Database, when: &str| {
             for (q, plan) in queries.iter().zip(&plans) {
                 let oracle = select(q, db.instance()).expect("finite domains");
-                for exec in &execs {
-                    let (compiled, _) = plan
-                        .select_par_stats(db.instance(), exec)
-                        .expect("finite domains");
-                    assert_eq!(compiled, oracle, "{when} at {} threads", exec.threads());
-                }
+                assert_eq!(compiled_select(plan, db.instance()).expect("finite domains"), oracle, "{when}");
             }
         };
 
@@ -269,10 +254,7 @@ fn memo_hit_rate_positive_on_shared_nec_workload() {
     let w = large_workload(7, 2000, 0.25, 0.3, 4);
     let q = scaling_query(&w.instance);
     let plan = CompiledQuery::compile(&q, &w.instance);
-    let exec = Executor::with_threads(1);
-    let (sel, stats) = plan
-        .select_par_stats(&w.instance, &exec)
-        .expect("finite domains");
+    let (sel, stats) = plan.select_stats(&w.instance).expect("finite domains");
     assert_eq!(sel, select(&q, &w.instance).expect("finite domains"));
     assert!(
         stats.hits > 0,
@@ -283,7 +265,7 @@ fn memo_hit_rate_positive_on_shared_nec_workload() {
 
 /// First-error semantics on unbounded domains: the compiled path must
 /// report the same error (attribute payload included) as the reference,
-/// from the lowest erroring row, at every thread count.
+/// from the lowest erroring row.
 #[test]
 fn unbounded_domain_first_error_is_identical() {
     let schema = Schema::builder("People")
@@ -310,9 +292,7 @@ fn unbounded_domain_first_error_is_identical() {
         oracle.is_err(),
         "nulls on an unbounded attribute must error"
     );
-    for threads in 1..=8 {
-        assert_eq!(oracle, compiled_select(&plan, &instance, threads));
-    }
+    assert_eq!(oracle, compiled_select(&plan, &instance));
 
     // Rows 0–1 are null-free on scope and evaluate fine; the first
     // error comes from row 2, not row 3.

@@ -3,15 +3,15 @@
 //! observed snapshot must be one the writer actually published, every
 //! published epoch must equal a **sequential replay of its accepted-op
 //! prefix** (checked bit-identically by fingerprint against an oracle),
-//! and the epoch sequence must not depend on the thread count or on how
-//! many readers are hammering the publication cell.
+//! and the epoch sequence must not depend on how many readers are
+//! hammering the publication cell.
 //!
 //! The suite drives real OS threads: reader threads snapshot in a tight
 //! loop while the writer stages, group-commits, and publishes batches
 //! of a generated update stream. Readers assert per-handle monotonicity
 //! and, for every *newly seen* epoch, full internal consistency
-//! (instance vs published fingerprint, weak satisfiability, sharded
-//! select vs sequential select); the main thread then checks every observed stamp against
+//! (instance vs published fingerprint, weak satisfiability, compiled
+//! select vs interpreted select); the main thread then checks every observed stamp against
 //! the publication log and replays the log against the oracle.
 
 use fd_incomplete::core::chase;
@@ -240,8 +240,8 @@ fn assert_accepted_subsequence_reproduces(
 /// thread asserts per-handle monotonicity on every snapshot and, for
 /// each *newly seen* epoch: the instance matches the fingerprint it was
 /// published with (no torn epoch), the enforcement invariant holds
-/// (no FD-violating epoch), and the sharded select equals the
-/// sequential select on the shared snapshot. Returns the distinct
+/// (no FD-violating epoch), and the compiled select equals the
+/// interpreted select on the shared snapshot. Returns the distinct
 /// stamps each thread observed.
 fn spawn_readers(
     reader: &Reader,
@@ -253,7 +253,6 @@ fn spawn_readers(
             let handle = reader.clone();
             let done = Arc::clone(done);
             thread::spawn(move || {
-                let exec = Executor::with_threads(2);
                 let mut last_seq = 0u64;
                 let mut seen_seqs = HashSet::new();
                 let mut seen = Vec::new();
@@ -290,12 +289,12 @@ fn spawn_readers(
                             epoch.seq()
                         );
                         let q = scaling_query(epoch.db().instance());
-                        let par = epoch
-                            .select(&q, &exec, &Recorder::noop())
+                        let compiled = epoch
+                            .select(&q, &Recorder::noop())
                             .expect("select on a snapshot");
-                        let sequential =
-                            query::select(&q, epoch.db().instance()).expect("sequential select");
-                        assert_eq!(par, sequential, "epoch {}", epoch.seq());
+                        let interpreted =
+                            query::select(&q, epoch.db().instance()).expect("interpreted select");
+                        assert_eq!(compiled, interpreted, "epoch {}", epoch.seq());
                     }
                     if finished {
                         break;
@@ -322,7 +321,7 @@ fn concurrent_readers_observe_only_published_batch_boundaries() {
         db,
         MemStorage::new(),
         ServeConfig { max_batch: 4 },
-        Executor::with_threads(2),
+        Executor,
     )
     .unwrap();
     let done = Arc::new(AtomicBool::new(false));
@@ -354,26 +353,25 @@ fn concurrent_readers_observe_only_published_batch_boundaries() {
     );
 }
 
-/// Determinism across the grid: the same op stream produces the same
-/// publication log — same seqs, same op counts, same fingerprints — at
-/// every thread count and whether 0 or 3 readers are hammering the
-/// cell. A mid-stream compaction exercises the remap path on every run.
+/// Determinism across reader counts: the same op stream produces the
+/// same publication log — same seqs, same op counts, same fingerprints
+/// — whether 0 or 3 readers are hammering the cell. A mid-stream compaction exercises the remap path on every run.
 #[test]
 fn epoch_log_is_bit_identical_across_thread_and_reader_counts() {
     const SEED: u64 = 0xD0E;
     let rows = base_db(SEED, 6).instance().len();
     let stream = update_stream(0xFEED, &spec(6), rows, 48, mix());
     let (head, tail) = stream.split_at(24);
-    let mut logs: Vec<(usize, usize, Vec<EpochStamp>)> = Vec::new();
-    for threads in [1usize, 2, 4, 8] {
-        for readers in [0usize, 3] {
+    let logs: Vec<Vec<EpochStamp>> = [0usize, 3]
+        .into_iter()
+        .map(|readers| {
             let db = base_db(SEED, 6);
             let mut live: Vec<RowId> = db.instance().row_ids().collect();
             let (mut writer, reader) = Writer::create(
                 db,
                 MemStorage::new(),
                 ServeConfig { max_batch: 6 },
-                Executor::with_threads(threads),
+                Executor,
             )
             .unwrap();
             let done = Arc::new(AtomicBool::new(false));
@@ -389,16 +387,10 @@ fn epoch_log_is_bit_identical_across_thread_and_reader_counts() {
             for h in handles {
                 h.join().expect("a reader thread panicked");
             }
-            logs.push((threads, readers, writer.published_log().to_vec()));
-        }
-    }
-    let (_, _, reference) = &logs[0];
-    for (threads, readers, log) in &logs[1..] {
-        assert_eq!(
-            log, reference,
-            "publication log diverged at threads={threads} readers={readers}"
-        );
-    }
+            writer.published_log().to_vec()
+        })
+        .collect();
+    assert_eq!(logs[0], logs[1], "publication log diverged with 3 readers");
 }
 
 proptest! {
@@ -424,7 +416,7 @@ proptest! {
             db,
             MemStorage::new(),
             ServeConfig { max_batch },
-            Executor::with_threads(2),
+            Executor,
         ).unwrap();
         let (attempted, epochs) = stage_stream(&mut writer, &mut live, &stream, batch);
         let published = writer.published_log().to_vec();
