@@ -2,7 +2,7 @@
 //! strong insert scan vs full revalidation.
 
 use crate::{banner, fmt_duration, median_time, Table};
-use fdi_core::semantics;
+use fdi_core::semantics::SemanticsKind;
 use fdi_core::update::{insert_with_full_recheck, Database, Enforcement};
 use fdi_gen::{attr_names, random_fds, satisfiable_instance, WorkloadSpec};
 use rand::rngs::StdRng;
@@ -71,7 +71,8 @@ pub fn run(quick: bool) {
         for tokens in &batch_tokens {
             let refs: Vec<&str> = tokens.iter().map(String::as_str).collect();
             let a = db.insert(&refs).is_ok();
-            let b = insert_with_full_recheck(&mut plain, &fds, &refs, semantics::Strong).is_ok();
+            let b =
+                insert_with_full_recheck(&mut plain, &fds, &refs, SemanticsKind::Strong).is_ok();
             agree += (a == b) as usize;
         }
         // timing
@@ -91,7 +92,7 @@ pub fn run(quick: bool) {
                     &mut plain,
                     &fds,
                     &refs,
-                    semantics::Strong,
+                    SemanticsKind::Strong,
                 ));
             }
         });

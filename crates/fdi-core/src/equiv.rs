@@ -152,7 +152,7 @@ fn singleton_holds_in_world(singleton: &FdSet, world: &Instance) -> bool {
     crate::testfd::check(
         world,
         singleton,
-        crate::semantics::Strong,
+        crate::semantics::SemanticsKind::Strong,
         &fdi_obs::Recorder::noop(),
     )
     .is_ok()

@@ -51,7 +51,7 @@ pub fn atom(value: Value, row: RowId, snapshot: &NecSnapshot) -> u64 {
 
 /// [`atom`] under a semantics' null-keying policy: when
 /// `solitary_nulls` is set (conventions where class nulls do not agree
-/// — [`crate::semantics::Semantics::solitary_nulls`]), a null keys by a
+/// — [`crate::semantics::SemanticsKind::solitary_nulls`]), a null keys by a
 /// **row-unique** atom like `nothing` does, so no two rows ever group
 /// through a null. With the flag clear this is exactly [`atom`].
 #[inline]

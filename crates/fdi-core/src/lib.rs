@@ -22,10 +22,11 @@
 //! * [`testfd`] — the TEST-FDs algorithm of Figure 3 with the strong and
 //!   weak null-comparison conventions of Theorems 2 and 3;
 //! * [`semantics`] — the pluggable null-comparison semantics behind
-//!   TEST-FDs: the [`semantics::Semantics`] trait, the strong/weak
-//!   conventions as zero-sized impls, the Badia–Lemire null-marker and
-//!   Atzeni–Morfuni NFD alternatives, and the differential comparison
-//!   harness ([`semantics::compare`]);
+//!   TEST-FDs: [`semantics::SemanticsKind`], one value per convention
+//!   (the paper's strong and weak ones, the Badia–Lemire null-marker
+//!   and Atzeni–Morfuni NFD alternatives) carrying its axes and derived
+//!   predicates, and the differential comparison harness
+//!   ([`semantics::compare`]);
 //! * [`subst`] — the domain-dependent substitution rules for nulls in
 //!   `t[X]` (§4 conditions (1)–(2)) and the `[F2]` exhaustion detector;
 //! * [`normalize`] — BCNF/3NF decomposition and the tableau lossless-join
@@ -51,8 +52,10 @@
 //! Each engine has one entry point, and it takes (where it has work to
 //! report) an `fdi-obs` [`Recorder`](fdi_obs::Recorder):
 //! [`testfd::check`], [`chase::chase_plain`], [`chase::extended_chase`]
-//! and [`groupkey::group_rows`]. Every engine runs sequentially on the
-//! calling thread. Compiled selection,
+//! and [`groupkey::group_rows`]. TEST-FDs takes its null convention as
+//! a plain [`semantics::SemanticsKind`] value; its pairwise variant
+//! [`testfd::check_pairwise`] is the oracle it is tested against. Every
+//! engine runs sequentially on the calling thread. Compiled selection,
 //! [`query::CompiledQuery::select_stats`], is one ascending pass over
 //! the live rows. `select_par_stats` is the same pass with an `fdi-exec`
 //! executor parameter that it never reads, kept because the end-to-end

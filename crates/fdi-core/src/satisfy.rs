@@ -25,19 +25,6 @@ use fdi_relation::instance::Instance;
 /// Default completion budget for report generation.
 pub const REPORT_BUDGET: u128 = 1 << 16;
 
-/// How a satisfiability verdict was reached.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Method {
-    /// TEST-FDs under the strong convention (Theorem 2).
-    TestFdsStrong,
-    /// Plain chase + TEST-FDs under the weak convention (Theorem 3).
-    ChaseThenTestFdsWeak,
-    /// Extended chase + `nothing` check (Theorem 4).
-    ExtendedChaseNothing,
-    /// Exhaustive completion enumeration (ground truth).
-    BruteForce,
-}
-
 /// A full satisfiability report for one FD set over one instance.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Report {

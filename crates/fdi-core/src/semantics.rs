@@ -1,10 +1,10 @@
-//! Pluggable null-comparison semantics — the trait behind TEST-FDs.
+//! Pluggable null-comparison semantics — the conventions behind TEST-FDs.
 //!
 //! Vassiliou's Theorems 2 and 3 define two conventions for comparing
-//! values in the presence of nulls ([`Strong`] and [`Weak`]). The
-//! literature defines more: Badia–Lemire's null-marker FDs (arXiv
-//! 1404.4963) treat marked nulls as syntactic objects that must match
-//! exactly, and Atzeni–Morfuni's NFDs restrict
+//! values in the presence of nulls ([`SemanticsKind::Strong`] and
+//! [`SemanticsKind::Weak`]). The literature defines more: Badia–Lemire's
+//! null-marker FDs (arXiv 1404.4963) treat marked nulls as syntactic
+//! objects that must match exactly, and Atzeni–Morfuni's NFDs restrict
 //! a dependency's scope to the tuples that are *total* on its left
 //! side. All of them fit one shape: an **agreement** predicate (when do
 //! two values count as equal on a determinant?) and a **disagreement**
@@ -12,9 +12,9 @@
 //! — which are *not* each other's negations; that asymmetry is the
 //! whole point of null conventions.
 //!
-//! The [`Semantics`] trait captures a convention as four independent
-//! boolean axes, from which every engine-relevant predicate and policy
-//! is derived:
+//! [`SemanticsKind`] captures a convention as four independent boolean
+//! axes, from which every engine-relevant predicate and policy is
+//! derived:
 //!
 //! | axis | strong | null-marker | weak | nfd |
 //! |---|---|---|---|---|
@@ -23,10 +23,10 @@
 //! | [`null_const_conflicts`]    | ✓ | ✓ | – | – |
 //! | [`cross_class_nulls_conflict`] | ✓ | ✓ | – | – |
 //!
-//! [`null_matches_everything`]: Semantics::null_matches_everything
-//! [`class_nulls_agree`]: Semantics::class_nulls_agree
-//! [`null_const_conflicts`]: Semantics::null_const_conflicts
-//! [`cross_class_nulls_conflict`]: Semantics::cross_class_nulls_conflict
+//! [`null_matches_everything`]: SemanticsKind::null_matches_everything
+//! [`class_nulls_agree`]: SemanticsKind::class_nulls_agree
+//! [`null_const_conflicts`]: SemanticsKind::null_const_conflicts
+//! [`cross_class_nulls_conflict`]: SemanticsKind::cross_class_nulls_conflict
 //!
 //! * **Strong** (Theorem 2): every null is a potential matcher and a
 //!   potential violator — equality involving a null is positive,
@@ -59,24 +59,22 @@
 //!
 //! ## Engine policies
 //!
-//! Two derived policies tell the TEST-FDs variants how to stay sound:
+//! Two derived policies tell TEST-FDs how to stay sound:
 //!
-//! * [`Semantics::needs_pairwise_fallback`] — when nulls match
+//! * [`SemanticsKind::needs_pairwise_fallback`] — when nulls match
 //!   *everything*, determinant "equality" is not transitive, so
-//!   grouping is unsound on null-bearing determinants and the engines
-//!   fall back to the paper's footnoted `O(n²)` pairwise variant. Only
+//!   grouping is unsound on null-bearing determinants and the engine
+//!   falls back to the paper's footnoted `O(n²)` pairwise variant. Only
 //!   the strong convention pays this (and only it pays the
 //!   null-column scan that feeds the trigger — see
 //!   `testfd::null_columns_for`).
-//! * [`Semantics::solitary_nulls`] — when class nulls do not agree
+//! * [`SemanticsKind::solitary_nulls`] — when class nulls do not agree
 //!   (nfd), group keys treat a null like `nothing`: a row-unique atom
 //!   that never groups two rows together.
 //!
-//! All engines are generic over `S: Semantics` and monomorphized; the
-//! zero-sized [`Strong`]/[`Weak`]/[`NullMarker`]/[`Nfd`] impls
-//! constant-fold every axis, while [`SemanticsKind`] implements the
-//! trait by runtime dispatch for enum-driven callers (the CLI, stats,
-//! serving).
+//! Every engine takes the convention as a plain [`SemanticsKind`] value,
+//! so `fdi stats` and [`compare`] iterate [`SemanticsKind::ALL`] through
+//! the same calls that name one convention.
 
 use crate::fd::FdSet;
 use crate::testfd::{self, Violation};
@@ -87,7 +85,9 @@ use fdi_relation::value::Value;
 use std::fmt;
 
 /// The registry of implemented semantics, in lattice order (strongest
-/// first): each kind's violation set contains the next one's.
+/// first): each kind's violation set contains the next one's. A kind
+/// carries its four axes and the predicates and engine policies derived
+/// from them (see the module docs for the per-kind truth table).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum SemanticsKind {
     /// Theorem 2's pessimistic convention.
@@ -125,55 +125,31 @@ impl SemanticsKind {
     pub fn parse(text: &str) -> Option<SemanticsKind> {
         SemanticsKind::ALL.into_iter().find(|k| k.name() == text)
     }
-}
-
-impl fmt::Display for SemanticsKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// A null-comparison semantics: four boolean axes plus the predicates
-/// and engine policies derived from them (see the module docs for the
-/// per-kind truth table). Implementors only provide [`kind`]; the
-/// zero-sized impls exist so the hot paths monomorphize to
-/// constant-folded branches.
-///
-/// [`kind`]: Semantics::kind
-pub trait Semantics: Copy + Send + Sync {
-    /// The registry identity of this semantics.
-    fn kind(self) -> SemanticsKind;
 
     /// Does a null potentially match *any* value (strong convention)?
     /// This is what makes determinant equality non-transitive.
     #[inline]
-    fn null_matches_everything(self) -> bool {
-        matches!(self.kind(), SemanticsKind::Strong)
+    pub fn null_matches_everything(self) -> bool {
+        matches!(self, SemanticsKind::Strong)
     }
 
     /// Do nulls of one NEC class agree with each other (everything but
     /// nfd, whose dependencies ignore non-total tuples)?
     #[inline]
-    fn class_nulls_agree(self) -> bool {
-        !matches!(self.kind(), SemanticsKind::Nfd)
+    pub fn class_nulls_agree(self) -> bool {
+        !matches!(self, SemanticsKind::Nfd)
     }
 
     /// Is a null against a constant a violation on a dependent?
     #[inline]
-    fn null_const_conflicts(self) -> bool {
-        matches!(
-            self.kind(),
-            SemanticsKind::Strong | SemanticsKind::NullMarker
-        )
+    pub fn null_const_conflicts(self) -> bool {
+        matches!(self, SemanticsKind::Strong | SemanticsKind::NullMarker)
     }
 
     /// Are nulls of distinct NEC classes a violation on a dependent?
     #[inline]
-    fn cross_class_nulls_conflict(self) -> bool {
-        matches!(
-            self.kind(),
-            SemanticsKind::Strong | SemanticsKind::NullMarker
-        )
+    pub fn cross_class_nulls_conflict(self) -> bool {
+        matches!(self, SemanticsKind::Strong | SemanticsKind::NullMarker)
     }
 
     /// Must group-based engines fall back to the pairwise scan when a
@@ -183,7 +159,7 @@ pub trait Semantics: Copy + Send + Sync {
     /// partitioning into agreement classes is unsound. Conventions
     /// without the fallback also skip the null-column scan feeding it.
     #[inline]
-    fn needs_pairwise_fallback(self) -> bool {
+    pub fn needs_pairwise_fallback(self) -> bool {
         self.null_matches_everything()
     }
 
@@ -191,7 +167,7 @@ pub trait Semantics: Copy + Send + Sync {
     /// never grouping two rows)? True exactly when class nulls do not
     /// agree.
     #[inline]
-    fn solitary_nulls(self) -> bool {
+    pub fn solitary_nulls(self) -> bool {
         !self.class_nulls_agree()
     }
 
@@ -199,13 +175,13 @@ pub trait Semantics: Copy + Send + Sync {
     /// incomplete instance (Theorem 3's proviso for the weak
     /// convention)? [`decide`] consults this.
     #[inline]
-    fn chases_first(self) -> bool {
-        matches!(self.kind(), SemanticsKind::Weak)
+    pub fn chases_first(self) -> bool {
+        matches!(self, SemanticsKind::Weak)
     }
 
     /// `t[A] = t'[A]` — the agreement predicate (determinant side).
     #[inline]
-    fn values_equal(self, a: Value, b: Value, instance: &Instance) -> bool {
+    pub fn values_equal(self, a: Value, b: Value, instance: &Instance) -> bool {
         match (a, b) {
             (Value::Const(x), Value::Const(y)) => x == y,
             (Value::Null(m), Value::Null(n)) => {
@@ -223,7 +199,7 @@ pub trait Semantics: Copy + Send + Sync {
     /// `nothing` disagrees with every value, a null included, under
     /// every convention: no completion makes it equal to anything.
     #[inline]
-    fn values_unequal(self, a: Value, b: Value, instance: &Instance) -> bool {
+    pub fn values_unequal(self, a: Value, b: Value, instance: &Instance) -> bool {
         match (a, b) {
             (Value::Nothing, _) | (_, Value::Nothing) => true,
             (Value::Const(x), Value::Const(y)) => x != y,
@@ -235,67 +211,17 @@ pub trait Semantics: Copy + Send + Sync {
     }
 }
 
-/// Zero-sized strong convention (Theorem 2) — monomorphizes to the
-/// exact pre-trait strong engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub struct Strong;
-
-/// Zero-sized null-marker convention (after arXiv 1404.4963).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub struct NullMarker;
-
-/// Zero-sized weak convention (Theorem 3) — monomorphizes to the exact
-/// pre-trait weak engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub struct Weak;
-
-/// Zero-sized Atzeni–Morfuni-style NFD convention.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub struct Nfd;
-
-impl Semantics for Strong {
-    #[inline]
-    fn kind(self) -> SemanticsKind {
-        SemanticsKind::Strong
-    }
-}
-
-impl Semantics for NullMarker {
-    #[inline]
-    fn kind(self) -> SemanticsKind {
-        SemanticsKind::NullMarker
-    }
-}
-
-impl Semantics for Weak {
-    #[inline]
-    fn kind(self) -> SemanticsKind {
-        SemanticsKind::Weak
-    }
-}
-
-impl Semantics for Nfd {
-    #[inline]
-    fn kind(self) -> SemanticsKind {
-        SemanticsKind::Nfd
-    }
-}
-
-/// Runtime dispatch for the registry enum — what lets `fdi stats`, the
-/// CLI, and [`compare`] iterate [`SemanticsKind::ALL`] through the
-/// generic engines.
-impl Semantics for SemanticsKind {
-    #[inline]
-    fn kind(self) -> SemanticsKind {
-        self
+impl fmt::Display for SemanticsKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
     }
 }
 
 /// Full decision pipeline for one semantics: chases to a minimally
 /// incomplete instance first when the convention requires it
-/// ([`Semantics::chases_first`] — Theorem 3's proviso), then runs the
+/// ([`SemanticsKind::chases_first`] — Theorem 3's proviso), then runs
 /// [`testfd::check`], unrecorded.
-pub fn decide<S: Semantics>(instance: &Instance, fds: &FdSet, sem: S) -> Result<(), Violation> {
+pub fn decide(instance: &Instance, fds: &FdSet, sem: SemanticsKind) -> Result<(), Violation> {
     let rec = Recorder::noop();
     if sem.chases_first() {
         let chased = crate::chase::chase_plain(instance, fds);
@@ -440,7 +366,9 @@ mod tests {
     use super::*;
     use fdi_relation::schema::Schema;
 
-    fn check<S: Semantics>(r: &Instance, f: &FdSet, sem: S) -> Result<(), Violation> {
+    use SemanticsKind::{Nfd, NullMarker, Strong, Weak};
+
+    fn check(r: &Instance, f: &FdSet, sem: SemanticsKind) -> Result<(), Violation> {
         testfd::check(r, f, sem, &Recorder::noop())
     }
 
@@ -455,26 +383,16 @@ mod tests {
     #[test]
     fn axes_match_the_module_truth_table() {
         let rows: [(SemanticsKind, [bool; 4]); 4] = [
-            (SemanticsKind::Strong, [true, true, true, true]),
-            (SemanticsKind::NullMarker, [false, true, true, true]),
-            (SemanticsKind::Weak, [false, true, false, false]),
-            (SemanticsKind::Nfd, [false, false, false, false]),
+            (Strong, [true, true, true, true]),
+            (NullMarker, [false, true, true, true]),
+            (Weak, [false, true, false, false]),
+            (Nfd, [false, false, false, false]),
         ];
         for (kind, [nme, cna, ncc, ccnc]) in rows {
             assert_eq!(kind.null_matches_everything(), nme, "{kind} nme");
             assert_eq!(kind.class_nulls_agree(), cna, "{kind} cna");
             assert_eq!(kind.null_const_conflicts(), ncc, "{kind} ncc");
             assert_eq!(kind.cross_class_nulls_conflict(), ccnc, "{kind} ccnc");
-        }
-    }
-
-    #[test]
-    fn zsts_dispatch_to_their_kinds() {
-        assert_eq!(Strong.kind(), SemanticsKind::Strong);
-        assert_eq!(Weak.kind(), SemanticsKind::Weak);
-        assert_eq!(NullMarker.kind(), SemanticsKind::NullMarker);
-        assert_eq!(Nfd.kind(), SemanticsKind::Nfd);
-        for kind in SemanticsKind::ALL {
             assert_eq!(SemanticsKind::parse(kind.name()), Some(kind));
         }
     }

@@ -4,10 +4,9 @@
 //! The algorithm: for every FD `X → Y`, sort the relation on `X`, scan
 //! groups of `X`-equal tuples, and report a violation when a group
 //! contains `Y`-unequal tuples. Null comparisons are governed by a
-//! **convention** — every variant here is generic over
-//! [`crate::semantics::Semantics`], with the zero-sized [`Strong`] and
-//! [`Weak`] impls as the paper's instances and the null-marker/NFD
-//! conventions as alternatives. The paper's two:
+//! **convention**, a [`SemanticsKind`] value: the paper's
+//! [`SemanticsKind::Strong`] and [`SemanticsKind::Weak`], and the
+//! null-marker/NFD conventions as alternatives. The paper's two:
 //!
 //! * **strong** (Theorem 2, decides strong satisfiability on *any*
 //!   instance): equality involving a null is positive; inequality
@@ -20,57 +19,51 @@
 //!   same NEC class.
 //!
 //! Under the strong convention "equality" is not transitive (a null
-//! matches two different constants that do not match each other), so the
-//! sorted variant is unsound when an FD's left side contains nulls; the
+//! matches two different constants that do not match each other), so
+//! grouping is unsound when an FD's left side contains nulls; the
 //! paper's own footnote proposes the pairwise `O(|F|·n²)` variant for
-//! that case, and [`check_sorted`] falls back to it automatically. Under
-//! the weak convention nulls sort as distinct atoms (classes kept
-//! adjacent), so sorting is always sound.
+//! that case, and [`check`] falls back to it automatically. Under the
+//! weak convention nulls group by NEC class, so grouping is always
+//! sound.
 //!
 //! Variants implemented, matching Figure 3's complexity discussion:
-//! pairwise (`O(|F|·n²)`), hash-grouped (the bucket-sort analogue,
-//! `O(|F|·n·p)` expected — the production path behind [`check`]),
-//! sorted (`O(|F|·n·log n)`, [`check_sorted`]), and the linear scan for
-//! a single FD over a pre-sorted relation ([`check_single_presorted`]).
-//! The sorted and presorted variants reproduce Figure 3 for the scaling
-//! experiments; the pairwise one is the reference the others are
-//! property-tested against.
+//! hash-grouped (the bucket-sort analogue of the *Additional
+//! Assumptions* paragraph, `O(|F|·n·p)` expected — [`check`]) and
+//! pairwise (`O(|F|·n²)`, [`check_pairwise`]), the reference the
+//! grouped engine is property-tested against. Experiment E10 times
+//! both.
 //!
 //! ## The entry point
 //!
-//! [`check`] is the one entry point the rest of the system goes through
+//! [`check`] is the one engine the rest of the system goes through
 //! (and what [`check_strong`] / [`check_weak`] call): the grouped
 //! variant on the NEC-canonical keys of the indexed chase
 //! ([`crate::groupkey`]) — one fully-compressed NEC snapshot per call,
 //! packed `u64` key atoms, and a per-group linear representative scan,
-//! reporting its work into a [`Recorder`]. The
-//! strong-convention-with-null-determinant fallback to pairwise is
-//! preserved — under the pessimistic convention null "equality" is not
-//! transitive, so grouping is unsound there and the paper's footnoted
-//! `O(|F|·n²)` variant is the only correct choice.
+//! reporting its work into a [`Recorder`]. [`pair_violates`] is the
+//! pairwise predicate behind it, which strong inserts test directly.
 //!
 //! ## The deterministic witness contract
 //!
-//! Every variant — pairwise, sorted, and [`check`] — reports one
-//! **canonical witness** on a violating instance: the least
-//! violating `(row, row)` pair (ordered, lower id first) of the
-//! lowest-indexed violated FD. The grouped scans get this by folding
-//! every group's minimum (the within-group representative scan returns
-//! the group's least pair) instead of returning the first hit in
-//! `HashMap` iteration order, so results are run-to-run deterministic
-//! and bit-identical across variants — a `Violation` can be compared
-//! with `==` between any two of them.
+//! [`check`] and [`check_pairwise`] report one **canonical witness** on
+//! a violating instance: the least violating `(row, row)` pair
+//! (ordered, lower id first) of the lowest-indexed violated FD. The
+//! grouped scan gets this by folding every group's minimum (the
+//! within-group representative scan returns the group's least pair)
+//! instead of returning the first hit in `HashMap` iteration order, so
+//! results are run-to-run deterministic and bit-identical to the
+//! pairwise oracle — a `Violation` can be compared with `==` between
+//! the two.
 
 use crate::fd::{Fd, FdSet};
 use crate::groupkey;
-use crate::semantics::{Semantics, Strong, Weak};
+use crate::semantics::SemanticsKind;
 use fdi_obs::{Counter, Recorder};
 use fdi_relation::attrs::AttrSet;
 use fdi_relation::instance::Instance;
 use fdi_relation::nec::NecSnapshot;
 use fdi_relation::rowid::RowId;
 use fdi_relation::value::Value;
-use std::cmp::Ordering;
 use std::fmt;
 
 /// A violation found by TEST-FDs.
@@ -93,14 +86,14 @@ impl fmt::Display for Violation {
 }
 
 /// Projection equality on a set of attributes — the semantics'
-/// agreement predicate ([`Semantics::values_equal`]) folded over the
+/// agreement predicate ([`SemanticsKind::values_equal`]) folded over the
 /// projection.
-fn rows_equal_on<S: Semantics>(
+fn rows_equal_on(
     instance: &Instance,
     i: RowId,
     j: RowId,
     attrs: AttrSet,
-    sem: S,
+    sem: SemanticsKind,
 ) -> bool {
     attrs
         .iter()
@@ -108,14 +101,14 @@ fn rows_equal_on<S: Semantics>(
 }
 
 /// Projection inequality (`∃` attribute positively unequal) — the
-/// semantics' disagreement predicate ([`Semantics::values_unequal`]),
+/// semantics' disagreement predicate ([`SemanticsKind::values_unequal`]),
 /// which is NOT the negation of agreement.
-fn rows_unequal_on<S: Semantics>(
+fn rows_unequal_on(
     instance: &Instance,
     i: RowId,
     j: RowId,
     attrs: AttrSet,
-    sem: S,
+    sem: SemanticsKind,
 ) -> bool {
     attrs
         .iter()
@@ -125,10 +118,10 @@ fn rows_unequal_on<S: Semantics>(
 /// Pairwise TEST-FDs: every pair of tuples checked for every FD —
 /// `O(|F|·n²)`, the footnoted variant that needs no sorting and is sound
 /// under every semantics.
-pub fn check_pairwise<S: Semantics>(
+pub fn check_pairwise(
     instance: &Instance,
     fds: &FdSet,
-    sem: S,
+    sem: SemanticsKind,
 ) -> Result<(), Violation> {
     let rows: Vec<RowId> = instance.row_ids().collect();
     for (fd_index, fd) in fds.iter().enumerate() {
@@ -151,11 +144,11 @@ pub fn check_pairwise<S: Semantics>(
 /// predicate: pairs in ascending order (`rows` ascending), so the first
 /// hit is the least — the per-FD loop of [`check_pairwise`] and the
 /// strong-convention fallback of [`check`].
-fn pairwise_violation<S: Semantics>(
+fn pairwise_violation(
     instance: &Instance,
     rows: &[RowId],
     fd: Fd,
-    sem: S,
+    sem: SemanticsKind,
 ) -> Option<(RowId, RowId)> {
     for (p, &i) in rows.iter().enumerate() {
         for &j in &rows[(p + 1)..] {
@@ -167,27 +160,6 @@ fn pairwise_violation<S: Semantics>(
         }
     }
     None
-}
-
-/// Sort key for one value under a semantics' agreement classes:
-/// constants order by symbol, null classes by representative; nulls
-/// sort after constants ("null values have the lowest precedence" —
-/// the paper sorts them first; either end works, the group structure is
-/// what matters). `nothing` keys by row — the inconsistent element
-/// matches nothing, so no two rows may ever be grouped through it —
-/// and under semantics whose nulls never agree
-/// ([`Semantics::solitary_nulls`]) a null keys by row too.
-///
-/// Null classes resolve through the caller's fully-compressed
-/// [`NecSnapshot`] — one `O(1)` array read — rather than an
-/// uncompressed parent-chain walk per value per comparison.
-fn sort_key<S: Semantics>(v: Value, row: RowId, snapshot: &NecSnapshot, sem: S) -> (u8, u32) {
-    match v {
-        Value::Const(s) => (0, s.0),
-        Value::Null(n) if sem.class_nulls_agree() => (1, snapshot.root(n).0),
-        Value::Null(_) => (3, row.0),
-        Value::Nothing => (2, row.0),
-    }
 }
 
 /// The columns on which some live row holds a null — one `O(n·p)` scan
@@ -211,10 +183,10 @@ fn null_columns(instance: &Instance) -> AttrSet {
 
 /// [`null_columns`] when the semantics needs it — the scan feeds the
 /// pairwise-fallback trigger, so it is gated on
-/// [`Semantics::needs_pairwise_fallback`]: conventions without the
+/// [`SemanticsKind::needs_pairwise_fallback`]: conventions without the
 /// fallback (everything but strong) get the empty set — never
 /// intersecting anything — and pay nothing for the scan.
-fn null_columns_for<S: Semantics>(instance: &Instance, sem: S) -> AttrSet {
+fn null_columns_for(instance: &Instance, sem: SemanticsKind) -> AttrSet {
     if sem.needs_pairwise_fallback() {
         null_columns(instance)
     } else {
@@ -240,16 +212,16 @@ fn null_columns_for<S: Semantics>(instance: &Instance, sem: S) -> AttrSet {
 /// the minimum across attributes. This is the canonical-witness
 /// contract of [`check`].
 ///
-/// This is what keeps the sorted and grouped variants at `O(n·p)` per
-/// group sweep instead of `O(group²)` — Figure 3's inner loop compares each
-/// tuple against the group's representative, which this generalizes to
-/// the null conventions.
-fn group_violation<S: Semantics>(
+/// This is what keeps the grouped variant at `O(n·p)` per group sweep
+/// instead of `O(group²)` — Figure 3's inner loop compares each tuple
+/// against the group's representative, which this generalizes to the
+/// null conventions.
+fn group_violation(
     instance: &Instance,
     snapshot: &NecSnapshot,
     rows: &[RowId],
     rhs: AttrSet,
-    sem: S,
+    sem: SemanticsKind,
 ) -> Option<(RowId, RowId)> {
     if rows.len() < 2 {
         return None;
@@ -265,20 +237,20 @@ fn group_violation<S: Semantics>(
 /// pair on `b` among the (ascending, `X`-agreeing) `rows`, if any.
 /// The conflict structure follows the semantics' axes: constants
 /// conflict with differing constants always, with nulls when
-/// [`Semantics::null_const_conflicts`], and nulls conflict across NEC
-/// classes when [`Semantics::cross_class_nulls_conflict`].
+/// [`SemanticsKind::null_const_conflicts`], and nulls conflict across NEC
+/// classes when [`SemanticsKind::cross_class_nulls_conflict`].
 ///
 /// `nothing` conflicts with every other row, so the least pair that
 /// holds one is the group's first row with the first `nothing` row
 /// (with the second row, if the first row holds `nothing` itself). The
 /// scan of the other rows may stop at an earlier but larger pair, so
 /// the result is the smaller of the two.
-fn attr_violation<S: Semantics>(
+fn attr_violation(
     instance: &Instance,
     snapshot: &NecSnapshot,
     rows: &[RowId],
     b: fdi_relation::attrs::AttrId,
-    sem: S,
+    sem: SemanticsKind,
 ) -> Option<(RowId, RowId)> {
     let nothing = rows
         .iter()
@@ -288,12 +260,12 @@ fn attr_violation<S: Semantics>(
 }
 
 /// [`attr_violation`]'s scan over the rows that do not hold `nothing`.
-fn value_violation<S: Semantics>(
+fn value_violation(
     instance: &Instance,
     snapshot: &NecSnapshot,
     rows: &[RowId],
     b: fdi_relation::attrs::AttrId,
-    sem: S,
+    sem: SemanticsKind,
 ) -> Option<(RowId, RowId)> {
     let pair = |a: RowId, b: RowId| Some((a.min(b), a.max(b)));
     let mut first_const: Option<(RowId, fdi_relation::symbol::Symbol)> = None;
@@ -337,98 +309,10 @@ fn value_violation<S: Semantics>(
     None
 }
 
-/// Compares two rows on `X` by their agreement-class sort keys.
-fn cmp_on<S: Semantics>(
-    instance: &Instance,
-    i: RowId,
-    j: RowId,
-    attrs: AttrSet,
-    snapshot: &NecSnapshot,
-    sem: S,
-) -> Ordering {
-    for a in attrs.iter() {
-        let ka = sort_key(instance.value(i, a), i, snapshot, sem);
-        let kb = sort_key(instance.value(j, a), j, snapshot, sem);
-        match ka.cmp(&kb) {
-            Ordering::Equal => continue,
-            other => return other,
-        }
-    }
-    Ordering::Equal
-}
-
-/// Sorted TEST-FDs — the literal Figure 3 algorithm, `O(|F|·n·log n)`.
-///
-/// Sound outright for every semantics whose determinant agreement is
-/// transitive (weak, null-marker, nfd); for the strong convention it
-/// automatically falls back to [`check_pairwise`] for any FD whose left
-/// side contains a null somewhere in the instance (the paper's
-/// footnote). Reports the canonical witness of [`check`]'s contract:
-/// the least violating pair of the lowest violated FD.
-pub fn check_sorted<S: Semantics>(
-    instance: &Instance,
-    fds: &FdSet,
-    sem: S,
-) -> Result<(), Violation> {
-    let rows: Vec<RowId> = instance.row_ids().collect();
-    let n = rows.len();
-    let snapshot = instance.necs().canonical_snapshot();
-    let null_cols = null_columns_for(instance, sem);
-    let mut order: Vec<RowId> = Vec::with_capacity(n);
-    for (fd_index, fd) in fds.iter().enumerate() {
-        let fd = fd.normalized();
-        if fd.is_trivial() {
-            continue; // true in every instance
-        }
-        if sem.needs_pairwise_fallback() && !fd.lhs.intersect(null_cols).is_empty() {
-            // Null "equality" is not transitive: grouping by sort is
-            // unsound. Use the pairwise variant for this FD.
-            check_pairwise(instance, &FdSet::from_vec(vec![fd]), sem).map_err(|v| Violation {
-                fd_index,
-                rows: v.rows,
-            })?;
-            continue;
-        }
-        order.clear();
-        order.extend(rows.iter().copied());
-        order.sort_by(|&i, &j| cmp_on(instance, i, j, fd.lhs, &snapshot, sem));
-        // Scan each group of X-equal rows with the linear per-attribute
-        // representative check, folding the per-group minima so the
-        // reported pair is the FD's least (groups are ascending — the
-        // sort is stable over the ascending `rows`).
-        let mut best: Option<(RowId, RowId)> = None;
-        let mut start = 0;
-        while start < n {
-            let mut end = start + 1;
-            while end < n
-                && cmp_on(instance, order[start], order[end], fd.lhs, &snapshot, sem)
-                    == Ordering::Equal
-            {
-                end += 1;
-            }
-            best = min_pair(
-                best,
-                group_violation(instance, &snapshot, &order[start..end], fd.rhs, sem),
-            );
-            start = end;
-        }
-        if let Some(rows) = best {
-            return Err(Violation { fd_index, rows });
-        }
-    }
-    Ok(())
-}
-
 /// Does the pair `(i, j)` violate `fd` under `sem`? — the pairwise
 /// predicate underlying every TEST-FDs variant, exposed so callers can
 /// verify a reported [`Violation`] against first principles.
-pub fn pair_violates<S: Semantics>(
-    instance: &Instance,
-    fd: Fd,
-    i: RowId,
-    j: RowId,
-    sem: S,
-) -> bool {
+pub fn pair_violates(instance: &Instance, fd: Fd, i: RowId, j: RowId, sem: SemanticsKind) -> bool {
     let fd = fd.normalized();
     !fd.is_trivial()
         && rows_equal_on(instance, i, j, fd.lhs, sem)
@@ -452,11 +336,11 @@ fn min_pair(a: Option<(RowId, RowId)>, b: Option<(RowId, RowId)>) -> Option<(Row
 /// exactly the FD's agreement classes, the fold yields the FD's least
 /// violating pair outright — the same pair [`check_pairwise`]'s
 /// ascending scan finds first.
-fn min_grouped_violation<S: Semantics>(
+fn min_grouped_violation(
     instance: &Instance,
     snapshot: &NecSnapshot,
     fd: Fd,
-    sem: S,
+    sem: SemanticsKind,
 ) -> Option<(RowId, RowId)> {
     groupkey::group_rows(instance, fd.lhs, snapshot, sem.solitary_nulls())
         .values()
@@ -492,7 +376,7 @@ fn min_grouped_violation<S: Semantics>(
 ///
 /// ```
 /// use fdi_core::fixtures;
-/// use fdi_core::semantics::{Strong, Weak};
+/// use fdi_core::semantics::SemanticsKind::{Strong, Weak};
 /// use fdi_core::testfd::check;
 /// use fdi_obs::Recorder;
 ///
@@ -509,14 +393,14 @@ fn min_grouped_violation<S: Semantics>(
 /// // satisfiability directly (Theorem 3).
 /// assert!(check(&r, &fds, Weak, &rec).is_ok());
 /// ```
-pub fn check<S: Semantics>(
+pub fn check(
     instance: &Instance,
     fds: &FdSet,
-    sem: S,
+    sem: SemanticsKind,
     rec: &Recorder,
 ) -> Result<(), Violation> {
     rec.incr(Counter::TestfdChecks);
-    rec.incr(semantics_counter(sem.kind()));
+    rec.incr(semantics_counter(sem));
     let null_cols = null_columns_for(instance, sem);
     let snapshot = instance.necs().canonical_snapshot();
     let mut all_rows: Option<Vec<RowId>> = None;
@@ -543,8 +427,7 @@ pub fn check<S: Semantics>(
 /// The per-semantics `testfd_checks` counter of one registry kind —
 /// what makes differential runs distinguishable in a
 /// [`fdi_obs::MetricsSnapshot`].
-fn semantics_counter(kind: crate::semantics::SemanticsKind) -> Counter {
-    use crate::semantics::SemanticsKind;
+fn semantics_counter(kind: SemanticsKind) -> Counter {
     match kind {
         SemanticsKind::Strong => Counter::TestfdChecksStrong,
         SemanticsKind::NullMarker => Counter::TestfdChecksNullMarker,
@@ -553,52 +436,10 @@ fn semantics_counter(kind: crate::semantics::SemanticsKind) -> Counter {
     }
 }
 
-/// Linear scan for a single FD over a relation already sorted on `X`
-/// (Figure 3: "if there is only one dependency (e.g. BCNF with one key)
-/// and the relation is already sorted, the test requires linear time").
-///
-/// `order` must sort the rows by `X` under the weak keys; adjacent rows
-/// only are compared, which is exact when every `X`-group's `Y`-values
-/// are constants (the BCNF-with-one-key regime) and conservative
-/// otherwise.
-pub fn check_single_presorted<S: Semantics>(
-    instance: &Instance,
-    fd: Fd,
-    sem: S,
-    order: &[RowId],
-) -> Result<(), Violation> {
-    let fd = fd.normalized();
-    if fd.is_trivial() {
-        return Ok(());
-    }
-    for w in order.windows(2) {
-        let (i, j) = (w[0], w[1]);
-        if rows_equal_on(instance, i, j, fd.lhs, sem)
-            && rows_unequal_on(instance, i, j, fd.rhs, sem)
-        {
-            return Err(Violation {
-                fd_index: 0,
-                rows: (i.min(j), i.max(j)),
-            });
-        }
-    }
-    Ok(())
-}
-
-/// Produces an order sorting rows by `X` under the weak-convention
-/// keys (for [`check_single_presorted`] and the benchmarks).
-pub fn sort_order(instance: &Instance, fd: Fd) -> Vec<RowId> {
-    let fd = fd.normalized();
-    let snapshot = instance.necs().canonical_snapshot();
-    let mut order: Vec<RowId> = instance.row_ids().collect();
-    order.sort_by(|&i, &j| cmp_on(instance, i, j, fd.lhs, &snapshot, Weak));
-    order
-}
-
 /// Theorem 2: strong satisfiability on any instance ([`check`], inline
 /// and unrecorded).
 pub fn check_strong(instance: &Instance, fds: &FdSet) -> Result<(), Violation> {
-    check(instance, fds, Strong, &Recorder::noop())
+    check(instance, fds, SemanticsKind::Strong, &Recorder::noop())
 }
 
 /// Theorem 3: weak satisfiability — chases to a minimally incomplete
@@ -611,7 +452,12 @@ pub fn check_strong(instance: &Instance, fds: &FdSet) -> Result<(), Violation> {
 /// (ROADMAP direction 5).
 pub fn check_weak(instance: &Instance, fds: &FdSet) -> Result<(), Violation> {
     let chased = crate::chase::chase_plain(instance, fds);
-    check(&chased.instance, fds, Weak, &Recorder::noop())
+    check(
+        &chased.instance,
+        fds,
+        SemanticsKind::Weak,
+        &Recorder::noop(),
+    )
 }
 
 #[cfg(test)]
@@ -621,8 +467,8 @@ mod tests {
     use crate::interp::{
         strongly_satisfied_bruteforce, weakly_satisfiable_bruteforce, DEFAULT_BUDGET,
     };
-    use crate::semantics::SemanticsKind;
     use fdi_relation::schema::Schema;
+    use SemanticsKind::{Strong, Weak};
 
     fn abc(dom: usize, text: &str) -> Instance {
         Instance::parse(Schema::uniform("R", &["A", "B", "C"], dom).unwrap(), text).unwrap()
@@ -632,7 +478,7 @@ mod tests {
         FdSet::parse(r.schema(), text).unwrap()
     }
 
-    fn grouped<S: Semantics>(r: &Instance, f: &FdSet, sem: S) -> Result<(), Violation> {
+    fn grouped(r: &Instance, f: &FdSet, sem: SemanticsKind) -> Result<(), Violation> {
         check(r, f, sem, &Recorder::noop())
     }
 
@@ -640,9 +486,8 @@ mod tests {
     fn classical_violations_found_by_all_variants() {
         let r = abc(2, "A_0 B_0 C_0\nA_0 B_1 C_0");
         let f = fds(&r, "A -> B");
-        for conv in [SemanticsKind::Strong, SemanticsKind::Weak] {
+        for conv in [Strong, Weak] {
             assert!(check_pairwise(&r, &f, conv).is_err());
-            assert!(check_sorted(&r, &f, conv).is_err());
             assert!(grouped(&r, &f, conv).is_err());
         }
     }
@@ -674,7 +519,7 @@ mod tests {
             assert_eq!(
                 check_strong(&r, &f).is_ok(),
                 expected,
-                "sorted/fallback on {text:?}"
+                "grouped/fallback on {text:?}"
             );
             assert_eq!(
                 check_pairwise(&r, &f, Strong).is_ok(),
@@ -698,7 +543,7 @@ mod tests {
         assert!(check_weak(&r, &f).is_err());
         assert!(!weakly_satisfiable_bruteforce(&f, &r, DEFAULT_BUDGET).unwrap());
         // without the chase the weak convention would wrongly accept:
-        assert!(check_sorted(&r, &f, Weak).is_ok());
+        assert!(check(&r, &f, SemanticsKind::Weak, &Recorder::noop()).is_ok());
     }
 
     #[test]
@@ -724,58 +569,6 @@ mod tests {
             check_strong(&r2, &f).is_err(),
             "distinct classes are potential violators"
         );
-    }
-
-    #[test]
-    fn sorted_and_pairwise_and_grouped_agree_weak() {
-        let samples = [
-            "A_0 B_0 C_0\nA_0 B_0 C_1\nA_1 - C_0",
-            "A_0 - C_0\nA_0 - C_1\n- B_1 C_0",
-            "A_0 B_1 C_0\nA_1 B_1 C_1\nA_0 B_1 C_0",
-            "?u B_0 C_0\n?u B_1 C_0\nA_0 B_0 C_1",
-        ];
-        for text in samples {
-            let r = abc(2, text);
-            for fd_text in ["A -> B", "A B -> C", "C -> A"] {
-                let f = fds(&r, fd_text);
-                let a = check_pairwise(&r, &f, Weak).is_ok();
-                let b = check_sorted(&r, &f, Weak).is_ok();
-                let c = grouped(&r, &f, Weak).is_ok();
-                assert_eq!(a, b, "{text:?} {fd_text:?}");
-                assert_eq!(a, c, "{text:?} {fd_text:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn sorted_and_pairwise_agree_strong_via_fallback() {
-        let samples = [
-            "A_0 B_0 C_0\n- B_1 C_0\nA_1 B_0 C_1",
-            "- B_0 C_0\n- B_1 C_1",
-            "A_0 - C_0\nA_1 B_0 C_0",
-        ];
-        for text in samples {
-            let r = abc(2, text);
-            for fd_text in ["A -> B", "A -> C", "B C -> A"] {
-                let f = fds(&r, fd_text);
-                let a = check_pairwise(&r, &f, Strong).is_ok();
-                let b = check_sorted(&r, &f, Strong).is_ok();
-                let c = grouped(&r, &f, Strong).is_ok();
-                assert_eq!(a, b, "{text:?} {fd_text:?}");
-                assert_eq!(a, c, "{text:?} {fd_text:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn single_presorted_linear_scan() {
-        let r = abc(2, "A_0 B_0 C_0\nA_1 B_0 C_0\nA_0 B_0 C_1");
-        let f = Fd::parse(r.schema(), "A -> C").unwrap();
-        let order = sort_order(&r, f);
-        assert!(check_single_presorted(&r, f, Weak, &order).is_err());
-        let ok = abc(2, "A_0 B_0 C_0\nA_1 B_0 C_1");
-        let order_ok = sort_order(&ok, f);
-        assert!(check_single_presorted(&ok, f, Weak, &order_ok).is_ok());
     }
 
     #[test]
@@ -845,29 +638,28 @@ mod tests {
         });
         assert_eq!(check_pairwise(&r, &f, Weak), witness);
         assert_eq!(grouped(&r, &f, Weak), witness);
-        assert_eq!(check_sorted(&r, &f, Weak), witness);
         for conv in SemanticsKind::ALL {
             let pairwise = check_pairwise(&r, &f, conv);
             assert_eq!(grouped(&r, &f, conv), pairwise, "{conv:?}");
-            assert_eq!(check_sorted(&r, &f, conv), pairwise, "{conv:?}");
         }
     }
 
     #[test]
     fn recorded_checks_tally_their_work() {
         // Two FDs, the first violated: the check stops there, so one
-        // FD's worth of rows is scanned. The zero-sized conventions
-        // tally the same per-semantics slices as their kinds.
+        // FD's worth of rows is scanned. Each check tallies its
+        // convention's per-semantics slice as well as the total.
         let r = abc(2, "A_0 B_0 C_0\nA_0 B_1 C_0\nA_1 B_0 C_1");
         let f = fds(&r, "A -> B\nB -> C");
         let rec = Recorder::enabled();
         assert!(check(&r, &f, Strong, &rec).is_err());
-        assert!(check(&r, &f, SemanticsKind::Strong, &rec).is_err());
         assert!(check(&r, &f, Weak, &rec).is_err());
+        assert!(check(&r, &f, SemanticsKind::Nfd, &rec).is_err());
         let snap = rec.snapshot();
         assert_eq!(snap.counter(Counter::TestfdChecks), 3);
-        assert_eq!(snap.counter(Counter::TestfdChecksStrong), 2);
+        assert_eq!(snap.counter(Counter::TestfdChecksStrong), 1);
         assert_eq!(snap.counter(Counter::TestfdChecksWeak), 1);
+        assert_eq!(snap.counter(Counter::TestfdChecksNfd), 1);
         assert_eq!(snap.counter(Counter::TestfdRowsScanned), 3 * 3);
         assert_eq!(snap.counter(Counter::TestfdFallbackHits), 0);
     }
@@ -879,10 +671,9 @@ mod tests {
         // key `nothing` per row, not as one shared atom.
         let r = abc(2, "#! B_0 C_0\n#! B_1 C_0");
         let f = fds(&r, "A -> B");
-        for conv in [SemanticsKind::Strong, SemanticsKind::Weak] {
+        for conv in [Strong, Weak] {
             assert!(check_pairwise(&r, &f, conv).is_ok(), "{conv:?} pairwise");
             assert!(grouped(&r, &f, conv).is_ok(), "{conv:?} grouped");
-            assert!(check_sorted(&r, &f, conv).is_ok(), "{conv:?} sorted");
         }
     }
 
@@ -900,7 +691,7 @@ mod tests {
             let r = abc(2, text);
             for fd_text in ["A -> B", "A B -> C", "C -> A", "B -> C"] {
                 let f = fds(&r, fd_text);
-                for conv in [SemanticsKind::Strong, SemanticsKind::Weak] {
+                for conv in [Strong, Weak] {
                     assert_eq!(
                         check_pairwise(&r, &f, conv).is_ok(),
                         grouped(&r, &f, conv).is_ok(),
@@ -921,12 +712,19 @@ mod tests {
             "A_0 #! C_0\nA_0 B_0 C_0",
             "#! B_0 C_0\n#! B_1 C_0",
             "A_0 ?x C_0\nA_0 ?x C_0",
+            // null determinants: the strong convention's pairwise
+            // fallback
+            "A_0 B_0 C_0\n- B_1 C_0\nA_1 B_0 C_1",
+            "- B_0 C_0\n- B_1 C_1",
+            "A_0 - C_0\nA_1 B_0 C_0",
         ];
         for text in samples {
             let r = abc(2, text);
-            for fd_text in ["A -> B", "A B -> C", "C -> A", "B -> C"] {
+            for fd_text in [
+                "A -> B", "A -> C", "A B -> C", "B C -> A", "C -> A", "B -> C",
+            ] {
                 let f = fds(&r, fd_text);
-                for conv in [SemanticsKind::Strong, SemanticsKind::Weak] {
+                for conv in [Strong, Weak] {
                     let oracle = check_pairwise(&r, &f, conv);
                     let one = grouped(&r, &f, conv);
                     assert_eq!(oracle, one, "witness {text:?} {fd_text:?} {conv:?}");

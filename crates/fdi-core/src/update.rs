@@ -88,7 +88,7 @@
 
 use crate::chase::CellEngine;
 use crate::fd::FdSet;
-use crate::semantics::{self, Semantics, SemanticsKind};
+use crate::semantics::{self, SemanticsKind};
 use crate::testfd::{self, Violation};
 use fdi_relation::attrs::AttrId;
 use fdi_relation::error::RelationError;
@@ -325,7 +325,13 @@ impl Database {
                 .row_ids()
                 .find(|&other| {
                     other != row
-                        && testfd::pair_violates(&self.instance, fd, other, row, semantics::Strong)
+                        && testfd::pair_violates(
+                            &self.instance,
+                            fd,
+                            other,
+                            row,
+                            SemanticsKind::Strong,
+                        )
                 })
                 .map(|other| Violation {
                     fd_index,
@@ -473,19 +479,19 @@ impl Database {
 /// Full revalidation insert: the baseline experiment E19 compares
 /// [`Database::insert`] against.
 ///
-/// Generic over the null-comparison [`Semantics`]: acceptance is
+/// Takes any null-comparison [`SemanticsKind`]: acceptance is
 /// [`semantics::decide`] on the scratch instance (chase-then-test for
-/// [`semantics::Weak`], direct TEST-FDs otherwise), so the alternative
+/// [`SemanticsKind::Weak`], direct TEST-FDs otherwise), so the alternative
 /// semantics slot in without touching the journal. The [`Enforcement`]
 /// tag on a rejection maps the strong convention to
 /// [`Enforcement::Strong`] and every optimistic-family semantics to
 /// [`Enforcement::Weak`] — the journal's enforcement vocabulary is
 /// frozen at two values.
-pub fn insert_with_full_recheck<S: Semantics>(
+pub fn insert_with_full_recheck(
     instance: &mut Instance,
     fds: &FdSet,
     tokens: &[&str],
-    sem: S,
+    sem: SemanticsKind,
 ) -> Result<RowId, UpdateError> {
     let mut scratch = instance.clone();
     let row = scratch.add_row(tokens)?;
@@ -496,7 +502,7 @@ pub fn insert_with_full_recheck<S: Semantics>(
         }
         Err(v) => Err(UpdateError::Rejected {
             violation: Some(v),
-            enforcement: match sem.kind() {
+            enforcement: match sem {
                 SemanticsKind::Strong => Enforcement::Strong,
                 _ => Enforcement::Weak,
             },
@@ -801,7 +807,7 @@ mod tests {
                     .collect();
                 let refs: Vec<&str> = tokens.iter().map(String::as_str).collect();
                 let incremental = db.insert(&refs).map(|out| out.row);
-                let full = insert_with_full_recheck(&mut plain, &fds, &refs, semantics::Strong);
+                let full = insert_with_full_recheck(&mut plain, &fds, &refs, SemanticsKind::Strong);
                 assert_eq!(incremental, full, "seed {seed}, tokens {tokens:?}");
             }
             assert_eq!(db.instance().canonical_form(), plain.canonical_form());

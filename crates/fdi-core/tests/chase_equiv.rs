@@ -24,7 +24,7 @@ use fdi_core::chase::{
 };
 use fdi_core::fd::FdSet;
 use fdi_core::query::{self, CompiledQuery, Query, Selection};
-use fdi_core::semantics::{self, Semantics, SemanticsKind};
+use fdi_core::semantics::SemanticsKind;
 use fdi_core::testfd::{self, Violation};
 use fdi_gen::{
     large_workload, plant_violation, random_fds, satisfiable_workload, scaling_query, workload,
@@ -38,7 +38,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-fn check<S: Semantics>(r: &Instance, fds: &FdSet, conv: S) -> Result<(), Violation> {
+fn check(r: &Instance, fds: &FdSet, conv: SemanticsKind) -> Result<(), Violation> {
     testfd::check(r, fds, conv, &Recorder::noop())
 }
 
@@ -310,8 +310,8 @@ proptest! {
         assert_plain_chase_matches_oracle(&w.instance, &w.fds);
     }
 
-    /// `testfd::check`, `check_sorted` and `check_pairwise` return one
-    /// bit-identical `Result` — the least violating pair of the lowest
+    /// `testfd::check` and `check_pairwise` return one bit-identical
+    /// `Result` — the least violating pair of the lowest
     /// violated FD — under both conventions, and a reported violation
     /// is genuine under the pairwise predicate. The adversarial
     /// instances cover `nothing`-bearing buckets, planted violations
@@ -326,10 +326,6 @@ proptest! {
             prop_assert_eq!(
                 pairwise, grouped,
                 "check under {:?} on\n{}", conv, w.instance.render(true)
-            );
-            prop_assert_eq!(
-                pairwise, testfd::check_sorted(&w.instance, &w.fds, conv),
-                "check_sorted under {:?}", conv
             );
             if let Err(v) = grouped {
                 let fd = w.fds.fds()[v.fd_index];
@@ -558,8 +554,8 @@ fn pairwise_fallback_reports_the_canonical_witness() {
     .unwrap();
     for fd_text in ["A -> B", "B -> C", "A B -> C", "C -> A"] {
         let fds = FdSet::parse(&schema, fd_text).unwrap();
-        let oracle = testfd::check_pairwise(&r, &fds, semantics::Strong);
-        let grouped = check(&r, &fds, semantics::Strong);
+        let oracle = testfd::check_pairwise(&r, &fds, SemanticsKind::Strong);
+        let grouped = check(&r, &fds, SemanticsKind::Strong);
         assert_eq!(oracle, grouped, "{fd_text}");
         if let Err(v) = grouped {
             assert!(testfd::pair_violates(
@@ -567,7 +563,7 @@ fn pairwise_fallback_reports_the_canonical_witness() {
                 fds.fds()[v.fd_index],
                 v.rows.0,
                 v.rows.1,
-                semantics::Strong
+                SemanticsKind::Strong
             ));
         }
     }

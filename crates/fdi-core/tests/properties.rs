@@ -10,7 +10,7 @@ use fdi_core::interp;
 use fdi_core::normalize;
 use fdi_core::prop1;
 use fdi_core::query::{self, Query};
-use fdi_core::semantics;
+use fdi_core::semantics::SemanticsKind;
 use fdi_core::testfd;
 use fdi_core::Truth;
 use fdi_logic::implication::{infers, Statement};
@@ -141,7 +141,7 @@ proptest! {
             let total_ok = testfd::check_pairwise(
                 &restrict_to_total(&r, scope),
                 &FdSet::from_vec(vec![fd]),
-                semantics::Weak,
+                SemanticsKind::Weak,
             )
             .is_ok();
             if nulls_in_t <= 1 && rest_null_free && y_ok && total_ok {
@@ -166,11 +166,7 @@ proptest! {
         prop_assert_eq!(fast, truth, "instance:\n{}\nfds:\n{:?}", r.render(true), fds);
         // all TEST-FDs variants agree
         prop_assert_eq!(
-            testfd::check_pairwise(&r, &fds, semantics::Strong).is_ok(),
-            fast
-        );
-        prop_assert_eq!(
-            testfd::check_sorted(&r, &fds, semantics::Strong).is_ok(),
+            testfd::check_pairwise(&r, &fds, SemanticsKind::Strong).is_ok(),
             fast
         );
     }

@@ -766,10 +766,10 @@ mod tests {
     use super::*;
     use fdi_core::chase;
     use fdi_core::interp;
-    use fdi_core::semantics::Semantics;
+    use fdi_core::semantics::SemanticsKind;
     use fdi_core::testfd;
 
-    fn check<S: Semantics>(w: &Workload, sem: S) -> Result<(), testfd::Violation> {
+    fn check(w: &Workload, sem: SemanticsKind) -> Result<(), testfd::Violation> {
         testfd::check(&w.instance, &w.fds, sem, &fdi_obs::Recorder::noop())
     }
 
@@ -1150,7 +1150,6 @@ mod tests {
 
     #[test]
     fn disagreement_workloads_walk_the_semantics_lattice() {
-        use fdi_core::semantics::SemanticsKind;
         // Per pattern, exactly the first `k` conventions of the lattice
         // order reject — so four consecutive seeds disagree on every
         // unordered pair of conventions.

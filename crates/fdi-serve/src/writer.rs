@@ -543,7 +543,7 @@ mod tests {
         assert_eq!(epoch.plan_cache_len(), 1, "second select reuses the plan");
         assert_eq!(again, seq);
         let db = epoch.db();
-        let weak = fdi_core::semantics::Weak;
+        let weak = fdi_core::semantics::SemanticsKind::Weak;
         assert!(fdi_core::testfd::check(db.instance(), db.fds(), weak, &Recorder::noop()).is_ok());
     }
 

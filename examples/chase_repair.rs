@@ -56,7 +56,12 @@ fn main() {
     }
     println!(
         "weak-convention TEST-FDs on the minimally incomplete instance: {:?}",
-        testfd::check_sorted(&chased.instance, &f6, semantics::Weak)
+        testfd::check(
+            &chased.instance,
+            &f6,
+            SemanticsKind::Weak,
+            &Recorder::noop()
+        )
     );
     println!(
         "Theorem 4 pipeline agrees: weakly satisfiable = {}\n",

@@ -64,7 +64,7 @@
 //!   traffic — in the stable exposition format.
 //! * `fdi stats <journal> [--json]` — recover the journal with a live
 //!   recorder and print the observability snapshot of recovery plus a
-//!   recorded TEST-FDs sweep (both conventions) over the recovered
+//!   recorded TEST-FDs sweep (all four conventions) over the recovered
 //!   state: replayed-op and torn-tail counters and TEST-FD tallies.
 //!   Recovery replays through an unrecorded database, so no chase work
 //!   shows.
@@ -524,8 +524,13 @@ fn run_checkpoint(journal_path: &str, out: &mut impl IoWrite) -> Result<(), CliE
 /// state — one check per registered null-comparison semantics, in
 /// lattice order — and renders the resulting snapshot (the
 /// per-semantics tallies land on the labelled `testfd_checks`
-/// counters).
-fn stats_report(journal_path: &str, json: bool) -> Result<String, CliError> {
+/// counters). The recovery report (torn tail, replayed ops) goes to
+/// `report`, not into the exposition.
+fn stats_report(
+    journal_path: &str,
+    json: bool,
+    report: &mut impl IoWrite,
+) -> Result<String, CliError> {
     let storage = open_storage(journal_path)?;
     if storage.is_empty() {
         return Err(CliError::runtime(format!(
@@ -533,8 +538,7 @@ fn stats_report(journal_path: &str, json: bool) -> Result<String, CliError> {
         )));
     }
     let rec = Recorder::enabled();
-    // stdout carries the exposition; the recovery report goes to stderr
-    let recovered = recover_journal(journal_path, storage, &rec, &mut std::io::stderr())?;
+    let recovered = recover_journal(journal_path, storage, &rec, report)?;
     let db = recovered.db;
     // A recorded satisfiability sweep over the recovered state: the
     // verdicts are in the journal's history already, so only the
@@ -552,8 +556,13 @@ fn stats_report(journal_path: &str, json: bool) -> Result<String, CliError> {
     })
 }
 
-fn run_stats(journal_path: &str, json: bool, out: &mut impl IoWrite) -> Result<(), CliError> {
-    write!(out, "{}", stats_report(journal_path, json)?)?;
+fn run_stats(
+    journal_path: &str,
+    json: bool,
+    out: &mut impl IoWrite,
+    report: &mut impl IoWrite,
+) -> Result<(), CliError> {
+    write!(out, "{}", stats_report(journal_path, json, report)?)?;
     Ok(())
 }
 
@@ -1002,16 +1011,20 @@ const USAGE: &str = "usage:\n  \
     fdi serve <journal> [desc-file] [--batch N] [--tcp ADDR]";
 
 /// Runs the verb `args` names, writing its output to `out`, and
-/// flushes `out`.
-fn dispatch(args: &[String], out: &mut impl IoWrite) -> Result<(), CliError> {
+/// flushes `out`. `stats` writes its recovery report to `report`.
+fn dispatch(
+    args: &[String],
+    out: &mut impl IoWrite,
+    report: &mut impl IoWrite,
+) -> Result<(), CliError> {
     let command = args.first().map(String::as_str).unwrap_or_default();
     match (command, args.len()) {
         ("journal-apply", 3) => run_journal_apply(&args[1], &args[2], None, out),
         ("journal-apply", 4) => run_journal_apply(&args[1], &args[2], Some(&args[3]), out),
         ("recover", 2) => run_recover(&args[1], out),
         ("checkpoint", 2) => run_checkpoint(&args[1], out),
-        ("stats", 2) => run_stats(&args[1], false, out),
-        ("stats", 3) if args[2] == "--json" => run_stats(&args[1], true, out),
+        ("stats", 2) => run_stats(&args[1], false, out, report),
+        ("stats", 3) if args[2] == "--json" => run_stats(&args[1], true, out, report),
         ("semantics", 2) => run_semantics(&args[1], out),
         ("serve", n) if n >= 2 => run_serve(&args[1..], out),
         ("journal-apply" | "recover" | "checkpoint" | "stats" | "semantics" | "serve", _) => {
@@ -1042,7 +1055,7 @@ fn exit_code(result: Result<(), CliError>, err: &mut impl IoWrite) -> u8 {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = dispatch(&args, &mut std::io::stdout().lock());
+    let result = dispatch(&args, &mut std::io::stdout().lock(), &mut std::io::stderr());
     ExitCode::from(exit_code(result, &mut std::io::stderr()))
 }
 
@@ -1272,16 +1285,21 @@ cyd eng   -   c2
     #[test]
     fn usage_and_unknown_commands_are_parse_errors() {
         assert!(matches!(
-            dispatch(&[], &mut std::io::sink()),
+            dispatch(&[], &mut std::io::sink(), &mut std::io::sink()),
             Err(CliError::Parse(_))
         ));
         assert!(matches!(
-            dispatch(&["report".to_string()], &mut std::io::sink()),
+            dispatch(
+                &["report".to_string()],
+                &mut std::io::sink(),
+                &mut std::io::sink()
+            ),
             Err(CliError::Parse(_))
         ));
         assert!(matches!(
             dispatch(
                 &["journal-apply".to_string(), "x".to_string()],
+                &mut std::io::sink(),
                 &mut std::io::sink()
             ),
             Err(CliError::Parse(_))
@@ -1290,6 +1308,7 @@ cyd eng   -   c2
         assert!(matches!(
             dispatch(
                 &["report".to_string(), "/no/such/file".to_string()],
+                &mut std::io::sink(),
                 &mut std::io::sink()
             ),
             Err(CliError::Runtime(_))
@@ -1334,7 +1353,7 @@ cyd eng   -   c2
             vec!["semantics", journal],
         ] {
             let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
-            let result = dispatch(&args, &mut ClosedPipe);
+            let result = dispatch(&args, &mut ClosedPipe, &mut std::io::sink());
             assert!(
                 matches!(&result, Err(CliError::Io(e)) if e.kind() == std::io::ErrorKind::BrokenPipe),
                 "{args:?}: {result:?}"
@@ -1352,7 +1371,13 @@ cyd eng   -   c2
             "recover".to_string(),
             dir.join("missing.log").display().to_string(),
         ];
-        assert_eq!(exit_code(dispatch(&missing, &mut ClosedPipe), &mut err), 1);
+        assert_eq!(
+            exit_code(
+                dispatch(&missing, &mut ClosedPipe, &mut std::io::sink()),
+                &mut err
+            ),
+            1
+        );
         assert!(String::from_utf8(err)
             .unwrap()
             .contains("cannot open journal"));
@@ -1391,7 +1416,7 @@ cyd eng   -   c2
             vec!["journal-apply", journal, ops, bad],
         ] {
             let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
-            let result = dispatch(&args, &mut std::io::sink());
+            let result = dispatch(&args, &mut std::io::sink(), &mut std::io::sink());
             if args.len() < 4 {
                 match &result {
                     Err(CliError::Runtime(msg)) => assert!(msg.contains(journal), "{msg}"),
@@ -1939,7 +1964,11 @@ cyd eng   -   c2
         }
 
         assert!(matches!(
-            dispatch(&["semantics".to_string()], &mut std::io::sink()),
+            dispatch(
+                &["semantics".to_string()],
+                &mut std::io::sink(),
+                &mut std::io::sink()
+            ),
             Err(CliError::Parse(_))
         ));
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1966,7 +1995,17 @@ cyd eng   -   c2
         )
         .expect("create + apply");
 
-        let text = stats_report(&jpath, false).expect("stats");
+        let mut report = Vec::new();
+        let text = stats_report(&jpath, false, &mut report).expect("stats");
+        // the recovery report lands on the report writer, not in the
+        // exposition
+        let report = String::from_utf8(report).unwrap();
+        assert_eq!(
+            report,
+            format!("recovered {jpath}: 3 op(s) replayed\n"),
+            "{report}"
+        );
+        assert!(!text.contains("recovered "), "{text}");
         assert_eq!(
             metric_value(&text, "fdi_recovery_replayed_ops{det=\"true\"}"),
             3
@@ -1989,7 +2028,7 @@ cyd eng   -   c2
         }
         assert!(metric_value(&text, "fdi_testfd_rows_scanned{det=\"true\"}") >= 1);
 
-        let json = stats_report(&jpath, true).expect("stats --json");
+        let json = stats_report(&jpath, true, &mut std::io::sink()).expect("stats --json");
         assert!(json.starts_with("{\"counters\":{"), "{json}");
         assert!(json.contains("\"recovery_replayed_ops\":3"), "{json}");
 

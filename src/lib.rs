@@ -117,17 +117,16 @@
 //!
 //! ## Semantics
 //!
-//! The null-comparison behavior of TEST-FDs is **pluggable**: the
-//! [`core::semantics::Semantics`] trait captures, as four boolean
+//! The null-comparison behavior of TEST-FDs is **pluggable**: a
+//! [`core::semantics::SemanticsKind`] value captures, as four boolean
 //! axes, everything the engine needs to know about a convention — when
 //! two values *agree* (trigger side), when they *positively disagree*
 //! (violation side), whether a null on a determinant forces the
-//! pairwise fallback, and whether nulls group solitarily. Every check
-//! variant ([`core::testfd::check`], the pairwise and sorted reference
-//! paths, [`core::testfd::pair_violates`]) is generic over it and
-//! monomorphizes for the zero-sized impls, so the
-//! paper's two conventions pay nothing for the generality (ZST vs.
-//! enum dispatch measured ×0.97 when the trait was introduced).
+//! pairwise fallback, and whether nulls group solitarily. The engine
+//! ([`core::testfd::check`]), its pairwise reference
+//! ([`core::testfd::check_pairwise`]) and the pair predicate
+//! ([`core::testfd::pair_violates`]) all take the convention as that
+//! plain value.
 //!
 //! Four conventions are registered
 //! ([`core::semantics::SemanticsKind::ALL`]), forming a lattice of
@@ -213,7 +212,7 @@ pub mod prelude {
     pub use fdi_core::fd::{Fd, FdSet};
     pub use fdi_core::prop1;
     pub use fdi_core::satisfy;
-    pub use fdi_core::semantics::{self, Semantics, SemanticsKind};
+    pub use fdi_core::semantics::{self, SemanticsKind};
     pub use fdi_core::testfd;
     pub use fdi_core::update::{Database, Enforcement};
     pub use fdi_logic::truth::Truth;

@@ -7,14 +7,13 @@
 use fd_incomplete::core::interp::{
     strongly_satisfied_bruteforce, weakly_satisfiable_bruteforce, DEFAULT_BUDGET,
 };
-use fd_incomplete::core::semantics::{self, SemanticsKind};
 use fd_incomplete::core::testfd;
 use fd_incomplete::gen::{disagreement_workload, workload, Workload, WorkloadSpec};
 use fd_incomplete::prelude::*;
 use std::sync::Arc;
 
 /// TEST-FDs, unrecorded.
-fn check<S: Semantics>(w: &Workload, sem: S) -> Result<(), testfd::Violation> {
+fn check(w: &Workload, sem: SemanticsKind) -> Result<(), testfd::Violation> {
     testfd::check(&w.instance, &w.fds, sem, &Recorder::noop())
 }
 
@@ -245,26 +244,19 @@ fn complete_instances_collapse_every_convention_to_one_verdict() {
     }
 }
 
-/// The zero-sized `semantics::Strong`/`semantics::Weak` impls are
-/// bit-identical to runtime dispatch through `SemanticsKind` — verdicts
-/// and canonical least-pair witnesses — through every check variant.
+/// The grouped engine and the pairwise oracle return bit-identical
+/// results — verdicts and canonical least-pair witnesses — under every
+/// registered convention.
 #[test]
-fn zst_and_convention_dispatch_are_bit_identical() {
+fn grouped_and_pairwise_witnesses_are_bit_identical() {
     for seed in 0..16u64 {
         let w = workload(seed, &diff_spec(), 3);
-        let strong_kind = check(&w, SemanticsKind::Strong);
-        let weak_kind = check(&w, SemanticsKind::Weak);
-        assert_eq!(strong_kind, check(&w, semantics::Strong), "seed {seed}");
-        assert_eq!(weak_kind, check(&w, semantics::Weak), "seed {seed}");
-        assert_eq!(
-            strong_kind,
-            testfd::check_pairwise(&w.instance, &w.fds, semantics::Strong),
-            "seed {seed}"
-        );
-        assert_eq!(
-            weak_kind,
-            testfd::check_pairwise(&w.instance, &w.fds, semantics::Weak),
-            "seed {seed}"
-        );
+        for kind in SemanticsKind::ALL {
+            assert_eq!(
+                check(&w, kind),
+                testfd::check_pairwise(&w.instance, &w.fds, kind),
+                "seed {seed}: {kind}"
+            );
+        }
     }
 }

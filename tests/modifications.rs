@@ -45,7 +45,8 @@ fn incremental_inserts_agree_with_full_rechecks_across_seeds() {
             let toks = tokens(&mut rng, spec.attrs, spec.domain, 0.2);
             let refs: Vec<&str> = toks.iter().map(String::as_str).collect();
             let a = db.insert(&refs).is_ok();
-            let b = insert_with_full_recheck(&mut plain, &fds, &refs, semantics::Strong).is_ok();
+            let b =
+                insert_with_full_recheck(&mut plain, &fds, &refs, SemanticsKind::Strong).is_ok();
             assert_eq!(a, b, "seed {seed}, tokens {toks:?}");
             accepted += a as usize;
         }
