@@ -6,7 +6,6 @@
 use crate::{banner, fmt_duration, fmt_factor, growth_factors, median_time, Table};
 use fdi_core::chase::{extended_chase, extended_chase_naive};
 use fdi_gen::{satisfiable_workload, WorkloadSpec};
-use fdi_obs::Recorder;
 use std::time::Duration;
 
 /// Runs the experiment.
@@ -39,9 +38,8 @@ pub fn run(quick: bool) {
         };
         let w = satisfiable_workload(7, &spec, 4);
         let repeats = if quick { 3 } else { 5 };
-        let rec = Recorder::noop();
         let t_fast = median_time(repeats, || {
-            std::hint::black_box(extended_chase(&w.instance, &w.fds, &rec));
+            std::hint::black_box(extended_chase(&w.instance, &w.fds));
         });
         let t_naive = if n <= 2048 {
             median_time(repeats.min(3), || {
@@ -50,7 +48,7 @@ pub fn run(quick: bool) {
         } else {
             Duration::ZERO
         };
-        let fast = extended_chase(&w.instance, &w.fds, &rec);
+        let fast = extended_chase(&w.instance, &w.fds);
         if !t_naive.is_zero() {
             let naive = extended_chase_naive(&w.instance, &w.fds);
             assert_eq!(

@@ -6,7 +6,6 @@ use crate::{banner, Table};
 use fdi_core::chase::{chase_plain, extended_chase, extended_chase_naive};
 use fdi_core::fixtures;
 use fdi_gen::{workload, WorkloadSpec};
-use fdi_obs::Recorder;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -32,7 +31,7 @@ pub fn run(quick: bool) {
         forward.instance.canonical_form(),
         backward.instance.canonical_form()
     );
-    let extended = extended_chase(&r, &fds, &Recorder::noop());
+    let extended = extended_chase(&r, &fds);
     println!(
         "extended rules (either order):\n{}",
         extended.instance.render(false)
@@ -74,7 +73,7 @@ pub fn run(quick: bool) {
             let plain = chase_plain(&w.instance, &permuted);
             plain_results.insert(format!("{:?}", plain.instance.canonical_form()));
             let ext = if k % 2 == 0 {
-                extended_chase(&w.instance, &permuted, &Recorder::noop())
+                extended_chase(&w.instance, &permuted)
             } else {
                 extended_chase_naive(&w.instance, &permuted)
             };

@@ -1,8 +1,10 @@
 //! The paper's experiments, one module per experiment id.
 //!
 //! Every module exposes `run(quick: bool)`; `quick` shrinks the sweeps
-//! for smoke-testing. The binaries in `src/bin/` are thin wrappers, and
-//! `run_all` executes the whole battery in experiment order.
+//! for smoke-testing. [`ALL`] lists them by module name in id order, and
+//! the one binary, `run_all [--quick] [name…]`, runs the named modules
+//! (`run_all --quick chase_scaling updates`), or the whole battery when
+//! no name is given.
 //!
 //! # Experiment index
 //!
@@ -43,19 +45,22 @@ pub mod two_tuple;
 pub mod universal;
 pub mod updates;
 
-/// Runs every experiment in id order.
-pub fn run_all(quick: bool) {
-    figures::run(quick);
-    two_tuple::run(quick);
-    implication::run(quick);
-    interaction::run(quick);
-    church_rosser::run(quick);
-    testfd_scaling::run(quick);
-    chase_scaling::run(quick);
-    query::run(quick);
-    satisfiability_rates::run(quick);
-    overconstraint::run(quick);
-    substitution::run(quick);
-    universal::run(quick);
-    updates::run(quick);
-}
+/// An experiment module's name and its `run`.
+pub type Experiment = (&'static str, fn(bool));
+
+/// Every experiment, keyed by its module name, in id order.
+pub const ALL: [Experiment; 13] = [
+    ("figures", figures::run),
+    ("two_tuple", two_tuple::run),
+    ("implication", implication::run),
+    ("interaction", interaction::run),
+    ("church_rosser", church_rosser::run),
+    ("testfd_scaling", testfd_scaling::run),
+    ("chase_scaling", chase_scaling::run),
+    ("query", query::run),
+    ("satisfiability_rates", satisfiability_rates::run),
+    ("overconstraint", overconstraint::run),
+    ("substitution", substitution::run),
+    ("universal", universal::run),
+    ("updates", updates::run),
+];

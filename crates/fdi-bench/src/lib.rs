@@ -1,9 +1,9 @@
 //! # fdi-bench — experiment harness utilities
 //!
-//! Shared infrastructure for the experiment binaries (`src/bin/exp_*`),
-//! which regenerate every figure and complexity claim of the paper (see
-//! [`experiments`] for the experiment index): aligned table printing,
-//! median timing, and growth-factor estimation.
+//! Shared infrastructure for the experiments, which regenerate every
+//! figure and complexity claim of the paper (see [`experiments`] for the
+//! experiment index; the `run_all` binary runs them): aligned table
+//! printing, median timing, and growth-factor estimation.
 //!
 //! Serving performance is measured end to end by the separate
 //! `bench_e2e` package, not here.

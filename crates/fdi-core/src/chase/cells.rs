@@ -50,7 +50,6 @@
 use super::worklist::{BucketIndex, Site};
 use crate::fd::FdSet;
 use crate::groupkey::GroupKey;
-use fdi_obs::{Counter, Recorder};
 use fdi_relation::attrs::AttrId;
 use fdi_relation::instance::Instance;
 use fdi_relation::nec::NecStore;
@@ -62,7 +61,7 @@ use std::collections::HashMap;
 
 /// Union–find over cell occurrences and constant-symbol nodes.
 #[derive(Debug, Clone)]
-pub struct CellEngine {
+pub(crate) struct CellEngine {
     /// Slot bound of the source instance: cell nodes are addressed by
     /// slot index, so tombstoned slots own (inert, never-unified) nodes.
     rows: usize,
@@ -137,7 +136,7 @@ impl CellEngine {
     /// pass: constants unify with their symbol node, NEC-equivalent
     /// nulls unify with the first cell seen of their class, and a
     /// preexisting `nothing` marks its cell inconsistent.
-    pub fn new(instance: &Instance) -> CellEngine {
+    pub(crate) fn new(instance: &Instance) -> CellEngine {
         let mut engine = CellEngine::blank(instance);
         let arity = engine.arity;
         // Null occurrences group by NEC class through one
@@ -262,7 +261,7 @@ impl CellEngine {
     /// Runs to the fixpoint by alternating read-only discovery with
     /// union/migration (see the module docs) and returns the
     /// **discovery-phase count**.
-    pub fn run(&mut self, fds: &FdSet) -> usize {
+    pub(crate) fn run(&mut self, fds: &FdSet) -> usize {
         Worklist::new(self, fds).run(self)
     }
 
@@ -298,7 +297,7 @@ impl CellEngine {
     /// Null classes materialize as a shared [`NullId`] per class (so the
     /// NEC structure is carried by id equality, with a fresh empty NEC
     /// store).
-    pub fn materialize(&mut self, template: &Instance) -> Instance {
+    fn materialize(&mut self, template: &Instance) -> Instance {
         let mut out = template.clone();
         for row in self.live.clone() {
             for col in 0..self.arity {
@@ -321,21 +320,10 @@ impl CellEngine {
         out
     }
 
-    /// Materializes with inconsistent classes *resolved* to their stored
-    /// representative constant instead of `nothing`.
-    ///
-    /// After the chase has reached its fixpoint, every pair of rows
-    /// agreeing on some FD's left side has its right-side cells in one
-    /// class — so writing one constant per class yields an instance that
-    /// **classically satisfies** the dependencies. Used by the workload
-    /// generator to repair planted conflicts; not part of the paper's
-    /// semantics (the paper keeps the contradiction visible as
-    /// `nothing`).
-    ///
-    /// # Panics
-    /// Panics if some class has no constant label at all (a null-only
-    /// class cannot be resolved; run on complete instances).
-    pub fn materialize_resolved(&mut self, template: &Instance) -> Instance {
+    /// Materializes every class as its label: an inconsistent class
+    /// keeps its stored representative constant instead of `nothing`
+    /// (see [`extended_chase_resolved`]).
+    fn materialize_resolved(&mut self, template: &Instance) -> Instance {
         let mut out = template.clone();
         for row in self.live.clone() {
             for col in 0..self.arity {
@@ -395,7 +383,7 @@ impl CellEngine {
 
     /// Number of distinct inconsistent classes with at least one live
     /// cell.
-    pub fn nothing_classes(&self) -> usize {
+    pub(crate) fn nothing_classes(&self) -> usize {
         let mut roots: Vec<usize> = self
             .live
             .iter()
@@ -411,7 +399,7 @@ impl CellEngine {
     }
 
     /// Total unions performed by the chase (excluding initial structure).
-    pub fn union_count(&self) -> usize {
+    pub(crate) fn union_count(&self) -> usize {
         self.unions
     }
 }
@@ -558,8 +546,7 @@ impl ChaseOutcome {
 }
 
 /// Runs the extended chase of `instance` under `fds`: the initial
-/// partition of [`CellEngine::new`], then the phase loop of
-/// [`CellEngine::run`] (see the module docs).
+/// partition, then the phase loop of the module docs.
 ///
 /// **Contract** (property-tested against [`extended_chase_naive`],
 /// including cross-column NEC classes, preexisting `nothing` cells,
@@ -567,16 +554,29 @@ impl ChaseOutcome {
 /// instance (canonical form), `nothing_classes`, and `unions` equal the
 /// oracle's — the closure is unique (Theorem 4(a)) and the union count
 /// is order-invariant (initial classes − final classes).
-///
-/// Records `cell_chase_rounds` and `cell_chase_unions` into `rec` —
-/// both a pure function of the instance and the FD order, so they
-/// belong to [`fdi_obs`]'s deterministic slice.
-pub fn extended_chase(instance: &Instance, fds: &FdSet, rec: &Recorder) -> ChaseOutcome {
+pub fn extended_chase(instance: &Instance, fds: &FdSet) -> ChaseOutcome {
     let mut engine = CellEngine::new(instance);
     let rounds = engine.run(fds);
-    rec.add(Counter::CellRounds, rounds as u64);
-    rec.add(Counter::CellUnions, engine.union_count() as u64);
     outcome(engine, instance, rounds)
+}
+
+/// Runs the extended chase and materializes every class as its one
+/// constant, inconsistent classes *resolved* to their stored
+/// representative constant instead of `nothing`.
+///
+/// At the fixpoint, every pair of rows agreeing on some FD's left side
+/// has its right-side cells in one class — so the result **classically
+/// satisfies** `fds`. The workload generator uses this to repair
+/// planted conflicts; it is not part of the paper's semantics (the
+/// paper keeps the contradiction visible as `nothing`).
+///
+/// # Panics
+/// Panics if some class has no constant label at all (a null-only
+/// class cannot be resolved; run on complete instances).
+pub fn extended_chase_resolved(instance: &Instance, fds: &FdSet) -> Instance {
+    let mut engine = CellEngine::new(instance);
+    engine.run(fds);
+    engine.materialize_resolved(instance)
 }
 
 /// The extended chase by naive pairwise rounds — the reference engine
@@ -602,16 +602,12 @@ mod tests {
     use super::*;
     use crate::fixtures;
 
-    fn ext(r: &Instance, fds: &FdSet) -> ChaseOutcome {
-        extended_chase(r, fds, &Recorder::noop())
-    }
-
     #[test]
     fn figure5_extended_chase_is_order_independent_and_all_nothing() {
         let r = fixtures::figure5_instance();
         let fds = fixtures::figure5_fds();
-        let forward = ext(&r, &fds);
-        let backward = ext(&r, &fds.permuted(&[1, 0]));
+        let forward = extended_chase(&r, &fds);
+        let backward = extended_chase(&r, &fds.permuted(&[1, 0]));
         assert_eq!(
             forward.instance.canonical_form(),
             backward.instance.canonical_form(),
@@ -630,7 +626,7 @@ mod tests {
     /// `nothing` classes, unions).
     fn assert_matches_oracle(r: &Instance, fds: &FdSet) {
         let naive = extended_chase_naive(r, fds);
-        let fast = ext(r, fds);
+        let fast = extended_chase(r, fds);
         assert_eq!(
             fast.instance.canonical_form(),
             naive.instance.canonical_form()
@@ -702,7 +698,7 @@ mod tests {
         // nothing. Theorem 4(b): not weakly satisfiable.
         let r = fixtures::section6_instance();
         let fds = fixtures::section6_fds();
-        let outcome = ext(&r, &fds);
+        let outcome = extended_chase(&r, &fds);
         assert!(outcome.has_nothing());
         assert!(!crate::chase::weakly_satisfiable_via_chase(&fds, &r));
     }
@@ -711,7 +707,7 @@ mod tests {
     fn satisfiable_instances_stay_nothing_free() {
         let r = fixtures::figure1_null_instance();
         let fds = fixtures::figure1_fds();
-        let outcome = ext(&r, &fds);
+        let outcome = extended_chase(&r, &fds);
         assert!(!outcome.has_nothing());
         assert!(crate::chase::weakly_satisfiable_via_chase(&fds, &r));
     }
@@ -726,7 +722,7 @@ mod tests {
         )
         .unwrap();
         let fds = crate::fd::FdSet::parse(&schema, "A -> B\nB -> C").unwrap();
-        let outcome = ext(&r, &fds);
+        let outcome = extended_chase(&r, &fds);
         assert!(outcome.instance.is_complete());
         let plain = crate::chase::chase_plain(&r, &fds);
         assert_eq!(
@@ -740,7 +736,7 @@ mod tests {
         let r = fixtures::section6_instance();
         let schema = r.schema().clone();
         let fds = crate::fd::FdSet::parse(&schema, "A -> B").unwrap();
-        let outcome = ext(&r, &fds);
+        let outcome = extended_chase(&r, &fds);
         let b = AttrId(1);
         let n0 = outcome
             .instance
@@ -759,7 +755,7 @@ mod tests {
     fn preexisting_nothing_survives() {
         let r = fdi_relation::Instance::parse(fixtures::section6_schema(), "a1 #! c1").unwrap();
         let fds = fixtures::section6_fds();
-        let outcome = ext(&r, &fds);
+        let outcome = extended_chase(&r, &fds);
         assert!(outcome.has_nothing());
         assert!(outcome
             .instance
@@ -785,7 +781,7 @@ mod tests {
         )
         .unwrap();
         let fds = crate::fd::FdSet::parse(&schema, "A -> B").unwrap();
-        let outcome = ext(&r, &fds);
+        let outcome = extended_chase(&r, &fds);
         let b = AttrId(1);
         assert!(outcome
             .instance

@@ -28,15 +28,13 @@
 //! within a bucket. On instances whose NEC classes are **column-local**
 //! and which contain no `nothing` values, the replay is exact: same
 //! chased instance, same events at the same sites, same pass count (the
-//! property suite compares full event lists). Use
-//! [`order_replay_caveats`] / [`order_replay_exact`] to test an
-//! instance for the restriction — every condition that voids exact
-//! replay is reported as a typed [`ChaseIndexCaveat`], and the `fdi-gen`
-//! generators debug-assert their workloads free of them. Two regimes
-//! are exempt from exact replay — in both, each engine still returns a
-//! legitimate chase result (the fixpoint of *some* rule order, accepted
-//! by [`super::ns::is_minimally_incomplete`]), but the choice at
-//! contended sites may differ:
+//! property suite compares full event lists). [`order_replay_exact`]
+//! tests an instance for the restriction, and the `fdi-gen` generators
+//! debug-assert their workloads satisfy it. Two regimes are exempt from
+//! exact replay — in both, each engine still returns a legitimate chase
+//! result (the fixpoint of *some* rule order, accepted by
+//! [`is_minimally_incomplete`]), but the choice at contended sites may
+//! differ:
 //!
 //! * an NEC class spanning **columns** (a marked null like `?z` reused
 //!   across columns — `Instance::parse` allows this; every generator
@@ -58,7 +56,7 @@ use fdi_relation::instance::Instance;
 use fdi_relation::rowid::RowId;
 use fdi_relation::symbol::Symbol;
 use fdi_relation::value::{NullId, Value};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use super::ns::{NsChaseResult, NsEvent, NsEventKind};
 use super::worklist::{BucketIndex, FdSlot, Site};
@@ -68,9 +66,9 @@ use super::worklist::{BucketIndex, FdSlot, Site};
 /// worklist engine; [`super::ns::chase_naive`] is the all-pairs
 /// reference implementation. The engine is sequential: the chased
 /// instance, the events at their sites and the pass count are a pure
-/// function of the instance and the FD order, with or without
-/// [`ChaseIndexCaveat`]s present (the caveats govern fidelity to the
-/// *naive* engine, not to this one).
+/// function of the instance and the FD order, whether or not
+/// [`order_replay_exact`] holds (it governs fidelity to the *naive*
+/// engine, not to this one).
 pub fn chase_plain(instance: &Instance, fds: &FdSet) -> NsChaseResult {
     let mut engine = Engine::new(instance, fds);
     let passes = engine.run(instance);
@@ -81,11 +79,13 @@ pub fn chase_plain(instance: &Instance, fds: &FdSet) -> NsChaseResult {
     }
 }
 
-/// Is no plain NS-rule applicable? Group-indexed equivalent of the
-/// pairwise definition: a bucket violates minimal incompleteness iff
-/// some dependent column mixes a null with a constant or holds two
+/// Is no plain NS-rule applicable — is `instance` minimally incomplete
+/// under `fds`? Groups rows by their determinant key, `O(|F|·n·p)`,
+/// where [`super::ns::is_minimally_incomplete_naive`] (the pairwise
+/// definition) scans pairs: a bucket violates minimal incompleteness
+/// iff some dependent column mixes a null with a constant or holds two
 /// distinct null classes.
-pub(crate) fn is_minimally_incomplete_indexed(instance: &Instance, fds: &FdSet) -> bool {
+pub fn is_minimally_incomplete(instance: &Instance, fds: &FdSet) -> bool {
     let snapshot = instance.necs().canonical_snapshot();
     for fd in fds {
         let fd = fd.normalized();
@@ -127,104 +127,34 @@ pub(crate) fn is_minimally_incomplete_indexed(instance: &Instance, fds: &FdSet) 
     true
 }
 
-/// A condition voiding the indexed chase's *exact replay* of the naive
-/// engine — the order-fidelity restriction of the module docs, as a
-/// typed, testable value instead of a buried comment.
+/// `true` iff [`chase_plain`] is guaranteed to replay
+/// [`super::ns::chase_naive`] exactly on `instance` — same chased
+/// instance, events, and pass count: every NEC class stays within one
+/// column and no cell holds `nothing` (the two exempt regimes of the
+/// module docs).
 ///
-/// A caveat does **not** make [`chase_plain`] wrong: both engines
-/// still reach a fixpoint of the plain rules (a minimally incomplete
-/// instance), but on a caveat-bearing instance they may make different
-/// choices at contended sites (Figure 5's order dependence), so their
-/// chased instances, event lists, and pass counts are no longer
-/// guaranteed identical.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChaseIndexCaveat {
-    /// An NEC class spans more than one column (a marked null like `?z`
-    /// reused across columns — `Instance::parse` allows this; every
-    /// generator keeps classes column-local). A substitution can then
-    /// re-key the very FD being swept mid-flight, and the engines may
-    /// order the contended sites differently.
-    CrossColumnNecClass {
-        /// A null of the offending class.
-        null: NullId,
-        /// Two distinct columns the class occurs under.
-        columns: (AttrId, AttrId),
-    },
-    /// A `nothing` value occupies a cell. The plain rules treat
-    /// `nothing` as inert, so a bucket's first applicable site may
-    /// involve later rows than its least member and the least-member
-    /// agenda can interleave buckets differently than the global pair
-    /// scan. (`nothing` belongs to the extended system of
-    /// [`super::cells`]; the plain chase merely tolerates it.)
-    NothingValue {
-        /// Row of the cell.
-        row: RowId,
-        /// Attribute of the cell.
-        attr: AttrId,
-    },
-}
-
-impl std::fmt::Display for ChaseIndexCaveat {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ChaseIndexCaveat::CrossColumnNecClass { null, columns } => write!(
-                f,
-                "NEC class of {null} spans columns {} and {}: indexed chase order \
-                 may diverge from the naive engine",
-                columns.0, columns.1
-            ),
-            ChaseIndexCaveat::NothingValue { row, attr } => write!(
-                f,
-                "`nothing` at ({row}, {attr}): indexed chase order may diverge \
-                 from the naive engine"
-            ),
-        }
-    }
-}
-
-/// Scans `instance` for every condition voiding exact naive-order
-/// replay (see [`ChaseIndexCaveat`]): one caveat per cross-column NEC
-/// class and one per `nothing` cell, in row-major order of first
-/// detection.
-pub fn order_replay_caveats(instance: &Instance) -> Vec<ChaseIndexCaveat> {
-    let mut caveats = Vec::new();
+/// `false` does **not** make [`chase_plain`] wrong: both engines still
+/// reach a fixpoint of the plain rules (a minimally incomplete
+/// instance), but they may make different choices at contended sites
+/// (Figure 5's order dependence).
+pub fn order_replay_exact(instance: &Instance) -> bool {
     let snapshot = instance.necs().canonical_snapshot();
     let mut class_col: HashMap<NullId, AttrId> = HashMap::new();
-    let mut flagged: HashSet<NullId> = HashSet::new();
     let all = instance.schema().all_attrs();
     for row in instance.row_ids() {
         for attr in all.iter() {
             match instance.value(row, attr) {
-                Value::Nothing => caveats.push(ChaseIndexCaveat::NothingValue { row, attr }),
+                Value::Nothing => return false,
                 Value::Null(n) => {
-                    let root = snapshot.root(n);
-                    match class_col.get(&root) {
-                        Some(&col) if col != attr => {
-                            if flagged.insert(root) {
-                                caveats.push(ChaseIndexCaveat::CrossColumnNecClass {
-                                    null: n,
-                                    columns: (col, attr),
-                                });
-                            }
-                        }
-                        Some(_) => {}
-                        None => {
-                            class_col.insert(root, attr);
-                        }
+                    if *class_col.entry(snapshot.root(n)).or_insert(attr) != attr {
+                        return false;
                     }
                 }
                 Value::Const(_) => {}
             }
         }
     }
-    caveats
-}
-
-/// `true` iff [`chase_plain`] is guaranteed to replay
-/// [`super::ns::chase_naive`] exactly on `instance` — same chased
-/// instance, events, and pass count (no [`ChaseIndexCaveat`] present).
-pub fn order_replay_exact(instance: &Instance) -> bool {
-    order_replay_caveats(instance).is_empty()
+    true
 }
 
 struct Engine {
@@ -445,8 +375,7 @@ mod tests {
     fn assert_engines_agree(r: &Instance, fds: &FdSet) {
         assert!(
             order_replay_exact(r),
-            "exact replay is only promised on caveat-free instances: {:?}",
-            order_replay_caveats(r)
+            "exact replay is only promised on column-local, nothing-free instances"
         );
         let naive = chase_naive(r, fds);
         let indexed = chase_plain(r, fds);
@@ -457,7 +386,7 @@ mod tests {
             r.render(true)
         );
         assert_eq!(naive.passes, indexed.passes, "pass counts");
-        assert!(is_minimally_incomplete_indexed(&indexed.instance, fds));
+        assert!(is_minimally_incomplete(&indexed.instance, fds));
         assert!(is_minimally_incomplete_naive(&indexed.instance, fds));
         // Event lists match site-for-site on single-attribute dependents;
         // multi-attribute dependents interleave attrs differently (the
@@ -549,11 +478,8 @@ mod tests {
         .unwrap();
         let fds = FdSet::parse(&schema, "A -> B").unwrap();
         assert!(
-            matches!(
-                order_replay_caveats(&r).as_slice(),
-                [ChaseIndexCaveat::CrossColumnNecClass { .. }]
-            ),
-            "the ?z class spans columns and must be reported"
+            !order_replay_exact(&r),
+            "the ?z class spans columns and voids exact replay"
         );
         let indexed = chase_plain(&r, &fds);
         assert!(
@@ -561,7 +487,7 @@ mod tests {
             "indexed chase stopped before the fixpoint:\n{}",
             indexed.instance.render(true)
         );
-        assert!(is_minimally_incomplete_indexed(&indexed.instance, &fds));
+        assert!(is_minimally_incomplete(&indexed.instance, &fds));
         let naive = chase_naive(&r, &fds);
         assert!(is_minimally_incomplete_naive(&naive.instance, &fds));
     }
@@ -584,16 +510,14 @@ mod tests {
         .unwrap();
         let fds = FdSet::parse(&schema, "A -> B").unwrap();
         assert!(
-            order_replay_caveats(&r)
-                .iter()
-                .any(|c| matches!(c, ChaseIndexCaveat::NothingValue { row: RowId(0), .. })),
-            "the `nothing` cell must be reported"
+            !order_replay_exact(&r),
+            "the `nothing` cell voids exact replay"
         );
         let naive = chase_naive(&r, &fds);
         let indexed = chase_plain(&r, &fds);
         assert!(is_minimally_incomplete_naive(&naive.instance, &fds));
         assert!(is_minimally_incomplete_naive(&indexed.instance, &fds));
-        assert!(is_minimally_incomplete_indexed(&indexed.instance, &fds));
+        assert!(is_minimally_incomplete(&indexed.instance, &fds));
         // (The chased instances legitimately differ here: ?w gets B_0
         // from one engine and B_1 from the other — Figure 5's order
         // dependence, triggered by the inert `nothing` row.)

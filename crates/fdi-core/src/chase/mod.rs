@@ -59,14 +59,12 @@
 //! A chase pass is then `O(|F|·(n + moved))` instead of `O(|F|·n²)`, and
 //! the engines produce identical results — same instance, events, and
 //! pass counts — on instances whose NEC classes are **column-local** and
-//! which contain no `nothing` values. That restriction is a first-class,
-//! testable notion: [`order_replay_caveats`] reports every violating
-//! condition as a typed [`ChaseIndexCaveat`], [`order_replay_exact`] is
-//! the all-clear predicate, and the `fdi-gen` generators debug-assert
-//! their workloads caveat-free (see [`index`] for the two exempt regimes
-//! and the property suite for the proof by testing). At n = 10⁴ the
-//! indexed engine is the difference between minutes and milliseconds
-//! (experiment E12, `exp_chase_scaling`, reproduces the comparison).
+//! which contain no `nothing` values. [`order_replay_exact`] tests an
+//! instance for that restriction, and the `fdi-gen` generators
+//! debug-assert their workloads satisfy it (see [`index`] for the two
+//! exempt regimes and the property suite for the proof by testing). At
+//! n = 10⁴ the indexed engine is the difference between minutes and
+//! milliseconds (experiment E12 reproduces the comparison).
 //!
 //! For the extended system, [`extended_chase`] runs in the spirit of
 //! the `O(|F|·n·log(|F|·n))` congruence-closure bound — one initial
@@ -75,21 +73,23 @@
 //! pass analysis as the reference engine (experiment E12 measures the
 //! gap — here order never matters, by Theorem 4(a)).
 //!
-//! Both production engines are sequential. [`chase_plain`] replays
-//! the naive agenda order exactly where [`order_replay_exact`] holds,
-//! order being the plain system's semantics. [`extended_chase`] needs
-//! **no event-order replay at all**: Theorem 4(a) makes the closure
-//! order-insensitive, and it keeps a discovery/apply phase alternation
-//! only so its round count is a pure function of the engine state; it
-//! takes an `fdi-obs` [`Recorder`] for its round and union counts.
+//! Each system has one entry point and one oracle: [`chase_plain`]
+//! against [`chase_naive`], [`extended_chase`] against
+//! [`extended_chase_naive`]. Both production engines are sequential.
+//! [`chase_plain`] replays the naive agenda order exactly where
+//! [`order_replay_exact`] holds, order being the plain system's
+//! semantics. [`extended_chase`] needs **no event-order replay at
+//! all**: Theorem 4(a) makes the closure order-insensitive, and it
+//! keeps a discovery/apply phase alternation only so its round count is
+//! a pure function of the engine state.
 //!
 //! The two systems part only where constants conflict: on a weakly
 //! satisfiable instance every order of the plain rules reaches the
-//! extended closure. So a [`crate::update::Database`] write runs one
-//! [`CellEngine`] for its weak check and its internal acquisition, and
-//! no plain chase.
-//!
-//! [`Recorder`]: fdi_obs::Recorder
+//! extended closure. So a [`crate::update::Database`] write runs the
+//! extended chase's engine once, for its weak check and its internal
+//! acquisition, and no plain chase; it is the one place that records
+//! the engine's rounds and unions (`cell_chase_rounds`,
+//! `cell_chase_unions`).
 //!
 //! # Example — Theorem 4(b) as a one-liner
 //!
@@ -116,12 +116,10 @@ pub mod index;
 pub mod ns;
 mod worklist;
 
-pub use cells::{extended_chase, extended_chase_naive, CellEngine, ChaseOutcome};
-pub use index::{chase_plain, order_replay_caveats, order_replay_exact, ChaseIndexCaveat};
-pub use ns::{
-    chase_naive, is_minimally_incomplete, is_minimally_incomplete_naive, NsChaseResult, NsEvent,
-    NsEventKind,
-};
+use cells::CellEngine;
+pub use cells::{extended_chase, extended_chase_naive, ChaseOutcome};
+pub use index::{chase_plain, is_minimally_incomplete, order_replay_exact};
+pub use ns::{chase_naive, is_minimally_incomplete_naive, NsChaseResult, NsEvent, NsEventKind};
 
 use crate::fd::FdSet;
 use fdi_relation::instance::Instance;

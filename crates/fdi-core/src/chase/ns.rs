@@ -12,8 +12,9 @@
 //! (the paper: "requires the equation of Y-values in possibly more than
 //! one tuple (same equivalence class)").
 //!
-//! [`chase_plain`](super::chase_plain) and [`is_minimally_incomplete`] are backed by the
-//! indexed worklist engine of [`super::index`]: rows are
+//! [`chase_plain`](super::chase_plain) and
+//! [`is_minimally_incomplete`](super::is_minimally_incomplete) are backed
+//! by the indexed worklist engine of [`super::index`]: rows are
 //! hash-partitioned per FD by the NEC-canonical key of their determinant
 //! ([`crate::groupkey`]), rule partners come from bucket co-membership
 //! instead of pair scans, substitutions walk per-class occurrence lists
@@ -206,13 +207,6 @@ pub fn chase_naive(instance: &Instance, fds: &FdSet) -> NsChaseResult {
     }
 }
 
-/// Is `instance` minimally incomplete w.r.t. `fds` — i.e. does no plain
-/// NS-rule apply? Group-indexed, `O(|F|·n·p)`; see
-/// [`is_minimally_incomplete_naive`] for the pairwise definition.
-pub fn is_minimally_incomplete(instance: &Instance, fds: &FdSet) -> bool {
-    super::index::is_minimally_incomplete_indexed(instance, fds)
-}
-
 /// The all-pairs definition of minimal incompleteness (the oracle).
 pub fn is_minimally_incomplete_naive(instance: &Instance, fds: &FdSet) -> bool {
     let rows: Vec<RowId> = instance.row_ids().collect();
@@ -246,7 +240,7 @@ pub fn is_minimally_incomplete_naive(instance: &Instance, fds: &FdSet) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chase::chase_plain;
+    use crate::chase::{chase_plain, is_minimally_incomplete};
     use crate::fixtures;
     use fdi_relation::attrs::AttrId;
 

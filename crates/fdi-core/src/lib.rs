@@ -49,12 +49,15 @@
 //!
 //! # Engines
 //!
-//! Each engine has one entry point, and it takes (where it has work to
-//! report) an `fdi-obs` [`Recorder`](fdi_obs::Recorder):
-//! [`testfd::check`], [`chase::chase_plain`], [`chase::extended_chase`]
-//! and [`groupkey::group_rows`]. TEST-FDs takes its null convention as
-//! a plain [`semantics::SemanticsKind`] value; its pairwise variant
-//! [`testfd::check_pairwise`] is the oracle it is tested against. Every
+//! Each engine has one entry point: [`testfd::check`],
+//! [`chase::chase_plain`], [`chase::extended_chase`] and
+//! [`groupkey::group_rows`]. TEST-FDs and grouping take an `fdi-obs`
+//! [`Recorder`](fdi_obs::Recorder); the chases take none, and a
+//! [`update::Database`] write records its extended chase's rounds and
+//! unions itself. TEST-FDs takes its null convention as a plain
+//! [`semantics::SemanticsKind`] value. Each of the first three has an
+//! oracle it is tested against: [`testfd::check_pairwise`],
+//! [`chase::chase_naive`] and [`chase::extended_chase_naive`]. Every
 //! engine runs sequentially on the calling thread. Compiled selection,
 //! [`query::CompiledQuery::select_stats`], is one ascending pass over
 //! the live rows. `select_par_stats` is the same pass with an `fdi-exec`
@@ -99,9 +102,8 @@
 //! same instance, events, and pass counts — only on instances whose
 //! NEC classes are **column-local** and which contain no `nothing`
 //! values. On other instances both engines still return legitimate
-//! minimally incomplete results, but possibly *different* ones. The
-//! restriction is typed and testable: see
-//! [`chase::ChaseIndexCaveat`] and [`chase::order_replay_caveats`].
+//! minimally incomplete results, but possibly *different* ones.
+//! [`chase::order_replay_exact`] tests an instance for the restriction.
 //!
 //! # Example — deciding both notions on a paper figure
 //!

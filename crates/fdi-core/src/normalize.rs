@@ -182,7 +182,7 @@ pub fn is_lossless(fds: &FdSet, attrs: AttrSet, decomposition: &[AttrSet]) -> bo
             .filter(|fd| !fd.rhs.is_empty())
             .collect(),
     );
-    let outcome = extended_chase(&tableau, &tableau_fds, &fdi_obs::Recorder::noop());
+    let outcome = extended_chase(&tableau, &tableau_fds);
     debug_assert_eq!(
         outcome.nothing_classes, 0,
         "tableaux have one constant per column; conflicts are impossible"

@@ -171,14 +171,6 @@ impl SemanticsKind {
         !self.class_nulls_agree()
     }
 
-    /// Is this convention only exact after chasing to a minimally
-    /// incomplete instance (Theorem 3's proviso for the weak
-    /// convention)? [`decide`] consults this.
-    #[inline]
-    pub fn chases_first(self) -> bool {
-        matches!(self, SemanticsKind::Weak)
-    }
-
     /// `t[A] = t'[A]` — the agreement predicate (determinant side).
     #[inline]
     pub fn values_equal(self, a: Value, b: Value, instance: &Instance) -> bool {
@@ -214,20 +206,6 @@ impl SemanticsKind {
 impl fmt::Display for SemanticsKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.name())
-    }
-}
-
-/// Full decision pipeline for one semantics: chases to a minimally
-/// incomplete instance first when the convention requires it
-/// ([`SemanticsKind::chases_first`] — Theorem 3's proviso), then runs
-/// [`testfd::check`], unrecorded.
-pub fn decide(instance: &Instance, fds: &FdSet, sem: SemanticsKind) -> Result<(), Violation> {
-    let rec = Recorder::noop();
-    if sem.chases_first() {
-        let chased = crate::chase::chase_plain(instance, fds);
-        testfd::check(&chased.instance, fds, sem, &rec)
-    } else {
-        testfd::check(instance, fds, sem, &rec)
     }
 }
 
@@ -452,20 +430,5 @@ mod tests {
         assert!(text.contains("null-marker vs weak: DISAGREE"), "{text}");
         assert!(text.contains("weak vs nfd: agree"), "{text}");
         assert!(text.contains("per-fd witnesses"), "{text}");
-    }
-
-    #[test]
-    fn decide_chases_only_for_the_weak_convention() {
-        // §6's interaction: individually weak, jointly unsatisfiable —
-        // visible to the weak convention only after the chase.
-        let r = crate::fixtures::section6_instance();
-        let f = crate::fixtures::section6_fds();
-        assert!(check(&r, &f, Weak).is_ok(), "raw weak misses it");
-        assert!(decide(&r, &f, Weak).is_err(), "decide chases first");
-        assert_eq!(
-            decide(&r, &f, Strong).is_err(),
-            check(&r, &f, Strong).is_err(),
-            "strong decides without chasing"
-        );
     }
 }

@@ -36,17 +36,18 @@
 //! cell-by-cell instead. Rows are addressed by stable [`RowId`] slot
 //! handles throughout, so a delete is a tombstone — **no survivor is
 //! renumbered**. Every write ends in one check-and-acquire step that
-//! runs at most one chase: one [`CellEngine`] (Theorem 4's extended
-//! chase) decides weak satisfiability and supplies internal
-//! acquisition, written back in place so a `?mark` keeps naming its
-//! class. On a weakly satisfiable instance every order of the plain
-//! NS-rules reaches that closure, so no plain chase runs. Strong
+//! runs at most one chase: one run of the engine behind
+//! [`crate::chase::extended_chase`] (Theorem 4's extended chase)
+//! decides weak satisfiability and supplies internal acquisition,
+//! written back in place so a `?mark` keeps naming its class. On a
+//! weakly satisfiable instance every order of the plain NS-rules
+//! reaches that closure, so no plain chase runs. Strong
 //! revalidations go through TEST-FDs ([`crate::testfd::check`]) and
 //! need no acquisition (see [`Enforcement::Strong`]). The property suite
 //! (`tests/update_equiv.rs`) checks after every op of arbitrary update
 //! sequences that the enforced notion still holds, that a strong or weak
 //! instance is minimally incomplete, and that a replay twin lands on the
-//! same instance, and experiment E19 (`exp_updates`)
+//! same instance, and experiment E19 (`run_all updates`)
 //! times the single-tuple scan against full revalidation.
 //!
 //! A *rejected* update leaves no tuple behind and changes no cell —
@@ -86,9 +87,9 @@
 //! ));
 //! ```
 
-use crate::chase::CellEngine;
+use crate::chase::cells::CellEngine;
 use crate::fd::FdSet;
-use crate::semantics::{self, SemanticsKind};
+use crate::semantics::SemanticsKind;
 use crate::testfd::{self, Violation};
 use fdi_relation::attrs::AttrId;
 use fdi_relation::error::RelationError;
@@ -479,33 +480,25 @@ impl Database {
 /// Full revalidation insert: the baseline experiment E19 compares
 /// [`Database::insert`] against.
 ///
-/// Takes any null-comparison [`SemanticsKind`]: acceptance is
-/// [`semantics::decide`] on the scratch instance (chase-then-test for
-/// [`SemanticsKind::Weak`], direct TEST-FDs otherwise), so the alternative
-/// semantics slot in without touching the journal. The [`Enforcement`]
-/// tag on a rejection maps the strong convention to
-/// [`Enforcement::Strong`] and every optimistic-family semantics to
-/// [`Enforcement::Weak`] — the journal's enforcement vocabulary is
-/// frozen at two values.
+/// Adds the row to a scratch copy and accepts it iff the whole copy is
+/// strongly satisfied ([`testfd::check_strong`]); a rejection carries
+/// [`Enforcement::Strong`] and TEST-FDs' canonical witness, as a
+/// strong [`Database`]'s single-tuple scan does.
 pub fn insert_with_full_recheck(
     instance: &mut Instance,
     fds: &FdSet,
     tokens: &[&str],
-    sem: SemanticsKind,
 ) -> Result<RowId, UpdateError> {
     let mut scratch = instance.clone();
     let row = scratch.add_row(tokens)?;
-    match semantics::decide(&scratch, fds, sem) {
+    match testfd::check_strong(&scratch, fds) {
         Ok(()) => {
             *instance = scratch;
             Ok(row)
         }
         Err(v) => Err(UpdateError::Rejected {
             violation: Some(v),
-            enforcement: match sem {
-                SemanticsKind::Strong => Enforcement::Strong,
-                _ => Enforcement::Weak,
-            },
+            enforcement: Enforcement::Strong,
         }),
     }
 }
@@ -807,7 +800,7 @@ mod tests {
                     .collect();
                 let refs: Vec<&str> = tokens.iter().map(String::as_str).collect();
                 let incremental = db.insert(&refs).map(|out| out.row);
-                let full = insert_with_full_recheck(&mut plain, &fds, &refs, SemanticsKind::Strong);
+                let full = insert_with_full_recheck(&mut plain, &fds, &refs);
                 assert_eq!(incremental, full, "seed {seed}, tokens {tokens:?}");
             }
             assert_eq!(db.instance().canonical_form(), plain.canonical_form());

@@ -19,8 +19,7 @@ mod common;
 use common::{arb_adversarial, arb_spec, tombstone_heavy_workload, DENSITIES};
 use fdi_core::chase::{
     chase_naive, chase_plain, extended_chase, extended_chase_naive, is_minimally_incomplete,
-    is_minimally_incomplete_naive, order_replay_caveats, order_replay_exact,
-    weakly_satisfiable_via_chase,
+    is_minimally_incomplete_naive, order_replay_exact, weakly_satisfiable_via_chase,
 };
 use fdi_core::fd::FdSet;
 use fdi_core::query::{self, CompiledQuery, Query, Selection};
@@ -53,7 +52,7 @@ fn compiled_select(q: &Query, r: &Instance) -> Selection {
 /// `nothing` classes, unions.
 fn assert_extended_matches_oracle(r: &Instance, fds: &FdSet) {
     let naive = extended_chase_naive(r, fds);
-    let ext = extended_chase(r, fds, &Recorder::noop());
+    let ext = extended_chase(r, fds);
     assert_eq!(
         naive.instance.canonical_form(),
         ext.instance.canonical_form(),
@@ -106,7 +105,8 @@ fn arb_workload() -> impl Strategy<Value = Workload> {
 /// A satisfiable workload with `?marks` spliced in: up to two marks
 /// shared by three cells of one column each, then one mark `?z` shared
 /// by two cells of different columns — so every draw sits in the
-/// cross-column [`fdi_core::chase::ChaseIndexCaveat`] regime.
+/// cross-column regime where [`fdi_core::chase::order_replay_exact`]
+/// fails.
 fn arb_marked_satisfiable() -> impl Strategy<Value = Workload> {
     (0u64..1 << 32, arb_spec(), 1usize..5, 0usize..3).prop_map(
         |(seed, spec, fd_count, local_marks)| {
@@ -148,7 +148,7 @@ proptest! {
     ) {
         prop_assert!(!order_replay_exact(&w.instance), "?z spans two columns");
         prop_assume!(weakly_satisfiable_via_chase(&w.fds, &w.instance));
-        let closure = extended_chase(&w.instance, &w.fds, &Recorder::noop()).instance;
+        let closure = extended_chase(&w.instance, &w.fds).instance;
         let mut order: Vec<usize> = (0..w.fds.len()).collect();
         order.rotate_left(rot % w.fds.len());
         for fds in [w.fds.clone(), w.fds.permuted(&order)] {
@@ -169,8 +169,8 @@ proptest! {
     /// both minimality oracles accept.
     #[test]
     fn worklist_chase_equals_naive_chase(w in arb_workload()) {
-        // The exactness claim below is only made on caveat-free
-        // instances — which the generators promise to produce.
+        // The exactness claim below is only made where
+        // `order_replay_exact` holds — which the generators promise.
         prop_assert!(order_replay_exact(&w.instance));
         let naive = chase_naive(&w.instance, &w.fds);
         let indexed = chase_plain(&w.instance, &w.fds);
@@ -260,7 +260,7 @@ proptest! {
     #[test]
     fn worklist_engine_equals_naive_oracle(w in arb_workload()) {
         let naive = extended_chase_naive(&w.instance, &w.fds);
-        let fast = extended_chase(&w.instance, &w.fds, &Recorder::noop());
+        let fast = extended_chase(&w.instance, &w.fds);
         prop_assert_eq!(
             naive.instance.canonical_form(),
             fast.instance.canonical_form(),
@@ -303,8 +303,8 @@ proptest! {
     }
 
     /// On the adversarial instances the indexed chase still reaches a
-    /// fixpoint, and it replays the naive engine exactly wherever no
-    /// caveat voids the replay.
+    /// fixpoint, and it replays the naive engine exactly wherever
+    /// `order_replay_exact` holds.
     #[test]
     fn indexed_chase_matches_naive_chase_on_adversarial_instances(w in arb_adversarial()) {
         assert_plain_chase_matches_oracle(&w.instance, &w.fds);
@@ -532,7 +532,7 @@ fn cross_column_marks_reach_a_fixpoint() {
     )
     .unwrap();
     let fds = FdSet::parse(&schema, "A -> B").unwrap();
-    assert!(!order_replay_caveats(&r).is_empty());
+    assert!(!order_replay_exact(&r));
     assert_plain_chase_matches_oracle(&r, &fds);
     assert_extended_matches_oracle(&r, &fds);
 }

@@ -54,7 +54,7 @@ pub fn arb_adversarial() -> impl Strategy<Value = Workload> {
                 }
                 if cross == 1 && rows.len() >= 2 {
                     // one NEC class spanning two columns of two rows —
-                    // the caveat regime of the indexed chase
+                    // a regime where the indexed chase's exact replay lapses
                     let id = w.instance.fresh_null();
                     let r0 = rows[rng.gen_range(0..rows.len())];
                     let r1 = rows[rng.gen_range(0..rows.len())];

@@ -208,7 +208,7 @@ proptest! {
             }
         }
         let permuted = extended_chase_naive(&r, &fds.permuted(&order));
-        let chased = extended_chase(&r, &fds, &fdi_obs::Recorder::noop());
+        let chased = extended_chase(&r, &fds);
         prop_assert_eq!(
             chased.instance.canonical_form(),
             permuted.instance.canonical_form()

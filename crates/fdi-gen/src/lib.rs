@@ -212,9 +212,7 @@ fn satisfiable_base(rng: &mut StdRng, spec: &WorkloadSpec, fds: &FdSet) -> Insta
         }
         inserted.push(instance.add_tuple(Tuple::new(values)).expect("arity"));
     }
-    let mut engine = fdi_core::chase::CellEngine::new(&instance);
-    engine.run(fds);
-    engine.materialize_resolved(&instance)
+    fdi_core::chase::cells::extended_chase_resolved(&instance, fds)
 }
 
 /// Generates an instance that **classically satisfies** `fds` before

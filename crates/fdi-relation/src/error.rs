@@ -48,6 +48,9 @@ pub enum RelationError {
         /// The hard limit.
         limit: usize,
     },
+    /// Every null id below `u32::MAX` has been allocated, so a fresh
+    /// null cannot be minted without reusing one.
+    NullIdsExhausted,
 }
 
 impl fmt::Display for RelationError {
@@ -91,6 +94,9 @@ impl fmt::Display for RelationError {
                     f,
                     "{requested} attributes requested but at most {limit} are supported"
                 )
+            }
+            RelationError::NullIdsExhausted => {
+                write!(f, "null ids exhausted: no fresh null can be allocated")
             }
         }
     }

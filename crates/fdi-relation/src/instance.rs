@@ -254,10 +254,24 @@ impl Instance {
     }
 
     /// Allocates a fresh null id.
+    ///
+    /// # Panics
+    /// Panics when the `u32` id space is exhausted; the token grammar
+    /// ([`Instance::parse_value`]) reports that as
+    /// [`RelationError::NullIdsExhausted`] instead.
     pub fn fresh_null(&mut self) -> NullId {
+        self.try_fresh_null().expect("null id space exhausted")
+    }
+
+    /// Allocates a fresh null id, or fails once every id below
+    /// `u32::MAX` has been handed out, rather than wrap round to id 0.
+    fn try_fresh_null(&mut self) -> Result<NullId, RelationError> {
         let id = NullId(self.next_null);
-        self.next_null += 1;
-        id
+        self.next_null = self
+            .next_null
+            .checked_add(1)
+            .ok_or(RelationError::NullIdsExhausted)?;
+        Ok(id)
     }
 
     /// Ensures future [`Instance::fresh_null`] calls return ids strictly
@@ -302,7 +316,7 @@ impl Instance {
     /// and of cell updates.
     pub fn parse_value(&mut self, attr: AttrId, token: &str) -> Result<Value, RelationError> {
         if token == "-" {
-            Ok(Value::Null(self.fresh_null()))
+            Ok(Value::Null(self.try_fresh_null()?))
         } else if token == "#!" {
             Ok(Value::Nothing)
         } else if let Some(mark) = token.strip_prefix('?') {
@@ -315,7 +329,7 @@ impl Instance {
             if let Some(&id) = self.marks.get(mark) {
                 return Ok(Value::Null(id));
             }
-            let id = self.fresh_null();
+            let id = self.try_fresh_null()?;
             self.marks.insert(mark.to_string(), id);
             Ok(Value::Null(id))
         } else {

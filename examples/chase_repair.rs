@@ -29,7 +29,7 @@ fn main() {
     );
 
     // ----- Theorem 4: the extended rules are Church–Rosser -----
-    let ext_forward = chase::extended_chase(&r, &fds, &Recorder::noop());
+    let ext_forward = chase::extended_chase(&r, &fds);
     let ext_backward = chase::extended_chase_naive(&r, &fds.permuted(&[1, 0]));
     println!("the EXTENDED rules agree in either order (all B-values = nothing):");
     println!("{}", ext_forward.instance.render(false));

@@ -260,7 +260,7 @@ fn run(command: &str, desc: &Description, out: &mut impl IoWrite) -> Result<(), 
             )?;
         }
         "chase-extended" => {
-            let outcome = chase::extended_chase(instance, fds, &Recorder::noop());
+            let outcome = chase::extended_chase(instance, fds);
             writeln!(out, "{}", outcome.instance.render(true))?;
             if outcome.has_nothing() {
                 writeln!(

@@ -175,10 +175,10 @@
 //! into the writer's database and journal too, plus publish latency,
 //! epoch gauges and the pending-batch gauge) /
 //! [`serve::Reader::set_recorder`] (snapshot reads), and the `rec`
-//! argument of each engine entry point: the extended chase
-//! ([`core::chase::extended_chase`]), TEST-FDs
-//! ([`core::testfd::check`]), and [`serve::Epoch::select`] (plan-cache,
-//! NEC-signature memo, and classical-fast-path traffic).
+//! argument of TEST-FDs ([`core::testfd::check`]) and
+//! [`serve::Epoch::select`] (plan-cache, NEC-signature memo, and
+//! classical-fast-path traffic). The chases take no recorder: a
+//! database write records its extended chase's rounds and unions.
 //!
 //! Metrics are split into a **deterministic** registry (bit-identical
 //! across runs and reader counts for the same op stream — op tallies, journal record counts, extended-chase

@@ -8,7 +8,6 @@ use fd_incomplete::core::{chase, subst, testfd};
 use fd_incomplete::gen::{
     plant_violation, random_fds, satisfiable_instance, workload, WorkloadSpec,
 };
-use fd_incomplete::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -96,11 +95,10 @@ fn chase_schedulers_and_orders_agree_at_scale() {
         nec_density: 0.3,
         collision_rate: 0.5,
     };
-    let rec = Recorder::noop();
     for seed in 0..12 {
         let w = workload(seed, &spec, 4);
         let naive = chase::extended_chase_naive(&w.instance, &w.fds);
-        let fast = chase::extended_chase(&w.instance, &w.fds, &rec);
+        let fast = chase::extended_chase(&w.instance, &w.fds);
         assert_eq!(
             fast.instance.canonical_form(),
             naive.instance.canonical_form(),
@@ -111,7 +109,7 @@ fn chase_schedulers_and_orders_agree_at_scale() {
         // permuted FD order
         let mut order: Vec<usize> = (0..w.fds.len()).collect();
         order.reverse();
-        let permuted = chase::extended_chase(&w.instance, &w.fds.permuted(&order), &rec);
+        let permuted = chase::extended_chase(&w.instance, &w.fds.permuted(&order));
         assert_eq!(
             naive.instance.canonical_form(),
             permuted.instance.canonical_form(),
@@ -167,7 +165,7 @@ fn plain_chase_reaches_fixpoints_that_extended_chase_refines() {
         assert!(chase::is_minimally_incomplete(&plain.instance, &w.fds));
         // the extended chase agrees wherever the plain chase resolved a
         // value (unless the cell was destroyed by an inconsistency)
-        let extended = chase::extended_chase(&w.instance, &w.fds, &Recorder::noop());
+        let extended = chase::extended_chase(&w.instance, &w.fds);
         let all = w.instance.schema().all_attrs();
         for row in w.instance.row_ids() {
             for attr in all.iter() {

@@ -141,7 +141,7 @@ proptest! {
     fn compiled_matches_reference_on_extended_and_compacted(seed in 0u64..1 << 32) {
         let w: Workload = extended_workload(seed, 32, 3, 5, 2);
         let chased =
-            chase::extended_chase(&w.instance, &w.fds, &Recorder::noop());
+            chase::extended_chase(&w.instance, &w.fds);
         let mut instance = chased.instance;
         let mut rng = StdRng::seed_from_u64(seed);
         let queries: Vec<Query> = (0..3).map(|_| random_query(&mut rng, &instance, 3)).collect();

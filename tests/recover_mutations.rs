@@ -4,8 +4,9 @@
 //! `RecoverError` — never a panic, and never an allocation sized by a
 //! crafted count.
 
-use fd_incomplete::core::update::Database;
+use fd_incomplete::core::update::{Database, UpdateError};
 use fd_incomplete::prelude::*;
+use fd_incomplete::relation::error::RelationError;
 use fd_incomplete::store::record::{frame, Scanned, Scanner, FILE_HEADER};
 use fd_incomplete::store::{Batch, JournalOp, MemStorage, Storage};
 use proptest::prelude::*;
@@ -175,4 +176,39 @@ proptest! {
             }
         }
     }
+}
+
+/// A genesis whose null allocator sits at `u32::MAX` recovers, and a
+/// write that needs a fresh null is then rejected with a typed error
+/// instead of wrapping the allocator round to id 0.
+#[test]
+fn an_exhausted_null_allocator_rejects_the_write() {
+    let schema = Schema::builder("emp")
+        .attribute("dept", ["d1", "d2"])
+        .attribute("mgr", ["m1", "m2"])
+        .build()
+        .unwrap();
+    let fds = FdSet::parse(&schema, "dept -> mgr").unwrap();
+    let mut base = Instance::parse(schema, "d1 m1").unwrap();
+    base.reserve_null_ids(NullId(u32::MAX - 1));
+    let db = Database::new(base, fds, Enforcement::Weak).unwrap();
+    let mut journal = Journal::create(MemStorage::new(), &db).unwrap();
+    journal.sync().unwrap();
+    let mut bytes = Vec::new();
+    journal.into_storage().read_all(&mut bytes).unwrap();
+
+    let mut db = Journal::recover(MemStorage::from_bytes(bytes)).unwrap().db;
+    let before = db.instance().canonical_form();
+    for tokens in [["d2", "-"], ["d2", "?x"]] {
+        let err = db.insert(&tokens).unwrap_err();
+        assert!(
+            matches!(err, UpdateError::Relation(RelationError::NullIdsExhausted)),
+            "{tokens:?}: {err}"
+        );
+        assert_eq!(db.instance().canonical_form(), before, "{tokens:?}");
+    }
+    assert!(
+        db.insert(&["d2", "m2"]).is_ok(),
+        "constants need no null id"
+    );
 }
